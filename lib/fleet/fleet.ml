@@ -4,6 +4,7 @@ module Json = Emc_obs.Json
 module Log = Emc_obs.Log
 module Metrics = Emc_obs.Metrics
 module Http = Emc_serve.Http
+module Server = Emc_serve.Server
 
 (** Distributed measurement over the serve substrate (see fleet.mli). *)
 
@@ -86,7 +87,6 @@ let m_lost = Metrics.counter "fleet.workers_lost"
 let m_prefilled = Metrics.counter "fleet.store_prefilled"
 
 (* worker side *)
-let m_requests = Metrics.counter "fleet.requests"
 let m_measured = Metrics.counter "fleet.points_measured"
 let m_store_hits = Metrics.counter "fleet.store_hits"
 let m_store_puts = Metrics.counter "fleet.store_puts"
@@ -258,129 +258,39 @@ let triples_of_body ~expect body =
     Error (Printf.sprintf "%d results for %d points" (List.length results) expect)
   else Ok (Array.of_list results)
 
-(* ---------------- minimal daemon scaffolding ---------------- *)
+(* ---------------- daemons ---------------- *)
 
-let error_json code msg =
-  Json.to_string
-    (Json.Obj
-       [ ("error", Json.Obj [ ("code", Json.Str code); ("message", Json.Str msg) ]) ])
-
-let json_body status j = (status, "application/json", Json.to_string j)
-let error_body status code msg = (status, "application/json", error_json code msg)
-
-let listener_of_addr addr =
-  match addr with
-  | Tcp (host, port) ->
-      let ip =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> fail "listen address must be an IP, not %S" host
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (ip, port));
-      Unix.listen fd 64;
-      fd
-  | Unix_sock path ->
-      if Sys.file_exists path then (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      fd
-
-let stop = ref false
-
-(* Sequential accept loop with keep-alive — measurement chunks are
-   long-running and CPU-bound, so one connection at a time per daemon is
-   the natural unit; parallelism comes from running more workers (and
-   each worker's own --jobs fan-out). A coordinator pipelines multiple
-   requests down the one connection; they are answered strictly in order,
-   each response echoing the request's X-Chunk-Id so the coordinator can
-   verify the pairing.
-
-   Drain semantics (SIGTERM/SIGINT, which is what `fleet-worker --drain`
-   sends): finish the request currently being handled, answer it with
-   Connection: close, run [on_stop] (deregister from the membership
-   endpoint), and exit 0. Between requests the loop waits in short
-   selects rather than blocking in read, so an idle daemon drains
-   promptly instead of after its next request. *)
-let serve_loop ?(ready = fun () -> ()) ?(on_stop = fun () -> ()) ~name ~listen ~read_timeout
-    handler =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  stop := false;
-  let quit = Sys.Signal_handle (fun _ -> stop := true) in
-  Sys.set_signal Sys.sigterm quit;
-  Sys.set_signal Sys.sigint quit;
-  let lsock = listener_of_addr listen in
+(* Both daemons serve their route table in-process on the shared
+   multiplexed server (the store's table and the worker's memo must live
+   in one process, so nothing is pre-forked): 64 MiB bodies, serve's
+   512-connection cap, [timeout] as both read and idle timeout. Drain
+   (SIGTERM/SIGINT, what `fleet-worker --drain` sends) finishes the
+   request being handled, answers it with Connection: close and returns. *)
+let bind ~name listen =
+  let addr = sockaddr_of_addr listen in
+  let lsock = Server.bind addr in
   Log.info ~src:name
     ~fields:[ ("listen", Json.Str (addr_to_string listen)) ]
     "%s listening on %s" name (addr_to_string listen);
-  ready ();
-  while not !stop do
-    match Unix.accept lsock with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | fd, _ ->
-        (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO read_timeout
-         with Unix.Unix_error _ -> ());
-        (* Per-connection pipelining buffer: a pipelined client may send
-           request N+1 glued to request N's bytes, in which case it sits
-           here and the socket never becomes readable again. *)
-        let carry = ref "" in
-        (* true when request bytes arrive before the idle deadline; false
-           on stop or an idle keep-alive connection going quiet *)
-        let await_request () =
-          let idle_deadline = Unix.gettimeofday () +. read_timeout in
-          let rec go () =
-            if !carry <> "" then true
-            else if !stop then false
-            else if Unix.gettimeofday () > idle_deadline then false
-            else
-              match Unix.select [ fd ] [] [] 0.25 with
-              | [], _, _ -> go ()
-              | _ -> true
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-          in
-          go ()
-        in
-        let rec conn () =
-          if await_request () then
-            match
-              Http.read_request ~max_body:(64 * 1024 * 1024) ~timeout:read_timeout ~carry fd
-            with
-            | Error (Http.Closed | Http.Timeout) -> ()
-            | Error e ->
-                Http.respond fd ~status:400 ~keep_alive:false
-                  (error_json "bad_request" (Http.error_to_string e))
-            | Ok req ->
-                let status, content_type, body =
-                  try handler req
-                  with e ->
-                    Log.warn ~src:name "request handler raised: %s" (Printexc.to_string e);
-                    error_body 500 "internal" "internal error; see server log"
-                in
-                let headers =
-                  match Http.header req "x-chunk-id" with
-                  | Some id -> [ ("X-Chunk-Id", id) ]
-                  | None -> []
-                in
-                Http.respond fd ~status ~content_type ~headers ~keep_alive:(not !stop) body;
-                if not !stop then conn ()
-        in
-        (try conn ()
-         with Unix.Unix_error
-                ((Unix.EPIPE | Unix.ECONNRESET | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-           ());
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-  done;
-  (try Unix.close lsock with Unix.Unix_error _ -> ());
-  (match listen with
-  | Unix_sock path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Tcp _ -> ());
-  on_stop ();
+  (addr, lsock)
+
+let serve ~name ~timeout listen (addr, lsock) routes =
+  Server.run ~max_body:(64 * 1024 * 1024) ~read_timeout:timeout ~idle_timeout:timeout
+    ~max_conns:512 ?access_log:(Sys.getenv_opt "EMC_ACCESS_LOG") (Server.table routes) lsock;
+  Server.release addr lsock;
   Log.info ~src:name "%s on %s: graceful shutdown" name (addr_to_string listen)
+
+(* A POST endpoint: [parse] the JSON body (400 when it does not), then
+   answer 200 with the JSON object [k] builds. *)
+let json_route parse k (req : Http.request) b =
+  match Result.bind (Json.parse req.Http.body) parse with
+  | Error msg -> Server.error b 400 "bad_request" msg
+  | Ok x -> Server.reply b 200 (k x)
 
 (* ---------------- content-addressed result store ---------------- *)
 
 let run_store ?file ~listen () =
+  let listener = bind ~name:"fleet-store" listen in
   let table : (string, float) Hashtbl.t = Hashtbl.create 4096 in
   (match file with
   | None -> ()
@@ -415,142 +325,131 @@ let run_store ?file ~listen () =
       dead;
     Metrics.set g_members (float_of_int (Hashtbl.length members))
   in
-  let handle (req : Http.request) =
-    match (req.Http.meth, req.Http.path) with
-    | "POST", "/register" -> (
-        let parsed =
-          let* j = Json.parse req.Http.body in
-          match (Json.member "addr" j, Option.bind (Json.member "ttl" j) Json.hex_of) with
-          | Some (Json.Str a), Some ttl when a <> "" && ttl > 0.0 && ttl <= 3600.0 ->
-              Ok (a, ttl)
-          | Some (Json.Str a), None when a <> "" -> Ok (a, 6.0)
-          | _ -> Error "want {\"addr\":ADDR,\"ttl\":HEXSECONDS} with 0 < ttl <= 3600"
-        in
-        match parsed with
-        | Error msg -> error_body 400 "bad_request" msg
-        | Ok (addr, ttl) ->
-            let now = Unix.gettimeofday () in
-            if not (Hashtbl.mem members addr) then
-              Log.info ~src:"fleet-store" ~fields:[ ("worker", Json.Str addr) ]
-                "member %s registered (ttl %.1fs)" addr ttl;
-            Hashtbl.replace members addr (now, ttl);
-            Metrics.incr m_registered;
-            expire_members now;
-            json_body 200 (Json.Obj [ ("members", Json.Int (Hashtbl.length members)) ]))
-    | "POST", "/deregister" -> (
-        let parsed =
-          let* j = Json.parse req.Http.body in
-          match Json.member "addr" j with
-          | Some (Json.Str a) when a <> "" -> Ok a
-          | _ -> Error "want {\"addr\":ADDR}"
-        in
-        match parsed with
-        | Error msg -> error_body 400 "bad_request" msg
-        | Ok addr ->
-            let removed = Hashtbl.mem members addr in
-            Hashtbl.remove members addr;
-            if removed then
-              Log.info ~src:"fleet-store" ~fields:[ ("worker", Json.Str addr) ]
-                "member %s deregistered" addr;
-            Metrics.set g_members (float_of_int (Hashtbl.length members));
-            json_body 200 (Json.Obj [ ("removed", Json.Bool removed) ]))
-    | "GET", "/members" ->
+  let register =
+    json_route
+      (fun j ->
+        match (Json.member "addr" j, Option.bind (Json.member "ttl" j) Json.hex_of) with
+        | Some (Json.Str a), Some ttl when a <> "" && ttl > 0.0 && ttl <= 3600.0 -> Ok (a, ttl)
+        | Some (Json.Str a), None when a <> "" -> Ok (a, 6.0)
+        | _ -> Error "want {\"addr\":ADDR,\"ttl\":HEXSECONDS} with 0 < ttl <= 3600")
+      (fun (addr, ttl) ->
         let now = Unix.gettimeofday () in
+        if not (Hashtbl.mem members addr) then
+          Log.info ~src:"fleet-store" ~fields:[ ("worker", Json.Str addr) ]
+            "member %s registered (ttl %.1fs)" addr ttl;
+        Hashtbl.replace members addr (now, ttl);
+        Metrics.incr m_registered;
         expire_members now;
-        let workers =
-          Hashtbl.fold (fun a (beat, _) acc -> (a, now -. beat) :: acc) members []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-          |> List.map (fun (a, age) ->
-                 Json.Obj [ ("addr", Json.Str a); ("age", Json.hex age) ])
-        in
-        json_body 200 (Json.Obj [ ("workers", Json.List workers) ])
-    | "POST", "/lookup" -> (
-        let parsed =
-          let* j = Json.parse req.Http.body in
-          match Json.member "keys" j with
-          | Some (Json.List ks) ->
-              List.fold_right
-                (fun k acc ->
-                  let* acc = acc in
-                  match k with
-                  | Json.Str s -> Ok (s :: acc)
-                  | _ -> Error "keys must be strings")
-                ks (Ok [])
-          | _ -> Error "missing keys"
-        in
-        match parsed with
-        | Error msg -> error_body 400 "bad_request" msg
-        | Ok keys ->
-            let hits =
-              List.filter_map
-                (fun k ->
-                  match Hashtbl.find_opt table k with
-                  | Some v ->
-                      Metrics.incr m_lookup_hits;
-                      Some (k, Json.hex v)
-                  | None ->
-                      Metrics.incr m_lookup_misses;
-                      None)
-                keys
-            in
-            json_body 200 (Json.Obj [ ("results", Json.Obj hits) ]))
-    | "POST", "/put" -> (
-        let parsed =
-          let* j = Json.parse req.Http.body in
-          match Json.member "entries" j with
-          | Some (Json.List es) ->
-              List.fold_right
-                (fun e acc ->
-                  let* acc = acc in
-                  match (Json.member "k" e, Option.bind (Json.member "v" e) Json.hex_of) with
-                  | Some (Json.Str k), Some v -> Ok ((k, v) :: acc)
-                  | _ -> Error "entries must be {\"k\":KEY,\"v\":HEXFLOAT}")
-                es (Ok [])
-          | _ -> Error "missing entries"
-        in
-        match parsed with
-        | Error msg -> error_body 400 "bad_request" msg
-        | Ok entries ->
-            let added =
-              List.fold_left
-                (fun n (k, v) ->
-                  if Hashtbl.mem table k then n
-                  else begin
-                    Hashtbl.replace table k v;
-                    (match persist with
-                    | Some oc ->
-                        output_string oc (Measure.cache_line k v);
-                        output_char oc '\n'
-                    | None -> ());
-                    n + 1
-                  end)
-                0 entries
-            in
-            (match persist with Some oc -> flush oc | None -> ());
-            Metrics.add m_added added;
-            Metrics.set g_keys (float_of_int (Hashtbl.length table));
-            json_body 200 (Json.Obj [ ("added", Json.Int added) ]))
-    | "GET", "/get" -> (
-        match List.assoc_opt "k" req.Http.query with
-        | None -> error_body 400 "bad_request" "missing ?k="
-        | Some k -> (
-            match Hashtbl.find_opt table k with
-            | Some v ->
-                Metrics.incr m_lookup_hits;
-                json_body 200 (Json.Obj [ ("k", Json.Str k); ("v", Json.hex v) ])
-            | None ->
-                Metrics.incr m_lookup_misses;
-                error_body 404 "not_found" ("no result under key " ^ k)))
-    | "GET", "/healthz" ->
-        json_body 200
-          (Json.Obj
-             [ ("status", Json.Str "ok"); ("role", Json.Str "store");
-               ("keys", Json.Int (Hashtbl.length table)) ])
-    | "GET", "/metrics" -> (200, "text/plain; version=0.0.4", Emc_serve.Serve.prometheus ())
-    | _, p -> error_body 404 "not_found" ("no such endpoint: " ^ p)
+        Json.Obj [ ("members", Json.Int (Hashtbl.length members)) ])
   in
-  serve_loop ~name:"fleet-store" ~listen ~read_timeout:30.0 handle;
-  match persist with Some oc -> close_out oc | None -> ()
+  let deregister =
+    json_route
+      (fun j ->
+        match Json.member "addr" j with
+        | Some (Json.Str a) when a <> "" -> Ok a
+        | _ -> Error "want {\"addr\":ADDR}")
+      (fun addr ->
+        let removed = Hashtbl.mem members addr in
+        Hashtbl.remove members addr;
+        if removed then
+          Log.info ~src:"fleet-store" ~fields:[ ("worker", Json.Str addr) ]
+            "member %s deregistered" addr;
+        Metrics.set g_members (float_of_int (Hashtbl.length members));
+        Json.Obj [ ("removed", Json.Bool removed) ])
+  in
+  let list_members _ b =
+    let now = Unix.gettimeofday () in
+    expire_members now;
+    let workers =
+      Hashtbl.fold (fun a (beat, _) acc -> (a, now -. beat) :: acc) members []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> List.map (fun (a, age) -> Json.Obj [ ("addr", Json.Str a); ("age", Json.hex age) ])
+    in
+    Server.reply b 200 (Json.Obj [ ("workers", Json.List workers) ])
+  in
+  let lookup =
+    json_route
+      (fun j ->
+        match Json.member "keys" j with
+        | Some (Json.List ks) ->
+            List.fold_right
+              (fun k acc ->
+                let* acc = acc in
+                match k with Json.Str s -> Ok (s :: acc) | _ -> Error "keys must be strings")
+              ks (Ok [])
+        | _ -> Error "missing keys")
+      (fun keys ->
+        let hits =
+          List.filter_map
+            (fun k ->
+              match Hashtbl.find_opt table k with
+              | Some v ->
+                  Metrics.incr m_lookup_hits;
+                  Some (k, Json.hex v)
+              | None ->
+                  Metrics.incr m_lookup_misses;
+                  None)
+            keys
+        in
+        Json.Obj [ ("results", Json.Obj hits) ])
+  in
+  let put =
+    json_route
+      (fun j ->
+        match Json.member "entries" j with
+        | Some (Json.List es) ->
+            List.fold_right
+              (fun e acc ->
+                let* acc = acc in
+                match (Json.member "k" e, Option.bind (Json.member "v" e) Json.hex_of) with
+                | Some (Json.Str k), Some v -> Ok ((k, v) :: acc)
+                | _ -> Error "entries must be {\"k\":KEY,\"v\":HEXFLOAT}")
+              es (Ok [])
+        | _ -> Error "missing entries")
+      (fun entries ->
+        let added =
+          List.fold_left
+            (fun n (k, v) ->
+              if Hashtbl.mem table k then n
+              else begin
+                Hashtbl.replace table k v;
+                (match persist with
+                | Some oc ->
+                    output_string oc (Measure.cache_line k v);
+                    output_char oc '\n'
+                | None -> ());
+                n + 1
+              end)
+            0 entries
+        in
+        (match persist with Some oc -> flush oc | None -> ());
+        Metrics.add m_added added;
+        Metrics.set g_keys (float_of_int (Hashtbl.length table));
+        Json.Obj [ ("added", Json.Int added) ])
+  in
+  let get (req : Http.request) b =
+    match List.assoc_opt "k" req.Http.query with
+    | None -> Server.error b 400 "bad_request" "missing ?k="
+    | Some k -> (
+        match Hashtbl.find_opt table k with
+        | Some v ->
+            Metrics.incr m_lookup_hits;
+            Server.reply b 200 (Json.Obj [ ("k", Json.Str k); ("v", Json.hex v) ])
+        | None ->
+            Metrics.incr m_lookup_misses;
+            Server.error b 404 "not_found" ("no result under key " ^ k))
+  in
+  let healthz _ b =
+    Server.reply b 200
+      (Json.Obj
+         [ ("status", Json.Str "ok"); ("role", Json.Str "store");
+           ("keys", Json.Int (Hashtbl.length table)) ])
+  in
+  serve ~name:"fleet-store" ~timeout:30.0 listen listener
+    [ ("POST", "/register", register); ("POST", "/deregister", deregister);
+      ("GET", "/members", list_members); ("POST", "/lookup", lookup); ("POST", "/put", put);
+      ("GET", "/get", get); ("GET", "/healthz", healthz) ];
+  Option.iter close_out persist
 
 (* ---------------- store client (used by workers) ---------------- *)
 
@@ -687,14 +586,13 @@ let run_worker ?(jobs = 1) ?store ?(store_timeout = 10.0) ?cache_file ?register 
         Hashtbl.replace measures key m;
         m
   in
-  let handle_measure (req : Http.request) =
+  let handle_measure (req : Http.request) b =
     match measure_request_of_body req.Http.body with
-    | Error msg -> error_body 400 "bad_request" msg
+    | Error msg -> Server.error b 400 "bad_request" msg
     | Ok mr -> (
         match Registry.find mr.mr_workload with
-        | exception Invalid_argument msg -> error_body 400 "unknown_workload" msg
+        | exception Invalid_argument msg -> Server.error b 400 "unknown_workload" msg
         | w ->
-            Metrics.incr m_requests;
             Metrics.add m_measured (Array.length mr.mr_points);
             let m =
               measure_for ~workload_scale:mr.mr_workload_scale ~smarts:mr.mr_smarts
@@ -735,56 +633,48 @@ let run_worker ?(jobs = 1) ?store ?(store_timeout = 10.0) ?cache_file ?register 
                 match store_put ~timeout:store_timeout saddr entries with
                 | Ok added -> Metrics.add m_store_puts added
                 | Error e -> Log.warn ~src:"fleet-worker" "store put failed: %s" e));
-            (200, "application/json", result_body triples))
+            Buffer.add_string b (result_body triples);
+            (200, "application/json"))
   in
-  let handle (req : Http.request) =
-    match (req.Http.meth, req.Http.path) with
-    | "POST", "/measure" -> handle_measure req
-    | "GET", "/healthz" ->
-        json_body 200
-          (Json.Obj
-             [ ("status", Json.Str "ok"); ("role", Json.Str "worker");
-               ("jobs", Json.Int jobs);
-               ("workloads", Json.List (List.map (fun n -> Json.Str n) Registry.names)) ])
-    | "GET", "/metrics" -> (200, "text/plain; version=0.0.4", Emc_serve.Serve.prometheus ())
-    | _, p -> error_body 404 "not_found" ("no such endpoint: " ^ p)
+  let healthz _ b =
+    Server.reply b 200
+      (Json.Obj
+         [ ("status", Json.Str "ok"); ("role", Json.Str "worker"); ("jobs", Json.Int jobs);
+           ("workloads", Json.List (List.map (fun n -> Json.Str n) Registry.names)) ])
   in
+  let listener = bind ~name:"fleet-worker" listen in
   let advertise = match advertise with Some a -> a | None -> addr_to_string listen in
   let pidfile = match pidfile with Some _ as p -> p | None -> default_pidfile listen in
-  let hb = ref None in
-  let ready () =
-    (match pidfile with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (string_of_int (Unix.getpid ()));
-        output_char oc '\n';
-        close_out oc);
-    match register with
-    | None -> ()
-    | Some saddr ->
-        hb := Some (start_heartbeater ~store:saddr ~advertise ~interval:heartbeat
-                      ~timeout:store_timeout)
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (string_of_int (Unix.getpid ()));
+      output_char oc '\n';
+      close_out oc)
+    pidfile;
+  let hb =
+    Option.map
+      (fun saddr ->
+        start_heartbeater ~store:saddr ~advertise ~interval:heartbeat ~timeout:store_timeout)
+      register
   in
-  let on_stop () =
-    (match !hb with
-    | None -> ()
-    | Some pid ->
-        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()));
-    (match register with
-    | None -> ()
-    | Some saddr -> (
-        match deregister_rpc ~timeout:store_timeout saddr ~advertise with
-        | Ok () -> ()
-        | Error e -> Log.warn ~src:"fleet-worker" "deregister failed: %s" e));
-    match pidfile with
-    | None -> ()
-    | Some path -> ( try Sys.remove path with Sys_error _ -> ())
-  in
-  (* measurement chunks can run for minutes: a long read timeout keeps an
-     idle keep-alive coordinator connection from being dropped mid-run *)
-  serve_loop ~ready ~on_stop ~name:"fleet-worker" ~listen ~read_timeout:3600.0 handle
+  (* measurement chunks can run for minutes: long read and idle timeouts
+     keep an idle keep-alive coordinator connection from being dropped
+     mid-run *)
+  serve ~name:"fleet-worker" ~timeout:3600.0 listen listener
+    [ ("POST", "/measure", handle_measure); ("GET", "/healthz", healthz) ];
+  Option.iter
+    (fun pid ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+    hb;
+  Option.iter
+    (fun saddr ->
+      match deregister_rpc ~timeout:store_timeout saddr ~advertise with
+      | Ok () -> ()
+      | Error e -> Log.warn ~src:"fleet-worker" "deregister failed: %s" e)
+    register;
+  Option.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) pidfile
 
 (* Graceful scale-down, the client side of `fleet-worker --drain`: SIGTERM
    the worker named by its pidfile and wait for the process to exit. The
@@ -1050,7 +940,7 @@ let respond_batch ?store opts sources (scale : Scale.t) (w : Workload.t) ~varian
           Http.write_request fd ~meth:"POST" ~path:"/measure"
             ~headers:
               [ ("Content-Type", "application/json");
-                ("X-Chunk-Id", string_of_int c.c_id) ]
+                ("X-Request-Id", string_of_int c.c_id) ]
             ~body:c.c_body ()
         with
         | Ok () -> ()
@@ -1065,10 +955,11 @@ let respond_batch ?store opts sources (scale : Scale.t) (w : Workload.t) ~varian
     with
     | Error e -> fail_worker wk (Http.error_to_string e)
     | Ok resp when resp.Http.status = 200 -> (
-        match Http.response_header resp "x-chunk-id" with
+        match Http.response_header resp "x-request-id" with
         | Some id when id <> string_of_int c.c_id ->
-            (* the worker echoes the request's chunk id; a mismatch means
-               the pipeline lost sync and every queued pairing is suspect *)
+            (* the worker's server echoes the request id, which is the
+               chunk id; a mismatch means the pipeline lost sync and every
+               queued pairing is suspect *)
             fail_worker wk
               (Printf.sprintf "pipeline desync: got chunk %s, expected %d" id c.c_id)
         | _ -> (

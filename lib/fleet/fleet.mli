@@ -80,9 +80,10 @@ type options = {
   chunk : int;  (** design points per dispatch; 0 = auto from batch size *)
   depth : int;
       (** outstanding chunks pipelined per worker connection; 1 = the
-          classic request/response lockstep. Responses come back in
-          request order (the worker loop is sequential) and each echoes
-          its [X-Chunk-Id], so a desync is detected, not silently merged *)
+          classic request/response lockstep. The worker's server answers
+          a connection's requests in order and echoes each one's
+          [X-Request-Id], which the coordinator sets to the chunk id, so
+          a desync is detected, not silently merged *)
   connect_timeout : float;  (** seconds to establish a worker connection *)
   read_timeout : float;
       (** hard per-dispatch deadline before the worker is failed; clocks
@@ -172,7 +173,13 @@ val drain : ?timeout:float -> pidfile:string -> unit -> (int, string) result
     removes the pidfile and exits 0) and wait up to [timeout] (default
     120 s) for the process to disappear. Returns the pid drained. *)
 
-(** {1 Daemons} (block until SIGTERM/SIGINT, then clean up) *)
+(** {1 Daemons}
+
+    Each serves its route table in-process on {!Emc_serve.Server} (so an
+    idle keep-alive client costs a connection slot, never the daemon),
+    appends to the [EMC_ACCESS_LOG] access log when it is set, blocks
+    until SIGTERM/SIGINT, then cleans up. A Unix-socket [listen] path
+    holding anything but a stale socket is refused. *)
 
 val run_worker :
   ?jobs:int ->

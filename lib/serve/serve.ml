@@ -28,209 +28,11 @@ let default_opts listen =
     access_log = Sys.getenv_opt "EMC_ACCESS_LOG";
   }
 
-(* ---------------- metrics ---------------- *)
-
-let m_requests = Metrics.counter "serve.requests"
-let m_errors = Metrics.counter "serve.errors"
-let m_connections = Metrics.counter "serve.connections"
-
-let endpoint_counter path = Metrics.counter ("serve.requests." ^ path)
-let status_counter status = Metrics.counter (Printf.sprintf "serve.errors.%d" status)
-let latency_hist path = Metrics.histogram ("serve.latency_seconds." ^ path)
-
-(* ---------------- cross-worker metrics aggregation ----------------
-
-   Each pre-forked worker publishes its whole registry as an atomic
-   snapshot file (write + rename) in a master-created runtime directory:
-   once after startup, then after every request *before* the response is
-   written, so any client that has received its response is guaranteed
-   visible to a subsequent scrape of any worker. [GET /metrics] merges
-   every worker's file — counters sum exactly, histograms merge
-   bucket-wise — so the scrape answers for the whole daemon no matter
-   which worker picked it up. *)
-
-let metrics_dir : string option ref = ref None
-let snapshot_file : string option ref = ref None
-
-let publish_dirty = ref false
-let publish_last = ref neg_infinity
-
-(* Serializing and renaming the snapshot file on every response is pure
-   overhead on the hot path, so publishes are debounced: a response
-   marks the registry dirty and a publish happens at most once per
-   [publish_interval]; the worker's scheduler loop flushes a dirty
-   registry once the interval has passed (its select timeout is capped
-   at 1 s, so staleness is bounded even on an idle worker). Scrapes are
-   still exact for the answering worker — [aggregated_snapshot]
-   publishes its live registry unconditionally. *)
-let publish_interval = 0.25
-
-let publish_snapshot () =
-  publish_dirty := false;
-  publish_last := Unix.gettimeofday ();
-  match !snapshot_file with
-  | None -> ()
-  | Some path -> (
-      try
-        let tmp = Printf.sprintf "%s.tmp" path in
-        let oc = open_out tmp in
-        output_string oc (Json.to_string (Metrics.snapshot_to_json (Metrics.snapshot ())));
-        output_char oc '\n';
-        close_out oc;
-        Sys.rename tmp path
-      with Sys_error msg ->
-        Emc_obs.Log.warn ~src:"serve" "cannot publish metrics snapshot: %s" msg)
-
-let publish_soon () =
-  publish_dirty := true;
-  if Unix.gettimeofday () -. !publish_last >= publish_interval then publish_snapshot ()
-
-let publish_if_due () =
-  if !publish_dirty && Unix.gettimeofday () -. !publish_last >= publish_interval then
-    publish_snapshot ()
-
-let read_snapshot_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ -> None
-  | contents -> (
-      match Result.bind (Json.parse (String.trim contents)) Metrics.snapshot_of_json with
-      | Ok s -> Some s
-      | Error e ->
-          Emc_obs.Log.warn ~src:"serve" "skipping malformed snapshot %s: %s" path e;
-          None)
-
-let merged_snapshots dir =
-  Sys.readdir dir |> Array.to_list |> List.sort String.compare
-  |> List.filter_map (fun f ->
-         if Filename.check_suffix f ".json" then read_snapshot_file (Filename.concat dir f)
-         else None)
-  |> List.fold_left Metrics.merge Metrics.snapshot_empty
-
-(* The scrape's own registry (request counters just bumped) goes through
-   the same file path as everyone else's: publish first, then merge all
-   files, so no worker is double-counted and none is stale. *)
-let aggregated_snapshot () =
-  match !metrics_dir with
-  | None -> Metrics.snapshot ()
-  | Some dir ->
-      publish_snapshot ();
-      merged_snapshots dir
-
-(* Prometheus text exposition: counters and gauges map directly;
-   histograms become real cumulative [le=]-bucket histograms (the
-   registry's log-scale buckets, occupied buckets only, plus +Inf). *)
-let prometheus_of_snapshot s =
-  let b = Buffer.create 2048 in
-  let name n =
-    "emc_"
-    ^ String.map (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' as c -> c | _ -> '_') n
-  in
-  List.iter
-    (fun (raw, v) ->
-      let n = name raw in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n%s %d\n" n n v))
-    (Metrics.snapshot_counters s);
-  List.iter
-    (fun (raw, v) ->
-      let n = name raw in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n%s %.17g\n" n n v))
-    (Metrics.snapshot_gauges s);
-  List.iter
-    (fun (raw, h) ->
-      let n = name raw in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" n);
-      List.iter
-        (fun (le, cum) ->
-          Buffer.add_string b (Printf.sprintf "%s_bucket{le=\"%.9g\"} %d\n" n le cum))
-        (Metrics.hsnap_cumulative h);
-      let stats = Metrics.hsnap_stats h in
-      let count, sum =
-        match stats with Some st -> (st.Metrics.count, st.Metrics.sum) | None -> (0, 0.0)
-      in
-      Buffer.add_string b (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n count);
-      Buffer.add_string b (Printf.sprintf "%s_sum %.17g\n" n sum);
-      Buffer.add_string b (Printf.sprintf "%s_count %d\n" n count))
-    (Metrics.snapshot_histograms s);
-  Buffer.contents b
-
-let prometheus () = prometheus_of_snapshot (Metrics.snapshot ())
-
-(* ---------------- request ids + access log ----------------
-
-   Every request gets an id: the client's X-Request-Id when it sends a
-   sane one, a generated one otherwise; either way the response echoes
-   it, and the JSONL access log (EMC_ACCESS_LOG / --access-log) carries
-   it with per-phase timings, so one request can be followed from client
-   through log to trace span. *)
-
-let rid_seq = ref 0
-
-let gen_request_id () =
-  Stdlib.incr rid_seq;
-  Printf.sprintf "%08x-%04x-%06x"
-    (Int64.to_int (Int64.of_float (Unix.gettimeofday () *. 1000.0)) land 0xffffffff)
-    (Unix.getpid () land 0xffff) (!rid_seq land 0xffffff)
-
-let valid_request_id id =
-  let n = String.length id in
-  n > 0 && n <= 128
-  && String.for_all
-       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> true | _ -> false)
-       id
-
-let request_id req =
-  match Http.header req "x-request-id" with
-  | Some id when valid_request_id id -> id
-  | _ -> gen_request_id ()
-
-let access_log_oc : out_channel option ref = ref None
-
-let open_access_log path =
-  match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-  | oc -> access_log_oc := Some oc
-  | exception Sys_error msg ->
-      Emc_obs.Log.err ~src:"serve" "cannot open access log %s: %s" path msg
-
-let close_access_log () =
-  match !access_log_oc with
-  | None -> ()
-  | Some oc ->
-      access_log_oc := None;
-      (try close_out oc with Sys_error _ -> ())
-
-let log_access ~id ~meth ~path ~status ~bytes_in ~bytes_out ~parse_s ~handle_s ~write_s =
-  match !access_log_oc with
-  | None -> ()
-  | Some oc ->
-      let line =
-        Json.to_string
-          (Json.Obj
-             [
-               ("ts", Json.Float (Unix.gettimeofday ()));
-               ("id", Json.Str id);
-               ("worker", Json.Int (Unix.getpid ()));
-               ("meth", Json.Str meth);
-               ("path", Json.Str path);
-               ("status", Json.Int status);
-               ("bytes_in", Json.Int bytes_in);
-               ("bytes_out", Json.Int bytes_out);
-               ("parse_s", Json.Float parse_s);
-               ("handle_s", Json.Float handle_s);
-               ("write_s", Json.Float write_s);
-             ])
-      in
-      (* one write + flush per line: lines from concurrent workers
-         appending to the same file stay whole *)
-      output_string oc (line ^ "\n");
-      flush oc
-
 (* ---------------- request handling ---------------- *)
 
 let json_body status j = (status, "application/json", Json.to_string j ^ "\n")
 
-let error_body status code msg =
-  json_body status
-    (Json.Obj [ ("error", Json.Obj [ ("code", Json.Str code); ("message", Json.Str msg) ]) ])
+let error_body status code msg = json_body status (Server.error_json code msg)
 
 let ( let* ) r k = match r with Ok v -> k v | Error (st, code, msg) -> error_body st code msg
 
@@ -452,77 +254,50 @@ let handle_healthz art (_req : Http.request) =
          ("dims", Json.Int (Artifact.dims art));
          ("format_version", Json.Int Artifact.current_version) ])
 
-let endpoints = [ "/predict"; "/rank"; "/search"; "/pareto"; "/healthz"; "/metrics" ]
+(* A reference handler as a route: its rendered body copied into the
+   server's buffer. *)
+let copy h art req b =
+  let status, content_type, body = h art req in
+  Buffer.add_string b body;
+  (status, content_type)
 
-let dispatch art (req : Http.request) =
-  match (req.Http.meth, req.Http.path) with
-  | "POST", "/predict" -> handle_predict art req
-  | "GET", "/rank" | "POST", "/rank" -> handle_rank art req
-  | "POST", "/search" -> handle_search art req
-  | "POST", "/pareto" -> handle_pareto art req
-  | "GET", "/healthz" -> handle_healthz art req
-  | "GET", "/metrics" ->
-      (200, "text/plain; version=0.0.4", prometheus_of_snapshot (aggregated_snapshot ()))
-  | _, p when List.mem p endpoints ->
-      error_body 405 "method_not_allowed" (req.Http.meth ^ " is not supported on " ^ p)
-  | _, p -> error_body 404 "not_found" ("no such endpoint: " ^ p)
+(* The daemon's route table, /predict supplied by the caller: the
+   reference handler for [handle_request], the hot path for the daemon. *)
+let routes art predict =
+  Server.table
+    [ ("POST", "/predict", predict);
+      ("GET", "/rank", copy handle_rank art);
+      ("POST", "/rank", copy handle_rank art);
+      ("POST", "/search", copy handle_search art);
+      ("POST", "/pareto", copy handle_pareto art);
+      ("GET", "/healthz", copy handle_healthz art) ]
 
-(* Dispatch wrapped with per-endpoint telemetry and a catch-all so no
-   exception ever escapes to the client as a dropped connection. *)
 let handle_request art (req : Http.request) =
-  let endpoint = if List.mem req.Http.path endpoints then req.Http.path else "other" in
-  Metrics.incr m_requests;
-  Metrics.incr (endpoint_counter endpoint);
-  let t0 = Unix.gettimeofday () in
-  let ((status, _, _) as resp) =
-    try dispatch art req
-    with e ->
-      Emc_obs.Log.warn ~src:"serve" "request handler raised: %s" (Printexc.to_string e);
-      error_body 500 "internal" "internal error; see server log"
-  in
-  Metrics.observe (latency_hist endpoint) (Unix.gettimeofday () -. t0);
-  if status >= 400 then begin
-    Metrics.incr m_errors;
-    Metrics.incr (status_counter status)
-  end;
-  resp
+  let b = Buffer.create 1024 in
+  let status, content_type = Server.dispatch (routes art (copy handle_predict art)) req b in
+  (status, content_type, Buffer.contents b)
 
 (* ---------------- the allocation-lean /predict hot path ----------------
 
    [handle_predict] above is the reference implementation: every request
    re-closes over the representation, builds a list of freshly-allocated
    point arrays and renders the response through a full [Json.t] tree.
-   The daemon's per-worker [hot] context hoists all of that out of the
+   The daemon's per-worker [scratch] hoists all of that out of the
    request: the evaluator is compiled once ([Repr.compile] — dispatch and
    feature-expansion scratch resolved at worker start), points parse into
-   a reused float arena, and the response renders into a reused
-   [Buffer.t] through the same [Json] float writer, so the bytes are
-   identical to the reference path (a unit test byte-compares the two
-   over singles, batches, raw space and every error shape). *)
+   a reused float arena, and the response renders straight into the
+   server's body buffer through the same [Json] float writer, so the
+   bytes are identical to the reference path (a unit test byte-compares
+   the two over singles, batches, raw space and every error shape). *)
 
-type hot = {
+type scratch = {
   h_art : Artifact.t;
   h_dims : int;
   h_predict : float array -> float;
   h_point : float array;  (* reused right-arity point *)
   mutable h_arena : float array;  (* parsed points, flattened *)
   mutable h_lens : int array;  (* per-point arity in the arena *)
-  h_body : Buffer.t;  (* response body of the last handle *)
 }
-
-let make_hot art =
-  let dims = Artifact.dims art in
-  {
-    h_art = art;
-    h_dims = dims;
-    h_predict = Emc_regress.Repr.compile art.Artifact.repr;
-    h_point = Array.make (max 1 dims) 0.0;
-    h_arena = Array.make (max 256 dims) 0.0;
-    h_lens = Array.make 64 0;
-    h_body = Buffer.create 4096;
-  }
-
-let hot_body hot = hot.h_body
 
 let ensure_arena hot n =
   if Array.length hot.h_arena < n then begin
@@ -565,7 +340,7 @@ let arena_point hot ~off ~len =
   end
   else Array.sub hot.h_arena off len
 
-let predict_into hot (req : Http.request) =
+let predict_into hot (req : Http.request) b =
   let ( let* ) r k = match r with Ok v -> k v | Error e -> Error e in
   let result =
     let* j = parse_json_body req in
@@ -607,8 +382,7 @@ let predict_into hot (req : Http.request) =
       | None, None -> Error (400, "bad_request", "body must carry \"point\" or \"points\"")
       | Some _, Some _ -> Error (400, "bad_request", "give either \"point\" or \"points\", not both")
     in
-    Buffer.clear hot.h_body;
-    Buffer.add_string hot.h_body (if single then "{\"prediction\":" else "{\"predictions\":[");
+    Buffer.add_string b (if single then "{\"prediction\":" else "{\"predictions\":[");
     let off = ref 0 in
     let rec go i =
       if i >= n_points then Ok ()
@@ -625,402 +399,64 @@ let predict_into hot (req : Http.request) =
         match r with
         | Error e -> Error (400, "bad_point", e)
         | Ok cx ->
-            if i > 0 then Buffer.add_char hot.h_body ',';
-            Json.to_buffer hot.h_body (Json.Float (hot.h_predict cx));
+            if i > 0 then Buffer.add_char b ',';
+            Json.to_buffer b (Json.Float (hot.h_predict cx));
             go (i + 1)
       end
     in
     let* () = go 0 in
-    Buffer.add_string hot.h_body (if single then "}\n" else "]}\n");
+    Buffer.add_string b (if single then "}\n" else "]}\n");
     Ok ()
   in
   match result with
   | Ok () -> (200, "application/json")
   | Error (st, code, msg) ->
-      let _, content_type, body = error_body st code msg in
-      Buffer.clear hot.h_body;
-      Buffer.add_string hot.h_body body;
-      (st, content_type)
+      Buffer.clear b;
+      Server.error b st code msg
 
-(* Like [dispatch]/[handle_request] but rendering into the hot context's
-   body buffer: /predict takes the allocation-lean path, everything else
-   goes through the reference handlers and is copied in. *)
-let dispatch_into hot (req : Http.request) =
-  match (req.Http.meth, req.Http.path) with
-  | "POST", "/predict" -> predict_into hot req
-  | _ ->
-      let status, content_type, body = dispatch hot.h_art req in
-      Buffer.clear hot.h_body;
-      Buffer.add_string hot.h_body body;
-      (status, content_type)
+(* The per-worker serving context: the route table with the hot /predict,
+   and the body buffer [handle_into] renders into. *)
+type hot = { h_table : Server.table; h_body : Buffer.t }
 
-let handle_into hot (req : Http.request) =
-  let endpoint = if List.mem req.Http.path endpoints then req.Http.path else "other" in
-  Metrics.incr m_requests;
-  Metrics.incr (endpoint_counter endpoint);
-  let t0 = Unix.gettimeofday () in
-  let ((status, _) as resp) =
-    try dispatch_into hot req
-    with e ->
-      Emc_obs.Log.warn ~src:"serve" "request handler raised: %s" (Printexc.to_string e);
-      let st, content_type, body = error_body 500 "internal" "internal error; see server log" in
-      Buffer.clear hot.h_body;
-      Buffer.add_string hot.h_body body;
-      (st, content_type)
+let make_hot art =
+  let dims = Artifact.dims art in
+  let scratch =
+    {
+      h_art = art;
+      h_dims = dims;
+      h_predict = Emc_regress.Repr.compile art.Artifact.repr;
+      h_point = Array.make (max 1 dims) 0.0;
+      h_arena = Array.make (max 256 dims) 0.0;
+      h_lens = Array.make 64 0;
+    }
   in
-  Metrics.observe (latency_hist endpoint) (Unix.gettimeofday () -. t0);
-  if status >= 400 then begin
-    Metrics.incr m_errors;
-    Metrics.incr (status_counter status)
-  end;
-  resp
+  { h_table = routes art (predict_into scratch); h_body = Buffer.create 4096 }
 
-(* ---------------- connection + worker loop ---------------- *)
+let handle_into hot req = Server.dispatch hot.h_table req hot.h_body
+let hot_body hot = hot.h_body
 
-let stop = ref false
+(* ---------------- the pre-forked daemon ---------------- *)
 
-let count_error status =
-  Metrics.incr m_requests;
-  Metrics.incr m_errors;
-  Metrics.incr (status_counter status)
-
-(* The event-driven connection scheduler. Each pre-forked worker owns a
-   select()-driven set of per-connection state machines over the shared
-   non-blocking listening socket:
-
-     accept -> read (accumulate + incremental parse) -> handle
-            -> write (non-blocking flush) -> keep-alive | close
-
-   A connection is either reading (its input buffer holds at most a
-   partial request) or writing (one rendered response is flushing; input
-   bytes buffer in the kernel — natural per-connection back-pressure, so
-   a pipelining client can't make the worker buffer unbounded output).
-   Deadlines are absolute and phase-derived: a partial request must
-   complete within [read_timeout] of its first byte (a dribbling writer
-   earns a 408), a response must drain within [read_timeout] (a stalled
-   reader is cut off), and a silent idle connection is closed after
-   [idle_timeout]. The access-log line and the metrics-snapshot publish
-   for a response run only after its last byte reaches the kernel —
-   queued as [post_write] when the flush goes partial — so neither ever
-   sits between another connection's events. *)
-
-type conn = {
-  c_fd : Unix.file_descr;
-  c_inb : Buffer.t;  (* unconsumed request bytes *)
-  mutable c_out : string;  (* rendered response being flushed *)
-  mutable c_out_off : int;
-  mutable c_writing : bool;
-  mutable c_req_t0 : float;  (* arrival of the current request's first byte *)
-  mutable c_idle_since : float;
-  mutable c_write_deadline : float;
-  mutable c_close_after : bool;
-  mutable c_eof : bool;  (* peer half-closed its write side *)
-  mutable c_post_write : (unit -> unit) option;
-  mutable c_closed : bool;
-}
-
-type wstate = {
-  w_opts : opts;
-  w_hot : hot;
-  w_chunk : Bytes.t;  (* reused read buffer *)
-  w_outbuf : Buffer.t;  (* reused response render buffer *)
-  mutable w_conns : conn list;
-}
-
-let conn_deadline st c =
-  if c.c_writing then c.c_write_deadline
-  else if Buffer.length c.c_inb > 0 then c.c_req_t0 +. st.w_opts.read_timeout
-  else c.c_idle_since +. st.w_opts.idle_timeout
-
-let close_conn st c =
-  if not c.c_closed then begin
-    c.c_closed <- true;
-    c.c_post_write <- None;
-    (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
-    st.w_conns <- List.filter (fun o -> o != c) st.w_conns
-  end
-
-(* Render head + the body currently in [h_body] into the conn's output
-   string and start flushing. The first flush attempt happens inline: on
-   an unloaded connection the whole response reaches the kernel here and
-   [post_write] runs at once. *)
-let rec enqueue_response st c ~status ~content_type ~keep_alive ~id =
-  Buffer.clear st.w_outbuf;
-  Http.response_head_into st.w_outbuf ~status ~content_type
-    ~body_length:(Buffer.length st.w_hot.h_body) ~keep_alive
-    [ ("X-Request-Id", id) ];
-  Buffer.add_buffer st.w_outbuf st.w_hot.h_body;
-  c.c_out <- Buffer.contents st.w_outbuf;
-  c.c_out_off <- 0;
-  c.c_writing <- true;
-  if not keep_alive then c.c_close_after <- true;
-  c.c_write_deadline <- Unix.gettimeofday () +. st.w_opts.read_timeout;
-  try_flush st c
-
-and try_flush st c =
-  if c.c_writing && not c.c_closed then begin
-    let len = String.length c.c_out - c.c_out_off in
-    match Unix.write_substring c.c_fd c.c_out c.c_out_off len with
-    | n ->
-        c.c_out_off <- c.c_out_off + n;
-        if c.c_out_off >= String.length c.c_out then begin
-          (* response delivered to the kernel: now (and only now) publish
-             the snapshot and write the access-log line, then either close
-             or return to reading — a pipelined next request may already
-             be buffered, so re-parse immediately *)
-          (match c.c_post_write with
-          | Some f ->
-              c.c_post_write <- None;
-              f ()
-          | None -> ());
-          c.c_out <- "";
-          c.c_out_off <- 0;
-          c.c_writing <- false;
-          if c.c_close_after || (c.c_eof && Buffer.length c.c_inb = 0) then close_conn st c
-          else begin
-            c.c_idle_since <- Unix.gettimeofday ();
-            if Buffer.length c.c_inb > 0 then begin
-              c.c_req_t0 <- c.c_idle_since;
-              process_input st c
-            end
-          end
-        end
-        else try_flush st c
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        () (* kernel buffer full: select on writability, deadline armed *)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> try_flush st c
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        (* response undeliverable: drop its post_write (the old blocking
-           path also skipped logging when the peer vanished mid-write) *)
-        close_conn st c
-  end
-
-and protocol_error st c status code msg =
-  count_error status;
-  let id = gen_request_id () in
-  let parse_s = Unix.gettimeofday () -. c.c_req_t0 in
-  let _, content_type, body = error_body status code msg in
-  c.c_close_after <- true;
-  Buffer.clear c.c_inb;
-  c.c_post_write <-
-    Some
-      (fun () ->
-        publish_soon ();
-        log_access ~id ~meth:"-" ~path:"-" ~status ~bytes_in:0 ~bytes_out:(String.length body)
-          ~parse_s ~handle_s:0.0 ~write_s:0.0);
-  Buffer.clear st.w_hot.h_body;
-  Buffer.add_string st.w_hot.h_body body;
-  enqueue_response st c ~status ~content_type ~keep_alive:false ~id
-
-and handle_one st c (req : Http.request) =
-  let t_parsed = Unix.gettimeofday () in
-  let id = request_id req in
-  let status, content_type =
-    Trace.with_span ~cat:"serve" "handle"
-      ~args:(fun () ->
-        [ ("id", Json.Str id); ("method", Json.Str req.Http.meth);
-          ("path", Json.Str req.Http.path) ])
-      (fun () -> handle_into st.w_hot req)
-  in
-  let t_handled = Unix.gettimeofday () in
-  let keep_alive =
-    (not !stop)
-    && (match Http.header req "connection" with
-       | Some c -> String.lowercase_ascii c <> "close"
-       | None -> true)
-  in
-  let meth = req.Http.meth and path = req.Http.path in
-  let bytes_in = String.length req.Http.body in
-  let bytes_out = Buffer.length st.w_hot.h_body in
-  let parse_s = t_parsed -. c.c_req_t0 and handle_s = t_handled -. t_parsed in
-  c.c_post_write <-
-    Some
-      (fun () ->
-        publish_soon ();
-        log_access ~id ~meth ~path ~status ~bytes_in ~bytes_out ~parse_s ~handle_s
-          ~write_s:(Unix.gettimeofday () -. t_handled));
-  (* the body is already rendered in h_body by handle_into *)
-  enqueue_response st c ~status ~content_type ~keep_alive ~id
-
-and process_input st c =
-  if (not c.c_writing) && not c.c_closed then begin
-    let s = Buffer.contents c.c_inb in
-    if s <> "" then
-      match Http.parse_request ~max_body:st.w_opts.max_body s with
-      | Http.Incomplete ->
-          if c.c_eof then protocol_error st c 400 "bad_request" "truncated request"
-      | Http.Invalid (Http.Too_large what) ->
-          protocol_error st c 413 "too_large" (what ^ " exceed the configured limit")
-      | Http.Invalid (Http.Bad msg) -> protocol_error st c 400 "bad_request" msg
-      | Http.Invalid (Http.Timeout | Http.Closed | Http.Refused _) ->
-          (* parse_request never produces these *)
-          close_conn st c
-      | Http.Parsed (req, consumed) ->
-          let rest = String.sub s consumed (String.length s - consumed) in
-          Buffer.clear c.c_inb;
-          Buffer.add_string c.c_inb rest;
-          handle_one st c req
-  end
-
-let on_readable st c =
-  match Unix.read c.c_fd st.w_chunk 0 (Bytes.length st.w_chunk) with
-  | 0 ->
-      c.c_eof <- true;
-      if c.c_writing then () (* finish the flush; closed at drain *)
-      else if Buffer.length c.c_inb = 0 then close_conn st c
-      else process_input st c (* Incomplete + eof -> 400 truncated *)
-  | n ->
-      if (not c.c_writing) && Buffer.length c.c_inb = 0 then c.c_req_t0 <- Unix.gettimeofday ();
-      Buffer.add_subbytes c.c_inb st.w_chunk 0 n;
-      if not c.c_writing then process_input st c
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> close_conn st c
-
-(* Deadline expiry, by phase: a stalled reader mid-flush is cut off, a
-   dribbling request earns a 408 (matching the blocking daemon), a
-   silent idle connection closes without a response. *)
-let expire_conn st c =
-  if c.c_writing then close_conn st c
-  else if Buffer.length c.c_inb > 0 then protocol_error st c 408 "timeout" "request read timed out"
-  else close_conn st c
-
-let worker art opts lsock =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let quit = Sys.Signal_handle (fun _ -> stop := true) in
-  Sys.set_signal Sys.sigterm quit;
-  Sys.set_signal Sys.sigint quit;
+let worker art opts dir lsock =
   (* per-worker trace file: the parent's buffered events are dropped and
      this worker's spans go to EMC_TRACE.<pid> (workers exit with _exit,
      so the parent's at_exit flush never runs here) *)
   (match Sys.getenv_opt "EMC_TRACE" with
   | Some p when p <> "" -> Trace.enable (Printf.sprintf "%s.%d" p (Unix.getpid ()))
   | _ -> ());
-  (match !metrics_dir with
-  | Some dir ->
-      (* each worker's registry must record only what this worker served:
-         counts inherited from the pre-fork parent would otherwise be
-         republished by every worker and multiply in the merge *)
-      Metrics.reset ();
-      snapshot_file := Some (Filename.concat dir (Printf.sprintf "worker-%d.json" (Unix.getpid ())));
-      publish_snapshot () (* visible to scrapes before the first request *)
-  | None -> ());
-  (match opts.access_log with Some path -> open_access_log path | None -> ());
-  Unix.set_nonblock lsock;
-  let st =
-    {
-      w_opts = opts;
-      w_hot = make_hot art;
-      w_chunk = Bytes.create (16 * 1024);
-      w_outbuf = Buffer.create 8192;
-      w_conns = [];
-    }
-  in
-  (* Non-blocking accept burst: drain the shared listening socket until
-     EAGAIN (a sibling worker won the race — fair enough at this scale)
-     or this worker is at its connection cap. *)
-  let accept_burst () =
-    let rec go () =
-      if List.length st.w_conns < opts.max_conns then
-        match Unix.accept lsock with
-        | fd, _ ->
-            Unix.set_nonblock fd;
-            Metrics.incr m_connections;
-            let now = Unix.gettimeofday () in
-            st.w_conns <-
-              {
-                c_fd = fd;
-                c_inb = Buffer.create 1024;
-                c_out = "";
-                c_out_off = 0;
-                c_writing = false;
-                c_req_t0 = now;
-                c_idle_since = now;
-                c_write_deadline = now;
-                c_close_after = false;
-                c_eof = false;
-                c_post_write = None;
-                c_closed = false;
-              }
-              :: st.w_conns;
-            go ()
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-        | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> go ()
-    in
-    go ()
-  in
-  (* On SIGTERM/SIGINT: stop accepting, let in-flight responses drain
-     (bounded), then flush the final snapshot and leave. *)
-  let drain_deadline = ref None in
-  let running () =
-    if not !stop then true
-    else begin
-      (match !drain_deadline with
-      | None -> drain_deadline := Some (Unix.gettimeofday () +. Float.min 5.0 opts.read_timeout)
-      | Some _ -> ());
-      List.exists (fun c -> c.c_writing) st.w_conns
-      && Unix.gettimeofday () < Option.get !drain_deadline
-    end
-  in
-  while running () do
-    publish_if_due ();
-    let now = Unix.gettimeofday () in
-    List.iter (fun c -> if (not c.c_closed) && now >= conn_deadline st c then expire_conn st c)
-      st.w_conns;
-    let accepting = (not !stop) && List.length st.w_conns < opts.max_conns in
-    let rset =
-      List.fold_left
-        (fun acc c -> if c.c_writing || c.c_eof then acc else c.c_fd :: acc)
-        (if accepting then [ lsock ] else [])
-        st.w_conns
-    in
-    let wset = List.filter_map (fun c -> if c.c_writing then Some c.c_fd else None) st.w_conns in
-    let timeout =
-      let d = List.fold_left (fun acc c -> Float.min acc (conn_deadline st c)) infinity st.w_conns in
-      let t = if d = infinity then 1.0 else Float.max 0.0 (Float.min 1.0 (d -. now)) in
-      (* a pending debounced publish bounds the sleep so the flush lands
-         within [publish_interval] even on an otherwise idle worker *)
-      if !publish_dirty then
-        Float.max 0.0 (Float.min t (!publish_last +. publish_interval -. now))
-      else t
-    in
-    match Unix.select rset wset [] timeout with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | r, w, _ ->
-        if List.memq lsock r then accept_burst ();
-        let find fd = List.find_opt (fun c -> c.c_fd = fd && not c.c_closed) st.w_conns in
-        List.iter
-          (fun fd ->
-            if fd <> lsock then
-              match find fd with Some c -> on_readable st c | None -> ())
-          r;
-        List.iter
-          (fun fd -> match find fd with Some c when c.c_writing -> try_flush st c | _ -> ())
-          w
-  done;
-  List.iter (fun c -> close_conn st c) st.w_conns;
-  publish_snapshot ();
-  close_access_log ();
+  (* each worker's registry must record only what this worker served:
+     counts inherited from the pre-fork parent would otherwise be
+     republished by every worker and multiply in the merge *)
+  Metrics.reset ();
+  Server.run ~max_body:opts.max_body ~read_timeout:opts.read_timeout
+    ~idle_timeout:opts.idle_timeout ~max_conns:opts.max_conns ?access_log:opts.access_log
+    ~snapshot_dir:dir (make_hot art).h_table lsock;
   Trace.flush ();
   Unix._exit 0
 
 let listen_description = function
   | Port p -> Printf.sprintf "127.0.0.1:%d" p
   | Unix_socket path -> path
-
-let bind_listener = function
-  | Unix_socket path ->
-      (match Unix.lstat path with
-      | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path (* stale socket from a dead server *)
-      | _ -> failwith (path ^ " exists and is not a socket; refusing to replace it")
-      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-      let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind s (Unix.ADDR_UNIX path);
-      (s, fun () -> (try Unix.unlink path with Unix.Unix_error _ -> ()))
-  | Port p ->
-      let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt s Unix.SO_REUSEADDR true;
-      Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, p));
-      (s, fun () -> ())
 
 let make_metrics_dir () =
   let dir =
@@ -1040,13 +476,17 @@ let remove_metrics_dir dir =
   try Unix.rmdir dir with Unix.Unix_error _ -> ()
 
 let run opts art =
-  let lsock, cleanup = bind_listener opts.listen in
-  Unix.listen lsock 64;
+  let addr =
+    match opts.listen with
+    | Port p -> Unix.ADDR_INET (Unix.inet_addr_loopback, p)
+    | Unix_socket path -> Unix.ADDR_UNIX path
+  in
+  let lsock = Server.bind addr in
   let workers = max 1 opts.workers in
   let dir = make_metrics_dir () in
-  metrics_dir := Some dir;
   let pids =
-    List.init workers (fun _ -> match Unix.fork () with 0 -> worker art opts lsock | pid -> pid)
+    List.init workers (fun _ ->
+        match Unix.fork () with 0 -> worker art opts dir lsock | pid -> pid)
   in
   let stopping = ref false in
   let quit = Sys.Signal_handle (fun _ -> stopping := true) in
@@ -1074,12 +514,10 @@ let run opts art =
   List.iter
     (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
     !alive;
-  let final = merged_snapshots dir in
+  let final = Server.merged_snapshots dir in
   let total name = Option.value ~default:0 (List.assoc_opt name (Metrics.snapshot_counters final)) in
-  (try Unix.close lsock with Unix.Unix_error _ -> ());
-  cleanup ();
+  Server.release addr lsock;
   remove_metrics_dir dir;
-  metrics_dir := None;
   Emc_obs.Log.info ~src:"serve"
     ~fields:
       [ ("requests", Json.Int (total "serve.requests"));

@@ -50,21 +50,13 @@
     escapes to a client.
 
     Concurrency: the daemon pre-forks [workers] processes (the [lib/par]
-    fork pattern) sharing one non-blocking listening socket; {e each}
-    worker runs a select()-driven scheduler over up to [max_conns]
-    keep-alive connections, so N workers serve hundreds of concurrent
-    connections and a slow or idle client can never pin a worker the way
-    the old one-connection-per-worker loop could. Per-connection
-    deadlines are absolute: a request must complete within
-    [read_timeout] of its first byte (dribblers get a 408), a response
-    must drain within [read_timeout] (stalled readers are cut off), and
-    a connection with no bytes outstanding closes silently after
-    [idle_timeout]. Pipelined requests on one connection are answered
-    strictly in order, and at most one response per connection is
-    buffered (kernel-level back-pressure bounds memory). Shutdown on
-    SIGINT/SIGTERM is graceful: accepting stops, in-flight responses
-    drain (bounded), each worker flushes its final metrics snapshot and
-    the access log, workers exit, the Unix socket is unlinked. *)
+    fork pattern) sharing one listening socket; each serves the route
+    table on {!Server}, a select()-driven scheduler over up to
+    [max_conns] keep-alive connections, so a slow or idle client costs a
+    connection slot, never a worker. Deadlines, in-order pipelining,
+    back-pressure and the graceful SIGINT/SIGTERM drain are the
+    server's; the master waits for every worker, then unlinks the Unix
+    socket. *)
 
 type listen = Port of int | Unix_socket of string
 
@@ -89,32 +81,28 @@ val default_opts : listen -> opts
 (** 1 worker, 1 MiB body cap, 10 s read timeout, 30 s idle timeout, 512
     connections per worker, access log from [EMC_ACCESS_LOG] when set. *)
 
-val prometheus : unit -> string
-(** This process's registry rendered as Prometheus text exposition. *)
-
-val prometheus_of_snapshot : Emc_obs.Metrics.snapshot -> string
-(** Render an (aggregated) snapshot — what [GET /metrics] serves after
-    merging every worker's published snapshot. *)
-
 val handle_request : Emc_core.Artifact.t -> Http.request -> int * string * string
 (** [(status, content_type, body)] for one request — the reference
-    (allocating) path, exposed for tests; the daemon serves through
-    {!handle_into}, whose bytes must match this one exactly. *)
+    (allocating) path: the daemon's routes with the reference /predict,
+    dispatched in-process by {!Server.dispatch}. Exposed for tests; the
+    daemon's hot /predict must match its bytes exactly. *)
 
 type hot
-(** Per-worker serving context for the allocation-lean /predict hot
-    path: the artifact's evaluator compiled once ({!Emc_regress.Repr.compile}),
-    the schema dims resolved once, a reused point arena and a reused
-    response-body buffer. Not shareable between concurrent evaluators. *)
+(** Per-worker serving context: the route table with the
+    allocation-lean /predict hot path — the artifact's evaluator
+    compiled once ({!Emc_regress.Repr.compile}), the schema dims resolved
+    once, a reused point arena — and a reused response-body buffer. Not
+    shareable between concurrent evaluators. *)
 
 val make_hot : Emc_core.Artifact.t -> hot
 
 val handle_into : hot -> Http.request -> int * string
 (** [(status, content_type)] for one request, the response body rendered
-    into {!hot_body} (valid until the next call). Byte-identical to
-    {!handle_request} on every endpoint and error shape — /predict and
-    /predict_batch take the allocation-lean path, everything else goes
-    through the reference handlers. *)
+    into {!hot_body} (valid until the next call) — what the daemon's
+    server runs, minus its telemetry. Byte-identical to {!handle_request}
+    on every endpoint and error shape — /predict and /predict_batch take
+    the allocation-lean path, everything else goes through the reference
+    handlers. *)
 
 val hot_body : hot -> Buffer.t
 (** The response body rendered by the last {!handle_into}. *)

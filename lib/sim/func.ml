@@ -2,8 +2,8 @@ open Emc_isa
 
 (** Functional (architectural) simulator for the target ISA.
 
-    Executes the linked program one instruction per [step] call and returns a
-    {!dyn} record describing the dynamic instance — exactly what the timing
+    Executes the linked program one instruction per {!step_into} call, which
+    fills a {!dynbuf} describing the dynamic instance — exactly what the timing
     model and the SMARTS functional-warming mode need. Integer values are
     OCaml native ints and floats are doubles, matching the IR interpreter's
     semantics, so outputs are comparable bit-for-bit across optimization
@@ -14,21 +14,13 @@ open Emc_isa
 
 type value = VI of int | VF of float
 
-type dyn = {
-  idx : int;  (** static instruction index (= pc) *)
-  addr : int;  (** byte address for memory ops; -1 otherwise *)
-  taken : bool;  (** outcome for conditional branches; true for jumps *)
-}
-
 (** Caller-owned buffer for the allocation-free {!step_into}. One [dynbuf]
     is written in place per dynamic instruction, so the timing model's hot
-    loop performs no per-instruction allocation at all (the boxed {!dyn}
-    option of {!step} costs a heap block per instruction, which dominates
-    minor-GC pressure in long detailed runs). *)
+    loop performs no per-instruction allocation at all. *)
 type dynbuf = {
-  mutable d_idx : int;
-  mutable d_addr : int;
-  mutable d_taken : bool;
+  mutable d_idx : int;  (** static instruction index (= pc) *)
+  mutable d_addr : int;  (** byte address for memory ops; -1 otherwise *)
+  mutable d_taken : bool;  (** outcome for conditional branches; true for jumps *)
 }
 
 let dynbuf () = { d_idx = 0; d_addr = -1; d_taken = false }
@@ -44,7 +36,7 @@ type t = {
   mutable icount : int;
   mutable outputs : value list;  (** reversed *)
   class_counts : int array;  (** dynamic instructions per FU class, for the energy model *)
-  scratch : dynbuf;  (** backs the boxed {!step} wrapper *)
+  scratch : dynbuf;  (** the record {!run} steps through *)
 }
 
 let create (prog : Isa.program) =
@@ -197,14 +189,6 @@ let step_into t (b : dynbuf) : bool =
     | NOP -> ());
     true
   end
-
-(** Boxed convenience wrapper over {!step_into} — used by callers that want
-    the immutable record (differential testing, ad-hoc drivers); the timing
-    model's hot path calls {!step_into} directly. *)
-let step t : dyn option =
-  if step_into t t.scratch then
-    Some { idx = t.scratch.d_idx; addr = t.scratch.d_addr; taken = t.scratch.d_taken }
-  else None
 
 (** Run to completion with a fuel limit; returns the dynamic instruction
     count. *)

@@ -619,6 +619,80 @@ let test_registered_worker_death () =
   cb "age-out is heartbeat-driven: the long-TTL ghost remains" true
     (List.mem ghost (member_addrs store_path))
 
+(* The shared bind replaces a stale socket, never anything else: a store
+   asked to listen where a regular file sits fails, and the file
+   survives. *)
+let test_store_refuses_regular_file () =
+  let path = sock_path "notasock" in
+  Out_channel.with_open_text path (fun oc -> output_string oc "precious\n");
+  Fun.protect ~finally:(fun () -> rm_f path) @@ fun () ->
+  let pid = fork_daemon (fun () -> Fleet.run_store ~listen:(Fleet.Unix_sock path) ()) in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec exit_status () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        ignore (Unix.select [] [] [] 0.05);
+        exit_status ()
+    | 0, _ ->
+        kill_daemon pid;
+        Alcotest.fail "the store started over a regular file"
+    | _, status -> status
+  in
+  cb "the store refuses to start" true (exit_status () = Unix.WEXITED 1);
+  cs "the file survives" "precious\n" (In_channel.with_open_text path In_channel.input_all)
+
+(* Eight keep-alive clients left idle after one request each cannot pin
+   the store: a worker heartbeating every 0.5 s (TTL 1.5 s) stays listed
+   in /members for 3 s straight. *)
+let test_idle_clients_cannot_starve_heartbeats () =
+  let store_path = sock_path "istore" in
+  let store_pid =
+    fork_daemon (fun () -> Fleet.run_store ~listen:(Fleet.Unix_sock store_path) ())
+  in
+  let worker_sock = sock_path "iworker" in
+  let idle = ref [] and worker_pid = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !idle;
+      Option.iter stop_daemon !worker_pid;
+      stop_daemon store_pid;
+      List.iter rm_f [ worker_sock; worker_sock ^ ".pid" ])
+  @@ fun () ->
+  wait_sock store_path;
+  for i = 1 to 8 do
+    match Http.connect (Unix.ADDR_UNIX store_path) with
+    | Error e -> Alcotest.failf "idle client %d: connect: %s" i (Http.error_to_string e)
+    | Ok fd -> (
+        idle := fd :: !idle;
+        match
+          Result.bind (Http.write_request fd ~meth:"GET" ~path:"/healthz" ()) (fun () ->
+              Http.read_response ~timeout:5.0 fd)
+        with
+        | Ok r -> ci (Printf.sprintf "idle client %d's request" i) 200 r.Http.status
+        | Error e -> Alcotest.failf "idle client %d: %s" i (Http.error_to_string e))
+  done;
+  worker_pid :=
+    Some
+      (fork_daemon (fun () ->
+           Fleet.run_worker ~register:(Fleet.Unix_sock store_path) ~heartbeat:0.5
+             ~listen:(Fleet.Unix_sock worker_sock) ()));
+  let listed () =
+    match Fleet.members ~timeout:1.0 (Fleet.Unix_sock store_path) with
+    | Ok ms -> List.mem_assoc worker_sock ms
+    | Error e -> Alcotest.failf "members: %s" e
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while not (listed ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "the worker never registered";
+    ignore (Unix.select [] [] [] 0.05)
+  done;
+  let t0 = Unix.gettimeofday () in
+  while Unix.gettimeofday () -. t0 < 3.0 do
+    if not (listed ()) then
+      Alcotest.failf "the worker aged out of /members after %.1f s" (Unix.gettimeofday () -. t0);
+    ignore (Unix.select [] [] [] 0.1)
+  done
+
 (* ---------------- run journals ---------------- *)
 
 let with_run_dir f =
@@ -768,6 +842,9 @@ let suite =
     ("elastic: worker joins mid-run", `Slow, test_elastic_join_mid_run);
     ("elastic: drain mid-run loses nothing", `Slow, test_elastic_drain_mid_run);
     ("elastic: dead worker retried, SIGKILL ages out", `Slow, test_registered_worker_death);
+    ("store refuses to replace a regular file", `Quick, test_store_refuses_regular_file);
+    ("idle store clients cannot starve heartbeats", `Slow,
+     test_idle_clients_cannot_starve_heartbeats);
     ("dead worker: chunk retried elsewhere", `Slow, test_fleet_retries_dead_worker);
     ("dropped connection: chunk retried", `Slow, test_fleet_retries_dropped_connection);
     ("all workers dead raises Fleet_error", `Quick, test_all_workers_dead);

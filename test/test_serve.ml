@@ -8,6 +8,7 @@ open Emc_core
 module Json = Emc_obs.Json
 module Serve = Emc_serve.Serve
 module Http = Emc_serve.Http
+module Server = Emc_serve.Server
 
 let cb = Alcotest.(check bool)
 let ci = Alcotest.(check int)
@@ -109,6 +110,21 @@ let sock_path () =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "emc_serve_%d_%d.sock" (Unix.getpid ()) (Random.int 100000))
 
+(* wait for the socket to accept connections *)
+let wait_up path =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec wait () =
+    match connect path with
+    | fd -> Unix.close fd
+    | exception Unix.Unix_error _ ->
+        if Unix.gettimeofday () > deadline then Alcotest.failf "server did not come up on %s" path
+        else begin
+          ignore (Unix.select [] [] [] 0.05);
+          wait ()
+        end
+  in
+  wait ()
+
 let start_server ?(workers = 1) ?(max_body = 4096) ?(read_timeout = 2.0) ?(idle_timeout = 5.0)
     ?(max_conns = 64) ?access_log () =
   let art = Lazy.force artifact in
@@ -124,20 +140,7 @@ let start_server ?(workers = 1) ?(max_body = 4096) ?(read_timeout = 2.0) ?(idle_
        with _ -> Unix._exit 1);
       Unix._exit 0
   | pid ->
-      (* wait for the socket to accept connections *)
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      let rec wait () =
-        match connect path with
-        | fd -> Unix.close fd
-        | exception Unix.Unix_error _ ->
-            if Unix.gettimeofday () > deadline then
-              Alcotest.failf "server did not come up on %s" path
-            else begin
-              ignore (Unix.select [] [] [] 0.05);
-              wait ()
-            end
-      in
-      wait ();
+      wait_up path;
       (pid, path)
 
 let stop_server (pid, path) =
@@ -843,6 +846,45 @@ let test_dribbling_writer_fairness () =
                 (Http.response_header r "x-request-id" = Some "dribble")
           | Error e -> Alcotest.failf "dribbled request: %s" (Http.error_to_string e))
 
+(* A request sent on an idle keep-alive connection while another
+   connection's handler blocks past that connection's idle deadline is
+   served once the handler returns: deadlines are checked only after the
+   select pass has read pending input. *)
+let test_deadline_after_pending_input () =
+  let path = sock_path () in
+  let routes =
+    Server.table
+      [ ("GET", "/block", fun _ b -> Unix.sleepf 1.0; Server.reply b 200 (Json.Str "slow"));
+        ("GET", "/healthz", fun _ b -> Server.reply b 200 (Json.Str "ok")) ]
+  in
+  match Unix.fork () with
+  | 0 ->
+      let addr = Unix.ADDR_UNIX path in
+      (try
+         let lsock = Server.bind addr in
+         Server.run ~max_body:4096 ~read_timeout:5.0 ~idle_timeout:0.3 ~max_conns:8 routes lsock;
+         Server.release addr lsock
+       with _ -> Unix._exit 1);
+      Unix._exit 0
+  | pid ->
+      Fun.protect ~finally:(fun () -> ignore (stop_server (pid, path))) @@ fun () ->
+      wait_up path;
+      let b = connect path in
+      ci "warm-up request" 200 (keepalive_request b "/healthz").Http.status;
+      let a = connect path in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
+      @@ fun () ->
+      let block = "GET /block HTTP/1.1\r\nHost: t\r\n\r\n" in
+      write_all a block 0 (String.length block);
+      (* well inside the 1 s block, and past b's 0.3 s idle deadline *)
+      ignore (Unix.select [] [] [] 0.5);
+      ci "request sent during the block is served" 200 (keepalive_request b "/healthz").Http.status;
+      match Http.read_response ~timeout:5.0 a with
+      | Ok r -> ci "blocking request served" 200 r.Http.status
+      | Error e -> Alcotest.failf "blocking request: %s" (Http.error_to_string e)
+
 (* The allocation-lean hot path must be byte-identical to the reference
    handler on every endpoint and error shape — run each request through
    [handle_into] twice so scratch reuse across calls is covered too. *)
@@ -930,6 +972,8 @@ let suite =
       test_stalled_reader_fairness;
     Alcotest.test_case "mux: dribbling writer cannot pin the worker" `Quick
       test_dribbling_writer_fairness;
+    Alcotest.test_case "mux: deadlines checked after pending input is read" `Quick
+      test_deadline_after_pending_input;
     Alcotest.test_case "hot path bytes equal the reference handler" `Quick
       test_hot_path_byte_identity;
   ]
