@@ -12,6 +12,7 @@ open Cmdliner
 open Emc_core
 open Emc_workloads
 module Fleet = Emc_fleet.Fleet
+module Http = Emc_serve.Http
 
 (* ---------------- shared arguments ---------------- *)
 
@@ -457,15 +458,25 @@ let rank_cmd =
              reading).")
     Term.(const run $ model_file_arg $ top_arg)
 
+(* ---------------- daemons ---------------- *)
+
+let daemon_port_arg =
+  Arg.(value & opt (some int) None
+       & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Listen on 127.0.0.1:$(docv).")
+
+let daemon_socket_arg =
+  Arg.(value & opt (some string) None
+       & info [ "unix-socket" ] ~docv:"PATH" ~doc:"Listen on a Unix domain socket at $(docv).")
+
+(* The address named by a --port / --unix-socket pair: exactly one. *)
+let addr_of_args ?(host = "127.0.0.1") port socket =
+  match (port, socket) with
+  | Some p, None -> Http.Tcp (host, p)
+  | None, Some path -> Http.Unix_sock path
+  | None, None -> die "give --port or --unix-socket"
+  | Some _, Some _ -> die "give either --port or --unix-socket, not both"
+
 let serve_cmd =
-  let port_arg =
-    Arg.(value & opt (some int) None
-         & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Listen on 127.0.0.1:$(docv).")
-  in
-  let socket_arg =
-    Arg.(value & opt (some string) None
-         & info [ "unix-socket" ] ~docv:"PATH" ~doc:"Listen on a Unix domain socket at $(docv).")
-  in
   let workers_arg =
     Arg.(value & opt int 1
          & info [ "workers" ] ~docv:"N"
@@ -504,13 +515,7 @@ let serve_cmd =
   in
   let run mfile port socket workers max_body read_timeout idle_timeout max_conns access_log =
     let a = load_artifact mfile in
-    let listen =
-      match (port, socket) with
-      | Some p, None -> Emc_serve.Serve.Port p
-      | None, Some path -> Emc_serve.Serve.Unix_socket path
-      | None, None -> die "give --port or --unix-socket"
-      | Some _, Some _ -> die "give either --port or --unix-socket, not both"
-    in
+    let listen = addr_of_args port socket in
     let access_log =
       match access_log with Some f -> Some f | None -> Sys.getenv_opt "EMC_ACCESS_LOG"
     in
@@ -522,8 +527,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Serve a saved model over HTTP: /predict, /rank, /search, /pareto, /healthz, \
              /metrics.")
-    Term.(const run $ model_file_arg $ port_arg $ socket_arg $ workers_arg $ max_body_arg
-          $ timeout_arg $ idle_timeout_arg $ max_conns_arg $ access_log_arg)
+    Term.(const run $ model_file_arg $ daemon_port_arg $ daemon_socket_arg $ workers_arg
+          $ max_body_arg $ timeout_arg $ idle_timeout_arg $ max_conns_arg $ access_log_arg)
 
 (* ---------------- loadgen ---------------- *)
 
@@ -608,13 +613,7 @@ let loadgen_cmd =
   in
   let ms v = Printf.sprintf "%.3f ms" (v *. 1000.0) in
   let run host port socket rps concurrency duration seed mix batch timeout think slos json_out =
-    let target =
-      match (port, socket) with
-      | Some p, None -> Lg.Tcp (host, p)
-      | None, Some path -> Lg.Unix_sock path
-      | None, None -> die "give --port or --unix-socket"
-      | Some _, Some _ -> die "give either --port or --unix-socket, not both"
-    in
+    let target = addr_of_args ~host port socket in
     let mode = match rps with Some r -> Lg.Open_loop r | None -> Lg.Closed_loop in
     let mix = match mix with None -> Lg.default_mix | Some s -> parse_mix s in
     let slos =
@@ -891,21 +890,6 @@ let fuzz_cmd =
 
 (* ---------------- fleet daemons / cache maintenance ---------------- *)
 
-let fleet_listen port socket =
-  match (port, socket) with
-  | Some p, None -> Fleet.Tcp ("127.0.0.1", p)
-  | None, Some path -> Fleet.Unix_sock path
-  | None, None -> die "give --port or --unix-socket"
-  | Some _, Some _ -> die "give either --port or --unix-socket, not both"
-
-let daemon_port_arg =
-  Arg.(value & opt (some int) None
-       & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Listen on 127.0.0.1:$(docv).")
-
-let daemon_socket_arg =
-  Arg.(value & opt (some string) None
-       & info [ "unix-socket" ] ~docv:"PATH" ~doc:"Listen on a Unix domain socket at $(docv).")
-
 let fleet_worker_cmd =
   let store_arg =
     Arg.(value & opt (some string) None
@@ -949,15 +933,15 @@ let fleet_worker_cmd =
   let run port socket jobs store cache register advertise heartbeat pidfile drain trace
       metrics =
     with_obs trace metrics (fun () ->
-        let listen = fleet_listen port socket in
+        let listen = addr_of_args port socket in
         if drain then begin
           let pidfile =
             match pidfile with
             | Some p -> p
             | None -> (
                 match listen with
-                | Fleet.Unix_sock p -> p ^ ".pid"
-                | Fleet.Tcp _ -> die "--drain needs --pidfile with a TCP listener")
+                | Http.Unix_sock p -> p ^ ".pid"
+                | Http.Tcp _ -> die "--drain needs --pidfile with a TCP listener")
           in
           match Fleet.drain ~pidfile () with
           | Ok pid -> Printf.printf "drained worker (pid %d)\n" pid
@@ -965,7 +949,7 @@ let fleet_worker_cmd =
         end
         else begin
           let parse_daemon_addr flag s =
-            match Fleet.parse_addr s with Ok a -> a | Error e -> die "%s: %s" flag e
+            match Http.parse_addr s with Ok a -> a | Error e -> die "%s: %s" flag e
           in
           let store = Option.map (parse_daemon_addr "--store") store in
           let register = Option.map (parse_daemon_addr "--register") register in
@@ -994,7 +978,7 @@ let fleet_members_cmd =
          & info [] ~docv:"ADDR" ~doc:"An $(b,emc fleet-store) address.")
   in
   let run addr =
-    match Fleet.parse_addr addr with
+    match Http.parse_addr addr with
     | Error e -> die "%s" e
     | Ok a -> (
         match Fleet.members a with
@@ -1018,7 +1002,7 @@ let fleet_store_cmd =
   in
   let run port socket file trace metrics =
     with_obs trace metrics (fun () ->
-        Fleet.run_store ?file ~listen:(fleet_listen port socket) ())
+        Fleet.run_store ?file ~listen:(addr_of_args port socket) ())
   in
   Cmd.v
     (Cmd.info "fleet-store"

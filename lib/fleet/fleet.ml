@@ -14,26 +14,7 @@ let fail fmt = Printf.ksprintf (fun msg -> raise (Fleet_error msg)) fmt
 
 (* ---------------- addresses ---------------- *)
 
-type addr = Tcp of string * int | Unix_sock of string
-
-let addr_to_string = function
-  | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-  | Unix_sock p -> p
-
-let parse_addr s =
-  let s = String.trim s in
-  if s = "" then Error "empty worker address"
-  else if String.contains s '/' then Ok (Unix_sock s)
-  else
-    match String.rindex_opt s ':' with
-    | None -> Error (Printf.sprintf "%S: want host:port or a unix-socket path" s)
-    | Some i -> (
-        let host = String.sub s 0 i in
-        let host = if host = "" then "127.0.0.1" else host in
-        let port = String.sub s (i + 1) (String.length s - i - 1) in
-        match int_of_string_opt port with
-        | Some p when p > 0 && p < 65536 -> Ok (Tcp (host, p))
-        | _ -> Error (Printf.sprintf "%S: bad port %S" s port))
+type addr = Http.addr = Tcp of string * int | Unix_sock of string
 
 (* A fleet entry is either one worker's address or, prefixed with '@', a
    membership endpoint (a fleet-store) the coordinator polls for workers
@@ -44,10 +25,10 @@ type source = Worker of addr | Members of addr
 let parse_source s =
   let s = String.trim s in
   if String.length s > 0 && s.[0] = '@' then
-    match parse_addr (String.sub s 1 (String.length s - 1)) with
+    match Http.parse_addr (String.sub s 1 (String.length s - 1)) with
     | Ok a -> Ok (Members a)
     | Error e -> Error ("membership endpoint " ^ e)
-  else Result.map (fun a -> Worker a) (parse_addr s)
+  else Result.map (fun a -> Worker a) (Http.parse_addr s)
 
 let parse_fleet s =
   let parts =
@@ -62,17 +43,6 @@ let parse_fleet s =
         | _, Error e -> Error e
         | Ok srcs, Ok a -> Ok (a :: srcs))
       parts (Ok [])
-
-let sockaddr_of_addr = function
-  | Unix_sock path -> Unix.ADDR_UNIX path
-  | Tcp (host, port) -> (
-      match Unix.inet_addr_of_string host with
-      | ip -> Unix.ADDR_INET (ip, port)
-      | exception Failure _ -> (
-          match (Unix.gethostbyname host).Unix.h_addr_list with
-          | [||] -> fail "cannot resolve %s" host
-          | ips -> Unix.ADDR_INET (ips.(0), port)
-          | exception Not_found -> fail "cannot resolve %s" host))
 
 (* ---------------- metrics ---------------- *)
 
@@ -267,18 +237,21 @@ let triples_of_body ~expect body =
    (SIGTERM/SIGINT, what `fleet-worker --drain` sends) finishes the
    request being handled, answers it with Connection: close and returns. *)
 let bind ~name listen =
-  let addr = sockaddr_of_addr listen in
+  let where = Http.addr_to_string listen in
+  let addr =
+    match Http.sockaddr_of_addr listen with
+    | Ok a -> a
+    | Error e -> fail "%s cannot listen on %s: %s" name where e
+  in
   let lsock = Server.bind addr in
-  Log.info ~src:name
-    ~fields:[ ("listen", Json.Str (addr_to_string listen)) ]
-    "%s listening on %s" name (addr_to_string listen);
+  Log.info ~src:name ~fields:[ ("listen", Json.Str where) ] "%s listening on %s" name where;
   (addr, lsock)
 
 let serve ~name ~timeout listen (addr, lsock) routes =
   Server.run ~max_body:(64 * 1024 * 1024) ~read_timeout:timeout ~idle_timeout:timeout
     ~max_conns:512 ?access_log:(Sys.getenv_opt "EMC_ACCESS_LOG") (Server.table routes) lsock;
   Server.release addr lsock;
-  Log.info ~src:name "%s on %s: graceful shutdown" name (addr_to_string listen)
+  Log.info ~src:name "%s on %s: graceful shutdown" name (Http.addr_to_string listen)
 
 (* A POST endpoint: [parse] the JSON body (400 when it does not), then
    answer 200 with the JSON object [k] builds. *)
@@ -454,24 +427,12 @@ let run_store ?file ~listen () =
 (* ---------------- store client (used by workers) ---------------- *)
 
 let store_rpc ?(meth = "POST") ~timeout addr ~path ~body =
-  match Http.connect ~timeout (sockaddr_of_addr addr) with
+  match
+    Http.call ~timeout addr ~meth ~path ~headers:[ ("Content-Type", "application/json") ] ~body ()
+  with
   | Error e -> Error (Http.error_to_string e)
-  | Ok fd ->
-      let r =
-        match
-          Http.write_request fd ~meth ~path
-            ~headers:[ ("Content-Type", "application/json") ]
-            ~body ()
-        with
-        | Error e -> Error (Http.error_to_string e)
-        | Ok () -> (
-            match Http.read_response ~timeout fd with
-            | Error e -> Error (Http.error_to_string e)
-            | Ok resp when resp.Http.status = 200 -> Ok resp.Http.resp_body
-            | Ok resp -> Error (Printf.sprintf "store returned HTTP %d" resp.Http.status))
-      in
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      r
+  | Ok resp when resp.Http.status = 200 -> Ok resp.Http.resp_body
+  | Ok resp -> Error (Printf.sprintf "store returned HTTP %d" resp.Http.status)
 
 let store_lookup ~timeout addr keys =
   let body =
@@ -553,7 +514,8 @@ let start_heartbeater ~store ~advertise ~interval ~timeout =
         (match register_rpc ~timeout store ~advertise ~ttl:(3.0 *. interval) with
         | Ok () -> Metrics.incr m_heartbeats
         | Error e ->
-            Log.warn ~src:"fleet-worker" "heartbeat to %s failed: %s" (addr_to_string store) e);
+            Log.warn ~src:"fleet-worker" "heartbeat to %s failed: %s" (Http.addr_to_string store)
+              e);
         (try ignore (Unix.select [] [] [] interval)
          with Unix.Unix_error (Unix.EINTR, _, _) -> ());
         loop ()
@@ -643,7 +605,7 @@ let run_worker ?(jobs = 1) ?store ?(store_timeout = 10.0) ?cache_file ?register 
            ("workloads", Json.List (List.map (fun n -> Json.Str n) Registry.names)) ])
   in
   let listener = bind ~name:"fleet-worker" listen in
-  let advertise = match advertise with Some a -> a | None -> addr_to_string listen in
+  let advertise = match advertise with Some a -> a | None -> Http.addr_to_string listen in
   let pidfile = match pidfile with Some _ as p -> p | None -> default_pidfile listen in
   Option.iter
     (fun path ->
@@ -791,7 +753,7 @@ type dispatch = { d_chunk : chunk_state; mutable d_started : float }
 
 type worker_state = {
   w_addr : addr;
-  w_key : string;  (** [addr_to_string w_addr] — identity for membership *)
+  w_key : string;  (** [Http.addr_to_string w_addr] — identity for membership *)
   w_from_members : bool;  (** discovered via a membership poll, not --fleet *)
   mutable w_fd : Unix.file_descr option;  (** kept alive across chunks *)
   w_inflight : dispatch Queue.t;  (** pipelined dispatches, response order *)
@@ -835,7 +797,7 @@ let respond_batch ?store opts sources (scale : Scale.t) (w : Workload.t) ~varian
   let workers = ref [] in
   let known : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let add_worker ~from_members a =
-    let key = addr_to_string a in
+    let key = Http.addr_to_string a in
     if not (Hashtbl.mem known key) then begin
       (* never revive an addr within a batch: a worker that failed and
          re-registered before the next poll would silently burn the
@@ -900,12 +862,12 @@ let respond_batch ?store opts sources (scale : Scale.t) (w : Workload.t) ~varian
         match members ~timeout:opts.store_timeout src with
         | Error e ->
             all_ok := false;
-            Log.warn ~src:"fleet" "membership poll of %s failed: %s" (addr_to_string src) e
+            Log.warn ~src:"fleet" "membership poll of %s failed: %s" (Http.addr_to_string src) e
         | Ok ms -> List.iter (fun (a, _) -> Hashtbl.replace union a ()) ms)
       member_sources;
     Hashtbl.iter
       (fun a () ->
-        match parse_addr a with
+        match Http.parse_addr a with
         | Ok addr -> add_worker ~from_members:true addr
         | Error e -> Log.warn ~src:"fleet" "ignoring advertised worker %S: %s" a e)
       union;
@@ -930,10 +892,13 @@ let respond_batch ?store opts sources (scale : Scale.t) (w : Workload.t) ~varian
     let conn =
       match wk.w_fd with
       | Some fd -> Ok fd
-      | None -> Http.connect ~timeout:opts.connect_timeout (sockaddr_of_addr wk.w_addr)
+      | None ->
+          let* sockaddr = Http.sockaddr_of_addr wk.w_addr in
+          Result.map_error Http.error_to_string
+            (Http.connect ~timeout:opts.connect_timeout sockaddr)
     in
     match conn with
-    | Error e -> fail_worker wk ("connect: " ^ Http.error_to_string e)
+    | Error e -> fail_worker wk ("connect: " ^ e)
     | Ok fd -> (
         wk.w_fd <- Some fd;
         match

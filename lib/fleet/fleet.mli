@@ -52,15 +52,12 @@ exception Fleet_error of string
 
 (** {1 Addresses} *)
 
-type addr =
+type addr = Emc_serve.Http.addr =
   | Tcp of string * int
-  | Unix_sock of string  (** distinguished from host:port by containing '/' *)
-
-val addr_to_string : addr -> string
-
-val parse_addr : string -> (addr, string) result
-(** ["host:port"], [":port"] (localhost), or a Unix-socket path (anything
-    containing '/'). *)
+  | Unix_sock of string
+      (** {!Emc_serve.Http.addr}, re-exported so fleet sources can be
+          written [Fleet.Unix_sock path]; parse and print them with
+          [Http.parse_addr] and [Http.addr_to_string]. *)
 
 (** One coordinator work source: a fixed worker address, or a store whose
     membership table is polled for workers ([@ADDR] on the command
@@ -68,7 +65,7 @@ val parse_addr : string -> (addr, string) result
 type source = Worker of addr | Members of addr
 
 val parse_source : string -> (source, string) result
-(** {!parse_addr}, with a [@] prefix selecting {!Members}. *)
+(** [Http.parse_addr], with a [@] prefix selecting {!Members}. *)
 
 val parse_fleet : string -> (source list, string) result
 (** Comma-separated {!parse_source} list — the [--fleet]/[EMC_FLEET]
@@ -195,14 +192,15 @@ val run_worker :
   unit
 (** One measurement worker. [jobs] fans each received chunk out over
     local forked processes ([lib/par]); [store] consults/feeds a shared
-    result store around every batch (store failures are logged and
-    ignored — the worker simulates instead); [cache_file] is the worker's
-    own persistent JSONL cache.
+    result store around every batch (store failures, an unresolvable
+    store host included, are logged and ignored — the worker simulates
+    instead); [cache_file] is the worker's own persistent JSONL cache.
 
     [register] enrolls the worker in a store's membership table: a
     heartbeater child re-registers [advertise] (default: the listen
-    address as printed by {!addr_to_string}) every [heartbeat] seconds
-    (default 2) with a TTL of three beats, and exits on its own if the
+    address as printed by [Http.addr_to_string]) every [heartbeat]
+    seconds (default 2) with a TTL of three beats — a failed beat is
+    logged and retried at the next one — and exits on its own if the
     worker is SIGKILLed — so a dead worker ages out of [/members] within
     a TTL. On graceful shutdown the worker deregisters explicitly.
 

@@ -30,7 +30,6 @@ let set m i j v = m.a.((i * m.c) + j) <- v
 let copy m = { m with a = Array.copy m.a }
 let row m i = Array.sub m.a (i * m.c) m.c
 let col m j = Array.init m.r (fun i -> get m i j)
-let to_rows m = Array.init m.r (row m)
 
 let transpose m = init m.c m.r (fun i j -> get m j i)
 

@@ -14,7 +14,6 @@ val identity : int -> t
 val of_rows : float array array -> t
 (** Copies its input; rows must be non-empty and of equal length. *)
 
-val to_rows : t -> float array array
 val copy : t -> t
 
 val rows : t -> int

@@ -1,5 +1,5 @@
-(* Load-generating SLO harness for the serving daemon: forked child
-   generators over keep-alive connections, open-loop (coordinated-
+(* Load-generating SLO harness for the serving daemon: generators
+   forked by Par.map over keep-alive connections, open-loop (coordinated-
    omission-free) or closed-loop pacing, latencies recorded into the
    bounded Metrics histograms and merged exactly like the daemon's own
    cross-worker /metrics aggregation. *)
@@ -9,11 +9,10 @@ module Metrics = Emc_obs.Metrics
 module Rng = Emc_util.Rng
 module Http = Emc_serve.Http
 
-type target = Tcp of string * int | Unix_sock of string
 type mode = Open_loop of float | Closed_loop
 
 type opts = {
-  target : target;
+  target : Http.addr;
   mode : mode;
   concurrency : int;
   duration : float;
@@ -55,52 +54,7 @@ let validate_mix mix =
     in
     go mix
 
-(* -------- connections -------- *)
-
-let connect ~timeout target =
-  let fd =
-    match target with
-    | Unix_sock path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try Unix.connect fd (Unix.ADDR_UNIX path)
-         with e -> (try Unix.close fd with _ -> ()); raise e);
-        fd
-    | Tcp (host, port) ->
-        let addr =
-          match Unix.inet_addr_of_string host with
-          | a -> a
-          | exception Failure _ -> (
-              match Unix.gethostbyname host with
-              | { Unix.h_addr_list = [||]; _ } -> raise Not_found
-              | h -> h.Unix.h_addr_list.(0))
-        in
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try
-           Unix.connect fd (Unix.ADDR_INET (addr, port));
-           Unix.setsockopt fd Unix.TCP_NODELAY true
-         with e -> (try Unix.close fd with _ -> ()); raise e);
-        fd
-  in
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-  Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
-  fd
-
-let rec write_all fd s off len =
-  if len > 0 then begin
-    let n = Unix.write_substring fd s off len in
-    write_all fd s (off + n) (len - n)
-  end
-
 (* -------- requests -------- *)
-
-let get_request ~id path =
-  Printf.sprintf "GET %s HTTP/1.1\r\nHost: emc-loadgen\r\nX-Request-Id: %s\r\n\r\n" path id
-
-let post_request ~id path body =
-  Printf.sprintf
-    "POST %s HTTP/1.1\r\nHost: emc-loadgen\r\nX-Request-Id: %s\r\nContent-Type: \
-     application/json\r\nContent-Length: %d\r\n\r\n%s"
-    path id (String.length body) body
 
 let coded_point rng dims =
   Json.List (List.init dims (fun _ -> Json.Float (Rng.float rng 2.0 -. 1.0)))
@@ -108,48 +62,42 @@ let coded_point rng dims =
 (* Bodies are valid by construction (points of the probed
    dimensionality, coded in [-1, 1]), so every 4xx/5xx in the report is
    the server's doing. *)
-let build_request ~rng ~dims ~batch ~id = function
-  | "healthz" -> get_request ~id "/healthz"
-  | "rank" -> get_request ~id "/rank?top=8"
+let build_request ~rng ~dims ~batch = function
+  | "healthz" -> ("GET", "/healthz", "")
+  | "rank" -> ("GET", "/rank?top=8", "")
   | "predict" ->
-      post_request ~id "/predict"
-        (Json.to_string (Json.Obj [ ("point", coded_point rng dims) ]))
+      ("POST", "/predict", Json.to_string (Json.Obj [ ("point", coded_point rng dims) ]))
   | "predict_batch" ->
-      post_request ~id "/predict"
-        (Json.to_string
-           (Json.Obj
-              [ ("points", Json.List (List.init batch (fun _ -> coded_point rng dims))) ]))
+      ( "POST",
+        "/predict",
+        Json.to_string
+          (Json.Obj [ ("points", Json.List (List.init batch (fun _ -> coded_point rng dims))) ])
+      )
   | ep -> invalid_arg ("Loadgen.build_request: " ^ ep)
+
+let write ~id fd (meth, path, body) =
+  let headers =
+    ("X-Request-Id", id) :: (if body = "" then [] else [ ("Content-Type", "application/json") ])
+  in
+  Http.write_request fd ~meth ~path ~headers ~body ()
 
 (* -------- the probe -------- *)
 
 let try_probe ~timeout target =
-  match connect ~timeout target with
-  | exception e -> Error (Printexc.to_string e)
-  | fd -> (
-      let finally () = try Unix.close fd with _ -> () in
-      match
-        write_all fd (get_request ~id:"lg-probe" "/healthz") 0
-          (String.length (get_request ~id:"lg-probe" "/healthz"));
-        Http.read_response fd
-      with
-      | exception e ->
-          finally ();
-          Error (Printexc.to_string e)
-      | Error _ ->
-          finally ();
-          Error "malformed /healthz response"
-      | Ok resp ->
-          finally ();
-          if resp.Http.status <> 200 then
-            Error (Printf.sprintf "/healthz returned %d" resp.Http.status)
-          else (
-            match Json.parse resp.Http.resp_body with
-            | Error e -> Error ("bad /healthz JSON: " ^ e)
-            | Ok j -> (
-                match Json.member "dims" j with
-                | Some (Json.Int d) when d > 0 -> Ok d
-                | _ -> Error "/healthz carries no positive \"dims\"")))
+  match
+    Http.call ~timeout target ~meth:"GET" ~path:"/healthz"
+      ~headers:[ ("X-Request-Id", "lg-probe") ] ()
+  with
+  | Error e -> Error (Http.error_to_string e)
+  | Ok resp when resp.Http.status <> 200 ->
+      Error (Printf.sprintf "/healthz returned %d" resp.Http.status)
+  | Ok resp -> (
+      match Json.parse resp.Http.resp_body with
+      | Error e -> Error ("bad /healthz JSON: " ^ e)
+      | Ok j -> (
+          match Json.member "dims" j with
+          | Some (Json.Int d) when d > 0 -> Ok d
+          | _ -> Error "/healthz carries no positive \"dims\""))
 
 let probe ?(wait = 5.0) ~timeout target =
   let deadline = Unix.gettimeofday () +. wait in
@@ -165,9 +113,9 @@ let probe ?(wait = 5.0) ~timeout target =
   in
   go ()
 
-(* -------- one child generator -------- *)
+(* -------- one generator -------- *)
 
-let worker_loop opts dims idx =
+let worker_loop opts sockaddr dims idx =
   Metrics.reset ();
   let rng = Rng.create (opts.seed + (7919 * idx) + 1) in
   let m_sent = Metrics.counter "loadgen.sent" in
@@ -212,31 +160,31 @@ let worker_loop opts dims idx =
     match !conn with
     | Some fd -> Some fd
     | None -> (
-        match connect ~timeout:opts.timeout opts.target with
-        | fd ->
+        match Http.connect ~timeout:opts.timeout sockaddr with
+        | Ok fd ->
             conn := Some fd;
             Some fd
-        | exception _ ->
+        | Error _ ->
             Metrics.incr m_conn;
             None)
   in
   (* Send and read one exchange; a stale keep-alive connection (server
      closed it between our requests) earns one silent retry on a fresh
      connection before anything is counted as an error. *)
-  let rec attempt ~retried text =
+  let rec attempt ~retried ~id req =
     match get_conn () with
     | None -> `No_conn
     | Some fd -> (
         if not retried then Metrics.incr m_sent;
-        match write_all fd text 0 (String.length text) with
-        | exception Unix.Unix_error _ ->
+        match write ~id fd req with
+        | Error _ ->
             drop_conn ();
             if retried then begin
               Metrics.incr m_proto;
               `Fail
             end
-            else attempt ~retried:true text
-        | () -> (
+            else attempt ~retried:true ~id req
+        | Ok () -> (
             match Http.read_response fd with
             | Ok resp ->
                 if Http.response_header resp "connection" = Some "close" then drop_conn ();
@@ -247,7 +195,7 @@ let worker_loop opts dims idx =
                   Metrics.incr m_proto;
                   `Fail
                 end
-                else attempt ~retried:true text
+                else attempt ~retried:true ~id req
             | Error Http.Timeout ->
                 Metrics.incr m_timeout;
                 drop_conn ();
@@ -278,8 +226,7 @@ let worker_loop opts dims idx =
     else begin
     let id = Printf.sprintf "lg%d-%d" idx !seq in
     incr seq;
-    let text = build_request ~rng ~dims ~batch:opts.batch ~id ep in
-    match attempt ~retried:false text with
+    match attempt ~retried:false ~id (build_request ~rng ~dims ~batch:opts.batch ep) with
     | `No_conn ->
         (* Target unreachable right now: don't spin the CPU re-counting
            connect errors at memory speed. *)
@@ -329,46 +276,6 @@ let worker_loop opts dims idx =
       loop ());
   drop_conn ();
   (Metrics.snapshot (), Unix.gettimeofday () -. start)
-
-(* -------- fork / collect (the lib/par pattern) -------- *)
-
-type child_result = ((Metrics.snapshot * float), string) result
-
-let spawn f =
-  let rfd, wfd = Unix.pipe ~cloexec:false () in
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      Unix.close rfd;
-      Emc_obs.Trace.disable ();
-      let result : child_result =
-        try Ok (f ()) with e -> Error (Printexc.to_string e)
-      in
-      let oc = Unix.out_channel_of_descr wfd in
-      Marshal.to_channel oc result [];
-      flush oc;
-      Unix._exit 0
-  | pid ->
-      Unix.close wfd;
-      (pid, rfd)
-
-let collect (pid, rfd) : child_result =
-  let ic = Unix.in_channel_of_descr rfd in
-  let result =
-    match (Marshal.from_channel ic : child_result) with
-    | r -> r
-    | exception _ -> Error (Printf.sprintf "child %d died without reporting" pid)
-  in
-  close_in_noerr ic;
-  let rec reap () =
-    match Unix.waitpid [] pid with
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-  in
-  reap ();
-  result
 
 (* -------- the report -------- *)
 
@@ -428,37 +335,38 @@ let report_of ~mode ~concurrency ~wall snapshot =
 let percentile r q = Option.bind r.r_latency (fun h -> Metrics.hsnap_percentile h q)
 
 let run opts =
-  if opts.concurrency < 1 then Error "connections must be >= 1"
-  else if opts.duration <= 0.0 then Error "duration must be positive"
-  else if opts.think <= 0.0 then Error "think time must be positive"
-  else if (match opts.mode with Open_loop r -> r <= 0.0 | Closed_loop -> false) then
-    Error "target rps must be positive"
-  else
-    match validate_mix opts.mix with
-    | Error e -> Error e
-    | Ok () -> (
-        match probe ~timeout:opts.timeout opts.target with
-        | Error e -> Error ("target probe failed: " ^ e)
-        | Ok dims ->
-            let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-            let children =
-              List.init opts.concurrency (fun i -> spawn (fun () -> worker_loop opts dims i))
-            in
-            let results = List.map collect children in
-            Sys.set_signal Sys.sigpipe previous_sigpipe;
-            let failures =
-              List.filter_map (function Error e -> Some e | Ok _ -> None) results
-            in
-            if failures <> [] then Error (String.concat "; " failures)
-            else
-              let merged, wall =
-                List.fold_left
-                  (fun (acc, wall) -> function
-                    | Ok (snap, w) -> (Metrics.merge acc snap, Float.max wall w)
-                    | Error _ -> (acc, wall))
-                  (Metrics.snapshot_empty, 0.0) results
-              in
-              Ok (report_of ~mode:opts.mode ~concurrency:opts.concurrency ~wall merged))
+  let ( let* ) = Result.bind in
+  let* () =
+    if opts.concurrency < 1 then Error "connections must be >= 1"
+    else if opts.duration <= 0.0 then Error "duration must be positive"
+    else if opts.think <= 0.0 then Error "think time must be positive"
+    else if (match opts.mode with Open_loop r -> r <= 0.0 | Closed_loop -> false) then
+      Error "target rps must be positive"
+    else validate_mix opts.mix
+  in
+  let* sockaddr, dims =
+    Result.map_error
+      (fun e -> "target probe failed: " ^ e)
+      (let* sockaddr = Http.sockaddr_of_addr opts.target in
+       let* dims = probe ~timeout:opts.timeout opts.target in
+       Ok (sockaddr, dims))
+  in
+  let previous_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  match
+    Fun.protect
+      ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous_sigpipe)
+      (fun () ->
+        Emc_par.Par.map ~jobs:opts.concurrency (worker_loop opts sockaddr dims)
+          (Array.init opts.concurrency Fun.id))
+  with
+  | exception Emc_par.Par.Worker_error e -> Error e
+  | results ->
+      let merged, wall =
+        Array.fold_left
+          (fun (acc, wall) (snap, w) -> (Metrics.merge acc snap, Float.max wall w))
+          (Metrics.snapshot_empty, 0.0) results
+      in
+      Ok (report_of ~mode:opts.mode ~concurrency:opts.concurrency ~wall merged)
 
 (* -------- JSON report -------- *)
 

@@ -1,7 +1,9 @@
 (** [emc loadgen] — a load-generating SLO harness for the serving daemon.
 
-    The driver forks [concurrency] child generators (the [lib/par] fork
-    pattern), each owning one keep-alive connection to the target — so
+    {!run} starts [concurrency] generators under [Par.map] — forked
+    children, or in-process when there is one (it then resets the
+    caller's metrics registry) — each owning one keep-alive connection
+    to the target, so
     [--connections] is a client-side knob, decoupled from the daemon's
     [--workers] count (the multiplexed daemon serves many connections
     per worker). Two pacing modes:
@@ -14,9 +16,9 @@
     - {b Closed loop}: each child issues requests back-to-back, latency
       measured from send. Throughput is whatever the server sustains.
 
-    Children record latencies into the bounded log-scale histograms of
-    {!Emc_obs.Metrics} and ship a registry {!Emc_obs.Metrics.snapshot}
-    back over a pipe; the parent merges them bucket-wise — the same
+    Generators record latencies into the bounded log-scale histograms of
+    {!Emc_obs.Metrics} and return a registry {!Emc_obs.Metrics.snapshot};
+    {!run} merges them bucket-wise — the same
     machinery the daemon's cross-worker [/metrics] uses — and derives
     the report. Everything is deterministic from [seed] except the
     latencies themselves.
@@ -26,16 +28,12 @@
     dimensionality, so a healthy server serves 200s, and any 4xx/5xx in
     the report is the server's fault, not the generator's. *)
 
-type target =
-  | Tcp of string * int  (** host, port *)
-  | Unix_sock of string  (** path to the daemon's Unix socket *)
-
 type mode =
   | Open_loop of float  (** target requests/second across all children *)
   | Closed_loop
 
 type opts = {
-  target : target;
+  target : Emc_serve.Http.addr;
   mode : mode;
   concurrency : int;  (** child generators, one connection each (>= 1) *)
   duration : float;  (** seconds of load *)
@@ -58,7 +56,7 @@ type opts = {
 val default_mix : (string * int) list
 (** [predict=8, predict_batch=1, healthz=1]. *)
 
-val default_opts : target -> opts
+val default_opts : Emc_serve.Http.addr -> opts
 (** Closed loop, 4 children, 10 s, seed 42, {!default_mix}, batch 16,
     5 s timeout, 0.2 s think time. *)
 

@@ -96,14 +96,3 @@ let rec predict node x =
 let rec leaves = function
   | Leaf { indices; mean } -> [ (indices, mean) ]
   | Split s -> leaves s.left @ leaves s.right
-
-let to_model (d : Dataset.t) node : Model.t =
-  ignore d;
-  let n_leaves = List.length (leaves node) in
-  {
-    Model.technique = "tree";
-    predict = predict node;
-    n_params = n_leaves;
-    terms = [];
-    repr = None;
-  }

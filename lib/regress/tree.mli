@@ -14,5 +14,3 @@ val predict : node -> float array -> float
 
 val leaves : node -> (int array * float) list
 (** Leaf (training-point indices, mean response) pairs. *)
-
-val to_model : Dataset.t -> node -> Model.t

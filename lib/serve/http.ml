@@ -1,11 +1,19 @@
 (** Minimal HTTP/1.1 over Unix file descriptors (see http.mli). *)
 
+type addr = Tcp of string * int | Unix_sock of string
+
 type request = {
   meth : string;
   path : string;
   query : (string * string) list;
   headers : (string * string) list;
   body : string;
+}
+
+type response = {
+  status : int;
+  resp_headers : (string * string) list;
+  resp_body : string;
 }
 
 type error =
@@ -15,8 +23,56 @@ type error =
   | Bad of string
   | Refused of string
 
-let header req name =
-  List.assoc_opt (String.lowercase_ascii name) req.headers
+let error_to_string = function
+  | Closed -> "connection closed"
+  | Timeout -> "timed out"
+  | Too_large what -> what ^ " too large"
+  | Bad msg -> msg
+  | Refused msg -> msg
+
+(* ---------------- addresses ---------------- *)
+
+let addr_to_string = function
+  | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
+  | Unix_sock p -> p
+
+let parse_addr s =
+  let s = String.trim s in
+  if s = "" then Error "empty address"
+  else if String.contains s '/' then Ok (Unix_sock s)
+  else
+    match String.rindex_opt s ':' with
+    | None -> Error (Printf.sprintf "%S: want host:port or a unix-socket path" s)
+    | Some i -> (
+        let host = String.sub s 0 i in
+        let host = if host = "" then "127.0.0.1" else host in
+        let port = String.sub s (i + 1) (String.length s - i - 1) in
+        match int_of_string_opt port with
+        | Some p when p > 0 && p < 65536 -> Ok (Tcp (host, p))
+        | _ -> Error (Printf.sprintf "%S: bad port %S" s port))
+
+(* Total: a host that does not resolve is an [Error], so every caller
+   decides what an unreachable peer means instead of catching an
+   exception. Names under the reserved [.invalid] TLD never resolve
+   (RFC 6761 §6.4), so they are refused without a lookup. *)
+let sockaddr_of_addr = function
+  | Unix_sock path -> Ok (Unix.ADDR_UNIX path)
+  | Tcp (host, port) -> (
+      let unresolved = Error ("cannot resolve " ^ host) in
+      match Unix.inet_addr_of_string host with
+      | ip -> Ok (Unix.ADDR_INET (ip, port))
+      | exception Failure _ -> (
+          if String.ends_with ~suffix:".invalid" (String.lowercase_ascii host) then unresolved
+          else
+            match (Unix.gethostbyname host).Unix.h_addr_list with
+            | [||] -> unresolved
+            | ips -> Ok (Unix.ADDR_INET (ips.(0), port))
+            | exception Not_found -> unresolved))
+
+(* ---------------- messages ---------------- *)
+
+let header req name = List.assoc_opt (String.lowercase_ascii name) req.headers
+let response_header resp name = List.assoc_opt (String.lowercase_ascii name) resp.resp_headers
 
 let status_text = function
   | 200 -> "OK"
@@ -67,7 +123,106 @@ let parse_query q =
                    url_decode (String.sub kv (i + 1) (String.length kv - i - 1)) )
            | None -> Some (url_decode kv, ""))
 
-let trim = String.trim
+let parse_headers lines =
+  List.filter_map
+    (fun l ->
+      match String.index_opt l ':' with
+      | Some i ->
+          Some
+            ( String.lowercase_ascii (String.trim (String.sub l 0 i)),
+              String.trim (String.sub l (i + 1) (String.length l - i - 1)) )
+      | None -> None)
+    lines
+
+(* ---------------- the one framer ---------------- *)
+
+type 'a parse = Parsed of 'a * int | Incomplete of int | Invalid of error
+
+let find_head_end s =
+  let n = String.length s in
+  let rec go i =
+    if i + 3 >= n then None
+    else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n' then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let ( let* ) = Result.bind
+
+let content_length headers =
+  match List.assoc_opt "content-length" headers with
+  | None -> Ok 0
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n when n >= 0 -> Ok n
+      | _ -> Error (Bad ("malformed content-length: " ^ v)))
+
+(* Head, then a [Content-Length] body, for either direction: [start]
+   parses the first line (given the headers) into a constructor that
+   takes the body. [Incomplete] names the input length before which no
+   message can be framed — one more byte while the head is open, the
+   body's end once the head is read — so a reader re-parses only when
+   that many bytes have arrived. *)
+let frame ~max_header ~max_body start s =
+  match find_head_end s with
+  | None ->
+      if String.length s > max_header then Invalid (Too_large "headers")
+      else Incomplete (String.length s + 1)
+  | Some i when i > max_header -> Invalid (Too_large "headers")
+  | Some i -> (
+      let first, lines =
+        match List.map String.trim (String.split_on_char '\n' (String.sub s 0 i)) with
+        | first :: lines -> (first, lines)
+        | [] -> ("", [])
+      in
+      let headers = parse_headers lines in
+      let framed =
+        let* make = start first headers in
+        let* () =
+          if List.mem_assoc "transfer-encoding" headers then
+            Error (Bad "chunked transfer encoding is not supported")
+          else Ok ()
+        in
+        let* len = content_length headers in
+        if len > max_body then Error (Too_large "body") else Ok (make, len)
+      in
+      match framed with
+      | Error e -> Invalid e
+      | Ok (make, len) ->
+          let body_start = i + 4 in
+          if String.length s - body_start >= len then
+            Parsed (make (String.sub s body_start len), body_start + len)
+          else Incomplete (body_start + len))
+
+let request_start first headers =
+  match String.split_on_char ' ' first with
+  | [ meth; target; ("HTTP/1.1" | "HTTP/1.0") ] ->
+      let path, query =
+        match String.index_opt target '?' with
+        | Some i ->
+            ( url_decode (String.sub target 0 i),
+              parse_query (String.sub target (i + 1) (String.length target - i - 1)) )
+        | None -> (url_decode target, [])
+      in
+      let meth = String.uppercase_ascii meth in
+      Ok (fun body -> { meth; path; query; headers; body })
+  | _ -> Error (Bad "malformed request line")
+
+let response_start first headers =
+  match String.split_on_char ' ' first with
+  | version :: code :: _ when String.starts_with ~prefix:"HTTP/" version -> (
+      match int_of_string_opt code with
+      | Some status -> Ok (fun resp_body -> { status; resp_headers = headers; resp_body })
+      | None -> Error (Bad ("malformed status code: " ^ code)))
+  | _ -> Error (Bad "malformed status line")
+
+let parse_request ?(max_header = 16 * 1024) ?(max_body = 1024 * 1024) s =
+  frame ~max_header ~max_body request_start s
+
+let parse_response ?(max_header = 16 * 1024) ?(max_body = 8 * 1024 * 1024) s =
+  frame ~max_header ~max_body response_start s
+
+(* ---------------- the one blocking reader ---------------- *)
 
 (* Absolute-deadline wait for readability. EINTR recomputes the remaining
    budget instead of restarting the full timeout — a signal-heavy process
@@ -86,238 +241,53 @@ let wait_readable fd deadline =
   in
   go ()
 
-(* Read until the header terminator appears; any extra bytes already read
-   belong to the body and are returned alongside. When [deadline] is set it
-   bounds the {e whole} head, not each individual read — a peer dribbling
-   one byte per interval can otherwise hold a reader forever while every
-   per-read timeout happily resets. *)
-let read_head ?deadline ?(already = "") ~max_header fd =
+(* Read into one buffer, seeded with the carry, until [parse] frames a
+   message; the bytes past it go back into the carry. A parse runs only
+   once the length the previous one asked for has arrived, so a body is
+   parsed once, not once per read. The deadline bounds the whole message:
+   a peer dribbling a byte per interval cannot reset it. *)
+let read_message parse ?timeout ?carry fd =
+  let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf already;
+  Option.iter
+    (fun r ->
+      Buffer.add_string buf !r;
+      r := "")
+    carry;
   let chunk = Bytes.create 4096 in
-  let find_terminator () =
-    let s = Buffer.contents buf in
-    let n = String.length s in
-    let rec go i =
-      if i + 3 >= n then None
-      else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n' then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let rec loop () =
-    match find_terminator () with
-    | Some i ->
-        let s = Buffer.contents buf in
-        Ok (String.sub s 0 i, String.sub s (i + 4) (String.length s - i - 4))
-    | None ->
-        if Buffer.length buf > max_header then Error (Too_large "headers")
-        else (
-          match
-            match deadline with
-            | None -> Ok ()
-            | Some d -> wait_readable fd d
-          with
-          | Error e -> Error e
-          | Ok () -> (
-              match Unix.read fd chunk 0 (Bytes.length chunk) with
-              | 0 ->
-                  if Buffer.length buf = 0 then Error Closed else Error (Bad "truncated request")
-              | n ->
-                  Buffer.add_subbytes buf chunk 0 n;
-                  loop ()
-              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                  Error Timeout
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-                  if Buffer.length buf = 0 then Error Closed else Error (Bad "connection reset")))
-  in
-  loop ()
-
-(* Returns the body plus any surplus bytes that followed it. The reads
-   themselves never overshoot (capped at [len]); surplus can only come
-   from [already] — head-reading having slurped past the terminator. On a
-   pipelined connection that surplus is the start of the next message and
-   must be carried over, not dropped. *)
-let read_body ?deadline ~max_body fd ~already len =
-  if len > max_body then Error (Too_large "body")
-  else if String.length already >= len then
-    Ok (String.sub already 0 len, String.sub already len (String.length already - len))
-  else begin
-    let buf = Buffer.create len in
-    Buffer.add_string buf already;
-    let chunk = Bytes.create 4096 in
-    let rec loop () =
-      if Buffer.length buf >= len then Ok (Buffer.contents buf, "")
-      else (
-        match
-          match deadline with None -> Ok () | Some d -> wait_readable fd d
-        with
-        | Error e -> Error e
-        | Ok () -> (
-            match
-              Unix.read fd chunk 0 (min (Bytes.length chunk) (len - Buffer.length buf))
-            with
-            | 0 -> Error (Bad "truncated body")
-            | n ->
-                Buffer.add_subbytes buf chunk 0 n;
-                loop ()
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                Error Timeout
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Error (Bad "connection reset")))
-    in
-    loop ()
-  end
-
-let parse_headers header_lines =
-  List.filter_map
-    (fun l ->
-      if l = "" then None
-      else
-        match String.index_opt l ':' with
-        | Some i ->
-            Some
-              ( String.lowercase_ascii (trim (String.sub l 0 i)),
-                trim (String.sub l (i + 1) (String.length l - i - 1)) )
-        | None -> None)
-    header_lines
-
-(* Request-line + headers parsing shared by the blocking reader and the
-   incremental parser: [head] is everything before the \r\n\r\n
-   terminator. Yields the declared body length so the caller can frame
-   the body however it reads (blocking read or buffered slice). *)
-let request_of_head head =
-  match String.split_on_char '\n' head |> List.map (fun l -> trim l) with
-  | [] -> Error (Bad "empty request")
-  | request_line :: header_lines -> (
-      match String.split_on_char ' ' request_line with
-      | [ meth; target; version ] when version = "HTTP/1.1" || version = "HTTP/1.0" -> (
-          let headers = parse_headers header_lines in
-          let path, query =
-            match String.index_opt target '?' with
-            | Some i ->
-                ( url_decode (String.sub target 0 i),
-                  parse_query (String.sub target (i + 1) (String.length target - i - 1)) )
-            | None -> (url_decode target, [])
-          in
-          if List.mem_assoc "transfer-encoding" headers then
-            Error (Bad "chunked transfer encoding is not supported")
-          else
-            match List.assoc_opt "content-length" headers with
-            | None -> Ok (String.uppercase_ascii meth, path, query, headers, 0)
-            | Some v -> (
-                match int_of_string_opt (trim v) with
-                | Some n when n >= 0 -> Ok (String.uppercase_ascii meth, path, query, headers, n)
-                | _ -> Error (Bad ("malformed content-length: " ^ v))))
-      | _ -> Error (Bad "malformed request line"))
-
-(* The incremental half: parse one request from an in-memory byte
-   accumulation without touching any descriptor. The multiplexed server
-   loop appends whatever the socket had and retries; [Incomplete] means
-   "wait for more bytes", the two terminal cases consume the connection. *)
-
-type parse =
-  | Parsed of request * int
-  | Incomplete
-  | Invalid of error
-
-let find_head_end s =
-  let n = String.length s in
-  let rec go i =
-    if i + 3 >= n then None
-    else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n' then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let parse_request ?(max_header = 16 * 1024) ?(max_body = 1024 * 1024) s =
-  match find_head_end s with
-  | None -> if String.length s > max_header then Invalid (Too_large "headers") else Incomplete
-  | Some i -> (
-      if i > max_header then Invalid (Too_large "headers")
-      else
-        match request_of_head (String.sub s 0 i) with
-        | Error e -> Invalid e
-        | Ok (meth, path, query, headers, len) ->
-            if len > max_body then Invalid (Too_large "body")
-            else
-              let body_start = i + 4 in
-              if String.length s - body_start >= len then
-                Parsed ({ meth; path; query; headers; body = String.sub s body_start len }, body_start + len)
-              else Incomplete)
-
-(* [carry] is the per-connection pipelining buffer: bytes read past the
-   end of the previous message seed this one, and this one's surplus is
-   put back. Without it a second in-flight request's first bytes are
-   silently discarded with the preceding body's read-ahead. *)
-let take_carry = function
-  | None -> ""
-  | Some r ->
-      let s = !r in
-      r := "";
-      s
-
-let put_carry carry surplus =
-  match carry with Some r -> r := surplus | None -> ()
-
-let read_request ?(max_header = 16 * 1024) ?(max_body = 1024 * 1024) ?timeout ?carry fd =
-  let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout in
-  match read_head ?deadline ~already:(take_carry carry) ~max_header fd with
-  | Error e -> Error e
-  | Ok (head, rest) -> (
-      match request_of_head head with
+  let cut why = if Buffer.length buf = 0 then Error Closed else Error (Bad why) in
+  let rec fill need =
+    if Buffer.length buf >= need then frame ()
+    else
+      match match deadline with None -> Ok () | Some d -> wait_readable fd d with
       | Error e -> Error e
-      | Ok (meth, path, query, headers, len) -> (
-          match read_body ?deadline ~max_body fd ~already:rest len with
-          | Error e -> Error e
-          | Ok (body, surplus) ->
-              put_carry carry surplus;
-              Ok { meth; path; query; headers; body }))
+      | Ok () -> (
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> cut "truncated message"
+          | n ->
+              Buffer.add_subbytes buf chunk 0 n;
+              fill need
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Error Timeout
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill need
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> cut "connection reset")
+  and frame () =
+    let s = Buffer.contents buf in
+    match parse s with
+    | Parsed (m, n) ->
+        Option.iter (fun r -> r := String.sub s n (String.length s - n)) carry;
+        Ok m
+    | Incomplete need -> fill need
+    | Invalid e -> Error e
+  in
+  fill 1
 
-(* The client half: read one response (for [emc loadgen] and tests). *)
+let read_request ?max_header ?max_body ?timeout ?carry fd =
+  read_message (parse_request ?max_header ?max_body) ?timeout ?carry fd
 
-type response = {
-  status : int;
-  resp_headers : (string * string) list;
-  resp_body : string;
-}
+let read_response ?max_header ?max_body ?timeout ?carry fd =
+  read_message (parse_response ?max_header ?max_body) ?timeout ?carry fd
 
-let response_header resp name =
-  List.assoc_opt (String.lowercase_ascii name) resp.resp_headers
-
-let read_response ?(max_header = 16 * 1024) ?(max_body = 8 * 1024 * 1024) ?timeout ?carry fd =
-  let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout in
-  match read_head ?deadline ~already:(take_carry carry) ~max_header fd with
-  | Error e -> Error e
-  | Ok (head, rest) -> (
-      match String.split_on_char '\n' head |> List.map (fun l -> trim l) with
-      | [] -> Error (Bad "empty response")
-      | status_line :: header_lines -> (
-          match String.split_on_char ' ' status_line with
-          | version :: code :: _
-            when String.length version >= 5 && String.sub version 0 5 = "HTTP/" -> (
-              match int_of_string_opt code with
-              | None -> Error (Bad ("malformed status code: " ^ code))
-              | Some status -> (
-                  let headers = parse_headers header_lines in
-                  let len =
-                    match List.assoc_opt "content-length" headers with
-                    | None -> Ok 0
-                    | Some v -> (
-                        match int_of_string_opt (trim v) with
-                        | Some n when n >= 0 -> Ok n
-                        | _ -> Error (Bad ("malformed content-length: " ^ v)))
-                  in
-                  match len with
-                  | Error e -> Error e
-                  | Ok len -> (
-                      match read_body ?deadline ~max_body fd ~already:rest len with
-                      | Error e -> Error e
-                      | Ok (body, surplus) ->
-                          put_carry carry surplus;
-                          Ok { status; resp_headers = headers; resp_body = body })))
-          | _ -> Error (Bad "malformed status line")))
+(* ---------------- client half: connect, request, call ---------------- *)
 
 let write_all fd s =
   let n = String.length s in
@@ -328,15 +298,6 @@ let write_all fd s =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   go 0
-
-(* ---------------- client half: connect + request ---------------- *)
-
-let error_to_string = function
-  | Closed -> "connection closed"
-  | Timeout -> "timed out"
-  | Too_large what -> what ^ " too large"
-  | Bad msg -> msg
-  | Refused msg -> msg
 
 (* A typed connect so a dead peer is an [error], never an escaping
    [Unix_error]: the fleet coordinator leans on this to tell a crashed
@@ -353,6 +314,10 @@ let connect ?(timeout = 10.0) sockaddr =
   let refused err = Refused ("connect: " ^ Unix.error_message err) in
   let finish () =
     Unix.clear_nonblock fd;
+    (* small request/response exchanges must not wait out Nagle's delay *)
+    (match sockaddr with
+    | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
+    | Unix.ADDR_UNIX _ -> ());
     (* Unix-domain sockets reject SO_RCVTIMEO on some systems; timeouts
        there come from the select-guarded connect and the peer's behavior *)
     (try
@@ -395,9 +360,22 @@ let write_request fd ~meth ~path ?(headers = []) ?(body = "") () =
   Buffer.add_string b body;
   match write_all fd (Buffer.contents b) with
   | () -> Ok ()
-  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.ECONNREFUSED), _, _) ->
-      Error (Refused "peer reset the connection during the request write")
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Error Timeout
+  | exception Unix.Unix_error (err, _, _) ->
+      Error (Refused ("request write: " ^ Unix.error_message err))
+
+let call ?(timeout = 10.0) addr ~meth ~path ?headers ?body () =
+  match sockaddr_of_addr addr with
+  | Error msg -> Error (Refused msg)
+  | Ok sockaddr ->
+      let* fd = connect ~timeout sockaddr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let* () = write_request fd ~meth ~path ?headers ?body () in
+          read_response ~timeout fd)
+
+(* ---------------- server half: responses ---------------- *)
 
 (* The one response-head formatter: the blocking [respond] below and the
    multiplexed server loop both render through it, so responses are

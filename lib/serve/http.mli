@@ -1,14 +1,37 @@
-(** A deliberately small HTTP/1.1 reader/writer over [Unix] file
-    descriptors — just enough protocol for the model-serving daemon: one
-    request line, headers, an optional [Content-Length] body, keep-alive,
-    and in-order pipelining via a per-connection carry buffer (the fleet
-    coordinator keeps several requests in flight per worker). No chunked
-    encoding, no TLS.
+(** The one HTTP/1.1 layer behind all three daemons ([emc serve],
+    [emc fleet-worker], [emc fleet-store]) and every client of them (the
+    fleet coordinator and store client, [emc loadgen], the tests):
+    addresses and name resolution, a typed connect, one request/response
+    framing, and the response writer. Just enough protocol: a start line,
+    headers, an optional [Content-Length] body, keep-alive, and in-order
+    pipelining via a per-connection carry buffer (the fleet coordinator
+    keeps several requests in flight per worker). No chunked encoding, no
+    TLS.
 
-    Robustness is the point: header and body sizes are capped, reads honor
-    the socket's receive timeout, and every malformed input is a typed
-    [error], never an exception — the daemon must survive a fuzz loop of
-    truncated and oversized garbage. *)
+    Robustness is the point: header and body sizes are capped, reads
+    honor absolute deadlines, and every malformed input, dead peer or
+    unresolvable host is a typed [error], never an exception — a daemon
+    must survive a fuzz loop of truncated and oversized garbage, and a
+    worker must survive a store it cannot reach. *)
+
+(** {1 Addresses} *)
+
+type addr =
+  | Tcp of string * int  (** host, port *)
+  | Unix_sock of string  (** distinguished from host:port by containing '/' *)
+
+val addr_to_string : addr -> string
+
+val parse_addr : string -> (addr, string) result
+(** ["host:port"], [":port"] (127.0.0.1), or a Unix-socket path
+    (anything containing '/'). *)
+
+val sockaddr_of_addr : addr -> (Unix.sockaddr, string) result
+(** Resolve a host name (first address) or take an IP literal as is.
+    Total: a name that does not resolve is an [Error]. Names under the
+    reserved [.invalid] domain fail without a lookup (RFC 6761). *)
+
+(** {1 Messages} *)
 
 type request = {
   meth : string;  (** uppercase, e.g. "GET" *)
@@ -18,19 +41,70 @@ type request = {
   body : string;
 }
 
+type response = {
+  status : int;
+  resp_headers : (string * string) list;  (** keys lowercased *)
+  resp_body : string;
+}
+
 type error =
-  | Closed  (** clean EOF before any request byte — peer is done *)
-  | Timeout  (** the socket's receive timeout (or connect timeout) expired *)
+  | Closed  (** clean EOF before any byte of the message — peer is done *)
+  | Timeout  (** the deadline (or the socket's receive timeout) expired *)
   | Too_large of string  (** headers or declared body over the cap; names which *)
-  | Bad of string  (** malformed request line/headers or truncated body *)
+  | Bad of string  (** malformed start line/headers, or a truncated message *)
   | Refused of string
-      (** client side only: the peer refused or reset the connection — the
-          fleet coordinator's signal that a worker has died *)
+      (** client side only: the peer refused or reset the connection, or
+          its host does not resolve — the fleet coordinator's signal that
+          a worker is gone *)
 
 val error_to_string : error -> string
 
 val header : request -> string -> string option
 (** Case-insensitive header lookup. *)
+
+val response_header : response -> string -> string option
+(** Case-insensitive header lookup. *)
+
+(** {1 Framing}
+
+    One pure framer serves both directions: find the head, parse the
+    start line and headers, then take a [Content-Length] body. The
+    blocking readers below and the multiplexed server both frame through
+    it, so limits and error mapping agree everywhere. *)
+
+type 'a parse =
+  | Parsed of 'a * int
+      (** one complete message plus the number of bytes it consumed; the
+          remainder of the input is the start of the next pipelined message *)
+  | Incomplete of int
+      (** a valid prefix: no message can be framed before the input is
+          this many bytes long (one more byte while the head is open, the
+          end of the declared body once it is read), so a reader need not
+          parse again before then *)
+  | Invalid of error  (** terminal: respond with the mapped status and close *)
+
+val parse_request : ?max_header:int -> ?max_body:int -> string -> request parse
+(** Frame one request from an in-memory accumulation of connection
+    bytes. Heads over [max_header] (16 KiB) and declared bodies over
+    [max_body] (1 MiB) are [Too_large] before any body byte arrives. *)
+
+val parse_response : ?max_header:int -> ?max_body:int -> string -> response parse
+(** {!parse_request} for a response; [max_body] defaults to 8 MiB. *)
+
+(** {1 Blocking reads}
+
+    [timeout] bounds the {e whole} message against an absolute deadline
+    — without it, only the socket's receive timeout applies, which resets
+    on every read and so never fires against a peer that dribbles bytes.
+    EINTR never restarts the budget.
+
+    [carry] makes pipelining correct: reads pull from the socket in
+    chunks, so bytes of the {e next} pipelined message may arrive glued
+    to this one. Pass one [ref] per connection — its contents seed the
+    read and, on success, it holds the surplus. Without [carry], surplus
+    is discarded (fine for strict request/response lockstep, fatal for
+    pipelining). A caller holding a non-empty carry must not wait for
+    socket readability — the next message may already be buffered. *)
 
 val read_request :
   ?max_header:int ->
@@ -39,45 +113,7 @@ val read_request :
   ?carry:string ref ->
   Unix.file_descr ->
   (request, error) result
-(** Read one request. [max_header] defaults to 16 KiB, [max_body] to
-    1 MiB. [timeout] bounds the {e whole} request (head + body) against an
-    absolute deadline — without it, only the socket's receive timeout
-    applies, which resets on every read and so never fires against a peer
-    that dribbles bytes. EINTR never restarts the budget.
-
-    [carry] makes pipelining correct: reads pull from the socket in
-    chunks, so bytes of the {e next} pipelined message may arrive glued
-    to this one's body. Pass one [ref] per connection — its contents are
-    consumed before reading the socket and, on success, it is refilled
-    with the surplus. Without [carry], such surplus is discarded (fine
-    for strict request/response lockstep, fatal for pipelining). A caller
-    holding a non-empty carry must not wait for socket readability —
-    the next message may already be fully buffered. *)
-
-type parse =
-  | Parsed of request * int
-      (** one complete request plus the number of bytes it consumed; the
-          remainder of the input is the start of the next pipelined message *)
-  | Incomplete  (** syntactically fine so far — wait for more bytes *)
-  | Invalid of error  (** terminal: respond with the mapped status and close *)
-
-val parse_request : ?max_header:int -> ?max_body:int -> string -> parse
-(** The incremental half of {!read_request}: parse one request from an
-    in-memory accumulation of connection bytes without touching a
-    descriptor. The multiplexed server loop appends each non-blocking
-    read's bytes and re-parses; limits and error mapping match
-    {!read_request} (16 KiB heads, 1 MiB bodies by default, declared
-    [Content-Length] over the cap is [Too_large "body"] before any body
-    byte arrives). *)
-
-type response = {
-  status : int;
-  resp_headers : (string * string) list;  (** keys lowercased *)
-  resp_body : string;
-}
-
-val response_header : response -> string -> string option
-(** Case-insensitive header lookup. *)
+(** Read one request ({!parse_request} limits). *)
 
 val read_response :
   ?max_header:int ->
@@ -86,24 +122,19 @@ val read_response :
   ?carry:string ref ->
   Unix.file_descr ->
   (response, error) result
-(** The client half: read one [Content-Length]-framed response from a
-    keep-alive connection (the [emc loadgen] driver, the fleet coordinator
-    and the tests). [max_body] defaults to 8 MiB. [timeout] bounds the
-    whole response against an absolute deadline (see {!read_request});
-    the fleet coordinator passes its per-dispatch budget here so a worker
-    dribbling a response cannot stall the run past its chunk deadline.
-    [carry] is the per-connection pipelining buffer (see
-    {!read_request}) — the coordinator passes one per worker connection
-    when [depth > 1]. *)
+(** Read one response ({!parse_response} limits). The fleet coordinator
+    passes its per-dispatch budget as [timeout] so a worker dribbling a
+    response cannot stall the run past its chunk deadline. *)
+
+(** {1 Client} *)
 
 val connect : ?timeout:float -> Unix.sockaddr -> (Unix.file_descr, error) result
 (** Open a stream connection with a connect timeout (default 10 s), mapping
     a refused/unreachable peer to {!Refused} and a slow one to {!Timeout}
-    instead of letting [Unix_error] escape. The timeout is enforced as an
-    absolute deadline (EINTR re-waits with the remaining budget, never the
-    full window). On success the descriptor's send/receive timeouts are set
-    to [timeout], so subsequent {!read_response} calls honor it as a
-    per-read backstop; pass [?timeout] there to bound whole responses. *)
+    instead of letting [Unix_error] escape. The timeout is an absolute
+    deadline (EINTR re-waits with the remaining budget, never the full
+    window). On success the descriptor's send/receive timeouts are set to
+    [timeout], and a TCP socket has [TCP_NODELAY] set. *)
 
 val write_request :
   Unix.file_descr ->
@@ -113,9 +144,25 @@ val write_request :
   ?body:string ->
   unit ->
   (unit, error) result
-(** Write one [Content-Length]-framed request; a reset mid-write is
-    {!Refused}, a send-timeout expiry is {!Timeout}. Callers should ignore
-    SIGPIPE. *)
+(** Write one [Content-Length]-framed request (adding [Host: localhost]
+    unless [headers] has a Host); a failed write is {!Refused}, a
+    send-timeout expiry is {!Timeout}. Callers should ignore SIGPIPE. *)
+
+val call :
+  ?timeout:float ->
+  addr ->
+  meth:string ->
+  path:string ->
+  ?headers:(string * string) list ->
+  ?body:string ->
+  unit ->
+  (response, error) result
+(** One exchange on a fresh connection: resolve, connect, write the
+    request, read the response, close. [timeout] (default 10 s) bounds
+    the connect and the whole response. A host that does not resolve is
+    {!Refused}, like a peer that refuses the connection. *)
+
+(** {1 Server} *)
 
 val respond :
   Unix.file_descr ->

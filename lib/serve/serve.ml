@@ -5,10 +5,8 @@ module Trace = Emc_obs.Trace
 
 (** The prediction/search serving daemon (see serve.mli). *)
 
-type listen = Port of int | Unix_socket of string
-
 type opts = {
-  listen : listen;
+  listen : Http.addr;
   workers : int;
   max_body : int;
   read_timeout : float;
@@ -16,17 +14,6 @@ type opts = {
   max_conns : int;
   access_log : string option;
 }
-
-let default_opts listen =
-  {
-    listen;
-    workers = 1;
-    max_body = 1024 * 1024;
-    read_timeout = 10.0;
-    idle_timeout = 30.0;
-    max_conns = 512;
-    access_log = Sys.getenv_opt "EMC_ACCESS_LOG";
-  }
 
 (* ---------------- request handling ---------------- *)
 
@@ -454,10 +441,6 @@ let worker art opts dir lsock =
   Trace.flush ();
   Unix._exit 0
 
-let listen_description = function
-  | Port p -> Printf.sprintf "127.0.0.1:%d" p
-  | Unix_socket path -> path
-
 let make_metrics_dir () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -477,9 +460,7 @@ let remove_metrics_dir dir =
 
 let run opts art =
   let addr =
-    match opts.listen with
-    | Port p -> Unix.ADDR_INET (Unix.inet_addr_loopback, p)
-    | Unix_socket path -> Unix.ADDR_UNIX path
+    match Http.sockaddr_of_addr opts.listen with Ok a -> a | Error e -> failwith e
   in
   let lsock = Server.bind addr in
   let workers = max 1 opts.workers in
@@ -498,7 +479,7 @@ let run opts art =
         ("technique", Json.Str art.Artifact.technique);
         ("workers", Json.Int workers) ]
     "serving %s/%s on %s (%d worker%s)" art.Artifact.workload art.Artifact.technique
-    (listen_description opts.listen) workers
+    (Http.addr_to_string opts.listen) workers
     (if workers = 1 then "" else "s");
   let alive = ref pids in
   while (not !stopping) && !alive <> [] do
@@ -522,5 +503,5 @@ let run opts art =
     ~fields:
       [ ("requests", Json.Int (total "serve.requests"));
         ("errors", Json.Int (total "serve.errors")) ]
-    "server on %s stopped (%d requests, %d errors)" (listen_description opts.listen)
+    "server on %s stopped (%d requests, %d errors)" (Http.addr_to_string opts.listen)
     (total "serve.requests") (total "serve.errors")

@@ -58,10 +58,8 @@
     server's; the master waits for every worker, then unlinks the Unix
     socket. *)
 
-type listen = Port of int | Unix_socket of string
-
 type opts = {
-  listen : listen;
+  listen : Http.addr;
   workers : int;  (** pre-forked scheduler workers (>= 1) *)
   max_body : int;  (** request body cap in bytes *)
   read_timeout : float;
@@ -76,10 +74,6 @@ type opts = {
       (** JSONL access-log path (append); every worker writes to it,
           one whole line per request *)
 }
-
-val default_opts : listen -> opts
-(** 1 worker, 1 MiB body cap, 10 s read timeout, 30 s idle timeout, 512
-    connections per worker, access log from [EMC_ACCESS_LOG] when set. *)
 
 val handle_request : Emc_core.Artifact.t -> Http.request -> int * string * string
 (** [(status, content_type, body)] for one request — the reference

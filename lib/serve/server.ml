@@ -298,6 +298,7 @@ let release addr s =
 type conn = {
   c_fd : Unix.file_descr;
   c_inb : Buffer.t;  (* unconsumed request bytes *)
+  mutable c_need : int;  (* length [c_inb] must reach before the next parse *)
   mutable c_out : string;  (* rendered response being flushed *)
   mutable c_out_off : int;
   mutable c_writing : bool;
@@ -445,24 +446,27 @@ and handle_one st c (req : Http.request) =
   enqueue_response st c ~status ~content_type ~keep_alive ~id
 
 and process_input st c =
-  if (not c.c_writing) && not c.c_closed then begin
-    let s = Buffer.contents c.c_inb in
-    if s <> "" then
-      match Http.parse_request ~max_body:st.max_body s with
-      | Http.Incomplete ->
-          if c.c_eof then protocol_error st c 400 "bad_request" "truncated request"
-      | Http.Invalid (Http.Too_large what) ->
-          protocol_error st c 413 "too_large" (what ^ " exceed the configured limit")
-      | Http.Invalid (Http.Bad msg) -> protocol_error st c 400 "bad_request" msg
-      | Http.Invalid (Http.Timeout | Http.Closed | Http.Refused _) ->
-          (* parse_request never produces these *)
-          close_conn st c
-      | Http.Parsed (req, consumed) ->
-          let rest = String.sub s consumed (String.length s - consumed) in
-          Buffer.clear c.c_inb;
-          Buffer.add_string c.c_inb rest;
-          handle_one st c req
-  end
+  let have = Buffer.length c.c_inb in
+  if (not c.c_writing) && (not c.c_closed) && have > 0 then
+    match
+      if have < c.c_need then Http.Incomplete c.c_need
+      else Http.parse_request ~max_body:st.max_body (Buffer.contents c.c_inb)
+    with
+    | Http.Incomplete need ->
+        c.c_need <- need;
+        if c.c_eof then protocol_error st c 400 "bad_request" "truncated request"
+    | Http.Invalid (Http.Too_large what) ->
+        protocol_error st c 413 "too_large" (what ^ " exceed the configured limit")
+    | Http.Invalid (Http.Bad msg) -> protocol_error st c 400 "bad_request" msg
+    | Http.Invalid (Http.Timeout | Http.Closed | Http.Refused _) ->
+        (* parse_request never produces these *)
+        close_conn st c
+    | Http.Parsed (req, consumed) ->
+        let rest = Buffer.sub c.c_inb consumed (have - consumed) in
+        Buffer.clear c.c_inb;
+        Buffer.add_string c.c_inb rest;
+        c.c_need <- 1;
+        handle_one st c req
 
 let on_readable st c =
   match Unix.read c.c_fd st.chunk 0 (Bytes.length st.chunk) with
@@ -516,7 +520,7 @@ let run ~max_body ~read_timeout ~idle_timeout ~max_conns ?access_log ?snapshot_d
             Metrics.incr m_connections;
             let now = Unix.gettimeofday () in
             st.conns <-
-              { c_fd = fd; c_inb = Buffer.create 1024; c_out = ""; c_out_off = 0;
+              { c_fd = fd; c_inb = Buffer.create 1024; c_need = 1; c_out = ""; c_out_off = 0;
                 c_writing = false; c_req_t0 = now; c_idle_since = now; c_write_deadline = now;
                 c_close_after = false; c_eof = false; c_post_write = None; c_closed = false }
               :: st.conns;

@@ -78,10 +78,6 @@ let probe t addr =
   let rec go w = w < t.ways && (t.tags.(base + w) = line || go (w + 1)) in
   go 0
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
-
 let miss_rate t =
   let total = t.hits + t.misses in
   if total = 0 then 0.0 else float_of_int t.misses /. float_of_int total

@@ -29,7 +29,5 @@ val access : t -> int -> bool
 val probe : t -> int -> bool
 (** Residency check with no fill, no LRU update and no statistics. *)
 
-val reset_stats : t -> unit
-
 val miss_rate : t -> float
 (** Misses over total accesses; 0 before any access. *)

@@ -24,17 +24,17 @@ let counter name = Option.value ~default:0 (Metrics.counter_value name)
 (* ---------------- addresses ---------------- *)
 
 let test_parse_addr () =
-  cb "host:port" true (Fleet.parse_addr "box1:9001" = Ok (Fleet.Tcp ("box1", 9001)));
+  cb "host:port" true (Http.parse_addr "box1:9001" = Ok (Fleet.Tcp ("box1", 9001)));
   cb ":port is localhost" true
-    (Fleet.parse_addr ":9001" = Ok (Fleet.Tcp ("127.0.0.1", 9001)));
+    (Http.parse_addr ":9001" = Ok (Fleet.Tcp ("127.0.0.1", 9001)));
   cb "a path is a unix socket" true
-    (Fleet.parse_addr "/tmp/w.sock" = Ok (Fleet.Unix_sock "/tmp/w.sock"));
+    (Http.parse_addr "/tmp/w.sock" = Ok (Fleet.Unix_sock "/tmp/w.sock"));
   cb "surrounding space trimmed" true
-    (Fleet.parse_addr " box1:80 " = Ok (Fleet.Tcp ("box1", 80)));
+    (Http.parse_addr " box1:80 " = Ok (Fleet.Tcp ("box1", 80)));
   List.iter
     (fun bad ->
       cb (Printf.sprintf "%S rejected" bad) true
-        (match Fleet.parse_addr bad with Error _ -> true | Ok _ -> false))
+        (match Http.parse_addr bad with Error _ -> true | Ok _ -> false))
     [ ""; "box1"; "box1:"; "box1:nope"; "box1:0"; "box1:70000" ];
   match Fleet.parse_fleet "a:1, b:2 ,/tmp/w.sock" with
   | Ok
@@ -159,22 +159,7 @@ let fork_daemon run =
       Unix._exit 0
   | pid -> pid
 
-let wait_sock path =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec go () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> Unix.close fd
-    | exception Unix.Unix_error _ ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        if Unix.gettimeofday () > deadline then
-          Alcotest.failf "daemon did not come up on %s" path
-        else begin
-          ignore (Unix.select [] [] [] 0.05);
-          go ()
-        end
-  in
-  go ()
+let wait_sock path = Test_serve.wait_up (Fleet.Unix_sock path)
 
 let stop_daemon pid =
   (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
@@ -195,19 +180,10 @@ let with_worker ?store f =
 
 (* ---------------- store daemon ---------------- *)
 
-let rpc path ~meth ~target ?(body = "") () =
-  match Http.connect (Unix.ADDR_UNIX path) with
-  | Error e -> Alcotest.failf "connect %s: %s" path (Http.error_to_string e)
-  | Ok fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          (match Http.write_request fd ~meth ~path:target ~body () with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "write %s: %s" target (Http.error_to_string e));
-          match Http.read_response fd with
-          | Ok r -> (r.Http.status, r.Http.resp_body)
-          | Error e -> Alcotest.failf "read %s: %s" target (Http.error_to_string e))
+let rpc path ~meth ~target ?body () =
+  match Http.call (Fleet.Unix_sock path) ~meth ~path:target ?body () with
+  | Ok r -> (r.Http.status, r.Http.resp_body)
+  | Error e -> Alcotest.failf "%s %s: %s" meth target (Http.error_to_string e)
 
 let json_of body =
   match Json.parse (String.trim body) with
@@ -458,12 +434,12 @@ let test_worker_feeds_store () =
   let y1 = ref [||] in
   with_worker ~store (fun path ->
       let m = Measure.create (small_scale 1) in
-      Fleet.attach m [ Fleet.Worker (Option.get (Result.to_option (Fleet.parse_addr path))) ];
+      Fleet.attach m [ Fleet.Worker (Fleet.Unix_sock path) ];
       y1 := Measure.cycles_coded_many m w ~variant points);
   cb "store persisted results" true (Sys.file_exists store_file);
   with_worker ~store (fun path ->
       let m = Measure.create (small_scale 1) in
-      Fleet.attach m [ Fleet.Worker (Option.get (Result.to_option (Fleet.parse_addr path))) ];
+      Fleet.attach m [ Fleet.Worker (Fleet.Unix_sock path) ];
       let y2 = Measure.cycles_coded_many m w ~variant points in
       Alcotest.(check (array (float 0.0))) "store-served run bit-identical" !y1 y2;
       (* the fresh worker's own /metrics must report zero simulator runs *)
@@ -824,6 +800,49 @@ let test_connect_refused_is_typed () =
       Unix.close fd;
       Alcotest.fail "connect to port 1 succeeded"
 
+(* ---------------- unresolvable hosts, TCP ---------------- *)
+
+(* A store host that does not resolve is a store failure like any other:
+   logged and simulated through, never a 500. *)
+let test_unresolvable_store () =
+  let w = Emc_workloads.Registry.find "mcf" in
+  let body =
+    Fleet.measure_body w ~variant:Emc_workloads.Workload.Train ~workload_scale:0.05
+      ~smarts:(small_scale 1).Scale.smarts (Array.map Params.configs_of_coded (design_points 3))
+  in
+  let measure path =
+    match
+      Http.call ~timeout:600.0 (Fleet.Unix_sock path) ~meth:"POST" ~path:"/measure"
+        ~headers:[ ("Content-Type", "application/json") ]
+        ~body ()
+    with
+    | Ok r ->
+        ci "/measure answers 200" 200 r.Http.status;
+        r.Http.resp_body
+    | Error e -> Alcotest.failf "/measure: %s" (Http.error_to_string e)
+  in
+  let plain = with_worker measure in
+  let through = with_worker ~store:(Fleet.Tcp ("no-such-host.invalid", 9)) measure in
+  cs "values bit-identical to a store-less worker" plain through
+
+(* A worker whose host does not resolve fails at connect like a refused
+   one: only that worker is lost, its chunk runs elsewhere. *)
+let test_unresolvable_worker () =
+  let failures0 = counter "fleet.worker_failures" in
+  with_worker (fun live -> run_through [ live; "no-such-host.invalid:9101" ]);
+  ci "one worker failure" (failures0 + 1) (counter "fleet.worker_failures")
+
+let test_members_unresolvable () =
+  cb "an Error, not an exception" true
+    (Result.is_error (Fleet.members (Fleet.Tcp ("no-such-host.invalid", 1))))
+
+let test_tcp_worker () =
+  let addr = Fleet.Tcp ("127.0.0.1", Test_serve.free_port ()) in
+  let pid = fork_daemon (fun () -> Fleet.run_worker ~listen:addr ()) in
+  Fun.protect ~finally:(fun () -> stop_daemon pid) @@ fun () ->
+  Test_serve.wait_up addr;
+  run_through [ Http.addr_to_string addr ]
+
 let suite =
   [
     ("parse_addr forms", `Quick, test_parse_addr);
@@ -855,4 +874,8 @@ let suite =
     ("cache stats on a missing file", `Quick, test_cache_stats_missing_file);
     ("torn tail repaired before append", `Quick, test_torn_tail_repaired_on_append);
     ("connection refused is typed", `Quick, test_connect_refused_is_typed);
+    ("unresolvable store: simulated through", `Slow, test_unresolvable_store);
+    ("unresolvable worker fails alone", `Slow, test_unresolvable_worker);
+    ("members of an unresolvable store", `Quick, test_members_unresolvable);
+    ("worker over TCP bit-identical to jobs=1", `Slow, test_tcp_worker);
   ]

@@ -4,6 +4,7 @@
     and the JSON report schema. *)
 
 module Lg = Emc_loadgen.Loadgen
+module Http = Emc_serve.Http
 module Json = Emc_obs.Json
 module Metrics = Emc_obs.Metrics
 
@@ -21,7 +22,7 @@ let test_slo_parsing () =
   cb "count bounds parse" true (Result.is_ok (Lg.parse_slo "5xx=0"))
 
 let test_opts_validation () =
-  let t = Lg.Unix_sock "/nonexistent.sock" in
+  let t = Http.Unix_sock "/nonexistent.sock" in
   let base = Lg.default_opts t in
   cb "zero concurrency rejected" true
     (Result.is_error (Lg.run { base with Lg.concurrency = 0 }));
@@ -41,7 +42,7 @@ let run_against_server ~mode ~concurrency ~duration =
      payload; raise it so every generated request is servable *)
   Test_serve.with_server ~workers:concurrency ~max_body:(256 * 1024) (fun (_, path) ->
       let opts =
-        { (Lg.default_opts (Lg.Unix_sock path)) with Lg.mode; concurrency; duration; seed = 7 }
+        { (Lg.default_opts (Http.Unix_sock path)) with Lg.mode; concurrency; duration; seed = 7 }
       in
       match Lg.run opts with
       | Ok r -> r
@@ -133,7 +134,7 @@ let test_think_mix_holds_connections () =
      one-connection-per-worker loop starved everyone behind a thinker) *)
   Test_serve.with_server ~workers:1 (fun (_, path) ->
       let opts =
-        { (Lg.default_opts (Lg.Unix_sock path)) with
+        { (Lg.default_opts (Http.Unix_sock path)) with
           Lg.concurrency = 4; duration = 1.0; seed = 11; think = 0.05;
           mix = [ ("predict", 4); ("healthz", 2); ("think", 3) ] }
       in
@@ -154,6 +155,35 @@ let test_think_mix_holds_connections () =
           cb "no think endpoint histogram" true
             (not (List.mem_assoc "think" r.Lg.r_by_endpoint)))
 
+let check_clean r =
+  cb "sent some traffic" true (r.Lg.r_sent > 0);
+  ci "every request answered" r.Lg.r_sent r.Lg.r_responses;
+  ci "no errors" 0 (Lg.errors_total r);
+  ci "no id mismatches" 0 r.Lg.r_id_mismatches;
+  cb "latency measured" true (r.Lg.r_latency <> None)
+
+(* Every other live test uses a Unix socket; the README's recipes use
+   TCP. *)
+let test_serve_over_tcp () =
+  let listen = Http.Tcp ("127.0.0.1", Test_serve.free_port ()) in
+  Test_serve.with_server ~listen ~workers:2 ~max_body:(256 * 1024) (fun _ ->
+      match Lg.run { (Lg.default_opts listen) with Lg.concurrency = 2; duration = 1.0; seed = 3 } with
+      | Ok r -> check_clean r
+      | Error e -> Alcotest.failf "loadgen failed: %s" e)
+
+(* One connection: Par.map runs the generator in-process, and the report
+   is as complete as a forked run's. *)
+let test_one_connection_in_process () =
+  Test_serve.with_server ~max_body:(256 * 1024) (fun (_, path) ->
+      let opts =
+        { (Lg.default_opts (Http.Unix_sock path)) with Lg.concurrency = 1; duration = 0.5; seed = 5 }
+      in
+      match Lg.run opts with
+      | Ok r ->
+          check_clean r;
+          ci "one connection reported" 1 r.Lg.r_concurrency
+      | Error e -> Alcotest.failf "loadgen failed: %s" e)
+
 let suite =
   [
     Alcotest.test_case "slo parsing" `Quick test_slo_parsing;
@@ -163,4 +193,6 @@ let suite =
     Alcotest.test_case "open-loop pacing hits the target rate" `Quick test_open_loop_pacing;
     Alcotest.test_case "think mix holds connections open without errors" `Quick
       test_think_mix_holds_connections;
+    Alcotest.test_case "serve and loadgen over TCP: zero errors" `Quick test_serve_over_tcp;
+    Alcotest.test_case "one connection runs in-process" `Quick test_one_connection_in_process;
   ]

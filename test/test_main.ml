@@ -15,6 +15,7 @@ let () =
       ("repr", Test_repr.suite);
       ("search", Test_search.suite);
       ("serve", Test_serve.suite);
+      ("http", Test_http.suite);
       ("loadgen", Test_loadgen.suite);
       ("workloads", Test_workloads.suite);
       ("par", Test_par.suite);

@@ -110,14 +110,25 @@ let sock_path () =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "emc_serve_%d_%d.sock" (Unix.getpid ()) (Random.int 100000))
 
-(* wait for the socket to accept connections *)
-let wait_up path =
+(* A loopback TCP port that was free when asked (the kernel's pick). *)
+let free_port () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close s) @@ fun () ->
+  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname s with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> assert false
+
+(* wait for a daemon to accept connections at [addr] *)
+let wait_up addr =
+  let sockaddr =
+    match Http.sockaddr_of_addr addr with Ok a -> a | Error e -> Alcotest.fail e
+  in
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec wait () =
-    match connect path with
-    | fd -> Unix.close fd
-    | exception Unix.Unix_error _ ->
-        if Unix.gettimeofday () > deadline then Alcotest.failf "server did not come up on %s" path
+    match Http.connect ~timeout:1.0 sockaddr with
+    | Ok fd -> Unix.close fd
+    | Error _ ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "daemon did not come up on %s" (Http.addr_to_string addr)
         else begin
           ignore (Unix.select [] [] [] 0.05);
           wait ()
@@ -125,32 +136,33 @@ let wait_up path =
   in
   wait ()
 
-let start_server ?(workers = 1) ?(max_body = 4096) ?(read_timeout = 2.0) ?(idle_timeout = 5.0)
-    ?(max_conns = 64) ?access_log () =
+(* [listen] defaults to a fresh Unix socket; the handle carries its
+   printed address (the socket path). *)
+let start_server ?listen ?(workers = 1) ?(max_body = 4096) ?(read_timeout = 2.0)
+    ?(idle_timeout = 5.0) ?(max_conns = 64) ?access_log () =
   let art = Lazy.force artifact in
-  let path = sock_path () in
+  let listen = match listen with Some a -> a | None -> Http.Unix_sock (sock_path ()) in
   match Unix.fork () with
   | 0 ->
       (* the daemon process: Serve.run returns after a signal *)
       (try
          Serve.run
-           { Serve.listen = Serve.Unix_socket path; workers; max_body; read_timeout;
-             idle_timeout; max_conns; access_log }
+           { Serve.listen; workers; max_body; read_timeout; idle_timeout; max_conns; access_log }
            art
        with _ -> Unix._exit 1);
       Unix._exit 0
   | pid ->
-      wait_up path;
-      (pid, path)
+      wait_up listen;
+      (pid, Http.addr_to_string listen)
 
 let stop_server (pid, path) =
   (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
   let _, status = Unix.waitpid [] pid in
   (status, Sys.file_exists path)
 
-let with_server ?workers ?max_body ?read_timeout ?idle_timeout ?max_conns ?access_log f =
+let with_server ?listen ?workers ?max_body ?read_timeout ?idle_timeout ?max_conns ?access_log f =
   let ((pid, _) as srv) =
-    start_server ?workers ?max_body ?read_timeout ?idle_timeout ?max_conns ?access_log ()
+    start_server ?listen ?workers ?max_body ?read_timeout ?idle_timeout ?max_conns ?access_log ()
   in
   Fun.protect
     ~finally:(fun () ->
@@ -468,11 +480,11 @@ let rec write_all fd s off len =
   end
 
 (* One keep-alive exchange using the Http client half. *)
-let keepalive_request fd ?(headers = []) target =
-  let extra = String.concat "" (List.map (fun (k, v) -> k ^ ": " ^ v ^ "\r\n") headers) in
-  let text = Printf.sprintf "GET %s HTTP/1.1\r\nHost: t\r\n%s\r\n" target extra in
-  write_all fd text 0 (String.length text);
-  match Http.read_response fd with
+let keepalive_request fd ?headers target =
+  match
+    Result.bind (Http.write_request fd ~meth:"GET" ~path:target ?headers ()) (fun () ->
+        Http.read_response fd)
+  with
   | Ok r -> r
   | Error _ -> Alcotest.failf "no response for %s" target
 
@@ -868,7 +880,7 @@ let test_deadline_after_pending_input () =
       Unix._exit 0
   | pid ->
       Fun.protect ~finally:(fun () -> ignore (stop_server (pid, path))) @@ fun () ->
-      wait_up path;
+      wait_up (Http.Unix_sock path);
       let b = connect path in
       ci "warm-up request" 200 (keepalive_request b "/healthz").Http.status;
       let a = connect path in
