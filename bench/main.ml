@@ -206,8 +206,8 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
                         (Emc_doe.Doe.random_point rng Params.space_compiler)
                         march_coded))
               done) );
-      (* the multiplexed daemon's hot path, split into its two halves:
-         incremental request parsing and allocation-lean predict+render *)
+      (* the multiplexed daemon's /predict, split into its two halves:
+         incremental request parsing and predict+render *)
       ( "serve/http-parse-request",
         fun () ->
           let body =

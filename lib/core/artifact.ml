@@ -55,7 +55,16 @@ let validate_point a x =
 let code_raw a raw =
   if Array.length raw <> dims a then
     Error (Printf.sprintf "expected %d raw values, got %d" (dims a) (Array.length raw))
-  else Ok (Params.code a.specs raw)
+  else
+    let coded = Params.code a.specs raw in
+    let uncodable i = not (Float.is_finite raw.(i) && Float.is_finite coded.(i)) in
+    match Seq.find uncodable (Seq.init (dims a) Fun.id) with
+    | None -> Ok coded
+    | Some i ->
+        let s = a.specs.(i) in
+        Error
+          (Printf.sprintf "raw %s = %g has no finite coded value%s" s.Params.name raw.(i)
+             (if s.Params.log2 then " (log2-coded: it must be positive)" else ""))
 
 (* ---------------- JSON ---------------- *)
 

@@ -63,7 +63,9 @@ val validate_point : t -> float array -> (unit, string) result
 
 val code_raw : t -> float array -> (float array, string) result
 (** Map raw parameter values onto the coded [-1,1] space using the
-    artifact's own schema. *)
+    artifact's own schema. A value with no finite coding (non-finite, or
+    not positive in a log2-coded parameter) is an [Error] naming the
+    parameter. *)
 
 val to_json : t -> Emc_obs.Json.t
 val of_json : Emc_obs.Json.t -> (t, string) result

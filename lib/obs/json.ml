@@ -106,7 +106,10 @@ let parse_exn s =
           | 'u' ->
               advance ();
               if !pos + 4 > n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+              let hex = String.sub s !pos 4 in
+              let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+              if not (String.for_all is_hex hex) then fail "invalid \\u escape";
+              let code = int_of_string ("0x" ^ hex) in
               pos := !pos + 4;
               (* UTF-8 encode the BMP code point *)
               if code < 0x80 then Buffer.add_char buf (Char.chr code)
@@ -149,9 +152,13 @@ let parse_exn s =
         digits ()
     | _ -> ());
     let text = String.sub s start (!pos - start) in
-    if text = "" || text = "-" then fail "invalid number";
-    if !is_float then Float (float_of_string text)
-    else match int_of_string_opt text with Some i -> Int i | None -> Float (float_of_string text)
+    match (if !is_float then None else int_of_string_opt text) with
+    | Some i -> Int i
+    | None -> (
+        (* the scan above admits texts such as "." and "1e" *)
+        match float_of_string text with
+        | f -> Float f
+        | exception Failure _ -> fail "invalid number")
   in
   let rec parse_value () =
     skip_ws ();

@@ -22,7 +22,9 @@ val to_string : t -> string
 
 val parse : string -> (t, string) result
 (** Strict parse of a complete document; trailing garbage is an error.
-    Numbers without [.]/[e] parse as {!Int}, others as {!Float}. *)
+    Numbers without [.]/[e] parse as {!Int}, others as {!Float}. Total:
+    malformed input of any kind, a number such as [1e] or a [\u] escape
+    without four hex digits included, is an [Error], never an exception. *)
 
 val parse_exn : string -> t
 (** Like {!parse}; raises [Failure] with the error message. *)

@@ -11,13 +11,9 @@ open Emc_linalg
     with artifact evaluation); the returned model's [predict] is
     [Repr.eval] of its repr, so saved models reproduce it bit-for-bit. *)
 
-let n_features = Repr.n_features
-
-let expand = Repr.expand
-
 let feature_names ~interactions names =
   let k = Array.length names in
-  let out = Array.make (n_features ~interactions k) "const" in
+  let out = Array.make (Repr.n_features ~interactions k) "const" in
   Array.blit names 0 out 1 k;
   if interactions then begin
     let idx = ref (1 + k) in
@@ -39,7 +35,7 @@ let fit ?(interactions = true) ?(names = [||]) (d : Dataset.t) : Model.t =
   let k = Dataset.dims d in
   let names = if Array.length names = k then names else Array.init k (Printf.sprintf "x%d") in
   let d_std, mu, sd_y = Dataset.standardize_stats d in
-  let rows = Array.map (expand ~interactions) d_std.Dataset.x in
+  let rows = Array.map (Repr.expand ~interactions) d_std.Dataset.x in
   let xmat = Mat.of_rows rows in
   let beta =
     let g = Mat.gram xmat in

@@ -5,12 +5,6 @@
     400-point designs keep it overdetermined; on smaller designs the tiny
     ridge keeps it well-posed instead of exploding. *)
 
-val n_features : interactions:bool -> int -> int
-
-val expand : interactions:bool -> float array -> float array
-(** Model row: intercept, main effects, and (optionally) all products
-    [xi*xj] with [i <= j]. *)
-
 val feature_names : interactions:bool -> string array -> string array
 
 val fit : ?interactions:bool -> ?names:string array -> Dataset.t -> Model.t

@@ -45,9 +45,11 @@ let kernel_of_name = function
 
 let n_features ~interactions k = if interactions then 1 + k + (k * (k + 1) / 2) else 1 + k
 
-let expand ~interactions x =
+(* The feature row into a caller-owned array of at least
+   [n_features ~interactions (Array.length x)] cells. *)
+let expand_into ~interactions x out =
   let k = Array.length x in
-  let out = Array.make (n_features ~interactions k) 1.0 in
+  out.(0) <- 1.0;
   Array.blit x 0 out 1 k;
   if interactions then begin
     let idx = ref (1 + k) in
@@ -57,7 +59,11 @@ let expand ~interactions x =
         incr idx
       done
     done
-  end;
+  end
+
+let expand ~interactions x =
+  let out = Array.make (n_features ~interactions (Array.length x)) 0.0 in
+  expand_into ~interactions x out;
   out
 
 let eval_basis (b : factor list) x =
@@ -82,69 +88,29 @@ let dist2 a b =
     a;
   !acc
 
-let rec eval r x =
+(* [beta] dotted with the feature row of [x], expanded into scratch
+   allocated once per staged evaluator. *)
+let dot_features ~interactions beta =
+  let scratch = Array.make (Array.length beta) 0.0 in
+  fun x ->
+    let nf = n_features ~interactions (Array.length x) in
+    if nf > Array.length scratch then
+      invalid_arg "Repr.eval: point arity exceeds the fitted dimensionality";
+    expand_into ~interactions x scratch;
+    let acc = ref 0.0 in
+    for i = 0 to nf - 1 do
+      acc := !acc +. (scratch.(i) *. beta.(i))
+    done;
+    !acc
+
+(* Staged: the representation dispatch and the feature scratch are
+   resolved once per [eval r], so the returned closure must not be shared
+   between concurrent evaluators. *)
+let rec eval r =
   match r with
   | Linear { interactions; beta; mu; sd } ->
-      let f = expand ~interactions x in
-      let acc = ref 0.0 in
-      Array.iteri (fun i v -> acc := !acc +. (v *. beta.(i))) f;
-      (!acc *. sd) +. mu
-  | Mars { bases; weights; mu; sd } ->
-      let acc = ref 0.0 in
-      Array.iteri (fun i b -> acc := !acc +. (weights.(i) *. eval_basis b x)) bases;
-      (!acc *. sd) +. mu
-  | Rbf { kernel; centers; radii; weights; mu; sd } ->
-      let acc = ref weights.(0) in
-      Array.iteri
-        (fun j c -> acc := !acc +. (weights.(j + 1) *. eval_kernel kernel ~r:radii.(j) (dist2 x c)))
-        centers;
-      (!acc *. sd) +. mu
-  | Rank { interactions; beta } ->
-      (* a unitless ranking score over the same feature expansion as
-         Linear, without response standardization: only order matters *)
-      let f = expand ~interactions x in
-      let acc = ref 0.0 in
-      Array.iteri (fun i v -> acc := !acc +. (v *. beta.(i))) f;
-      !acc
-  | Clamp { lo; hi; body } -> Float.max lo (Float.min hi (eval body x))
-
-(* Like [expand] but into a caller-owned array: the serving hot path
-   evaluates the same representation for every request and must not
-   allocate a fresh feature vector per point. *)
-let expand_into ~interactions x out =
-  let k = Array.length x in
-  out.(0) <- 1.0;
-  Array.blit x 0 out 1 k;
-  if interactions then begin
-    let idx = ref (1 + k) in
-    for i = 0 to k - 1 do
-      for j = i to k - 1 do
-        out.(!idx) <- x.(i) *. x.(j);
-        incr idx
-      done
-    done
-  end
-
-(* A compiled evaluator: the representation dispatch and the feature
-   scratch allocation are hoisted out of the per-point call. The
-   arithmetic is the same operations in the same order as [eval], so
-   results are bit-identical; the scratch is reused across calls, so a
-   compiled closure must not be shared between concurrent evaluators
-   (each pre-forked server worker compiles its own). *)
-let rec compile r =
-  match r with
-  | Linear { interactions; beta; mu; sd } ->
-      let scratch = Array.make (Array.length beta) 1.0 in
-      fun x ->
-        let nf = n_features ~interactions (Array.length x) in
-        if nf > Array.length scratch then
-          invalid_arg "Repr.compile: point arity exceeds the fitted dimensionality";
-        expand_into ~interactions x scratch;
-        let acc = ref 0.0 in
-        for i = 0 to nf - 1 do
-          acc := !acc +. (scratch.(i) *. beta.(i))
-        done;
-        (!acc *. sd) +. mu
+      let dot = dot_features ~interactions beta in
+      fun x -> (dot x *. sd) +. mu
   | Mars { bases; weights; mu; sd } ->
       fun x ->
         let acc = ref 0.0 in
@@ -159,19 +125,11 @@ let rec compile r =
           centers;
         (!acc *. sd) +. mu
   | Rank { interactions; beta } ->
-      let scratch = Array.make (Array.length beta) 1.0 in
-      fun x ->
-        let nf = n_features ~interactions (Array.length x) in
-        if nf > Array.length scratch then
-          invalid_arg "Repr.compile: point arity exceeds the fitted dimensionality";
-        expand_into ~interactions x scratch;
-        let acc = ref 0.0 in
-        for i = 0 to nf - 1 do
-          acc := !acc +. (scratch.(i) *. beta.(i))
-        done;
-        !acc
+      (* a unitless ranking score over the same feature expansion as
+         Linear, without response standardization: only order matters *)
+      dot_features ~interactions beta
   | Clamp { lo; hi; body } ->
-      let f = compile body in
+      let f = eval body in
       fun x -> Float.max lo (Float.min hi (f x))
 
 (* ---------------- JSON ---------------- *)

@@ -5,7 +5,7 @@
     expression out as data so a trained model can leave the process that fit
     it — saved to an artifact file, reloaded elsewhere, and served — while
     {!eval} reproduces the fitted closure {e bit for bit} (the fit functions
-    build their returned [predict] from the repr, so there is exactly one
+    build their returned [predict] as [eval repr], so there is exactly one
     evaluation code path).
 
     JSON round-trips ({!to_json} / {!of_json}) carry every float as a hex
@@ -70,22 +70,13 @@ val eval_kernel : kernel -> r:float -> float -> float
 val dist2 : float array -> float array -> float
 
 val eval : t -> float array -> float
-(** Evaluate at a coded design point. Bit-identical to the [predict] of the
-    model the repr was extracted from. The point's arity must match the
-    repr (callers validate against the artifact's parameter schema). *)
-
-val expand_into : interactions:bool -> float array -> float array -> unit
-(** [expand] into a caller-owned array of at least
-    [n_features ~interactions (Array.length x)] cells — the serving hot
-    path's allocation-free variant. *)
-
-val compile : t -> float array -> float
-(** [compile r] hoists the representation dispatch and the feature
-    scratch out of the per-point call: [compile r x = eval r x] bit for
-    bit, with no per-call allocation for [Linear]/[Rank]. The compiled
-    closure reuses internal scratch, so it must not be shared between
-    concurrent evaluators — compile one per worker. Points must have the
-    fitted arity (validated upstream by the artifact schema). *)
+(** The one evaluator. [eval r] resolves the representation dispatch and
+    allocates the feature scratch once; [eval r x] then evaluates a coded
+    design point, bit-identical to the [predict] of the model the repr
+    was extracted from. Stage it once ([let predict = eval r]) and call it
+    per point: the closure reuses its scratch, so it must not be shared
+    between concurrent evaluators. The point's arity must match the repr
+    (callers validate against the artifact's parameter schema). *)
 
 (** {2 JSON round-trip} *)
 

@@ -15,13 +15,17 @@ type opts = {
   access_log : string option;
 }
 
-(* ---------------- request handling ---------------- *)
+(* ---------------- request handling ----------------
 
-let json_body status j = (status, "application/json", Json.to_string j ^ "\n")
+   Every handler answers [Ok json] (200) or [Error (status, code,
+   message)]; [route] renders either into the server's body buffer. *)
 
-let error_body status code msg = json_body status (Server.error_json code msg)
+let ( let* ) = Result.bind
 
-let ( let* ) r k = match r with Ok v -> k v | Error (st, code, msg) -> error_body st code msg
+let route h req b =
+  match h req with
+  | Ok j -> Server.reply b 200 j
+  | Error (status, code, msg) -> Server.error b status code msg
 
 let as_float = function
   | Json.Float f -> Ok f
@@ -32,86 +36,80 @@ let as_float = function
       | None -> Error (Printf.sprintf "malformed number %S" s))
   | _ -> Error "expected a number"
 
-let point_of_json j =
-  match j with
-  | Json.List vs -> (
-      let rec go acc = function
-        | [] -> Ok (Array.of_list (List.rev acc))
-        | v :: rest -> ( match as_float v with Ok f -> go (f :: acc) rest | Error e -> Error e)
+let point_of_json = function
+  | Json.List vs ->
+      let x = Array.make (List.length vs) 0.0 in
+      let rec go i = function
+        | [] -> Ok x
+        | v :: rest -> (
+            match as_float v with
+            | Ok f ->
+                x.(i) <- f;
+                go (i + 1) rest
+            | Error e -> Error e)
       in
-      go [] vs)
+      go 0 vs
   | _ -> Error "each point must be a list of numbers"
 
 let parse_json_body (req : Http.request) =
-  (match Http.header req "content-type" with
+  match Http.header req "content-type" with
   | Some ct
     when not
            (String.length ct >= 16
            && String.lowercase_ascii (String.sub ct 0 16) = "application/json") ->
       Error (415, "unsupported_media_type", "content-type must be application/json, got " ^ ct)
-  | _ -> Ok ())
-  |> function
-  | Error e -> Error e
-  | Ok () -> (
+  | _ -> (
       match Json.parse req.Http.body with
       | Ok j -> Ok j
       | Error e -> Error (400, "bad_json", "malformed JSON body: " ^ e))
 
-(* /predict: single point or batch, coded (default) or raw space. *)
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest -> (
+      match f x with
+      | Error e -> Error e
+      | Ok y -> ( match map_result f rest with Ok ys -> Ok (y :: ys) | Error e -> Error e))
+
+(* /predict: single point or batch, coded (default) or raw space. Every
+   point is parsed before any is validated, so a batch reports its first
+   malformed point ahead of its first invalid one. *)
 let max_batch = 4096
 
-let handle_predict art (req : Http.request) =
-  let* j = parse_json_body req in
-  let* space =
-    match Json.member "space" j with
-    | None | Some (Json.Str "coded") -> Ok `Coded
-    | Some (Json.Str "raw") -> Ok `Raw
-    | Some (Json.Str s) -> Error (400, "bad_request", Printf.sprintf "unknown space %S (want \"coded\" or \"raw\")" s)
-    | Some _ -> Error (400, "bad_request", "\"space\" must be a string")
-  in
-  let* points, batched =
+let handle_predict art =
+  let predict = Emc_regress.Repr.eval art.Artifact.repr in
+  let parse p = Result.map_error (fun e -> (400, "bad_request", e)) (point_of_json p) in
+  fun req ->
+    let* j = parse_json_body req in
+    let* code =
+      match Json.member "space" j with
+      | None | Some (Json.Str "coded") ->
+          Ok (fun x -> match Artifact.validate_point art x with Ok () -> Ok x | Error e -> Error e)
+      | Some (Json.Str "raw") -> Ok (Artifact.code_raw art)
+      | Some (Json.Str s) ->
+          Error (400, "bad_request", Printf.sprintf "unknown space %S (want \"coded\" or \"raw\")" s)
+      | Some _ -> Error (400, "bad_request", "\"space\" must be a string")
+    in
+    let eval x =
+      match code x with
+      | Ok cx -> Ok (Json.Float (predict cx))
+      | Error e -> Error (400, "bad_point", e)
+    in
     match (Json.member "point" j, Json.member "points" j) with
-    | Some p, None -> (
-        match point_of_json p with
-        | Ok x -> Ok ([ x ], false)
-        | Error e -> Error (400, "bad_request", e))
+    | Some p, None ->
+        let* x = parse p in
+        let* v = eval x in
+        Ok (Json.Obj [ ("prediction", v) ])
     | None, Some (Json.List ps) ->
-        if List.length ps > max_batch then
-          Error (413, "too_many_points", Printf.sprintf "batch of %d points exceeds the %d cap" (List.length ps) max_batch)
+        let n = List.length ps in
+        if n > max_batch then
+          Error (413, "too_many_points", Printf.sprintf "batch of %d points exceeds the %d cap" n max_batch)
         else
-          let rec go acc = function
-            | [] -> Ok (List.rev acc, true)
-            | p :: rest -> (
-                match point_of_json p with
-                | Ok x -> go (x :: acc) rest
-                | Error e -> Error (400, "bad_request", e))
-          in
-          go [] ps
+          let* xs = map_result parse ps in
+          let* vs = map_result eval xs in
+          Ok (Json.Obj [ ("predictions", Json.List vs) ])
     | None, Some _ -> Error (400, "bad_request", "\"points\" must be a list of points")
     | None, None -> Error (400, "bad_request", "body must carry \"point\" or \"points\"")
     | Some _, Some _ -> Error (400, "bad_request", "give either \"point\" or \"points\", not both")
-  in
-  let* coded =
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | x :: rest -> (
-          let r =
-            match space with
-            | `Coded -> ( match Artifact.validate_point art x with Ok () -> Ok x | Error e -> Error e)
-            | `Raw -> Artifact.code_raw art x
-          in
-          match r with
-          | Ok x -> go (x :: acc) rest
-          | Error e -> Error (400, "bad_point", e))
-    in
-    go [] points
-  in
-  let predict = Emc_regress.Repr.eval art.Artifact.repr in
-  match (coded, batched) with
-  | [ x ], false -> json_body 200 (Json.Obj [ ("prediction", Json.Float (predict x)) ])
-  | xs, _ ->
-      json_body 200
-        (Json.Obj [ ("predictions", Json.List (List.map (fun x -> Json.Float (predict x)) xs)) ])
 
 let handle_rank art (req : Http.request) =
   let* top =
@@ -130,7 +128,7 @@ let handle_rank art (req : Http.request) =
      order NaN coefficients arbitrarily; strength_order pins them last *)
   let terms = List.sort Emc_regress.Metrics.strength_order art.Artifact.terms in
   let terms = List.filteri (fun i _ -> i < top) terms in
-  json_body 200
+  Ok
     (Json.Obj
        [ ("technique", Json.Str art.Artifact.technique);
          ("terms",
@@ -172,18 +170,12 @@ let int_field j name default =
 
 (* Search budget shared by /search and /pareto: seed + GA parameters. *)
 let search_params j =
-  match int_field j "seed" 42 with
-  | Error e -> Error e
-  | Ok seed -> (
-      match int_field j "pop_size" Emc_search.Ga.default_params.Emc_search.Ga.pop_size with
-      | Error e -> Error e
-      | Ok pop_size -> (
-          match
-            int_field j "generations" Emc_search.Ga.default_params.Emc_search.Ga.generations
-          with
-          | Error e -> Error e
-          | Ok generations ->
-              Ok (seed, { Emc_search.Ga.default_params with pop_size; generations })))
+  let* seed = int_field j "seed" 42 in
+  let* pop_size = int_field j "pop_size" Emc_search.Ga.default_params.Emc_search.Ga.pop_size in
+  let* generations =
+    int_field j "generations" Emc_search.Ga.default_params.Emc_search.Ga.generations
+  in
+  Ok (seed, { Emc_search.Ga.default_params with pop_size; generations })
 
 let handle_search art (req : Http.request) =
   let* j = parse_json_body req in
@@ -195,7 +187,7 @@ let handle_search art (req : Http.request) =
   in
   let evals = Option.value ~default:0 (Metrics.counter_value "ga.evaluations") - evals_before in
   let flag_names = Params.names Params.compiler_specs in
-  json_body 200
+  Ok
     (Json.Obj
        [ ("flags",
           Json.Obj
@@ -230,10 +222,10 @@ let handle_pareto art (req : Http.request) =
   let evals =
     Option.value ~default:0 (Metrics.counter_value "pareto.evaluations") - evals_before
   in
-  json_body 200 (Searcher.pareto_to_json ~seed ~evaluations:evals front)
+  Ok (Searcher.pareto_to_json ~seed ~evaluations:evals front)
 
 let handle_healthz art (_req : Http.request) =
-  json_body 200
+  Ok
     (Json.Obj
        [ ("status", Json.Str "ok");
          ("workload", Json.Str art.Artifact.workload);
@@ -241,183 +233,22 @@ let handle_healthz art (_req : Http.request) =
          ("dims", Json.Int (Artifact.dims art));
          ("format_version", Json.Int Artifact.current_version) ])
 
-(* A reference handler as a route: its rendered body copied into the
-   server's buffer. *)
-let copy h art req b =
-  let status, content_type, body = h art req in
-  Buffer.add_string b body;
-  (status, content_type)
-
-(* The daemon's route table, /predict supplied by the caller: the
-   reference handler for [handle_request], the hot path for the daemon. *)
-let routes art predict =
-  Server.table
-    [ ("POST", "/predict", predict);
-      ("GET", "/rank", copy handle_rank art);
-      ("POST", "/rank", copy handle_rank art);
-      ("POST", "/search", copy handle_search art);
-      ("POST", "/pareto", copy handle_pareto art);
-      ("GET", "/healthz", copy handle_healthz art) ]
-
-let handle_request art (req : Http.request) =
-  let b = Buffer.create 1024 in
-  let status, content_type = Server.dispatch (routes art (copy handle_predict art)) req b in
-  (status, content_type, Buffer.contents b)
-
-(* ---------------- the allocation-lean /predict hot path ----------------
-
-   [handle_predict] above is the reference implementation: every request
-   re-closes over the representation, builds a list of freshly-allocated
-   point arrays and renders the response through a full [Json.t] tree.
-   The daemon's per-worker [scratch] hoists all of that out of the
-   request: the evaluator is compiled once ([Repr.compile] — dispatch and
-   feature-expansion scratch resolved at worker start), points parse into
-   a reused float arena, and the response renders straight into the
-   server's body buffer through the same [Json] float writer, so the
-   bytes are identical to the reference path (a unit test byte-compares
-   the two over singles, batches, raw space and every error shape). *)
-
-type scratch = {
-  h_art : Artifact.t;
-  h_dims : int;
-  h_predict : float array -> float;
-  h_point : float array;  (* reused right-arity point *)
-  mutable h_arena : float array;  (* parsed points, flattened *)
-  mutable h_lens : int array;  (* per-point arity in the arena *)
-}
-
-let ensure_arena hot n =
-  if Array.length hot.h_arena < n then begin
-    let bigger = Array.make (max n (2 * Array.length hot.h_arena)) 0.0 in
-    Array.blit hot.h_arena 0 bigger 0 (Array.length hot.h_arena);
-    hot.h_arena <- bigger
-  end
-
-let ensure_lens hot n =
-  if Array.length hot.h_lens < n then begin
-    let bigger = Array.make (max n (2 * Array.length hot.h_lens)) 0 in
-    Array.blit hot.h_lens 0 bigger 0 (Array.length hot.h_lens);
-    hot.h_lens <- bigger
-  end
-
-(* Parse one JSON point into the arena at [off]; same element order and
-   error strings as [point_of_json]. Returns the next free offset. *)
-let parse_point_into hot ~off j =
-  match j with
-  | Json.List vs ->
-      let rec go off = function
-        | [] -> Ok off
-        | v :: rest -> (
-            match as_float v with
-            | Ok f ->
-                ensure_arena hot (off + 1);
-                hot.h_arena.(off) <- f;
-                go (off + 1) rest
-            | Error e -> Error e)
-      in
-      go off vs
-  | _ -> Error "each point must be a list of numbers"
-
-(* A right-arity point reuses [h_point]; a wrong-arity one gets a fresh
-   slice so the schema validators report the true length (cold path). *)
-let arena_point hot ~off ~len =
-  if len = hot.h_dims then begin
-    Array.blit hot.h_arena off hot.h_point 0 len;
-    hot.h_point
-  end
-  else Array.sub hot.h_arena off len
-
-let predict_into hot (req : Http.request) b =
-  let ( let* ) r k = match r with Ok v -> k v | Error e -> Error e in
-  let result =
-    let* j = parse_json_body req in
-    let* space =
-      match Json.member "space" j with
-      | None | Some (Json.Str "coded") -> Ok `Coded
-      | Some (Json.Str "raw") -> Ok `Raw
-      | Some (Json.Str s) ->
-          Error (400, "bad_request", Printf.sprintf "unknown space %S (want \"coded\" or \"raw\")" s)
-      | Some _ -> Error (400, "bad_request", "\"space\" must be a string")
-    in
-    let* n_points, single =
-      match (Json.member "point" j, Json.member "points" j) with
-      | Some p, None -> (
-          match parse_point_into hot ~off:0 p with
-          | Ok stop ->
-              ensure_lens hot 1;
-              hot.h_lens.(0) <- stop;
-              Ok (1, true)
-          | Error e -> Error (400, "bad_request", e))
-      | None, Some (Json.List ps) ->
-          if List.length ps > max_batch then
-            Error
-              (413, "too_many_points",
-               Printf.sprintf "batch of %d points exceeds the %d cap" (List.length ps) max_batch)
-          else
-            let rec go i off = function
-              | [] -> Ok (i, false)
-              | p :: rest -> (
-                  match parse_point_into hot ~off p with
-                  | Ok stop ->
-                      ensure_lens hot (i + 1);
-                      hot.h_lens.(i) <- stop - off;
-                      go (i + 1) stop rest
-                  | Error e -> Error (400, "bad_request", e))
-            in
-            go 0 0 ps
-      | None, Some _ -> Error (400, "bad_request", "\"points\" must be a list of points")
-      | None, None -> Error (400, "bad_request", "body must carry \"point\" or \"points\"")
-      | Some _, Some _ -> Error (400, "bad_request", "give either \"point\" or \"points\", not both")
-    in
-    Buffer.add_string b (if single then "{\"prediction\":" else "{\"predictions\":[");
-    let off = ref 0 in
-    let rec go i =
-      if i >= n_points then Ok ()
-      else begin
-        let len = hot.h_lens.(i) in
-        let x = arena_point hot ~off:!off ~len in
-        off := !off + len;
-        let r =
-          match space with
-          | `Coded -> (
-              match Artifact.validate_point hot.h_art x with Ok () -> Ok x | Error e -> Error e)
-          | `Raw -> Artifact.code_raw hot.h_art x
-        in
-        match r with
-        | Error e -> Error (400, "bad_point", e)
-        | Ok cx ->
-            if i > 0 then Buffer.add_char b ',';
-            Json.to_buffer b (Json.Float (hot.h_predict cx));
-            go (i + 1)
-      end
-    in
-    let* () = go 0 in
-    Buffer.add_string b (if single then "}\n" else "]}\n");
-    Ok ()
-  in
-  match result with
-  | Ok () -> (200, "application/json")
-  | Error (st, code, msg) ->
-      Buffer.clear b;
-      Server.error b st code msg
-
-(* The per-worker serving context: the route table with the hot /predict,
-   and the body buffer [handle_into] renders into. *)
+(* The per-worker serving context: the route table and the body buffer
+   [handle_into] renders into. *)
 type hot = { h_table : Server.table; h_body : Buffer.t }
 
 let make_hot art =
-  let dims = Artifact.dims art in
-  let scratch =
-    {
-      h_art = art;
-      h_dims = dims;
-      h_predict = Emc_regress.Repr.compile art.Artifact.repr;
-      h_point = Array.make (max 1 dims) 0.0;
-      h_arena = Array.make (max 256 dims) 0.0;
-      h_lens = Array.make 64 0;
-    }
+  let rank = route (handle_rank art) in
+  let h_table =
+    Server.table
+      [ ("POST", "/predict", route (handle_predict art));
+        ("GET", "/rank", rank);
+        ("POST", "/rank", rank);
+        ("POST", "/search", route (handle_search art));
+        ("POST", "/pareto", route (handle_pareto art));
+        ("GET", "/healthz", route (handle_healthz art)) ]
   in
-  { h_table = routes art (predict_into scratch); h_body = Buffer.create 4096 }
+  { h_table; h_body = Buffer.create 4096 }
 
 let handle_into hot req = Server.dispatch hot.h_table req hot.h_body
 let hot_body hot = hot.h_body

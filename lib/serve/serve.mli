@@ -75,28 +75,18 @@ type opts = {
           one whole line per request *)
 }
 
-val handle_request : Emc_core.Artifact.t -> Http.request -> int * string * string
-(** [(status, content_type, body)] for one request — the reference
-    (allocating) path: the daemon's routes with the reference /predict,
-    dispatched in-process by {!Server.dispatch}. Exposed for tests; the
-    daemon's hot /predict must match its bytes exactly. *)
-
 type hot
-(** Per-worker serving context: the route table with the
-    allocation-lean /predict hot path — the artifact's evaluator
-    compiled once ({!Emc_regress.Repr.compile}), the schema dims resolved
-    once, a reused point arena — and a reused response-body buffer. Not
-    shareable between concurrent evaluators. *)
+(** Per-worker serving context: the route table, whose /predict stages
+    the artifact's evaluator once ({!Emc_regress.Repr.eval}), and the
+    reused response-body buffer. Not shareable between concurrent
+    evaluators. *)
 
 val make_hot : Emc_core.Artifact.t -> hot
 
 val handle_into : hot -> Http.request -> int * string
 (** [(status, content_type)] for one request, the response body rendered
     into {!hot_body} (valid until the next call) — what the daemon's
-    server runs, minus its telemetry. Byte-identical to {!handle_request}
-    on every endpoint and error shape — /predict and /predict_batch take
-    the allocation-lean path, everything else goes through the reference
-    handlers. *)
+    server runs, minus its telemetry. *)
 
 val hot_body : hot -> Buffer.t
 (** The response body rendered by the last {!handle_into}. *)

@@ -759,6 +759,25 @@ let test_cache_stats_and_compact () =
   cb "values intact" true
     (Hashtbl.find_opt table "ka" = Some 1.5 && Hashtbl.find_opt table "kb" = Some 2.25)
 
+(* A line whose number the JSON grammar rejects is one malformed line,
+   for the stats and for every load, never an exception. *)
+let test_cache_stats_bad_number () =
+  let path = Filename.temp_file "emc_cachenum" ".jsonl" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  let oc = open_out path in
+  output_string oc (Measure.cache_line "ka" 1.5 ^ "\n");
+  output_string oc "{\"k\":\"b\",\"v\":1e}\n";
+  close_out oc;
+  let st = Measure.cache_stats path in
+  ci "lines" 2 st.Measure.cs_lines;
+  ci "entries" 1 st.Measure.cs_entries;
+  ci "malformed" 1 st.Measure.cs_malformed;
+  let table = Hashtbl.create 8 in
+  let loaded, skipped = Measure.cache_load table path in
+  ci "the whole record loads" 1 loaded;
+  ci "the bad number is skipped" 1 skipped
+
 let test_cache_stats_missing_file () =
   let st = Measure.cache_stats "/nonexistent/emc_nope.jsonl" in
   ci "missing file is empty" 0 st.Measure.cs_lines;
@@ -872,6 +891,7 @@ let suite =
     ("journal_info on unknown id", `Quick, test_journal_info_missing);
     ("cache stats and compaction", `Quick, test_cache_stats_and_compact);
     ("cache stats on a missing file", `Quick, test_cache_stats_missing_file);
+    ("bad cache number is malformed", `Quick, test_cache_stats_bad_number);
     ("torn tail repaired before append", `Quick, test_torn_tail_repaired_on_append);
     ("connection refused is typed", `Quick, test_connect_refused_is_typed);
     ("unresolvable store: simulated through", `Slow, test_unresolvable_store);

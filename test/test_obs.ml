@@ -51,6 +51,11 @@ let test_json_parse_roundtrip () =
   cb "trailing garbage rejected" true (Result.is_error (Json.parse "1 2"));
   cb "bad literal rejected" true (Result.is_error (Json.parse "troo"));
   cb "unterminated string rejected" true (Result.is_error (Json.parse "\"abc"));
+  (* total: numbers OCaml cannot read and escapes without four hex digits
+     are Errors, never a leaked Failure *)
+  List.iter
+    (fun s -> cb (Printf.sprintf "%s rejected" s) true (Result.is_error (Json.parse s)))
+    [ "."; "1e"; "-."; "[1e]"; {|{"v":1e+}|}; {|"\uZZZZ"|}; {|"\u12G4"|}; {|"\u1_23"|} ];
   match Json.parse_exn {|"éA"|} with
   | Json.Str s -> cs "unicode escapes decode to UTF-8" "\xc3\xa9A" s
   | _ -> Alcotest.fail "expected string"

@@ -107,11 +107,10 @@ let test_eval_matches_predict_exactly () =
         (Int64.bits_of_float (Repr.eval repr x)))
     (probes 4)
 
-(* The serving hot path's compiled evaluator (hoisted dispatch, reused
-   feature scratch) must agree with [eval] on every output bit, for
-   every family, including under scratch reuse across calls and under
-   the Modeling clamp. *)
-let test_compile_matches_eval_exactly () =
+(* [Repr.eval] is staged: one closure reuses its feature scratch across
+   calls. Reused, it must agree with a fresh [Repr.eval repr x] on every
+   output bit, for every family and under the Modeling clamp. *)
+let test_staged_eval_matches_fresh () =
   let d = sample (rng0 ()) 3 80 f3 in
   let reprs =
     [ ("linear", Option.get (Linear.fit ~interactions:false d).Model.repr);
@@ -127,13 +126,14 @@ let test_compile_matches_eval_exactly () =
   in
   List.iter
     (fun (what, repr) ->
-      let f = Repr.compile repr in
-      (* two passes over the probes: the second exercises scratch reuse *)
+      let f = Repr.eval repr in
+      (* two passes over the probes: every call after the first reuses
+         the scratch *)
       for pass = 1 to 2 do
         Array.iteri
           (fun i x ->
             Alcotest.(check int64)
-              (Printf.sprintf "%s: compile = eval at probe %d pass %d" what i pass)
+              (Printf.sprintf "%s: staged = fresh at probe %d pass %d" what i pass)
               (Int64.bits_of_float (Repr.eval repr x))
               (Int64.bits_of_float (f x)))
           (probes 3)
@@ -214,7 +214,7 @@ let test_artifact_extra_responses () =
     (Json.member "extra" (Artifact.to_json plain) = None)
 
 let test_artifact_validation () =
-  let _, a = artifact_of_fit () in
+  let m, a = artifact_of_fit () in
   cb "right arity ok" true (Artifact.validate_point a [| 0.1; 0.2; 0.3 |] = Ok ());
   cb "wrong arity rejected" true (Result.is_error (Artifact.validate_point a [| 0.1 |]));
   cb "non-finite rejected" true
@@ -224,7 +224,34 @@ let test_artifact_validation () =
       Alcotest.(check (float 1e-9)) "raw low codes to -1" (-1.0) c.(0);
       Alcotest.(check (float 1e-9)) "raw high codes to +1" 1.0 c.(2)
   | Error e -> Alcotest.failf "code_raw: %s" e);
-  cb "code_raw arity checked" true (Result.is_error (Artifact.code_raw a [| 0.0 |]))
+  cb "code_raw arity checked" true (Result.is_error (Artifact.code_raw a [| 0.0 |]));
+  (* a raw value with no finite coding (non-finite, or not positive in a
+     log2-coded parameter) is an Error that names the parameter *)
+  let specs =
+    [| specs3.(0); { Params.name = "size"; levels = [| 1.0; 2.0; 4.0 |]; log2 = true }; specs3.(2) |]
+  in
+  let logged =
+    match Artifact.of_model ~workload:"synthetic" ~scale:"tiny" ~seed:42 ~train_n:80 ~specs m with
+    | Ok a -> a
+    | Error e -> Alcotest.failf "of_model: %s" e
+  in
+  cb "positive log2 value codes" true
+    (Result.is_ok (Artifact.code_raw logged [| 0.0; 2.0; 1.0 |]));
+  let contains ~sub s =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (raw, name) ->
+      let show x = String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%g") x)) in
+      match Artifact.code_raw logged raw with
+      | Ok c -> Alcotest.failf "[%s] coded to [%s]" (show raw) (show c)
+      | Error e -> cb (Printf.sprintf "[%s]: %S names %s" (show raw) e name) true (contains ~sub:name e))
+    [ ([| 0.0; 0.0; 1.0 |], "size");
+      ([| 0.0; -2.0; 1.0 |], "size");
+      ([| Float.nan; 2.0; 1.0 |], "p0");
+      ([| 0.0; 2.0; Float.infinity |], "p2") ]
 
 let test_artifact_rejects_reprless_model () =
   let stub =
@@ -309,8 +336,8 @@ let suite =
     Alcotest.test_case "rbf round-trips bit-for-bit (all kernels)" `Quick test_rbf_roundtrip;
     Alcotest.test_case "clamped models round-trip bit-for-bit" `Quick test_clamped_roundtrip;
     Alcotest.test_case "predict is Repr.eval" `Quick test_eval_matches_predict_exactly;
-    Alcotest.test_case "compile equals eval bit-for-bit" `Quick
-      test_compile_matches_eval_exactly;
+    Alcotest.test_case "staged eval equals a fresh eval" `Quick
+      test_staged_eval_matches_fresh;
     Alcotest.test_case "artifact save/load is bit-exact" `Quick test_artifact_save_load_bits;
     Alcotest.test_case "artifact extra responses round-trip" `Quick
       test_artifact_extra_responses;

@@ -176,16 +176,27 @@ let with_server ?listen ?workers ?max_body ?read_timeout ?idle_timeout ?max_conn
 
 (* ---------------- tests ---------------- *)
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* One request through a fresh route table, in-process. *)
+let handle art req =
+  let hot = Serve.make_hot art in
+  let status, content_type = Serve.handle_into hot req in
+  (status, content_type, Buffer.contents (Serve.hot_body hot))
+
 let test_routing_no_socket () =
   let art = Lazy.force artifact in
   let req meth path = { Http.meth; path; query = []; headers = []; body = "" } in
-  let status, _, _ = Serve.handle_request art (req "GET" "/nope") in
+  let status, _, _ = handle art (req "GET" "/nope") in
   ci "unknown path is 404" 404 status;
-  let status, _, body = Serve.handle_request art (req "DELETE" "/predict") in
+  let status, _, body = handle art (req "DELETE" "/predict") in
   ci "wrong method is 405" 405 status;
   cb "405 is structured" true
     (match Json.member "error" (json_of body) with Some (Json.Obj _) -> true | _ -> false);
-  let status, _, _ = Serve.handle_request art (req "GET" "/healthz") in
+  let status, _, _ = handle art (req "GET" "/healthz") in
   ci "healthz is 200" 200 status
 
 let mkreq ?(meth = "GET") ?(query = []) ?(body = "") path =
@@ -197,7 +208,7 @@ let test_rank_top_validation () =
   let art = Lazy.force artifact in
   List.iter
     (fun v ->
-      let status, _, body = Serve.handle_request art (mkreq "/rank" ~query:[ ("top", v) ]) in
+      let status, _, body = handle art (mkreq "/rank" ~query:[ ("top", v) ]) in
       ci (Printf.sprintf "top=%S is 400" v) 400 status;
       cb (Printf.sprintf "top=%S carries code bad_request" v) true
         (match Json.member "error" (json_of body) with
@@ -205,7 +216,7 @@ let test_rank_top_validation () =
         | None -> false))
     [ "abc"; "0"; "-5"; "1.5"; "" ];
   (* sane values still work *)
-  let status, _, _ = Serve.handle_request art (mkreq "/rank" ~query:[ ("top", "2") ]) in
+  let status, _, _ = handle art (mkreq "/rank" ~query:[ ("top", "2") ]) in
   ci "top=2 is 200" 200 status
 
 let test_rank_nan_coef_last () =
@@ -217,7 +228,7 @@ let test_rank_nan_coef_last () =
     { art with
       Artifact.terms = [ ("tiny", 0.5); ("broken", Float.nan); ("big", -9.0); ("mid", 3.0) ] }
   in
-  let status, _, body = Serve.handle_request art (mkreq "/rank") in
+  let status, _, body = handle art (mkreq "/rank") in
   ci "rank status" 200 status;
   match Json.member "terms" (json_of body) with
   | Some (Json.List terms) ->
@@ -235,7 +246,7 @@ let test_rank_nan_coef_last () =
 let test_pareto_requires_energy () =
   let art = Lazy.force artifact in
   let status, _, body =
-    Serve.handle_request art (mkreq ~meth:"POST" ~body:{|{"config":"typical"}|} "/pareto")
+    handle art (mkreq ~meth:"POST" ~body:{|{"config":"typical"}|} "/pareto")
   in
   ci "no energy response is 409" 409 status;
   cb "code no_energy_response" true
@@ -259,7 +270,7 @@ let test_pareto_matches_direct () =
   let energy_repr = Option.get energy.Emc_regress.Model.repr in
   let art = { art with Artifact.extra = [ ("energy", energy_repr) ] } in
   let body_in = {|{"config":"typical","seed":3,"pop_size":16,"generations":6}|} in
-  let status, _, served = Serve.handle_request art (mkreq ~meth:"POST" ~body:body_in "/pareto") in
+  let status, _, served = handle art (mkreq ~meth:"POST" ~body:body_in "/pareto") in
   ci "pareto status" 200 status;
   let params = { Emc_search.Ga.default_params with pop_size = 16; generations = 6 } in
   let energy_model =
@@ -897,59 +908,146 @@ let test_deadline_after_pending_input () =
       | Ok r -> ci "blocking request served" 200 r.Http.status
       | Error e -> Alcotest.failf "blocking request: %s" (Http.error_to_string e)
 
-(* The allocation-lean hot path must be byte-identical to the reference
-   handler on every endpoint and error shape — run each request through
-   [handle_into] twice so scratch reuse across calls is covered too. *)
-let test_hot_path_byte_identity () =
+(* /predict against the model: one [hot] answers every request shape
+   twice, so the second pass runs on the staged evaluator's reused
+   scratch. A success body is [Repr.eval] rendered the way
+   [emc predict --json] renders it; an error body is a literal. *)
+let test_predict_shapes () =
   let art = Lazy.force artifact in
   let hot = Serve.make_hot art in
   let dims = Params.n_all in
   let rng = Emc_util.Rng.create 11 in
-  let point () =
-    Json.List (List.init dims (fun _ -> Json.Float (Emc_util.Rng.float rng 2.0 -. 1.0)))
+  let coded () = Array.init dims (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0) in
+  let raw () = Params.decode Params.all_specs (coded ()) in
+  let jpoint x = Json.List (Array.to_list (Array.map (fun v -> Json.Float v) x)) in
+  let post ?(ctype = "application/json") kvs =
+    { Http.meth = "POST"; path = "/predict"; query = []; headers = [ ("content-type", ctype) ];
+      body = Json.to_string (Json.Obj kvs) }
   in
-  let post body = { Http.meth = "POST"; path = "/predict"; query = []; headers = []; body } in
-  let requests =
-    [ post (Json.to_string (Json.Obj [ ("point", point ()) ]));
-      post (Json.to_string (Json.Obj [ ("points", Json.List [ point (); point (); point () ]) ]));
-      post (Json.to_string (Json.Obj [ ("points", Json.List [ point () ]) ]));
-      post
-        (Json.to_string
-           (Json.Obj [ ("point", point ()); ("space", Json.Str "raw") ]));
-      post
-        (Json.to_string
-           (Json.Obj [ ("points", Json.List [ point (); point () ]); ("space", Json.Str "raw") ]));
-      (* error shapes *)
-      post "";
-      post "{not json";
-      post (Json.to_string (Json.Obj [ ("nope", Json.Int 1) ]));
-      post (Json.to_string (Json.Obj [ ("point", Json.List [ Json.Float 0.5 ]) ]));
-      post (Json.to_string (Json.Obj [ ("point", Json.Str "banana") ]));
-      post (Json.to_string (Json.Obj [ ("points", Json.List []) ]));
-      post
-        (Json.to_string
-           (Json.Obj
-              [ ("points",
-                 Json.List [ Json.List (List.init dims (fun _ -> Json.Str "x")) ]) ]));
-      post (Json.to_string (Json.Obj [ ("point", point ()); ("space", Json.Str "warped") ]));
-      { Http.meth = "GET"; path = "/predict"; query = []; headers = []; body = "" };
-      { Http.meth = "GET"; path = "/nope"; query = []; headers = []; body = "" };
-      { Http.meth = "GET"; path = "/rank"; query = [ ("top", "2") ]; headers = []; body = "" };
-      { Http.meth = "GET"; path = "/healthz"; query = []; headers = []; body = "" };
-    ]
+  let post_text body = { (post []) with Http.body } in
+  let predict = Emc_regress.Repr.eval art.Artifact.repr in
+  let rendered j = Json.to_string j ^ "\n" in
+  let single x = (200, rendered (Json.Obj [ ("prediction", Json.Float (predict x)) ])) in
+  let batch xs =
+    (200, rendered (Json.Obj [ ("predictions", Json.List (List.map (fun x -> Json.Float (predict x)) xs)) ]))
   in
-  List.iteri
-    (fun i req ->
-      let status_ref, ctype_ref, body_ref = Serve.handle_request art req in
+  let x = coded () and r = raw () in
+  let xs = List.init 3 (fun _ -> coded ()) and rs = List.init 2 (fun _ -> raw ()) in
+  let big = List.init 300 (fun _ -> coded ()) in
+  let mixed = Array.init dims (fun i -> Float.of_int ((i mod 3) - 1) /. 2.0) in
+  let mixed_json =
+    Json.List
+      (List.init dims (fun i ->
+           if i mod 2 = 0 then Json.Str (Printf.sprintf "%g" mixed.(i))
+           else if mixed.(i) = Float.round mixed.(i) then Json.Int (int_of_float mixed.(i))
+           else Json.Float mixed.(i)))
+  in
+  let error status code msg =
+    (status, Printf.sprintf {|{"error":{"code":"%s","message":"%s"}}|} code msg ^ "\n")
+  in
+  let shapes =
+    [ ("single", post [ ("point", jpoint x) ], single x);
+      ("space coded", post [ ("point", jpoint x); ("space", Json.Str "coded") ], single x);
+      ("batch", post [ ("points", Json.List (List.map jpoint xs)) ], batch xs);
+      ("batch of one", post [ ("points", Json.List [ jpoint x ]) ], batch [ x ]);
+      ("empty batch", post [ ("points", Json.List []) ], batch []);
+      ("300-point batch", post [ ("points", Json.List (List.map jpoint big)) ], batch big);
+      ("numeric strings and ints", post [ ("point", mixed_json) ], single mixed);
+      ("raw", post [ ("point", jpoint r); ("space", Json.Str "raw") ],
+       single (Params.code Params.all_specs r));
+      ("raw batch", post [ ("points", Json.List (List.map jpoint rs)); ("space", Json.Str "raw") ],
+       batch (List.map (Params.code Params.all_specs) rs));
+      ("charset content type", post ~ctype:"application/json; charset=utf-8" [ ("point", jpoint x) ],
+       single x);
+      ("empty body", post_text "",
+       error 400 "bad_json" "malformed JSON body: unexpected end of input at offset 0");
+      ("not json", post_text "{not json",
+       error 400 "bad_json" {|malformed JSON body: expected '\"' at offset 1|});
+      ("no point", post [ ("nope", Json.Int 1) ],
+       error 400 "bad_request" {|body must carry \"point\" or \"points\"|});
+      ("wrong arity", post [ ("point", Json.List [ Json.Float 0.5 ]) ],
+       error 400 "bad_point" "expected 25 coded values, got 1");
+      ("point not a list", post [ ("point", Json.Str "banana") ],
+       error 400 "bad_request" "each point must be a list of numbers");
+      ("malformed number", post [ ("points", Json.List [ Json.List (List.init dims (fun _ -> Json.Str "x")) ]) ],
+       error 400 "bad_request" {|malformed number \"x\"|});
+      ("null element", post [ ("point", Json.List [ Json.Null ]) ],
+       error 400 "bad_request" "expected a number");
+      ("unknown space", post [ ("point", jpoint x); ("space", Json.Str "warped") ],
+       error 400 "bad_request" {|unknown space \"warped\" (want \"coded\" or \"raw\")|});
+      ("space not a string", post [ ("point", jpoint x); ("space", Json.Int 1) ],
+       error 400 "bad_request" {|\"space\" must be a string|});
+      ("points not a list", post [ ("points", Json.Int 5) ],
+       error 400 "bad_request" {|\"points\" must be a list of points|});
+      ("point and points", post [ ("point", jpoint x); ("points", Json.List [ jpoint x ]) ],
+       error 400 "bad_request" {|give either \"point\" or \"points\", not both|});
+      ("4097-point batch", post [ ("points", Json.List (List.init 4097 (fun _ -> jpoint x))) ],
+       error 413 "too_many_points" "batch of 4097 points exceeds the 4096 cap");
+      ("non-finite coded value",
+       post_text ("{\"point\":[1e999" ^ String.concat "" (List.init (dims - 1) (fun _ -> ",0")) ^ "]}"),
+       error 400 "bad_point" "point contains a non-finite value");
+      ("parse before validate",
+       post [ ("points", Json.List [ Json.List [ Json.Float 0.5 ]; Json.Str "banana" ]) ],
+       error 400 "bad_request" "each point must be a list of numbers");
+      ("raw wrong arity", post [ ("point", Json.List [ Json.Int 1 ]); ("space", Json.Str "raw") ],
+       error 400 "bad_point" "expected 25 raw values, got 1");
+      ("wrong content type", post ~ctype:"text/plain" [ ("point", jpoint x) ],
+       error 415 "unsupported_media_type" "content-type must be application/json, got text/plain");
+      ("GET /predict", { (post_text "") with Http.meth = "GET"; headers = [] },
+       error 405 "method_not_allowed" "GET is not supported on /predict");
+      ("GET /nope", { (post_text "") with Http.meth = "GET"; path = "/nope"; headers = [] },
+       error 404 "not_found" "no such endpoint: /nope") ]
+  in
+  List.iter
+    (fun (what, req, (want_status, want_body)) ->
       for pass = 1 to 2 do
         let status, ctype = Serve.handle_into hot req in
-        let tag = Printf.sprintf "request %d pass %d" i pass in
-        ci (tag ^ ": status") status_ref status;
-        Alcotest.(check string) (tag ^ ": content type") ctype_ref ctype;
-        Alcotest.(check string) (tag ^ ": body bytes") body_ref
+        let tag = Printf.sprintf "%s, pass %d" what pass in
+        ci (tag ^ ": status") want_status status;
+        Alcotest.(check string) (tag ^ ": content type") "application/json" ctype;
+        Alcotest.(check string) (tag ^ ": body bytes") want_body
           (Buffer.contents (Serve.hot_body hot))
       done)
-    requests
+    shapes
+
+(* A number the JSON grammar rejects is the client's malformed body, not
+   a server fault. *)
+let test_predict_malformed_number () =
+  let art = Lazy.force artifact in
+  List.iter
+    (fun body ->
+      let status, _, out = handle art (mkreq ~meth:"POST" ~body "/predict") in
+      ci (body ^ ": status") 400 status;
+      cb (body ^ ": code bad_json") true
+        (match Json.member "error" (json_of out) with
+        | Some e -> Json.member "code" e = Some (Json.Str "bad_json")
+        | None -> false))
+    [ {|{"point":[1e]}|}; {|{"point":[.]}|}; {|{"point":[-.]}|}; {|{"point":"\uZZZZ"}|} ]
+
+(* A raw value with no finite coding (0 in a log2-coded parameter) is the
+   client's bad point, never a 200 with a null prediction. *)
+let test_predict_raw_uncodable () =
+  let art = Lazy.force artifact in
+  let raw = Params.decode Params.all_specs (coded_point ()) in
+  let bpred =
+    Option.get (Array.find_index (fun s -> s.Params.name = "bpred-size") Params.all_specs)
+  in
+  List.iter
+    (fun v ->
+      raw.(bpred) <- v;
+      let body = Printf.sprintf {|{"point":%s,"space":"raw"}|} (point_json raw) in
+      let status, _, out = handle art (mkreq ~meth:"POST" ~body "/predict") in
+      ci (Printf.sprintf "bpred-size %g: status" v) 400 status;
+      cb (Printf.sprintf "bpred-size %g: code bad_point naming the parameter" v) true
+        (match Json.member "error" (json_of out) with
+        | Some e -> (
+            Json.member "code" e = Some (Json.Str "bad_point")
+            &&
+            match Json.member "message" e with
+            | Some (Json.Str m) -> contains ~sub:"bpred-size" m
+            | _ -> false)
+        | None -> false))
+    [ 0.0; -512.0 ]
 
 let suite =
   [
@@ -986,6 +1084,9 @@ let suite =
       test_dribbling_writer_fairness;
     Alcotest.test_case "mux: deadlines checked after pending input is read" `Quick
       test_deadline_after_pending_input;
-    Alcotest.test_case "hot path bytes equal the reference handler" `Quick
-      test_hot_path_byte_identity;
+    Alcotest.test_case "/predict answers Repr.eval's bytes" `Quick test_predict_shapes;
+    Alcotest.test_case "/predict: bad numbers are bad_json" `Quick
+      test_predict_malformed_number;
+    Alcotest.test_case "/predict: uncodable raw is bad_point" `Quick
+      test_predict_raw_uncodable;
   ]
