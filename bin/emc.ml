@@ -71,8 +71,11 @@ let fleet_arg =
      Prefix an address with @ to treat it as an $(b,emc fleet-store) whose registered \
      workers form an elastic fleet: workers joining mid-run (fleet-worker --register) \
      pick up pending chunks, drained or dead workers age out and their chunks requeue. \
-     Results are bit-identical to a single-process --jobs 1 run regardless of \
-     membership, chunking, pipelining, retries or arrival order. Defaults to EMC_FLEET."
+     The first @ address is also the result store: the coordinator looks every batch up \
+     in it, dispatches only what it lacks and puts each chunk's results back, so a \
+     static fleet shares a store as w1,w2,@STORE. Results are bit-identical to a \
+     single-process --jobs 1 run regardless of membership, chunking, pipelining, retries \
+     or arrival order. Defaults to EMC_FLEET."
   in
   Arg.(value & opt (some string) None & info [ "fleet" ] ~docv:"ADDRS" ~doc)
 
@@ -146,11 +149,10 @@ let make_ctx ~seed ~scale ?cache_file ~fleet:(fleet, chunk, depth) ~run_id () =
       Fleet.attach ~options ctx.Experiments.measure (parse_fleet_spec spec));
   ctx
 
-let parse_config = function
-  | "constrained" -> Emc_sim.Config.constrained
-  | "typical" -> Emc_sim.Config.typical
-  | "aggressive" -> Emc_sim.Config.aggressive
-  | s -> failwith ("unknown config: " ^ s)
+let parse_config s =
+  match List.assoc_opt s Emc_sim.Config.named with
+  | Some c -> c
+  | None -> failwith ("unknown config: " ^ s)
 
 let parse_flags = function
   | "O0" -> Emc_opt.Flags.o0
@@ -891,20 +893,12 @@ let fuzz_cmd =
 (* ---------------- fleet daemons / cache maintenance ---------------- *)
 
 let fleet_worker_cmd =
-  let store_arg =
-    Arg.(value & opt (some string) None
-         & info [ "store" ] ~docv:"ADDR"
-             ~doc:"Shared result store ($(b,emc fleet-store) address): consulted before and \
-                   fed after every batch, so workers never re-simulate what any of them \
-                   already measured. Store failures are logged and simulated through.")
-  in
   let register_arg =
     Arg.(value & opt (some string) None
          & info [ "register" ] ~docv:"ADDR"
              ~doc:"Enroll in a store's membership table (heartbeat every --heartbeat \
                    seconds, TTL of three beats) so @$(docv) coordinators discover this \
-                   worker mid-run; deregisters on graceful shutdown. When --store is \
-                   absent, $(docv) doubles as the result store.")
+                   worker mid-run; deregisters on graceful shutdown.")
   in
   let advertise_arg =
     Arg.(value & opt (some string) None
@@ -930,8 +924,7 @@ let fleet_worker_cmd =
                    matches these options: SIGTERM, wait for in-flight requests to finish \
                    and the pidfile to disappear, then exit 0.")
   in
-  let run port socket jobs store cache register advertise heartbeat pidfile drain trace
-      metrics =
+  let run port socket jobs cache register advertise heartbeat pidfile drain trace metrics =
     with_obs trace metrics (fun () ->
         let listen = addr_of_args port socket in
         if drain then begin
@@ -948,18 +941,15 @@ let fleet_worker_cmd =
           | Error e -> die "--drain: %s" e
         end
         else begin
-          let parse_daemon_addr flag s =
-            match Http.parse_addr s with Ok a -> a | Error e -> die "%s: %s" flag e
+          let register =
+            Option.map
+              (fun s -> match Http.parse_addr s with Ok a -> a | Error e -> die "--register: %s" e)
+              register
           in
-          let store = Option.map (parse_daemon_addr "--store") store in
-          let register = Option.map (parse_daemon_addr "--register") register in
           if heartbeat <= 0.0 then die "--heartbeat must be positive";
-          (* a register address is a store: share results through it too
-             unless the operator pointed --store elsewhere *)
-          let store = match store with Some _ -> store | None -> register in
           let jobs = match jobs with Some j -> j | None -> Scale.jobs_of_env () in
-          Fleet.run_worker ~jobs ?store ?cache_file:cache ?register ?advertise ~heartbeat
-            ?pidfile ~listen ()
+          Fleet.run_worker ~jobs ?cache_file:cache ?register ?advertise ~heartbeat ?pidfile
+            ~listen ()
         end)
   in
   Cmd.v
@@ -968,7 +958,7 @@ let fleet_worker_cmd =
              all three responses per point out, bit-exact hex floats), /healthz, /metrics. \
              With --register it joins an elastic fleet; with --drain it gracefully stops \
              a running one.")
-    Term.(const run $ daemon_port_arg $ daemon_socket_arg $ jobs_arg $ store_arg $ cache_arg
+    Term.(const run $ daemon_port_arg $ daemon_socket_arg $ jobs_arg $ cache_arg
           $ register_arg $ advertise_arg $ heartbeat_arg $ pidfile_arg $ drain_arg
           $ trace_arg $ metrics_arg)
 

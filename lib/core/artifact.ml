@@ -68,12 +68,10 @@ let code_raw a raw =
 
 (* ---------------- JSON ---------------- *)
 
-let jfloat v = Json.Str (Printf.sprintf "%h" v)
-
 let spec_to_json (s : Params.spec) =
   Json.Obj
     [ ("name", Json.Str s.Params.name);
-      ("levels", Json.List (Array.to_list (Array.map jfloat s.Params.levels)));
+      ("levels", Json.List (Array.to_list (Array.map Json.hex s.Params.levels)));
       ("log2", Json.Bool s.Params.log2) ]
 
 let to_json a =
@@ -90,7 +88,9 @@ let to_json a =
       ("n_params", Json.Int a.n_params);
       ("terms",
        Json.List
-         (List.map (fun (n, c) -> Json.Obj [ ("term", Json.Str n); ("coef", jfloat c) ]) a.terms));
+         (List.map
+            (fun (n, c) -> Json.Obj [ ("term", Json.Str n); ("coef", Json.hex c) ])
+            a.terms));
       ("repr", Repr.to_json a.repr) ]
     @
     (* Extra named responses are emitted only when present, so artifacts
@@ -102,46 +102,17 @@ let to_json a =
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let as_str = function Json.Str s -> Ok s | _ -> Error "expected a string"
-
-let as_int = function Json.Int i -> Ok i | _ -> Error "expected an int"
-
-let as_bool = function Json.Bool b -> Ok b | _ -> Error "expected a bool"
-
-let as_list = function Json.List l -> Ok l | _ -> Error "expected a list"
-
-let as_float = function
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | Json.Str s -> (
-      match float_of_string_opt s with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "malformed float literal %S" s))
-  | _ -> Error "expected a float"
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let spec_of_json j =
-  let* name = Result.bind (field "name" j) as_str in
-  let* ll = Result.bind (field "levels" j) as_list in
-  let* levels = map_result as_float ll in
-  let* log2 = Result.bind (field "log2" j) as_bool in
+  let* name = Result.bind (Json.field "name" j) Json.as_str in
+  let* ll = Result.bind (Json.field "levels" j) Json.as_list in
+  let* levels = Json.map_result Json.as_float ll in
+  let* log2 = Result.bind (Json.field "log2" j) Json.as_bool in
   if levels = [] then Error (Printf.sprintf "parameter %S has no levels" name)
   else Ok { Params.name; levels = Array.of_list levels; log2 }
 
 let term_of_json j =
-  let* n = Result.bind (field "term" j) as_str in
-  let* c = Result.bind (field "coef" j) as_float in
+  let* n = Result.bind (Json.field "term" j) Json.as_str in
+  let* c = Result.bind (Json.field "coef" j) Json.as_float in
   Ok (n, c)
 
 let of_json j =
@@ -154,7 +125,7 @@ let of_json j =
     if fmt = format_name then Ok ()
     else Error (Printf.sprintf "not an emc model artifact (format %S)" fmt)
   in
-  let* version = Result.bind (field "version" j) as_int in
+  let* version = Result.bind (Json.field "version" j) Json.as_int in
   let* () =
     if version = current_version then Ok ()
     else
@@ -162,27 +133,27 @@ let of_json j =
         (Printf.sprintf "unsupported artifact format version %d (this build reads version %d)"
            version current_version)
   in
-  let* workload = Result.bind (field "workload" j) as_str in
-  let* technique = Result.bind (field "technique" j) as_str in
-  let* scale = Result.bind (field "scale" j) as_str in
-  let* seed = Result.bind (field "seed" j) as_int in
-  let* train_n = Result.bind (field "train_n" j) as_int in
+  let* workload = Result.bind (Json.field "workload" j) Json.as_str in
+  let* technique = Result.bind (Json.field "technique" j) Json.as_str in
+  let* scale = Result.bind (Json.field "scale" j) Json.as_str in
+  let* seed = Result.bind (Json.field "seed" j) Json.as_int in
+  let* train_n = Result.bind (Json.field "train_n" j) Json.as_int in
   let* test_mape =
     match Json.member "test_mape" j with
     | None | Some Json.Null -> Ok None
-    | Some v -> Result.map Option.some (as_float v)
+    | Some v -> Result.map Option.some (Json.as_float v)
   in
-  let* sl = Result.bind (field "params" j) as_list in
-  let* specs = map_result spec_of_json sl in
-  let* n_params = Result.bind (field "n_params" j) as_int in
-  let* tl = Result.bind (field "terms" j) as_list in
-  let* terms = map_result term_of_json tl in
-  let* repr = Result.bind (field "repr" j) Repr.of_json in
+  let* sl = Result.bind (Json.field "params" j) Json.as_list in
+  let* specs = Json.map_result spec_of_json sl in
+  let* n_params = Result.bind (Json.field "n_params" j) Json.as_int in
+  let* tl = Result.bind (Json.field "terms" j) Json.as_list in
+  let* terms = Json.map_result term_of_json tl in
+  let* repr = Result.bind (Json.field "repr" j) Repr.of_json in
   let* extra =
     match Json.member "extra" j with
     | None | Some Json.Null -> Ok []
     | Some (Json.Obj fields) ->
-        map_result
+        Json.map_result
           (fun (name, rj) ->
             match Repr.of_json rj with
             | Ok r -> Ok (name, r)
@@ -192,6 +163,13 @@ let of_json j =
   in
   if specs = [] then Error "artifact has an empty parameter schema"
   else
+    let fits what r =
+      Result.map_error (fun e -> what ^ ": " ^ e) (Repr.check ~dims:(List.length specs) r)
+    in
+    let* () = fits "repr" repr in
+    let* _ =
+      Json.map_result (fun (name, r) -> fits (Printf.sprintf "extra response %S" name) r) extra
+    in
     Ok
       { workload; technique; scale; seed; train_n; test_mape; specs = Array.of_list specs;
         repr; n_params; terms; extra }

@@ -68,10 +68,14 @@ val code_raw : t -> float array -> (float array, string) result
     parameter. *)
 
 val to_json : t -> Emc_obs.Json.t
+
 val of_json : Emc_obs.Json.t -> (t, string) result
+(** Strict: besides field types, the repr and every extra response must
+    fit the schema's arity ({!Emc_regress.Repr.check}), so a loaded
+    artifact never raises at evaluation. The error names the response. *)
 
 val save : t -> string -> unit
 (** Write the artifact as a single JSON document. *)
 
 val load : string -> (t, string) result
-(** Read + parse + structure/version check. *)
+(** Read + parse + {!of_json}. *)

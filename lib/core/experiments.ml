@@ -102,9 +102,7 @@ let print_parameters () =
     Params.all_specs;
   Printf.printf "\n"
 
-let configs =
-  [ ("constrained", Emc_sim.Config.constrained); ("typical", Emc_sim.Config.typical);
-    ("aggressive", Emc_sim.Config.aggressive) ]
+let configs = Emc_sim.Config.named
 
 let print_table5 () =
   Printf.printf "== Table 5: target microarchitectural configurations ==\n";

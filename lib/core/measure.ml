@@ -186,24 +186,6 @@ let create ?cache_file ?journal_file scale =
 
 let set_remote t remote = t.remote <- Some remote
 
-(* Inject results fetched from a shared store (fleet workers): memo-only —
-   not appended to the cache/journal, which record this process's own
-   measurements. Returns how many keys were new. *)
-let preload t entries =
-  let added =
-    List.fold_left
-      (fun n (k, v) ->
-        if Hashtbl.mem t.results k then n
-        else begin
-          Hashtbl.replace t.results k v;
-          n + 1
-        end)
-      0 entries
-  in
-  t.preloaded <- t.preloaded + added;
-  Metrics.add m_preloaded added;
-  added
-
 let binary_key (w : Workload.t) ~issue_width (flags : Emc_opt.Flags.t) =
   Printf.sprintf "%s|%d|%s" w.name issue_width (Emc_opt.Flags.to_string flags)
 
@@ -249,10 +231,8 @@ let result_key response (w : Workload.t) ~variant (flags : Emc_opt.Flags.t)
     (Workload.variant_name variant) (Emc_opt.Flags.to_string flags)
     (Emc_sim.Config.to_string march)
 
-(* All three content addresses of one design point, in the fixed storage
-   order. This is the batched pre-filter hook: the fleet coordinator maps
-   it over a whole work array to build one /lookup for every key of every
-   point, resolving fully-stored points before anything is dispatched. *)
+(* All three content addresses of one design point, in [store_triple]'s
+   order. *)
 let triple_keys (w : Workload.t) ~variant ((flags : Emc_opt.Flags.t), (march : Emc_sim.Config.t)) =
   ( result_key Cycles w ~variant flags march,
     result_key Energy w ~variant flags march,

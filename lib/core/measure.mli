@@ -65,15 +65,6 @@ val set_remote : t -> remote -> unit
     (installed by [Fleet.attach]). Counters still advance exactly as the
     local path's would; a remotely resolved point counts as a simulation. *)
 
-val preload : t -> (string * float) list -> int
-(** Inject externally fetched results (a fleet store's hits) into the
-    memo, skipping keys already present; returns the number added. Memo
-    only — not appended to the cache or journal, which record this
-    process's own measurements. Counts into [preloaded] /
-    [measure.cache_preloaded]. *)
-
-val triple_of_result : Emc_sim.Smarts.result -> triple
-
 val compile :
   t -> Emc_workloads.Workload.t -> Emc_opt.Flags.t -> issue_width:int -> Emc_isa.Isa.program
 (** Memoized compilation of a workload at given flags/machine width. *)
@@ -105,10 +96,8 @@ val triple_keys :
   Emc_opt.Flags.t * Emc_sim.Config.t ->
   string * string * string
 (** The (cycles, energy, code-size) content addresses of one design point,
-    in the fixed order {!store_triple} persists them. The batched key
-    pre-filter hook: the fleet coordinator maps it over a work array to
-    look every key up in the shared store with a single RPC and strip
-    fully-stored points from dispatch. *)
+    in the fixed order they are persisted: the keys the fleet coordinator
+    looks up in its store, one RPC per batch, and puts there. *)
 
 val cache_line : string -> float -> string
 (** One JSONL cache record [{"k":KEY,"v":"0x...p..."}] (bit-exact hex

@@ -16,11 +16,6 @@ type result = {
 val coded_march : Emc_sim.Config.t -> float array
 (** The frozen microarchitectural half of the coded design point. *)
 
-val guarded : (float array -> float) -> float array -> float
-(** Fitness wrapper: non-physical model outputs (NaN or <= 0 cycles, which
-    unconstrained regressions can produce far from their training data) are
-    treated as maximally unfit instead of optimal. *)
-
 val search :
   ?params:Emc_search.Ga.params ->
   rng:Emc_util.Rng.t ->

@@ -49,6 +49,8 @@ let lhs rng space n =
 
 let ridge = 1e-8
 
+(* XᵀX of the main-effects expansion, with a tiny ridge so the criterion
+   is defined even for degenerate point sets. *)
 let information_matrix points =
   let rows = Array.map expand_main points in
   let x = Mat.of_rows rows in

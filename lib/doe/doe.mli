@@ -28,12 +28,9 @@ val lhs : Emc_util.Rng.t -> space -> int -> float array array
     permutation of its levels, giving better marginal coverage than iid
     draws. *)
 
-val information_matrix : float array array -> Emc_linalg.Mat.t
-(** XᵀX of the main-effects expansion, with a tiny ridge so the criterion is
-    defined even for degenerate point sets. *)
-
 val log_det_information : float array array -> float
-(** The D-criterion: log det of {!information_matrix}. Bigger is better. *)
+(** The D-criterion: log det of XᵀX of the main-effects expansion. Bigger
+    is better. *)
 
 val d_optimal :
   ?sweeps:int ->

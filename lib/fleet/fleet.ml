@@ -55,11 +55,10 @@ let m_steals = Metrics.counter "fleet.steals"
 let m_joined = Metrics.counter "fleet.workers_joined"
 let m_lost = Metrics.counter "fleet.workers_lost"
 let m_prefilled = Metrics.counter "fleet.store_prefilled"
+let m_store_puts = Metrics.counter "fleet.store_puts"
 
 (* worker side *)
 let m_measured = Metrics.counter "fleet.points_measured"
-let m_store_hits = Metrics.counter "fleet.store_hits"
-let m_store_puts = Metrics.counter "fleet.store_puts"
 let m_heartbeats = Metrics.counter "fleet.heartbeats"
 
 (* store side *)
@@ -424,7 +423,7 @@ let run_store ?file ~listen () =
       ("GET", "/get", get); ("GET", "/healthz", healthz) ];
   Option.iter close_out persist
 
-(* ---------------- store client (used by workers) ---------------- *)
+(* ---------------- store client ---------------- *)
 
 let store_rpc ?(meth = "POST") ~timeout addr ~path ~body =
   match
@@ -464,15 +463,19 @@ let store_put ~timeout addr entries =
 
 (* ---------------- membership client ---------------- *)
 
-let register_rpc ~timeout addr ~advertise ~ttl =
+(* Bounds a worker's heartbeat and deregister RPCs to its store. *)
+let membership_timeout = 10.0
+
+let register_rpc addr ~advertise ~ttl =
   let body =
     Json.to_string (Json.Obj [ ("addr", Json.Str advertise); ("ttl", Json.hex ttl) ])
   in
-  Result.map (fun _ -> ()) (store_rpc ~timeout addr ~path:"/register" ~body)
+  Result.map (fun _ -> ()) (store_rpc ~timeout:membership_timeout addr ~path:"/register" ~body)
 
-let deregister_rpc ~timeout addr ~advertise =
+let deregister_rpc addr ~advertise =
   let body = Json.to_string (Json.Obj [ ("addr", Json.Str advertise) ]) in
-  Result.map (fun _ -> ()) (store_rpc ~timeout addr ~path:"/deregister" ~body)
+  Result.map (fun _ -> ())
+    (store_rpc ~timeout:membership_timeout addr ~path:"/deregister" ~body)
 
 let members ?(timeout = 10.0) addr =
   let* body = store_rpc ~meth:"GET" ~timeout addr ~path:"/members" ~body:"" in
@@ -492,18 +495,12 @@ let members ?(timeout = 10.0) addr =
 
 (* ---------------- worker daemon ---------------- *)
 
-let all_keys (w : Workload.t) ~variant points =
-  Array.to_list points
-  |> List.concat_map (fun p ->
-         let kc, ke, ks = Measure.triple_keys w ~variant p in
-         [ kc; ke; ks ])
-
 (* The heartbeater: a tiny forked child that re-registers the worker with
    the membership endpoint every [interval] seconds (TTL 3x that), so the
    registration survives while the worker is deep in a long chunk. It
    exits by itself when orphaned — a SIGKILLed worker must age out of the
    membership, not be kept alive by a zombie heartbeat. *)
-let start_heartbeater ~store ~advertise ~interval ~timeout =
+let start_heartbeater ~store ~advertise ~interval =
   let parent = Unix.getpid () in
   match Unix.fork () with
   | 0 ->
@@ -511,7 +508,7 @@ let start_heartbeater ~store ~advertise ~interval ~timeout =
       Sys.set_signal Sys.sigint Sys.Signal_default;
       let rec loop () =
         if Unix.getppid () <> parent then Unix._exit 0;
-        (match register_rpc ~timeout store ~advertise ~ttl:(3.0 *. interval) with
+        (match register_rpc store ~advertise ~ttl:(3.0 *. interval) with
         | Ok () -> Metrics.incr m_heartbeats
         | Error e ->
             Log.warn ~src:"fleet-worker" "heartbeat to %s failed: %s" (Http.addr_to_string store)
@@ -526,8 +523,8 @@ let start_heartbeater ~store ~advertise ~interval ~timeout =
 
 let default_pidfile = function Unix_sock p -> Some (p ^ ".pid") | Tcp _ -> None
 
-let run_worker ?(jobs = 1) ?store ?(store_timeout = 10.0) ?cache_file ?register ?advertise
-    ?(heartbeat = 2.0) ?pidfile ~listen () =
+let run_worker ?(jobs = 1) ?cache_file ?register ?advertise ?(heartbeat = 2.0) ?pidfile
+    ~listen () =
   (* one Measure per (workload_scale, smarts) signature: the memo persists
      across requests, so repeated corner points across batches and the
      energy/code-size re-reads cost nothing *)
@@ -560,20 +557,6 @@ let run_worker ?(jobs = 1) ?store ?(store_timeout = 10.0) ?cache_file ?register 
               measure_for ~workload_scale:mr.mr_workload_scale ~smarts:mr.mr_smarts
             in
             let variant = mr.mr_variant in
-            (* consult the shared store for anything we don't already know;
-               a store failure only costs us the simulation *)
-            (match store with
-            | None -> ()
-            | Some saddr -> (
-                let missing =
-                  all_keys w ~variant mr.mr_points
-                  |> List.filter (fun k -> not (Hashtbl.mem m.Measure.results k))
-                in
-                if missing <> [] then
-                  match store_lookup ~timeout:store_timeout saddr missing with
-                  | Ok hits -> Metrics.add m_store_hits (Measure.preload m hits)
-                  | Error e ->
-                      Log.warn ~src:"fleet-worker" "store lookup failed: %s" e));
             let cycles = Measure.respond_many ~response:Cycles m w ~variant mr.mr_points in
             let energy = Measure.respond_many ~response:Energy m w ~variant mr.mr_points in
             let code = Measure.respond_many ~response:CodeSize m w ~variant mr.mr_points in
@@ -582,19 +565,6 @@ let run_worker ?(jobs = 1) ?store ?(store_timeout = 10.0) ?cache_file ?register 
                   { Measure.t_cycles = cycles.(i); t_energy = energy.(i);
                     t_code_size = code.(i) })
             in
-            (* feed everything back; the store dedupes, so re-putting
-               store-served keys is harmless *)
-            (match store with
-            | None -> ()
-            | Some saddr -> (
-                let entries =
-                  all_keys w ~variant mr.mr_points
-                  |> List.filter_map (fun k ->
-                         Option.map (fun v -> (k, v)) (Hashtbl.find_opt m.Measure.results k))
-                in
-                match store_put ~timeout:store_timeout saddr entries with
-                | Ok added -> Metrics.add m_store_puts added
-                | Error e -> Log.warn ~src:"fleet-worker" "store put failed: %s" e));
             Buffer.add_string b (result_body triples);
             (200, "application/json"))
   in
@@ -615,10 +585,7 @@ let run_worker ?(jobs = 1) ?store ?(store_timeout = 10.0) ?cache_file ?register 
       close_out oc)
     pidfile;
   let hb =
-    Option.map
-      (fun saddr ->
-        start_heartbeater ~store:saddr ~advertise ~interval:heartbeat ~timeout:store_timeout)
-      register
+    Option.map (fun store -> start_heartbeater ~store ~advertise ~interval:heartbeat) register
   in
   (* measurement chunks can run for minutes: long read and idle timeouts
      keep an idle keep-alive coordinator connection from being dropped
@@ -632,7 +599,7 @@ let run_worker ?(jobs = 1) ?store ?(store_timeout = 10.0) ?cache_file ?register 
     hb;
   Option.iter
     (fun saddr ->
-      match deregister_rpc ~timeout:store_timeout saddr ~advertise with
+      match deregister_rpc saddr ~advertise with
       | Ok () -> ()
       | Error e -> Log.warn ~src:"fleet-worker" "deregister failed: %s" e)
     register;
@@ -757,13 +724,16 @@ type worker_state = {
   w_from_members : bool;  (** discovered via a membership poll, not --fleet *)
   mutable w_fd : Unix.file_descr option;  (** kept alive across chunks *)
   w_inflight : dispatch Queue.t;  (** pipelined dispatches, response order *)
-  w_carry : string ref;
-      (** pipelining read buffer: bytes of the next response that arrived
-          glued to the previous one ([Http.read_response ?carry]). A
-          worker with a non-empty carry must be collected without waiting
-          for its socket — the buffered response never makes it readable *)
+  w_inb : Buffer.t;  (** response bytes read but not yet framed *)
+  mutable w_need : int;  (** length [w_inb] must reach before the next parse *)
   mutable w_dead : bool;
 }
+
+let all_keys (w : Workload.t) ~variant points =
+  Array.to_list points
+  |> List.concat_map (fun p ->
+         let kc, ke, ks = Measure.triple_keys w ~variant p in
+         [ kc; ke; ks ])
 
 (* Shard one respond_many miss batch across the fleet. [work] is already
    deduplicated in first-occurrence order by Measure.respond_many; chunks
@@ -777,8 +747,9 @@ type worker_state = {
    points never reach a worker), and the remaining points are sliced into
    chunks. The dispatch loop then keeps up to [opts.depth] requests
    outstanding per worker, re-polls membership every [opts.poll_interval],
-   and sleeps exactly until the next deadline/steal/poll event. *)
-let respond_batch ?store opts sources (scale : Scale.t) (w : Workload.t) ~variant
+   and sleeps exactly until the next deadline/steal/poll event. The store
+   (the first membership source) is fed as each chunk first completes. *)
+let respond_batch opts sources (scale : Scale.t) (w : Workload.t) ~variant
     (work : (Emc_opt.Flags.t * Emc_sim.Config.t) array) =
   if opts.depth < 1 then fail "pipeline depth must be at least 1, not %d" opts.depth;
   let n = Array.length work in
@@ -789,11 +760,7 @@ let respond_batch ?store opts sources (scale : Scale.t) (w : Workload.t) ~varian
   let member_sources =
     List.filter_map (function Members a -> Some a | Worker _ -> None) sources
   in
-  let store =
-    match store with
-    | Some _ as s -> s
-    | None -> ( match member_sources with a :: _ -> Some a | [] -> None)
-  in
+  let store = match member_sources with a :: _ -> Some a | [] -> None in
   let workers = ref [] in
   let known : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let add_worker ~from_members a =
@@ -806,7 +773,8 @@ let respond_batch ?store opts sources (scale : Scale.t) (w : Workload.t) ~varian
       workers :=
         !workers
         @ [ { w_addr = a; w_key = key; w_from_members = from_members; w_fd = None;
-              w_inflight = Queue.create (); w_carry = ref ""; w_dead = false } ];
+              w_inflight = Queue.create (); w_inb = Buffer.create 4096; w_need = 1;
+              w_dead = false } ];
       if from_members then begin
         Metrics.incr m_joined;
         Log.info ~src:"fleet" ~fields:[ ("worker", Json.Str key) ] "worker %s joined" key
@@ -822,7 +790,8 @@ let respond_batch ?store opts sources (scale : Scale.t) (w : Workload.t) ~varian
     | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
     | None -> ());
     wk.w_fd <- None;
-    wk.w_carry := ""
+    Buffer.clear wk.w_inb;
+    wk.w_need <- 1
   in
   let fail_worker wk reason =
     Log.warn ~src:"fleet" ~fields:[ ("worker", Json.Str wk.w_key) ]
@@ -911,46 +880,90 @@ let respond_batch ?store opts sources (scale : Scale.t) (w : Workload.t) ~varian
         | Ok () -> ()
         | Error e -> fail_worker wk ("request: " ^ Http.error_to_string e))
   in
+  (* Feed the store as a chunk first completes, so a killed run resumes
+     from it. A failed put is logged and costs only a later run's
+     simulation. *)
+  let feed_store c triples =
+    Option.iter
+      (fun saddr ->
+        let values =
+          Array.to_list triples
+          |> List.concat_map (fun (t : Measure.triple) -> [ t.t_cycles; t.t_energy; t.t_code_size ])
+        in
+        let entries = List.combine (all_keys w ~variant c.c_points) values in
+        match store_put ~timeout:opts.store_timeout saddr entries with
+        | Ok added -> Metrics.add m_store_puts added
+        | Error e -> Log.warn ~src:"fleet" "store put failed: %s" e)
+      store
+  in
+  let settle wk (resp : Http.response) =
+    let c = (Queue.peek wk.w_inflight).d_chunk in
+    if resp.Http.status <> 200 then
+      (* the request is deterministic: a structured rejection would
+         repeat on every worker, so fail the batch loudly instead of
+         retrying it to death *)
+      fail "worker %s rejected the batch: HTTP %d %s" wk.w_key resp.Http.status
+        (String.sub resp.Http.resp_body 0 (min 200 (String.length resp.Http.resp_body)))
+    else
+      match Http.response_header resp "x-request-id" with
+      | Some id when id <> string_of_int c.c_id ->
+          (* the worker's server echoes the request id, which is the chunk
+             id; a mismatch means the pipeline lost sync and every queued
+             pairing is suspect *)
+          fail_worker wk (Printf.sprintf "pipeline desync: got chunk %s, expected %d" id c.c_id)
+      | _ -> (
+          match triples_of_body ~expect:(Array.length c.c_points) resp.Http.resp_body with
+          | Error msg -> fail_worker wk ("bad response: " ^ msg)
+          | Ok triples ->
+              ignore (Queue.pop wk.w_inflight);
+              c.c_running <- c.c_running - 1;
+              (* the next pipelined dispatch is only now running: start its
+                 deadline/steal clock here, not at dispatch time *)
+              (match Queue.peek_opt wk.w_inflight with
+              | Some next -> next.d_started <- Unix.gettimeofday ()
+              | None -> ());
+              (* first completion wins; a stolen twin's duplicate is
+                 identical (deterministic simulator) and discarded *)
+              if not c.c_done then begin
+                c.c_done <- true;
+                incr completed;
+                Array.iteri (fun j t -> results.(c.c_slots.(j)) <- Some t) triples;
+                feed_store c triples
+              end)
+  in
+  (* Settle every complete response buffered for [wk], in pipeline order.
+     As in the server, a parse runs only once the length the last
+     [Incomplete] named has arrived. *)
+  let rec frame wk =
+    if (not wk.w_dead)
+       && (not (Queue.is_empty wk.w_inflight))
+       && Buffer.length wk.w_inb >= wk.w_need
+    then
+      match Http.parse_response ~max_body:(64 * 1024 * 1024) (Buffer.contents wk.w_inb) with
+      | Http.Incomplete need -> wk.w_need <- need
+      | Http.Invalid e -> fail_worker wk (Http.error_to_string e)
+      | Http.Parsed (resp, used) ->
+          let rest = Buffer.sub wk.w_inb used (Buffer.length wk.w_inb - used) in
+          Buffer.clear wk.w_inb;
+          Buffer.add_string wk.w_inb rest;
+          wk.w_need <- 1;
+          settle wk resp;
+          frame wk
+  in
+  (* [select] reported [fd] readable: take what arrived without blocking.
+     A partial response waits for more bytes, bounded only by its head's
+     deadline, so a worker stalling mid-response holds up no one else. *)
+  let rbuf = Bytes.create 65536 in
   let collect wk fd =
-    let d = Queue.peek wk.w_inflight in
-    let c = d.d_chunk in
-    let budget = max 0.05 (d.d_started +. opts.read_timeout -. Unix.gettimeofday ()) in
-    match
-      Http.read_response ~max_body:(64 * 1024 * 1024) ~timeout:budget ~carry:wk.w_carry fd
-    with
-    | Error e -> fail_worker wk (Http.error_to_string e)
-    | Ok resp when resp.Http.status = 200 -> (
-        match Http.response_header resp "x-request-id" with
-        | Some id when id <> string_of_int c.c_id ->
-            (* the worker's server echoes the request id, which is the
-               chunk id; a mismatch means the pipeline lost sync and every
-               queued pairing is suspect *)
-            fail_worker wk
-              (Printf.sprintf "pipeline desync: got chunk %s, expected %d" id c.c_id)
-        | _ -> (
-            match triples_of_body ~expect:(Array.length c.c_points) resp.Http.resp_body with
-            | Error msg -> fail_worker wk ("bad response: " ^ msg)
-            | Ok triples ->
-                ignore (Queue.pop wk.w_inflight);
-                c.c_running <- c.c_running - 1;
-                (* the next pipelined dispatch is only now running: start
-                   its deadline/steal clock here, not at dispatch time *)
-                (match Queue.peek_opt wk.w_inflight with
-                | Some next -> next.d_started <- Unix.gettimeofday ()
-                | None -> ());
-                (* first completion wins; a stolen twin's duplicate is
-                   identical (deterministic simulator) and discarded *)
-                if not c.c_done then begin
-                  c.c_done <- true;
-                  incr completed;
-                  Array.iteri (fun j t -> results.(c.c_slots.(j)) <- Some t) triples
-                end))
-    | Ok resp ->
-        (* the request is deterministic: a structured rejection would
-           repeat on every worker, so fail the batch loudly instead of
-           retrying it to death *)
-        fail "worker %s rejected the batch: HTTP %d %s" wk.w_key resp.Http.status
-          (String.sub resp.Http.resp_body 0 (min 200 (String.length resp.Http.resp_body)))
+    match Unix.read fd rbuf 0 (Bytes.length rbuf) with
+    | 0 ->
+        fail_worker wk
+          (if Buffer.length wk.w_inb = 0 then "connection closed" else "truncated message")
+    | k ->
+        Buffer.add_subbytes wk.w_inb rbuf 0 k;
+        frame wk
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+    | exception Unix.Unix_error (e, _, _) -> fail_worker wk (Unix.error_message e)
   in
   let finally () = List.iter close_fd !workers in
   Fun.protect ~finally (fun () ->
@@ -1048,28 +1061,19 @@ let respond_batch ?store opts sources (scale : Scale.t) (w : Workload.t) ~varian
               | _ -> None)
             !workers
         in
-        (* a worker whose carry already buffers (the start of) the next
-           pipelined response must be collected now — those bytes are off
-           the socket, so select would never report it readable *)
-        let carried, waiting = List.partition (fun (wk, _) -> !(wk.w_carry) <> "") busy in
-        List.iter (fun (wk, fd) -> collect wk fd) carried;
-        (match waiting with
+        (match busy with
         | [] -> ()
         | _ -> (
             let now = Unix.gettimeofday () in
-            let heads =
-              List.map (fun (wk, _) -> (Queue.peek wk.w_inflight).d_started) waiting
-            in
+            let heads = List.map (fun (wk, _) -> (Queue.peek wk.w_inflight).d_started) busy in
             let poll_at = if member_sources = [] then None else Some !next_poll in
             let timeout =
-              if carried <> [] then 0.0
-              else
-                next_wake ~now ~read_timeout:opts.read_timeout
-                  ~steal_after:opts.steal_after ?poll_at heads
+              next_wake ~now ~read_timeout:opts.read_timeout ~steal_after:opts.steal_after
+                ?poll_at heads
             in
-            match Unix.select (List.map snd waiting) [] [] timeout with
+            match Unix.select (List.map snd busy) [] [] timeout with
             | readable, _, _ ->
-                List.iter (fun (wk, fd) -> if List.memq fd readable then collect wk fd) waiting
+                List.iter (fun (wk, fd) -> if List.memq fd readable then collect wk fd) busy
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()));
         let now = Unix.gettimeofday () in
         (* hard per-dispatch deadline, head of pipeline only: a queued
@@ -1122,7 +1126,7 @@ let respond_batch ?store opts sources (scale : Scale.t) (w : Workload.t) ~varian
     (function Some t -> t | None -> fail "internal: incomplete batch")
     results
 
-let attach ?(options = default_options) ?store (m : Measure.t) sources =
+let attach ?(options = default_options) (m : Measure.t) sources =
   if sources = [] then fail "empty fleet";
   if options.depth < 1 then
     fail "pipeline depth must be at least 1, not %d" options.depth;
@@ -1130,7 +1134,7 @@ let attach ?(options = default_options) ?store (m : Measure.t) sources =
     fail "chunk size must be positive, not %d (0 = auto)" options.chunk;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Measure.set_remote m (fun w ~variant work ->
-      respond_batch ?store options sources m.Measure.scale w ~variant work)
+      respond_batch options sources m.Measure.scale w ~variant work)
 
 (* ---------------- run journals ---------------- *)
 

@@ -19,11 +19,12 @@
       [/members] table, so workers joining mid-run pick up pending
       chunks and lost workers age out and their chunks requeue;
     - a {b content-addressed result store} ([emc fleet-store],
-      {!run_store}): GET/PUT keyed by [Measure.result_key], persisted in
-      the exact JSONL [--cache] line format, so workers share results and
-      a killed run resumes with zero re-simulation. It doubles as the
-      membership registry ([POST /register], [POST /deregister],
-      [GET /members]).
+      {!run_store}): keyed by [Measure.result_key], persisted in the
+      exact JSONL [--cache] line format. Its one client is the
+      coordinator (the first [@ADDR] source): it looks each batch up
+      before dispatch and puts each chunk's results as it completes, so
+      runs share results and a killed run resumes with zero
+      re-simulation. It doubles as the membership registry.
 
     {b The bit-identity contract.} Results merged in first-occurrence
     order must be bit-identical to [--jobs 1] on one box — same values,
@@ -38,7 +39,8 @@
     simulator is deterministic, so whichever arrives first is kept and
     the other discarded. Coordinator-side scheduling telemetry lands in
     separate [fleet.*] counters (dispatched, points_dispatched, retried,
-    worker_failures, steals) so [measure.*] stays comparable.
+    worker_failures, steals, store_prefilled, store_puts) so [measure.*]
+    stays comparable.
 
     Resumability: [--run-id ID] journals every measurement to
     [EMC_RUN_DIR/ID.jsonl] (header line + [--cache]-format records);
@@ -91,7 +93,7 @@ type options = {
           running longer than this is re-dispatched to the idle worker *)
   max_attempts : int;  (** dispatch budget per chunk before {!Fleet_error} *)
   poll_interval : float;  (** seconds between [/members] polls (elastic sources) *)
-  store_timeout : float;  (** RPC timeout for store lookups and membership polls *)
+  store_timeout : float;  (** RPC timeout for store lookups, puts and membership polls *)
 }
 
 val default_options : options
@@ -115,12 +117,14 @@ val next_wake : now:float -> read_timeout:float -> steal_after:float ->
     idle-but-waiting coordinator must sleep the full gap, not busy-poll a
     fixed tick. *)
 
-val attach : ?options:options -> ?store:addr -> Emc_core.Measure.t -> source list -> unit
+val attach : ?options:options -> Emc_core.Measure.t -> source list -> unit
 (** Route the measure's batch cache misses through the fleet
-    ([Measure.set_remote]). [store] (default: the first {!Members}
-    source, if any) is consulted once per batch with every point's keys,
-    and fully-stored points are merged without dispatch — bit-identically
-    to a worker resolving them from the same store. Raises {!Fleet_error}
+    ([Measure.set_remote]). The first {!Members} source is also the
+    result store: fully-stored points merge without dispatch, exactly as
+    if a worker had measured them, and a store that is down or
+    unresolvable is logged and dispatched through. With a {!Members}
+    source, a coordinator whose listed workers are all dead waits up to
+    [read_timeout] for a registered one. Raises {!Fleet_error}
     immediately on an empty source list, [depth < 1] or [chunk < 0];
     later batch failures raise it from inside [respond_many]. *)
 
@@ -180,8 +184,6 @@ val drain : ?timeout:float -> pidfile:string -> unit -> (int, string) result
 
 val run_worker :
   ?jobs:int ->
-  ?store:addr ->
-  ?store_timeout:float ->
   ?cache_file:string ->
   ?register:addr ->
   ?advertise:string ->
@@ -191,10 +193,8 @@ val run_worker :
   unit ->
   unit
 (** One measurement worker. [jobs] fans each received chunk out over
-    local forked processes ([lib/par]); [store] consults/feeds a shared
-    result store around every batch (store failures, an unresolvable
-    store host included, are logged and ignored — the worker simulates
-    instead); [cache_file] is the worker's own persistent JSONL cache.
+    local forked processes ([lib/par]); [cache_file] is the worker's own
+    persistent JSONL cache.
 
     [register] enrolls the worker in a store's membership table: a
     heartbeater child re-registers [advertise] (default: the listen
@@ -202,7 +202,8 @@ val run_worker :
     seconds (default 2) with a TTL of three beats — a failed beat is
     logged and retried at the next one — and exits on its own if the
     worker is SIGKILLed — so a dead worker ages out of [/members] within
-    a TTL. On graceful shutdown the worker deregisters explicitly.
+    a TTL. On graceful shutdown the worker deregisters explicitly. The
+    heartbeat and deregister RPCs time out after 10 s.
 
     [pidfile] (default [<socket>.pid] for Unix-socket listeners) is
     written on startup and removed on shutdown — the handle {!drain}
@@ -219,16 +220,11 @@ val run_store : ?file:string -> listen:addr -> unit -> unit
 
 (** {1 Run journals ([--run-id] / [emc fleet-resume])} *)
 
-val run_dir : unit -> string
-(** [EMC_RUN_DIR] or ["emc-runs"]. *)
-
-val journal_path : string -> string
-(** [run_dir ^ "/" ^ run_id ^ ".jsonl"]. *)
-
 val journal_init : run_id:string -> argv:string array -> string
-(** Ensure the journal exists (creating {!run_dir} and writing the
-    [emc-run-journal/1] header line recording [argv] if new) and return
-    its path — passed to [Measure.create ?journal_file]. *)
+(** Ensure the journal [EMC_RUN_DIR/<run_id>.jsonl] exists ([EMC_RUN_DIR]
+    defaults to ["emc-runs"]): if new, create the directory and write the
+    [emc-run-journal/1] header line recording [argv]. Returns its path —
+    passed to [Measure.create ?journal_file]. *)
 
 type journal_info = {
   ji_path : string;

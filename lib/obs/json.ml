@@ -236,3 +236,32 @@ let hex_of = function
   | Float f -> Some f
   | Int i -> Some (float_of_int i)
   | _ -> None
+
+(* ---------------- typed readers ---------------- *)
+
+let field name j =
+  match member name j with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing field %S" name)
+
+let as_str = function Str s -> Ok s | _ -> Error "expected a string"
+
+let as_int = function Int i -> Ok i | _ -> Error "expected an int"
+
+let as_bool = function Bool b -> Ok b | _ -> Error "expected a bool"
+
+let as_list = function List l -> Ok l | _ -> Error "expected a list"
+
+let as_float = function
+  | Float f -> Ok f
+  | Int i -> Ok (float_of_int i)
+  | Str s -> (
+      match float_of_string_opt s with
+      | Some f -> Ok f
+      | None -> Error (Printf.sprintf "malformed float literal %S" s))
+  | _ -> Error "expected a float"
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+      Result.bind (f x) (fun y -> Result.bind (map_result f rest) (fun ys -> Ok (y :: ys)))

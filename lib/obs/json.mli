@@ -39,3 +39,23 @@ val hex : float -> t
 
 val hex_of : t -> float option
 (** Read a float written by {!hex}; plain JSON numbers are also accepted. *)
+
+(** {1 Typed readers}
+
+    For strict schema decoding (model artifacts): every mismatch is an
+    [Error] saying what was expected, never an exception. *)
+
+val field : string -> t -> (t, string) result
+(** {!member}, with a missing key an [Error] naming it. *)
+
+val as_str : t -> (string, string) result
+val as_int : t -> (int, string) result
+val as_bool : t -> (bool, string) result
+val as_list : t -> (t list, string) result
+
+val as_float : t -> (float, string) result
+(** A JSON number, or a string holding any OCaml float literal ({!hex}'s
+    included). *)
+
+val map_result : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
+(** Map in order, stopping at the first [Error]. *)

@@ -13,8 +13,6 @@
 
 type level = Error | Warn | Info | Debug
 
-val level_to_string : level -> string
-
 val level_of_string : string -> level option
 (** Accepts ["error"], ["warn"]/["warning"], ["info"], ["debug"], and
     ["quiet"]/["off"]/["silent"] (mapped to {!Error}); case-insensitive. *)
@@ -23,13 +21,9 @@ val set_level : level -> unit
 val level : unit -> level
 val enabled : level -> bool
 
-val set_jsonl : string option -> unit
-(** Point the structured sink at a file (append mode), or [None] to close
-    it. Normally driven by [EMC_LOG_FILE]. *)
+(** {1 Emitting}
 
-val logf :
-  level -> src:string -> ?fields:(string * Json.t) list -> ('a, unit, string, unit) format4 -> 'a
-(** [logf lvl ~src ~fields fmt ...] emits one event tagged with its source
+    Each call emits one event at its level, tagged with its source
     subsystem ([smarts], [prepare], [ga], ...) and optional structured
     fields. The stderr line shows elapsed process time, level, source,
     message and fields; the JSONL record carries the same data keyed. *)

@@ -3,8 +3,6 @@
     to a fixpoint. Runs unconditionally after the flag-gated passes, as gcc
     does at any -O level. *)
 
-val removable : Emc_ir.Ir.instr -> bool
-
 val run_func : Emc_ir.Ir.func -> bool
 (** Returns [true] if anything was removed. *)
 

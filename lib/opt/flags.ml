@@ -19,6 +19,8 @@ type t = {
   max_unrolled_insns : int;  (** #14, range 100..300 *)
 }
 
+(* All flags off, heuristics at the paper's default (Table 6, "default O3"
+   row): 100 / 50 / 16 / 8 / 200. *)
 let default_heuristics =
   {
     inline_functions = false;

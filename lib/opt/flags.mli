@@ -18,10 +18,6 @@ type t = {
   max_unrolled_insns : int;  (** #14, range 100..300 *)
 }
 
-val default_heuristics : t
-(** All flags off, heuristics at the paper's default (Table 6, "default O3"
-    row): 100 / 50 / 16 / 8 / 200. *)
-
 val o0 : t
 val o1 : t
 

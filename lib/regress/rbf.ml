@@ -83,6 +83,7 @@ let fit_weights kernel (d : Dataset.t) centers =
   in
   (predict, w)
 
+(* Candidate center counts tried by BIC for a given training-set size. *)
 let default_size_grid n =
   List.filter (fun c -> c >= 4 && c <= n / 3) [ 4; 6; 8; 12; 16; 24; 32; 48; 64; 96 ]
 

@@ -18,9 +18,6 @@ val eval_kernel : kernel -> r:float -> float -> float
 (** [eval_kernel k ~r d2] evaluates the kernel at squared distance [d2] with
     radius [r]; all kernels are 1 at the center. *)
 
-val default_size_grid : int -> int list
-(** Candidate center counts tried by BIC for a given training-set size. *)
-
 val fit : ?kernel:kernel -> ?size_grid:int list -> Dataset.t -> Model.t
 (** The returned model's [terms] list the bias and every center/weight pair
     (weights in response units), and its [repr] serializes the full network

@@ -132,106 +132,106 @@ let rec eval r =
       let f = eval body in
       fun x -> Float.max lo (Float.min hi (f x))
 
+(* [eval] reads a point by the repr's own shape: a repr that does not fit
+   [dims]-dimensional points would raise on some points and silently
+   ignore coordinates of others. *)
+let rec check ~dims r =
+  let beta_fits family ~interactions beta =
+    let want = n_features ~interactions dims in
+    if Array.length beta = want then Ok ()
+    else
+      Error
+        (Printf.sprintf "%s: %d coefficients for %d dimensions (want %d)" family
+           (Array.length beta) dims want)
+  in
+  match r with
+  | Linear { interactions; beta; _ } -> beta_fits "linear" ~interactions beta
+  | Rank { interactions; beta } -> beta_fits "rank" ~interactions beta
+  | Mars { bases; _ } -> (
+      match Array.find_map (List.find_opt (fun f -> f.dim < 0 || f.dim >= dims)) bases with
+      | None -> Ok ()
+      | Some f -> Error (Printf.sprintf "mars: a hinge on dimension %d of %d" f.dim dims))
+  | Rbf { centers; _ } -> (
+      match Array.find_opt (fun c -> Array.length c <> dims) centers with
+      | None -> Ok ()
+      | Some c ->
+          Error
+            (Printf.sprintf "rbf: a center with %d coordinates for %d dimensions"
+               (Array.length c) dims))
+  | Clamp { body; _ } -> check ~dims body
+
 (* ---------------- JSON ---------------- *)
 
 (* Floats travel as hex literals (like the measurement cache): decimal JSON
    numbers would round-trip too at 17 digits, but hex makes the exactness
    contract explicit and survives any printer/parser in between. *)
-let jfloat v = Json.Str (Printf.sprintf "%h" v)
-
-let jfloats a = Json.List (Array.to_list (Array.map jfloat a))
+let jfloats a = Json.List (Array.to_list (Array.map Json.hex a))
 
 let factor_to_json f =
-  Json.Obj [ ("dim", Json.Int f.dim); ("knot", jfloat f.knot); ("positive", Json.Bool f.positive) ]
+  Json.Obj
+    [ ("dim", Json.Int f.dim); ("knot", Json.hex f.knot); ("positive", Json.Bool f.positive) ]
 
 let rec to_json = function
   | Linear { interactions; beta; mu; sd } ->
       Json.Obj
         [ ("family", Json.Str "linear"); ("interactions", Json.Bool interactions);
-          ("beta", jfloats beta); ("mu", jfloat mu); ("sd", jfloat sd) ]
+          ("beta", jfloats beta); ("mu", Json.hex mu); ("sd", Json.hex sd) ]
   | Mars { bases; weights; mu; sd } ->
       Json.Obj
         [ ("family", Json.Str "mars");
           ("bases",
            Json.List
              (Array.to_list (Array.map (fun b -> Json.List (List.map factor_to_json b)) bases)));
-          ("weights", jfloats weights); ("mu", jfloat mu); ("sd", jfloat sd) ]
+          ("weights", jfloats weights); ("mu", Json.hex mu); ("sd", Json.hex sd) ]
   | Rbf { kernel; centers; radii; weights; mu; sd } ->
       Json.Obj
         [ ("family", Json.Str "rbf"); ("kernel", Json.Str (kernel_name kernel));
           ("centers", Json.List (Array.to_list (Array.map jfloats centers)));
-          ("radii", jfloats radii); ("weights", jfloats weights); ("mu", jfloat mu);
-          ("sd", jfloat sd) ]
+          ("radii", jfloats radii); ("weights", jfloats weights); ("mu", Json.hex mu);
+          ("sd", Json.hex sd) ]
   | Rank { interactions; beta } ->
       Json.Obj
         [ ("family", Json.Str "rank"); ("interactions", Json.Bool interactions);
           ("beta", jfloats beta) ]
   | Clamp { lo; hi; body } ->
       Json.Obj
-        [ ("family", Json.Str "clamp"); ("lo", jfloat lo); ("hi", jfloat hi);
+        [ ("family", Json.Str "clamp"); ("lo", Json.hex lo); ("hi", Json.hex hi);
           ("body", to_json body) ]
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let as_float = function
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | Json.Str s -> (
-      match float_of_string_opt s with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "malformed float literal %S" s))
-  | _ -> Error "expected a float"
-
-let as_bool = function Json.Bool b -> Ok b | _ -> Error "expected a bool"
-
-let as_int = function Json.Int i -> Ok i | _ -> Error "expected an int"
-
-let as_str = function Json.Str s -> Ok s | _ -> Error "expected a string"
-
-let as_list = function Json.List l -> Ok l | _ -> Error "expected a list"
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let ffield name j =
-  let* v = field name j in
-  as_float v
+  let* v = Json.field name j in
+  Json.as_float v
 
 let float_array name j =
-  let* v = field name j in
-  let* l = as_list v in
-  let* fs = map_result as_float l in
+  let* v = Json.field name j in
+  let* l = Json.as_list v in
+  let* fs = Json.map_result Json.as_float l in
   Ok (Array.of_list fs)
 
 let factor_of_json j =
-  let* dim = Result.bind (field "dim" j) as_int in
+  let* dim = Result.bind (Json.field "dim" j) Json.as_int in
   let* knot = ffield "knot" j in
-  let* positive = Result.bind (field "positive" j) as_bool in
+  let* positive = Result.bind (Json.field "positive" j) Json.as_bool in
   if dim < 0 then Error "negative basis dimension" else Ok { dim; knot; positive }
 
 let rec of_json j =
-  let* fam = Result.bind (field "family" j) as_str in
+  let* fam = Result.bind (Json.field "family" j) Json.as_str in
   match fam with
   | "linear" ->
-      let* interactions = Result.bind (field "interactions" j) as_bool in
+      let* interactions = Result.bind (Json.field "interactions" j) Json.as_bool in
       let* beta = float_array "beta" j in
       let* mu = ffield "mu" j in
       let* sd = ffield "sd" j in
       if Array.length beta = 0 then Error "linear model with no coefficients"
       else Ok (Linear { interactions; beta; mu; sd })
   | "mars" ->
-      let* bl = Result.bind (field "bases" j) as_list in
+      let* bl = Result.bind (Json.field "bases" j) Json.as_list in
       let* bases =
-        map_result (fun b -> Result.bind (as_list b) (map_result factor_of_json)) bl
+        Json.map_result
+          (fun b -> Result.bind (Json.as_list b) (Json.map_result factor_of_json))
+          bl
       in
       let bases = Array.of_list bases in
       let* weights = float_array "weights" j in
@@ -243,15 +243,19 @@ let rec of_json j =
              (Array.length bases))
       else Ok (Mars { bases; weights; mu; sd })
   | "rbf" ->
-      let* kname = Result.bind (field "kernel" j) as_str in
+      let* kname = Result.bind (Json.field "kernel" j) Json.as_str in
       let* kernel =
         match kernel_of_name kname with
         | Some k -> Ok k
         | None -> Error (Printf.sprintf "unknown RBF kernel %S" kname)
       in
-      let* cl = Result.bind (field "centers" j) as_list in
+      let* cl = Result.bind (Json.field "centers" j) Json.as_list in
       let* centers =
-        map_result (fun c -> Result.map Array.of_list (Result.bind (as_list c) (map_result as_float))) cl
+        Json.map_result
+          (fun c ->
+            Result.map Array.of_list
+              (Result.bind (Json.as_list c) (Json.map_result Json.as_float)))
+          cl
       in
       let centers = Array.of_list centers in
       let* radii = float_array "radii" j in
@@ -265,13 +269,13 @@ let rec of_json j =
              (Array.length weights) (Array.length centers))
       else Ok (Rbf { kernel; centers; radii; weights; mu; sd })
   | "rank" ->
-      let* interactions = Result.bind (field "interactions" j) as_bool in
+      let* interactions = Result.bind (Json.field "interactions" j) Json.as_bool in
       let* beta = float_array "beta" j in
       if Array.length beta = 0 then Error "rank model with no coefficients"
       else Ok (Rank { interactions; beta })
   | "clamp" ->
       let* lo = ffield "lo" j in
       let* hi = ffield "hi" j in
-      let* body = Result.bind (field "body" j) of_json in
+      let* body = Result.bind (Json.field "body" j) of_json in
       Ok (Clamp { lo; hi; body })
   | other -> Error (Printf.sprintf "unknown model family %S" other)

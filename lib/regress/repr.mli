@@ -46,8 +46,6 @@ val family : t -> string
 
 val kernel_name : kernel -> string
 
-val kernel_of_name : string -> kernel option
-
 (** {2 Shared evaluation kernels}
 
     The single implementation used both when fitting (building design
@@ -77,6 +75,13 @@ val eval : t -> float array -> float
     per point: the closure reuses its scratch, so it must not be shared
     between concurrent evaluators. The point's arity must match the repr
     (callers validate against the artifact's parameter schema). *)
+
+val check : dims:int -> t -> (unit, string) result
+(** Does the repr fit [dims]-dimensional points? A linear or rank [beta]
+    has [n_features ~interactions dims] coefficients, every MARS hinge
+    is on a dimension in [0 .. dims-1], every RBF center has [dims]
+    coordinates, and a [Clamp] checks its body. The error names the
+    family and the mismatch. *)
 
 (** {2 JSON round-trip} *)
 

@@ -17,6 +17,10 @@ type params = {
 
 val default_params : params
 
+val fitness_order : float -> float -> int
+(** The minimizing order every search ranks by, NaN last (worst); the
+    Pareto search orders each objective by it too. *)
+
 val random_genome : Emc_util.Rng.t -> problem -> float array
 
 val optimize :

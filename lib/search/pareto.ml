@@ -13,20 +13,11 @@ type point = { genome : float array; objectives : float array }
 let m_generations = Emc_obs.Metrics.counter "pareto.generations"
 let m_evaluations = Emc_obs.Metrics.counter "pareto.evaluations"
 
-(* Minimizing order over one objective value, NaN sorted last (same
-   reasoning as Ga.fitness_order). *)
-let obj_order a b =
-  match (Float.is_nan a, Float.is_nan b) with
-  | true, true -> 0
-  | true, false -> 1
-  | false, true -> -1
-  | false, false -> Float.compare a b
-
 let dominates a b =
   let le = ref true and lt = ref false in
   Array.iteri
     (fun i ai ->
-      let c = obj_order ai b.(i) in
+      let c = Ga.fitness_order ai b.(i) in
       if c > 0 then le := false;
       if c < 0 then lt := true)
     a;
@@ -87,7 +78,7 @@ let crowding_distance (objs : float array array) (front : int array) : float arr
       let order = Array.init k Fun.id in
       Array.sort
         (fun a b ->
-          let c = obj_order objs.(front.(a)).(o) objs.(front.(b)).(o) in
+          let c = Ga.fitness_order objs.(front.(a)).(o) objs.(front.(b)).(o) in
           if c <> 0 then c else compare front.(a) front.(b))
         order;
       dist.(order.(0)) <- infinity;
@@ -114,7 +105,7 @@ let finalize pop objs front =
     let rec go i =
       if i = n then compare (Array.length a) (Array.length b)
       else
-        let c = obj_order a.(i) b.(i) in
+        let c = Ga.fitness_order a.(i) b.(i) in
         if c <> 0 then c else go (i + 1)
     in
     go 0

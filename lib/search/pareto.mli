@@ -14,12 +14,9 @@
 
 type point = { genome : float array; objectives : float array }
 
-val obj_order : float -> float -> int
-(** Minimizing order on one objective value, NaN last (worst). *)
-
 val dominates : float array -> float array -> bool
 (** [dominates a b]: [a] is no worse than [b] on every objective (under
-    {!obj_order}) and strictly better on at least one. *)
+    {!Ga.fitness_order}) and strictly better on at least one. *)
 
 val is_front : float array array -> bool
 (** No member dominates another — the check used by tests and the CLI to

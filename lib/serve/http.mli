@@ -4,15 +4,15 @@
     addresses and name resolution, a typed connect, one request/response
     framing, and the response writer. Just enough protocol: a start line,
     headers, an optional [Content-Length] body, keep-alive, and in-order
-    pipelining via a per-connection carry buffer (the fleet coordinator
-    keeps several requests in flight per worker). No chunked encoding, no
-    TLS.
+    pipelining (the fleet coordinator keeps several requests in flight
+    per worker and frames the responses with {!parse_response}). No
+    chunked encoding, no TLS.
 
     Robustness is the point: header and body sizes are capped, reads
     honor absolute deadlines, and every malformed input, dead peer or
     unresolvable host is a typed [error], never an exception — a daemon
     must survive a fuzz loop of truncated and oversized garbage, and a
-    worker must survive a store it cannot reach. *)
+    coordinator must survive a store it cannot reach. *)
 
 (** {1 Addresses} *)
 
@@ -69,8 +69,9 @@ val response_header : response -> string -> string option
 
     One pure framer serves both directions: find the head, parse the
     start line and headers, then take a [Content-Length] body. The
-    blocking readers below and the multiplexed server both frame through
-    it, so limits and error mapping agree everywhere. *)
+    blocking readers below, the multiplexed server and the fleet
+    coordinator all frame through it, so limits and error mapping agree
+    everywhere. *)
 
 type 'a parse =
   | Parsed of 'a * int
@@ -122,9 +123,7 @@ val read_response :
   ?carry:string ref ->
   Unix.file_descr ->
   (response, error) result
-(** Read one response ({!parse_response} limits). The fleet coordinator
-    passes its per-dispatch budget as [timeout] so a worker dribbling a
-    response cannot stall the run past its chunk deadline. *)
+(** Read one response ({!parse_response} limits). *)
 
 (** {1 Client} *)
 
@@ -190,4 +189,3 @@ val response_head_into :
     and the multiplexed server loop share this formatter, so their
     response bytes are identical by construction. *)
 
-val status_text : int -> string

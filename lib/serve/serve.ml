@@ -137,18 +137,12 @@ let handle_rank art (req : Http.request) =
                (fun (n, c) -> Json.Obj [ ("term", Json.Str n); ("coef", Json.Float c) ])
                terms)) ])
 
-let named_config = function
-  | "constrained" -> Some Emc_sim.Config.constrained
-  | "typical" -> Some Emc_sim.Config.typical
-  | "aggressive" -> Some Emc_sim.Config.aggressive
-  | _ -> None
-
 (* Shared by /search and /pareto: target microarchitecture from the body
    (a named config, raw "march" values, or the typical default). *)
 let march_of_body j =
   match (Json.member "config" j, Json.member "march" j) with
   | Some (Json.Str name), None -> (
-      match named_config name with
+      match List.assoc_opt name Emc_sim.Config.named with
       | Some c -> Ok c
       | None ->
           Error (400, "bad_request", Printf.sprintf "unknown config %S (want constrained|typical|aggressive)" name))

@@ -38,11 +38,8 @@ val dispatch : table -> Http.request -> Buffer.t -> int * string
 val reply : Buffer.t -> int -> Emc_obs.Json.t -> int * string
 (** Render a JSON body (newline-terminated) as [application/json]. *)
 
-val error_json : string -> string -> Emc_obs.Json.t
-(** [{"error": {"code", "message"}}]. *)
-
 val error : Buffer.t -> int -> string -> string -> int * string
-(** {!reply} of an {!error_json}. *)
+(** {!reply} of [{"error": {"code", "message"}}]. *)
 
 val bind : Unix.sockaddr -> Unix.file_descr
 (** Bind and listen. A Unix-socket path holding a stale socket is

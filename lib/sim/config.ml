@@ -31,6 +31,8 @@ let aggressive =
   { issue_width = 4; bpred_size = 8192; ruu_size = 128; icache_kb = 128; dcache_kb = 128;
     dcache_assoc = 2; dcache_lat = 3; l2_kb = 8192; l2_assoc = 8; l2_lat = 16; mem_lat = 150 }
 
+let named = [ ("constrained", constrained); ("typical", typical); ("aggressive", aggressive) ]
+
 let pp fmt c =
   Format.fprintf fmt
     "width=%d bpred=%d ruu=%d il1=%dKB dl1=%dKB/%dway/%dcy l2=%dKB/%dway/%dcy mem=%dcy"

@@ -25,5 +25,8 @@ val typical : t
 val aggressive : t
 (** Table 5, "Aggressive": the high-end corner. *)
 
+val named : (string * t) list
+(** The three Table-5 configurations by name, in table order. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

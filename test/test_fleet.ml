@@ -173,9 +173,9 @@ let with_daemons specs f =
       List.iter (fun (path, _) -> wait_sock path) daemons;
       f (List.map fst daemons))
 
-let with_worker ?store f =
+let with_worker f =
   with_daemons
-    [ (fun path () -> Fleet.run_worker ?store ~listen:(Fleet.Unix_sock path) ()) ]
+    [ (fun path () -> Fleet.run_worker ~listen:(Fleet.Unix_sock path) ()) ]
     (function [ path ] -> f path | _ -> assert false)
 
 (* ---------------- store daemon ---------------- *)
@@ -410,10 +410,11 @@ let test_all_workers_dead () =
   | exception Fleet.Fleet_error msg ->
       cb (Printf.sprintf "failure names the problem (%s)" msg) true (String.length msg > 0)
 
-let test_worker_feeds_store () =
-  (* run once through a worker wired to a store, then serve a fresh worker
-     (empty memo) from that store: zero simulations anywhere the second
-     time, still bit-identical *)
+let test_coordinator_feeds_store () =
+  (* run once through a store-less worker with the store as a second
+     source: the coordinator puts every chunk's results. A fresh
+     coordinator on a fresh worker (empty memo) then finds everything in
+     the store: nothing dispatched, zero simulations, still bit-identical *)
   let store_file = Filename.temp_file "emc_store2" ".jsonl" in
   Sys.remove store_file;
   Fun.protect
@@ -427,21 +428,24 @@ let test_worker_feeds_store () =
   Fun.protect ~finally:(fun () -> stop_daemon store_pid)
   @@ fun () ->
   wait_sock store_path;
-  let store = Fleet.Unix_sock store_path in
   let w = Emc_workloads.Registry.find "gzip" in
   let variant = Emc_workloads.Workload.Train in
   let points = design_points 4 in
-  let y1 = ref [||] in
-  with_worker ~store (fun path ->
-      let m = Measure.create (small_scale 1) in
-      Fleet.attach m [ Fleet.Worker (Fleet.Unix_sock path) ];
-      y1 := Measure.cycles_coded_many m w ~variant points);
+  let measure path =
+    let m = Measure.create (small_scale 1) in
+    Fleet.attach m
+      [ Fleet.Worker (Fleet.Unix_sock path); Fleet.Members (Fleet.Unix_sock store_path) ];
+    Measure.cycles_coded_many m w ~variant points
+  in
+  let puts0 = counter "fleet.store_puts" in
+  let y1 = with_worker measure in
   cb "store persisted results" true (Sys.file_exists store_file);
-  with_worker ~store (fun path ->
-      let m = Measure.create (small_scale 1) in
-      Fleet.attach m [ Fleet.Worker (Fleet.Unix_sock path) ];
-      let y2 = Measure.cycles_coded_many m w ~variant points in
-      Alcotest.(check (array (float 0.0))) "store-served run bit-identical" !y1 y2;
+  with_worker (fun path ->
+      let dispatched0 = counter "fleet.dispatched" in
+      let y2 = measure path in
+      Alcotest.(check (array (float 0.0))) "store-served run bit-identical" y1 y2;
+      ci "nothing dispatched" dispatched0 (counter "fleet.dispatched");
+      ci "every response of every point put once" (puts0 + 12) (counter "fleet.store_puts");
       (* the fresh worker's own /metrics must report zero simulator runs *)
       let _, metrics = rpc path ~meth:"GET" ~target:"/metrics" () in
       let has sub =
@@ -449,8 +453,7 @@ let test_worker_feeds_store () =
         let rec go i = i + m <= n && (String.sub metrics i m = sub || go (i + 1)) in
         go 0
       in
-      cb "fresh worker simulated nothing" true (has "emc_measure_simulations 0");
-      cb "store hits recorded" true (has "emc_fleet_store_hits 12"))
+      cb "fresh worker simulated nothing" true (has "emc_measure_simulations 0"))
 
 (* ---------------- elastic membership ---------------- *)
 
@@ -487,10 +490,8 @@ let test_elastic_join_mid_run () =
       Some
         (fork_daemon (fun () ->
              ignore (Unix.select [] [] [] 0.3);
-             Fleet.run_worker
-               ~store:(Fleet.Unix_sock store_path)
-               ~register:(Fleet.Unix_sock store_path)
-               ~heartbeat:0.2 ~listen:(Fleet.Unix_sock worker_sock) ()))
+             Fleet.run_worker ~register:(Fleet.Unix_sock store_path) ~heartbeat:0.2
+               ~listen:(Fleet.Unix_sock worker_sock) ()))
   in
   run_through ~options:elastic_options ~before_fleet:spawn_worker_later [ "@" ^ store_path ];
   cb "the worker joined via membership" true (counter "fleet.workers_joined" > joined0);
@@ -669,6 +670,46 @@ let test_idle_clients_cannot_starve_heartbeats () =
     ignore (Unix.select [] [] [] 0.1)
   done
 
+(* A worker that stalls mid-response holds up only its own chunk. The
+   stub answers its first request with a cut-off head and sleeps: the
+   coordinator must keep collecting the healthy worker and steal the
+   stub's chunk long before the stub's read deadline. *)
+let test_stalled_worker () =
+  let stub = sock_path "stall" in
+  let pid =
+    fork_daemon (fun () ->
+        let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.bind lsock (Unix.ADDR_UNIX stub);
+        Unix.listen lsock 8;
+        let buf = Bytes.create 65536 in
+        let rec serve () =
+          let fd, _ = Unix.accept lsock in
+          (* the readiness probe connects and closes without a request *)
+          if Unix.read fd buf 0 (Bytes.length buf) = 0 then begin
+            Unix.close fd;
+            serve ()
+          end
+          else begin
+            ignore (Unix.write_substring fd "HTTP/1.1 200 OK\r\nContent-Le" 0 27);
+            Unix.sleep 3600
+          end
+        in
+        serve ())
+  in
+  Fun.protect ~finally:(fun () -> kill_daemon pid; rm_f stub) @@ fun () ->
+  wait_sock stub;
+  let steals0 = counter "fleet.steals" in
+  let t0 = ref 0.0 in
+  with_worker (fun live ->
+      run_through
+        ~options:
+          { Fleet.default_options with Fleet.chunk = 2; steal_after = 0.3; read_timeout = 6.0 }
+        ~before_fleet:(fun () -> t0 := Unix.gettimeofday ())
+        [ stub; live ]);
+  let took = Unix.gettimeofday () -. !t0 in
+  cb (Printf.sprintf "done before the stub's deadline (%.1f s)" took) true (took < 6.0);
+  cb "the stub's chunk was stolen" true (counter "fleet.steals" > steals0)
+
 (* ---------------- run journals ---------------- *)
 
 let with_run_dir f =
@@ -822,27 +863,10 @@ let test_connect_refused_is_typed () =
 (* ---------------- unresolvable hosts, TCP ---------------- *)
 
 (* A store host that does not resolve is a store failure like any other:
-   logged and simulated through, never a 500. *)
+   the coordinator logs its failed poll, lookup and puts and dispatches
+   through. *)
 let test_unresolvable_store () =
-  let w = Emc_workloads.Registry.find "mcf" in
-  let body =
-    Fleet.measure_body w ~variant:Emc_workloads.Workload.Train ~workload_scale:0.05
-      ~smarts:(small_scale 1).Scale.smarts (Array.map Params.configs_of_coded (design_points 3))
-  in
-  let measure path =
-    match
-      Http.call ~timeout:600.0 (Fleet.Unix_sock path) ~meth:"POST" ~path:"/measure"
-        ~headers:[ ("Content-Type", "application/json") ]
-        ~body ()
-    with
-    | Ok r ->
-        ci "/measure answers 200" 200 r.Http.status;
-        r.Http.resp_body
-    | Error e -> Alcotest.failf "/measure: %s" (Http.error_to_string e)
-  in
-  let plain = with_worker measure in
-  let through = with_worker ~store:(Fleet.Tcp ("no-such-host.invalid", 9)) measure in
-  cs "values bit-identical to a store-less worker" plain through
+  with_worker (fun live -> run_through [ live; "@no-such-host.invalid:9" ])
 
 (* A worker whose host does not resolve fails at connect like a refused
    one: only that worker is lost, its chunk runs elsewhere. *)
@@ -885,8 +909,9 @@ let suite =
      test_idle_clients_cannot_starve_heartbeats);
     ("dead worker: chunk retried elsewhere", `Slow, test_fleet_retries_dead_worker);
     ("dropped connection: chunk retried", `Slow, test_fleet_retries_dropped_connection);
+    ("stalled worker: chunk stolen, run goes on", `Slow, test_stalled_worker);
     ("all workers dead raises Fleet_error", `Quick, test_all_workers_dead);
-    ("shared store: fresh worker, zero simulations", `Slow, test_worker_feeds_store);
+    ("shared store: fresh worker, zero simulations", `Slow, test_coordinator_feeds_store);
     ("journal resume: zero re-simulation", `Slow, test_journal_resume);
     ("journal_info on unknown id", `Quick, test_journal_info_missing);
     ("cache stats and compaction", `Quick, test_cache_stats_and_compact);

@@ -297,6 +297,37 @@ let test_artifact_load_errors () =
       write path (Json.to_string bumped)
   | _ -> Alcotest.fail "artifact JSON is not an object");
   expect_load_error ~what:"future version" path "version 99";
+  (* a repr that does not fit the 3-parameter schema would raise, or drop
+     coordinates, at evaluation: it must not load, wherever it sits *)
+  let linear n =
+    Repr.Linear { interactions = true; beta = Array.make n 1.0; mu = 0.0; sd = 1.0 }
+  in
+  let rbf center =
+    Repr.Rbf
+      { kernel = Repr.Gaussian; centers = [| center |]; radii = [| 1.0 |];
+        weights = [| 0.0; 1.0 |]; mu = 0.0; sd = 1.0 }
+  in
+  let hinge = { Repr.dim = 99; knot = 0.0; positive = true } in
+  List.iter
+    (fun (what, bad, pattern) ->
+      Artifact.save bad path;
+      expect_load_error ~what path pattern)
+    [ ( "mars hinge on dimension 99",
+        { a with
+          Artifact.repr =
+            Repr.Mars
+              { bases = [| []; [ hinge ] |]; weights = [| 1.0; 1.0 |]; mu = 0.0; sd = 1.0 } },
+        "dimension 99" );
+      ( "rbf center cut to 2 coordinates",
+        { a with Artifact.repr = rbf [| 0.0; 0.0 |] },
+        "2 coordinates" );
+      ("linear beta cut to 5 coefficients", { a with Artifact.repr = linear 5 }, "5 coefficients");
+      ( "clamped rbf center with 5 extra coordinates",
+        { a with Artifact.repr = Repr.Clamp { lo = 0.0; hi = 1.0; body = rbf (Array.make 8 0.0) } },
+        "8 coordinates" );
+      ( "extra response beta with 10 extra coefficients",
+        { a with Artifact.extra = [ ("energy", linear 20) ] },
+        "\"energy\": linear: 20 coefficients" ) ];
   Sys.remove path;
   expect_load_error ~what:"missing file" path "no such file"
 
