@@ -32,7 +32,7 @@ let () =
               Emc_opt.Flags.o2 w.Workload.source
           in
           let arrays = w.Workload.arrays ~scale ~variant:Workload.Train in
-          let setup = Emc_core.Measure.setup_func arrays in
+          let setup f = Emc_sim.Func.load f arrays in
           let ooo = Emc_sim.Ooo.create cfg prog in
           setup (Emc_sim.Ooo.func ooo);
           let full_cycles = Emc_sim.Ooo.run_to_completion ooo in

@@ -82,7 +82,7 @@ let ablation_smarts (ctx : Experiments.ctx) =
       let march = Emc_sim.Config.typical in
       let prog = Measure.compile ctx.measure w flags ~issue_width:march.issue_width in
       let arrays = w.Workload.arrays ~scale:ctx.scale.Scale.workload_scale ~variant:Workload.Train in
-      let setup = Measure.setup_func arrays in
+      let setup f = Emc_sim.Func.load f arrays in
       let time f =
         let t0 = Unix.gettimeofday () in
         let r = f () in
@@ -135,6 +135,13 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
   let candidates = lazy (Emc_doe.Doe.lhs rng space 200) in
   let prog = lazy (Measure.compile ctx.measure gzip Emc_opt.Flags.o2 ~issue_width:4) in
   let arrays = lazy (gzip.Workload.arrays ~scale:0.05 ~variant:Workload.Train) in
+  (* mcf has the largest inputs, so its per-simulation set-up cost shows *)
+  let mcf =
+    lazy
+      (let w = Registry.find "mcf" in
+       ( Measure.compile ctx.measure w Emc_opt.Flags.o2 ~issue_width:march.issue_width,
+         w.Workload.arrays ~scale:Scale.tiny.Scale.workload_scale ~variant:Workload.Train ))
+  in
   let art =
     lazy
       (match
@@ -296,15 +303,21 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
           let prog = Lazy.force prog and arrays = Lazy.force arrays in
           Staged.stage (fun () ->
               let ooo = Emc_sim.Ooo.create march prog in
-              Emc_core.Measure.setup_func arrays (Emc_sim.Ooo.func ooo);
+              Emc_sim.Func.load (Emc_sim.Ooo.func ooo) arrays;
               Emc_sim.Ooo.run_detailed ooo ~instrs:50_000) );
       ( "measure/simulate-warming-50k",
         fun () ->
           let prog = Lazy.force prog and arrays = Lazy.force arrays in
           Staged.stage (fun () ->
               let ooo = Emc_sim.Ooo.create march prog in
-              Emc_core.Measure.setup_func arrays (Emc_sim.Ooo.func ooo);
+              Emc_sim.Func.load (Emc_sim.Ooo.func ooo) arrays;
               Emc_sim.Ooo.run_warming ooo ~instrs:50_000) );
+      ( "measure/simulate-setup-mcf",
+        fun () ->
+          let prog, arrays = Lazy.force mcf in
+          Staged.stage (fun () ->
+              let ooo = Emc_sim.Ooo.create march prog in
+              Emc_sim.Func.load (Emc_sim.Ooo.func ooo) arrays) );
       (* fleet wire format: the bit-exact hex-float JSONL record shared by
          --cache files, run journals and the store — encode plus reparse,
          the per-result overhead of distributing a measurement *)

@@ -443,5 +443,4 @@ let emit_program ~omit_frame_pointer (p : Ir.program) : Isa.program =
           insts.(base + i) <- inst)
         arr)
     pieces;
-  { Isa.insts; entry = 0; layout; globals = List.map (fun g -> (g.Ir.gname, g)) p.globals;
-    func_starts }
+  { Isa.insts; entry = 0; layout; func_starts }

@@ -23,6 +23,9 @@ type triple = { t_cycles : float; t_energy : float; t_code_size : float }
 type t = {
   scale : Scale.t;
   binaries : (string, Emc_isa.Isa.program) Hashtbl.t;
+  inputs : (string * Workload.variant, (string * Workload.data) list) Hashtbl.t;
+      (** generated once, shared by every simulation (loading copies them);
+          the key needs no scale, as [scale] is fixed *)
   results : (string, float) Hashtbl.t;
   cache : out_channel option;  (** append side of the persistent cache *)
   journal : out_channel option;  (** append side of the per-run journal *)
@@ -181,8 +184,8 @@ let create ?cache_file ?journal_file scale =
         let loaded = load_into results ~what:"run journal" path in
         (Some (open_append path), preloaded + loaded)
   in
-  { scale; binaries = Hashtbl.create 64; results; cache; journal; simulations = 0;
-    compiles = 0; binary_hits = 0; result_hits = 0; preloaded; remote = None }
+  { scale; binaries = Hashtbl.create 64; inputs = Hashtbl.create 8; results; cache; journal;
+    simulations = 0; compiles = 0; binary_hits = 0; result_hits = 0; preloaded; remote = None }
 
 let set_remote t remote = t.remote <- Some remote
 
@@ -210,13 +213,13 @@ let compile t (w : Workload.t) (flags : Emc_opt.Flags.t) ~issue_width =
       Hashtbl.replace t.binaries key prog;
       prog
 
-let setup_func arrays (f : Emc_sim.Func.t) =
-  List.iter
-    (fun (name, data) ->
-      match data with
-      | Workload.DInt a -> Array.iteri (fun i v -> Emc_sim.Func.set_global_int f name i v) a
-      | Workload.DFloat a -> Array.iteri (fun i v -> Emc_sim.Func.set_global_float f name i v) a)
-    arrays
+let inputs t (w : Workload.t) ~variant =
+  match Hashtbl.find_opt t.inputs (w.name, variant) with
+  | Some arrays -> arrays
+  | None ->
+      let arrays = w.arrays ~scale:t.scale.Scale.workload_scale ~variant in
+      Hashtbl.replace t.inputs (w.name, variant) arrays;
+      arrays
 
 (** Which system response to model. The paper's evaluation uses execution
     time; §2.2 points out the same machinery fits power consumption or code
@@ -246,8 +249,8 @@ let run_sim t (w : Workload.t) ~variant (flags : Emc_opt.Flags.t) (march : Emc_s
     "measure"
     (fun () ->
       let prog = compile t w flags ~issue_width:march.issue_width in
-      let arrays = w.arrays ~scale:t.scale.Scale.workload_scale ~variant in
-      let setup = setup_func arrays in
+      let arrays = inputs t w ~variant in
+      let setup f = Emc_sim.Func.load f arrays in
       let t0 = Unix.gettimeofday () in
       let r =
         Trace.with_span ~cat:"sim" "simulate" (fun () ->

@@ -25,6 +25,9 @@ type triple = { t_cycles : float; t_energy : float; t_code_size : float }
 type t = {
   scale : Scale.t;
   binaries : (string, Emc_isa.Isa.program) Hashtbl.t;
+  inputs :
+    (string * Emc_workloads.Workload.variant, (string * Emc_workloads.Workload.data) list) Hashtbl.t;
+      (** each workload variant's inputs, generated once at [scale] *)
   results : (string, float) Hashtbl.t;
   cache : out_channel option;  (** append side of the persistent cache *)
   journal : out_channel option;  (** append side of the per-run journal *)
@@ -68,9 +71,6 @@ val set_remote : t -> remote -> unit
 val compile :
   t -> Emc_workloads.Workload.t -> Emc_opt.Flags.t -> issue_width:int -> Emc_isa.Isa.program
 (** Memoized compilation of a workload at given flags/machine width. *)
-
-val setup_func : (string * Emc_workloads.Workload.data) list -> Emc_sim.Func.t -> unit
-(** Write a workload's input arrays into a functional simulator's memory. *)
 
 (** Which system response to model: the paper's evaluation uses execution
     time; §2.2 notes power and code size fit the same machinery. One

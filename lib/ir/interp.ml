@@ -46,12 +46,8 @@ let word addr =
   if addr land 7 <> 0 then raise (Trap (Trap.Unaligned_access addr));
   addr lsr 3
 
-let global_base st name = Memlayout.base st.layout name
-
-let set_global_int st name idx v = st.imem.(word (global_base st name + (idx * 8))) <- v
-let set_global_float st name idx v = st.mem.(word (global_base st name + (idx * 8))) <- v
-let get_global_int st name idx = st.imem.(word (global_base st name + (idx * 8)))
-let get_global_float st name idx = st.mem.(word (global_base st name + (idx * 8)))
+(** Write input arrays into memory; see {!Memlayout.load}. *)
+let load st inputs = Memlayout.load st.layout ~imem:st.imem ~fmem:st.mem inputs
 
 let eval_ibin op a b =
   match op with

@@ -4,27 +4,52 @@
     aligned so that cache behaviour is stable across compiler configurations.
     The stack occupies a separate region above the data segment. *)
 
-type t = { bases : (string * int) list; data_end : int }
+type data = DInt of int array | DFloat of float array
+
+type t = { globals : (Ir.global * int) list;  (** with byte bases *) data_end : int }
 
 let data_base = 0x1000
 let align64 x = (x + 63) land lnot 63
 
 let compute (p : Ir.program) =
   let addr = ref data_base in
-  let bases =
+  let globals =
     List.map
       (fun (g : Ir.global) ->
         let base = !addr in
         addr := align64 (base + (g.gsize * 8));
-        (g.gname, base))
+        (g, base))
       p.globals
   in
-  { bases; data_end = !addr }
+  { globals; data_end = !addr }
+
+let find t name = List.find_opt (fun ((g : Ir.global), _) -> g.gname = name) t.globals
 
 let base t name =
-  match List.assoc_opt name t.bases with
-  | Some b -> b
+  match find t name with
+  | Some (_, b) -> b
   | None -> invalid_arg ("Memlayout.base: unknown global " ^ name)
+
+(** Write each input into its global with one blit ([DInt] into [imem],
+    [DFloat] into [fmem]). Raises [Invalid_argument] naming an input that
+    names no global, has the other element type, or is longer than its global. *)
+let load t ~imem ~fmem inputs =
+  List.iter
+    (fun (name, data) ->
+      let fail why = invalid_arg (Printf.sprintf "Memlayout.load: input %s %s" name why) in
+      match find t name with
+      | None -> fail "names no global"
+      | Some (g, b) -> (
+          let blit src dst =
+            let n = Array.length src in
+            if n > g.gsize then fail (Printf.sprintf "has %d elements, global holds %d" n g.gsize);
+            Array.blit src 0 dst (b / 8) n
+          in
+          match (data, g.gty) with
+          | DInt a, Ir.I64 -> blit a imem
+          | DFloat a, Ir.F64 -> blit a fmem
+          | DInt _, Ir.F64 | DFloat _, Ir.I64 -> fail "has the other element type"))
+    inputs
 
 (** Stack region: grows downward from [stack_top]. Sized generously relative
     to the workloads (no deep recursion). *)

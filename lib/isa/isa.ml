@@ -167,9 +167,6 @@ let pp_inst fmt i =
 type program = {
   insts : inst array;
   entry : int;  (** pc of main *)
-  layout : Memlayout.t;
-  globals : (string * Ir.global) list;
+  layout : Memlayout.t;  (** globals, their addresses and the stack *)
   func_starts : (string * int) list;
 }
-
-let global_base (p : program) name = Memlayout.base p.layout name

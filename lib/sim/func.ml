@@ -65,10 +65,8 @@ let word addr =
   if addr land 7 <> 0 then raise (Trap (Emc_ir.Trap.Unaligned_access addr));
   addr lsr 3
 
-let set_global_int t name idx v = t.imem.(word (Isa.global_base t.prog name + (idx * 8))) <- v
-let set_global_float t name idx v = t.fmem.(word (Isa.global_base t.prog name + (idx * 8))) <- v
-let get_global_int t name idx = t.imem.(word (Isa.global_base t.prog name + (idx * 8)))
-let get_global_float t name idx = t.fmem.(word (Isa.global_base t.prog name + (idx * 8)))
+(** Write input arrays into memory; see {!Emc_ir.Memlayout.load}. *)
+let load t inputs = Emc_ir.Memlayout.load t.prog.Isa.layout ~imem:t.imem ~fmem:t.fmem inputs
 
 let outputs t = List.rev t.outputs
 let return_value t = t.regs.(Isa.r_ret)

@@ -8,7 +8,7 @@
     across every compiler/microarchitecture configuration (this is how the
     test suite validates the whole compiler+simulator stack). *)
 
-type data = DInt of int array | DFloat of float array
+type data = Emc_ir.Memlayout.data = DInt of int array | DFloat of float array
 
 type variant = Train | Ref
 

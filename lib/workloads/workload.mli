@@ -8,7 +8,7 @@
     must be bit-identical across compiler and microarchitecture
     configurations. *)
 
-type data = DInt of int array | DFloat of float array
+type data = Emc_ir.Memlayout.data = DInt of int array | DFloat of float array
 
 type variant = Train | Ref
 (** The paper's train/ref input distinction (§6.3, Table 7): models are

@@ -13,31 +13,11 @@ let fvalue_str = function
 (** Parse + typecheck + lower; raises on failure. *)
 let compile_ir src = Emc_lang.Minic.compile_exn src
 
-let set_interp_arrays st arrays =
-  List.iter
-    (fun (name, data) ->
-      match data with
-      | Emc_workloads.Workload.DInt a ->
-          Array.iteri (fun i v -> Emc_ir.Interp.set_global_int st name i v) a
-      | Emc_workloads.Workload.DFloat a ->
-          Array.iteri (fun i v -> Emc_ir.Interp.set_global_float st name i v) a)
-    arrays
-
-let set_func_arrays f arrays =
-  List.iter
-    (fun (name, data) ->
-      match data with
-      | Emc_workloads.Workload.DInt a ->
-          Array.iteri (fun i v -> Emc_sim.Func.set_global_int f name i v) a
-      | Emc_workloads.Workload.DFloat a ->
-          Array.iteri (fun i v -> Emc_sim.Func.set_global_float f name i v) a)
-    arrays
-
 (** Run the IR interpreter on [src]'s main; returns (ret, outputs-as-strings). *)
 let interp ?(arrays = []) src =
   let ir = compile_ir src in
   let st = Emc_ir.Interp.create ir in
-  set_interp_arrays st arrays;
+  Emc_ir.Interp.load st arrays;
   let res = Emc_ir.Interp.run st ~func:"main" ~args:[] in
   (res.ret, List.map value_str res.outputs)
 
@@ -63,7 +43,7 @@ let machine ?(arrays = []) ?(flags = Emc_opt.Flags.o0) ?(issue_width = 4) src =
     else prog
   in
   let f = Emc_sim.Func.create prog in
-  set_func_arrays f arrays;
+  Emc_sim.Func.load f arrays;
   ignore (Emc_sim.Func.run f);
   (Emc_sim.Func.return_value f, List.map fvalue_str (Emc_sim.Func.outputs f), prog)
 
@@ -85,7 +65,7 @@ let check_ir_preserve_semantics ?(arrays = []) ~what flags src =
   let opt = Emc_opt.Pipeline.optimize ~issue_width:4 flags ir in
   Emc_ir.Verify.check_program opt;
   let st = Emc_ir.Interp.create opt in
-  set_interp_arrays st arrays;
+  Emc_ir.Interp.load st arrays;
   let res = Emc_ir.Interp.run st ~func:"main" ~args:[] in
   Alcotest.(check (list string)) (what ^ ": outputs") ref_outs (List.map value_str res.outputs);
   match (ref_ret, res.ret) with

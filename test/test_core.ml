@@ -103,6 +103,31 @@ let test_measure_caches () =
   Alcotest.(check (float 0.0)) "cached result identical" c1 c2;
   ci "no new simulation" sims m.Measure.simulations
 
+(* Inputs are generated once per workload variant and shared by every
+   simulation of it, not regenerated per simulation. *)
+let test_measure_inputs_once () =
+  let module W = Emc_workloads.Workload in
+  let m = Measure.create { Scale.tiny with workload_scale = 0.05; jobs = 1 } in
+  let gzip = Emc_workloads.Registry.find "gzip" in
+  let calls = Hashtbl.create 2 in
+  let count variant = Option.value ~default:0 (Hashtbl.find_opt calls variant) in
+  let counting ~scale ~variant =
+    Hashtbl.replace calls variant (count variant + 1);
+    gzip.W.arrays ~scale ~variant
+  in
+  let w = { gzip with W.arrays = counting } in
+  let march i = { Emc_sim.Config.typical with mem_lat = 50 + (10 * i) } in
+  for i = 0 to 2 do
+    ignore (Measure.cycles m w ~variant:W.Train Emc_opt.Flags.o2 (march i))
+  done;
+  ignore
+    (Measure.cycles_many m w ~variant:W.Train
+       (Array.init 4 (fun i -> (Emc_opt.Flags.o2, march (3 + i)))));
+  ignore (Measure.cycles m w ~variant:W.Ref Emc_opt.Flags.o2 (march 0));
+  ci "simulations" 8 m.Measure.simulations;
+  ci "train inputs generated" 1 (count W.Train);
+  ci "ref inputs generated" 1 (count W.Ref)
+
 let test_measure_deterministic () =
   let run () =
     let m = small_measure () in
@@ -217,6 +242,7 @@ let suite =
     ("coded levels sorted", `Quick, test_coded_levels_sorted_distinct);
     ("scales", `Quick, test_scales);
     ("measure caches", `Quick, test_measure_caches);
+    ("inputs generated once per workload and variant", `Quick, test_measure_inputs_once);
     ("measure deterministic", `Quick, test_measure_deterministic);
     ("measure microarch sensitivity", `Quick, test_measure_sensitivity);
     ("measure flags matter", `Quick, test_measure_flags_matter);

@@ -365,7 +365,7 @@ let test_smarts_refinement_fires () =
   let w = Emc_workloads.Registry.find "gzip" in
   let arrays = w.Emc_workloads.Workload.arrays ~scale:0.3 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.Emc_workloads.Workload.source in
-  let setup f = Helpers.set_func_arrays f arrays in
+  let setup f = Emc_sim.Func.load f arrays in
   let before = Option.value ~default:0 (Metrics.counter_value "smarts.refinements") in
   let r =
     Emc_sim.Smarts.run_sampled

@@ -126,8 +126,7 @@ let test_memsys_prefetch_warms () =
 let dummy_layout = Emc_ir.Memlayout.compute { Emc_ir.Ir.funcs = []; globals = [] }
 
 let mk_prog insts =
-  { Isa.insts = Array.of_list insts; entry = 0; layout = dummy_layout; globals = [];
-    func_starts = [] }
+  { Isa.insts = Array.of_list insts; entry = 0; layout = dummy_layout; func_starts = [] }
 
 let run_prog insts =
   let f = Func.create (mk_prog insts) in
@@ -413,7 +412,7 @@ fn main() -> int {
   let cycles ?(arrays = []) src =
     let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays src in
     let ooo = Ooo.create Config.typical prog in
-    Helpers.set_func_arrays (Ooo.func ooo) arrays;
+    Func.load (Ooo.func ooo) arrays;
     let c = Ooo.run_to_completion ooo in
     (c, (Ooo.func ooo).Func.icount, ooo.Ooo.branch_mispredicts)
   in
@@ -423,12 +422,41 @@ fn main() -> int {
   ignore cpi_r;
   cb (Printf.sprintf "random branches mispredict more (%d vs %d)" mr mp) true (mr > 4 * mp + 50)
 
+(* Both machines load inputs through one checked blit: an input that
+   names no global, has the wrong element type, or overruns its global is
+   refused by name instead of spilling into a neighbour or vanishing into
+   the memory view the program never reads. *)
+let test_loader_contract () =
+  let src =
+    "int a[4]; int b[4]; float c[4]; fn main() -> int { out(b[0]); out(c[0]); return 0; }"
+  in
+  let module W = Emc_workloads.Workload in
+  let runs arrays =
+    [ ("interp", fun () -> Helpers.interp_outputs ~arrays src);
+      ("func", fun () -> let _, outs, _ = Helpers.machine ~arrays src in outs) ]
+  in
+  List.iter
+    (fun (name, data) ->
+      List.iter
+        (fun (machine, run) ->
+          match run () with
+          | _ -> Alcotest.failf "%s accepted input %s" machine name
+          | exception Invalid_argument m ->
+              cb (machine ^ " names " ^ name ^ ": " ^ m) true
+                (String.starts_with ~prefix:("Memlayout.load: input " ^ name ^ " ") m))
+        (runs [ (name, data) ]))
+    [ ("a", W.DInt (Array.make 9 9)); ("c", W.DInt [| 1 |]); ("zz", W.DInt [| 1 |]) ];
+  List.iter
+    (fun (machine, run) ->
+      Alcotest.(check (list string)) machine [ "7"; Printf.sprintf "%h" 2.5 ] (run ()))
+    (runs [ ("b", W.DInt [| 7 |]); ("c", W.DFloat [| 2.5 |]) ])
+
 (* SMARTS sampling estimates close to full simulation *)
 let test_smarts_accuracy () =
   let w = Emc_workloads.Registry.find "gzip" in
   let arrays = w.arrays ~scale:0.3 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.source in
-  let setup f = Helpers.set_func_arrays f arrays in
+  let setup f = Func.load f arrays in
   let full = Smarts.run_full Config.typical prog ~setup in
   let smp = Smarts.run_sampled Config.typical prog ~setup in
   let err = Float.abs (smp.Smarts.cycles -. full.Smarts.cycles) /. full.Smarts.cycles in
@@ -440,7 +468,7 @@ let test_smarts_interval_one_is_full () =
   let w = Emc_workloads.Registry.find "gzip" in
   let arrays = w.arrays ~scale:0.05 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o0 ~arrays w.source in
-  let setup f = Helpers.set_func_arrays f arrays in
+  let setup f = Func.load f arrays in
   let r =
     Smarts.run_sampled
       ~params:{ Smarts.default_params with interval = 1 }
@@ -455,7 +483,7 @@ let test_energy_breakdown_sums () =
   let arrays = w.arrays ~scale:0.05 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.source in
   let ooo = Ooo.create Config.typical prog in
-  Helpers.set_func_arrays (Ooo.func ooo) arrays;
+  Func.load (Ooo.func ooo) arrays;
   let cycles = float_of_int (Ooo.run_to_completion ooo) in
   let b = Energy.estimate ooo ~cycles in
   cb "total positive" true (b.Energy.total > 0.0);
@@ -472,7 +500,7 @@ let test_energy_tracks_memory_traffic () =
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.source in
   let energy l2 =
     let ooo = Ooo.create { Config.typical with l2_kb = l2 } prog in
-    Helpers.set_func_arrays (Ooo.func ooo) arrays;
+    Func.load (Ooo.func ooo) arrays;
     let cycles = float_of_int (Ooo.run_to_completion ooo) in
     (Energy.estimate ooo ~cycles).Energy.memory
   in
@@ -484,7 +512,7 @@ let test_smarts_reports_all_responses () =
   let w = Emc_workloads.Registry.find "vortex" in
   let arrays = w.arrays ~scale:0.05 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.source in
-  let r = Smarts.run_full Config.typical prog ~setup:(fun f -> Helpers.set_func_arrays f arrays) in
+  let r = Smarts.run_full Config.typical prog ~setup:(fun f -> Func.load f arrays) in
   cb "energy present" true (r.Smarts.energy > 0.0);
   ci "code size is the program size" (Array.length prog.Emc_isa.Isa.insts) r.Smarts.static_instrs
 
@@ -510,6 +538,7 @@ let suite =
     ("func branches", `Quick, test_func_branches);
     ("func call/ret", `Quick, test_func_call_ret);
     ("func floats", `Quick, test_func_float_bits);
+    ("loader contract on both machines", `Quick, test_loader_contract);
     ("ooo dependent chain", `Quick, test_ooo_dependent_chain_slower);
     ("ooo issue width", `Quick, test_ooo_issue_width_effect);
     ("ooo memory latency", `Quick, test_ooo_memory_latency_effect);

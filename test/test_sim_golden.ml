@@ -114,7 +114,7 @@ let check_golden g () =
   let arrays =
     w.Emc_workloads.Workload.arrays ~scale:g.g_scale ~variant:Emc_workloads.Workload.Train
   in
-  let setup = Emc_core.Measure.setup_func arrays in
+  let setup f = Func.load f arrays in
   let ooo = Ooo.create cfg prog in
   setup (Ooo.func ooo);
   let cycles = Ooo.run_to_completion ooo in

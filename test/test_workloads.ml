@@ -73,7 +73,7 @@ let test_scale_changes_work () =
         let arrays = w.arrays ~scale ~variant:Workload.Train in
         let ir = Helpers.compile_ir w.source in
         let st = Emc_ir.Interp.create ir in
-        Helpers.set_interp_arrays st arrays;
+        Emc_ir.Interp.load st arrays;
         (Emc_ir.Interp.run st ~func:"main" ~args:[]).Emc_ir.Interp.dyn_instrs
       in
       let small = dyn 0.05 and big = dyn 0.5 in
