@@ -135,7 +135,8 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
   let candidates = lazy (Emc_doe.Doe.lhs rng space 200) in
   let prog = lazy (Measure.compile ctx.measure gzip Emc_opt.Flags.o2 ~issue_width:4) in
   let arrays = lazy (gzip.Workload.arrays ~scale:0.05 ~variant:Workload.Train) in
-  (* mcf has the largest inputs, so its per-simulation set-up cost shows *)
+  (* mcf has the largest inputs and is memory-bound, so both its
+     per-simulation set-up cost and its idle detailed cycles show *)
   let mcf =
     lazy
       (let w = Registry.find "mcf" in
@@ -318,6 +319,13 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
           Staged.stage (fun () ->
               let ooo = Emc_sim.Ooo.create march prog in
               Emc_sim.Func.load (Emc_sim.Ooo.func ooo) arrays) );
+      ( "measure/simulate-detailed-mcf",
+        fun () ->
+          let prog, arrays = Lazy.force mcf in
+          Staged.stage (fun () ->
+              let ooo = Emc_sim.Ooo.create march prog in
+              Emc_sim.Func.load (Emc_sim.Ooo.func ooo) arrays;
+              Emc_sim.Ooo.run_detailed ooo ~instrs:50_000) );
       (* fleet wire format: the bit-exact hex-float JSONL record shared by
          --cache files, run journals and the store — encode plus reparse,
          the per-result overhead of distributing a measurement *)

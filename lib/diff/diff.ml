@@ -9,7 +9,10 @@
     - the functional simulator on generated machine code for the same
       configurations (the IR verifier also runs on every optimized body);
     - the out-of-order model's commit stream, at an unoptimized and a
-      heavily optimized point on distinct machine configurations.
+      heavily optimized point on distinct machine configurations;
+    - the out-of-order model's timing at the same two points: when the
+      per-cycle run ends cleanly, {!Emc_sim.Ooo.run_to_completion}, which
+      skips idle cycles, must reproduce every one of its counters.
 
     Outcomes (outputs, return value, trap category — see {!Oracle}) must be
     identical everywhere. The first level that disagrees is reported; the
@@ -77,7 +80,7 @@ let default_ooo =
     ("corner-max/constrained", corner_max, Emc_sim.Config.constrained);
   ]
 
-let checks_per_program configs ooo = 1 + (2 * List.length configs) + List.length ooo
+let checks_per_program configs ooo = 1 + (2 * List.length configs) + (2 * List.length ooo)
 
 let emit (flags : Flags.t) ~issue_width opt =
   let prog =
@@ -134,7 +137,16 @@ let check_source ?(semantics = Emc_ir.Interp.Ieee) ?(configs = default_configs)
             with
             | exception exn ->
                 fail ("compile[" ^ name ^ "]") "compiles" (Printexc.to_string exn)
-            | prog -> check ("ooo[" ^ name ^ "]") (Oracle.run_ooo cfg ~ret_ty prog))
+            | prog -> (
+                let out, stepped = Oracle.run_ooo cfg ~ret_ty prog in
+                check ("ooo[" ^ name ^ "]") out;
+                match stepped with
+                | Some stepped when !div = None ->
+                    let skipped = Oracle.ooo_timing cfg prog in
+                    if skipped <> stepped then
+                      fail ("ooo-timing[" ^ name ^ "]") (Oracle.render_counters stepped)
+                        (Oracle.render_counters skipped)
+                | _ -> ()))
         ooo;
       !div
 

@@ -2,7 +2,9 @@
 
     One {!outcome} record describes a complete run of a program at any
     level — IR interpreter, functional (architectural) simulator, or the
-    out-of-order timing model's commit stream. Everything is rendered to
+    out-of-order timing model's commit stream. The timing model's counters
+    are compared separately, between its per-cycle and idle-skipping run
+    loops ({!run_ooo}, {!ooo_timing}). Everything is rendered to
     strings up front so outcomes are marshal-safe (they cross the
     {!Emc_par} fork boundary) and so divergence reports are directly
     printable.
@@ -81,11 +83,14 @@ let run_func ~ret_ty (prog : Emc_isa.Isa.program) : outcome =
     clean ~ret:(ret ()) ~outputs:(List.map fvalue (Emc_sim.Func.outputs f))
   with Trap.Trap c -> trapped c ~outputs:(List.map fvalue (Emc_sim.Func.outputs f))
 
-(** Run the same machine code through the detailed out-of-order model and
-    read the architectural state it drove. A cycle cap turns a deadlocked
-    pipeline (RUU never draining) into an [out-of-fuel] outcome instead of a
-    hang, so scheduler bugs surface as divergences. *)
-let run_ooo (cfg : Emc_sim.Config.t) ~ret_ty (prog : Emc_isa.Isa.program) : outcome =
+(** Run the same machine code through the detailed out-of-order model one
+    {!Emc_sim.Ooo.step_cycle} at a time and read the architectural state it
+    drove. A cycle cap turns a deadlocked pipeline (RUU never draining) into
+    an [out-of-fuel] outcome instead of a hang, so scheduler bugs surface as
+    divergences. A run that ends cleanly also returns its
+    {!Emc_sim.Ooo.counters}, the per-cycle reference for {!ooo_timing}. *)
+let run_ooo (cfg : Emc_sim.Config.t) ~ret_ty (prog : Emc_isa.Isa.program) :
+    outcome * (string * int) list option =
   let o = Emc_sim.Ooo.create cfg prog in
   let f = Emc_sim.Ooo.func o in
   let outputs () = List.map fvalue (Emc_sim.Func.outputs f) in
@@ -95,7 +100,7 @@ let run_ooo (cfg : Emc_sim.Config.t) ~ret_ty (prog : Emc_isa.Isa.program) : outc
       Emc_sim.Ooo.step_cycle o;
       incr cycles
     done;
-    if Emc_sim.Ooo.busy o then trapped Trap.Out_of_fuel ~outputs:(outputs ())
+    if Emc_sim.Ooo.busy o then (trapped Trap.Out_of_fuel ~outputs:(outputs ()), None)
     else
       let ret =
         match ret_ty with
@@ -103,5 +108,16 @@ let run_ooo (cfg : Emc_sim.Config.t) ~ret_ty (prog : Emc_isa.Isa.program) : outc
         | Some Ir.F64 -> Some (fstr (Emc_sim.Func.getf f Emc_isa.Isa.f_ret))
         | None -> None
       in
-      clean ~ret ~outputs:(outputs ())
-  with Trap.Trap c -> trapped c ~outputs:(outputs ())
+      (clean ~ret ~outputs:(outputs ()), Some (Emc_sim.Ooo.counters o))
+  with Trap.Trap c -> (trapped c ~outputs:(outputs ()), None)
+
+(** The counters of the same machine code run by
+    {!Emc_sim.Ooo.run_to_completion}, which jumps over cycles in which no
+    stage can act. Only called on programs whose per-cycle run ended
+    cleanly, so it neither traps nor hangs. *)
+let ooo_timing (cfg : Emc_sim.Config.t) (prog : Emc_isa.Isa.program) =
+  let o = Emc_sim.Ooo.create cfg prog in
+  ignore (Emc_sim.Ooo.run_to_completion o);
+  Emc_sim.Ooo.counters o
+
+let render_counters cs = String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) cs)

@@ -34,10 +34,12 @@ open Emc_isa
     {2 Scheduling data structures}
 
     The per-cycle loop is scan-free; every stage runs in time proportional
-    to the work it actually performs, not to the RUU size. Cycle counts are
-    bit-identical to the straightforward scan-everything formulation (the
-    golden tests in [test_sim_golden] and the differential fuzzer enforce
-    this):
+    to the work it actually performs, not to the RUU size, and cycles in
+    which no stage can act are not stepped at all. Cycle counts are
+    bit-identical to the straightforward scan-everything, cycle-by-cycle
+    formulation (the golden tests in [test_sim_golden], the
+    "idle-cycle skip is cycle-exact" test and the differential fuzzer's
+    [ooo-timing] level enforce this):
 
     - {b completion calendar}: issuing an entry pushes [(seq, slot)] into a
       power-of-two timing wheel bucket keyed by [complete_at]. Writeback
@@ -66,6 +68,21 @@ open Emc_isa
     - {b fetch ring}: the fetch queue is a preallocated ring of
       [ifq_size] slots each embedding a {!Func.dynbuf}; together with
       {!Func.step_into} the front end allocates nothing per instruction.
+    - {b idle-cycle skip}: {!run_detailed} and {!run_to_completion} call
+      {!skip_idle} before every {!step_cycle}. A cycle is idle when all
+      five stages are stuck: writeback's calendar bucket is empty; the RUU
+      is empty or its head has not completed; the ready set is empty;
+      the fetch queue is empty or the RUU full; and fetch is done, its
+      queue full, or it is blocked on a branch or until a later cycle. An
+      idle cycle changes nothing but [cycle] and the three stall counters,
+      so every cycle after it is idle too until a calendar bucket falls due
+      or fetch unblocks. The skip jumps straight to the earlier of those
+      two cycles and credits the stall counters as the per-cycle loop
+      would, so every cycle and counter is unchanged. A bucket holding only
+      events stranded by [flush_timing] just ends a skip early; writeback
+      sets [state = 2] only at [complete_at], so the commit condition
+      cannot hide a due commit. [step_cycle] still simulates exactly one
+      cycle and is the reference the skip is tested against.
 
     All ring/wheel arithmetic uses power-of-two masks or wrap compares —
     there is no [mod]/[div] left on a per-cycle or per-instruction path. *)
@@ -152,6 +169,9 @@ type t = {
   mutable fetch_stall_cycles : int;
   mutable issue_stall_cycles : int;
   mutable commit_stall_cycles : int;
+  mutable skipped_cycles : int;
+      (** cycles {!skip_idle} jumped over; not in {!counters}, whose keys the
+          golden tests pin *)
 }
 
 let fresh_entry () =
@@ -234,6 +254,7 @@ let create (cfg : Config.t) (prog : Isa.program) =
     fetch_stall_cycles = 0;
     issue_stall_cycles = 0;
     commit_stall_cycles = 0;
+    skipped_cycles = 0;
   }
 
 let func t = t.func
@@ -625,6 +646,46 @@ let step_cycle t =
     t.fetch_stall_cycles <- t.fetch_stall_cycles + 1;
   t.cycle <- t.cycle + 1
 
+let ready_empty t =
+  let r = t.ready in
+  let i = ref 0 in
+  while !i < Array.length r && r.(!i) = 0 do
+    incr i
+  done;
+  !i = Array.length r
+
+(* Jump [t.cycle] over cycles in which no stage can act (see "idle-cycle
+   skip" in the header), crediting the stall counters exactly as
+   [step_cycle] would have. The skip ends at the first non-empty calendar
+   bucket or at a future [fetch_blocked_until], whichever comes first; with
+   neither there is nothing to jump to and the cycle is left alone. *)
+let skip_idle t =
+  let c = t.cycle and fbu = t.fetch_blocked_until in
+  if
+    t.cal_len.(c land t.cal_mask) = 0
+    && (t.count = 0 || t.ruu.(t.head).state <> 2)
+    && (t.ifq_len = 0 || t.count = t.size)
+    && (t.trace_done || t.ifq_len = ifq_size || fbu < 0 || fbu > c)
+    && ready_empty t
+  then begin
+    (* the wheel spans every pending latency: [cal_mask] buckets cover it *)
+    let stop = if fbu > c then fbu else max_int and last = c + t.cal_mask in
+    let k = ref (c + 1) in
+    while !k < stop && !k <= last && t.cal_len.(!k land t.cal_mask) = 0 do
+      incr k
+    done;
+    if !k <= last || !k = stop then begin
+      let n = !k - c in
+      if t.count > 0 then begin
+        t.commit_stall_cycles <- t.commit_stall_cycles + n;
+        t.issue_stall_cycles <- t.issue_stall_cycles + n
+      end;
+      if not t.trace_done then t.fetch_stall_cycles <- t.fetch_stall_cycles + n;
+      t.skipped_cycles <- t.skipped_cycles + n;
+      t.cycle <- !k
+    end
+  end
+
 let busy t = t.count > 0 || t.ifq_len > 0 || not t.trace_done
 
 (** Per-run performance counters — the raw material of the telemetry layer
@@ -653,6 +714,7 @@ let counters t =
 let run_detailed t ~instrs =
   let start = t.detail_instrs in
   while busy t && t.detail_instrs - start < instrs do
+    skip_idle t;
     step_cycle t
   done
 
@@ -679,6 +741,7 @@ let flush_timing t =
 (** Run the whole program in detailed mode; returns total cycles. *)
 let run_to_completion t =
   while busy t do
+    skip_idle t;
     step_cycle t
   done;
   t.cycle

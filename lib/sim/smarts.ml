@@ -59,6 +59,12 @@ let h_units = Metrics.histogram "smarts.sampled_units"
    GA searches, which complete thousands of short sampled runs. *)
 let sim_handles : Metrics.counter list ref = ref []
 
+(* Outside [Ooo.counters]: cycles the idle-cycle skip jumped over (already
+   counted in [sim.cycles]), and detailed instructions of attempts a
+   refinement throws away ([sim.detail_instrs] counts final attempts only). *)
+let m_skipped = Metrics.counter "sim.skipped_cycles"
+let m_discarded = Metrics.counter "smarts.discarded_detail_instrs"
+
 (* Fold one finished run's simulator counters into the global registry and
    record the sampling quality actually achieved. *)
 let record_run ooo (r : result) =
@@ -67,6 +73,7 @@ let record_run ooo (r : result) =
   if !sim_handles = [] then
     sim_handles := List.map (fun (k, _) -> Metrics.counter ("sim." ^ k)) cs;
   List.iter2 (fun (_, v) h -> Metrics.add h v) cs !sim_handles;
+  Metrics.add m_skipped ooo.Ooo.skipped_cycles;
   Metrics.observe h_ci r.ci_rel;
   Metrics.set g_ci r.ci_rel;
   if not r.detailed then Metrics.observe h_units (float_of_int r.sampled_units);
@@ -150,6 +157,7 @@ let run_sampled ?(params = default_params) (cfg : Config.t) (prog : Emc_isa.Isa.
           if ci > params.target_ci && refinements < params.max_refinements && interval > 1
           then begin
             Metrics.incr m_refinements;
+            Metrics.add m_discarded ooo.Ooo.detail_instrs;
             Log.debug ~src:"smarts"
               ~fields:[ ("ci_rel", Emc_obs.Json.Float ci); ("units", Emc_obs.Json.Int n) ]
               "ci %.4f above target %.4f: halving interval %d -> %d" ci params.target_ci

@@ -476,6 +476,107 @@ let test_smarts_interval_one_is_full () =
   in
   cb "degenerates to detailed" true r.Smarts.detailed
 
+(* ---------------- idle-cycle skip ---------------- *)
+
+(* [run_detailed] and [run_to_completion] jump over cycles in which no
+   stage can act; [step_cycle] alone simulates one cycle at a time and is
+   the reference. Whole runs and SMARTS-shaped interleavings of detailed
+   windows, flushes and warming must agree on every cycle and counter. *)
+let step_detailed o ~instrs =
+  let start = o.Ooo.detail_instrs in
+  while Ooo.busy o && o.Ooo.detail_instrs - start < instrs do
+    Ooo.step_cycle o
+  done
+
+let random_march seed =
+  let rng = Emc_util.Rng.create seed in
+  let pick (s : Emc_core.Params.spec) = s.levels.(Emc_util.Rng.int rng (Array.length s.levels)) in
+  Emc_core.Params.to_march
+    (Array.append (Emc_core.Params.of_flags Emc_opt.Flags.o2)
+       (Array.map pick Emc_core.Params.march_specs))
+
+let test_skip_idle_cycle_exact () =
+  let scale = Emc_core.Scale.tiny.Emc_core.Scale.workload_scale in
+  let configs =
+    Config.named @ [ ("random-1", random_march 1); ("random-2", random_march 2) ]
+  in
+  let mcf = (Emc_workloads.Registry.find "mcf").name
+  and gzip = (Emc_workloads.Registry.find "gzip").name in
+  let mcf_skipped = ref 0 in
+  List.iter
+    (fun (w : Emc_workloads.Workload.t) ->
+      let arrays = w.arrays ~scale ~variant:Emc_workloads.Workload.Train in
+      let compile issue_width =
+        Emc_codegen.Compiler.compile_source ~issue_width Emc_opt.Flags.o2 w.source
+      in
+      let progs = List.map (fun width -> (width, lazy (compile width))) [ 2; 4 ] in
+      let fresh cfg =
+        let o = Ooo.create cfg (Lazy.force (List.assoc cfg.Config.issue_width progs)) in
+        Func.load (Ooo.func o) arrays;
+        o
+      in
+      List.iter
+        (fun (cname, cfg) ->
+          let what = w.name ^ " @ " ^ cname in
+          let skip = fresh cfg and step = fresh cfg in
+          let cycles = Ooo.run_to_completion skip in
+          while Ooo.busy step do
+            Ooo.step_cycle step
+          done;
+          ci (what ^ ": cycles") step.Ooo.cycle cycles;
+          Alcotest.(check (list (pair string int))) (what ^ ": counters") (Ooo.counters step)
+            (Ooo.counters skip);
+          if w.name = mcf && cname = "typical" then mcf_skipped := skip.Ooo.skipped_cycles;
+          if cname = "typical" && (w.name = mcf || w.name = gzip) then begin
+            (* warming units with a detailed warm-up + unit window every
+               fourth unit, each window followed by a flush *)
+            let skip = fresh cfg and step = fresh cfg in
+            let unit = ref 0 in
+            while Ooo.busy skip do
+              if !unit mod 4 = 3 then begin
+                List.iter
+                  (fun instrs ->
+                    Ooo.run_detailed skip ~instrs;
+                    step_detailed step ~instrs)
+                  [ 1000; 1000 ];
+                Ooo.flush_timing skip;
+                Ooo.flush_timing step;
+                Alcotest.(check (list (pair string int)))
+                  (Printf.sprintf "%s: counters after window %d" what (!unit / 4))
+                  (Ooo.counters step) (Ooo.counters skip)
+              end
+              else begin
+                Ooo.run_warming skip ~instrs:1000;
+                Ooo.run_warming step ~instrs:1000
+              end;
+              incr unit
+            done;
+            cb (what ^ ": both interleavings end together") false (Ooo.busy step)
+          end)
+        configs)
+    Emc_workloads.Registry.all;
+  cb (Printf.sprintf "mcf skipped cycles (%d)" !mcf_skipped) true (!mcf_skipped > 0)
+
+(* One sampled mcf run records how many cycles the skip jumped over and how
+   many detailed instructions the refinements threw away. *)
+let test_smarts_skip_and_discard_counters () =
+  let w = Emc_workloads.Registry.find "mcf" in
+  let arrays =
+    w.arrays ~scale:Emc_core.Scale.tiny.Emc_core.Scale.workload_scale
+      ~variant:Emc_workloads.Workload.Train
+  in
+  let prog = Emc_codegen.Compiler.compile_source ~issue_width:4 Emc_opt.Flags.o2 w.source in
+  let value name = Option.value ~default:0 (Emc_obs.Metrics.counter_value name) in
+  let skipped0 = value "sim.skipped_cycles"
+  and discarded0 = value "smarts.discarded_detail_instrs"
+  and refinements0 = value "smarts.refinements" in
+  let r = Smarts.run_sampled Config.typical prog ~setup:(fun f -> Func.load f arrays) in
+  cb "sampled" false r.Smarts.detailed;
+  cb "skipped cycles recorded" true (value "sim.skipped_cycles" > skipped0);
+  cb "refined" true (value "smarts.refinements" > refinements0);
+  cb "discarded detailed instructions recorded" true
+    (value "smarts.discarded_detail_instrs" > discarded0)
+
 (* ---------------- energy model ---------------- *)
 
 let test_energy_breakdown_sums () =
@@ -551,4 +652,6 @@ let suite =
     ("branch prediction effect", `Quick, test_branch_prediction_effect);
     ("smarts accuracy", `Quick, test_smarts_accuracy);
     ("smarts interval=1", `Quick, test_smarts_interval_one_is_full);
+    ("idle-cycle skip is cycle-exact", `Quick, test_skip_idle_cycle_exact);
+    ("smarts counts skipped and discarded work", `Quick, test_smarts_skip_and_discard_counters);
   ]
