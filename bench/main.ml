@@ -476,14 +476,13 @@ let () =
     | Some j -> { (Scale.of_env ()) with Scale.jobs = j }
     | None -> Scale.of_env ()
   in
-  let ctx = Experiments.create ~scale () in
+  let cache_file = Sys.getenv_opt "EMC_CACHE" in
+  let ctx = Experiments.create ~scale ?cache_file () in
   Printf.printf
     "EMC reproduction harness — scale=%s (train=%d, test=%d, workload-scale=%.2f, jobs=%d%s)\n%!"
     ctx.scale.Scale.name ctx.scale.Scale.train_n ctx.scale.Scale.test_n
     ctx.scale.Scale.workload_scale ctx.scale.Scale.jobs
-    (match Sys.getenv_opt "EMC_CACHE" with
-     | Some f -> Printf.sprintf ", cache=%s" f
-     | None -> "");
+    (match cache_file with Some f -> Printf.sprintf ", cache=%s" f | None -> "");
   if not bechamel_only then begin
     phase "Parameter space" (fun () ->
         Experiments.print_parameters ();

@@ -60,7 +60,9 @@ let jobs_arg =
 let cache_arg =
   let doc =
     "Persistent measurement result cache (JSONL). Loaded on startup and appended on every \
-     new simulation, so a warm re-run performs zero simulations. Defaults to EMC_CACHE."
+     new simulation, so a warm re-run performs zero simulations. Entries name their \
+     protocol (input scale, SMARTS parameters, simulator version) and load only under it. \
+     Defaults to EMC_CACHE."
   in
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE" ~doc)
 
@@ -102,9 +104,10 @@ let fleet_opts_arg =
 
 let run_id_arg =
   let doc =
-    "Resumable run: journal every completed measurement to EMC_RUN_DIR/$(docv).jsonl and \
-     preload that journal on startup, so re-running a killed run with the same id \
-     re-simulates nothing ($(b,emc fleet-resume) inspects or re-executes a journal)."
+    "Resumable run: EMC_RUN_DIR/$(docv).jsonl is the run's result file in place of \
+     --cache (giving both is an error). Every completed measurement is appended to it and \
+     it is preloaded on startup, so re-running a killed run with the same id re-simulates \
+     nothing ($(b,emc fleet-resume) inspects or re-executes a journal)."
   in
   Arg.(value & opt (some string) None & info [ "run-id" ] ~docv:"ID" ~doc)
 
@@ -121,10 +124,19 @@ let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("emc: " ^ msg); exit 1)
 let parse_fleet_spec spec =
   match Fleet.parse_fleet spec with Ok addrs -> addrs | Error e -> die "--fleet: %s" e
 
+(* The one result file of a measuring run: the --run-id journal, else
+   --cache, else EMC_CACHE. *)
+let result_file ?run_id cache =
+  match (run_id, cache) with
+  | Some _, Some _ -> die "--cache and --run-id exclude each other: a run's journal is its cache"
+  | Some id, None -> Some (Fleet.journal_init ~run_id:id ~argv:Sys.argv)
+  | None, Some _ -> cache
+  | None, None -> Sys.getenv_opt "EMC_CACHE"
+
 (* Experiment-context setup shared by every measuring subcommand: resolve
-   --run-id into a preloaded journal, then point the measure at the fleet
-   when one is configured. [fleet] is the (--fleet, --chunk, --depth)
-   triple from fleet_opts_arg. *)
+   the result file, then point the measure at the fleet when one is
+   configured. [fleet] is the (--fleet, --chunk, --depth) triple from
+   fleet_opts_arg. *)
 let make_ctx ~seed ~scale ?cache_file ~fleet:(fleet, chunk, depth) ~run_id () =
   (match chunk with
   | Some c when c <= 0 -> die "--chunk must be positive (omit it for auto sizing), not %d" c
@@ -132,10 +144,7 @@ let make_ctx ~seed ~scale ?cache_file ~fleet:(fleet, chunk, depth) ~run_id () =
   (match depth with
   | Some d when d < 1 -> die "--depth must be at least 1, not %d" d
   | _ -> ());
-  let journal_file =
-    Option.map (fun id -> Fleet.journal_init ~run_id:id ~argv:Sys.argv) run_id
-  in
-  let ctx = Experiments.create ~seed ~scale ?cache_file ?journal_file () in
+  let ctx = Experiments.create ~seed ~scale ?cache_file:(result_file ?run_id cache_file) () in
   (match
      match fleet with Some s -> Some s | None -> Sys.getenv_opt "EMC_FLEET"
    with
@@ -233,7 +242,7 @@ let simulate_cmd =
         let march = parse_config cname in
         let scale = parse_scale scale in
         let m =
-          Measure.create ?cache_file:cache
+          Measure.create ?cache_file:(result_file cache)
             { scale with smarts = (if full_detail then None else scale.smarts) }
         in
         let t0 = Unix.gettimeofday () in
@@ -705,7 +714,8 @@ let search_cmd =
           | Some path ->
               (* the artifact replaces training; a Measure is only created
                  lazily if --validate asks for real measurements *)
-              (lazy (Measure.create ?cache_file:cache scale), Artifact.model (load_artifact path))
+              ( lazy (Measure.create ?cache_file:(result_file cache) scale),
+                Artifact.model (load_artifact path) )
           | None ->
               let ctx = make_ctx ~seed ~scale ?cache_file:cache ~fleet ~run_id () in
               let d = Experiments.prepare ctx w in
@@ -924,7 +934,7 @@ let fleet_worker_cmd =
                    matches these options: SIGTERM, wait for in-flight requests to finish \
                    and the pidfile to disappear, then exit 0.")
   in
-  let run port socket jobs cache register advertise heartbeat pidfile drain trace metrics =
+  let run port socket jobs register advertise heartbeat pidfile drain trace metrics =
     with_obs trace metrics (fun () ->
         let listen = addr_of_args port socket in
         if drain then begin
@@ -948,8 +958,7 @@ let fleet_worker_cmd =
           in
           if heartbeat <= 0.0 then die "--heartbeat must be positive";
           let jobs = match jobs with Some j -> j | None -> Scale.jobs_of_env () in
-          Fleet.run_worker ~jobs ?cache_file:cache ?register ?advertise ~heartbeat ?pidfile
-            ~listen ()
+          Fleet.run_worker ~jobs ?register ?advertise ~heartbeat ?pidfile ~listen ()
         end)
   in
   Cmd.v
@@ -958,7 +967,7 @@ let fleet_worker_cmd =
              all three responses per point out, bit-exact hex floats), /healthz, /metrics. \
              With --register it joins an elastic fleet; with --drain it gracefully stops \
              a running one.")
-    Term.(const run $ daemon_port_arg $ daemon_socket_arg $ jobs_arg $ cache_arg
+    Term.(const run $ daemon_port_arg $ daemon_socket_arg $ jobs_arg
           $ register_arg $ advertise_arg $ heartbeat_arg $ pidfile_arg $ drain_arg
           $ trace_arg $ metrics_arg)
 
@@ -987,8 +996,9 @@ let fleet_store_cmd =
   let file_arg =
     Arg.(value & opt (some string) None
          & info [ "file" ] ~docv:"FILE"
-             ~doc:"Persist the store in --cache JSONL format: loaded on start, appended per \
-                   new key — a store file is also a valid --cache / $(b,emc cache) target.")
+             ~doc:"Persist the store in the --cache JSONL line format: loaded on start, \
+                   appended per new key; $(b,emc cache) reads it. Its keys are not filed \
+                   under a measurement protocol, so --cache does not load them.")
   in
   let run port socket file trace metrics =
     with_obs trace metrics (fun () ->
@@ -996,8 +1006,9 @@ let fleet_store_cmd =
   in
   Cmd.v
     (Cmd.info "fleet-store"
-       ~doc:"Run the content-addressed result store: POST /lookup, POST /put, GET /get?k=, \
-             keyed by the measurement result key shared with --cache files and run journals.")
+       ~doc:"Run the content-addressed result store: POST /lookup and POST /put, keyed by \
+             the bare measurement result key (the fleet coordinator is its only client), plus \
+             the fleet's membership table (POST /register, POST /deregister, GET /members).")
     Term.(const run $ daemon_port_arg $ daemon_socket_arg $ file_arg $ trace_arg $ metrics_arg)
 
 let fleet_resume_cmd =

@@ -25,10 +25,9 @@ type ctx = {
   mutable wdata : (string * wdata) list;
 }
 
-let create ?(seed = 42) ?scale ?cache_file ?journal_file () =
+let create ?(seed = 42) ?scale ?cache_file () =
   let scale = match scale with Some s -> s | None -> Scale.of_env () in
-  { scale; measure = Measure.create ?cache_file ?journal_file scale; rng = Rng.create seed;
-    wdata = [] }
+  { scale; measure = Measure.create ?cache_file scale; rng = Rng.create seed; wdata = [] }
 
 let short_name (w : Workload.t) =
   match String.index_opt w.name '.' with

@@ -8,13 +8,14 @@ open Emc_workloads
 
     Compiled binaries are memoized per (workload, flags, issue-width) and
     measurements per full configuration — D-optimal designs repeat corner
-    points, and searches revisit configurations. The measurement memo can
-    additionally be backed by a persistent on-disk cache (JSONL, one
-    key/value pair per line) that is loaded at {!create} and appended on
-    every fresh simulation, so a re-run of an experiment against a warm
-    cache performs zero simulations. Batches of independent design points
-    ({!respond_many} and friends) fan out across [scale.jobs] forked worker
-    processes via {!Emc_par.Par}. *)
+    points, and searches revisit configurations. Every miss goes through
+    {!respond_many}, which resolves it in process, across [scale.jobs]
+    forked children ({!Emc_par.Par}) or through an attached fleet, then
+    memoizes, persists and counts it in one place. The memo can be backed
+    by one result file (JSONL, one key/value pair per line, keys signed
+    with the protocol's {!Scale.signature}) that is loaded at {!create}
+    and appended on every fresh simulation, so a re-run of an experiment
+    against it performs zero simulations. *)
 
 (** All three responses of one simulated design point — what crosses the
     wire between a fleet coordinator and its workers. *)
@@ -22,21 +23,21 @@ type triple = { t_cycles : float; t_energy : float; t_code_size : float }
 
 type t = {
   scale : Scale.t;
-  binaries : (string, Emc_isa.Isa.program) Hashtbl.t;
+  binaries : (string, Emc_isa.Isa.program Lazy.t) Hashtbl.t;
+      (** lazy builds: a request counts, only forcing compiles *)
   inputs : (string * Workload.variant, (string * Workload.data) list) Hashtbl.t;
       (** generated once, shared by every simulation (loading copies them);
           the key needs no scale, as [scale] is fixed *)
   results : (string, float) Hashtbl.t;
-  cache : out_channel option;  (** append side of the persistent cache *)
-  journal : out_channel option;  (** append side of the per-run journal *)
+  cache : out_channel option;  (** append side of the result file *)
   mutable simulations : int;  (** actual simulator runs (cache misses) *)
   mutable compiles : int;
   mutable binary_hits : int;  (** compile requests served from the memo *)
   mutable result_hits : int;  (** measurements served from the memo *)
-  mutable preloaded : int;  (** results loaded from the persistent cache *)
+  mutable preloaded : int;  (** results loaded from the result file *)
   mutable remote : remote option;
-      (** when set (by [Fleet.attach]), batch cache misses are resolved by
-          this function instead of local simulation *)
+      (** when set (by [Fleet.attach]), cache misses are resolved by this
+          function instead of local simulation *)
 }
 
 and remote =
@@ -60,7 +61,7 @@ let m_preloaded = Metrics.counter "measure.cache_preloaded"
    in any experiment's metrics dump, not just in the bench harness. *)
 let h_sim_seconds = Metrics.histogram "measure.sim_seconds"
 
-(* ---------------- persistent result cache ---------------- *)
+(* ---------------- persistent result file ---------------- *)
 
 (* One JSON object per line. The value is a hex float literal (%h) rather
    than a JSON number: decimal printing is lossy and the cache must
@@ -104,41 +105,48 @@ let ends_with_newline path =
       close_in ic;
       r
 
-let cache_load results path =
-  if not (Sys.file_exists path) then (0, 0)
-  else begin
+(* Every non-blank line of a JSONL file, in order; a missing file has none. *)
+let iter_lines path f =
+  if Sys.file_exists path then begin
     let ic = open_in path in
-    let loaded = ref 0 and bad = ref 0 in
     (try
        while true do
          let line = input_line ic in
-         if String.trim line <> "" then
-           match cache_entry_of_line line with
-           | `Entry (k, v) ->
-               Hashtbl.replace results k v;
-               incr loaded
-           | `Header -> ()
-           | `Malformed -> incr bad
+         if String.trim line <> "" then f line
        done
      with End_of_file -> ());
-    close_in ic;
-    (!loaded, !bad)
+    close_in ic
   end
+
+(* Load the entries of [path] into [results] under the key [key] maps each
+   one's to, returning (loaded, malformed, rejected): entries [key] maps to
+   [None] are rejected. *)
+let load_entries ~key results path =
+  let loaded = ref 0 and bad = ref 0 and rejected = ref 0 in
+  iter_lines path (fun line ->
+      match cache_entry_of_line line with
+      | `Entry (k, v) -> (
+          match key k with
+          | Some k ->
+              Hashtbl.replace results k v;
+              incr loaded
+          | None -> incr rejected)
+      | `Header -> ()
+      | `Malformed -> incr bad);
+  (!loaded, !bad, !rejected)
+
+let cache_load results path =
+  let loaded, bad, _ = load_entries ~key:Option.some results path in
+  (loaded, bad)
 
 let append_line oc line =
   output_string oc line;
   output_char oc '\n';
   flush oc
 
-let cache_append t key v =
-  let line = lazy (cache_line key v) in
-  let put = function None -> () | Some oc -> append_line oc (Lazy.force line) in
-  put t.cache;
-  put t.journal
-
 (* Open the append side of a JSONL file, first terminating any torn
    trailing line so appended records start on a fresh line. *)
-let open_append path =
+let cache_open_append path =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
   if not (ends_with_newline path) then begin
     Emc_obs.Log.warn ~src:"measure"
@@ -149,50 +157,49 @@ let open_append path =
   end;
   oc
 
-let cache_open_append = open_append
+(* A persisted result names the protocol that measured it: its "k" is
+   SIG#KEY, SIG being the Measure's [Scale.signature]. The signature sits
+   inside the key so that `emc cache` dedup and compaction keep one entry
+   per protocol; memo keys stay bare [result_key]s. *)
+let signed_prefix scale = Scale.signature scale ^ "#"
 
-let load_into results ~what path =
-  let loaded, bad = cache_load results path in
-  if bad > 0 then
+(* Preload the results [path] holds under [scale]'s signature; unsigned
+   lines and other protocols' are skipped like malformed ones. *)
+let load_signed results scale path =
+  let prefix = signed_prefix scale in
+  let n = String.length prefix in
+  let unsign k =
+    if String.starts_with ~prefix k then Some (String.sub k n (String.length k - n)) else None
+  in
+  let loaded, bad, foreign = load_entries ~key:unsign results path in
+  if bad + foreign > 0 then
     Emc_obs.Log.warn ~src:"measure"
-      ~fields:[ ("file", Emc_obs.Json.Str path); ("lines", Emc_obs.Json.Int bad) ]
-      "skipped %d malformed lines in %s %s" bad what path;
+      ~fields:
+        [ ("file", Emc_obs.Json.Str path); ("malformed", Emc_obs.Json.Int bad);
+          ("other_protocol", Emc_obs.Json.Int foreign) ]
+      "skipped %d malformed lines and %d unsigned or other-protocol lines in %s" bad foreign path;
   Emc_obs.Log.info ~src:"measure"
     ~fields:[ ("file", Emc_obs.Json.Str path); ("results", Emc_obs.Json.Int loaded) ]
-    "%s %s: %d measurements preloaded" what path loaded;
+    "result file %s: %d measurements preloaded" path loaded;
   Metrics.add m_preloaded loaded;
   loaded
 
-let create ?cache_file ?journal_file scale =
-  let cache_file =
-    match cache_file with Some _ as f -> f | None -> Sys.getenv_opt "EMC_CACHE"
-  in
-  (* the same file serving as both would double every appended line *)
-  let journal_file = if journal_file = cache_file then None else journal_file in
+let create ?cache_file scale =
   let results = Hashtbl.create 1024 in
-  let cache, preloaded =
-    match cache_file with
-    | None -> (None, 0)
-    | Some path ->
-        let loaded = load_into results ~what:"result cache" path in
-        (Some (open_append path), loaded)
-  in
-  let journal, preloaded =
-    match journal_file with
-    | None -> (None, preloaded)
-    | Some path ->
-        let loaded = load_into results ~what:"run journal" path in
-        (Some (open_append path), preloaded + loaded)
-  in
-  { scale; binaries = Hashtbl.create 64; inputs = Hashtbl.create 8; results; cache; journal;
-    simulations = 0; compiles = 0; binary_hits = 0; result_hits = 0; preloaded; remote = None }
+  let preloaded = Option.fold ~none:0 ~some:(load_signed results scale) cache_file in
+  { scale; binaries = Hashtbl.create 64; inputs = Hashtbl.create 8; results;
+    cache = Option.map cache_open_append cache_file; simulations = 0; compiles = 0;
+    binary_hits = 0; result_hits = 0; preloaded; remote = None }
 
 let set_remote t remote = t.remote <- Some remote
 
 let binary_key (w : Workload.t) ~issue_width (flags : Emc_opt.Flags.t) =
   Printf.sprintf "%s|%d|%s" w.name issue_width (Emc_opt.Flags.to_string flags)
 
-let compile t (w : Workload.t) (flags : Emc_opt.Flags.t) ~issue_width =
+(* Request a binary: the memo holds lazy builds, so the request is counted
+   (a compile or a binary hit) whether or not anything forces the build —
+   a fleet coordinator counts what its workers compile without compiling. *)
+let binary t (w : Workload.t) (flags : Emc_opt.Flags.t) ~issue_width =
   let key = binary_key w ~issue_width flags in
   match Hashtbl.find_opt t.binaries key with
   | Some p ->
@@ -201,17 +208,20 @@ let compile t (w : Workload.t) (flags : Emc_opt.Flags.t) ~issue_width =
       p
   | None ->
       let prog =
-        Trace.with_span ~cat:"compile"
-          ~args:(fun () ->
-            [ ("workload", Emc_obs.Json.Str w.name);
-              ("issue_width", Emc_obs.Json.Int issue_width) ])
-          "compile"
-          (fun () -> Emc_codegen.Compiler.compile_source ~issue_width flags w.source)
+        lazy
+          (Trace.with_span ~cat:"compile"
+             ~args:(fun () ->
+               [ ("workload", Emc_obs.Json.Str w.name);
+                 ("issue_width", Emc_obs.Json.Int issue_width) ])
+             "compile"
+             (fun () -> Emc_codegen.Compiler.compile_source ~issue_width flags w.source))
       in
       t.compiles <- t.compiles + 1;
       Metrics.incr m_compiles;
       Hashtbl.replace t.binaries key prog;
       prog
+
+let compile t w flags ~issue_width = Lazy.force (binary t w flags ~issue_width)
 
 let inputs t (w : Workload.t) ~variant =
   match Hashtbl.find_opt t.inputs (w.name, variant) with
@@ -234,14 +244,17 @@ let result_key response (w : Workload.t) ~variant (flags : Emc_opt.Flags.t)
     (Workload.variant_name variant) (Emc_opt.Flags.to_string flags)
     (Emc_sim.Config.to_string march)
 
-(* All three content addresses of one design point, in [store_triple]'s
-   order. *)
+(* All three content addresses of one design point, in the order [merge]
+   persists them. *)
 let triple_keys (w : Workload.t) ~variant ((flags : Emc_opt.Flags.t), (march : Emc_sim.Config.t)) =
   ( result_key Cycles w ~variant flags march,
     result_key Energy w ~variant flags march,
     result_key CodeSize w ~variant flags march )
 
-let run_sim t (w : Workload.t) ~variant (flags : Emc_opt.Flags.t) (march : Emc_sim.Config.t) =
+(* Compile (memoized) and simulate one design point. Runs in process or in
+   a forked child, whose memo tables are copy-on-write snapshots of the
+   parent's; counting the simulation is [merge]'s job. *)
+let run_sim t (w : Workload.t) ~variant ((flags : Emc_opt.Flags.t), (march : Emc_sim.Config.t)) =
   Trace.with_span ~cat:"measure"
     ~args:(fun () ->
       [ ("workload", Emc_obs.Json.Str w.name);
@@ -259,63 +272,24 @@ let run_sim t (w : Workload.t) ~variant (flags : Emc_opt.Flags.t) (march : Emc_s
             | None -> Emc_sim.Smarts.run_full march prog ~setup)
       in
       Metrics.observe h_sim_seconds (Unix.gettimeofday () -. t0);
-      t.simulations <- t.simulations + 1;
-      Metrics.incr m_simulations;
-      r)
+      { t_cycles = r.Emc_sim.Smarts.cycles; t_energy = r.Emc_sim.Smarts.energy;
+        t_code_size = float_of_int r.Emc_sim.Smarts.static_instrs })
 
-let triple_of_result (r : Emc_sim.Smarts.result) =
-  { t_cycles = r.Emc_sim.Smarts.cycles; t_energy = r.Emc_sim.Smarts.energy;
-    t_code_size = float_of_int r.Emc_sim.Smarts.static_instrs }
-
-(* one simulation yields all three responses: memoize (and persist) them
-   all, in a fixed order so cache/journal files are byte-stable *)
-let store_triple t w ~variant flags march (tr : triple) =
-  let store resp v =
-    let k = result_key resp w ~variant flags march in
-    Hashtbl.replace t.results k v;
-    cache_append t k v
-  in
-  store Cycles tr.t_cycles;
-  store Energy tr.t_energy;
-  store CodeSize tr.t_code_size
-
-let store_all t w ~variant flags march (r : Emc_sim.Smarts.result) =
-  store_triple t w ~variant flags march (triple_of_result r)
-
-(** Measured response; results are memoized per full configuration. *)
-let respond ?(response = Cycles) t (w : Workload.t) ~variant (flags : Emc_opt.Flags.t)
-    (march : Emc_sim.Config.t) =
-  let key = result_key response w ~variant flags march in
-  match Hashtbl.find_opt t.results key with
-  | Some c ->
-      t.result_hits <- t.result_hits + 1;
-      Metrics.incr m_result_hits;
-      c
-  | None ->
-      let r = run_sim t w ~variant flags march in
-      store_all t w ~variant flags march r;
-      Hashtbl.find t.results key
-
-(* ---------------- batched / parallel measurement ---------------- *)
-
-(* One worker task: simulate one configuration. Runs in a forked child whose
-   memo tables are copy-on-write snapshots of the parent's; the parent
-   compiles every needed binary before forking, so the child's compile
-   lookup always hits the inherited memo. *)
-let sim_task t w ~variant ((flags : Emc_opt.Flags.t), (march : Emc_sim.Config.t)) =
-  run_sim t w ~variant flags march
-
-(* Merge a batch of computed triples into the memo (and the persistent
-   cache/journal), accounting each exactly as the sequential path would —
-   on the coordinator, a point resolved by a remote worker counts as a
-   simulation: it is a cache miss that cost one simulator run somewhere. *)
-let merge_batch t w ~variant work triples =
-  Array.iteri
-    (fun j (flags, march) ->
-      store_triple t w ~variant flags march triples.(j);
-      t.simulations <- t.simulations + 1;
-      Metrics.incr m_simulations)
-    work
+(* The one place a miss becomes a result, whoever resolved it: memoize and
+   persist all three responses, in [triple_keys] order so result files are
+   byte-stable, and count one simulation — a point resolved by a forked
+   child or a fleet worker cost one simulator run somewhere. *)
+let merge t w ~variant point (tr : triple) =
+  let kc, ke, ks = triple_keys w ~variant point in
+  let entries = [ (kc, tr.t_cycles); (ke, tr.t_energy); (ks, tr.t_code_size) ] in
+  List.iter (fun (k, v) -> Hashtbl.replace t.results k v) entries;
+  Option.iter
+    (fun oc ->
+      let prefix = signed_prefix t.scale in
+      List.iter (fun (k, v) -> append_line oc (cache_line (prefix ^ k) v)) entries)
+    t.cache;
+  t.simulations <- t.simulations + 1;
+  Metrics.incr m_simulations
 
 (* Every key now resolves from the memo; a point is a cache hit unless it
    is the first occurrence of a key we just computed. *)
@@ -334,7 +308,6 @@ let resolve_keys t keys missing =
 
 let respond_many ?(response = Cycles) t (w : Workload.t) ~variant
     (pairs : (Emc_opt.Flags.t * Emc_sim.Config.t) array) =
-  let jobs = t.scale.Scale.jobs in
   let keys = Array.map (fun (f, m) -> result_key response w ~variant f m) pairs in
   (* unique uncached configurations, in first-occurrence order: D-optimal
      designs repeat corner points, and simulating a duplicate twice would
@@ -349,51 +322,41 @@ let respond_many ?(response = Cycles) t (w : Workload.t) ~variant
       end)
     keys;
   let work = Array.of_list (List.rev !work) in
-  (* compile in the parent/coordinator, one call per work item in
-     sequential order: forked children inherit the binary memo
-     copy-on-write (no recompiles, no binaries built twice by sibling
-     workers), remote workers compile their own — and either way the
-     compile / binary-hit counters advance exactly as the sequential
-     path's would *)
-  let compile_work () =
-    Array.iter
-      (fun ((flags : Emc_opt.Flags.t), (march : Emc_sim.Config.t)) ->
-        ignore (compile t w flags ~issue_width:march.issue_width))
-      work
+  let jobs = t.scale.Scale.jobs in
+  (* binaries are requested in work order, so the compile and binary-hit
+     counters advance as the in-process resolver's do *)
+  let request (flags, (march : Emc_sim.Config.t)) =
+    binary t w flags ~issue_width:march.issue_width
   in
-  match t.remote with
-  | Some remote when Array.length work > 0 ->
-      compile_work ();
-      let triples =
-        Trace.with_span ~cat:"measure"
-          ~args:(fun () ->
-            [ ("workload", Emc_obs.Json.Str w.name);
-              ("points", Emc_obs.Json.Int (Array.length pairs));
-              ("misses", Emc_obs.Json.Int (Array.length work)) ])
-          "measure.fleet"
-          (fun () -> remote w ~variant work)
-      in
-      merge_batch t w ~variant work triples;
-      resolve_keys t keys missing
-  | _ ->
-      if jobs <= 1 || Array.length work <= 1 then
-        (* sequential path: byte-for-byte the reference semantics *)
-        Array.map (fun (f, m) -> respond ~response t w ~variant f m) pairs
-      else begin
-        compile_work ();
-        let sims =
-          Trace.with_span ~cat:"measure"
-            ~args:(fun () ->
-              [ ("workload", Emc_obs.Json.Str w.name);
-                ("points", Emc_obs.Json.Int (Array.length pairs));
-                ("misses", Emc_obs.Json.Int (Array.length work));
-                ("jobs", Emc_obs.Json.Int jobs) ])
-            "measure.batch"
-            (fun () -> Emc_par.Par.map ~jobs (sim_task t w ~variant) work)
-        in
-        merge_batch t w ~variant work (Array.map triple_of_result sims);
-        resolve_keys t keys missing
-      end
+  let batch name resolve =
+    Trace.with_span ~cat:"measure"
+      ~args:(fun () ->
+        [ ("workload", Emc_obs.Json.Str w.name);
+          ("points", Emc_obs.Json.Int (Array.length pairs));
+          ("misses", Emc_obs.Json.Int (Array.length work)); ("jobs", Emc_obs.Json.Int jobs) ])
+      name resolve
+    |> Array.iteri (fun j tr -> merge t w ~variant work.(j) tr)
+  in
+  (match t.remote with
+  | _ when Array.length work = 0 -> ()
+  | Some remote ->
+      (* the workers build what they simulate: request, never force *)
+      Array.iter (fun p -> ignore (request p)) work;
+      batch "measure.fleet" (fun () -> remote w ~variant work)
+  | None when jobs <= 1 || Array.length work = 1 ->
+      (* merged point by point, so a killed run keeps every point it
+         finished *)
+      Array.iter (fun p -> merge t w ~variant p (run_sim t w ~variant p)) work
+  | None ->
+      (* build before forking: children inherit the binaries, so none is
+         built twice by sibling workers *)
+      Array.iter (fun p -> ignore (Lazy.force (request p))) work;
+      batch "measure.batch" (fun () -> Emc_par.Par.map ~jobs (run_sim t w ~variant) work));
+  resolve_keys t keys missing
+
+(** Measured response; results are memoized per full configuration. *)
+let respond ?response t w ~variant flags march =
+  (respond_many ?response t w ~variant [| (flags, march) |]).(0)
 
 let cycles_many t w ~variant pairs = respond_many ~response:Cycles t w ~variant pairs
 
@@ -438,32 +401,22 @@ let cache_scan ?(emit = fun _ -> ()) path =
   let seen = Hashtbl.create 1024 in
   let lines = ref 0 and entries = ref 0 and dups = ref 0 in
   let headers = ref 0 and malformed = ref 0 in
-  (if Sys.file_exists path then begin
-     let ic = open_in path in
-     (try
-        while true do
-          let line = input_line ic in
-          if String.trim line <> "" then begin
-            incr lines;
-            match cache_entry_of_line line with
-            | `Header ->
-                incr headers;
-                emit line
-            | `Malformed -> incr malformed
-            | `Entry (k, _) ->
-                incr entries;
-                (match Hashtbl.find_opt seen k with
-                | None ->
-                    Hashtbl.add seen k 1;
-                    emit line
-                | Some n ->
-                    Hashtbl.replace seen k (n + 1);
-                    incr dups)
-          end
-        done
-      with End_of_file -> ());
-     close_in ic
-   end);
+  iter_lines path (fun line ->
+      incr lines;
+      match cache_entry_of_line line with
+      | `Header ->
+          incr headers;
+          emit line
+      | `Malformed -> incr malformed
+      | `Entry (k, _) -> (
+          incr entries;
+          match Hashtbl.find_opt seen k with
+          | None ->
+              Hashtbl.add seen k 1;
+              emit line
+          | Some n ->
+              Hashtbl.replace seen k (n + 1);
+              incr dups));
   let top =
     Hashtbl.fold (fun k n acc -> if n > 1 then (k, n) :: acc else acc) seen []
     |> List.sort (fun (k1, n1) (k2, n2) ->

@@ -6,17 +6,18 @@
     are memoized — designs repeat corner points and searches revisit
     configurations.
 
-    Two scaling mechanisms sit on top of the memo tables:
+    Every miss takes one path, {!respond_many}: the batch is deduplicated,
+    its misses are resolved in process, across [scale.jobs] forked
+    workers or through an attached fleet ({!set_remote}), and each
+    resolved point is memoized, persisted and counted in one place. The
+    simulator is deterministic, so values, memo and counters are the same
+    whichever resolver ran.
 
-    - a {b persistent result cache} (JSONL file, [?cache_file] or the
-      EMC_CACHE environment variable): loaded at {!create}, appended on
-      every fresh simulation, so a warm re-run of the same experiment
-      performs zero simulations;
-    - {b parallel fan-out} of measurement batches ({!respond_many},
-      {!cycles_many}, {!cycles_coded_many}) across [scale.jobs] forked
-      workers. Results are merged back into the parent memo in input order,
-      and the simulator is deterministic, so datasets are bit-identical to
-      a sequential run at any worker count. *)
+    A {b result file} ([?cache_file]: [--cache] or a [--run-id] journal)
+    backs the memo: loaded at {!create}, appended on every fresh
+    simulation, so a warm re-run of the same experiment performs zero
+    simulations. Its keys are signed with the protocol's
+    {!Scale.signature}, so a file never answers for another protocol. *)
 
 (** All three responses of one simulated design point — what crosses the
     wire between a fleet coordinator and its workers. *)
@@ -24,24 +25,25 @@ type triple = { t_cycles : float; t_energy : float; t_code_size : float }
 
 type t = {
   scale : Scale.t;
-  binaries : (string, Emc_isa.Isa.program) Hashtbl.t;
+  binaries : (string, Emc_isa.Isa.program Lazy.t) Hashtbl.t;
+      (** lazy builds: requesting a binary counts it in [compiles] or
+          [binary_hits]; only forcing it compiles (see {!compile}) *)
   inputs :
     (string * Emc_workloads.Workload.variant, (string * Emc_workloads.Workload.data) list) Hashtbl.t;
       (** each workload variant's inputs, generated once at [scale] *)
   results : (string, float) Hashtbl.t;
-  cache : out_channel option;  (** append side of the persistent cache *)
-  journal : out_channel option;  (** append side of the per-run journal *)
+  cache : out_channel option;  (** append side of the result file *)
   mutable simulations : int;  (** simulator runs actually executed *)
-  mutable compiles : int;  (** distinct binaries built *)
+  mutable compiles : int;  (** distinct binaries requested *)
   mutable binary_hits : int;  (** compile requests served from the memo *)
   mutable result_hits : int;  (** measurements served from the memo *)
-  mutable preloaded : int;  (** results loaded from the persistent cache *)
+  mutable preloaded : int;  (** results loaded from the result file *)
   mutable remote : remote option;
-      (** when set (see {!set_remote} and [Fleet.attach]), batch cache
-          misses are resolved by this function instead of local simulation *)
+      (** when set (see {!set_remote} and [Fleet.attach]), cache misses are
+          resolved by this function instead of local simulation *)
 }
 
-(** A remote batch resolver: given the deduplicated cache misses of a
+(** A remote resolver: given the deduplicated cache misses of a
     {!respond_many} batch, return all three responses per point, in input
     order. Values must be exactly what local simulation would produce —
     the fleet coordinator guarantees this by running the same simulator on
@@ -52,25 +54,28 @@ and remote =
   (Emc_opt.Flags.t * Emc_sim.Config.t) array ->
   triple array
 
-val create : ?cache_file:string -> ?journal_file:string -> Scale.t -> t
-(** [create ?cache_file ?journal_file scale]: when [cache_file] (default:
-    the EMC_CACHE environment variable) is set, existing cached results
-    are loaded into the memo and every future simulation is appended to
-    the file. [journal_file] behaves identically (load then append) and is
-    the per-run resume journal: a re-run with the same journal preloads
-    every completed measurement and performs zero re-simulations.
-    Malformed lines — including a trailing line torn by a killed run — are
-    skipped with a warning, and a torn tail is newline-terminated before
-    anything is appended so no record is ever glued onto it. *)
+val create : ?cache_file:string -> Scale.t -> t
+(** [create ?cache_file scale]: when [cache_file] is given, the results it
+    holds under [scale]'s {!Scale.signature} are loaded into the memo and
+    every future simulation is appended to it as [SIG#KEY] entries — a
+    [--cache] file or a [--run-id] journal alike, so a re-run against it
+    performs zero simulations. Lines under another signature, unsigned
+    lines (older caches, store files) and malformed lines — including a
+    trailing line torn by a killed run — are skipped with one warning
+    counting them, and a torn tail is newline-terminated before anything
+    is appended so no record is ever glued onto it. *)
 
 val set_remote : t -> remote -> unit
-(** Route future {!respond_many} cache misses through a remote resolver
-    (installed by [Fleet.attach]). Counters still advance exactly as the
-    local path's would; a remotely resolved point counts as a simulation. *)
+(** Route future cache misses through a remote resolver (installed by
+    [Fleet.attach]). Counters still advance exactly as the local path's
+    would: each miss's binary is requested without being built, and a
+    remotely resolved point counts as a simulation. *)
 
 val compile :
   t -> Emc_workloads.Workload.t -> Emc_opt.Flags.t -> issue_width:int -> Emc_isa.Isa.program
-(** Memoized compilation of a workload at given flags/machine width. *)
+(** Memoized compilation of a workload at given flags/machine width: the
+    request is counted in [compiles] or [binary_hits], and the memoized
+    lazy build is forced. *)
 
 (** Which system response to model: the paper's evaluation uses execution
     time; §2.2 notes power and code size fit the same machinery. One
@@ -87,8 +92,9 @@ val result_key :
   Emc_sim.Config.t ->
   string
 (** The content address of one measurement —
-    [response|workload|variant|flags|march] — used by the memo, the JSONL
-    cache, the run journal, and the fleet's shared result store. *)
+    [response|workload|variant|flags|march] — used by the memo and the
+    fleet's shared result store; result files prefix it with the
+    protocol's signature. *)
 
 val triple_keys :
   Emc_workloads.Workload.t ->
@@ -102,12 +108,14 @@ val triple_keys :
 val cache_line : string -> float -> string
 (** One JSONL cache record [{"k":KEY,"v":"0x...p..."}] (bit-exact hex
     float) — the line format shared by [--cache] files, run journals, and
-    the fleet store's persistence. *)
+    the fleet store's persistence. Result files sign [KEY] as [SIG#KEY]
+    ({!create}); the store keeps bare {!result_key}s. *)
 
 val cache_load : (string, float) Hashtbl.t -> string -> int * int
-(** Load a JSONL cache/journal/store file into a table, returning
-    [(loaded, skipped)]. Schema header lines are skipped silently;
-    malformed lines — including a torn trailing line — count as skipped. *)
+(** Load a JSONL cache/journal/store file into a table under its keys as
+    written, returning [(loaded, skipped)]. Schema header lines are
+    skipped silently; malformed lines — including a torn trailing line —
+    count as skipped. *)
 
 val cache_open_append : string -> out_channel
 (** Open the append side of a JSONL cache-format file (creating it if
@@ -122,6 +130,7 @@ val respond :
   Emc_opt.Flags.t ->
   Emc_sim.Config.t ->
   float
+(** {!respond_many} of one point. *)
 
 val respond_many :
   ?response:response ->
@@ -130,11 +139,13 @@ val respond_many :
   variant:Emc_workloads.Workload.variant ->
   (Emc_opt.Flags.t * Emc_sim.Config.t) array ->
   float array
-(** Measure a batch of independent configurations, fanning cache misses out
-    across [scale.jobs] forked workers (deduplicated first — designs repeat
-    corner points). Equivalent to mapping {!respond} over the batch: same
-    values bit-for-bit, same memo/cache contents, same counter totals; with
-    [jobs = 1] it literally is that map. *)
+(** Measure a batch of independent configurations — the one miss path.
+    The misses are deduplicated in first-occurrence order (designs repeat
+    corner points) and resolved in process when [scale.jobs <= 1] or there
+    is one, across [scale.jobs] forked workers otherwise, or through the
+    fleet when one is attached; each is then memoized, persisted and
+    counted in work order. Whichever resolver ran, the values are
+    bit-identical and the memo, result file and counters are the same. *)
 
 val cycles :
   t ->

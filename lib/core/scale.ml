@@ -96,6 +96,20 @@ let tiny =
     ga = { quick.ga with pop_size = 24; generations = 12 };
   }
 
+(* Bump whenever the simulator's timing model changes, i.e. whenever the
+   golden timings of test/test_sim_golden.ml are regenerated: result files
+   written under the older model then stop loading instead of returning
+   the old model's numbers. *)
+let sim_version = 1
+
+let signature t =
+  Printf.sprintf "sim%d ws=%h smarts=%s" sim_version t.workload_scale
+    (match t.smarts with
+    | None -> "full"
+    | Some p ->
+        Printf.sprintf "%d/%d/%d/%h/%d" p.Emc_sim.Smarts.unit_size p.warmup p.interval
+          p.target_ci p.max_refinements)
+
 let of_env () =
   let base =
     match Sys.getenv_opt "EMC_SCALE" with

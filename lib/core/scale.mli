@@ -25,6 +25,18 @@ val full : t
 val medium : t
 val tiny : t
 
+val sim_version : int
+(** The simulator model's version, part of every {!signature}. Bump it
+    whenever the simulator's timings change, i.e. whenever the golden table
+    of [test/test_sim_golden.ml] is regenerated. *)
+
+val signature : t -> string
+(** The measurement protocol a result was produced under: [workload_scale],
+    the five SMARTS parameters (floats as [%h]) and {!sim_version}. Two
+    scales with equal signatures measure every design point identically;
+    persisted results carry it so a file never answers for another
+    protocol. *)
+
 val of_env : unit -> t
 (** Reads EMC_SCALE; defaults to {!quick}, warns on unknown values. The
     [jobs] field is filled in from EMC_JOBS ({!jobs_of_env}). *)

@@ -399,18 +399,6 @@ let run_store ?file ~listen () =
         Metrics.set g_keys (float_of_int (Hashtbl.length table));
         Json.Obj [ ("added", Json.Int added) ])
   in
-  let get (req : Http.request) b =
-    match List.assoc_opt "k" req.Http.query with
-    | None -> Server.error b 400 "bad_request" "missing ?k="
-    | Some k -> (
-        match Hashtbl.find_opt table k with
-        | Some v ->
-            Metrics.incr m_lookup_hits;
-            Server.reply b 200 (Json.Obj [ ("k", Json.Str k); ("v", Json.hex v) ])
-        | None ->
-            Metrics.incr m_lookup_misses;
-            Server.error b 404 "not_found" ("no result under key " ^ k))
-  in
   let healthz _ b =
     Server.reply b 200
       (Json.Obj
@@ -420,7 +408,7 @@ let run_store ?file ~listen () =
   serve ~name:"fleet-store" ~timeout:30.0 listen listener
     [ ("POST", "/register", register); ("POST", "/deregister", deregister);
       ("GET", "/members", list_members); ("POST", "/lookup", lookup); ("POST", "/put", put);
-      ("GET", "/get", get); ("GET", "/healthz", healthz) ];
+      ("GET", "/healthz", healthz) ];
   Option.iter close_out persist
 
 (* ---------------- store client ---------------- *)
@@ -523,25 +511,18 @@ let start_heartbeater ~store ~advertise ~interval =
 
 let default_pidfile = function Unix_sock p -> Some (p ^ ".pid") | Tcp _ -> None
 
-let run_worker ?(jobs = 1) ?cache_file ?register ?advertise ?(heartbeat = 2.0) ?pidfile
-    ~listen () =
-  (* one Measure per (workload_scale, smarts) signature: the memo persists
-     across requests, so repeated corner points across batches and the
+let run_worker ?(jobs = 1) ?register ?advertise ?(heartbeat = 2.0) ?pidfile ~listen () =
+  (* one Measure per protocol signature: the result memo persists across
+     requests, so repeated corner points across batches and the
      energy/code-size re-reads cost nothing *)
   let measures : (string, Measure.t) Hashtbl.t = Hashtbl.create 4 in
   let measure_for ~workload_scale ~smarts =
-    let key =
-      Json.to_string
-        (Json.Obj
-           [ ("ws", Json.hex workload_scale); ("smarts", smarts_to_json smarts) ])
-    in
+    let scale = { Scale.quick with Scale.name = "fleet"; workload_scale; smarts; jobs } in
+    let key = Scale.signature scale in
     match Hashtbl.find_opt measures key with
     | Some m -> m
     | None ->
-        let scale =
-          { Scale.quick with Scale.name = "fleet"; workload_scale; smarts; jobs }
-        in
-        let m = Measure.create ?cache_file scale in
+        let m = Measure.create scale in
         Hashtbl.replace measures key m;
         m
   in
@@ -565,6 +546,9 @@ let run_worker ?(jobs = 1) ?cache_file ?register ?advertise ?(heartbeat = 2.0) ?
                   { Measure.t_cycles = cycles.(i); t_energy = energy.(i);
                     t_code_size = code.(i) })
             in
+            (* only the chunk in hand needs its binaries: kept, they would
+               grow the worker with every point it ever served *)
+            Hashtbl.reset m.Measure.binaries;
             Buffer.add_string b (result_body triples);
             (200, "application/json"))
   in
@@ -970,7 +954,7 @@ let respond_batch opts sources (scale : Scale.t) (w : Workload.t) ~variant
       if member_sources <> [] then refresh_members ();
       (* store pre-filter: one /lookup for every key of every point.
          Fully-stored points are merged exactly as a dispatched result
-         would be — Measure.merge_batch counts them as simulations either
+         would be — Measure.respond_many counts them as simulations either
          way (someone once paid a simulator run for them), so counters and
          bytes match a store-less run. A failed lookup degrades to
          dispatching everything. *)

@@ -19,8 +19,8 @@
       [/members] table, so workers joining mid-run pick up pending
       chunks and lost workers age out and their chunks requeue;
     - a {b content-addressed result store} ([emc fleet-store],
-      {!run_store}): keyed by [Measure.result_key], persisted in the
-      exact JSONL [--cache] line format. Its one client is the
+      {!run_store}): keyed by bare [Measure.result_key]s, persisted in
+      the JSONL [--cache] line format. Its one client is the
       coordinator (the first [@ADDR] source): it looks each batch up
       before dispatch and puts each chunk's results as it completes, so
       runs share results and a killed run resumes with zero
@@ -28,7 +28,7 @@
 
     {b The bit-identity contract.} Results merged in first-occurrence
     order must be bit-identical to [--jobs 1] on one box — same values,
-    same [measure.*] counters, same cache/journal bytes — regardless of
+    same [measure.*] counters, same result-file bytes — regardless of
     worker count, chunk size, retries, steals, or arrival order. The
     protocol guarantees it by construction: design points travel as the
     raw 25-vector of [Params.raw_of] and every measured value travels as
@@ -42,10 +42,10 @@
     worker_failures, steals, store_prefilled, store_puts) so [measure.*]
     stays comparable.
 
-    Resumability: [--run-id ID] journals every measurement to
-    [EMC_RUN_DIR/ID.jsonl] (header line + [--cache]-format records);
-    re-running with the same id preloads the journal and re-simulates
-    nothing ([emc fleet-resume] inspects or re-executes a journal). *)
+    Resumability: [--run-id ID] makes [EMC_RUN_DIR/ID.jsonl] (header line
+    + [--cache]-format records) the run's result file; re-running with the
+    same id preloads the journal and re-simulates nothing
+    ([emc fleet-resume] inspects or re-executes a journal). *)
 
 exception Fleet_error of string
 (** A batch that cannot complete: every worker dead with work pending, a
@@ -184,7 +184,6 @@ val drain : ?timeout:float -> pidfile:string -> unit -> (int, string) result
 
 val run_worker :
   ?jobs:int ->
-  ?cache_file:string ->
   ?register:addr ->
   ?advertise:string ->
   ?heartbeat:float ->
@@ -192,9 +191,12 @@ val run_worker :
   listen:addr ->
   unit ->
   unit
-(** One measurement worker. [jobs] fans each received chunk out over
-    local forked processes ([lib/par]); [cache_file] is the worker's own
-    persistent JSONL cache.
+(** One measurement worker. It keeps one memo per protocol signature
+    ([Scale.signature] of the request's [workload_scale] and [smarts]) and
+    no result file; the binaries it builds are dropped after each
+    [/measure], so its memory does not grow with the points it serves.
+    [jobs] fans each received chunk out over local forked processes
+    ([lib/par]).
 
     [register] enrolls the worker in a store's membership table: a
     heartbeater child re-registers [advertise] (default: the listen
@@ -211,12 +213,13 @@ val run_worker :
 
 val run_store : ?file:string -> listen:addr -> unit -> unit
 (** The content-addressed result store. [file] persists the table in
-    [--cache] JSONL format (loaded on start, appended per new key), so a
-    store file is also a valid [--cache]/[emc cache] target. Endpoints:
-    [POST /lookup] (keys in, hits out), [POST /put] (entries in, count of
-    new keys out), [GET /get?k=], [POST /register] / [POST /deregister] /
-    [GET /members] (the in-memory membership table; registrations expire
-    after their TTL without a heartbeat), [/healthz], [/metrics]. *)
+    the [--cache] JSONL line format (loaded on start, appended per new
+    key), so [emc cache] reads it; its keys are unsigned, so [--cache]
+    loads skip them. Endpoints: [POST /lookup] (keys in, hits out),
+    [POST /put] (entries in, count of new keys out), [POST /register] /
+    [POST /deregister] / [GET /members] (the in-memory membership table;
+    registrations expire after their TTL without a heartbeat),
+    [/healthz], [/metrics]. *)
 
 (** {1 Run journals ([--run-id] / [emc fleet-resume])} *)
 
@@ -224,7 +227,7 @@ val journal_init : run_id:string -> argv:string array -> string
 (** Ensure the journal [EMC_RUN_DIR/<run_id>.jsonl] exists ([EMC_RUN_DIR]
     defaults to ["emc-runs"]): if new, create the directory and write the
     [emc-run-journal/1] header line recording [argv]. Returns its path —
-    passed to [Measure.create ?journal_file]. *)
+    the run's result file, passed to [Measure.create ?cache_file]. *)
 
 type journal_info = {
   ji_path : string;

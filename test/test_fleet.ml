@@ -222,12 +222,6 @@ let test_store_daemon () =
           cb "ka value exact" true
             (Option.bind (List.assoc_opt "ka" kvs) Json.hex_of = Some 1.5)
       | _ -> Alcotest.failf "no results in %S" body);
-      (* single-key GET, hit and miss *)
-      let status, body = rpc path ~meth:"GET" ~target:"/get?k=kb" () in
-      ci "get hit" 200 status;
-      cb "get value exact" true
-        (Option.bind (Json.member "v" (json_of body)) Json.hex_of = Some 2.25);
-      ci "get miss is 404" 404 (fst (rpc path ~meth:"GET" ~target:"/get?k=nope" ()));
       ci "healthz" 200 (fst (rpc path ~meth:"GET" ~target:"/healthz" ()));
       ci "unknown endpoint 404" 404 (fst (rpc path ~meth:"GET" ~target:"/bogus" ())));
   (* a restarted store reloads its file: the table survives the process *)
@@ -302,7 +296,10 @@ let check_counters what (a : Measure.t) (b : Measure.t) =
   ci (what ^ ": compiles") a.Measure.compiles b.Measure.compiles;
   ci (what ^ ": binary hits") a.Measure.binary_hits b.Measure.binary_hits
 
-let run_through ?(options = { Fleet.default_options with Fleet.chunk = 3 })
+(* Measure a batch locally and through the fleet at [addrs], check the two
+   agree bit for bit and counter for counter, and return the fleet-attached
+   Measure. *)
+let measure_through ?(options = { Fleet.default_options with Fleet.chunk = 3 })
     ?(before_fleet = fun () -> ()) addrs =
   let w = Emc_workloads.Registry.find "mcf" in
   let variant = Emc_workloads.Workload.Train in
@@ -323,9 +320,24 @@ let run_through ?(options = { Fleet.default_options with Fleet.chunk = 3 })
   let e_fleet = Measure.respond_coded_many ~response:Measure.Energy m_fleet w ~variant points in
   Alcotest.(check (array (float 0.0))) "cycles bit-identical to jobs=1" y_local y_fleet;
   Alcotest.(check (array (float 0.0))) "energy bit-identical to jobs=1" e_local e_fleet;
-  check_counters "fleet = local" m_local m_fleet
+  check_counters "fleet = local" m_local m_fleet;
+  m_fleet
+
+let run_through ?options ?before_fleet addrs =
+  ignore (measure_through ?options ?before_fleet addrs)
 
 let test_fleet_bit_identity () = with_worker (fun path -> run_through [ path ])
+
+(* The coordinator counts the binaries its workers build without building
+   any: every entry of its memo is a lazy build nothing forced, and the
+   counters still equal the local run's. *)
+let test_coordinator_builds_nothing () =
+  with_worker (fun path ->
+      let m = measure_through [ path ] in
+      cb "binaries requested" true (Hashtbl.length m.Measure.binaries > 0);
+      Hashtbl.iter
+        (fun key p -> cb (Printf.sprintf "%s not built" key) false (Lazy.is_val p))
+        m.Measure.binaries)
 
 let test_fleet_no_spurious_dispatches () =
   (* a healthy run dispatches each chunk exactly once: no retries, no
@@ -732,14 +744,14 @@ let test_journal_resume () =
   let w = Emc_workloads.Registry.find "mcf" in
   let variant = Emc_workloads.Workload.Train in
   let points = design_points 5 in
-  let m1 = Measure.create ~journal_file:path (small_scale 1) in
+  let m1 = Measure.create ~cache_file:path (small_scale 1) in
   let y1 = Measure.cycles_coded_many m1 w ~variant points in
   ci "cold run simulates" (Array.length points) m1.Measure.simulations;
   (* a second init is a no-op on an existing journal *)
   cs "re-init returns the same path" path
     (Fleet.journal_init ~run_id:"t1" ~argv:[| "other" |]);
   (* the resumed run preloads everything: zero re-simulation *)
-  let m2 = Measure.create ~journal_file:path (small_scale 1) in
+  let m2 = Measure.create ~cache_file:path (small_scale 1) in
   cb "journal preloaded" true (m2.Measure.preloaded > 0);
   let y2 = Measure.cycles_coded_many m2 w ~variant points in
   Alcotest.(check (array (float 0.0))) "resumed run bit-identical" y1 y2;
@@ -923,4 +935,5 @@ let suite =
     ("unresolvable worker fails alone", `Slow, test_unresolvable_worker);
     ("members of an unresolvable store", `Quick, test_members_unresolvable);
     ("worker over TCP bit-identical to jobs=1", `Slow, test_tcp_worker);
+    ("coordinator builds no binary", `Slow, test_coordinator_builds_nothing);
   ]

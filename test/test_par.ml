@@ -166,6 +166,35 @@ let test_cache_tolerates_garbage () =
   Alcotest.(check (float 0.0)) "value survives junk lines" c1 c2;
   ci "served from cache" 0 m2.Measure.simulations
 
+(* A result file answers only for the protocol that filled it: the same
+   point at another input scale, or unsampled, simulates once and returns
+   its own protocol's value, and from then on both rerun from the file. *)
+let test_cache_names_protocol () =
+  let w = Emc_workloads.Registry.find "mcf" in
+  let flags = Emc_opt.Flags.o2 and march = Emc_sim.Config.typical in
+  let measure ?cache_file scale =
+    let m = Measure.create ?cache_file scale in
+    let c = Measure.cycles m w ~variant:Emc_workloads.Workload.Train flags march in
+    (c, m.Measure.simulations)
+  in
+  let across what a b =
+    with_temp_cache @@ fun path ->
+    let own_a = fst (measure a) and own_b = fst (measure b) in
+    cb (what ^ ": the protocols measure differently") true (own_a <> own_b);
+    ignore (measure ~cache_file:path a);
+    let v, sims = measure ~cache_file:path b in
+    ci (what ^ ": the second protocol simulates") 1 sims;
+    Alcotest.(check (float 0.0)) (what ^ ": the second protocol's own value") own_b v;
+    List.iter
+      (fun (scale, own) ->
+        let v, sims = measure ~cache_file:path scale in
+        ci (what ^ ": a rerun simulates nothing") 0 sims;
+        Alcotest.(check (float 0.0)) (what ^ ": a rerun reads its own value") own v)
+      [ (a, own_a); (b, own_b) ]
+  in
+  across "tiny, then quick" Scale.tiny Scale.quick;
+  across "sampled, then full detail" Scale.tiny { Scale.tiny with Scale.smarts = None }
+
 let suite =
   [
     ("par.map matches Array.map", `Quick, test_map_matches_sequential);
@@ -179,4 +208,5 @@ let suite =
     ("parallel dedups repeats", `Quick, test_parallel_dedups_repeated_points);
     ("cache round-trip warm run", `Slow, test_cache_roundtrip_warm_run);
     ("cache tolerates garbage", `Quick, test_cache_tolerates_garbage);
+    ("persisted results name their protocol", `Quick, test_cache_names_protocol);
   ]
