@@ -268,6 +268,12 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
               ignore
                 (Rank.fit ~rng:(Emc_util.Rng.create 17)
                    ~names:(Params.names Params.all_specs) train)) );
+      (* MARS fit (forward pass, GCV pruning, refit) over the same design *)
+      ( "regress/mars-fit",
+        fun () ->
+          let train = (Lazy.force d).Experiments.train in
+          Staged.stage (fun () ->
+              ignore (Mars.fit ~names:(Params.names Params.all_specs) train)) );
       (* multi-objective search: one full NSGA-II run at a small budget *)
       ( "search/pareto-front",
         fun () ->

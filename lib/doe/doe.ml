@@ -71,6 +71,7 @@ let log_det_information points = Mat.log_det (information_matrix points)
     matrix, so the [n] returned rows D-optimally {e augment} them — the
     extensibility property the Figure-1 iteration relies on. *)
 let d_optimal ?(sweeps = 3) ?(fixed = [||]) rng space ~n ~candidates =
+  let t0 = Unix.gettimeofday () in
   let cands = Array.map expand_main candidates in
   let m = Array.length cands in
   if m = 0 then invalid_arg "Doe.d_optimal: no candidates";
@@ -132,6 +133,11 @@ let d_optimal ?(sweeps = 3) ?(fixed = [||]) rng space ~n ~candidates =
     Emc_obs.Trace.counter "doe.logdet" [ ("logdet", after) ];
     logdet := after
   done;
+  (* the whole exchange, once per call: the layer time `emc model --metrics`
+     shows for design generation *)
+  Emc_obs.Metrics.observe
+    (Emc_obs.Metrics.histogram "doe.exchange_seconds")
+    (Unix.gettimeofday () -. t0);
   design
 
 (** Generate a design of [n] points: LHS candidates + Fedorov exchange. The

@@ -24,12 +24,9 @@ let of_rows rows =
   init r c (fun i j -> rows.(i).(j))
 
 let rows m = m.r
-let cols m = m.c
 let get m i j = m.a.((i * m.c) + j)
 let set m i j v = m.a.((i * m.c) + j) <- v
 let copy m = { m with a = Array.copy m.a }
-let row m i = Array.sub m.a (i * m.c) m.c
-let col m j = Array.init m.r (fun i -> get m i j)
 
 let transpose m = init m.c m.r (fun i j -> get m j i)
 
@@ -52,7 +49,6 @@ let map2 f x y =
   { x with a = Array.init (Array.length x.a) (fun i -> f x.a.(i) y.a.(i)) }
 
 let add = map2 ( +. )
-let sub = map2 ( -. )
 let scale s m = { m with a = Array.map (fun x -> s *. x) m.a }
 
 let mul_vec m v =
@@ -295,12 +291,3 @@ let lstsq a b =
 let equal ?(eps = 1e-9) x y =
   x.r = y.r && x.c = y.c
   && Array.for_all2 (fun a b -> Float.abs (a -. b) <= eps) x.a y.a
-
-let pp fmt m =
-  for i = 0 to m.r - 1 do
-    Format.fprintf fmt "[";
-    for j = 0 to m.c - 1 do
-      Format.fprintf fmt " %+.4g" (get m i j)
-    done;
-    Format.fprintf fmt " ]@\n"
-  done

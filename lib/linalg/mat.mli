@@ -6,30 +6,18 @@
 
 type t
 
-val create : int -> int -> t
-(** [create r c] is the r-by-c zero matrix. *)
-
 val init : int -> int -> (int -> int -> float) -> t
 val identity : int -> t
 val of_rows : float array array -> t
 (** Copies its input; rows must be non-empty and of equal length. *)
 
-val copy : t -> t
-
 val rows : t -> int
-val cols : t -> int
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
-
-val row : t -> int -> float array
-(** Fresh copy of a row. *)
-
-val col : t -> int -> float array
 
 val transpose : t -> t
 val mul : t -> t -> t
 val add : t -> t -> t
-val sub : t -> t -> t
 val scale : float -> t -> t
 val mul_vec : t -> float array -> float array
 
@@ -63,4 +51,3 @@ val lstsq : t -> float array -> float array
     Rank-deficient columns receive coefficient 0. *)
 
 val equal : ?eps:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

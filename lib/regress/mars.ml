@@ -8,7 +8,15 @@ open Emc_linalg
     reflected pair that most reduces training SSE, considering every current
     basis as a parent, every unused dimension, and knots at distinct data
     values; the backward pass prunes terms by GCV (the criterion polspline
-    uses, §5 of the paper) and the best-GCV subset is refit and returned. *)
+    uses, §5 of the paper) and the best-GCV subset is refit and returned.
+
+    The forward pass prices candidates from cached normal equations: the
+    Gram entries and Xᵀy of the accepted columns are kept, so a candidate
+    pair costs only its 2m+5 new dot products, and the backward pass and
+    the final refit read their systems out of the same cache. Each entry
+    is the dot product that building the whole system anew would sum,
+    over the rows in the same order, so the fitted bits do not depend on
+    the cache. *)
 
 type factor = Repr.factor = { dim : int; knot : float; positive : bool }
 
@@ -31,41 +39,64 @@ let basis_name names (b : basis) =
 
 let ridge = 1e-9
 
-(* Solve least squares given columns; returns (weights, sse). *)
-let solve_sse (cols : float array array) (y : float array) =
-  let m = Array.length cols in
-  let n = Array.length y in
-  let g = Mat.init m m (fun i j ->
-      let acc = ref 0.0 in
-      for r = 0 to n - 1 do
-        acc := !acc +. (cols.(i).(r) *. cols.(j).(r))
-      done;
-      !acc)
-  in
-  for i = 0 to m - 1 do
-    Mat.set g i i (Mat.get g i i +. ridge)
+let dot a b =
+  let acc = ref 0.0 in
+  for r = 0 to Array.length a - 1 do
+    acc := !acc +. (a.(r) *. b.(r))
   done;
-  let rhs =
-    Array.init m (fun i ->
-        let acc = ref 0.0 in
-        for r = 0 to n - 1 do
-          acc := !acc +. (cols.(i).(r) *. y.(r))
-        done;
-        !acc)
+  !acc
+
+(* Columns with their normal equations: [gram.(i).(j)], [j <= i], is
+   [cols.(i) · cols.(j)] and [xty.(i)] is [cols.(i) · y], each summed over
+   the rows in order. A column's entries are computed once, when it is
+   appended, and every system below is read out of them. *)
+type normal = { cols : float array array; gram : float array array; xty : float array }
+
+let no_cols = { cols = [||]; gram = [||]; xty = [||] }
+
+(* [ne] plus column [c]: its m + 2 new dot products *)
+let add_col y ne c =
+  let m = Array.length ne.cols in
+  {
+    cols = Array.append ne.cols [| c |];
+    gram =
+      Array.append ne.gram
+        [| Array.init (m + 1) (fun j -> dot (if j = m then c else ne.cols.(j)) c) |];
+    xty = Array.append ne.xty [| dot c y |];
+  }
+
+(* Least squares on the columns [idx] (ascending) of [ne]; returns
+   (weights, training SSE), or zero weights and an infinite SSE when the
+   system is not positive definite. *)
+let solve y ne idx =
+  let m = Array.length idx in
+  let g =
+    Mat.init m m (fun i j ->
+        let v = if i >= j then ne.gram.(idx.(i)).(idx.(j)) else ne.gram.(idx.(j)).(idx.(i)) in
+        if i = j then v +. ridge else v)
   in
+  let rhs = Array.map (fun i -> ne.xty.(i)) idx in
   match (try Some (Mat.solve_spd g rhs) with Failure _ -> None) with
   | None -> (Array.make m 0.0, infinity)
   | Some w ->
+      (* every prediction sums its terms in column order, walking each
+         column contiguously *)
+      let p = Array.make (Array.length y) 0.0 in
+      Array.iteri
+        (fun i c ->
+          let col = ne.cols.(c) in
+          for r = 0 to Array.length p - 1 do
+            p.(r) <- p.(r) +. (w.(i) *. col.(r))
+          done)
+        idx;
       let sse = ref 0.0 in
-      for r = 0 to n - 1 do
-        let p = ref 0.0 in
-        for i = 0 to m - 1 do
-          p := !p +. (w.(i) *. cols.(i).(r))
-        done;
-        let e = !p -. y.(r) in
+      for r = 0 to Array.length y - 1 do
+        let e = p.(r) -. y.(r) in
         sse := !sse +. (e *. e)
       done;
       (w, !sse)
+
+let solve_all y ne = solve y ne (Array.init (Array.length ne.cols) Fun.id)
 
 let effective_params m = float_of_int m +. (3.0 *. float_of_int (m - 1))
 
@@ -88,17 +119,17 @@ let fit ?(max_terms = 23) ?(max_degree = 2) ?(names = [||]) (d : Dataset.t) : Mo
   let y = d_std.Dataset.y in
   let col_of b = Array.map (eval_basis b) d_std.Dataset.x in
   let bases = ref [ ([] : basis) ] in
-  let cols = ref [ col_of [] ] in
+  let ne = ref (add_col y no_cols (col_of [])) in
   let knots = Array.init k (fun dim -> knot_candidates d_std dim) in
   (* ---------- forward pass ---------- *)
-  let current_sse = ref (snd (solve_sse (Array.of_list !cols) y)) in
+  let current_sse = ref (snd (solve_all y !ne)) in
   let continue_ = ref true in
   while !continue_ && List.length !bases + 2 <= max_terms do
     let best = ref None in
     List.iteri
       (fun pi parent ->
         if List.length parent < max_degree then
-          let parent_col = List.nth !cols pi in
+          let parent_col = !ne.cols.(pi) in
           for dim = 0 to k - 1 do
             if not (List.exists (fun f -> f.dim = dim) parent) then
               List.iter
@@ -111,27 +142,26 @@ let fit ?(max_terms = 23) ?(max_degree = 2) ?(names = [||]) (d : Dataset.t) : Mo
                       let v = knot -. d_std.Dataset.x.(r).(dim) in
                       if v > 0.0 then pv *. v else 0.0) parent_col
                   in
-                  let ext = Array.of_list (!cols @ [ c1; c2 ]) in
-                  let _, sse = solve_sse ext y in
+                  let ext = add_col y (add_col y !ne c1) c2 in
+                  let _, sse = solve_all y ext in
                   match !best with
                   | Some (s, _, _, _, _) when s <= sse -> ()
-                  | _ -> best := Some (sse, parent, dim, knot, (c1, c2)))
+                  | _ -> best := Some (sse, parent, dim, knot, ext))
                 knots.(dim)
           done)
       !bases;
     match !best with
-    | Some (sse, parent, dim, knot, (c1, c2)) when sse < !current_sse *. 0.999 ->
+    | Some (sse, parent, dim, knot, ext) when sse < !current_sse *. 0.999 ->
         bases := !bases @ [ { dim; knot; positive = true } :: parent;
                             { dim; knot; positive = false } :: parent ];
-        cols := !cols @ [ c1; c2 ];
+        ne := ext;
         current_sse := sse
     | _ -> continue_ := false
   done;
   (* ---------- backward pass ---------- *)
   let eval_subset subset =
-    let cs = Array.of_list (List.filteri (fun i _ -> List.mem i subset) !cols) in
-    let _, sse = solve_sse cs y in
-    Metrics.gcv ~samples:n ~effective_params:(effective_params (Array.length cs)) ~sse
+    let _, sse = solve y !ne (Array.of_list subset) in
+    Metrics.gcv ~samples:n ~effective_params:(effective_params (List.length subset)) ~sse
   in
   let all_idx = List.init (List.length !bases) Fun.id in
   let best_subset = ref all_idx in
@@ -158,8 +188,7 @@ let fit ?(max_terms = 23) ?(max_degree = 2) ?(names = [||]) (d : Dataset.t) : Mo
   done;
   (* ---------- final refit ---------- *)
   let final_bases = List.filteri (fun i _ -> List.mem i !best_subset) !bases in
-  let final_cols = Array.of_list (List.filteri (fun i _ -> List.mem i !best_subset) !cols) in
-  let w, _ = solve_sse final_cols y in
+  let w, _ = solve y !ne (Array.of_list !best_subset) in
   let final_bases = Array.of_list final_bases in
   let repr = Repr.Mars { bases = final_bases; weights = w; mu; sd } in
   {

@@ -105,6 +105,18 @@ let test_augment_is_d_optimal_given_base () =
   done;
   cb (Printf.sprintf "augment wins %d/5" !wins) true (!wins >= 4)
 
+(* every Fedorov exchange is timed once, so `emc model --metrics` shows the
+   design layer's time: one generate adds one sample *)
+let test_exchange_seconds_observed () =
+  let samples () =
+    match Emc_obs.Metrics.stats_of "doe.exchange_seconds" with
+    | Some s -> s.Emc_obs.Metrics.count
+    | None -> 0
+  in
+  let before = samples () in
+  ignore (Doe.generate (Emc_util.Rng.create 5) small_space ~n:8);
+  Alcotest.(check int) "one sample per generate" (before + 1) (samples ())
+
 let prop_lhs_values_on_grid =
   QCheck.Test.make ~name:"lhs points stay on the level grid" ~count:50
     QCheck.(pair (int_range 1 40) (int_range 0 10_000))
@@ -129,5 +141,6 @@ let suite =
     ("d-optimal nondegenerate", `Quick, test_d_optimal_nondegenerate);
     ("d-optimal on the paper space", `Quick, test_d_optimal_full_space);
     ("augment is jointly d-optimal", `Quick, test_augment_is_d_optimal_given_base);
+    ("exchange timed once per generate", `Quick, test_exchange_seconds_observed);
     QCheck_alcotest.to_alcotest prop_lhs_values_on_grid;
   ]

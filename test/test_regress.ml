@@ -167,6 +167,134 @@ let test_mars_prunes () =
     true
     (List.length m.Model.terms <= 8)
 
+(* ---------------- pinned MARS bits ---------------- *)
+
+(* Speed work on MARS must not move a bit: these seeded designs are fitted
+   and mu, sd, every weight and every hinge knot are compared as [%h]
+   hex-float strings, with each basis's factors, against values recorded
+   by a fit that built every least-squares system anew. Each basis
+   line reads "weight ±dim@knot ...", + for max(0, x - knot). A deliberate
+   change to the model (another knot rule or pruning criterion) pastes the
+   new actual lines over [mars_golden] and says so in the commit. *)
+
+let mars_level_counts = [| 2; 11; 9; 21; 5; 6; 4; 3 |]
+
+(* [n] points of 25 dims; dimension [d] takes one of
+   [mars_level_counts.(d mod 8)] evenly spaced coded levels in [-1,1], like
+   the paper space's flags and ranges, so most sums are inexact. The
+   response has a hinge, a slope, an interaction, a kink and noise around a
+   cycles-like mean. *)
+let mars_design ~seed n =
+  let rng = Emc_util.Rng.create seed in
+  let coded d =
+    let l = mars_level_counts.(d mod Array.length mars_level_counts) in
+    -1.0 +. (2.0 *. float_of_int (Emc_util.Rng.int rng l) /. float_of_int (l - 1))
+  in
+  let x = Array.init n (fun _ -> Array.init 25 coded) in
+  let y =
+    Array.map
+      (fun x ->
+        1000.0
+        +. (300.0 *. Float.max 0.0 (x.(0) -. 0.25))
+        -. (200.0 *. x.(1))
+        +. (150.0 *. x.(2) *. x.(3))
+        +. (80.0 *. Float.abs x.(4))
+        +. (10.0 *. Emc_util.Rng.gaussian rng))
+      x
+  in
+  Dataset.create x y
+
+(* dimension 5 duplicates 0, dimension 6 negates 1, dimension 7 is constant *)
+let collinear (d : Dataset.t) =
+  let x =
+    Array.map
+      (fun r ->
+        let r = Array.copy r in
+        r.(5) <- r.(0);
+        r.(6) <- -.r.(1);
+        r.(7) <- 0.5;
+        r)
+      d.Dataset.x
+  in
+  Dataset.create x d.Dataset.y
+
+let mars_cases =
+  [
+    ("quick 110x25", fun () -> Mars.fit (mars_design ~seed:7 110));
+    ("tiny 36x25", fun () -> Mars.fit (mars_design ~seed:11 36));
+    ("collinear 110x25", fun () -> Mars.fit (collinear (mars_design ~seed:13 110)));
+    ("degree 1, 7 terms", fun () -> Mars.fit ~max_degree:1 ~max_terms:7 (mars_design ~seed:17 110));
+  ]
+
+let mars_bits (m : Model.t) =
+  match m.Model.repr with
+  | Some (Repr.Mars { bases; weights; mu; sd }) ->
+      Printf.sprintf "mu %h sd %h" mu sd
+      :: Array.to_list
+           (Array.mapi
+              (fun i b ->
+                String.concat " "
+                  (Printf.sprintf "%h" weights.(i)
+                  :: List.map
+                       (fun (f : Repr.factor) ->
+                         Printf.sprintf "%c%d@%h" (if f.positive then '+' else '-') f.dim f.knot)
+                       b))
+              bases)
+  | _ -> Alcotest.fail "Mars.fit did not return a MARS repr"
+
+let mars_golden =
+  [
+    ( "quick 110x25",
+      [
+        "mu 0x1.23dfcfd26cfdep+10 sd 0x1.67711bc0a40f5p+7";
+        "-0x1.3b2362637aa06p-2";
+        "-0x1.197917e7521fap+0 +1@-0x1.3333333333333p-1";
+        "0x1.f3565db012fecp-1 -1@-0x1.3333333333333p-1";
+        "0x1.4fa17310b9df8p-1 +0@-0x1p+0";
+        "0x1.8fe8e95b622a5p-2 +4@0x0p+0";
+        "0x1.a55c98f6fd0c3p-1 +3@-0x1.9999999999998p-3 -4@0x0p+0";
+        "-0x1.cdbe07d4eb192p-2 +3@0x1.9999999999998p-3 -2@0x1.8p-1";
+        "0x1.34d0606be66bbp-2 -3@0x1.9999999999998p-3 -2@0x1.8p-1";
+      ] );
+    ( "tiny 36x25",
+      [
+        "mu 0x1.256c0484362e4p+10 sd 0x1.557794b9d4fbep+7";
+        "0x1.19c71c71a57e6p-50";
+      ] );
+    ( "collinear 110x25",
+      [
+        "mu 0x1.1b722df5e3bbep+10 sd 0x1.9a34aa1a9e7e7p+7";
+        "-0x1.fd1f512777599p-2";
+        "-0x1.fe3647917ffc8p-1 +1@0x1.9999999999998p-3";
+        "0x1.f39d6394adcecp-1 -1@0x1.9999999999998p-3";
+        "0x1.19d1ef908b5ffp-1 +0@-0x1p+0";
+        "0x1.7c86dd2dec827p-2 +4@0x0p+0";
+        "0x1.8f10ba8f5fa67p-2 -4@0x0p+0";
+        "0x1.2161d011f75b4p-1 +3@0x1.3333333333334p-1";
+        "-0x1.7ade72ff1c301p-3 -3@0x1.3333333333334p-1";
+        "-0x1.5d6cc36995801p-1 +2@0x1p-2 -3@0x1.3333333333334p-1";
+        "0x1.77fbf673c5913p-1 -2@0x1p-2 -3@0x1.3333333333334p-1";
+        "-0x1.c99a497064a71p-2 -2@0x1.8p-1";
+        "-0x1.6f880e25d31adp-1 +3@0x1.3333333333334p-1 -2@0x1.8p-1";
+      ] );
+    ( "degree 1, 7 terms",
+      [
+        "mu 0x1.1bff6954f781ap+10 sd 0x1.8015fd8294badp+7";
+        "-0x1.0e707ac767017p+0";
+        "-0x1.25af71487d854p+0 +1@0x1.9999999999998p-3";
+        "0x1.00dc0a52b5aefp+0 -1@0x1.9999999999998p-3";
+        "0x1.3c883d56888e1p-1 +0@-0x1p+0";
+        "0x1.3b2d84c73cac4p-1 +4@0x0p+0";
+        "0x1.29ef7677b5644p-1 -4@0x0p+0";
+      ] );
+  ]
+
+let test_mars_bits_pinned () =
+  List.iter
+    (fun (name, fit) ->
+      Alcotest.(check (list string)) name (List.assoc name mars_golden) (mars_bits (fit ())))
+    mars_cases
+
 (* ---------------- effects ---------------- *)
 
 let test_effects_of_linear_model () =
@@ -385,6 +513,7 @@ let suite =
     ("top-k regret and precision", `Quick, test_top_k_metrics);
     ("rank fit recovers order", `Quick, test_rank_fit_recovers_order);
     ("rank fit skips NaN responses", `Quick, test_rank_fit_skips_nan_responses);
+    ("mars fit bits are pinned", `Quick, test_mars_bits_pinned);
     QCheck_alcotest.to_alcotest prop_tree_predicts_leaf_means;
     QCheck_alcotest.to_alcotest prop_spearman_permutation_invariant;
   ]
