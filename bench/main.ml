@@ -292,12 +292,24 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
               ignore
                 (Searcher.search_pareto ~params ~rng:(Emc_util.Rng.create 17)
                    ~cycles_model:rbf ~energy_model:energy ~march ())) );
-      (* §3 kernel: D-optimal exchange *)
+      (* §3 kernels: D-optimal exchange. Each run gets its own generator,
+         so every run starts from the same subset and does the same work. *)
       ( "doe/d-optimal-n40",
         fun () ->
           let candidates = Lazy.force candidates in
           Staged.stage (fun () ->
-              ignore (Emc_doe.Doe.d_optimal ~sweeps:1 rng space ~n:40 ~candidates)) );
+              ignore
+                (Emc_doe.Doe.d_optimal ~sweeps:1 (Emc_util.Rng.create 17) space ~n:40
+                   ~candidates)) );
+      (* the training design of a quick-scale `emc model` *)
+      ( "doe/generate-quick",
+        fun () ->
+          let q = Scale.quick in
+          Staged.stage (fun () ->
+              ignore
+                (Emc_doe.Doe.generate ~sweeps:q.Scale.doe_sweeps
+                   ~cand_factor:q.Scale.doe_cand_factor (Emc_util.Rng.create 17) space
+                   ~n:q.Scale.train_n)) );
       (* measurement kernels: compilation and simulation *)
       ( "measure/compile-O3",
         fun () ->

@@ -269,6 +269,7 @@ let simulate_cmd =
 let design_cmd =
   let n_arg = Arg.(value & opt int 40 & info [ "n" ] ~docv:"N" ~doc:"Design size.") in
   let run n seed trace metrics =
+    if n < 1 then die "-n must be at least 1, not %d" n;
     with_obs trace metrics (fun () ->
         let rng = Emc_util.Rng.create seed in
         let space = Params.space_all in

@@ -10,7 +10,14 @@ open Emc_linalg
     (intercept + one column per parameter). Larger determinant ≈ lower
     variance of the fitted coefficients, which is the paper's rationale for
     D-optimality; designs are extensible by running more exchange rounds on
-    an augmented point set. *)
+    an augmented point set.
+
+    The exchange keeps every candidate's M⁻¹x_j and x_jᵀM⁻¹x_j and
+    recomputes them only when an accepted exchange changes M⁻¹, so a visit
+    costs one p-long dot product per candidate. Each is computed with the
+    products and the summation order of [Mat.mul_vec] and a dot product, so
+    designs are bit for bit those of an exchange that recomputes them at
+    every visit. *)
 
 type space = {
   names : string array;
@@ -64,6 +71,47 @@ let information_matrix points =
 (** log det(XᵀX) of the main-effects information matrix — the D-criterion. *)
 let log_det_information points = Mat.log_det (information_matrix points)
 
+(* M⁻¹x_j for all m candidates, four rows of M⁻¹ at a time with one
+   accumulator each. Every accumulator adds its products over the columns in
+   order, as {!Mat.mul_vec} does, so [mv] and [d] hold the bits a
+   per-candidate [Mat.mul_vec] and dot product would give. [cands] holds
+   the candidates' model rows, [mv] their projections (m×p, row-major) and
+   [d.(j)] is x_jᵀM⁻¹x_j. *)
+let project ~p ~minv ~cands ~mv ~d =
+  for j = 0 to Array.length cands - 1 do
+    let xj = cands.(j) and jp = j * p in
+    let r = ref 0 in
+    while !r + 3 < p do
+      let r0 = !r in
+      let row = r0 * p in
+      let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
+      for c = 0 to p - 1 do
+        let x = xj.(c) in
+        a0 := !a0 +. (minv.(row + c) *. x);
+        a1 := !a1 +. (minv.(row + p + c) *. x);
+        a2 := !a2 +. (minv.(row + (2 * p) + c) *. x);
+        a3 := !a3 +. (minv.(row + (3 * p) + c) *. x)
+      done;
+      mv.(jp + r0) <- !a0;
+      mv.(jp + r0 + 1) <- !a1;
+      mv.(jp + r0 + 2) <- !a2;
+      mv.(jp + r0 + 3) <- !a3;
+      r := r0 + 4
+    done;
+    for r = !r to p - 1 do
+      let a = ref 0.0 in
+      for c = 0 to p - 1 do
+        a := !a +. (minv.((r * p) + c) *. xj.(c))
+      done;
+      mv.(jp + r) <- !a
+    done;
+    let dj = ref 0.0 in
+    for c = 0 to p - 1 do
+      dj := !dj +. (xj.(c) *. mv.(jp + c))
+    done;
+    d.(j) <- !dj
+  done
+
 (** Modified Fedorov exchange: for each design point in turn, consider
     swapping it with every candidate and apply the best improving exchange.
     [sweeps] full passes (2–3 suffice in practice). [fixed] rows are already
@@ -86,7 +134,20 @@ let d_optimal ?(sweeps = 3) ?(fixed = [||]) rng space ~n ~candidates =
   in
   let full design = Array.append fixed design in
   let p = dims space + 1 in
-  let minv = ref (Mat.inverse (information_matrix (full design))) in
+  let minv_flat = Array.make (p * p) 0.0 in
+  let mv = Array.make (m * p) 0.0 and d = Array.make m 0.0 in
+  (* M⁻¹ of the current design; refills [mv] and [d] from it *)
+  let refresh () =
+    let minv = Mat.inverse (information_matrix (full design)) in
+    for r = 0 to p - 1 do
+      for c = 0 to p - 1 do
+        minv_flat.((r * p) + c) <- Mat.get minv r c
+      done
+    done;
+    project ~p ~minv:minv_flat ~cands ~mv ~d;
+    minv
+  in
+  let minv = ref (refresh ()) in
   let dot v w =
     let acc = ref 0.0 in
     for i = 0 to p - 1 do
@@ -98,17 +159,19 @@ let d_optimal ?(sweeps = 3) ?(fixed = [||]) rng space ~n ~candidates =
      to the exchange sweep itself, so the telemetry is always on *)
   let logdet = ref (log_det_information (full design)) in
   let h_gain = Emc_obs.Metrics.histogram "doe.sweep_logdet_gain" in
+  let exchanges = Emc_obs.Metrics.counter "doe.exchanges" in
   for sweep = 1 to sweeps do
     for i = 0 to Array.length design - 1 do
       let xi = expand_main design.(i) in
-      let mvi = Mat.mul_vec !minv xi in
-      let di = dot xi mvi in
+      let di = dot xi (Mat.mul_vec !minv xi) in
       let best_delta = ref 1e-9 and best_j = ref (-1) in
       for j = 0 to m - 1 do
-        let xj = cands.(j) in
-        let mvj = Mat.mul_vec !minv xj in
-        let dj = dot xj mvj in
-        let g = dot xi mvj in
+        let jp = j * p in
+        let g = ref 0.0 in
+        for r = 0 to p - 1 do
+          g := !g +. (xi.(r) *. mv.(jp + r))
+        done;
+        let g = !g and dj = d.(j) in
         (* Fedorov's delta for exchanging xi with xj *)
         let delta = dj -. di -. ((di *. dj) -. (g *. g)) in
         if delta > !best_delta then begin
@@ -118,7 +181,8 @@ let d_optimal ?(sweeps = 3) ?(fixed = [||]) rng space ~n ~candidates =
       done;
       if !best_j >= 0 then begin
         design.(i) <- Array.copy candidates.(!best_j);
-        minv := Mat.inverse (information_matrix (full design))
+        Emc_obs.Metrics.incr exchanges;
+        minv := refresh ()
       end
     done;
     let after = log_det_information (full design) in
@@ -147,6 +211,7 @@ let generate ?(sweeps = 2) ?(cand_factor = 5) rng space ~n =
     ~args:(fun () -> [ ("n", Emc_obs.Json.Int n); ("sweeps", Emc_obs.Json.Int sweeps) ])
     "doe.generate"
     (fun () ->
+      if n < 1 then invalid_arg (Printf.sprintf "Doe.generate: n must be at least 1, not %d" n);
       let candidates =
         Array.append (lhs rng space (cand_factor * n)) (random_design rng space n)
       in
@@ -162,6 +227,8 @@ let augment ?(sweeps = 2) ?(cand_factor = 5) rng space ~design ~n_extra =
         ("n_extra", Emc_obs.Json.Int n_extra) ])
     "doe.augment"
     (fun () ->
+      if n_extra < 1 then
+        invalid_arg (Printf.sprintf "Doe.augment: n_extra must be at least 1, not %d" n_extra);
       let candidates =
         Array.append (lhs rng space (cand_factor * n_extra)) (random_design rng space n_extra)
       in

@@ -44,12 +44,14 @@ val d_optimal :
     [candidates], repeatedly apply the best improving point exchange,
     [sweeps] passes over the design. [fixed] rows (default none) are
     unexchangeable but contribute to the information matrix, so the [n]
-    returned rows D-optimally augment an existing design. *)
+    returned rows D-optimally augment an existing design. Each accepted
+    exchange adds one to the [doe.exchanges] counter. *)
 
 val generate : ?sweeps:int -> ?cand_factor:int -> Emc_util.Rng.t -> space -> n:int
   -> float array array
 (** One-call design generation: LHS candidates ([cand_factor × n] of them
-    plus a random batch), then {!d_optimal}. *)
+    plus a random batch), then {!d_optimal}. Raises [Invalid_argument] when
+    [n < 1]. *)
 
 val augment :
   ?sweeps:int ->
@@ -62,4 +64,4 @@ val augment :
 (** [augment rng space ~design ~n_extra] picks [n_extra] fresh points that
     maximize the D-criterion of [design ++ extra] with [design] held fixed —
     the design-extensibility step of the paper's Figure-1 iteration. Returns
-    only the new rows. *)
+    only the new rows. Raises [Invalid_argument] when [n_extra < 1]. *)

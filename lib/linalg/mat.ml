@@ -60,16 +60,43 @@ let mul_vec m v =
       done;
       !acc)
 
+(* Four entries of row i at a time, each in its own accumulator: the sums
+   are independent, so they overlap in the pipeline instead of queueing on
+   one add, and each still adds its products over the rows k in order,
+   which keeps every entry's bits those of a one-entry loop. *)
 let gram x =
-  let g = create x.c x.c in
-  for i = 0 to x.c - 1 do
-    for j = i to x.c - 1 do
-      let acc = ref 0.0 in
+  let c = x.c and a = x.a in
+  let g = create c c in
+  let put i j v =
+    g.a.((i * c) + j) <- v;
+    g.a.((j * c) + i) <- v
+  in
+  for i = 0 to c - 1 do
+    let j = ref i in
+    while !j + 3 < c do
+      let j0 = !j in
+      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
       for k = 0 to x.r - 1 do
-        acc := !acc +. (get x k i *. get x k j)
+        let row = k * c in
+        let xki = a.(row + i) in
+        s0 := !s0 +. (xki *. a.(row + j0));
+        s1 := !s1 +. (xki *. a.(row + j0 + 1));
+        s2 := !s2 +. (xki *. a.(row + j0 + 2));
+        s3 := !s3 +. (xki *. a.(row + j0 + 3))
       done;
-      set g i j !acc;
-      set g j i !acc
+      put i j0 !s0;
+      put i (j0 + 1) !s1;
+      put i (j0 + 2) !s2;
+      put i (j0 + 3) !s3;
+      j := j0 + 4
+    done;
+    for j = !j to c - 1 do
+      let s = ref 0.0 in
+      for k = 0 to x.r - 1 do
+        let row = k * c in
+        s := !s +. (a.(row + i) *. a.(row + j))
+      done;
+      put i j !s
     done
   done;
   g

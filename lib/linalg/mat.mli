@@ -22,7 +22,8 @@ val scale : float -> t -> t
 val mul_vec : t -> float array -> float array
 
 val gram : t -> t
-(** [gram x] is [xᵀx], computed symmetrically. *)
+(** [gram x] is [xᵀx], computed symmetrically. Each entry adds its products
+    over the rows of [x] in order. *)
 
 val lu_det : t -> float
 (** Determinant via LU with partial pivoting. Square only. *)

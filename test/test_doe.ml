@@ -132,6 +132,67 @@ let prop_lhs_values_on_grid =
                   p))
         d)
 
+(* Speed work on the exchange must not move a bit: the MD5 of every
+   coordinate, as [%h], of four seeded designs, against digests recorded by
+   an exchange that recomputed every candidate's M⁻¹x_j at every visit. A
+   deliberate change to the exchange pastes the new digests over these and
+   says so in the commit. *)
+let design_digest rows =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          (Array.to_list
+             (Array.map
+                (fun p -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") p)))
+                rows))))
+
+let test_design_bits_pinned () =
+  let space = Emc_core.Params.space_all in
+  let gen seed n = Doe.generate ~sweeps:2 ~cand_factor:5 (Emc_util.Rng.create seed) space ~n in
+  let big = gen 7 110 in
+  List.iter
+    (fun (name, want, rows) -> Alcotest.(check string) name want (design_digest rows))
+    [
+      ("paper space, n = 110", "1ad9e2b5ea72a9d9ec8c0ed10379dbeb", big);
+      ("paper space, n = 36", "99f48eb077e340f19594191f6eacec5a", gen 8 36);
+      ( "27 rows augmenting n = 110",
+        "6f21f81f757a65b2b11f57cc9a0fde8a",
+        Doe.augment ~sweeps:2 ~cand_factor:5 (Emc_util.Rng.create 9) space ~design:big
+          ~n_extra:27 );
+      ( "small space, n = 12",
+        "a6e5247be5e7fbf5c865245e4a74b606",
+        Doe.generate ~sweeps:2 ~cand_factor:5 (Emc_util.Rng.create 10) small_space ~n:12 );
+    ]
+
+(* every accepted exchange is counted: at least one in a generate from a
+   random start, and at most one per visit *)
+let test_exchanges_counted () =
+  let count () = Option.value (Emc_obs.Metrics.counter_value "doe.exchanges") ~default:0 in
+  let before = count () in
+  let sweeps = 2 and n = 8 in
+  ignore (Doe.generate ~sweeps (Emc_util.Rng.create 5) small_space ~n);
+  let accepted = count () - before in
+  cb
+    (Printf.sprintf "%d exchanges in 1..%d" accepted (sweeps * n))
+    true
+    (accepted >= 1 && accepted <= sweeps * n)
+
+let test_empty_design_rejected () =
+  let rng = Emc_util.Rng.create 6 in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "generate n = %d" n)
+        (Invalid_argument (Printf.sprintf "Doe.generate: n must be at least 1, not %d" n))
+        (fun () -> ignore (Doe.generate rng small_space ~n));
+      Alcotest.check_raises
+        (Printf.sprintf "augment n_extra = %d" n)
+        (Invalid_argument (Printf.sprintf "Doe.augment: n_extra must be at least 1, not %d" n))
+        (fun () ->
+          let design = Doe.generate rng small_space ~n:6 in
+          ignore (Doe.augment rng small_space ~design ~n_extra:n)))
+    [ 0; -3 ]
+
 let suite =
   [
     ("random design on grid", `Quick, test_random_design_on_grid);
@@ -143,4 +204,7 @@ let suite =
     ("augment is jointly d-optimal", `Quick, test_augment_is_d_optimal_given_base);
     ("exchange timed once per generate", `Quick, test_exchange_seconds_observed);
     QCheck_alcotest.to_alcotest prop_lhs_values_on_grid;
+    ("d-optimal design bits are pinned", `Quick, test_design_bits_pinned);
+    ("exchanges counted per generate", `Quick, test_exchanges_counted);
+    ("empty design rejected", `Quick, test_empty_design_rejected);
   ]

@@ -161,6 +161,29 @@ let prop_transpose_mul =
         (Mat.transpose (Mat.mul a b))
         (Mat.mul (Mat.transpose b) (Mat.transpose a)))
 
+(* [gram] adds four entries at a time; each must keep the bits of a
+   one-entry loop that adds its products over the rows in order. The
+   entries are random doubles, so the sums round, and c runs below and
+   across every residue mod 4. *)
+let prop_gram_bits =
+  QCheck.Test.make ~name:"gram matches a one-entry loop bit for bit" ~count:200
+    QCheck.(triple (int_range 1 40) (int_range 1 13) (int_range 0 10_000))
+    (fun (r, c, seed) ->
+      let rng = Emc_util.Rng.create seed in
+      let x = random_mat rng r c in
+      let g = Mat.gram x in
+      let same = ref true in
+      for i = 0 to c - 1 do
+        for j = 0 to c - 1 do
+          let acc = ref 0.0 in
+          for k = 0 to r - 1 do
+            acc := !acc +. (Mat.get x k i *. Mat.get x k j)
+          done;
+          if Int64.bits_of_float (Mat.get g i j) <> Int64.bits_of_float !acc then same := false
+        done
+      done;
+      !same)
+
 let suite =
   [
     ("identity mul", `Quick, test_identity_mul);
@@ -182,4 +205,5 @@ let suite =
     ("of_rows validation", `Quick, test_of_rows_validation);
     QCheck_alcotest.to_alcotest prop_solve_random;
     QCheck_alcotest.to_alcotest prop_transpose_mul;
+    QCheck_alcotest.to_alcotest prop_gram_bits;
   ]
