@@ -274,6 +274,19 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
           let train = (Lazy.force d).Experiments.train in
           Staged.stage (fun () ->
               ignore (Mars.fit ~names:(Params.names Params.all_specs) train)) );
+      (* the linear fit with interactions (351 columns at 25 factors, so one
+         351² Cholesky) and the RBF fit with its BIC size search, over the
+         same design *)
+      ( "regress/linear-fit",
+        fun () ->
+          let train = (Lazy.force d).Experiments.train in
+          Staged.stage (fun () ->
+              ignore (Linear.fit ~interactions:true ~names:(Params.names Params.all_specs) train))
+      );
+      ( "regress/rbf-fit",
+        fun () ->
+          let train = (Lazy.force d).Experiments.train in
+          Staged.stage (fun () -> ignore (Rbf.fit ~kernel:Rbf.Multiquadric train)) );
       (* multi-objective search: one full NSGA-II run at a small budget *)
       ( "search/pareto-front",
         fun () ->

@@ -16,21 +16,65 @@ module Http = Emc_serve.Http
 
 (* ---------------- shared arguments ---------------- *)
 
+(* Closed sets of names parse through converters, so a name outside the set
+   is a usage error (exit 124) that lists the valid names, reported while
+   the command line is parsed and so before any work starts. A value comes
+   with the name it was given by. *)
+let choice ~what choices =
+  let parse s =
+    match List.assoc_opt s choices with
+    | Some v -> Ok (s, v)
+    | None ->
+        Error
+          (Printf.sprintf "unknown %s %S: expected one of %s" what s
+             (String.concat ", " (List.map fst choices)))
+  in
+  Arg.conv' (parse, fun ppf (s, _) -> Format.pp_print_string ppf s)
+
+let named choices name = (name, List.assoc name choices)
+
 let workload_arg =
   let doc = "Workload: one of " ^ String.concat ", " Registry.names ^ " (short names ok)." in
-  Arg.(value & opt string "164.gzip" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
+  let parse s =
+    match Registry.find s with
+    | w -> Ok w
+    | exception Invalid_argument _ ->
+        Error
+          (Printf.sprintf "unknown workload %S: expected one of %s, or the part after the dot"
+             s (String.concat ", " Registry.names))
+  in
+  let workload =
+    Arg.conv' (parse, fun ppf (w : Workload.t) -> Format.pp_print_string ppf w.name)
+  in
+  Arg.(value
+       & opt workload (Registry.find "164.gzip")
+       & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
 
 let config_arg =
-  let doc = "Microarchitecture: constrained, typical or aggressive (Table 5)." in
-  Arg.(value & opt string "typical" & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
+  let names = List.map fst Emc_sim.Config.named in
+  let doc = "Microarchitecture: " ^ String.concat ", " names ^ " (Table 5)." in
+  Arg.(value
+       & opt (choice ~what:"config" Emc_sim.Config.named) (named Emc_sim.Config.named "typical")
+       & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
+
+let opt_levels =
+  Emc_opt.Flags.[ ("O0", o0); ("O1", o1); ("O2", o2); ("O3", o3) ]
 
 let opt_level_arg =
-  let doc = "Optimization level: O0, O1, O2 or O3." in
-  Arg.(value & opt string "O2" & info [ "O"; "opt" ] ~docv:"LEVEL" ~doc)
+  let doc = "Optimization level: " ^ String.concat ", " (List.map fst opt_levels) ^ "." in
+  Arg.(value
+       & opt (choice ~what:"optimization level" opt_levels) (named opt_levels "O2")
+       & info [ "O"; "opt" ] ~docv:"LEVEL" ~doc)
+
+let scales =
+  [ ("tiny", Scale.tiny); ("quick", Scale.quick); ("medium", Scale.medium);
+    ("full", Scale.full); ("paper", Scale.full) ]
 
 let scale_arg =
-  let doc = "Protocol scale: tiny, quick, medium or full." in
-  Arg.(value & opt string "quick" & info [ "scale" ] ~docv:"SCALE" ~doc)
+  let doc = "Protocol scale: tiny, quick, medium or full (paper is full)." in
+  Arg.(value
+       & opt (choice ~what:"scale" scales) (named scales "quick")
+       & info [ "scale" ] ~docv:"SCALE" ~doc)
 
 let seed_arg =
   let doc = "Random seed." in
@@ -158,27 +202,8 @@ let make_ctx ~seed ~scale ?cache_file ~fleet:(fleet, chunk, depth) ~run_id () =
       Fleet.attach ~options ctx.Experiments.measure (parse_fleet_spec spec));
   ctx
 
-let parse_config s =
-  match List.assoc_opt s Emc_sim.Config.named with
-  | Some c -> c
-  | None -> failwith ("unknown config: " ^ s)
-
-let parse_flags = function
-  | "O0" -> Emc_opt.Flags.o0
-  | "O1" -> Emc_opt.Flags.o1
-  | "O2" -> Emc_opt.Flags.o2
-  | "O3" -> Emc_opt.Flags.o3
-  | s -> failwith ("unknown optimization level: " ^ s)
-
-let parse_scale ?jobs name =
-  let base =
-    match name with
-    | "tiny" -> Scale.tiny
-    | "quick" -> Scale.quick
-    | "medium" -> Scale.medium
-    | "full" | "paper" -> Scale.full
-    | s -> failwith ("unknown scale: " ^ s)
-  in
+(* --scale's preset with the worker count of --jobs, or of EMC_JOBS *)
+let with_jobs ?jobs (_, base) =
   { base with Scale.jobs = (match jobs with Some j -> j | None -> Scale.jobs_of_env ()) }
 
 (* ---------------- params ---------------- *)
@@ -201,10 +226,8 @@ let compile_cmd =
   let dump_asm =
     Arg.(value & flag & info [ "dump-asm" ] ~doc:"Print the generated machine code.")
   in
-  let run wname level dump_ir dump_asm trace metrics =
+  let run (w : Workload.t) (level, flags) dump_ir dump_asm trace metrics =
     with_obs trace metrics (fun () ->
-        let w = Registry.find wname in
-        let flags = parse_flags level in
         let ir = Emc_lang.Minic.compile_exn w.Workload.source in
         let before = Emc_ir.Ir.instr_count ir in
         let opt =
@@ -235,12 +258,9 @@ let simulate_cmd =
   let full_detail =
     Arg.(value & flag & info [ "full" ] ~doc:"Fully detailed simulation (no SMARTS sampling).")
   in
-  let run wname level cname scale cache full_detail trace metrics =
+  let run (w : Workload.t) (level, flags) (cname, march) scale cache full_detail trace metrics =
     with_obs trace metrics (fun () ->
-        let w = Registry.find wname in
-        let flags = parse_flags level in
-        let march = parse_config cname in
-        let scale = parse_scale scale in
+        let scale = with_jobs scale in
         let m =
           Measure.create ?cache_file:(result_file cache)
             { scale with smarts = (if full_detail then None else scale.smarts) }
@@ -295,14 +315,13 @@ let design_cmd =
 (* ---------------- model ---------------- *)
 
 let technique_arg =
+  let techniques =
+    [ ("linear", Modeling.Linear); ("mars", Modeling.Mars); ("rbf", Modeling.Rbf) ]
+  in
   let doc = "Model family: linear, mars or rbf." in
-  Arg.(value & opt string "rbf" & info [ "t"; "technique" ] ~docv:"TECH" ~doc)
-
-let parse_technique = function
-  | "linear" -> Modeling.Linear
-  | "mars" -> Modeling.Mars
-  | "rbf" -> Modeling.Rbf
-  | s -> failwith ("unknown technique: " ^ s)
+  Arg.(value
+       & opt (choice ~what:"technique" techniques) (named techniques "rbf")
+       & info [ "t"; "technique" ] ~docv:"TECH" ~doc)
 
 (* Accuracy and rank quality of one fitted family on the held-out test
    design: RMSE/MAPE grade the predicted magnitudes, Spearman and the
@@ -318,13 +337,11 @@ let report_model_metrics ~test (m : Emc_regress.Model.t) =
     (Metrics.precision_at_k ~k:5 p test)
 
 let model_cmd =
-  let run wname tname scale seed jobs cache fleet run_id trace metrics =
+  let run (w : Workload.t) (_, technique) scale seed jobs cache fleet run_id trace metrics =
     with_obs trace metrics (fun () ->
-        let w = Registry.find wname in
-        let scale = parse_scale ?jobs scale in
+        let scale = with_jobs ?jobs scale in
         let ctx = make_ctx ~seed ~scale ?cache_file:cache ~fleet ~run_id () in
         let d = Experiments.prepare ctx w in
-        let technique = parse_technique tname in
         let m = Experiments.model_of d technique in
         Printf.printf "%s / %s: test MAPE = %.2f%% (%d params)\n" w.name
           (Modeling.technique_name technique)
@@ -376,13 +393,12 @@ let train_cmd =
     in
     Arg.(value & flag & info [ "energy" ] ~doc)
   in
-  let run wname tname scale seed jobs cache fleet run_id out energy trace metrics =
+  let run (w : Workload.t) (tname, technique) scale seed jobs cache fleet run_id out energy
+      trace metrics =
     with_obs trace metrics (fun () ->
-        let w = Registry.find wname in
-        let scale = parse_scale ?jobs scale in
+        let scale = with_jobs ?jobs scale in
         let ctx = make_ctx ~seed ~scale ?cache_file:cache ~fleet ~run_id () in
         let d = Experiments.prepare ctx w in
-        let technique = parse_technique tname in
         let m = Experiments.model_of d technique in
         let test_mape =
           Emc_regress.Metrics.mape m.Emc_regress.Model.predict d.Experiments.test
@@ -705,11 +721,10 @@ let search_cmd =
     in
     Arg.(value & opt (some string) None & info [ "m"; "model" ] ~docv:"FILE" ~doc)
   in
-  let run wname cname scale seed jobs cache fleet run_id mfile validate trace metrics =
+  let run (w : Workload.t) (cname, march) scale seed jobs cache fleet run_id mfile validate
+      trace metrics =
     with_obs trace metrics (fun () ->
-        let w = Registry.find wname in
-        let march = parse_config cname in
-        let scale = parse_scale ?jobs scale in
+        let scale = with_jobs ?jobs scale in
         let measure, m =
           match mfile with
           | Some path ->
@@ -766,9 +781,9 @@ let pareto_cmd =
     Arg.(value & opt (some int) None
          & info [ "generations" ] ~docv:"N" ~doc:"NSGA-II generation count.")
   in
-  let run wname cname scale seed jobs cache fleet run_id mfile pop gens json trace metrics =
+  let run (w : Workload.t) (cname, march) scale seed jobs cache fleet run_id mfile pop gens json
+      trace metrics =
     with_obs trace metrics (fun () ->
-        let march = parse_config cname in
         (* same defaults as the daemon's /pareto (not --scale's GA budget),
            so served and in-process runs are comparable bit for bit *)
         let dflt = Emc_search.Ga.default_params in
@@ -792,8 +807,7 @@ let pareto_cmd =
                       predict = Emc_regress.Repr.eval r; n_params = 0; terms = [];
                       repr = Some r } ))
           | None ->
-              let w = Registry.find wname in
-              let scale = parse_scale ?jobs scale in
+              let scale = with_jobs ?jobs scale in
               let ctx = make_ctx ~seed ~scale ?cache_file:cache ~fleet ~run_id () in
               let d = Experiments.prepare ctx w in
               ( w.Workload.name,
@@ -844,26 +858,28 @@ let pareto_cmd =
 (* ---------------- experiment ---------------- *)
 
 let experiment_cmd =
-  let which_arg =
-    Arg.(value & pos 0 string "table3"
-         & info [] ~docv:"EXP" ~doc:"One of: table3 table4 table5 table6 table7 fig3 fig5 fig6 fig7.")
+  let experiments =
+    [ ("table3", fun ctx -> ignore (Experiments.table3 ctx));
+      ("table4", fun ctx -> ignore (Experiments.table4 ctx));
+      ("table5", fun _ -> Experiments.print_table5 ());
+      ("table6", fun ctx -> ignore (Experiments.table6 ctx));
+      ("table7", fun ctx -> ignore (Experiments.table7 ctx (Experiments.table6 ctx)));
+      ("fig3", fun ctx -> ignore (Experiments.fig3 ctx));
+      ("fig5", fun ctx -> ignore (Experiments.fig5 ctx));
+      ("fig6", fun ctx -> ignore (Experiments.fig6 ctx));
+      ("fig7", fun ctx -> ignore (Experiments.fig7 ctx (Experiments.table6 ctx))) ]
   in
-  let run which scale seed jobs cache fleet run_id trace metrics =
+  let which_arg =
+    let doc = "One of: " ^ String.concat " " (List.map fst experiments) ^ "." in
+    Arg.(value
+         & pos 0 (choice ~what:"experiment" experiments) (named experiments "table3")
+         & info [] ~docv:"EXP" ~doc)
+  in
+  let run (which, experiment) scale seed jobs cache fleet run_id trace metrics =
     with_obs trace metrics (fun () ->
-        let scale = parse_scale ?jobs scale in
+        let scale = with_jobs ?jobs scale in
         let ctx = make_ctx ~seed ~scale ?cache_file:cache ~fleet ~run_id () in
-        Emc_obs.Trace.with_span ~cat:"phase" which (fun () ->
-            match which with
-            | "table3" -> ignore (Experiments.table3 ctx)
-            | "table4" -> ignore (Experiments.table4 ctx)
-            | "table5" -> Experiments.print_table5 ()
-            | "table6" -> ignore (Experiments.table6 ctx)
-            | "table7" -> ignore (Experiments.table7 ctx (Experiments.table6 ctx))
-            | "fig3" -> ignore (Experiments.fig3 ctx)
-            | "fig5" -> ignore (Experiments.fig5 ctx)
-            | "fig6" -> ignore (Experiments.fig6 ctx)
-            | "fig7" -> ignore (Experiments.fig7 ctx (Experiments.table6 ctx))
-            | s -> failwith ("unknown experiment: " ^ s)))
+        Emc_obs.Trace.with_span ~cat:"phase" which (fun () -> experiment ctx))
   in
   Cmd.v (Cmd.info "experiment" ~doc:"Regenerate one table or figure from the paper.")
     Term.(const run $ which_arg $ scale_arg $ seed_arg $ jobs_arg $ cache_arg $ fleet_opts_arg

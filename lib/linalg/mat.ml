@@ -210,44 +210,62 @@ let inverse m =
       done;
       inv
 
-let cholesky m =
-  if m.r <> m.c then invalid_arg "Mat.cholesky: square matrix required";
-  let n = m.r in
-  let l = create n n in
-  for i = 0 to n - 1 do
+(* Row i of the factor reads rows <= i of [m] and rows < i of [l] only, so
+   the loop can start at any row whose predecessors are in place; each
+   entry subtracts its products over k in ascending order either way. *)
+let cholesky_rows m l ~from ~upto =
+  if m.r <> m.c || l.r <> m.r || l.c <> m.c then
+    invalid_arg "Mat.cholesky_rows: square matrices of one size required";
+  if from < 0 || from > upto || upto > m.r then invalid_arg "Mat.cholesky_rows: row range";
+  let n = m.c and a = m.a and la = l.a in
+  for i = from to upto - 1 do
+    let ri = i * n in
     for j = 0 to i do
-      let acc = ref (get m i j) in
+      let rj = j * n in
+      let acc = ref a.(ri + j) in
       for k = 0 to j - 1 do
-        acc := !acc -. (get l i k *. get l j k)
+        acc := !acc -. (la.(ri + k) *. la.(rj + k))
       done;
       if i = j then begin
         if !acc <= 0.0 then failwith "Mat.cholesky: matrix not positive definite";
-        set l i i (sqrt !acc)
+        la.(ri + i) <- sqrt !acc
       end
-      else set l i j (!acc /. get l j j)
+      else la.(ri + j) <- !acc /. la.(rj + j)
     done
-  done;
+  done
+
+let cholesky m =
+  if m.r <> m.c then invalid_arg "Mat.cholesky: square matrix required";
+  let l = create m.r m.r in
+  cholesky_rows m l ~from:0 ~upto:m.r;
   l
+
+(* Forward substitution into [x], then back substitution in place: the
+   cells each step reads are ones it has not overwritten yet. *)
+let cholesky_solve l n b x =
+  if l.r <> l.c || n < 0 || n > l.r || Array.length b < n || Array.length x < n then
+    invalid_arg "Mat.cholesky_solve: dimension mismatch";
+  let c = l.c and la = l.a in
+  for i = 0 to n - 1 do
+    let ri = i * c in
+    let acc = ref b.(i) in
+    for j = 0 to i - 1 do
+      acc := !acc -. (la.(ri + j) *. x.(j))
+    done;
+    x.(i) <- !acc /. la.(ri + i)
+  done;
+  for i = n - 1 downto 0 do
+    let acc = ref x.(i) in
+    for j = i + 1 to n - 1 do
+      acc := !acc -. (la.((j * c) + i) *. x.(j))
+    done;
+    x.(i) <- !acc /. la.((i * c) + i)
+  done
 
 let solve_spd m b =
   let l = cholesky m in
-  let n = rows m in
-  let y = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let acc = ref b.(i) in
-    for j = 0 to i - 1 do
-      acc := !acc -. (get l i j *. y.(j))
-    done;
-    y.(i) <- !acc /. get l i i
-  done;
-  let x = Array.make n 0.0 in
-  for i = n - 1 downto 0 do
-    let acc = ref y.(i) in
-    for j = i + 1 to n - 1 do
-      acc := !acc -. (get l j i *. x.(j))
-    done;
-    x.(i) <- !acc /. get l i i
-  done;
+  let x = Array.make m.r 0.0 in
+  cholesky_solve l m.r b x;
   x
 
 (* Householder QR least squares. Handles rank deficiency by zeroing

@@ -2,9 +2,15 @@
 
     Sized for the regression pipeline: a few hundred rows (design points) by a
     few hundred columns (model terms). All operations are straightforward
-    O(n^3)-or-better dense algorithms with partial pivoting where relevant. *)
+    O(n^3)-or-better dense algorithms with partial pivoting where relevant.
+    The Cholesky loop indexes the flat array through row offsets, and it can
+    resume at a row of a partly computed factor: MARS extends its accepted
+    columns' factor by each candidate's rows instead of factoring anew. *)
 
 type t
+
+val create : int -> int -> t
+(** [create r c] is the [r × c] zero matrix. *)
 
 val init : int -> int -> (int -> int -> float) -> t
 val identity : int -> t
@@ -40,8 +46,23 @@ val inverse : t -> t
 (** Raises [Failure] on a singular matrix. *)
 
 val cholesky : t -> t
-(** Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
-    Raises [Failure] if the matrix is not positive definite. *)
+(** Lower-triangular Cholesky factor of a symmetric positive-definite matrix:
+    {!cholesky_rows} from row 0. Reads the lower triangle only. Raises
+    [Failure] if the matrix is not positive definite. *)
+
+val cholesky_rows : t -> t -> from:int -> upto:int -> unit
+(** [cholesky_rows a l ~from ~upto] writes rows [from .. upto-1] of the
+    Cholesky factor of [a]'s leading [upto × upto] block into the lower
+    triangle of [l], reading the factor's rows [0 .. from-1] from [l]. Row i
+    of a factor depends only on rows [<= i] of the matrix, so the rows it
+    writes have the bits of a factorization from row 0. [a] and [l] are
+    square of one size. Raises [Failure] if the block is not positive
+    definite; the rows up to the failing one are then written. *)
+
+val cholesky_solve : t -> int -> float array -> float array -> unit
+(** [cholesky_solve l n b x] solves [L Lᵀ x = b] for the leading [n × n]
+    block [L] of a Cholesky factor [l], writing [x.(0 .. n-1)]. [x] may be
+    [b]. *)
 
 val solve_spd : t -> float array -> float array
 (** Solve an SPD system via Cholesky. *)

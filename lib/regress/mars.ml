@@ -12,18 +12,19 @@ open Emc_linalg
 
     The forward pass prices candidates from cached normal equations: the
     Gram entries and Xᵀy of the accepted columns are kept, so a candidate
-    pair costs only its 2m+5 new dot products, and the backward pass and
-    the final refit read their systems out of the same cache. Each entry
-    is the dot product that building the whole system anew would sum,
-    over the rows in the same order, so the fitted bits do not depend on
-    the cache. *)
+    pair costs only its 2m+5 new dot products. The accepted columns'
+    Cholesky rows are kept too: row i of a factor depends only on rows
+    [<= i] of its system, so a candidate extends them by its own two rows
+    ({!Mat.cholesky_rows} from row m) at O(m²) instead of factoring the
+    whole system at O(m³). Every entry is the dot product, and every factor
+    row the loop, that building the system anew would compute, in the same
+    order, so the fitted bits do not depend on the cache. The backward pass
+    and the final refit solve their subsets with the same solver from
+    row 0. *)
 
 type factor = Repr.factor = { dim : int; knot : float; positive : bool }
 
 type basis = factor list (* empty = intercept *)
-
-(* the single hinge-product implementation, shared with artifact eval *)
-let eval_basis (b : basis) x = Repr.eval_basis b x
 
 let basis_name names (b : basis) =
   match b with
@@ -39,64 +40,104 @@ let basis_name names (b : basis) =
 
 let ridge = 1e-9
 
-let dot a b =
+let[@inline] dot a b =
   let acc = ref 0.0 in
   for r = 0 to Array.length a - 1 do
     acc := !acc +. (a.(r) *. b.(r))
   done;
   !acc
 
-(* Columns with their normal equations: [gram.(i).(j)], [j <= i], is
-   [cols.(i) · cols.(j)] and [xty.(i)] is [cols.(i) · y], each summed over
-   the rows in order. A column's entries are computed once, when it is
-   appended, and every system below is read out of them. *)
-type normal = { cols : float array array; gram : float array array; xty : float array }
+(* Room for [cap] columns with their normal equations: [gram.(i).(j)],
+   [j <= i], is [cols.(i) · cols.(j)] and [xty.(i)] is [cols.(i) · y],
+   each summed over the rows in order. A column's entries are computed
+   once, when it is stored, and every system below is read out of them.
+   [sys] and [chol] hold the lower triangles of the system last solved and
+   of its Cholesky factor; [w] its weights and [p] its predictions. *)
+type normal = {
+  y : float array;
+  cols : float array array;
+  gram : float array array;
+  xty : float array;
+  sys : Mat.t;
+  chol : Mat.t;
+  w : float array;
+  p : float array;
+}
 
-let no_cols = { cols = [||]; gram = [||]; xty = [||] }
-
-(* [ne] plus column [c]: its m + 2 new dot products *)
-let add_col y ne c =
-  let m = Array.length ne.cols in
+let normal ~cap y =
+  let n = Array.length y in
   {
-    cols = Array.append ne.cols [| c |];
-    gram =
-      Array.append ne.gram
-        [| Array.init (m + 1) (fun j -> dot (if j = m then c else ne.cols.(j)) c) |];
-    xty = Array.append ne.xty [| dot c y |];
+    y;
+    cols = Array.init cap (fun _ -> Array.make n 0.0);
+    gram = Array.init cap (fun i -> Array.make (i + 1) 0.0);
+    xty = Array.make cap 0.0;
+    sys = Mat.create cap cap;
+    chol = Mat.create cap cap;
+    w = Array.make cap 0.0;
+    p = Array.make n 0.0;
   }
 
-(* Least squares on the columns [idx] (ascending) of [ne]; returns
-   (weights, training SSE), or zero weights and an infinite SSE when the
-   system is not positive definite. *)
-let solve y ne idx =
+(* the normal equations of the column stored in slot [i]: its i + 2 new
+   dot products *)
+let store_col ne i =
+  let c = ne.cols.(i) and g = ne.gram.(i) in
+  for j = 0 to i do
+    g.(j) <- dot ne.cols.(j) c
+  done;
+  ne.xty.(i) <- dot c ne.y
+
+(* The reflected pair [parent · max(0, ±(x_dim − knot))] into slots [at]
+   and [at + 1]. *)
+let store_pair ne x ~parent ~dim ~knot ~at =
+  let pc = ne.cols.(parent) and c1 = ne.cols.(at) and c2 = ne.cols.(at + 1) in
+  for r = 0 to Array.length pc - 1 do
+    let pv = pc.(r) and xd = x.(r).(dim) in
+    let v1 = xd -. knot and v2 = knot -. xd in
+    c1.(r) <- (if v1 > 0.0 then pv *. v1 else 0.0);
+    c2.(r) <- (if v2 > 0.0 then pv *. v2 else 0.0)
+  done;
+  store_col ne at;
+  store_col ne (at + 1)
+
+(* Least squares on the columns [idx] (ascending). Rows [from ..] of the
+   system and of its factor are built here; rows below [from] must be
+   those of an earlier solve whose leading columns were the same. Leaves
+   the weights in [ne.w] and returns the training SSE, or zero weights and
+   an infinite SSE when the system is not positive definite. *)
+let solve ne ~from idx =
   let m = Array.length idx in
-  let g =
-    Mat.init m m (fun i j ->
-        let v = if i >= j then ne.gram.(idx.(i)).(idx.(j)) else ne.gram.(idx.(j)).(idx.(i)) in
-        if i = j then v +. ridge else v)
-  in
-  let rhs = Array.map (fun i -> ne.xty.(i)) idx in
-  match (try Some (Mat.solve_spd g rhs) with Failure _ -> None) with
-  | None -> (Array.make m 0.0, infinity)
-  | Some w ->
+  for i = from to m - 1 do
+    let gi = ne.gram.(idx.(i)) in
+    for j = 0 to i do
+      let v = gi.(idx.(j)) in
+      Mat.set ne.sys i j (if i = j then v +. ridge else v)
+    done
+  done;
+  match Mat.cholesky_rows ne.sys ne.chol ~from ~upto:m with
+  | exception Failure _ ->
+      Array.fill ne.w 0 m 0.0;
+      infinity
+  | () ->
+      let w = ne.w and p = ne.p and y = ne.y in
+      for i = 0 to m - 1 do
+        w.(i) <- ne.xty.(idx.(i))
+      done;
+      Mat.cholesky_solve ne.chol m w w;
       (* every prediction sums its terms in column order, walking each
          column contiguously *)
-      let p = Array.make (Array.length y) 0.0 in
-      Array.iteri
-        (fun i c ->
-          let col = ne.cols.(c) in
-          for r = 0 to Array.length p - 1 do
-            p.(r) <- p.(r) +. (w.(i) *. col.(r))
-          done)
-        idx;
+      Array.fill p 0 (Array.length p) 0.0;
+      for i = 0 to m - 1 do
+        let col = ne.cols.(idx.(i)) and wi = w.(i) in
+        for r = 0 to Array.length p - 1 do
+          p.(r) <- p.(r) +. (wi *. col.(r))
+        done
+      done;
       let sse = ref 0.0 in
       for r = 0 to Array.length y - 1 do
         let e = p.(r) -. y.(r) in
         sse := !sse +. (e *. e)
       done;
-      (w, !sse)
-
-let solve_all y ne = solve y ne (Array.init (Array.length ne.cols) Fun.id)
+      !sse
 
 let effective_params m = float_of_int m +. (3.0 *. float_of_int (m - 1))
 
@@ -116,54 +157,55 @@ let fit ?(max_terms = 23) ?(max_degree = 2) ?(names = [||]) (d : Dataset.t) : Mo
   let n = Dataset.size d_std in
   let k = Dataset.dims d_std in
   let names = if Array.length names = k then names else Array.init k (Printf.sprintf "x%d") in
-  let y = d_std.Dataset.y in
-  let col_of b = Array.map (eval_basis b) d_std.Dataset.x in
-  let bases = ref [ ([] : basis) ] in
-  let ne = ref (add_col y no_cols (col_of [])) in
-  let knots = Array.init k (fun dim -> knot_candidates d_std dim) in
+  let x = d_std.Dataset.x in
+  let cap = Stdlib.max 1 max_terms in
+  let ne = normal ~cap d_std.Dataset.y in
+  let bases = Array.make cap ([] : basis) in
+  (* the intercept *)
+  Array.fill ne.cols.(0) 0 n 1.0;
+  store_col ne 0;
+  let m = ref 1 in
+  let knots = Array.init k (fun dim -> Array.of_list (knot_candidates d_std dim)) in
   (* ---------- forward pass ---------- *)
-  let current_sse = ref (snd (solve_all y !ne)) in
+  let current_sse = ref (solve ne ~from:0 [| 0 |]) in
   let continue_ = ref true in
-  while !continue_ && List.length !bases + 2 <= max_terms do
+  while !continue_ && !m + 2 <= max_terms do
+    let m0 = !m in
+    let idx = Array.init (m0 + 2) Fun.id in
     let best = ref None in
-    List.iteri
-      (fun pi parent ->
-        if List.length parent < max_degree then
-          let parent_col = !ne.cols.(pi) in
-          for dim = 0 to k - 1 do
-            if not (List.exists (fun f -> f.dim = dim) parent) then
-              List.iter
-                (fun knot ->
-                  let c1 = Array.mapi (fun r pv ->
-                      let v = d_std.Dataset.x.(r).(dim) -. knot in
-                      if v > 0.0 then pv *. v else 0.0) parent_col
-                  in
-                  let c2 = Array.mapi (fun r pv ->
-                      let v = knot -. d_std.Dataset.x.(r).(dim) in
-                      if v > 0.0 then pv *. v else 0.0) parent_col
-                  in
-                  let ext = add_col y (add_col y !ne c1) c2 in
-                  let _, sse = solve_all y ext in
-                  match !best with
-                  | Some (s, _, _, _, _) when s <= sse -> ()
-                  | _ -> best := Some (sse, parent, dim, knot, ext))
-                knots.(dim)
-          done)
-      !bases;
+    for pi = 0 to m0 - 1 do
+      let parent = bases.(pi) in
+      if List.length parent < max_degree then
+        for dim = 0 to k - 1 do
+          if not (List.exists (fun f -> f.dim = dim) parent) then
+            for ki = 0 to Array.length knots.(dim) - 1 do
+              store_pair ne x ~parent:pi ~dim ~knot:knots.(dim).(ki) ~at:m0;
+              let sse = solve ne ~from:m0 idx in
+              match !best with
+              | Some (s, _, _, _) when s <= sse -> ()
+              | _ -> best := Some (sse, pi, dim, ki)
+            done
+        done
+    done;
     match !best with
-    | Some (sse, parent, dim, knot, ext) when sse < !current_sse *. 0.999 ->
-        bases := !bases @ [ { dim; knot; positive = true } :: parent;
-                            { dim; knot; positive = false } :: parent ];
-        ne := ext;
+    | Some (sse, pi, dim, ki) when sse < !current_sse *. 0.999 ->
+        (* the slots hold the last candidate tried: store the winner again
+           and refactor its two rows *)
+        let knot = knots.(dim).(ki) in
+        store_pair ne x ~parent:pi ~dim ~knot ~at:m0;
+        ignore (solve ne ~from:m0 idx);
+        bases.(m0) <- { dim; knot; positive = true } :: bases.(pi);
+        bases.(m0 + 1) <- { dim; knot; positive = false } :: bases.(pi);
+        m := m0 + 2;
         current_sse := sse
     | _ -> continue_ := false
   done;
   (* ---------- backward pass ---------- *)
   let eval_subset subset =
-    let _, sse = solve y !ne (Array.of_list subset) in
+    let sse = solve ne ~from:0 (Array.of_list subset) in
     Metrics.gcv ~samples:n ~effective_params:(effective_params (List.length subset)) ~sse
   in
-  let all_idx = List.init (List.length !bases) Fun.id in
+  let all_idx = List.init !m Fun.id in
   let best_subset = ref all_idx in
   let best_gcv = ref (eval_subset all_idx) in
   let cur = ref all_idx in
@@ -187,9 +229,10 @@ let fit ?(max_terms = 23) ?(max_degree = 2) ?(names = [||]) (d : Dataset.t) : Mo
         end
   done;
   (* ---------- final refit ---------- *)
-  let final_bases = List.filteri (fun i _ -> List.mem i !best_subset) !bases in
-  let w, _ = solve y !ne (Array.of_list !best_subset) in
-  let final_bases = Array.of_list final_bases in
+  let best_idx = Array.of_list !best_subset in
+  ignore (solve ne ~from:0 best_idx);
+  let w = Array.sub ne.w 0 (Array.length best_idx) in
+  let final_bases = Array.map (fun i -> bases.(i)) best_idx in
   let repr = Repr.Mars { bases = final_bases; weights = w; mu; sd } in
   {
     Model.technique = "mars";

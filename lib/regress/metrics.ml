@@ -30,11 +30,10 @@ let rmse predict (d : Dataset.t) =
 
 let sse predict (d : Dataset.t) =
   let acc = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let e = predict x -. d.Dataset.y.(i) in
-      acc := !acc +. (e *. e))
-    d.Dataset.x;
+  for i = 0 to Array.length d.Dataset.x - 1 do
+    let e = predict d.Dataset.x.(i) -. d.Dataset.y.(i) in
+    acc := !acc +. (e *. e)
+  done;
   !acc
 
 (** Bayesian information criterion as used in the paper (Equation 9):

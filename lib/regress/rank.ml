@@ -15,9 +15,11 @@
 
 let technique = "rank-pairwise"
 
-let dot beta row =
+let[@inline] dot beta row =
   let acc = ref 0.0 in
-  Array.iteri (fun i v -> acc := !acc +. (v *. beta.(i))) row;
+  for i = 0 to Array.length row - 1 do
+    acc := !acc +. (row.(i) *. beta.(i))
+  done;
   !acc
 
 let fit ?(interactions = true) ?(epochs = 60) ?(lr = 0.05) ?pairs_per_epoch ?(names = [||])
@@ -41,9 +43,10 @@ let fit ?(interactions = true) ?(epochs = 60) ?(lr = 0.05) ?pairs_per_epoch ?(na
         let s = dot beta rows.(hi) -. dot beta rows.(lo) in
         let g = 1.0 /. (1.0 +. exp s) in
         let step = lr *. g in
-        Array.iteri
-          (fun f _ -> beta.(f) <- beta.(f) +. (step *. (rows.(hi).(f) -. rows.(lo).(f))))
-          beta
+        let rh = rows.(hi) and rl = rows.(lo) in
+        for f = 0 to p - 1 do
+          beta.(f) <- beta.(f) +. (step *. (rh.(f) -. rl.(f)))
+        done
       end
     done
   done;

@@ -71,17 +71,7 @@ let fit_weights kernel (d : Dataset.t) centers =
     Mat.set g i i (Mat.get g i i +. ridge)
   done;
   let rhs = Mat.mul_vec (Mat.transpose phi) d.Dataset.y in
-  let w =
-    try Mat.solve_spd g rhs
-    with Failure _ -> Mat.lstsq phi d.Dataset.y
-  in
-  let predict x =
-    let acc = ref w.(0) in
-    Array.iteri (fun j (ctr, r) -> acc := !acc +. (w.(j + 1) *. eval_kernel kernel ~r (dist2 x ctr)))
-      centers;
-    !acc
-  in
-  (predict, w)
+  try Mat.solve_spd g rhs with Failure _ -> Mat.lstsq phi d.Dataset.y
 
 (* Candidate center counts tried by BIC for a given training-set size. *)
 let default_size_grid n =
@@ -96,8 +86,15 @@ let fit ?(kernel = Multiquadric) ?size_grid (d : Dataset.t) : Model.t =
   let grid = if grid = [] then [ max 2 (n / 4) ] else grid in
   let fit_one c =
     let centers = centers_from_tree d_std ~n_centers:c in
-    let predict, w = fit_weights kernel d_std centers in
-    let sse = Metrics.sse predict d_std in
+    let w = fit_weights kernel d_std centers in
+    (* scored in standardized units: at mu = 0 and sd = 1 the evaluator's
+       rescaling is exact, so this is the network's own training SSE *)
+    let net =
+      Repr.Rbf
+        { kernel; centers = Array.of_list (List.map fst centers);
+          radii = Array.of_list (List.map snd centers); weights = w; mu = 0.0; sd = 1.0 }
+    in
+    let sse = Metrics.sse (Repr.eval net) d_std in
     let bic = Metrics.bic ~samples:n ~params:(Array.length w) ~sse in
     (bic, centers, w)
   in

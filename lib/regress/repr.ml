@@ -66,26 +66,41 @@ let expand ~interactions x =
   expand_into ~interactions x out;
   out
 
-let eval_basis (b : factor list) x =
-  List.fold_left
-    (fun acc f ->
-      let v = if f.positive then x.(f.dim) -. f.knot else f.knot -. x.(f.dim) in
-      if v <= 0.0 then 0.0 else acc *. v)
-    1.0 b
+(* The kernels below are loops over local accumulators, and the three
+   float-valued helpers are [@inline]: without flambda, a float captured by
+   a closure is boxed on every update, and a float returned from a call
+   that is not inlined is boxed once per call. Inlined into [eval], they
+   leave a staged evaluation one allocation, the box of its result. *)
 
-let eval_kernel kernel ~r d2 =
+(* Every factor multiplies in, in list order; one at or below its knot
+   zeroes the product, and later factors still multiply the zero. *)
+let[@inline] eval_basis (b : factor list) x =
+  let acc = ref 1.0 and rest = ref b in
+  while
+    match !rest with
+    | [] -> false
+    | f :: tl ->
+        let v = if f.positive then x.(f.dim) -. f.knot else f.knot -. x.(f.dim) in
+        acc := if v <= 0.0 then 0.0 else !acc *. v;
+        rest := tl;
+        true
+  do
+    ()
+  done;
+  !acc
+
+let[@inline] eval_kernel kernel ~r d2 =
   match kernel with
   | Gaussian -> exp (-.d2 /. (2.0 *. r *. r))
   | Multiquadric -> sqrt ((d2 /. (r *. r)) +. 1.0)
   | InverseMultiquadric -> 1.0 /. sqrt ((d2 /. (r *. r)) +. 1.0)
 
-let dist2 a b =
+let[@inline] dist2 a b =
   let acc = ref 0.0 in
-  Array.iteri
-    (fun i ai ->
-      let d = ai -. b.(i) in
-      acc := !acc +. (d *. d))
-    a;
+  for i = 0 to Array.length a - 1 do
+    let d = a.(i) -. b.(i) in
+    acc := !acc +. (d *. d)
+  done;
   !acc
 
 (* [beta] dotted with the feature row of [x], expanded into scratch
@@ -114,15 +129,17 @@ let rec eval r =
   | Mars { bases; weights; mu; sd } ->
       fun x ->
         let acc = ref 0.0 in
-        Array.iteri (fun i b -> acc := !acc +. (weights.(i) *. eval_basis b x)) bases;
+        for i = 0 to Array.length bases - 1 do
+          acc := !acc +. (weights.(i) *. eval_basis bases.(i) x)
+        done;
         (!acc *. sd) +. mu
   | Rbf { kernel; centers; radii; weights; mu; sd } ->
       fun x ->
         let acc = ref weights.(0) in
-        Array.iteri
-          (fun j c ->
-            acc := !acc +. (weights.(j + 1) *. eval_kernel kernel ~r:radii.(j) (dist2 x c)))
-          centers;
+        for j = 0 to Array.length centers - 1 do
+          acc :=
+            !acc +. (weights.(j + 1) *. eval_kernel kernel ~r:radii.(j) (dist2 x centers.(j)))
+        done;
         (!acc *. sd) +. mu
   | Rank { interactions; beta } ->
       (* a unitless ranking score over the same feature expansion as

@@ -15,12 +15,11 @@ let m_evaluations = Emc_obs.Metrics.counter "pareto.evaluations"
 
 let dominates a b =
   let le = ref true and lt = ref false in
-  Array.iteri
-    (fun i ai ->
-      let c = Ga.fitness_order ai b.(i) in
-      if c > 0 then le := false;
-      if c < 0 then lt := true)
-    a;
+  for i = 0 to Array.length a - 1 do
+    let c = Ga.fitness_order a.(i) b.(i) in
+    if c > 0 then le := false;
+    if c < 0 then lt := true
+  done;
   !le && !lt
 
 let is_front objs =

@@ -184,6 +184,50 @@ let prop_gram_bits =
       done;
       !same)
 
+(* The factor's rows, each entry from [Mat.get], subtracting its products
+   over k in ascending order: the loop [Mat.cholesky_rows] must equal bit
+   for bit, whether it starts at row 0 or resumes after a prefix of k rows
+   copied from this reference. *)
+let reference_cholesky a n =
+  let l = Array.make_matrix n n 0.0 in
+  for i = 0 to n - 1 do
+    for j = 0 to i do
+      let acc = ref (Mat.get a i j) in
+      for k = 0 to j - 1 do
+        acc := !acc -. (l.(i).(k) *. l.(j).(k))
+      done;
+      l.(i).(j) <- (if i = j then sqrt !acc else !acc /. l.(j).(j))
+    done
+  done;
+  l
+
+let prop_cholesky_resume_bits =
+  QCheck.Test.make ~name:"cholesky from row 0 and resumed matches a get loop bit for bit"
+    ~count:200
+    QCheck.(triple (int_range 1 40) (int_range 0 40) (int_range 0 10_000))
+    (fun (n, k, seed) ->
+      let k = k mod (n + 1) in
+      let a = random_spd (Emc_util.Rng.create seed) n in
+      let want = reference_cholesky a n in
+      let same l =
+        let ok = ref true in
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            let w = if j <= i then want.(i).(j) else 0.0 in
+            if Int64.bits_of_float (Mat.get l i j) <> Int64.bits_of_float w then ok := false
+          done
+        done;
+        !ok
+      in
+      let resumed = Mat.create n n in
+      for i = 0 to k - 1 do
+        for j = 0 to i do
+          Mat.set resumed i j want.(i).(j)
+        done
+      done;
+      Mat.cholesky_rows a resumed ~from:k ~upto:n;
+      same (Mat.cholesky a) && same resumed)
+
 let suite =
   [
     ("identity mul", `Quick, test_identity_mul);
@@ -206,4 +250,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_solve_random;
     QCheck_alcotest.to_alcotest prop_transpose_mul;
     QCheck_alcotest.to_alcotest prop_gram_bits;
+    QCheck_alcotest.to_alcotest prop_cholesky_resume_bits;
   ]

@@ -295,6 +295,43 @@ let test_mars_bits_pinned () =
       Alcotest.(check (list string)) name (List.assoc name mars_golden) (mars_bits (fit ())))
     mars_cases
 
+(* ---------------- pinned rank, linear and RBF bits ---------------- *)
+
+(* The other families are pinned on the quick-sized MARS design the same
+   way: every fitted number is printed as [%h], and the MD5 of the lines
+   is compared against the digest of a fit that factored every system from
+   row 0 through [Mat.get]. A deliberate change to a model pastes the new
+   digest here and says so in the commit. *)
+let hex_digest floats =
+  Digest.to_hex (Digest.string (String.concat " " (List.map (Printf.sprintf "%h") floats)))
+
+let test_rank_bits_pinned () =
+  match (Rank.fit ~rng:(Emc_util.Rng.create 7) (mars_design ~seed:7 110)).Model.repr with
+  | Some (Repr.Rank { beta; _ }) ->
+      Alcotest.(check int) "351 columns" 351 (Array.length beta);
+      Alcotest.(check string) "beta" "f02adc327762f0aa2ab62dc13168a1a4"
+        (hex_digest (Array.to_list beta))
+  | _ -> Alcotest.fail "Rank.fit did not return a rank repr"
+
+let test_linear_rbf_bits_pinned () =
+  let d = mars_design ~seed:7 110 in
+  (match (Linear.fit d).Model.repr with
+  | Some (Repr.Linear { beta; mu; sd; _ }) ->
+      Alcotest.(check int) "351 columns" 351 (Array.length beta);
+      Alcotest.(check string) "linear" "9a30a788fd19f066a1323c73ffa96919"
+        (hex_digest (mu :: sd :: Array.to_list beta))
+  | _ -> Alcotest.fail "Linear.fit did not return a linear repr");
+  match (Rbf.fit d).Model.repr with
+  | Some (Repr.Rbf { centers; radii; weights; mu; sd; _ }) ->
+      Alcotest.(check int) "centers" 27 (Array.length centers);
+      Alcotest.(check string) "rbf" "a403e7a58b05a4e2bb234babecb5d467"
+        (hex_digest
+           (mu :: sd
+           :: List.concat
+                [ Array.to_list weights; Array.to_list radii;
+                  List.concat_map Array.to_list (Array.to_list centers) ]))
+  | _ -> Alcotest.fail "Rbf.fit did not return an RBF repr"
+
 (* ---------------- effects ---------------- *)
 
 let test_effects_of_linear_model () =
@@ -516,4 +553,6 @@ let suite =
     ("mars fit bits are pinned", `Quick, test_mars_bits_pinned);
     QCheck_alcotest.to_alcotest prop_tree_predicts_leaf_means;
     QCheck_alcotest.to_alcotest prop_spearman_permutation_invariant;
+    ("rank fit bits are pinned", `Quick, test_rank_bits_pinned);
+    ("linear and rbf fit bits are pinned", `Quick, test_linear_rbf_bits_pinned);
   ]

@@ -359,6 +359,57 @@ let test_repr_of_json_strictness () =
       | Ok j -> cb what true (Result.is_error (Repr.of_json j)))
     bad
 
+(* ---------------- allocation ---------------- *)
+
+(* A staged evaluator boxes its float result and nothing per term: after
+   one warm-up call, 1000 calls of each family allocate at most 4 minor
+   words per call, at two model sizes, so a per-center or per-coefficient
+   box cannot hide under the bound. *)
+let words_per_call f x =
+  ignore (Sys.opaque_identity (f x));
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (f x))
+  done;
+  (Gc.minor_words () -. before) /. 1000.0
+
+let test_eval_allocates_o1_words () =
+  let rng = Emc_util.Rng.create 5 in
+  let k = 25 in
+  let coord () = Emc_util.Rng.float rng 2.0 -. 1.0 in
+  let floats n = Array.init n (fun _ -> coord ()) in
+  let factor dim = { Repr.dim; knot = coord (); positive = Emc_util.Rng.int rng 2 = 0 } in
+  (* the intercept, then hinges, every third one a two-factor product *)
+  let basis i =
+    if i = 0 then []
+    else if i mod 3 = 0 then [ factor (i mod k); factor ((i + 7) mod k) ]
+    else [ factor (i mod k) ]
+  in
+  let mars n = Repr.Mars { bases = Array.init n basis; weights = floats n; mu = 1.0; sd = 2.0 } in
+  let rbf kernel n =
+    Repr.Rbf
+      { kernel; centers = Array.init n (fun _ -> floats k);
+        radii = Array.init n (fun _ -> 1.0 +. Float.abs (coord ())); weights = floats (n + 1);
+        mu = 1.0; sd = 2.0 }
+  in
+  let beta dims = floats (Repr.n_features ~interactions:true dims) in
+  let linear dims = Repr.Linear { interactions = true; beta = beta dims; mu = 1.0; sd = 2.0 } in
+  let rank dims = Repr.Rank { interactions = true; beta = beta dims } in
+  let cases =
+    [ ("linear, 4 dims", linear 4, 4); ("linear, 25 dims", linear k, k);
+      ("rank, 4 dims", rank 4, 4); ("rank, 25 dims", rank k, k);
+      ("mars, 3 bases", mars 3, k); ("mars, 23 bases", mars 23, k);
+      ("rbf gaussian, 4 centers", rbf Repr.Gaussian 4, k);
+      ("rbf multiquadric, 4 centers", rbf Repr.Multiquadric 4, k);
+      ("rbf multiquadric, 32 centers", rbf Repr.Multiquadric 32, k);
+      ("rbf inverse multiquadric, 32 centers", rbf Repr.InverseMultiquadric 32, k) ]
+  in
+  List.iter
+    (fun (what, r, dims) ->
+      let w = words_per_call (Repr.eval r) (floats dims) in
+      cb (Printf.sprintf "%s: %.1f words per call" what w) true (w <= 4.0))
+    cases
+
 let suite =
   [
     Alcotest.test_case "linear round-trips bit-for-bit" `Quick test_linear_roundtrip;
@@ -379,4 +430,5 @@ let suite =
     Alcotest.test_case "artifact carries format/version header" `Quick
       test_artifact_version_constant;
     Alcotest.test_case "repr of_json is strict" `Quick test_repr_of_json_strictness;
+    Alcotest.test_case "evaluators allocate O(1) words" `Quick test_eval_allocates_o1_words;
   ]
