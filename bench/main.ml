@@ -344,11 +344,15 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
               let ooo = Emc_sim.Ooo.create march prog in
               Emc_sim.Func.load (Emc_sim.Ooo.func ooo) arrays;
               Emc_sim.Ooo.run_warming ooo ~instrs:50_000) );
+      (* what a SMARTS attempt of a Measure pays before it simulates: a
+         machine on the Measure's one memory, reset in place, plus the
+         input load *)
       ( "measure/simulate-setup-mcf",
         fun () ->
           let prog, arrays = Lazy.force mcf in
+          let memory = Emc_sim.Func.memory prog in
           Staged.stage (fun () ->
-              let ooo = Emc_sim.Ooo.create march prog in
+              let ooo = Emc_sim.Ooo.create ~memory march prog in
               Emc_sim.Func.load (Emc_sim.Ooo.func ooo) arrays) );
       ( "measure/simulate-detailed-mcf",
         fun () ->

@@ -547,7 +547,9 @@ let run_worker ?(jobs = 1) ?register ?advertise ?(heartbeat = 2.0) ?pidfile ~lis
                     t_code_size = code.(i) })
             in
             (* only the chunk in hand needs its binaries: kept, they would
-               grow the worker with every point it ever served *)
+               grow the worker with every point it ever served. The
+               Measure's one simulator memory stays: it is sized by the
+               workload, not by the points served *)
             Hashtbl.reset m.Measure.binaries;
             Buffer.add_string b (result_body triples);
             (200, "application/json"))

@@ -30,24 +30,33 @@ let base t name =
   | Some (_, b) -> b
   | None -> invalid_arg ("Memlayout.base: unknown global " ^ name)
 
-(** Write each input into its global with one blit ([DInt] into [imem],
-    [DFloat] into [fmem]). Raises [Invalid_argument] naming an input that
-    names no global, has the other element type, or is longer than its global. *)
-let load t ~imem ~fmem inputs =
+(** Write each input into its global at word [base / 8] ([DInt] into
+    [imem], [DFloat] into [fmem]). Raises [Invalid_argument] naming an
+    input that names no global, has the other element type, or is longer
+    than its global. [DInt] arrays are copied by a plain loop: on OCaml 5,
+    [Array.blit] into a major-heap [int array] runs the runtime's
+    per-element write barrier, which a loop over [int array]s does not;
+    a float blit has no barrier. *)
+let load t ~(imem : int array) ~(fmem : float array) inputs =
   List.iter
     (fun (name, data) ->
       let fail why = invalid_arg (Printf.sprintf "Memlayout.load: input %s %s" name why) in
       match find t name with
       | None -> fail "names no global"
       | Some (g, b) -> (
-          let blit src dst =
-            let n = Array.length src in
-            if n > g.gsize then fail (Printf.sprintf "has %d elements, global holds %d" n g.gsize);
-            Array.blit src 0 dst (b / 8) n
+          let check n =
+            if n > g.gsize then fail (Printf.sprintf "has %d elements, global holds %d" n g.gsize)
           in
+          let w = b / 8 in
           match (data, g.gty) with
-          | DInt a, Ir.I64 -> blit a imem
-          | DFloat a, Ir.F64 -> blit a fmem
+          | DInt (a : int array), Ir.I64 ->
+              check (Array.length a);
+              for i = 0 to Array.length a - 1 do
+                imem.(w + i) <- a.(i)
+              done
+          | DFloat a, Ir.F64 ->
+              check (Array.length a);
+              Array.blit a 0 fmem w (Array.length a)
           | DInt _, Ir.F64 | DFloat _, Ir.I64 -> fail "has the other element type"))
     inputs
 

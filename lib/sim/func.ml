@@ -25,12 +25,23 @@ type dynbuf = {
 
 let dynbuf () = { d_idx = 0; d_addr = -1; d_taken = false }
 
+(** The simulated address space: an integer and an FP view, word-addressed
+    and [Memlayout.mem_words] long. A program that cannot touch the FP
+    view (see {!needs_fp_view}) gets an empty one. {!create} resets a
+    caller's memory in place instead of allocating one, so a caller that
+    simulates many runs (the SMARTS attempts of a [Measure]) allocates its
+    memory once; it must hand it to only one live {!t} at a time. *)
+type memory = {
+  ints : int array;  (** integer view *)
+  floats : float array;  (** FP view; [[||]] when the program cannot touch it *)
+}
+
 type t = {
   prog : Isa.program;
   regs : int array;  (** 32 integer registers *)
   fregs : float array;  (** 32 FP registers *)
   imem : int array;  (** word-addressed integer view of memory *)
-  fmem : float array;  (** word-addressed FP view of memory *)
+  fmem : float array;  (** word-addressed FP view of memory; [[||]] unless {!needs_fp_view} *)
   mutable pc : int;
   mutable halted : bool;
   mutable icount : int;
@@ -39,15 +50,62 @@ type t = {
   scratch : dynbuf;  (** the record {!run} steps through *)
 }
 
-let create (prog : Isa.program) =
+(** A program with no [FLD], no [FST] and no [F64] global can never read
+    or write the FP view: integer loads and stores use the integer view,
+    and the loader puts [DFloat] inputs only into [F64] globals. *)
+let needs_fp_view (prog : Isa.program) =
+  List.exists (fun ((g : Emc_ir.Ir.global), _) -> g.gty = Emc_ir.Ir.F64) prog.Isa.layout.globals
+  || Array.exists (fun (i : Isa.inst) -> match i.op with FLD | FST -> true | _ -> false)
+       prog.Isa.insts
+
+(** A zeroed memory for [prog], with an FP view only when {!needs_fp_view}. *)
+let memory (prog : Isa.program) =
   let words = Emc_ir.Memlayout.mem_words prog.Isa.layout in
+  { ints = Array.make words 0; floats = (if needs_fp_view prog then Array.make words 0.0 else [||]) }
+
+(** [fits m prog]: [m] can back [prog] — its integer view is [prog]'s
+    size, and so is its FP view when [prog] needs one. *)
+let fits m (prog : Isa.program) =
+  let words = Emc_ir.Memlayout.mem_words prog.Isa.layout in
+  Array.length m.ints = words && ((not (needs_fp_view prog)) || Array.length m.floats = words)
+
+(* Zero with a plain loop: on OCaml 5, [Array.fill] into a major-heap
+   array runs the runtime's per-element write barrier, while a loop over
+   an [int array] compiles to plain stores. The float fill has no barrier. *)
+let reset m ~fp =
+  let ints = m.ints in
+  for i = 0 to Array.length ints - 1 do
+    Array.unsafe_set ints i 0
+  done;
+  if fp then Array.fill m.floats 0 (Array.length m.floats) 0.0
+
+(** A machine at [prog]'s entry. Without [memory] it gets a fresh one;
+    with it, that memory is checked against [prog] ([Invalid_argument]
+    unless it {!fits}) and zeroed in place — the FP view only when [prog]
+    uses it — so the new machine starts exactly as a fresh one would. *)
+let create ?memory:mem (prog : Isa.program) =
+  let fp = needs_fp_view prog in
+  let m =
+    match mem with
+    | None -> memory prog
+    | Some m when fits m prog ->
+        reset m ~fp;
+        m
+    | Some m ->
+        invalid_arg
+          (Printf.sprintf
+             "Func.create: memory of %d words (FP view %d) does not fit a program of %d words%s"
+             (Array.length m.ints) (Array.length m.floats)
+             (Emc_ir.Memlayout.mem_words prog.Isa.layout)
+             (if fp then " with an FP view" else ""))
+  in
   let t =
     {
       prog;
       regs = Array.make 32 0;
       fregs = Array.make 32 0.0;
-      imem = Array.make words 0;
-      fmem = Array.make words 0.0;
+      imem = m.ints;
+      fmem = (if fp then m.floats else [||]);
       pc = prog.Isa.entry;
       halted = false;
       icount = 0;

@@ -202,7 +202,9 @@ let fu_slot fu =
   let i = Isa.fu_index fu in
   if i > 5 then 5 else i
 
-let create (cfg : Config.t) (prog : Isa.program) =
+(** A timing model at [prog]'s entry; [memory] is passed to {!Func.create},
+    which resets it in place. *)
+let create ?memory (cfg : Config.t) (prog : Isa.program) =
   let mem = Memsys.create cfg in
   let size = cfg.ruu_size in
   (* strictly larger than any single-event latency: loads bill at most the
@@ -214,7 +216,7 @@ let create (cfg : Config.t) (prog : Isa.program) =
     machine = Isa.machine_for_width cfg.issue_width;
     mem;
     bpred = Bpred.create ~size:cfg.bpred_size;
-    func = Func.create prog;
+    func = Func.create ?memory prog;
     prog;
     ruu = Array.init size (fun _ -> fresh_entry ());
     size;

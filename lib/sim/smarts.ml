@@ -89,11 +89,18 @@ let record_run ooo (r : result) =
     (if r.detailed then "detailed" else "sampled")
     r.cpi
 
-let run_full (cfg : Config.t) (prog : Emc_isa.Isa.program)
+(* A machine at [prog]'s entry with its inputs loaded: the set-up every
+   attempt pays before it simulates, in its own span. *)
+let machine ?memory cfg prog ~setup =
+  Trace.with_span ~cat:"sim" "smarts.setup" (fun () ->
+      let ooo = Ooo.create ?memory cfg prog in
+      setup (Ooo.func ooo);
+      ooo)
+
+let run_full ?memory (cfg : Config.t) (prog : Emc_isa.Isa.program)
     ~(setup : Func.t -> unit) : result =
   Trace.with_span ~cat:"sim" "smarts.run_full" (fun () ->
-      let ooo = Ooo.create cfg prog in
-      setup (Ooo.func ooo);
+      let ooo = machine ?memory cfg prog ~setup in
       let cycles = Ooo.run_to_completion ooo in
       let instrs = (Ooo.func ooo).Func.icount in
       let r =
@@ -112,15 +119,14 @@ let run_full (cfg : Config.t) (prog : Emc_isa.Isa.program)
       record_run ooo r;
       r)
 
-let run_sampled ?(params = default_params) (cfg : Config.t) (prog : Emc_isa.Isa.program)
-    ~(setup : Func.t -> unit) : result =
+let run_sampled ?(params = default_params) ?memory (cfg : Config.t)
+    (prog : Emc_isa.Isa.program) ~(setup : Func.t -> unit) : result =
   let rec attempt interval refinements =
     let span_args () =
       [ ("interval", Emc_obs.Json.Int interval); ("refinements", Emc_obs.Json.Int refinements) ]
     in
     Trace.with_span ~cat:"sim" ~args:span_args "smarts.attempt" (fun () ->
-        let ooo = Ooo.create cfg prog in
-        setup (Ooo.func ooo);
+        let ooo = machine ?memory cfg prog ~setup in
         let unit_cpis = ref [] in
         let unit_count = ref 0 in
         while Ooo.busy ooo do
@@ -147,7 +153,9 @@ let run_sampled ?(params = default_params) (cfg : Config.t) (prog : Emc_isa.Isa.
           Log.info ~src:"smarts" "no sampled units at interval %d: falling back to full detail"
             interval;
           Trace.instant ~args:span_args "smarts.fallback_to_full";
-          run_full cfg prog ~setup
+          (* this attempt's machine is never used again, so the full run
+             may reset and reuse its memory *)
+          run_full ?memory cfg prog ~setup
         end
         else begin
           let mean = Emc_util.Stats.mean cpis in
@@ -189,4 +197,4 @@ let run_sampled ?(params = default_params) (cfg : Config.t) (prog : Emc_isa.Isa.
           end
         end)
   in
-  if params.interval <= 1 then run_full cfg prog ~setup else attempt params.interval 0
+  if params.interval <= 1 then run_full ?memory cfg prog ~setup else attempt params.interval 0

@@ -42,9 +42,21 @@ type result = {
 }
 
 val run_full :
-  Config.t -> Emc_isa.Isa.program -> setup:(Func.t -> unit) -> result
+  ?memory:Func.memory -> Config.t -> Emc_isa.Isa.program -> setup:(Func.t -> unit) -> result
 (** Fully detailed simulation ([setup] fills the input arrays before the
-    run starts). *)
+    run starts). With [memory], the machine runs on that memory, reset in
+    place by {!Func.create} ([Invalid_argument] unless it {!Func.fits}
+    the program); the result is the same bits as on a fresh memory. *)
 
 val run_sampled :
-  ?params:params -> Config.t -> Emc_isa.Isa.program -> setup:(Func.t -> unit) -> result
+  ?params:params ->
+  ?memory:Func.memory ->
+  Config.t ->
+  Emc_isa.Isa.program ->
+  setup:(Func.t -> unit) ->
+  result
+(** Sampled simulation, halving the interval while the CI misses
+    [target_ci]. Every attempt, and the fully detailed fallback of a
+    program too short for the sampling grid, resets and reuses [memory]
+    when it is given: the attempts run one after another, so the memory
+    backs one live machine at a time. *)

@@ -231,6 +231,19 @@ let test_modeling_iterate () =
   cb "sizes grow by step" true
     (List.for_all (fun (n, _) -> n mod 12 = 0) trajectory)
 
+(* `emc model -w mcf --scale tiny --seed 7 --jobs 1` simulates every
+   point, each in one or more SMARTS attempts, on one simulator memory. *)
+let test_measure_one_memory () =
+  let allocations () =
+    Option.value ~default:0 (Emc_obs.Metrics.counter_value "measure.memory_allocations")
+  in
+  let before = allocations () in
+  let ctx = Experiments.create ~seed:7 ~scale:{ Scale.tiny with Scale.jobs = 1 } () in
+  ignore (Experiments.prepare ctx (Emc_workloads.Registry.find "mcf"));
+  ci "simulations" 48 ctx.measure.Measure.simulations;
+  ci "memory allocations" 1 (allocations () - before);
+  cb "the measure holds it" true (ctx.measure.Measure.memory <> None)
+
 let suite =
   [
     ("parameter space shape", `Quick, test_space_shape);
@@ -249,4 +262,5 @@ let suite =
     ("measure multi-response", `Quick, test_measure_multi_response);
     ("mini modeling loop", `Slow, test_mini_modeling_loop);
     ("modeling iterate", `Slow, test_modeling_iterate);
+    ("one simulator memory per measure", `Quick, test_measure_one_memory);
   ]

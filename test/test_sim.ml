@@ -617,6 +617,155 @@ let test_smarts_reports_all_responses () =
   cb "energy present" true (r.Smarts.energy > 0.0);
   ci "code size is the program size" (Array.length prog.Emc_isa.Isa.insts) r.Smarts.static_instrs
 
+(* ---------------- one memory, reset for every run ---------------- *)
+
+let layout_of globals =
+  Emc_ir.Memlayout.compute
+    { Emc_ir.Ir.funcs = [];
+      globals = List.map (fun (gname, gty) -> { Emc_ir.Ir.gname; gty; gsize = 1 }) globals }
+
+(* g <- g + 1; out(g); then count 10 - g down to 0, so a stale [g] shows
+   in the outputs, the instruction count and the cycles. With [~fp], also
+   h <- h + 1.0; out(h) through an F64 global. *)
+let counter_prog ~fp =
+  let layout = layout_of (("g", Emc_ir.Ir.I64) :: (if fp then [ ("h", Emc_ir.Ir.F64) ] else [])) in
+  let base = Emc_ir.Memlayout.base layout in
+  let float_part =
+    if not fp then []
+    else
+      [ Isa.make LDI ~rd:4 ~imm:(base "h"); Isa.make FLD ~rd:33 ~rs1:4;
+        Isa.make LFI ~rd:34 ~fimm:1.0; Isa.make FADD ~rd:33 ~rs1:33 ~rs2:34;
+        Isa.make FST ~rs1:4 ~rs2:33; Isa.make OUT ~rs1:33 ]
+  in
+  let head =
+    [ Isa.make LDI ~rd:1 ~imm:(base "g"); Isa.make LD ~rd:2 ~rs1:1;
+      Isa.make ADDI ~rd:2 ~rs1:2 ~imm:1; Isa.make ST ~rs1:1 ~rs2:2; Isa.make OUT ~rs1:2 ]
+    @ float_part
+    @ [ Isa.make LDI ~rd:3 ~imm:10; Isa.make SUB ~rd:3 ~rs1:3 ~rs2:2 ]
+  in
+  let loop = List.length head in
+  let insts =
+    head @ [ Isa.make ADDI ~rd:3 ~rs1:3 ~imm:(-1); Isa.make BNEZ ~rs1:3 ~imm:loop; Isa.make HALT ]
+  in
+  { Isa.insts = Array.of_list insts; entry = 0; layout; func_starts = [] }
+
+let outputs f = List.map Helpers.fvalue_str (Func.outputs f)
+
+(* Two runs on one memory each see the fresh memory: the reset clears
+   what the previous run stored, in both views. *)
+let test_memory_reset_between_runs () =
+  List.iter
+    (fun fp ->
+      let prog = counter_prog ~fp in
+      let what = if fp then "int+fp" else "int" in
+      let func ?memory () =
+        let f = Func.create ?memory prog in
+        let n = Func.run f in
+        (outputs f, n)
+      in
+      let ooo ?memory () =
+        let o = Ooo.create ?memory Config.typical prog in
+        let cycles = Ooo.run_to_completion o in
+        (outputs (Ooo.func o), cycles, Ooo.counters o)
+      in
+      let fresh = func () and fresh_ooo = ooo () in
+      Alcotest.(check (list string)) (what ^ ": fresh outputs")
+        ("1" :: (if fp then [ Printf.sprintf "%h" 1.0 ] else []))
+        (fst fresh);
+      let memory = Func.memory prog in
+      for run = 1 to 2 do
+        cb (Printf.sprintf "%s: func run %d on one memory" what run) true (func ~memory () = fresh);
+        cb (Printf.sprintf "%s: ooo run %d on one memory" what run) true
+          (ooo ~memory () = fresh_ooo)
+      done)
+    [ false; true ]
+
+(* Func.run and Ooo.run_to_completion on a memory the same generated
+   program has already dirtied give the fresh outcome and counters. Every
+   generated program has int and float globals, so both views are reset. *)
+let prop_dirtied_memory_runs_fresh =
+  QCheck.Test.make ~name:"a dirtied memory runs like a fresh one" ~count:25
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let src = Emc_lang.Pretty.program (Emc_diff.Gen.program (Emc_util.Rng.create seed)) in
+      let prog = Emc_codegen.Compiler.compile Emc_opt.Flags.o2 (Helpers.compile_ir src) in
+      let trapping run k =
+        match run () with
+        | r -> Ok (k r)
+        | exception Emc_ir.Trap.Trap c -> Error (Emc_ir.Trap.category c)
+      in
+      let func ?memory () =
+        let f = Func.create ?memory prog in
+        trapping (fun () -> Func.run f) (fun n -> (outputs f, Func.return_value f, n))
+      in
+      let ooo ?memory () =
+        let o = Ooo.create ?memory Config.typical prog in
+        trapping
+          (fun () -> Ooo.run_to_completion o)
+          (fun cycles -> (outputs (Ooo.func o), cycles, Ooo.counters o))
+      in
+      let fresh = func () and fresh_ooo = ooo () in
+      let memory = Func.memory prog in
+      ignore (func ~memory ());
+      func ~memory () = fresh && ooo ~memory () = fresh_ooo)
+
+let test_memory_wrong_size () =
+  let int_prog = counter_prog ~fp:false in
+  (* same layout, so same size, but it needs the FP view *)
+  let fld_prog =
+    { int_prog with Isa.insts = [| Isa.make FLD ~rd:33 ~rs1:0 ~imm:0x1000; Isa.make HALT |] }
+  in
+  let refused what run =
+    match run () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument m ->
+        cb (what ^ ": " ^ m) true (String.starts_with ~prefix:"Func.create: " m)
+  in
+  refused "another size" (fun () ->
+      Func.create ~memory:(Func.memory (mk_prog [ Isa.make HALT ])) int_prog);
+  refused "no FP view for an FP program" (fun () ->
+      Func.create ~memory:(Func.memory int_prog) fld_prog);
+  refused "sampled run" (fun () ->
+      Smarts.run_sampled ~memory:(Func.memory int_prog) Config.typical fld_prog ~setup:ignore);
+  cb "an FP memory fits an int program" true (Func.fits (Func.memory fld_prog) int_prog)
+
+(* A program with no FLD, no FST and no F64 global gets an empty FP view;
+   each of the three forces a full one. *)
+let test_fp_view_rule () =
+  let words (p : Isa.program) = Emc_ir.Memlayout.mem_words p.Isa.layout in
+  let fp_len p = Array.length (Func.create p).Func.fmem in
+  let int_prog = counter_prog ~fp:false in
+  ci "int-only program: empty FP view" 0 (fp_len int_prog);
+  ci "int-only memory: empty FP view" 0 (Array.length (Func.memory int_prog).Func.floats);
+  ci "int view still full" (words int_prog) (Array.length (Func.create int_prog).Func.imem);
+  let with_layout layout insts = { (mk_prog insts) with Isa.layout } in
+  List.iter
+    (fun (what, p) ->
+      ci (what ^ " forces the FP view") (words p) (fp_len p);
+      ci (what ^ ": memory") (words p) (Array.length (Func.memory p).Func.floats))
+    [ ("FLD", mk_prog [ Isa.make FLD ~rd:33 ~rs1:0 ~imm:0x1000; Isa.make HALT ]);
+      ("FST", mk_prog [ Isa.make FST ~rs1:0 ~rs2:33 ~imm:0x1000; Isa.make HALT ]);
+      ("F64 global", with_layout (layout_of [ ("h", Emc_ir.Ir.F64) ]) [ Isa.make HALT ]) ]
+
+(* A program too short for the sampling grid falls back to a fully
+   detailed run inside its attempt; on a shared memory that the attempt
+   (and a run before it) dirtied, the result keeps every bit. *)
+let test_fallback_on_shared_memory () =
+  let prog = counter_prog ~fp:true in
+  let bits (r : Smarts.result) =
+    Printf.sprintf "%h %d %h %h %d %b %h %d" r.cycles r.instrs r.cpi r.ci_rel r.sampled_units
+      r.detailed r.energy r.static_instrs
+  in
+  let fallbacks () = Option.value ~default:0 (Emc_obs.Metrics.counter_value "smarts.fallback_to_full") in
+  let before = fallbacks () in
+  let fresh = Smarts.run_sampled Config.typical prog ~setup:ignore in
+  let memory = Func.memory prog in
+  ignore (Func.run (Func.create ~memory prog));
+  let shared = Smarts.run_sampled ~memory Config.typical prog ~setup:ignore in
+  ci "both runs fell back to full detail" 2 (fallbacks () - before);
+  cb "detailed" true shared.Smarts.detailed;
+  Alcotest.(check string) "same result bits" (bits fresh) (bits shared)
+
 let suite =
   [
     ("energy breakdown sums", `Quick, test_energy_breakdown_sums);
@@ -654,4 +803,9 @@ let suite =
     ("smarts interval=1", `Quick, test_smarts_interval_one_is_full);
     ("idle-cycle skip is cycle-exact", `Quick, test_skip_idle_cycle_exact);
     ("smarts counts skipped and discarded work", `Quick, test_smarts_skip_and_discard_counters);
+    ("one memory is reset between runs", `Quick, test_memory_reset_between_runs);
+    QCheck_alcotest.to_alcotest prop_dirtied_memory_runs_fresh;
+    ("a memory of the wrong size is refused", `Quick, test_memory_wrong_size);
+    ("FP view only for programs that touch it", `Quick, test_fp_view_rule);
+    ("sampled fallback keeps its bits on a shared memory", `Quick, test_fallback_on_shared_memory);
   ]
