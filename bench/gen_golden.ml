@@ -32,12 +32,10 @@ let () =
               Emc_opt.Flags.o2 w.Workload.source
           in
           let arrays = w.Workload.arrays ~scale ~variant:Workload.Train in
-          let setup f = Emc_sim.Func.load f arrays in
-          let ooo = Emc_sim.Ooo.create cfg prog in
-          setup (Emc_sim.Ooo.func ooo);
+          let ooo = Emc_sim.Ooo.create ~inputs:arrays cfg prog in
           let full_cycles = Emc_sim.Ooo.run_to_completion ooo in
           let instrs = (Emc_sim.Ooo.func ooo).Emc_sim.Func.icount in
-          let smp = Emc_sim.Smarts.run_sampled cfg prog ~setup in
+          let smp = Emc_sim.Smarts.run_sampled cfg prog ~inputs:arrays in
           Printf.printf "    { g_workload = %S; g_cfg = %S; g_scale = %h;\n" wname cname scale;
           Printf.printf "      g_full_cycles = %d; g_instrs = %d;\n" full_cycles instrs;
           Printf.printf "      g_counters =\n        [ ";

@@ -82,14 +82,13 @@ let ablation_smarts (ctx : Experiments.ctx) =
       let march = Emc_sim.Config.typical in
       let prog = Measure.compile ctx.measure w flags ~issue_width:march.issue_width in
       let arrays = w.Workload.arrays ~scale:ctx.scale.Scale.workload_scale ~variant:Workload.Train in
-      let setup f = Emc_sim.Func.load f arrays in
       let time f =
         let t0 = Unix.gettimeofday () in
         let r = f () in
         (r, Unix.gettimeofday () -. t0)
       in
-      let full, tf = time (fun () -> Emc_sim.Smarts.run_full march prog ~setup) in
-      let smp, ts = time (fun () -> Emc_sim.Smarts.run_sampled march prog ~setup) in
+      let full, tf = time (fun () -> Emc_sim.Smarts.run_full march prog ~inputs:arrays) in
+      let smp, ts = time (fun () -> Emc_sim.Smarts.run_sampled march prog ~inputs:arrays) in
       Printf.printf
         "  %-10s full=%12.0fcy (%5.2fs)  sampled=%12.0fcy (%5.2fs, %d units, ci=%.3f) err=%+.2f%%\n%!"
         name full.Emc_sim.Smarts.cycles tf smp.Emc_sim.Smarts.cycles ts
@@ -332,34 +331,44 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
               ignore (Emc_codegen.Codegen.emit_program ~omit_frame_pointer:true opt)) );
       ( "measure/simulate-50k-instrs",
         fun () ->
-          let prog = Lazy.force prog and arrays = Lazy.force arrays in
+          let prog = Lazy.force prog and inputs = Lazy.force arrays in
           Staged.stage (fun () ->
-              let ooo = Emc_sim.Ooo.create march prog in
-              Emc_sim.Func.load (Emc_sim.Ooo.func ooo) arrays;
+              let ooo = Emc_sim.Ooo.create ~inputs march prog in
               Emc_sim.Ooo.run_detailed ooo ~instrs:50_000) );
       ( "measure/simulate-warming-50k",
         fun () ->
-          let prog = Lazy.force prog and arrays = Lazy.force arrays in
+          let prog = Lazy.force prog and inputs = Lazy.force arrays in
           Staged.stage (fun () ->
-              let ooo = Emc_sim.Ooo.create march prog in
-              Emc_sim.Func.load (Emc_sim.Ooo.func ooo) arrays;
+              let ooo = Emc_sim.Ooo.create ~inputs march prog in
               Emc_sim.Ooo.run_warming ooo ~instrs:50_000) );
       (* what a SMARTS attempt of a Measure pays before it simulates: a
-         machine on the Measure's one memory, reset in place, plus the
-         input load *)
+         machine on a store the kernel keeps. Before every call the pages
+         one whole run of the program writes are marked dirty again, as
+         the last attempt leaves them, so each call restores those pages
+         and resets the cache arrays in place *)
       ( "measure/simulate-setup-mcf",
         fun () ->
-          let prog, arrays = Lazy.force mcf in
-          let memory = Emc_sim.Func.memory prog in
+          let prog, inputs = Lazy.force mcf in
+          let store = Emc_sim.Ooo.store () in
+          ignore (Emc_sim.Func.run (Emc_sim.Ooo.func (Emc_sim.Ooo.create ~store ~inputs march prog)));
+          let memory = Option.get store.Emc_sim.Ooo.memory in
+          let written = Bytes.copy memory.Emc_sim.Func.int_dirty in
           Staged.stage (fun () ->
-              let ooo = Emc_sim.Ooo.create ~memory march prog in
-              Emc_sim.Func.load (Emc_sim.Ooo.func ooo) arrays) );
+              Bytes.blit written 0 memory.Emc_sim.Func.int_dirty 0 (Bytes.length written);
+              ignore (Emc_sim.Ooo.create ~store ~inputs march prog)) );
+      (* what a Measure pays per design point: one sampled run at tiny
+         scale's SMARTS parameters, every attempt on one reused store *)
+      ( "measure/simulate-point-mcf",
+        fun () ->
+          let prog, inputs = Lazy.force mcf in
+          let params = Option.get Scale.tiny.Scale.smarts and store = Emc_sim.Ooo.store () in
+          Staged.stage (fun () ->
+              ignore (Emc_sim.Smarts.run_sampled ~params ~store march prog ~inputs)) );
       ( "measure/simulate-detailed-mcf",
         fun () ->
-          let prog, arrays = Lazy.force mcf in
+          let prog, inputs = Lazy.force mcf in
           Staged.stage (fun () ->
-              let ooo = Emc_sim.Ooo.create march prog in
-              Emc_sim.Func.load (Emc_sim.Ooo.func ooo) arrays;
+              let ooo = Emc_sim.Ooo.create ~inputs march prog in
               Emc_sim.Ooo.run_detailed ooo ~instrs:50_000) );
       (* fleet wire format: the bit-exact hex-float JSONL record shared by
          --cache files, run journals and the store — encode plus reparse,

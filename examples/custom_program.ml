@@ -73,7 +73,7 @@ let () =
       List.iter
         (fun kb ->
           let march = { Emc_sim.Config.typical with dcache_kb = kb } in
-          let r = Emc_sim.Smarts.run_full march prog ~setup:(fun _ -> ()) in
+          let r = Emc_sim.Smarts.run_full march prog ~inputs:[] in
           Printf.printf "   dl1=%3dKB: %8.0f cycles (CPI %.2f)\n" kb r.cycles r.cpi)
         [ 8; 32; 128 ];
       Printf.printf "\n")

@@ -38,9 +38,7 @@ type t = {
   mutable remote : remote option;
       (** when set (by [Fleet.attach]), cache misses are resolved by this
           function instead of local simulation *)
-  mutable memory : Emc_sim.Func.memory option;
-      (** the simulator memory every attempt of {!run_sim} resets and
-          reuses, replaced only when a program does not fit it *)
+  store : Emc_sim.Ooo.store;  (** the machine store every attempt of {!run_sim} is built on *)
 }
 
 and remote =
@@ -63,11 +61,6 @@ let m_preloaded = Metrics.counter "measure.cache_preloaded"
    (BENCH_sim.json); exporting the distribution makes a regression visible
    in any experiment's metrics dump, not just in the bench harness. *)
 let h_sim_seconds = Metrics.histogram "measure.sim_seconds"
-
-(* Simulator memories a Measure allocated: one per address-space size
-   (and one more when a program first needs the FP view), not one per
-   SMARTS attempt. *)
-let m_memory_allocations = Metrics.counter "measure.memory_allocations"
 
 (* ---------------- persistent result file ---------------- *)
 
@@ -197,7 +190,7 @@ let create ?cache_file scale =
   let preloaded = Option.fold ~none:0 ~some:(load_signed results scale) cache_file in
   { scale; binaries = Hashtbl.create 64; inputs = Hashtbl.create 8; results;
     cache = Option.map cache_open_append cache_file; simulations = 0; compiles = 0;
-    binary_hits = 0; result_hits = 0; preloaded; remote = None; memory = None }
+    binary_hits = 0; result_hits = 0; preloaded; remote = None; store = Emc_sim.Ooo.store () }
 
 let set_remote t remote = t.remote <- Some remote
 
@@ -259,19 +252,6 @@ let triple_keys (w : Workload.t) ~variant ((flags : Emc_opt.Flags.t), (march : E
     result_key Energy w ~variant flags march,
     result_key CodeSize w ~variant flags march )
 
-(* The Measure's one simulator memory, replaced by a fresh one only when
-   [prog] does not fit it: another address-space size, or a first program
-   that needs the FP view. A forked child resets its copy-on-write view of
-   the parent's. *)
-let memory t prog =
-  match t.memory with
-  | Some m when Emc_sim.Func.fits m prog -> m
-  | _ ->
-      let m = Emc_sim.Func.memory prog in
-      t.memory <- Some m;
-      Metrics.incr m_memory_allocations;
-      m
-
 (* Compile (memoized) and simulate one design point. Runs in process or in
    a forked child, whose memo tables are copy-on-write snapshots of the
    parent's; counting the simulation is [merge]'s job. *)
@@ -283,15 +263,16 @@ let run_sim t (w : Workload.t) ~variant ((flags : Emc_opt.Flags.t), (march : Emc
     "measure"
     (fun () ->
       let prog = compile t w flags ~issue_width:march.issue_width in
-      let arrays = inputs t w ~variant in
-      let setup f = Emc_sim.Func.load f arrays in
-      let memory = memory t prog in
+      (* the memo's one list per variant: a store whose memory holds it
+         already restores only the pages the last attempt wrote. A forked
+         child restores its copy-on-write view of the parent's store. *)
+      let inputs = inputs t w ~variant and store = t.store in
       let t0 = Unix.gettimeofday () in
       let r =
         Trace.with_span ~cat:"sim" "simulate" (fun () ->
             match t.scale.Scale.smarts with
-            | Some params -> Emc_sim.Smarts.run_sampled ~params ~memory march prog ~setup
-            | None -> Emc_sim.Smarts.run_full ~memory march prog ~setup)
+            | Some params -> Emc_sim.Smarts.run_sampled ~params ~store march prog ~inputs
+            | None -> Emc_sim.Smarts.run_full ~store march prog ~inputs)
       in
       Metrics.observe h_sim_seconds (Unix.gettimeofday () -. t0);
       { t_cycles = r.Emc_sim.Smarts.cycles; t_energy = r.Emc_sim.Smarts.energy;

@@ -41,11 +41,10 @@ type t = {
   mutable remote : remote option;
       (** when set (see {!set_remote} and [Fleet.attach]), cache misses are
           resolved by this function instead of local simulation *)
-  mutable memory : Emc_sim.Func.memory option;
-      (** the one simulator memory of this measure: every SMARTS attempt
-          resets it in place instead of allocating its own, and it is
-          replaced only when a program does not {!Emc_sim.Func.fits} it
-          (counted in [measure.memory_allocations]) *)
+  store : Emc_sim.Ooo.store;
+      (** the one machine store of this measure: every SMARTS attempt
+          restores its memory and resets its cache arrays in place instead
+          of allocating its own (see {!Emc_sim.Ooo.store}) *)
 }
 
 (** A remote resolver: given the deduplicated cache misses of a

@@ -30,35 +30,50 @@ let base t name =
   | Some (_, b) -> b
   | None -> invalid_arg ("Memlayout.base: unknown global " ^ name)
 
-(** Write each input into its global at word [base / 8] ([DInt] into
-    [imem], [DFloat] into [fmem]). Raises [Invalid_argument] naming an
-    input that names no global, has the other element type, or is longer
-    than its global. [DInt] arrays are copied by a plain loop: on OCaml 5,
-    [Array.blit] into a major-heap [int array] runs the runtime's
-    per-element write barrier, which a loop over [int array]s does not;
-    a float blit has no barrier. *)
-let load t ~(imem : int array) ~(fmem : float array) inputs =
+(** Copy the words of [inputs] that fall in the word range [[lo, hi)]:
+    each [DInt] input's into [imem] and each [DFloat] input's into [fmem],
+    from its global's word [base / 8] on. Unchecked: every input must have
+    passed {!load}'s checks against a layout equal to [t]. {!load} is
+    those checks plus one [load_range] over the whole address space; a
+    simulator memory restores a dirty page with one over that page. [DInt]
+    words are copied by a plain loop: on OCaml 5, [Array.blit] into a
+    major-heap [int array] runs the runtime's per-element write barrier,
+    which a loop over [int array]s does not; a float blit has no barrier. *)
+let load_range t ~(imem : int array) ~(fmem : float array) ~lo ~hi inputs =
+  List.iter
+    (fun (name, data) ->
+      match find t name with
+      | None -> ()
+      | Some (_, b) -> (
+          let w = b / 8 in
+          match data with
+          | DInt a ->
+              for i = max lo w to min hi (w + Array.length a) - 1 do
+                imem.(i) <- a.(i - w)
+              done
+          | DFloat a ->
+              let s = max lo w and e = min hi (w + Array.length a) in
+              if e > s then Array.blit a (s - w) fmem s (e - s)))
+    inputs
+
+(** Write each input into its global ([DInt] into [imem], [DFloat] into
+    [fmem]). Raises [Invalid_argument], before writing anything, naming
+    an input that names no global, has the other element type, or is
+    longer than its global. *)
+let load t ~imem ~fmem inputs =
   List.iter
     (fun (name, data) ->
       let fail why = invalid_arg (Printf.sprintf "Memlayout.load: input %s %s" name why) in
       match find t name with
       | None -> fail "names no global"
-      | Some (g, b) -> (
-          let check n =
-            if n > g.gsize then fail (Printf.sprintf "has %d elements, global holds %d" n g.gsize)
+      | Some (g, _) ->
+          let n, ty =
+            match data with DInt a -> (Array.length a, Ir.I64) | DFloat a -> (Array.length a, Ir.F64)
           in
-          let w = b / 8 in
-          match (data, g.gty) with
-          | DInt (a : int array), Ir.I64 ->
-              check (Array.length a);
-              for i = 0 to Array.length a - 1 do
-                imem.(w + i) <- a.(i)
-              done
-          | DFloat a, Ir.F64 ->
-              check (Array.length a);
-              Array.blit a 0 fmem w (Array.length a)
-          | DInt _, Ir.F64 | DFloat _, Ir.I64 -> fail "has the other element type"))
-    inputs
+          if ty <> g.gty then fail "has the other element type";
+          if n > g.gsize then fail (Printf.sprintf "has %d elements, global holds %d" n g.gsize))
+    inputs;
+  load_range t ~imem ~fmem ~lo:0 ~hi:max_int inputs
 
 (** Stack region: grows downward from [stack_top]. Sized generously relative
     to the workloads (no deep recursion). *)

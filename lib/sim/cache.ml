@@ -9,7 +9,7 @@ type t = {
   sets : int;
   ways : int;
   line_shift : int;
-  tags : int array;  (** sets*ways; -1 = invalid *)
+  tags : int array;  (** the first sets*ways entries are used; -1 = invalid *)
   stamp : int array;  (** LRU timestamps *)
   mutable tick : int;
   mutable hits : int;
@@ -18,22 +18,38 @@ type t = {
 
 let line_bytes = 64
 
-let create ~size_bytes ~assoc =
+(* Arrays a caller keeps for the caches of its successive machines. *)
+type store = { mutable s_tags : int array; mutable s_stamp : int array }
+
+let store () = { s_tags = [||]; s_stamp = [||] }
+
+(* The first [n] entries of [s]'s arrays, reset to an empty cache by a
+   plain loop (on OCaml 5, [Array.fill] into a major-heap array runs the
+   per-element write barrier); new arrays only when [s]'s are shorter. *)
+let take s n =
+  if Array.length s.s_tags < n then begin
+    s.s_tags <- Array.make n (-1);
+    s.s_stamp <- Array.make n 0
+  end
+  else begin
+    let tags = s.s_tags and stamp = s.s_stamp in
+    for i = 0 to n - 1 do
+      Array.unsafe_set tags i (-1);
+      Array.unsafe_set stamp i 0
+    done
+  end;
+  (s.s_tags, s.s_stamp)
+
+let create_in s ~size_bytes ~assoc =
   if size_bytes <= 0 || assoc <= 0 then invalid_arg "Cache.create";
   let lines = max 1 (size_bytes / line_bytes) in
   let ways = min assoc lines in
   let sets = max 1 (lines / ways) in
   if sets land (sets - 1) <> 0 then invalid_arg "Cache.create: sets must be a power of two";
-  {
-    sets;
-    ways;
-    line_shift = 6;
-    tags = Array.make (sets * ways) (-1);
-    stamp = Array.make (sets * ways) 0;
-    tick = 0;
-    hits = 0;
-    misses = 0;
-  }
+  let tags, stamp = take s (sets * ways) in
+  { sets; ways; line_shift = 6; tags; stamp; tick = 0; hits = 0; misses = 0 }
+
+let create ~size_bytes ~assoc = create_in (store ()) ~size_bytes ~assoc
 
 (* Tags store the full line number (redundant set bits included), so lookup
    compares against [line] directly. Both loops below are tail-recursive and

@@ -25,21 +25,33 @@ type dynbuf = {
 
 let dynbuf () = { d_idx = 0; d_addr = -1; d_taken = false }
 
+(** What a memory view holds outside its dirty pages: [layout]'s zeroed
+    address space with [inputs] loaded. *)
+type image = { layout : Emc_ir.Memlayout.t; inputs : (string * Emc_ir.Memlayout.data) list }
+
 (** The simulated address space: an integer and an FP view, word-addressed
     and [Memlayout.mem_words] long. A program that cannot touch the FP
-    view (see {!needs_fp_view}) gets an empty one. {!create} resets a
-    caller's memory in place instead of allocating one, so a caller that
-    simulates many runs (the SMARTS attempts of a [Measure]) allocates its
-    memory once; it must hand it to only one live {!t} at a time. *)
+    view (see {!needs_fp_view}) gets an empty one. Each view has a dirty
+    map, one byte per 4 KB page, that every [ST] (integer view) or [FST]
+    (FP view) marks, and remembers the image it holds outside those
+    pages. {!create} brings a caller's memory back to the image a new run
+    needs instead of allocating one, so a caller that simulates many runs
+    (the SMARTS attempts of a [Measure]) allocates its memory once; it
+    must hand it to only one live {!t} at a time. *)
 type memory = {
   ints : int array;  (** integer view *)
   floats : float array;  (** FP view; [[||]] when the program cannot touch it *)
+  int_dirty : Bytes.t;  (** pages of [ints] written since its image was made *)
+  float_dirty : Bytes.t;  (** the same for [floats] *)
+  mutable int_image : image option;  (** [None]: unknown content *)
+  mutable float_image : image option;
 }
 
 type t = {
   prog : Isa.program;
   regs : int array;  (** 32 integer registers *)
   fregs : float array;  (** 32 FP registers *)
+  mem : memory;
   imem : int array;  (** word-addressed integer view of memory *)
   fmem : float array;  (** word-addressed FP view of memory; [[||]] unless {!needs_fp_view} *)
   mutable pc : int;
@@ -58,10 +70,18 @@ let needs_fp_view (prog : Isa.program) =
   || Array.exists (fun (i : Isa.inst) -> match i.op with FLD | FST -> true | _ -> false)
        prog.Isa.insts
 
+(* A dirty-map page is 512 words, 4 KB. *)
+let page_shift = 9
+let page_words = 1 lsl page_shift
+let pages words = (words + page_words - 1) lsr page_shift
+
 (** A zeroed memory for [prog], with an FP view only when {!needs_fp_view}. *)
 let memory (prog : Isa.program) =
   let words = Emc_ir.Memlayout.mem_words prog.Isa.layout in
-  { ints = Array.make words 0; floats = (if needs_fp_view prog then Array.make words 0.0 else [||]) }
+  let fp_words = if needs_fp_view prog then words else 0 in
+  { ints = Array.make words 0; floats = Array.make fp_words 0.0;
+    int_dirty = Bytes.make (pages words) '\000'; float_dirty = Bytes.make (pages fp_words) '\000';
+    int_image = None; float_image = None }
 
 (** [fits m prog]: [m] can back [prog] — its integer view is [prog]'s
     size, and so is its FP view when [prog] needs one. *)
@@ -69,28 +89,92 @@ let fits m (prog : Isa.program) =
   let words = Emc_ir.Memlayout.mem_words prog.Isa.layout in
   Array.length m.ints = words && ((not (needs_fp_view prog)) || Array.length m.floats = words)
 
+module Metrics = Emc_obs.Metrics
+
+let m_full_loads = Metrics.counter "sim.memory_full_loads"
+let m_restored_pages = Metrics.counter "sim.memory_restored_pages"
+
 (* Zero with a plain loop: on OCaml 5, [Array.fill] into a major-heap
    array runs the runtime's per-element write barrier, while a loop over
    an [int array] compiles to plain stores. The float fill has no barrier. *)
-let reset m ~fp =
-  let ints = m.ints in
-  for i = 0 to Array.length ints - 1 do
-    Array.unsafe_set ints i 0
-  done;
-  if fp then Array.fill m.floats 0 (Array.length m.floats) 0.0
+let zero_ints (a : int array) lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set a i 0
+  done
 
-(** A machine at [prog]'s entry. Without [memory] it gets a fresh one;
-    with it, that memory is checked against [prog] ([Invalid_argument]
-    unless it {!fits}) and zeroed in place — the FP view only when [prog]
-    uses it — so the new machine starts exactly as a fresh one would. *)
-let create ?memory:mem (prog : Isa.program) =
+(* Zero every page of [m] marked in the dirty map of a view whose flag is
+   set, clear its marks and copy [inputs]' words on it back. The copy
+   also writes the page of the other view: the same words that view's
+   image holds there, or a view that is zeroed and loaded whole anyway. *)
+let restore_pages m ~ints ~floats layout inputs =
+  let words = Array.length m.ints in
+  let restored = ref 0 in
+  for p = 0 to Bytes.length m.int_dirty - 1 do
+    let di = ints && Bytes.unsafe_get m.int_dirty p <> '\000'
+    and df = floats && Bytes.unsafe_get m.float_dirty p <> '\000' in
+    if di || df then begin
+      let lo = p lsl page_shift in
+      let hi = min words (lo + page_words) in
+      if di then begin
+        Bytes.unsafe_set m.int_dirty p '\000';
+        zero_ints m.ints lo hi
+      end;
+      if df then begin
+        Bytes.unsafe_set m.float_dirty p '\000';
+        Array.fill m.floats lo (hi - lo) 0.0
+      end;
+      Emc_ir.Memlayout.load_range layout ~imem:m.ints ~fmem:m.floats ~lo ~hi inputs;
+      incr restored
+    end
+  done;
+  Metrics.add m_restored_pages !restored
+
+(* Bring [m] to [layout]'s image of [inputs] in its integer view, and in
+   its FP view when [fp]. A view that holds that image already — an
+   equal layout and physically the same input list — has only its dirty
+   pages restored. Any other view is zeroed whole (a [fresh] memory is
+   zero already) and loaded through the checked [Memlayout.load]; it
+   holds no known image until that load succeeds. Marks on an FP view
+   that [fp] leaves alone stay for the next program that uses it. *)
+let prepare m ~fp ~fresh (layout : Emc_ir.Memlayout.t) inputs =
+  let holds = function
+    | Some im -> im.inputs == inputs && (im.layout == layout || im.layout = layout)
+    | None -> false
+  in
+  let int_ok = holds m.int_image and float_ok = fp && holds m.float_image in
+  if not int_ok then begin
+    m.int_image <- None;
+    if not fresh then zero_ints m.ints 0 (Array.length m.ints);
+    Bytes.fill m.int_dirty 0 (Bytes.length m.int_dirty) '\000'
+  end;
+  if fp && not float_ok then begin
+    m.float_image <- None;
+    if not fresh then Array.fill m.floats 0 (Array.length m.floats) 0.0;
+    Bytes.fill m.float_dirty 0 (Bytes.length m.float_dirty) '\000'
+  end;
+  if int_ok || float_ok then restore_pages m ~ints:int_ok ~floats:float_ok layout inputs;
+  if not (int_ok && (float_ok || not fp)) then begin
+    Metrics.incr m_full_loads;
+    Emc_ir.Memlayout.load layout ~imem:m.ints ~fmem:(if fp then m.floats else [||]) inputs
+  end;
+  let image = Some { layout; inputs } in
+  m.int_image <- image;
+  if fp then m.float_image <- image
+
+(** A machine at [prog]'s entry with [inputs] (default none) loaded; see
+    {!Emc_ir.Memlayout.load} for the checks. Without [memory] it gets a
+    fresh one. With it, that memory is checked against [prog]
+    ([Invalid_argument] unless it {!fits}) and brought back in place to
+    what a fresh one would hold: when it already holds [prog]'s layout
+    and these very [inputs], only the pages written since are zeroed and
+    their input words copied back; otherwise it is zeroed and loaded
+    whole (the FP view only when [prog] uses it). *)
+let create ?memory:mem ?(inputs = []) (prog : Isa.program) =
   let fp = needs_fp_view prog in
-  let m =
+  let m, fresh =
     match mem with
-    | None -> memory prog
-    | Some m when fits m prog ->
-        reset m ~fp;
-        m
+    | None -> (memory prog, true)
+    | Some m when fits m prog -> (m, false)
     | Some m ->
         invalid_arg
           (Printf.sprintf
@@ -99,11 +183,13 @@ let create ?memory:mem (prog : Isa.program) =
              (Emc_ir.Memlayout.mem_words prog.Isa.layout)
              (if fp then " with an FP view" else ""))
   in
+  prepare m ~fp ~fresh prog.Isa.layout inputs;
   let t =
     {
       prog;
       regs = Array.make 32 0;
       fregs = Array.make 32 0.0;
+      mem = m;
       imem = m.ints;
       fmem = (if fp then m.floats else [||]);
       pc = prog.Isa.entry;
@@ -122,9 +208,6 @@ exception Trap = Emc_ir.Trap.Trap
 let word addr =
   if addr land 7 <> 0 then raise (Trap (Emc_ir.Trap.Unaligned_access addr));
   addr lsr 3
-
-(** Write input arrays into memory; see {!Emc_ir.Memlayout.load}. *)
-let load t inputs = Emc_ir.Memlayout.load t.prog.Isa.layout ~imem:t.imem ~fmem:t.fmem inputs
 
 let outputs t = List.rev t.outputs
 let return_value t = t.regs.(Isa.r_ret)
@@ -208,11 +291,16 @@ let step_into t (b : dynbuf) : bool =
     | ST ->
         let a = geti t i.rs1 + i.imm in
         b.d_addr <- a;
-        t.imem.(word a) <- geti t i.rs2
+        let w = word a in
+        t.imem.(w) <- geti t i.rs2;
+        (* [w] is in bounds now, so its page is too *)
+        Bytes.unsafe_set t.mem.int_dirty (w lsr page_shift) '\001'
     | FST ->
         let a = geti t i.rs1 + i.imm in
         b.d_addr <- a;
-        t.fmem.(word a) <- getf t i.rs2
+        let w = word a in
+        t.fmem.(w) <- getf t i.rs2;
+        Bytes.unsafe_set t.mem.float_dirty (w lsr page_shift) '\001'
     | PREF ->
         let a = geti t i.rs1 + i.imm in
         b.d_addr <- a

@@ -10,11 +10,15 @@ type t = {
   mem_lat : int;
 }
 
-let create (c : Config.t) =
+type store = { s_l1i : Cache.store; s_l1d : Cache.store; s_l2 : Cache.store }
+
+let store () = { s_l1i = Cache.store (); s_l1d = Cache.store (); s_l2 = Cache.store () }
+
+let create ?store:(s = store ()) (c : Config.t) =
   {
-    l1i = Cache.create ~size_bytes:(c.icache_kb * 1024) ~assoc:1;
-    l1d = Cache.create ~size_bytes:(c.dcache_kb * 1024) ~assoc:c.dcache_assoc;
-    l2 = Cache.create ~size_bytes:(c.l2_kb * 1024) ~assoc:c.l2_assoc;
+    l1i = Cache.create_in s.s_l1i ~size_bytes:(c.icache_kb * 1024) ~assoc:1;
+    l1d = Cache.create_in s.s_l1d ~size_bytes:(c.dcache_kb * 1024) ~assoc:c.dcache_assoc;
+    l2 = Cache.create_in s.s_l2 ~size_bytes:(c.l2_kb * 1024) ~assoc:c.l2_assoc;
     dcache_lat = c.dcache_lat;
     l2_lat = c.l2_lat;
     mem_lat = c.mem_lat;

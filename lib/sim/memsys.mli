@@ -12,7 +12,18 @@ type t = {
   mem_lat : int;
 }
 
-val create : Config.t -> t
+type store
+(** The tag and stamp arrays of the three caches, kept by a caller for
+    its successive machines: see {!Cache.create_in}. *)
+
+val store : unit -> store
+(** An empty store. *)
+
+val create : ?store:store -> Config.t -> t
+(** A cold hierarchy for the configuration. With [store], its caches are
+    built over the store's arrays, reset in place, and behave exactly
+    like fresh ones; a hierarchy made earlier from the same store must no
+    longer be used. *)
 
 val max_latency : t -> int
 (** Worst-case latency a single access can bill (a full miss to memory).

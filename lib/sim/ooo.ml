@@ -202,10 +202,43 @@ let fu_slot fu =
   let i = Isa.fu_index fu in
   if i > 5 then 5 else i
 
-(** A timing model at [prog]'s entry; [memory] is passed to {!Func.create},
-    which resets it in place. *)
-let create ?memory (cfg : Config.t) (prog : Isa.program) =
-  let mem = Memsys.create cfg in
+(** A caller's machine store: the memory and the cache arrays its
+    successive machines are built on, each starting from what the last
+    one left instead of allocating its own. It backs one live machine at
+    a time. *)
+type store = {
+  mutable memory : Func.memory option;
+      (** replaced by a fresh one only when a program does not
+          {!Func.fits} it (counted in [sim.memory_allocations]) *)
+  caches : Memsys.store;
+}
+
+let store () = { memory = None; caches = Memsys.store () }
+
+let m_memory_allocations = Emc_obs.Metrics.counter "sim.memory_allocations"
+
+(* The store's memory when [prog] fits it; otherwise a fresh one that
+   replaces it: another address-space size, or a first program that needs
+   the FP view. *)
+let store_memory s prog =
+  match s.memory with
+  | Some m when Func.fits m prog -> m
+  | _ ->
+      let m = Func.memory prog in
+      s.memory <- Some m;
+      Emc_obs.Metrics.incr m_memory_allocations;
+      m
+
+(** A timing model at [prog]'s entry with [inputs] loaded (see
+    {!Func.create}). Without [store] it gets a fresh memory and fresh
+    caches. With it, {!Func.create} brings the store's memory back in
+    place to what a fresh one would hold and {!Memsys.create} builds the
+    caches over the store's arrays, so the machine runs exactly like a
+    fresh one; a machine made earlier from the same store must no longer
+    be used. *)
+let create ?store ?inputs (cfg : Config.t) (prog : Isa.program) =
+  let memory = Option.map (fun s -> store_memory s prog) store in
+  let mem = Memsys.create ?store:(Option.map (fun s -> s.caches) store) cfg in
   let size = cfg.ruu_size in
   (* strictly larger than any single-event latency: loads bill at most the
      full miss chain, ALU ops at most Isa.latency_of (<= 12) *)
@@ -216,7 +249,7 @@ let create ?memory (cfg : Config.t) (prog : Isa.program) =
     machine = Isa.machine_for_width cfg.issue_width;
     mem;
     bpred = Bpred.create ~size:cfg.bpred_size;
-    func = Func.create ?memory prog;
+    func = Func.create ?memory ?inputs prog;
     prog;
     ruu = Array.init size (fun _ -> fresh_entry ());
     size;

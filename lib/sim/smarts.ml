@@ -89,18 +89,19 @@ let record_run ooo (r : result) =
     (if r.detailed then "detailed" else "sampled")
     r.cpi
 
+(* Wall-clock seconds of each attempt thrown away: by a refinement (whose
+   detailed instructions [smarts.discarded_detail_instrs] counts) or by
+   the fully detailed fallback. *)
+let h_discarded_seconds = Metrics.histogram "smarts.discarded_seconds"
+
 (* A machine at [prog]'s entry with its inputs loaded: the set-up every
    attempt pays before it simulates, in its own span. *)
-let machine ?memory cfg prog ~setup =
-  Trace.with_span ~cat:"sim" "smarts.setup" (fun () ->
-      let ooo = Ooo.create ?memory cfg prog in
-      setup (Ooo.func ooo);
-      ooo)
+let machine ?store cfg prog ~inputs =
+  Trace.with_span ~cat:"sim" "smarts.setup" (fun () -> Ooo.create ?store ~inputs cfg prog)
 
-let run_full ?memory (cfg : Config.t) (prog : Emc_isa.Isa.program)
-    ~(setup : Func.t -> unit) : result =
+let run_full ?store (cfg : Config.t) (prog : Emc_isa.Isa.program) ~inputs : result =
   Trace.with_span ~cat:"sim" "smarts.run_full" (fun () ->
-      let ooo = machine ?memory cfg prog ~setup in
+      let ooo = machine ?store cfg prog ~inputs in
       let cycles = Ooo.run_to_completion ooo in
       let instrs = (Ooo.func ooo).Func.icount in
       let r =
@@ -119,14 +120,20 @@ let run_full ?memory (cfg : Config.t) (prog : Emc_isa.Isa.program)
       record_run ooo r;
       r)
 
-let run_sampled ?(params = default_params) ?memory (cfg : Config.t)
-    (prog : Emc_isa.Isa.program) ~(setup : Func.t -> unit) : result =
-  let rec attempt interval refinements =
+(* What one attempt decides: its result, another attempt at a finer
+   interval, or a fully detailed run. The next run starts only after the
+   attempt's span has closed, so attempt spans never nest and each one
+   times its own attempt. *)
+type decision = Done of result | Refine | Fallback
+
+let run_sampled ?(params = default_params) ?store (cfg : Config.t)
+    (prog : Emc_isa.Isa.program) ~inputs : result =
+  let run_attempt interval refinements =
     let span_args () =
       [ ("interval", Emc_obs.Json.Int interval); ("refinements", Emc_obs.Json.Int refinements) ]
     in
     Trace.with_span ~cat:"sim" ~args:span_args "smarts.attempt" (fun () ->
-        let ooo = machine ?memory cfg prog ~setup in
+        let ooo = machine ?store cfg prog ~inputs in
         let unit_cpis = ref [] in
         let unit_count = ref 0 in
         while Ooo.busy ooo do
@@ -153,9 +160,7 @@ let run_sampled ?(params = default_params) ?memory (cfg : Config.t)
           Log.info ~src:"smarts" "no sampled units at interval %d: falling back to full detail"
             interval;
           Trace.instant ~args:span_args "smarts.fallback_to_full";
-          (* this attempt's machine is never used again, so the full run
-             may reset and reuse its memory *)
-          run_full ?memory cfg prog ~setup
+          Fallback
         end
         else begin
           let mean = Emc_util.Stats.mean cpis in
@@ -175,7 +180,7 @@ let run_sampled ?(params = default_params) ?memory (cfg : Config.t)
               ~args:(fun () ->
                 ("ci_rel", Emc_obs.Json.Float ci) :: span_args ())
               "smarts.refine";
-            attempt (max 1 (interval / 2)) (refinements + 1)
+            Refine
           end
           else begin
             let cycles = mean *. float_of_int instrs in
@@ -193,8 +198,23 @@ let run_sampled ?(params = default_params) ?memory (cfg : Config.t)
             in
             Metrics.incr m_sampled_runs;
             record_run ooo r;
-            r
+            Done r
           end
         end)
   in
-  if params.interval <= 1 then run_full ?memory cfg prog ~setup else attempt params.interval 0
+  let rec attempt interval refinements =
+    let t0 = Unix.gettimeofday () in
+    let discarded () = Metrics.observe h_discarded_seconds (Unix.gettimeofday () -. t0) in
+    match run_attempt interval refinements with
+    | Done r -> r
+    | Refine ->
+        discarded ();
+        attempt (max 1 (interval / 2)) (refinements + 1)
+    | Fallback ->
+        discarded ();
+        (* the attempt's machine is never used again, so the full run may
+           reuse its store *)
+        run_full ?store cfg prog ~inputs
+  in
+  if params.interval <= 1 then run_full ?store cfg prog ~inputs
+  else attempt params.interval 0

@@ -42,21 +42,26 @@ type result = {
 }
 
 val run_full :
-  ?memory:Func.memory -> Config.t -> Emc_isa.Isa.program -> setup:(Func.t -> unit) -> result
-(** Fully detailed simulation ([setup] fills the input arrays before the
-    run starts). With [memory], the machine runs on that memory, reset in
-    place by {!Func.create} ([Invalid_argument] unless it {!Func.fits}
-    the program); the result is the same bits as on a fresh memory. *)
+  ?store:Ooo.store ->
+  Config.t ->
+  Emc_isa.Isa.program ->
+  inputs:(string * Emc_ir.Memlayout.data) list ->
+  result
+(** Fully detailed simulation with [inputs] loaded (see
+    {!Emc_ir.Memlayout.load}). With [store], the machine is built on it as
+    in {!Ooo.create}; the result is the same bits as on a fresh machine. *)
 
 val run_sampled :
   ?params:params ->
-  ?memory:Func.memory ->
+  ?store:Ooo.store ->
   Config.t ->
   Emc_isa.Isa.program ->
-  setup:(Func.t -> unit) ->
+  inputs:(string * Emc_ir.Memlayout.data) list ->
   result
 (** Sampled simulation, halving the interval while the CI misses
     [target_ci]. Every attempt, and the fully detailed fallback of a
-    program too short for the sampling grid, resets and reuses [memory]
-    when it is given: the attempts run one after another, so the memory
-    backs one live machine at a time. *)
+    program too short for the sampling grid, is built on [store] when it
+    is given: the attempts run one after another, so the store backs one
+    live machine at a time. Each attempt has its own [smarts.attempt]
+    span, and each one thrown away, by a refinement or by the fallback,
+    is timed in the [smarts.discarded_seconds] histogram. *)

@@ -42,8 +42,7 @@ let machine ?(arrays = []) ?(flags = Emc_opt.Flags.o0) ?(issue_width = 4) src =
       Emc_codegen.Postsched.run (Emc_isa.Isa.machine_for_width issue_width) prog
     else prog
   in
-  let f = Emc_sim.Func.create prog in
-  Emc_sim.Func.load f arrays;
+  let f = Emc_sim.Func.create ~inputs:arrays prog in
   ignore (Emc_sim.Func.run f);
   (Emc_sim.Func.return_value f, List.map fvalue_str (Emc_sim.Func.outputs f), prog)
 

@@ -235,14 +235,26 @@ let test_modeling_iterate () =
    point, each in one or more SMARTS attempts, on one simulator memory. *)
 let test_measure_one_memory () =
   let allocations () =
-    Option.value ~default:0 (Emc_obs.Metrics.counter_value "measure.memory_allocations")
+    Option.value ~default:0 (Emc_obs.Metrics.counter_value "sim.memory_allocations")
   in
   let before = allocations () in
   let ctx = Experiments.create ~seed:7 ~scale:{ Scale.tiny with Scale.jobs = 1 } () in
   ignore (Experiments.prepare ctx (Emc_workloads.Registry.find "mcf"));
   ci "simulations" 48 ctx.measure.Measure.simulations;
   ci "memory allocations" 1 (allocations () - before);
-  cb "the measure holds it" true (ctx.measure.Measure.memory <> None)
+  cb "the measure holds it" true (ctx.measure.Measure.store.Emc_sim.Ooo.memory <> None)
+
+(* The same run restores the memory for every attempt but the first: one
+   full load, then only the pages earlier attempts wrote (the count is
+   pinned, so a change in what the restore covers shows here). *)
+let test_measure_one_machine () =
+  let counter name = Option.value ~default:0 (Emc_obs.Metrics.counter_value name) in
+  let full0 = counter "sim.memory_full_loads" and pages0 = counter "sim.memory_restored_pages" in
+  let ctx = Experiments.create ~seed:7 ~scale:{ Scale.tiny with Scale.jobs = 1 } () in
+  ignore (Experiments.prepare ctx (Emc_workloads.Registry.find "mcf"));
+  ci "simulations" 48 ctx.measure.Measure.simulations;
+  ci "full loads" 1 (counter "sim.memory_full_loads" - full0);
+  ci "restored pages" 669 (counter "sim.memory_restored_pages" - pages0)
 
 let suite =
   [
@@ -263,4 +275,5 @@ let suite =
     ("mini modeling loop", `Slow, test_mini_modeling_loop);
     ("modeling iterate", `Slow, test_modeling_iterate);
     ("one simulator memory per measure", `Quick, test_measure_one_memory);
+    ("one simulator machine per measure", `Quick, test_measure_one_machine);
   ]

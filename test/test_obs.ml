@@ -365,13 +365,12 @@ let test_smarts_refinement_fires () =
   let w = Emc_workloads.Registry.find "gzip" in
   let arrays = w.Emc_workloads.Workload.arrays ~scale:0.3 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.Emc_workloads.Workload.source in
-  let setup f = Emc_sim.Func.load f arrays in
   let before = Option.value ~default:0 (Metrics.counter_value "smarts.refinements") in
   let r =
     Emc_sim.Smarts.run_sampled
       ~params:
         { Emc_sim.Smarts.default_params with interval = 16; target_ci = 1e-6; max_refinements = 2 }
-      Emc_sim.Config.typical prog ~setup
+      Emc_sim.Config.typical prog ~inputs:arrays
   in
   let after = Option.value ~default:0 (Metrics.counter_value "smarts.refinements") in
   cb "refinement fired at least once" true (after >= before + 1);
@@ -385,6 +384,51 @@ let test_smarts_refinement_fires () =
     | None -> false);
   cb "run counter advanced" true
     (Option.value ~default:0 (Metrics.counter_value "sim.runs") >= 1)
+
+(* A refinement starts its next attempt only after the current attempt's
+   span has closed, so the [smarts.attempt] spans of one sampled run are
+   pairwise disjoint and each one times its own attempt. *)
+let test_smarts_attempt_spans_disjoint () =
+  let w = Emc_workloads.Registry.find "gzip" in
+  let arrays = w.Emc_workloads.Workload.arrays ~scale:0.1 ~variant:Emc_workloads.Workload.Train in
+  let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.Emc_workloads.Workload.source in
+  let file = Filename.temp_file "emc_trace" ".json" in
+  Fun.protect ~finally:(fun () -> Trace.disable (); Sys.remove file) @@ fun () ->
+  Trace.enable file;
+  let r =
+    Emc_sim.Smarts.run_sampled
+      ~params:
+        { Emc_sim.Smarts.default_params with interval = 16; target_ci = 1e-6; max_refinements = 2 }
+      Emc_sim.Config.typical prog ~inputs:arrays
+  in
+  Trace.flush ();
+  cb "sampled" false r.Emc_sim.Smarts.detailed;
+  let ic = open_in file in
+  let contents = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let attempts =
+    match Json.member "traceEvents" (Json.parse_exn contents) with
+    | Some (Json.List l) ->
+        List.filter_map
+          (fun e ->
+            if Json.member "name" e = Some (Json.Str "smarts.attempt") then
+              let field k = num (Option.get (Json.member k e)) in
+              Some (field "ts", field "ts" +. field "dur")
+            else None)
+          l
+    | _ -> Alcotest.fail "traceEvents list missing"
+  in
+  ci "one span per attempt" 3 (List.length attempts);
+  let eps = 1.0 (* µs of float slack *) in
+  List.iteri
+    (fun i (s1, e1) ->
+      List.iteri
+        (fun j (s2, e2) ->
+          if i < j then
+            cb (Printf.sprintf "attempts %d and %d are disjoint" i j) true
+              (e1 <= s2 +. eps || e2 <= s1 +. eps))
+        attempts)
+    attempts
 
 let suite =
   [
@@ -409,4 +453,6 @@ let suite =
       test_scale_warning_routed;
     Alcotest.test_case "smarts: refinement fires and is recorded" `Quick
       test_smarts_refinement_fires;
+    Alcotest.test_case "smarts: attempt spans are disjoint" `Quick
+      test_smarts_attempt_spans_disjoint;
   ]

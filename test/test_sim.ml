@@ -411,8 +411,7 @@ fn main() -> int {
   let arrays = [ ("d", Emc_workloads.Workload.DInt (Array.init 1024 (fun _ -> Emc_util.Rng.int rng 2))) ] in
   let cycles ?(arrays = []) src =
     let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays src in
-    let ooo = Ooo.create Config.typical prog in
-    Func.load (Ooo.func ooo) arrays;
+    let ooo = Ooo.create ~inputs:arrays Config.typical prog in
     let c = Ooo.run_to_completion ooo in
     (c, (Ooo.func ooo).Func.icount, ooo.Ooo.branch_mispredicts)
   in
@@ -456,9 +455,8 @@ let test_smarts_accuracy () =
   let w = Emc_workloads.Registry.find "gzip" in
   let arrays = w.arrays ~scale:0.3 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.source in
-  let setup f = Func.load f arrays in
-  let full = Smarts.run_full Config.typical prog ~setup in
-  let smp = Smarts.run_sampled Config.typical prog ~setup in
+  let full = Smarts.run_full Config.typical prog ~inputs:arrays in
+  let smp = Smarts.run_sampled Config.typical prog ~inputs:arrays in
   let err = Float.abs (smp.Smarts.cycles -. full.Smarts.cycles) /. full.Smarts.cycles in
   cb (Printf.sprintf "within 10%% (got %.1f%%)" (err *. 100.)) true (err < 0.10);
   cb "sampled used sampling" true (not smp.Smarts.detailed);
@@ -468,11 +466,10 @@ let test_smarts_interval_one_is_full () =
   let w = Emc_workloads.Registry.find "gzip" in
   let arrays = w.arrays ~scale:0.05 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o0 ~arrays w.source in
-  let setup f = Func.load f arrays in
   let r =
     Smarts.run_sampled
       ~params:{ Smarts.default_params with interval = 1 }
-      Config.typical prog ~setup
+      Config.typical prog ~inputs:arrays
   in
   cb "degenerates to detailed" true r.Smarts.detailed
 
@@ -511,9 +508,7 @@ let test_skip_idle_cycle_exact () =
       in
       let progs = List.map (fun width -> (width, lazy (compile width))) [ 2; 4 ] in
       let fresh cfg =
-        let o = Ooo.create cfg (Lazy.force (List.assoc cfg.Config.issue_width progs)) in
-        Func.load (Ooo.func o) arrays;
-        o
+        Ooo.create ~inputs:arrays cfg (Lazy.force (List.assoc cfg.Config.issue_width progs))
       in
       List.iter
         (fun (cname, cfg) ->
@@ -570,7 +565,7 @@ let test_smarts_skip_and_discard_counters () =
   let skipped0 = value "sim.skipped_cycles"
   and discarded0 = value "smarts.discarded_detail_instrs"
   and refinements0 = value "smarts.refinements" in
-  let r = Smarts.run_sampled Config.typical prog ~setup:(fun f -> Func.load f arrays) in
+  let r = Smarts.run_sampled Config.typical prog ~inputs:arrays in
   cb "sampled" false r.Smarts.detailed;
   cb "skipped cycles recorded" true (value "sim.skipped_cycles" > skipped0);
   cb "refined" true (value "smarts.refinements" > refinements0);
@@ -583,8 +578,7 @@ let test_energy_breakdown_sums () =
   let w = Emc_workloads.Registry.find "gzip" in
   let arrays = w.arrays ~scale:0.05 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.source in
-  let ooo = Ooo.create Config.typical prog in
-  Func.load (Ooo.func ooo) arrays;
+  let ooo = Ooo.create ~inputs:arrays Config.typical prog in
   let cycles = float_of_int (Ooo.run_to_completion ooo) in
   let b = Energy.estimate ooo ~cycles in
   cb "total positive" true (b.Energy.total > 0.0);
@@ -600,8 +594,7 @@ let test_energy_tracks_memory_traffic () =
   let arrays = w.arrays ~scale:0.08 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.source in
   let energy l2 =
-    let ooo = Ooo.create { Config.typical with l2_kb = l2 } prog in
-    Func.load (Ooo.func ooo) arrays;
+    let ooo = Ooo.create ~inputs:arrays { Config.typical with l2_kb = l2 } prog in
     let cycles = float_of_int (Ooo.run_to_completion ooo) in
     (Energy.estimate ooo ~cycles).Energy.memory
   in
@@ -613,7 +606,7 @@ let test_smarts_reports_all_responses () =
   let w = Emc_workloads.Registry.find "vortex" in
   let arrays = w.arrays ~scale:0.05 ~variant:Emc_workloads.Workload.Train in
   let _, _, prog = Helpers.machine ~flags:Emc_opt.Flags.o2 ~arrays w.source in
-  let r = Smarts.run_full Config.typical prog ~setup:(fun f -> Func.load f arrays) in
+  let r = Smarts.run_full Config.typical prog ~inputs:arrays in
   cb "energy present" true (r.Smarts.energy > 0.0);
   ci "code size is the program size" (Array.length prog.Emc_isa.Isa.insts) r.Smarts.static_instrs
 
@@ -651,6 +644,10 @@ let counter_prog ~fp =
 
 let outputs f = List.map Helpers.fvalue_str (Func.outputs f)
 
+let result_bits (r : Smarts.result) =
+  Printf.sprintf "%h %d %h %h %d %b %h %d" r.cycles r.instrs r.cpi r.ci_rel r.sampled_units
+    r.detailed r.energy r.static_instrs
+
 (* Two runs on one memory each see the fresh memory: the reset clears
    what the previous run stored, in both views. *)
 let test_memory_reset_between_runs () =
@@ -663,8 +660,8 @@ let test_memory_reset_between_runs () =
         let n = Func.run f in
         (outputs f, n)
       in
-      let ooo ?memory () =
-        let o = Ooo.create ?memory Config.typical prog in
+      let ooo ?store () =
+        let o = Ooo.create ?store Config.typical prog in
         let cycles = Ooo.run_to_completion o in
         (outputs (Ooo.func o), cycles, Ooo.counters o)
       in
@@ -673,10 +670,11 @@ let test_memory_reset_between_runs () =
         ("1" :: (if fp then [ Printf.sprintf "%h" 1.0 ] else []))
         (fst fresh);
       let memory = Func.memory prog in
+      let store = { (Ooo.store ()) with Ooo.memory = Some memory } in
       for run = 1 to 2 do
         cb (Printf.sprintf "%s: func run %d on one memory" what run) true (func ~memory () = fresh);
         cb (Printf.sprintf "%s: ooo run %d on one memory" what run) true
-          (ooo ~memory () = fresh_ooo)
+          (ooo ~store () = fresh_ooo)
       done)
     [ false; true ]
 
@@ -698,16 +696,17 @@ let prop_dirtied_memory_runs_fresh =
         let f = Func.create ?memory prog in
         trapping (fun () -> Func.run f) (fun n -> (outputs f, Func.return_value f, n))
       in
-      let ooo ?memory () =
-        let o = Ooo.create ?memory Config.typical prog in
+      let ooo ?store () =
+        let o = Ooo.create ?store Config.typical prog in
         trapping
           (fun () -> Ooo.run_to_completion o)
           (fun cycles -> (outputs (Ooo.func o), cycles, Ooo.counters o))
       in
       let fresh = func () and fresh_ooo = ooo () in
       let memory = Func.memory prog in
+      let store = { (Ooo.store ()) with Ooo.memory = Some memory } in
       ignore (func ~memory ());
-      func ~memory () = fresh && ooo ~memory () = fresh_ooo)
+      func ~memory () = fresh && ooo ~store () = fresh_ooo)
 
 let test_memory_wrong_size () =
   let int_prog = counter_prog ~fp:false in
@@ -725,8 +724,15 @@ let test_memory_wrong_size () =
       Func.create ~memory:(Func.memory (mk_prog [ Isa.make HALT ])) int_prog);
   refused "no FP view for an FP program" (fun () ->
       Func.create ~memory:(Func.memory int_prog) fld_prog);
-  refused "sampled run" (fun () ->
-      Smarts.run_sampled ~memory:(Func.memory int_prog) Config.typical fld_prog ~setup:ignore);
+  (* a machine store replaces a memory that does not fit *)
+  let allocations () =
+    Option.value ~default:0 (Emc_obs.Metrics.counter_value "sim.memory_allocations")
+  in
+  let store = { (Ooo.store ()) with Ooo.memory = Some (Func.memory int_prog) } in
+  let before = allocations () in
+  ignore (Smarts.run_sampled ~store Config.typical fld_prog ~inputs:[]);
+  ci "a store allocates a memory that fits" 1 (allocations () - before);
+  cb "and keeps it" true (Func.fits (Option.get store.Ooo.memory) fld_prog);
   cb "an FP memory fits an int program" true (Func.fits (Func.memory fld_prog) int_prog)
 
 (* A program with no FLD, no FST and no F64 global gets an empty FP view;
@@ -752,19 +758,212 @@ let test_fp_view_rule () =
    (and a run before it) dirtied, the result keeps every bit. *)
 let test_fallback_on_shared_memory () =
   let prog = counter_prog ~fp:true in
-  let bits (r : Smarts.result) =
-    Printf.sprintf "%h %d %h %h %d %b %h %d" r.cycles r.instrs r.cpi r.ci_rel r.sampled_units
-      r.detailed r.energy r.static_instrs
-  in
   let fallbacks () = Option.value ~default:0 (Emc_obs.Metrics.counter_value "smarts.fallback_to_full") in
   let before = fallbacks () in
-  let fresh = Smarts.run_sampled Config.typical prog ~setup:ignore in
+  let fresh = Smarts.run_sampled Config.typical prog ~inputs:[] in
   let memory = Func.memory prog in
   ignore (Func.run (Func.create ~memory prog));
-  let shared = Smarts.run_sampled ~memory Config.typical prog ~setup:ignore in
+  let store = { (Ooo.store ()) with Ooo.memory = Some memory } in
+  let shared = Smarts.run_sampled ~store Config.typical prog ~inputs:[] in
   ci "both runs fell back to full detail" 2 (fallbacks () - before);
   cb "detailed" true shared.Smarts.detailed;
-  Alcotest.(check string) "same result bits" (bits fresh) (bits shared)
+  Alcotest.(check string) "same result bits" (result_bits fresh) (result_bits shared)
+
+(* ---------------- one store, restored between runs ---------------- *)
+
+module Rng = Emc_util.Rng
+
+let counter name = Option.value ~default:0 (Emc_obs.Metrics.counter_value name)
+
+(* A loop adds 1 to every element of the 4096-word input [a] (eight
+   pages); then the program bumps a plain global ([plain], default [g]),
+   a stack slot, the F64 input [h] and the plain F64 global [k] by one
+   each, outputs them, and counts 50 times their sum down to zero. A word a restore leaves
+   stale (an input not copied back, a store left unmarked) shows in the
+   outputs and the instruction count, and a stale cache in the cycles. *)
+let store_prog ?(plain = "g") () =
+  let layout =
+    Emc_ir.Memlayout.compute
+      { Emc_ir.Ir.funcs = [];
+        globals =
+          List.map
+            (fun (gname, gty, gsize) -> { Emc_ir.Ir.gname; gty; gsize })
+            [ ("a", Emc_ir.Ir.I64, 4096); (plain, Emc_ir.Ir.I64, 1); ("h", Emc_ir.Ir.F64, 1);
+              ("k", Emc_ir.Ir.F64, 1) ] }
+  in
+  let base = Emc_ir.Memlayout.base layout in
+  let bump_float g =
+    [ Isa.make LDI ~rd:4 ~imm:(base g); Isa.make FLD ~rd:33 ~rs1:4; Isa.make LFI ~rd:34 ~fimm:1.0;
+      Isa.make FADD ~rd:33 ~rs1:33 ~rs2:34; Isa.make FST ~rs1:4 ~rs2:33; Isa.make OUT ~rs1:33;
+      Isa.make FTOI ~rd:2 ~rs1:33; Isa.make ADD ~rd:10 ~rs1:10 ~rs2:2 ]
+  in
+  let head =
+    [ Isa.make LDI ~rd:1 ~imm:(base "a"); Isa.make LDI ~rd:5 ~imm:0; Isa.make LDI ~rd:6 ~imm:4096 ]
+  in
+  let loop = List.length head in
+  let body =
+    [ Isa.make SLLI ~rd:7 ~rs1:5 ~imm:3; Isa.make ADD ~rd:8 ~rs1:1 ~rs2:7;
+      Isa.make LD ~rd:2 ~rs1:8; Isa.make ADDI ~rd:2 ~rs1:2 ~imm:1; Isa.make ST ~rs1:8 ~rs2:2;
+      Isa.make ADDI ~rd:5 ~rs1:5 ~imm:1; Isa.make CLT ~rd:9 ~rs1:5 ~rs2:6;
+      Isa.make BNEZ ~rs1:9 ~imm:loop;
+      (* a[1], then g and the slot below the stack top *)
+      Isa.make LD ~rd:10 ~rs1:1 ~imm:8; Isa.make OUT ~rs1:10;
+      Isa.make LDI ~rd:3 ~imm:(base plain); Isa.make LD ~rd:2 ~rs1:3;
+      Isa.make ADDI ~rd:2 ~rs1:2 ~imm:1; Isa.make ST ~rs1:3 ~rs2:2; Isa.make OUT ~rs1:2;
+      Isa.make ADD ~rd:10 ~rs1:10 ~rs2:2;
+      Isa.make LD ~rd:2 ~rs1:Isa.r_sp ~imm:(-8); Isa.make ADDI ~rd:2 ~rs1:2 ~imm:1;
+      Isa.make ST ~rs1:Isa.r_sp ~rs2:2 ~imm:(-8); Isa.make OUT ~rs1:2;
+      Isa.make ADD ~rd:10 ~rs1:10 ~rs2:2 ]
+    @ bump_float "h" @ bump_float "k"
+    @ [ Isa.make LDI ~rd:11 ~imm:50; Isa.make MUL ~rd:10 ~rs1:10 ~rs2:11 ]
+  in
+  let countdown = loop + List.length body in
+  let insts =
+    head @ body
+    @ [ Isa.make ADDI ~rd:10 ~rs1:10 ~imm:(-1); Isa.make BNEZ ~rs1:10 ~imm:countdown;
+        Isa.make HALT ]
+  in
+  let inputs =
+    [ ("a", Emc_workloads.Workload.DInt (Array.init 4096 (fun i -> (3 * i) + 1)));
+      ("h", Emc_workloads.Workload.DFloat [| 2.5 |]) ]
+  in
+  ({ Isa.insts = Array.of_list insts; entry = 0; layout; func_starts = [] }, inputs)
+
+(* Sampled runs on one store (a memory and cache arrays), on machines
+   whose caches shrink and grow again to the same geometry, each give
+   the bits of a run on a fresh machine. *)
+let test_store_restores_fresh_bits () =
+  let prog, inputs = store_prog () in
+  let store = Ooo.store () in
+  let restored0 = counter "sim.memory_restored_pages" in
+  List.iteri
+    (fun i (name, cfg) ->
+      let fresh = Smarts.run_sampled cfg prog ~inputs in
+      let stored = Smarts.run_sampled ~store cfg prog ~inputs in
+      cb (Printf.sprintf "run %d (%s) sampled" i name) false fresh.Smarts.detailed;
+      Alcotest.(check string) (Printf.sprintf "run %d (%s) on the store" i name)
+        (result_bits fresh) (result_bits stored))
+    [ ("typical", Config.typical); ("typical", Config.typical);
+      ("constrained", Config.constrained); ("typical", Config.typical);
+      ("aggressive", Config.aggressive) ];
+  cb "pages were restored" true (counter "sim.memory_restored_pages" > restored0);
+  (* the image the last run left, read back: a[1], g, the slot, h and k *)
+  let f = Func.create ?memory:store.Ooo.memory ~inputs prog in
+  ignore (Func.run f);
+  Alcotest.(check (list string)) "outputs of a run on the restored memory"
+    [ "5"; "1"; "1"; Printf.sprintf "%h" 3.5; Printf.sprintf "%h" 1.0 ]
+    (outputs f)
+
+(* Three (generated program, random Table-2 machine) pairs run one after
+   another on one store give the outcome and counters of fresh machines.
+   The caches are large, then as small as Table 2 allows, then large
+   again, so a reset that covered less than the new geometry would leave
+   stale tags behind. Two programs share the generator's layout, so the
+   memory is restored across programs as well as across machines. *)
+let prop_store_sequences_run_fresh =
+  QCheck.Test.make ~name:"runs on one store match fresh runs" ~count:25
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let gen () =
+        let src = Emc_lang.Pretty.program (Emc_diff.Gen.program (Rng.split rng)) in
+        Emc_codegen.Compiler.compile Emc_opt.Flags.o2 (Helpers.compile_ir src)
+      in
+      let progs = [| gen (); gen () |] in
+      let inputs =
+        [ ("gi", Emc_workloads.Workload.DInt (Array.init 64 (fun _ -> Rng.int rng 200 - 100)));
+          ("gf", Emc_workloads.Workload.DFloat (Array.init 64 (fun _ -> Rng.float rng 8.0))) ]
+      in
+      let big = Rng.choice rng [| 32; 64; 128 |] and big_l2 = Rng.choice rng [| 1024; 4096; 8192 |] in
+      let dl1_assoc = Rng.range rng 1 2 and l2_assoc = Rng.choice rng [| 1; 2; 4; 8 |] in
+      let machine large =
+        let m = random_march (Rng.int rng 1_000_000) in
+        if large then
+          { m with Config.icache_kb = big; dcache_kb = big; dcache_assoc = dl1_assoc; l2_kb = big_l2;
+                   l2_assoc }
+        else { m with Config.icache_kb = 8; dcache_kb = 8; l2_kb = 256 }
+      in
+      let run ?store cfg prog =
+        let o = Ooo.create ?store ~inputs cfg prog in
+        match Ooo.run_to_completion o with
+        | cycles -> Ok (outputs (Ooo.func o), cycles, Ooo.counters o)
+        | exception Emc_ir.Trap.Trap c -> Error (Emc_ir.Trap.category c)
+      in
+      let store = Ooo.store () in
+      List.for_all
+        (fun large ->
+          let prog = Rng.choice rng progs and cfg = machine large in
+          run ~store cfg prog = run cfg prog)
+        [ true; false; true ])
+
+(* A memory restores pages only when it holds this layout and this very
+   input list: another list (even an equal one) or another layout sends
+   it down the full path. That path must zero each view whole before it
+   loads: the program also bumps a plain global and a stack slot in the
+   integer view and a plain global in the FP view, words no input covers,
+   so a view left unzeroed shows in the outputs. *)
+let test_restore_needs_same_image () =
+  let prog, inputs = store_prog () in
+  let _, equal_inputs = store_prog () in
+  (* the same code over a layout that names its plain global differently *)
+  let renamed, _ = store_prog ~plain:"x" () in
+  let memory = Func.memory prog in
+  let check what p inputs ~full =
+    let full0 = counter "sim.memory_full_loads" in
+    let f = Func.create ~memory ~inputs p in
+    ci (what ^ ": full loads") (if full then 1 else 0) (counter "sim.memory_full_loads" - full0);
+    ignore (Func.run f);
+    Alcotest.(check (list string)) (what ^ ": outputs")
+      [ "5"; "1"; "1"; Printf.sprintf "%h" 3.5; Printf.sprintf "%h" 1.0 ]
+      (outputs f)
+  in
+  check "first run" prog inputs ~full:true;
+  check "same image" prog inputs ~full:false;
+  check "equal but another input list" prog equal_inputs ~full:true;
+  check "another layout" renamed inputs ~full:true;
+  check "back to the first layout" prog inputs ~full:true;
+  check "same image again" prog inputs ~full:false
+
+(* Loading every page of the address space through [load_range], in any
+   order, writes what one [load] writes. *)
+let prop_load_range_pages =
+  QCheck.Test.make ~name:"load_range over every page equals one load" ~count:50
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let globals =
+        List.init (1 + Rng.int rng 6) (fun i ->
+            { Emc_ir.Ir.gname = Printf.sprintf "g%d" i;
+              gty = (if Rng.bool rng then Emc_ir.Ir.I64 else Emc_ir.Ir.F64);
+              gsize = 1 + Rng.int rng 1500 })
+      in
+      let layout = Emc_ir.Memlayout.compute { Emc_ir.Ir.funcs = []; globals } in
+      let inputs =
+        List.filter_map
+          (fun (g : Emc_ir.Ir.global) ->
+            let n = Rng.int rng (g.gsize + 1) in
+            if Rng.int rng 4 = 0 then None
+            else
+              Some
+                ( g.gname,
+                  match g.gty with
+                  | Emc_ir.Ir.F64 ->
+                      Emc_workloads.Workload.DFloat (Array.init n (fun _ -> Rng.float rng 100.0))
+                  | _ -> Emc_workloads.Workload.DInt (Array.init n (fun _ -> Rng.int rng 1000 - 500)) ))
+          globals
+      in
+      let words = Emc_ir.Memlayout.mem_words layout in
+      let imem = Array.make words 0 and fmem = Array.make words 0.0 in
+      Emc_ir.Memlayout.load layout ~imem ~fmem inputs;
+      let imem' = Array.make words 0 and fmem' = Array.make words 0.0 in
+      let pages = Array.init ((words + 511) / 512) Fun.id in
+      Rng.shuffle rng pages;
+      Array.iter
+        (fun p ->
+          Emc_ir.Memlayout.load_range layout ~imem:imem' ~fmem:fmem' ~lo:(p * 512)
+            ~hi:(min words ((p + 1) * 512)) inputs)
+        pages;
+      imem = imem' && fmem = fmem')
 
 let suite =
   [
@@ -808,4 +1007,8 @@ let suite =
     ("a memory of the wrong size is refused", `Quick, test_memory_wrong_size);
     ("FP view only for programs that touch it", `Quick, test_fp_view_rule);
     ("sampled fallback keeps its bits on a shared memory", `Quick, test_fallback_on_shared_memory);
+    ("a restored store gives the fresh bits", `Quick, test_store_restores_fresh_bits);
+    QCheck_alcotest.to_alcotest prop_store_sequences_run_fresh;
+    ("a memory restores only the image it holds", `Quick, test_restore_needs_same_image);
+    QCheck_alcotest.to_alcotest prop_load_range_pages;
   ]

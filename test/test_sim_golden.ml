@@ -103,9 +103,10 @@ let cfg_of = function
   | c -> Alcotest.failf "unknown golden config %S" c
 
 (* Mirrors bench/gen_golden.ml: one full detailed run (cycles +
-   counters), then one sampled run on a fresh simulator. The sampled run
-   is repeated on the memory the full run has just dirtied, the path every
-   Measure takes, and must give the same bits. *)
+   counters), then one sampled run on a fresh simulator. The full run
+   loads its inputs on a store (a memory and cache arrays), and the
+   sampled run is repeated on that store, which restores what the full
+   run wrote: the path every Measure takes. It must give the same bits. *)
 let check_golden g () =
   let w = Emc_workloads.Registry.find g.g_workload in
   let cfg = cfg_of g.g_cfg in
@@ -116,10 +117,8 @@ let check_golden g () =
   let arrays =
     w.Emc_workloads.Workload.arrays ~scale:g.g_scale ~variant:Emc_workloads.Workload.Train
   in
-  let setup f = Func.load f arrays in
-  let memory = Func.memory prog in
-  let ooo = Ooo.create ~memory cfg prog in
-  setup (Ooo.func ooo);
+  let store = Ooo.store () in
+  let ooo = Ooo.create ~store ~inputs:arrays cfg prog in
   let cycles = Ooo.run_to_completion ooo in
   Alcotest.(check int) "full-detail cycles" g.g_full_cycles cycles;
   Alcotest.(check int) "dynamic instructions" g.g_instrs (Ooo.func ooo).Func.icount;
@@ -129,15 +128,15 @@ let check_golden g () =
       Alcotest.(check int) ("counter " ^ k) v v')
     g.g_counters (Ooo.counters ooo);
   List.iter
-    (fun (path, memory) ->
-      let smp = Smarts.run_sampled ?memory cfg prog ~setup in
+    (fun (path, store) ->
+      let smp = Smarts.run_sampled ?store cfg prog ~inputs:arrays in
       Alcotest.(check string) (path ^ ": sampled cycles (bit-exact)") g.g_sampled_cycles
         (Printf.sprintf "%h" smp.Smarts.cycles);
       Alcotest.(check string) (path ^ ": ci_rel (bit-exact)") g.g_ci_rel
         (Printf.sprintf "%h" smp.Smarts.ci_rel);
       Alcotest.(check int) (path ^ ": sampled units") g.g_units smp.Smarts.sampled_units;
       Alcotest.(check bool) (path ^ ": sampling engaged") g.g_detailed smp.Smarts.detailed)
-    [ ("fresh memory", None); ("reused memory", Some memory) ]
+    [ ("fresh memory", None); ("reused memory", Some store) ]
 
 let suite =
   List.map
