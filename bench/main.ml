@@ -416,6 +416,30 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
               match Emc_fleet.Fleet.triples_of_body ~expect:32 rbody with
               | Ok ts -> ignore ts
               | Error e -> failwith e) );
+      (* the coordinator's scheduler alone, no sockets: every decision of
+         one 1,024-point batch at chunk 4 and depth 2 over 4 fake workers
+         that answer their dispatches in the order sent *)
+      ( "fleet/schedule-batch",
+        fun () ->
+          let module S = Emc_fleet.Fleet.Sched in
+          let triples =
+            Array.make 4 { Emc_core.Measure.t_cycles = 1.0; t_energy = 2.0; t_code_size = 3.0 }
+          in
+          Staged.stage (fun () ->
+              let s = S.create ~depth:2 ~elastic:false [ "w0"; "w1"; "w2"; "w3" ] in
+              ignore (S.plan s ~now:0.0 ~chunk:4 1024);
+              let sent = Queue.create () in
+              let rec drain () =
+                match S.next s ~now:0.0 with
+                | Some (S.Send (w, _)) -> Queue.push w sent; drain ()
+                | Some _ -> drain ()
+                | None -> ()
+              in
+              drain ();
+              while not (S.finished s) do
+                S.handle s ~now:0.0 (S.Completed (Queue.pop sent, triples));
+                drain ()
+              done) );
     ]
   in
   let selected =

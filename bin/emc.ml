@@ -140,12 +140,6 @@ let depth_arg =
   in
   Arg.(value & opt (some int) None & info [ "depth" ] ~docv:"N" ~doc)
 
-(* The three fleet knobs travel as one term so every measuring subcommand
-   picks them up with a single $ application. *)
-let fleet_opts_arg =
-  Term.(const (fun fleet chunk depth -> (fleet, chunk, depth))
-        $ fleet_arg $ chunk_arg $ depth_arg)
-
 let run_id_arg =
   let doc =
     "Resumable run: EMC_RUN_DIR/$(docv).jsonl is the run's result file in place of \
@@ -165,9 +159,6 @@ let with_obs trace metrics f =
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("emc: " ^ msg); exit 1) fmt
 
-let parse_fleet_spec spec =
-  match Fleet.parse_fleet spec with Ok addrs -> addrs | Error e -> die "--fleet: %s" e
-
 (* The one result file of a measuring run: the --run-id journal, else
    --cache, else EMC_CACHE. *)
 let result_file ?run_id cache =
@@ -177,34 +168,54 @@ let result_file ?run_id cache =
   | None, Some _ -> cache
   | None, None -> Sys.getenv_opt "EMC_CACHE"
 
-(* Experiment-context setup shared by every measuring subcommand: resolve
-   the result file, then point the measure at the fleet when one is
-   configured. [fleet] is the (--fleet, --chunk, --depth) triple from
-   fleet_opts_arg. *)
-let make_ctx ~seed ~scale ?cache_file ~fleet:(fleet, chunk, depth) ~run_id () =
-  (match chunk with
-  | Some c when c <= 0 -> die "--chunk must be positive (omit it for auto sizing), not %d" c
-  | _ -> ());
-  (match depth with
-  | Some d when d < 1 -> die "--depth must be at least 1, not %d" d
-  | _ -> ());
-  let ctx = Experiments.create ~seed ~scale ?cache_file:(result_file ?run_id cache_file) () in
-  (match
-     match fleet with Some s -> Some s | None -> Sys.getenv_opt "EMC_FLEET"
-   with
+(* The options of the measuring subcommands (model, train, search, pareto,
+   experiment), parsed by one term. Nothing is read or opened until a
+   subcommand forces [scale] or asks for its {!context}, so search -m and
+   pareto -m create no journal and load no cache they do not use. *)
+type measuring = {
+  scale : Scale.t Lazy.t;
+  seed : int;
+  cache : string option;
+  fleet : string option * int option * int option;  (** --fleet, --chunk, --depth *)
+  run_id : string option;
+  trace : string option;
+  metrics : bool;
+}
+
+let measuring_arg =
+  (* --scale's preset with the worker count of --jobs, or of EMC_JOBS *)
+  let make (_, base) seed jobs cache fleet chunk depth run_id trace metrics =
+    let jobs () = match jobs with Some j -> j | None -> Scale.jobs_of_env () in
+    { scale = lazy { base with Scale.jobs = jobs () }; seed; cache; fleet = (fleet, chunk, depth);
+      run_id; trace; metrics }
+  in
+  Term.(const make $ scale_arg $ seed_arg $ jobs_arg $ cache_arg $ fleet_arg $ chunk_arg
+        $ depth_arg $ run_id_arg $ trace_arg $ metrics_arg)
+
+(* A measuring run's experiment context: resolve the result file, then
+   point the measure at the fleet when one is configured. *)
+let context o =
+  let fleet, chunk, depth = o.fleet in
+  Option.iter
+    (fun c -> if c <= 0 then die "--chunk must be positive (omit it for auto sizing), not %d" c)
+    chunk;
+  Option.iter (fun d -> if d < 1 then die "--depth must be at least 1, not %d" d) depth;
+  let ctx =
+    Experiments.create ~seed:o.seed ~scale:(Lazy.force o.scale)
+      ?cache_file:(result_file ?run_id:o.run_id o.cache) ()
+  in
+  (match match fleet with Some s -> Some s | None -> Sys.getenv_opt "EMC_FLEET" with
   | None | Some "" -> ()
   | Some spec ->
+      let d = Fleet.default_options in
       let options =
-        { Fleet.default_options with
-          Fleet.chunk = Option.value chunk ~default:Fleet.default_options.Fleet.chunk;
-          Fleet.depth = Option.value depth ~default:Fleet.default_options.Fleet.depth }
+        { d with
+          chunk = Option.value chunk ~default:d.chunk;
+          depth = Option.value depth ~default:d.depth }
       in
-      Fleet.attach ~options ctx.Experiments.measure (parse_fleet_spec spec));
+      Fleet.attach ~options ctx.Experiments.measure
+        (match Fleet.parse_fleet spec with Ok addrs -> addrs | Error e -> die "--fleet: %s" e));
   ctx
-
-(* --scale's preset with the worker count of --jobs, or of EMC_JOBS *)
-let with_jobs ?jobs (_, base) =
-  { base with Scale.jobs = (match jobs with Some j -> j | None -> Scale.jobs_of_env ()) }
 
 (* ---------------- params ---------------- *)
 
@@ -260,7 +271,7 @@ let simulate_cmd =
   in
   let run (w : Workload.t) (level, flags) (cname, march) scale cache full_detail trace metrics =
     with_obs trace metrics (fun () ->
-        let scale = with_jobs scale in
+        let scale = { (snd scale) with Scale.jobs = Scale.jobs_of_env () } in
         let m =
           Measure.create ?cache_file:(result_file cache)
             { scale with smarts = (if full_detail then None else scale.smarts) }
@@ -337,10 +348,9 @@ let report_model_metrics ~test (m : Emc_regress.Model.t) =
     (Metrics.precision_at_k ~k:5 p test)
 
 let model_cmd =
-  let run (w : Workload.t) (_, technique) scale seed jobs cache fleet run_id trace metrics =
-    with_obs trace metrics (fun () ->
-        let scale = with_jobs ?jobs scale in
-        let ctx = make_ctx ~seed ~scale ?cache_file:cache ~fleet ~run_id () in
+  let run (w : Workload.t) (_, technique) o =
+    with_obs o.trace o.metrics (fun () ->
+        let ctx = context o in
         let d = Experiments.prepare ctx w in
         let m = Experiments.model_of d technique in
         Printf.printf "%s / %s: test MAPE = %.2f%% (%d params)\n" w.name
@@ -355,7 +365,7 @@ let model_cmd =
         let rank_m =
           Emc_regress.Rank.fit
             ~names:(Params.names Params.all_specs)
-            ~rng:(Emc_util.Rng.create (seed + 2))
+            ~rng:(Emc_util.Rng.create (o.seed + 2))
             d.Experiments.train
         in
         report_model_metrics ~test:d.Experiments.test rank_m;
@@ -368,8 +378,7 @@ let model_cmd =
   in
   Cmd.v
     (Cmd.info "model" ~doc:"Build an empirical model for a workload and report its accuracy.")
-    Term.(const run $ workload_arg $ technique_arg $ scale_arg $ seed_arg $ jobs_arg
-          $ cache_arg $ fleet_opts_arg $ run_id_arg $ trace_arg $ metrics_arg)
+    Term.(const run $ workload_arg $ technique_arg $ measuring_arg)
 
 (* ---------------- artifacts: train / predict / rank / serve ---------------- *)
 
@@ -393,11 +402,9 @@ let train_cmd =
     in
     Arg.(value & flag & info [ "energy" ] ~doc)
   in
-  let run (w : Workload.t) (tname, technique) scale seed jobs cache fleet run_id out energy
-      trace metrics =
-    with_obs trace metrics (fun () ->
-        let scale = with_jobs ?jobs scale in
-        let ctx = make_ctx ~seed ~scale ?cache_file:cache ~fleet ~run_id () in
+  let run (w : Workload.t) (tname, technique) o out energy =
+    with_obs o.trace o.metrics (fun () ->
+        let ctx = context o in
         let d = Experiments.prepare ctx w in
         let m = Experiments.model_of d technique in
         let test_mape =
@@ -412,7 +419,7 @@ let train_cmd =
             | None -> die "energy model for %s has no serializable representation" tname
         in
         match
-          Artifact.of_model ~workload:w.name ~scale:scale.Scale.name ~seed
+          Artifact.of_model ~workload:w.name ~scale:(Lazy.force o.scale).Scale.name ~seed:o.seed
             ~train_n:(Emc_regress.Dataset.size d.Experiments.train)
             ~test_mape ~extra m
         with
@@ -429,9 +436,7 @@ let train_cmd =
   Cmd.v
     (Cmd.info "train"
        ~doc:"Build an empirical model and persist it as a reusable artifact file.")
-    Term.(const run $ workload_arg $ technique_arg $ scale_arg $ seed_arg $ jobs_arg
-          $ cache_arg $ fleet_opts_arg $ run_id_arg $ out_arg $ energy_arg $ trace_arg
-          $ metrics_arg)
+    Term.(const run $ workload_arg $ technique_arg $ measuring_arg $ out_arg $ energy_arg)
 
 let predict_cmd =
   let raw_arg =
@@ -721,25 +726,24 @@ let search_cmd =
     in
     Arg.(value & opt (some string) None & info [ "m"; "model" ] ~docv:"FILE" ~doc)
   in
-  let run (w : Workload.t) (cname, march) scale seed jobs cache fleet run_id mfile validate
-      trace metrics =
-    with_obs trace metrics (fun () ->
-        let scale = with_jobs ?jobs scale in
-        let measure, m =
+  let run (w : Workload.t) (cname, march) o mfile validate =
+    with_obs o.trace o.metrics (fun () ->
+        let scale = Lazy.force o.scale in
+        let measure, model =
           match mfile with
           | Some path ->
               (* the artifact replaces training; a Measure is only created
                  lazily if --validate asks for real measurements *)
-              ( lazy (Measure.create ?cache_file:(result_file cache) scale),
+              ( lazy (Measure.create ?cache_file:(result_file o.cache) scale),
                 Artifact.model (load_artifact path) )
           | None ->
-              let ctx = make_ctx ~seed ~scale ?cache_file:cache ~fleet ~run_id () in
+              let ctx = context o in
               let d = Experiments.prepare ctx w in
               (lazy ctx.Experiments.measure, Experiments.rbf_model d)
         in
         let r =
-          Searcher.search ~params:scale.Scale.ga ~rng:(Emc_util.Rng.create (seed + 1)) ~model:m
-            ~march ()
+          Searcher.search ~params:scale.Scale.ga ~rng:(Emc_util.Rng.create (o.seed + 1))
+            ~model ~march ()
         in
         Printf.printf "%s on %s:\n  prescribed: %s\n  predicted cycles: %.0f\n" w.name cname
           (Emc_opt.Flags.to_string r.Searcher.flags)
@@ -755,8 +759,7 @@ let search_cmd =
   Cmd.v
     (Cmd.info "search"
        ~doc:"Model-based search for platform-specific optimization settings (paper, section 6.3).")
-    Term.(const run $ workload_arg $ config_arg $ scale_arg $ seed_arg $ jobs_arg $ cache_arg
-          $ fleet_opts_arg $ run_id_arg $ model_opt_arg $ validate $ trace_arg $ metrics_arg)
+    Term.(const run $ workload_arg $ config_arg $ measuring_arg $ model_opt_arg $ validate)
 
 (* ---------------- pareto ---------------- *)
 
@@ -781,9 +784,8 @@ let pareto_cmd =
     Arg.(value & opt (some int) None
          & info [ "generations" ] ~docv:"N" ~doc:"NSGA-II generation count.")
   in
-  let run (w : Workload.t) (cname, march) scale seed jobs cache fleet run_id mfile pop gens json
-      trace metrics =
-    with_obs trace metrics (fun () ->
+  let run (w : Workload.t) (cname, march) o mfile pop gens json =
+    with_obs o.trace o.metrics (fun () ->
         (* same defaults as the daemon's /pareto (not --scale's GA budget),
            so served and in-process runs are comparable bit for bit *)
         let dflt = Emc_search.Ga.default_params in
@@ -807,8 +809,7 @@ let pareto_cmd =
                       predict = Emc_regress.Repr.eval r; n_params = 0; terms = [];
                       repr = Some r } ))
           | None ->
-              let scale = with_jobs ?jobs scale in
-              let ctx = make_ctx ~seed ~scale ?cache_file:cache ~fleet ~run_id () in
+              let ctx = context o in
               let d = Experiments.prepare ctx w in
               ( w.Workload.name,
                 Experiments.rbf_model d,
@@ -818,7 +819,7 @@ let pareto_cmd =
           Option.value ~default:0 (Emc_obs.Metrics.counter_value "pareto.evaluations")
         in
         let front =
-          Searcher.search_pareto ~params ~rng:(Emc_util.Rng.create seed) ~cycles_model
+          Searcher.search_pareto ~params ~rng:(Emc_util.Rng.create o.seed) ~cycles_model
             ~energy_model ~march ()
         in
         let evals =
@@ -834,10 +835,10 @@ let pareto_cmd =
           die "internal error: returned front contains dominated points";
         if json then
           print_endline
-            (Emc_obs.Json.to_string (Searcher.pareto_to_json ~seed ~evaluations:evals front))
+            (Emc_obs.Json.to_string (Searcher.pareto_to_json ~seed:o.seed ~evaluations:evals front))
         else begin
           Printf.printf "%s on %s: cycles x energy trade-off (seed %d, %d evaluations)\n"
-            wname_shown cname seed evals;
+            wname_shown cname o.seed evals;
           List.iteri
             (fun i p ->
               Printf.printf "  %2d: cycles=%14.0f  energy=%14.6g nJ  %s\n" (i + 1)
@@ -851,9 +852,8 @@ let pareto_cmd =
     (Cmd.info "pareto"
        ~doc:"Multi-objective model-based search: the non-dominated front over predicted \
              cycles and predicted energy (NSGA-II over the compiler parameters).")
-    Term.(const run $ workload_arg $ config_arg $ scale_arg $ seed_arg $ jobs_arg $ cache_arg
-          $ fleet_opts_arg $ run_id_arg $ model_opt_arg $ pop_arg $ gens_arg $ json_arg
-          $ trace_arg $ metrics_arg)
+    Term.(const run $ workload_arg $ config_arg $ measuring_arg $ model_opt_arg $ pop_arg
+          $ gens_arg $ json_arg)
 
 (* ---------------- experiment ---------------- *)
 
@@ -875,15 +875,13 @@ let experiment_cmd =
          & pos 0 (choice ~what:"experiment" experiments) (named experiments "table3")
          & info [] ~docv:"EXP" ~doc)
   in
-  let run (which, experiment) scale seed jobs cache fleet run_id trace metrics =
-    with_obs trace metrics (fun () ->
-        let scale = with_jobs ?jobs scale in
-        let ctx = make_ctx ~seed ~scale ?cache_file:cache ~fleet ~run_id () in
+  let run (which, experiment) o =
+    with_obs o.trace o.metrics (fun () ->
+        let ctx = context o in
         Emc_obs.Trace.with_span ~cat:"phase" which (fun () -> experiment ctx))
   in
   Cmd.v (Cmd.info "experiment" ~doc:"Regenerate one table or figure from the paper.")
-    Term.(const run $ which_arg $ scale_arg $ seed_arg $ jobs_arg $ cache_arg $ fleet_opts_arg
-          $ run_id_arg $ trace_arg $ metrics_arg)
+    Term.(const run $ which_arg $ measuring_arg)
 
 let fuzz_cmd =
   let budget_arg =

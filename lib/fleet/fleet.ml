@@ -8,9 +8,11 @@ module Server = Emc_serve.Server
 
 (** Distributed measurement over the serve substrate (see fleet.mli). *)
 
-exception Fleet_error of string
+module Sched = Sched
 
-let fail fmt = Printf.ksprintf (fun msg -> raise (Fleet_error msg)) fmt
+exception Fleet_error = Sched.Fleet_error
+
+let fail = Sched.fail
 
 (* ---------------- addresses ---------------- *)
 
@@ -46,14 +48,7 @@ let parse_fleet s =
 
 (* ---------------- metrics ---------------- *)
 
-(* coordinator side *)
-let m_dispatched = Metrics.counter "fleet.dispatched"
-let m_points = Metrics.counter "fleet.points_dispatched"
-let m_retried = Metrics.counter "fleet.retried"
-let m_failures = Metrics.counter "fleet.worker_failures"
-let m_steals = Metrics.counter "fleet.steals"
-let m_joined = Metrics.counter "fleet.workers_joined"
-let m_lost = Metrics.counter "fleet.workers_lost"
+(* coordinator side; the scheduling counters live in Sched *)
 let m_prefilled = Metrics.counter "fleet.store_prefilled"
 let m_store_puts = Metrics.counter "fleet.store_puts"
 
@@ -451,21 +446,22 @@ let store_put ~timeout addr entries =
 
 (* ---------------- membership client ---------------- *)
 
-(* Bounds a worker's heartbeat and deregister RPCs to its store. *)
-let membership_timeout = 10.0
+(* Bounds every store RPC: a worker's heartbeat and deregister, the
+   coordinator's lookups, puts and membership polls. *)
+let store_timeout = 10.0
 
 let register_rpc addr ~advertise ~ttl =
   let body =
     Json.to_string (Json.Obj [ ("addr", Json.Str advertise); ("ttl", Json.hex ttl) ])
   in
-  Result.map (fun _ -> ()) (store_rpc ~timeout:membership_timeout addr ~path:"/register" ~body)
+  Result.map (fun _ -> ()) (store_rpc ~timeout:store_timeout addr ~path:"/register" ~body)
 
 let deregister_rpc addr ~advertise =
   let body = Json.to_string (Json.Obj [ ("addr", Json.Str advertise) ]) in
   Result.map (fun _ -> ())
-    (store_rpc ~timeout:membership_timeout addr ~path:"/deregister" ~body)
+    (store_rpc ~timeout:store_timeout addr ~path:"/deregister" ~body)
 
-let members ?(timeout = 10.0) addr =
+let members ?(timeout = store_timeout) addr =
   let* body = store_rpc ~meth:"GET" ~timeout addr ~path:"/members" ~body:"" in
   let* j = Json.parse body in
   match Json.member "workers" j with
@@ -630,89 +626,24 @@ let drain ?(timeout = 120.0) ~pidfile () =
 
 (* ---------------- coordinator ---------------- *)
 
-type options = {
-  chunk : int;
-  depth : int;
-  connect_timeout : float;
-  read_timeout : float;
-  steal_after : float;
-  max_attempts : int;
-  poll_interval : float;
-  store_timeout : float;
+type options = { chunk : int; depth : int; connect_timeout : float }
+
+let default_options = { chunk = 0; depth = 1; connect_timeout = 5.0 }
+
+let chunk_plan = Sched.chunk_plan
+
+type chunk = {
+  slots : int array;  (** result index of each of this chunk's points *)
+  points : (Emc_opt.Flags.t * Emc_sim.Config.t) array;
+  body : string;  (** the serialized /measure request, built once *)
 }
 
-let default_options =
-  { chunk = 0; depth = 1; connect_timeout = 5.0; read_timeout = 600.0; steal_after = 30.0;
-    max_attempts = 3; poll_interval = 1.0; store_timeout = 10.0 }
-
-(* Fixed-slice chunk plan over [n] work items: (start, length) slices in
-   order, every index covered exactly once, no empty chunks, for every
-   degenerate shape — n smaller than the worker count, n = 1, a requested
-   chunk size larger than n. [chunk = 0] sizes automatically: ~4 chunks
-   per worker bounds the straggler tail without drowning small batches in
-   per-request overhead. A negative chunk is a caller bug, loudly. *)
-let chunk_plan ~chunk ~nworkers ~n =
-  if chunk < 0 then fail "chunk size must be positive, not %d (0 = auto)" chunk;
-  if n < 0 then fail "negative work array length %d" n;
-  if n = 0 then []
-  else begin
-    let nworkers = max 1 nworkers in
-    let csize =
-      if chunk > 0 then chunk
-      else max 1 (min 32 ((n + (4 * nworkers) - 1) / (4 * nworkers)))
-    in
-    List.init ((n + csize - 1) / csize) (fun i ->
-        let start = i * csize in
-        (start, min csize (n - start)))
-  end
-
-(* How long the coordinator may sleep: until the nearest head-of-pipeline
-   chunk deadline or steal timer, or the next membership poll — computed,
-   never a fixed busy-poll tick (an idle-but-waiting coordinator used to
-   spin at 20 Hz re-deciding nothing). [heads] are the start times of each
-   worker's head-of-pipeline dispatch; only heads have ticking clocks.
-   Events already due resolve to a short wake so the caller handles them
-   on the next iteration; an event that is due but cannot fire (a steal
-   timer with no idle worker) drops out of the candidate set rather than
-   clamping every sleep to near zero. *)
-let next_wake ~now ~read_timeout ~steal_after ?poll_at heads =
-  let cands =
-    (match poll_at with Some t -> [ t ] | None -> [])
-    @ List.concat_map (fun s -> [ s +. read_timeout; s +. steal_after ]) heads
-  in
-  match cands with
-  | [] -> 60.0
-  | _ -> (
-      match List.filter (fun t -> t > now) cands with
-      | [] -> 0.05
-      | future -> min 60.0 (max 0.001 (List.fold_left min infinity future -. now)))
-
-type chunk_state = {
-  c_id : int;
-  c_slots : int array;  (** result index of each of this chunk's points *)
-  c_points : (Emc_opt.Flags.t * Emc_sim.Config.t) array;
-  c_body : string;  (** the serialized /measure request, built once *)
-  mutable c_done : bool;
-  mutable c_attempts : int;  (** dispatches so far (retries + steals included) *)
-  mutable c_running : int;  (** live dispatches (2 while a steal races the original) *)
-}
-
-(* One outstanding request on a worker's pipeline. Deadlines and steal
-   timers consult [d_started], which is reset when the dispatch reaches
-   the head of the pipeline: a request queued behind a long chunk is not
-   running yet, and timing it from dispatch would fail healthy workers
-   under head-of-line blocking. *)
-type dispatch = { d_chunk : chunk_state; mutable d_started : float }
-
-type worker_state = {
-  w_addr : addr;
-  w_key : string;  (** [Http.addr_to_string w_addr] — identity for membership *)
-  w_from_members : bool;  (** discovered via a membership poll, not --fleet *)
-  mutable w_fd : Unix.file_descr option;  (** kept alive across chunks *)
-  w_inflight : dispatch Queue.t;  (** pipelined dispatches, response order *)
-  w_inb : Buffer.t;  (** response bytes read but not yet framed *)
-  mutable w_need : int;  (** length [w_inb] must reach before the next parse *)
-  mutable w_dead : bool;
+(* One worker connection, kept alive across chunks. *)
+type conn = {
+  addr : addr;
+  mutable fd : Unix.file_descr option;
+  inb : Buffer.t;  (** response bytes read but not yet framed *)
+  mutable need : int;  (** length [inb] must reach before the next parse *)
 }
 
 let all_keys (w : Workload.t) ~variant points =
@@ -721,239 +652,179 @@ let all_keys (w : Workload.t) ~variant points =
          let kc, ke, ks = Measure.triple_keys w ~variant p in
          [ kc; ke; ks ])
 
-(* Shard one respond_many miss batch across the fleet. [work] is already
-   deduplicated in first-occurrence order by Measure.respond_many; chunks
-   carry the result index of every point ([c_slots]), so every result
-   lands at its input index and the merged array is independent of
-   membership, chunking, and arrival order.
+(* Shard one respond_many miss batch across the fleet: the driver of
+   Sched, which only moves bytes. [work] is already deduplicated in
+   first-occurrence order by Measure.respond_many; chunks carry the
+   result index of every point ([slots]), so every result lands at its
+   input index whatever the membership, chunking or arrival order.
 
-   Three things happen before any dispatch: membership sources are polled
-   once (so an elastic fleet's initial worker set is known), the shared
-   store is consulted once for every key of every point (fully-stored
-   points never reach a worker), and the remaining points are sliced into
-   chunks. The dispatch loop then keeps up to [opts.depth] requests
-   outstanding per worker, re-polls membership every [opts.poll_interval],
-   and sleeps exactly until the next deadline/steal/poll event. The store
-   (the first membership source) is fed as each chunk first completes. *)
+   Before any dispatch, membership sources are polled once (so an elastic
+   fleet's initial worker set is known), the shared store is consulted
+   once for every key of every point (fully-stored points never reach a
+   worker), and the rest is planned into chunks. Then the driver performs
+   every action the scheduler decides, sleeps in [select] until bytes
+   arrive or the scheduler's wake, and feeds framed responses back. *)
 let respond_batch opts sources (scale : Scale.t) (w : Workload.t) ~variant
     (work : (Emc_opt.Flags.t * Emc_sim.Config.t) array) =
-  if opts.depth < 1 then fail "pipeline depth must be at least 1, not %d" opts.depth;
   let n = Array.length work in
   let results : Measure.triple option array = Array.make n None in
-  let static_addrs =
-    List.filter_map (function Worker a -> Some a | Members _ -> None) sources
-  in
   let member_sources =
     List.filter_map (function Members a -> Some a | Worker _ -> None) sources
   in
   let store = match member_sources with a :: _ -> Some a | [] -> None in
-  let workers = ref [] in
-  let known : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let add_worker ~from_members a =
+  let conns : (string, conn) Hashtbl.t = Hashtbl.create 16 in
+  let remember a =
     let key = Http.addr_to_string a in
-    if not (Hashtbl.mem known key) then begin
-      (* never revive an addr within a batch: a worker that failed and
-         re-registered before the next poll would silently burn the
-         retry budget of every chunk it keeps failing *)
-      Hashtbl.add known key ();
-      workers :=
-        !workers
-        @ [ { w_addr = a; w_key = key; w_from_members = from_members; w_fd = None;
-              w_inflight = Queue.create (); w_inb = Buffer.create 4096; w_need = 1;
-              w_dead = false } ];
-      if from_members then begin
-        Metrics.incr m_joined;
-        Log.info ~src:"fleet" ~fields:[ ("worker", Json.Str key) ] "worker %s joined" key
-      end
-    end
+    if not (Hashtbl.mem conns key) then
+      Hashtbl.add conns key { addr = a; fd = None; inb = Buffer.create 4096; need = 1 };
+    key
   in
-  List.iter (add_worker ~from_members:false) static_addrs;
-  let total = ref 0 in
-  let completed = ref 0 in
-  let pending : chunk_state Queue.t = Queue.create () in
-  let close_fd wk =
-    (match wk.w_fd with
-    | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-    | None -> ());
-    wk.w_fd <- None;
-    Buffer.clear wk.w_inb;
-    wk.w_need <- 1
+  let s =
+    Sched.create ~depth:opts.depth ~elastic:(member_sources <> [])
+      (List.filter_map (function Worker a -> Some (remember a) | Members _ -> None) sources)
   in
-  let fail_worker wk reason =
-    Log.warn ~src:"fleet" ~fields:[ ("worker", Json.Str wk.w_key) ]
-      "worker %s failed: %s" wk.w_key reason;
-    close_fd wk;
-    wk.w_dead <- true;
-    Metrics.incr m_failures;
-    (* the whole pipeline dies with the connection: responses are matched
-       to dispatches by queue order, so nothing behind a failure is
-       trustworthy. Each chunk requeues only when no twin is racing; if
-       the twin later fails too, it requeues then. *)
-    while not (Queue.is_empty wk.w_inflight) do
-      let d = Queue.pop wk.w_inflight in
-      let c = d.d_chunk in
-      c.c_running <- c.c_running - 1;
-      if (not c.c_done) && c.c_running = 0 then begin
-        if c.c_attempts >= opts.max_attempts then
-          fail "chunk %d failed %d times (last worker: %s: %s); giving up" c.c_id
-            c.c_attempts wk.w_key reason;
-        Metrics.incr m_retried;
-        Queue.push c pending
-      end
-    done
+  let handle ev = Sched.handle s ~now:(Unix.gettimeofday ()) ev in
+  let poll () =
+    let complete = ref true in
+    let union =
+      List.concat_map
+        (fun src ->
+          match members ~timeout:store_timeout src with
+          | Error e ->
+              complete := false;
+              Log.warn ~src:"fleet" "membership poll of %s failed: %s" (Http.addr_to_string src)
+                e;
+              []
+          | Ok ms ->
+              List.filter_map
+                (fun (a, _) ->
+                  match Http.parse_addr a with
+                  | Ok addr -> Some (remember addr)
+                  | Error e ->
+                      Log.warn ~src:"fleet" "ignoring advertised worker %S: %s" a e;
+                      None)
+                ms)
+        member_sources
+    in
+    handle (Sched.Members (union, !complete))
   in
-  (* Elastic membership: the union of every source's register table is the
-     fleet. New addrs join mid-batch and immediately soak up pending
-     chunks; a members-sourced worker absent from a fully successful poll
-     has drained or aged out — fail it so its in-flight chunks requeue.
-     Leave detection is skipped when any poll failed (a flaky store must
-     not look like a mass worker death); static --fleet workers are never
-     removed by polling. *)
-  let refresh_members () =
-    let union : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-    let all_ok = ref true in
-    List.iter
-      (fun src ->
-        match members ~timeout:opts.store_timeout src with
-        | Error e ->
-            all_ok := false;
-            Log.warn ~src:"fleet" "membership poll of %s failed: %s" (Http.addr_to_string src) e
-        | Ok ms -> List.iter (fun (a, _) -> Hashtbl.replace union a ()) ms)
-      member_sources;
-    Hashtbl.iter
-      (fun a () ->
-        match Http.parse_addr a with
-        | Ok addr -> add_worker ~from_members:true addr
-        | Error e -> Log.warn ~src:"fleet" "ignoring advertised worker %S: %s" a e)
-      union;
-    if !all_ok then
-      List.iter
-        (fun wk ->
-          if wk.w_from_members && (not wk.w_dead) && not (Hashtbl.mem union wk.w_key)
-          then begin
-            Metrics.incr m_lost;
-            fail_worker wk "deregistered or aged out of membership"
-          end)
-        !workers
+  let chunks = ref [||] in
+  let close c =
+    (match c.fd with Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ()) | None -> ());
+    c.fd <- None;
+    Buffer.clear c.inb;
+    c.need <- 1
   in
-  let dispatch wk c =
-    c.c_attempts <- c.c_attempts + 1;
-    c.c_running <- c.c_running + 1;
-    (* queue the dispatch before writing: a failed write reaches
-       fail_worker with the chunk already in flight, so it requeues *)
-    Queue.push { d_chunk = c; d_started = Unix.gettimeofday () } wk.w_inflight;
-    Metrics.incr m_dispatched;
-    Metrics.add m_points (Array.length c.c_points);
+  let send key id =
+    let c = Hashtbl.find conns key in
     let conn =
-      match wk.w_fd with
+      match c.fd with
       | Some fd -> Ok fd
       | None ->
-          let* sockaddr = Http.sockaddr_of_addr wk.w_addr in
+          let* sockaddr = Http.sockaddr_of_addr c.addr in
           Result.map_error Http.error_to_string
             (Http.connect ~timeout:opts.connect_timeout sockaddr)
     in
     match conn with
-    | Error e -> fail_worker wk ("connect: " ^ e)
+    | Error e -> handle (Sched.Failed (key, "connect: " ^ e))
     | Ok fd -> (
-        wk.w_fd <- Some fd;
+        c.fd <- Some fd;
         match
           Http.write_request fd ~meth:"POST" ~path:"/measure"
             ~headers:
-              [ ("Content-Type", "application/json");
-                ("X-Request-Id", string_of_int c.c_id) ]
-            ~body:c.c_body ()
+              [ ("Content-Type", "application/json"); ("X-Request-Id", string_of_int id) ]
+            ~body:!chunks.(id).body ()
         with
         | Ok () -> ()
-        | Error e -> fail_worker wk ("request: " ^ Http.error_to_string e))
+        | Error e -> handle (Sched.Failed (key, "request: " ^ Http.error_to_string e)))
   in
-  (* Feed the store as a chunk first completes, so a killed run resumes
-     from it. A failed put is logged and costs only a later run's
-     simulation. *)
-  let feed_store c triples =
+  (* Merge a chunk's first completion and feed it to the store, so a
+     killed run resumes from it. A failed put is logged and costs only a
+     later run's simulation. *)
+  let put id triples =
+    let c = !chunks.(id) in
+    Array.iteri (fun j t -> results.(c.slots.(j)) <- Some t) triples;
     Option.iter
       (fun saddr ->
         let values =
           Array.to_list triples
           |> List.concat_map (fun (t : Measure.triple) -> [ t.t_cycles; t.t_energy; t.t_code_size ])
         in
-        let entries = List.combine (all_keys w ~variant c.c_points) values in
-        match store_put ~timeout:opts.store_timeout saddr entries with
+        let entries = List.combine (all_keys w ~variant c.points) values in
+        match store_put ~timeout:store_timeout saddr entries with
         | Ok added -> Metrics.add m_store_puts added
         | Error e -> Log.warn ~src:"fleet" "store put failed: %s" e)
       store
   in
-  let settle wk (resp : Http.response) =
-    let c = (Queue.peek wk.w_inflight).d_chunk in
+  let rec drain () =
+    match Sched.next s ~now:(Unix.gettimeofday ()) with
+    | None -> ()
+    | Some a ->
+        (match a with
+        | Sched.Send (key, id) -> send key id
+        | Sched.Close key -> close (Hashtbl.find conns key)
+        | Sched.Put (id, triples) -> put id triples
+        | Sched.Poll -> poll ());
+        drain ()
+  in
+  (* Decode one framed response to the chunk at the head of [key]'s
+     pipeline. The request is deterministic: a structured rejection would
+     repeat on every worker, so it fails the batch loudly instead of
+     being retried to death. The worker's server echoes the request id,
+     which is the chunk id; a mismatch means the pipeline lost sync and
+     every queued pairing is suspect. *)
+  let settle key id (resp : Http.response) =
     if resp.Http.status <> 200 then
-      (* the request is deterministic: a structured rejection would
-         repeat on every worker, so fail the batch loudly instead of
-         retrying it to death *)
-      fail "worker %s rejected the batch: HTTP %d %s" wk.w_key resp.Http.status
+      fail "worker %s rejected the batch: HTTP %d %s" key resp.Http.status
         (String.sub resp.Http.resp_body 0 (min 200 (String.length resp.Http.resp_body)))
     else
       match Http.response_header resp "x-request-id" with
-      | Some id when id <> string_of_int c.c_id ->
-          (* the worker's server echoes the request id, which is the chunk
-             id; a mismatch means the pipeline lost sync and every queued
-             pairing is suspect *)
-          fail_worker wk (Printf.sprintf "pipeline desync: got chunk %s, expected %d" id c.c_id)
+      | Some got when got <> string_of_int id ->
+          Sched.Failed (key, Printf.sprintf "pipeline desync: got chunk %s, expected %d" got id)
       | _ -> (
-          match triples_of_body ~expect:(Array.length c.c_points) resp.Http.resp_body with
-          | Error msg -> fail_worker wk ("bad response: " ^ msg)
-          | Ok triples ->
-              ignore (Queue.pop wk.w_inflight);
-              c.c_running <- c.c_running - 1;
-              (* the next pipelined dispatch is only now running: start its
-                 deadline/steal clock here, not at dispatch time *)
-              (match Queue.peek_opt wk.w_inflight with
-              | Some next -> next.d_started <- Unix.gettimeofday ()
-              | None -> ());
-              (* first completion wins; a stolen twin's duplicate is
-                 identical (deterministic simulator) and discarded *)
-              if not c.c_done then begin
-                c.c_done <- true;
-                incr completed;
-                Array.iteri (fun j t -> results.(c.c_slots.(j)) <- Some t) triples;
-                feed_store c triples
-              end)
+          match
+            triples_of_body ~expect:(Array.length !chunks.(id).points) resp.Http.resp_body
+          with
+          | Error msg -> Sched.Failed (key, "bad response: " ^ msg)
+          | Ok triples -> Sched.Completed (key, triples))
   in
-  (* Settle every complete response buffered for [wk], in pipeline order.
-     As in the server, a parse runs only once the length the last
+  (* Settle every complete response buffered for [key], in pipeline
+     order. As in the server, a parse runs only once the length the last
      [Incomplete] named has arrived. *)
-  let rec frame wk =
-    if (not wk.w_dead)
-       && (not (Queue.is_empty wk.w_inflight))
-       && Buffer.length wk.w_inb >= wk.w_need
-    then
-      match Http.parse_response ~max_body:(64 * 1024 * 1024) (Buffer.contents wk.w_inb) with
-      | Http.Incomplete need -> wk.w_need <- need
-      | Http.Invalid e -> fail_worker wk (Http.error_to_string e)
-      | Http.Parsed (resp, used) ->
-          let rest = Buffer.sub wk.w_inb used (Buffer.length wk.w_inb - used) in
-          Buffer.clear wk.w_inb;
-          Buffer.add_string wk.w_inb rest;
-          wk.w_need <- 1;
-          settle wk resp;
-          frame wk
+  let rec frame key c =
+    match Sched.head s key with
+    | Some id when Buffer.length c.inb >= c.need -> (
+        match Http.parse_response ~max_body:(64 * 1024 * 1024) (Buffer.contents c.inb) with
+        | Http.Incomplete need -> c.need <- need
+        | Http.Invalid e -> handle (Sched.Failed (key, Http.error_to_string e))
+        | Http.Parsed (resp, used) ->
+            let rest = Buffer.sub c.inb used (Buffer.length c.inb - used) in
+            Buffer.clear c.inb;
+            Buffer.add_string c.inb rest;
+            c.need <- 1;
+            handle (settle key id resp);
+            frame key c)
+    | _ -> ()
   in
   (* [select] reported [fd] readable: take what arrived without blocking.
      A partial response waits for more bytes, bounded only by its head's
      deadline, so a worker stalling mid-response holds up no one else. *)
   let rbuf = Bytes.create 65536 in
-  let collect wk fd =
+  let collect key c fd =
     match Unix.read fd rbuf 0 (Bytes.length rbuf) with
     | 0 ->
-        fail_worker wk
-          (if Buffer.length wk.w_inb = 0 then "connection closed" else "truncated message")
+        handle
+          (Sched.Failed
+             (key, if Buffer.length c.inb = 0 then "connection closed" else "truncated message"))
     | k ->
-        Buffer.add_subbytes wk.w_inb rbuf 0 k;
-        frame wk
+        Buffer.add_subbytes c.inb rbuf 0 k;
+        frame key c
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-    | exception Unix.Unix_error (e, _, _) -> fail_worker wk (Unix.error_message e)
+    | exception Unix.Unix_error (e, _, _) -> handle (Sched.Failed (key, Unix.error_message e))
   in
-  let finally () = List.iter close_fd !workers in
+  let finally () = Hashtbl.iter (fun _ c -> close c) conns in
   Fun.protect ~finally (fun () ->
-      if member_sources <> [] then refresh_members ();
+      if member_sources <> [] then poll ();
       (* store pre-filter: one /lookup for every key of every point.
          Fully-stored points are merged exactly as a dispatched result
          would be — Measure.respond_many counts them as simulations either
@@ -962,11 +833,10 @@ let respond_batch opts sources (scale : Scale.t) (w : Workload.t) ~variant
          dispatching everything. *)
       (match store with
       | Some saddr when n > 0 -> (
-          match store_lookup ~timeout:opts.store_timeout saddr (all_keys w ~variant work) with
+          match store_lookup ~timeout:store_timeout saddr (all_keys w ~variant work) with
           | Error e -> Log.warn ~src:"fleet" "store pre-filter lookup failed: %s" e
           | Ok hits ->
-              let tbl = Hashtbl.create (List.length hits) in
-              List.iter (fun (k, v) -> Hashtbl.replace tbl k v) hits;
+              let tbl = Hashtbl.of_seq (List.to_seq hits) in
               Array.iteri
                 (fun i p ->
                   let kc, ke, ks = Measure.triple_keys w ~variant p in
@@ -984,129 +854,33 @@ let respond_batch opts sources (scale : Scale.t) (w : Workload.t) ~variant
         Array.of_list (List.filter (fun i -> results.(i) = None) (List.init n (fun i -> i)))
       in
       let todo_points = Array.map (fun i -> work.(i)) todo in
-      let live_count = List.length (List.filter (fun wk -> not wk.w_dead) !workers) in
-      let chunks =
-        chunk_plan ~chunk:opts.chunk ~nworkers:live_count ~n:(Array.length todo)
-        |> List.mapi (fun i (start, len) ->
+      chunks :=
+        Sched.plan s ~now:(Unix.gettimeofday ()) ~chunk:opts.chunk (Array.length todo)
+        |> List.map (fun (start, len) ->
                let points = Array.sub todo_points start len in
-               { c_id = i; c_slots = Array.sub todo start len; c_points = points;
-                 c_body =
+               { slots = Array.sub todo start len; points;
+                 body =
                    measure_body w ~variant ~workload_scale:scale.Scale.workload_scale
-                     ~smarts:scale.Scale.smarts points;
-                 c_done = false; c_attempts = 0; c_running = 0 })
-      in
-      total := List.length chunks;
-      List.iter (fun c -> Queue.push c pending) chunks;
-      let next_poll = ref (Unix.gettimeofday () +. opts.poll_interval) in
-      let empty_since = ref None in
-      while !completed < !total do
-        let now = Unix.gettimeofday () in
-        if member_sources <> [] && now >= !next_poll then begin
-          refresh_members ();
-          next_poll := Unix.gettimeofday () +. opts.poll_interval
-        end;
-        let live = List.filter (fun wk -> not wk.w_dead) !workers in
-        (match live with
-        | [] ->
-            if member_sources = [] then
-              fail "all %d fleet workers failed with %d/%d chunks incomplete"
-                (List.length !workers) (!total - !completed) !total
-            else begin
-              (* an elastic fleet may be momentarily empty (scale-down
-                 before scale-up); wait for a join, but not forever *)
-              (match !empty_since with
-              | None -> empty_since := Some now
-              | Some t0 when now -. t0 > opts.read_timeout ->
-                  fail "no live fleet workers for %.0fs with %d/%d chunks incomplete"
-                    (now -. t0) (!total - !completed) !total
-              | Some _ -> ());
-              let t = max 0.01 (!next_poll -. Unix.gettimeofday ()) in
-              try ignore (Unix.select [] [] [] (min t 1.0))
-              with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            end
-        | _ -> empty_since := None);
-        (* fill every live worker's pipeline up to depth *)
-        List.iter
-          (fun wk ->
-            while
-              (not wk.w_dead)
-              && Queue.length wk.w_inflight < opts.depth
-              && not (Queue.is_empty pending)
-            do
-              let c = Queue.pop pending in
-              if not c.c_done then dispatch wk c
-            done)
-          !workers;
-        (* wait for responses — sleep until the nearest event, not a tick *)
+                     ~smarts:scale.Scale.smarts points })
+        |> Array.of_list;
+      drain ();
+      while not (Sched.finished s) do
         let busy =
-          List.filter_map
-            (fun wk ->
-              match wk.w_fd with
-              | Some fd when (not wk.w_dead) && not (Queue.is_empty wk.w_inflight) ->
-                  Some (wk, fd)
-              | _ -> None)
-            !workers
+          Hashtbl.fold
+            (fun key c acc ->
+              match c.fd with
+              | Some fd when Sched.head s key <> None -> (key, c, fd) :: acc
+              | _ -> acc)
+            conns []
         in
-        (match busy with
-        | [] -> ()
-        | _ -> (
-            let now = Unix.gettimeofday () in
-            let heads = List.map (fun (wk, _) -> (Queue.peek wk.w_inflight).d_started) busy in
-            let poll_at = if member_sources = [] then None else Some !next_poll in
-            let timeout =
-              next_wake ~now ~read_timeout:opts.read_timeout ~steal_after:opts.steal_after
-                ?poll_at heads
-            in
-            match Unix.select (List.map snd busy) [] [] timeout with
-            | readable, _, _ ->
-                List.iter (fun (wk, fd) -> if List.memq fd readable then collect wk fd) busy
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()));
-        let now = Unix.gettimeofday () in
-        (* hard per-dispatch deadline, head of pipeline only: a queued
-           dispatch is not running, its clock starts at promotion *)
-        List.iter
-          (fun wk ->
-            if not wk.w_dead then
-              match Queue.peek_opt wk.w_inflight with
-              | Some d when now -. d.d_started > opts.read_timeout ->
-                  fail_worker wk (Printf.sprintf "no response in %.0fs" opts.read_timeout)
-              | _ -> ())
-          !workers;
-        (* work stealing: queue drained, an idle worker free, and a head
-           chunk running past the straggler threshold without a twin —
-           re-dispatch it; first completion wins *)
-        if Queue.is_empty pending then begin
-          let idle =
-            List.filter (fun wk -> (not wk.w_dead) && Queue.is_empty wk.w_inflight) !workers
-          in
-          let stragglers =
-            List.filter_map
-              (fun wk ->
-                if wk.w_dead then None
-                else
-                  match Queue.peek_opt wk.w_inflight with
-                  | Some d
-                    when (not d.d_chunk.c_done)
-                         && d.d_chunk.c_running = 1
-                         && now -. d.d_started > opts.steal_after ->
-                      Some (d.d_chunk, d.d_started)
-                  | _ -> None)
-              !workers
-            |> List.sort (fun (_, s1) (_, s2) -> compare s1 s2)
-          in
-          let rec steal idle stragglers =
-            match (idle, stragglers) with
-            | wk :: idle, (c, _) :: stragglers ->
-                Metrics.incr m_steals;
-                Log.info ~src:"fleet"
-                  ~fields:[ ("chunk", Json.Int c.c_id); ("worker", Json.Str wk.w_key) ]
-                  "stealing chunk %d onto %s" c.c_id wk.w_key;
-                dispatch wk c;
-                steal idle stragglers
-            | _ -> ()
-          in
-          steal idle stragglers
-        end
+        (match
+           Unix.select (List.map (fun (_, _, fd) -> fd) busy) [] []
+             (Sched.wake s ~now:(Unix.gettimeofday ()))
+         with
+        | readable, _, _ ->
+            List.iter (fun (key, c, fd) -> if List.memq fd readable then collect key c fd) busy
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        drain ()
       done);
   Array.map
     (function Some t -> t | None -> fail "internal: incomplete batch")

@@ -17,7 +17,10 @@
       to an idle worker — first completion wins. A [@ADDR] source makes
       membership {e elastic}: the coordinator polls the store's
       [/members] table, so workers joining mid-run pick up pending
-      chunks and lost workers age out and their chunks requeue;
+      chunks and lost workers age out and their chunks requeue. Every
+      one of these decisions is {!Sched}'s, a state machine with no I/O
+      and no clock of its own; the coordinator's driver only moves
+      bytes;
     - a {b content-addressed result store} ([emc fleet-store],
       {!run_store}): keyed by bare [Measure.result_key]s, persisted in
       the JSONL [--cache] line format. Its one client is the
@@ -84,21 +87,11 @@ type options = {
           [X-Request-Id], which the coordinator sets to the chunk id, so
           a desync is detected, not silently merged *)
   connect_timeout : float;  (** seconds to establish a worker connection *)
-  read_timeout : float;
-      (** hard per-dispatch deadline before the worker is failed; clocks
-          tick only at the head of a worker's pipeline (a queued dispatch
-          is not running yet) *)
-  steal_after : float;
-      (** with the queue drained and an idle worker available, a chunk
-          running longer than this is re-dispatched to the idle worker *)
-  max_attempts : int;  (** dispatch budget per chunk before {!Fleet_error} *)
-  poll_interval : float;  (** seconds between [/members] polls (elastic sources) *)
-  store_timeout : float;  (** RPC timeout for store lookups, puts and membership polls *)
 }
 
 val default_options : options
-(** chunk auto, depth 1, 5 s connect, 600 s read, 30 s steal, 3 attempts,
-    1 s poll, 10 s store. *)
+(** chunk auto, depth 1, 5 s connect. The scheduler's timers are
+    constants (see {!Sched}); store RPCs time out after 10 s. *)
 
 val chunk_plan : chunk:int -> nworkers:int -> n:int -> (int * int) list
 (** The fixed-slice chunking of [n] work items as [(start, length)]
@@ -108,15 +101,6 @@ val chunk_plan : chunk:int -> nworkers:int -> n:int -> (int * int) list
     capped at 32 points); negative raises {!Fleet_error}. Exposed for
     tests — the scheduler calls exactly this. *)
 
-val next_wake : now:float -> read_timeout:float -> steal_after:float ->
-  ?poll_at:float -> float list -> float
-(** How long the dispatch loop may sleep: until the nearest head-of-line
-    deadline or steal timer among the given dispatch start times, or the
-    next membership poll — clamped to [[0.001, 60]] seconds, with a short
-    wake when an event is already due. Exposed for tests: an
-    idle-but-waiting coordinator must sleep the full gap, not busy-poll a
-    fixed tick. *)
-
 val attach : ?options:options -> Emc_core.Measure.t -> source list -> unit
 (** Route the measure's batch cache misses through the fleet
     ([Measure.set_remote]). The first {!Members} source is also the
@@ -124,9 +108,89 @@ val attach : ?options:options -> Emc_core.Measure.t -> source list -> unit
     if a worker had measured them, and a store that is down or
     unresolvable is logged and dispatched through. With a {!Members}
     source, a coordinator whose listed workers are all dead waits up to
-    [read_timeout] for a registered one. Raises {!Fleet_error}
-    immediately on an empty source list, [depth < 1] or [chunk < 0];
-    later batch failures raise it from inside [respond_many]. *)
+    600 s for a registered one. Raises {!Fleet_error} immediately on an
+    empty source list, [depth < 1] or [chunk < 0]; later batch failures
+    raise it from inside [respond_many]. *)
+
+(** {1 Scheduler}
+
+    Every decision of one batch, as a state machine that performs no I/O
+    and reads time only from its [~now] argument. The coordinator's
+    driver ({!attach}) owns the sockets: it polls membership and performs
+    the store lookup before {!Sched.plan}, then performs each action
+    {!Sched.next} returns, sleeps in [select] for {!Sched.wake} seconds or
+    until a worker's bytes arrive, and feeds every framed response back
+    as an event. Tests drive the same machine with a fake clock and fake
+    workers. Its constants: a head-of-pipeline dispatch that runs 600 s
+    fails its worker; with the queue drained, a head chunk running 30 s
+    without a twin is stolen by an idle worker, first completion wins; a
+    chunk that fails its third dispatch with no live twin fails the
+    batch; an elastic fleet is polled every second and may stay empty for
+    600 s. Workers are named by their address as
+    [Http.addr_to_string] prints it, chunks by their index in the plan
+    (the [X-Request-Id] of their dispatches). The [fleet.*] scheduling
+    counters (dispatched, points_dispatched, retried, worker_failures,
+    steals, workers_joined, workers_lost) are bumped here and nowhere
+    else. *)
+module Sched : sig
+  type t
+
+  type event =
+    | Members of string list * bool
+        (** one membership poll: the union of the workers every source
+            listed, and whether every source answered. New addresses
+            join; when every source answered, a polled worker missing
+            from the union has left and is failed. An address is never
+            revived within a batch. *)
+    | Completed of string * Emc_core.Measure.triple array
+        (** the response to the chunk at the head of the worker's
+            pipeline, already checked against its id and arity *)
+    | Failed of string * string
+        (** the worker's connection failed (connect, write, read,
+            framing, desync or a malformed body), with the reason: its
+            whole pipeline requeues *)
+
+  type action =
+    | Send of string * int  (** dispatch a chunk to a worker *)
+    | Close of string  (** the worker failed or left: drop its connection *)
+    | Put of int * Emc_core.Measure.triple array
+        (** a chunk's first completion: merge it and feed the store;
+            exactly once per chunk, never for a duplicate *)
+    | Poll  (** poll membership now and answer with {!Members} *)
+
+  val create : depth:int -> elastic:bool -> string list -> t
+  (** A scheduler over the static workers, in dispatch order; [elastic]
+      when membership sources are polled. *)
+
+  val plan : t -> now:float -> chunk:int -> int -> (int * int) list
+  (** Slice [n] points with {!chunk_plan} over the live workers and queue
+      every chunk; returns the plan, whose indices are the chunk ids. *)
+
+  val handle : t -> now:float -> event -> unit
+  (** Apply an event; the actions it decides come out of {!next}. Raises
+      {!Fleet_error} when a chunk fails its third dispatch with no live
+      twin. *)
+
+  val next : t -> now:float -> action option
+  (** The next action, or [None] when there is nothing to do until an
+      event or {!wake}: queued actions first, then a due poll, expired
+      deadlines, pipeline fill up to [depth] in worker order, and steals.
+      Raises {!Fleet_error} as {!handle} does when an expired deadline
+      fails a worker, when every worker of a static fleet has failed, and
+      when an elastic fleet has had no live worker for 600 s. *)
+
+  val wake : t -> now:float -> float
+  (** Seconds the driver may sleep: until the nearest head-of-pipeline
+      deadline or steal timer, or the next poll, clamped to [[0.001, 60]];
+      a short wake (50 ms) when every such event is already due. A due
+      event that cannot fire drops out rather than forcing a busy poll. *)
+
+  val head : t -> string -> int option
+  (** The chunk at the head of a live worker's pipeline, if any. *)
+
+  val finished : t -> bool
+  (** Every chunk of the plan has completed. *)
+end
 
 (** {1 Wire codec} (exposed for the bench harness)
 

@@ -307,8 +307,12 @@ let run opts art =
     (Http.addr_to_string opts.listen) workers
     (if workers = 1 then "" else "s");
   let alive = ref pids in
+  (* reap without blocking and wait in a bounded select, like Server.run's
+     loop: a SIGTERM landing between the [!stopping] test and a blocking
+     waitpid would leave the master asleep for good *)
   while (not !stopping) && !alive <> [] do
-    match Unix.waitpid [] (-1) with
+    match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+    | 0, _ -> ( try ignore (Unix.select [] [] [] 1.0) with Unix.Unix_error (Unix.EINTR, _, _) -> ())
     | pid, _ -> alive := List.filter (( <> ) pid) !alive
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (Unix.ECHILD, _, _) -> alive := []

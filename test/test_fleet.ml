@@ -1,10 +1,12 @@
 (** The distributed measurement subsystem, end to end: address parsing,
-    bit-exact hex-float transport, the content-addressed result store and
-    the worker daemon as real forked processes on temp Unix sockets, the
-    coordinator's bit-identity contract against a sequential in-process
-    run (values and [measure.*] counters), crash retry against dead and
-    connection-dropping workers, run-journal resume with zero
-    re-simulation, and the [emc cache] maintenance pass. *)
+    bit-exact hex-float transport, the coordinator's scheduler on a fake
+    clock against scripted and generated schedules, the content-addressed
+    result store and the worker daemon as real forked processes on temp
+    Unix sockets, the coordinator's bit-identity contract against a
+    sequential in-process run (values and [measure.*] counters), crash
+    retry against dead and connection-dropping workers, run-journal
+    resume with zero re-simulation, and the [emc cache] maintenance
+    pass. *)
 
 open Emc_core
 module Fleet = Emc_fleet.Fleet
@@ -94,32 +96,293 @@ let test_chunk_plan () =
     | exception Fleet.Fleet_error _ -> true
     | _ -> false)
 
+(* ---------------- the scheduler on a fake clock ---------------- *)
+
+module Sched = Fleet.Sched
+
+(* A fake worker. Its connection serves requests in order, the k-th
+   taking a whole number of seconds drawn from the seed (1-24, or 40-199
+   when [slow]; a [stall] never finishes), and answers every chunk with
+   the deterministic {!answer}s; its [desync]-th response carries another
+   chunk's id. From [gone] on its connection resets and connects fail. A
+   [member] is listed by membership polls over [listed]. *)
+type fake = {
+  name : string;
+  member : bool;
+  listed : float * float;
+  gone : float;
+  slow : bool;
+  stall : int option;
+  desync : int option;
+}
+
+let fake ?(member = false) ?(listed = (0.0, infinity)) ?(gone = infinity) ?(slow = false)
+    ?stall ?desync name =
+  { name; member; listed; gone; slow; stall; desync }
+
+let answer slot =
+  { Measure.t_cycles = float slot +. 0.5; t_energy = float (3 * slot) +. 0.25;
+    t_code_size = float (slot + 7) }
+
+(* A fake worker's one connection, which the scheduler's view of its
+   pipeline must match. *)
+type fake_conn = {
+  f : fake;
+  pipe : int Queue.t;  (** chunk ids on the connection, response order *)
+  mutable started : float;  (** when the head started being served *)
+  mutable answered : int;
+  mutable failed : bool;  (** reported failed, or closed by the scheduler *)
+}
+
+exception Violation of string
+
+let violation fmt = Printf.ksprintf (fun m -> raise (Violation m)) fmt
+
+type outcome = {
+  o_error : string option;  (** the batch's Fleet_error, if it failed *)
+  o_end : float;  (** fake time the batch finished or failed *)
+  o_sends : (float * string * int) list;  (** every dispatch: time, worker, chunk *)
+}
+
+(* What the driver would do, on a clock that only moves when nothing is
+   left to do: perform each action, sleep for [Sched.wake] or until the
+   next fake response, deliver it. Every scheduling invariant is checked
+   as the run goes, raising [Violation]:
+   - no Send to a worker after it failed or left, at most [depth]
+     outstanding per worker, and a chunk is re-sent while a dispatch of it
+     is live only as a steal of a chunk with exactly one;
+   - one Put per chunk, with its own answers, every slot merged once;
+   - a failed poll fails no worker;
+   - Fleet_error only when a chunk that failed its third dispatch has no
+     live twin, and whenever one does;
+   - [wake] equals the gap to the nearest deadline, steal timer or poll,
+     recomputed from the dispatches and completions seen. *)
+let run_fake ~n ~chunk ~depth ~elastic ?(poll_fails = 0) ?(seed = 0) fakes =
+  let rng = Random.State.make [| seed |] in
+  let serve f k =
+    if f.stall = Some k then infinity
+    else
+      let h = Hashtbl.hash (seed, f.name, k) in
+      if f.slow then float (40 + (h mod 160)) else float (1 + (h mod 24))
+  in
+  let conns =
+    List.map
+      (fun f -> (f.name, { f; pipe = Queue.create (); started = 0.0; answered = 0; failed = false }))
+      fakes
+  in
+  let conn w = List.assoc w conns in
+  let s =
+    Sched.create ~depth ~elastic
+      (List.filter_map (fun f -> if f.member then None else Some f.name) fakes)
+  in
+  let now = ref 0.0 and next_poll = ref infinity and sends = ref [] in
+  let joined = Hashtbl.create 8 in
+  let plan = ref [||] and tries = ref [||] and live = ref [||] and put = ref [||] in
+  let merged = Array.make n 0 in
+  let exception Batch_failed of string in
+  (* a Fleet_error is justified when some unfinished chunk with three
+     dispatches has every live one on a worker failing now *)
+  let guarded failing f =
+    try f ()
+    with Fleet.Fleet_error msg ->
+      let justified c =
+        (not !put.(c)) && !tries.(c) >= 3
+        && List.for_all
+             (fun (w, k) ->
+               k.failed || (not (List.mem c (List.of_seq (Queue.to_seq k.pipe))))
+               || List.mem w failing)
+             conns
+      in
+      if not (List.exists justified (List.init (Array.length !plan) Fun.id)) then
+        violation "Fleet_error at t=%g with no exhausted chunk: %s" !now msg;
+      raise (Batch_failed msg)
+  in
+  let deliver w ev =
+    (match ev with Sched.Failed _ -> (conn w).failed <- true | _ -> ());
+    guarded [ w ] (fun () -> Sched.handle s ~now:!now ev)
+  in
+  let poll () =
+    let listed =
+      List.filter
+        (fun f -> f.member && fst f.listed <= !now && !now < snd f.listed)
+        fakes
+      |> List.map (fun f -> f.name)
+    in
+    let complete = Random.State.int rng 100 >= poll_fails in
+    let union = if complete then listed else List.filter (fun _ -> Random.State.bool rng) listed in
+    next_poll := !now +. 1.0;
+    let f0 = counter "fleet.worker_failures" in
+    let leaving =
+      Hashtbl.fold (fun w () acc -> if List.mem w union then acc else w :: acc) joined []
+    in
+    guarded
+      (if complete then leaving else [])
+      (fun () -> Sched.handle s ~now:!now (Sched.Members (union, complete)));
+    if (not complete) && counter "fleet.worker_failures" <> f0 then
+      violation "a failed poll at t=%g failed a worker" !now;
+    List.iter (fun w -> Hashtbl.replace joined w ()) union
+  in
+  let send w c stole =
+    let k = conn w in
+    if k.failed then violation "chunk %d sent to %s at t=%g after it failed or left" c w !now;
+    if !live.(c) > 0 then begin
+      if stole <> 1 || !live.(c) <> 1 then
+        violation "chunk %d re-sent at t=%g while %d dispatches of it are live, not as a steal" c
+          !now !live.(c)
+    end
+    else if stole <> 0 then violation "steal of chunk %d with no live dispatch" c;
+    !tries.(c) <- !tries.(c) + 1;
+    !live.(c) <- !live.(c) + 1;
+    if Queue.is_empty k.pipe then k.started <- !now;
+    Queue.push c k.pipe;
+    if Queue.length k.pipe > depth then
+      violation "%s has %d dispatches outstanding at depth %d" w (Queue.length k.pipe) depth;
+    sends := (!now, w, c) :: !sends;
+    if !now >= k.f.gone then deliver w (Sched.Failed (w, "connect: refused"))
+  in
+  let close w =
+    let k = conn w in
+    k.failed <- true;
+    Queue.iter
+      (fun c ->
+        !live.(c) <- !live.(c) - 1;
+        if (not !put.(c)) && !live.(c) = 0 && !tries.(c) >= 3 then
+          violation "chunk %d failed its third dispatch at t=%g and the batch went on" c !now)
+      k.pipe;
+    Queue.clear k.pipe
+  in
+  let merge c triples =
+    if !put.(c) then violation "chunk %d put twice" c;
+    !put.(c) <- true;
+    let start, len = !plan.(c) in
+    if triples <> Array.init len (fun j -> answer (start + j)) then
+      violation "chunk %d put with another chunk's answers" c;
+    for slot = start to start + len - 1 do
+      merged.(slot) <- merged.(slot) + 1
+    done
+  in
+  let rec drain () =
+    let expired =
+      List.filter_map
+        (fun (w, k) ->
+          if (not k.failed) && (not (Queue.is_empty k.pipe)) && !now >= k.started +. 600.0
+          then Some w
+          else None)
+        conns
+    in
+    let steals0 = counter "fleet.steals" in
+    match guarded expired (fun () -> Sched.next s ~now:!now) with
+    | None -> ()
+    | Some a ->
+        (match a with
+        | Sched.Send (w, c) -> send w c (counter "fleet.steals" - steals0)
+        | Sched.Close w -> close w
+        | Sched.Put (c, triples) -> merge c triples
+        | Sched.Poll -> poll ());
+        drain ()
+  in
+  (* the next response or connection reset of any live connection *)
+  let due k =
+    if k.failed || Queue.is_empty k.pipe then infinity
+    else min k.f.gone (k.started +. serve k.f k.answered)
+  in
+  let step () =
+    List.iter
+      (fun (w, k) ->
+        if due k <= !now then
+          if !now >= k.f.gone then deliver w (Sched.Failed (w, "connection reset"))
+          else if k.f.desync = Some k.answered then
+            deliver w (Sched.Failed (w, "pipeline desync"))
+          else begin
+            let c = Queue.pop k.pipe in
+            !live.(c) <- !live.(c) - 1;
+            k.answered <- k.answered + 1;
+            k.started <- !now;
+            let start, len = !plan.(c) in
+            deliver w (Sched.Completed (w, Array.init len (fun j -> answer (start + j))))
+          end)
+      conns
+  in
+  let expected_wake () =
+    let cands =
+      (if elastic then [ !next_poll ] else [])
+      @ List.concat_map
+          (fun (_, k) ->
+            if k.failed || Queue.is_empty k.pipe then []
+            else [ k.started +. 600.0; k.started +. 30.0 ])
+          conns
+    in
+    match (cands, List.filter (fun at -> at > !now) cands) with
+    | [], _ -> 60.0
+    | _, [] -> 0.05
+    | _, future -> min 60.0 (max 0.001 (List.fold_left min infinity future -. !now))
+  in
+  let error =
+    try
+      if elastic then poll ();
+      plan := Array.of_list (Sched.plan s ~now:!now ~chunk n);
+      let nc = Array.length !plan in
+      tries := Array.make nc 0;
+      live := Array.make nc 0;
+      put := Array.make nc false;
+      next_poll := !now +. 1.0;
+      drain ();
+      while not (Sched.finished s) do
+        if !now > 100_000.0 then violation "no progress by t=%g" !now;
+        let gap = Sched.wake s ~now:!now in
+        if gap <> expected_wake () then
+          violation "wake %g at t=%g, expected %g" gap !now (expected_wake ());
+        now := List.fold_left (fun t (_, k) -> min t (due k)) (!now +. gap) conns;
+        step ();
+        drain ()
+      done;
+      Array.iteri (fun slot m -> if m <> 1 then violation "slot %d merged %d times" slot m) merged;
+      None
+    with Batch_failed msg -> Some msg
+  in
+  { o_error = error; o_end = !now; o_sends = List.rev !sends }
+
+(* [f] with the scheduler's failure warnings silenced: generated
+   schedules fail workers by the hundred *)
+let quietly f =
+  let level = Emc_obs.Log.level () in
+  Emc_obs.Log.set_level Emc_obs.Log.Error;
+  Fun.protect ~finally:(fun () -> Emc_obs.Log.set_level level) f
+
+let run_ok ~n ~chunk ~depth ~elastic fakes =
+  match quietly (fun () -> run_fake ~n ~chunk ~depth ~elastic fakes) with
+  | { o_error = None; _ } as o -> o
+  | { o_error = Some e; _ } -> Alcotest.failf "the batch failed: %s" e
+  | exception Violation msg -> Alcotest.fail msg
+
 let test_next_wake () =
   let cf = Alcotest.(check (float 1e-9)) in
+  (* one worker running one chunk since [at] *)
+  let running ?(elastic = false) at =
+    let s = Sched.create ~depth:1 ~elastic [ "w" ] in
+    ignore (Sched.plan s ~now:at ~chunk:1 1);
+    match Sched.next s ~now:at with
+    | Some (Sched.Send ("w", 0)) -> s
+    | _ -> Alcotest.fail "the chunk was not dispatched"
+  in
   (* nothing to wait for: a long fallback, not a busy tick *)
   cf "no events sleeps long" 60.0
-    (Fleet.next_wake ~now:1000.0 ~read_timeout:600.0 ~steal_after:30.0 []);
-  (* one running head: wake exactly at its steal timer *)
-  cf "sleeps to the steal timer" 25.0
-    (Fleet.next_wake ~now:1000.0 ~read_timeout:600.0 ~steal_after:30.0 [ 995.0 ]);
-  (* steal timer already past: next event is the read deadline, not a
-     near-zero sleep clamped against the stale steal timer *)
+    (Sched.wake (Sched.create ~depth:1 ~elastic:false [ "w" ]) ~now:1000.0);
+  (* one running head: wake exactly at its steal timer (30 s) *)
+  cf "sleeps to the steal timer" 25.0 (Sched.wake (running 995.0) ~now:1000.0);
+  (* steal timer already past: next event is the read deadline (600 s),
+     not a near-zero sleep clamped against the stale steal timer *)
   cf "past steal timer falls through to the deadline" 10.0
-    (Fleet.next_wake ~now:1000.0 ~read_timeout:50.0 ~steal_after:30.0 [ 960.0 ]);
+    (Sched.wake (running 410.0) ~now:1000.0);
   (* a nearer membership poll wins *)
   cf "membership poll caps the sleep" 0.5
-    (Fleet.next_wake ~now:1000.0 ~read_timeout:600.0 ~steal_after:30.0 ~poll_at:1000.5
-       [ 995.0 ]);
+    (Sched.wake (running ~elastic:true 999.5) ~now:1000.0);
   (* everything due: short wake so the caller handles it, never 0 *)
   cb "due events wake shortly but not busily" true
-    (let t =
-       Fleet.next_wake ~now:2000.0 ~read_timeout:600.0 ~steal_after:30.0 ~poll_at:1999.0
-         [ 100.0 ]
-     in
+    (let t = Sched.wake (running ~elastic:true 100.0) ~now:2000.0 in
      t > 0.0 && t <= 0.05);
   (* clamped below 60 even for far-future deadlines *)
-  cf "clamped to 60s" 60.0
-    (Fleet.next_wake ~now:0.0 ~read_timeout:86400.0 ~steal_after:86400.0 [ 0.0 ])
+  cf "clamped to 60s" 60.0 (Sched.wake (running 0.0) ~now:100.0)
 
 (* ---------------- hex-float transport ---------------- *)
 
@@ -454,9 +717,12 @@ let test_coordinator_feeds_store () =
   cb "store persisted results" true (Sys.file_exists store_file);
   with_worker (fun path ->
       let dispatched0 = counter "fleet.dispatched" in
+      let prefilled0 = counter "fleet.store_prefilled" in
       let y2 = measure path in
       Alcotest.(check (array (float 0.0))) "store-served run bit-identical" y1 y2;
       ci "nothing dispatched" dispatched0 (counter "fleet.dispatched");
+      ci "all unique points served by the pre-filter" (prefilled0 + 4)
+        (counter "fleet.store_prefilled");
       ci "every response of every point put once" (puts0 + 12) (counter "fleet.store_puts");
       (* the fresh worker's own /metrics must report zero simulator runs *)
       let _, metrics = rpc path ~meth:"GET" ~target:"/metrics" () in
@@ -475,94 +741,39 @@ let kill_daemon pid =
 
 let rm_f p = if Sys.file_exists p then Sys.remove p
 
-let elastic_options =
-  { Fleet.default_options with Fleet.chunk = 2; Fleet.poll_interval = 0.1 }
-
+(* The membership table is empty when the batch starts; a worker
+   registers at t = 2.5 s, the poll at t = 3 s discovers it, and it is
+   handed every pending chunk. (Its bit-identity through a real elastic
+   fleet and the store-fed warm campaign are checked by "elastic: dead
+   worker retried, SIGKILL ages out" and "shared store: fresh worker,
+   zero simulations".) *)
 let test_elastic_join_mid_run () =
-  let store_path = sock_path "estore" in
-  let store_pid =
-    fork_daemon (fun () -> Fleet.run_store ~listen:(Fleet.Unix_sock store_path) ())
-  in
-  let worker_sock = sock_path "ejoin" in
-  let worker_pid = ref None in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter stop_daemon !worker_pid;
-      stop_daemon store_pid;
-      List.iter rm_f [ worker_sock; worker_sock ^ ".pid" ])
-  @@ fun () ->
-  wait_sock store_path;
   let joined0 = counter "fleet.workers_joined" in
   let dispatched0 = counter "fleet.dispatched" in
-  (* the worker comes up only after the coordinator is already waiting on
-     an empty membership table: it must be discovered by a poll mid-run
-     and handed the pending chunks *)
-  let spawn_worker_later () =
-    worker_pid :=
-      Some
-        (fork_daemon (fun () ->
-             ignore (Unix.select [] [] [] 0.3);
-             Fleet.run_worker ~register:(Fleet.Unix_sock store_path) ~heartbeat:0.2
-               ~listen:(Fleet.Unix_sock worker_sock) ()))
+  let o =
+    run_ok ~n:8 ~chunk:2 ~depth:1 ~elastic:true
+      [ fake ~member:true ~listed:(2.5, infinity) "late" ]
   in
-  run_through ~options:elastic_options ~before_fleet:spawn_worker_later [ "@" ^ store_path ];
-  cb "the worker joined via membership" true (counter "fleet.workers_joined" > joined0);
-  cb "the joined worker received chunks" true (counter "fleet.dispatched" > dispatched0);
-  (* the store now holds every result: a second campaign through the same
-     elastic fleet pre-filters everything and dispatches nothing *)
-  let prefilled0 = counter "fleet.store_prefilled" in
-  let dispatched1 = counter "fleet.dispatched" in
-  run_through ~options:elastic_options [ "@" ^ store_path ];
-  ci "all unique points served by the pre-filter" (prefilled0 + 7)
-    (counter "fleet.store_prefilled");
-  ci "nothing dispatched on the warm campaign" dispatched1 (counter "fleet.dispatched")
+  ci "the worker joined via membership" (joined0 + 1) (counter "fleet.workers_joined");
+  ci "the joined worker received every chunk" (dispatched0 + 4) (counter "fleet.dispatched");
+  cb "nothing dispatched before the poll that found it" true
+    (List.for_all (fun (t, _, _) -> t >= 3.0) o.o_sends)
 
+(* Two registered workers at chunk 1, depth 2; w1 drains at t = 5 s: it
+   leaves the membership table and closes its connection a second later.
+   The poll that misses it fails it, its queued chunks requeue on w2, and
+   every slot is still merged exactly once. (That a drained worker
+   deregisters and the other stays listed is checked on real daemons by
+   "elastic: dead worker retried, SIGKILL ages out".) *)
 let test_elastic_drain_mid_run () =
-  let store_path = sock_path "dstore" in
-  let store_pid =
-    fork_daemon (fun () -> Fleet.run_store ~listen:(Fleet.Unix_sock store_path) ())
+  let lost0 = counter "fleet.workers_lost" in
+  let o =
+    run_ok ~n:8 ~chunk:1 ~depth:2 ~elastic:true
+      [ fake ~member:true ~listed:(0.0, 5.0) ~gone:6.0 "w1"; fake ~member:true "w2" ]
   in
-  let w1 = sock_path "edrain1" and w2 = sock_path "edrain2" in
-  let worker sock =
-    fork_daemon (fun () ->
-        Fleet.run_worker ~register:(Fleet.Unix_sock store_path) ~heartbeat:0.1
-          ~listen:(Fleet.Unix_sock sock) ())
-  in
-  let p1 = worker w1 in
-  let p2 = worker w2 in
-  Fun.protect
-    ~finally:(fun () ->
-      stop_daemon p1;
-      stop_daemon p2;
-      stop_daemon store_pid;
-      List.iter rm_f [ w1; w1 ^ ".pid"; w2; w2 ^ ".pid" ])
-  @@ fun () ->
-  wait_sock store_path;
-  wait_sock w1;
-  wait_sock w2;
-  (* SIGTERM = drain: a forked orchestrator signals w1 shortly after the
-     batch starts; it finishes in-flight work, deregisters and exits,
-     and every chunk still completes — zero lost work, bytes identical *)
-  let drainer = ref None in
-  let drain_w1_later () =
-    drainer :=
-      Some
-        (match Unix.fork () with
-        | 0 ->
-            ignore (Unix.select [] [] [] 0.1);
-            (try Unix.kill p1 Sys.sigterm with Unix.Unix_error _ -> ());
-            Unix._exit 0
-        | pid -> pid)
-  in
-  run_through
-    ~options:{ elastic_options with Fleet.chunk = 1 }
-    ~before_fleet:drain_w1_later [ "@" ^ store_path ];
-  Option.iter (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()) !drainer;
-  (* once drained, w1 is out of the members table; w2 is still there *)
-  stop_daemon p1;
-  let ms = member_addrs store_path in
-  cb "drained worker deregistered" false (List.mem w1 ms);
-  cb "surviving worker still registered" true (List.mem w2 ms)
+  ci "the drained worker was noticed by a poll" (lost0 + 1) (counter "fleet.workers_lost");
+  cb "nothing sent to it once it left" true
+    (List.for_all (fun (t, w, _) -> w <> "w1" || t < 5.0) o.o_sends)
 
 let test_registered_worker_death () =
   let store_path = sock_path "kstore" in
@@ -581,20 +792,38 @@ let test_registered_worker_death () =
        (rpc store_path ~meth:"POST" ~target:"/register"
           ~body:(Printf.sprintf {|{"addr":%S,"ttl":"0x1p+6"}|} ghost)
           ()));
-  let live = sock_path "klive" in
-  let p =
+  let registered sock =
     fork_daemon (fun () ->
         Fleet.run_worker ~register:(Fleet.Unix_sock store_path) ~heartbeat:0.1
-          ~listen:(Fleet.Unix_sock live) ())
+          ~listen:(Fleet.Unix_sock sock) ())
   in
-  Fun.protect ~finally:(fun () -> kill_daemon p; List.iter rm_f [ live; live ^ ".pid" ])
+  let live = sock_path "klive" and drained = sock_path "kdrain" in
+  let p = registered live and pd = registered drained in
+  Fun.protect
+    ~finally:(fun () ->
+      kill_daemon p;
+      kill_daemon pd;
+      List.iter rm_f [ live; live ^ ".pid"; drained; drained ^ ".pid" ])
   @@ fun () ->
-  wait_sock live;
+  (* the batch's first membership poll must see both workers *)
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while
+    not (List.for_all (fun w -> List.mem w (member_addrs store_path)) [ live; drained ])
+  do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "the workers never registered";
+    ignore (Unix.select [] [] [] 0.02)
+  done;
   let failures0 = counter "fleet.worker_failures" in
   let retried0 = counter "fleet.retried" in
-  run_through ~options:elastic_options [ "@" ^ store_path ];
+  run_through ~options:{ Fleet.default_options with Fleet.chunk = 2 } [ "@" ^ store_path ];
   cb "dead registered worker failed" true (counter "fleet.worker_failures" > failures0);
   cb "its chunks were retried" true (counter "fleet.retried" > retried0);
+  (* SIGTERM drains a worker: it finishes, deregisters and exits; the
+     other stays *)
+  stop_daemon pd;
+  let ms = member_addrs store_path in
+  cb "drained worker deregistered" false (List.mem drained ms);
+  cb "surviving worker still registered" true (List.mem live ms);
   (* SIGKILL the live worker: no deregistration runs, but its heartbeater
      child notices the orphaning and exits, so the registration ages out
      of /members within a TTL instead of living forever *)
@@ -682,44 +911,17 @@ let test_idle_clients_cannot_starve_heartbeats () =
     ignore (Unix.select [] [] [] 0.1)
   done
 
-(* A worker that stalls mid-response holds up only its own chunk. The
-   stub answers its first request with a cut-off head and sleeps: the
-   coordinator must keep collecting the healthy worker and steal the
-   stub's chunk long before the stub's read deadline. *)
+(* A worker that stalls mid-response holds up only its own chunk: the
+   healthy worker runs every other chunk, the stalled one is stolen once
+   it has run 30 s with an idle worker free, and the batch ends long
+   before the 600 s deadline. The socket half — a cut-off head blocks no
+   other connection — is "stalled worker: a cut-off head blocks no one". *)
 let test_stalled_worker () =
-  let stub = sock_path "stall" in
-  let pid =
-    fork_daemon (fun () ->
-        let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind lsock (Unix.ADDR_UNIX stub);
-        Unix.listen lsock 8;
-        let buf = Bytes.create 65536 in
-        let rec serve () =
-          let fd, _ = Unix.accept lsock in
-          (* the readiness probe connects and closes without a request *)
-          if Unix.read fd buf 0 (Bytes.length buf) = 0 then begin
-            Unix.close fd;
-            serve ()
-          end
-          else begin
-            ignore (Unix.write_substring fd "HTTP/1.1 200 OK\r\nContent-Le" 0 27);
-            Unix.sleep 3600
-          end
-        in
-        serve ())
-  in
-  Fun.protect ~finally:(fun () -> kill_daemon pid; rm_f stub) @@ fun () ->
-  wait_sock stub;
   let steals0 = counter "fleet.steals" in
-  let t0 = ref 0.0 in
-  with_worker (fun live ->
-      run_through
-        ~options:
-          { Fleet.default_options with Fleet.chunk = 2; steal_after = 0.3; read_timeout = 6.0 }
-        ~before_fleet:(fun () -> t0 := Unix.gettimeofday ())
-        [ stub; live ]);
-  let took = Unix.gettimeofday () -. !t0 in
-  cb (Printf.sprintf "done before the stub's deadline (%.1f s)" took) true (took < 6.0);
+  let o =
+    run_ok ~n:8 ~chunk:2 ~depth:1 ~elastic:false [ fake ~stall:0 "stall"; fake "live" ]
+  in
+  cb (Printf.sprintf "done before the stub's deadline (t=%g s)" o.o_end) true (o.o_end < 600.0);
   cb "the stub's chunk was stolen" true (counter "fleet.steals" > steals0)
 
 (* ---------------- run journals ---------------- *)
@@ -898,6 +1100,161 @@ let test_tcp_worker () =
   Test_serve.wait_up addr;
   run_through [ Http.addr_to_string addr ]
 
+(* ---------------- generated schedules ---------------- *)
+
+(* A generated schedule: an always-healthy worker w0 (static, or a member
+   joining at [anchor]) beside up to four workers that may be slow
+   (stolen from, then answer late), stall, die, be registered but
+   unreachable (ghost), drain, or desync, joining late when they are
+   members; polls fail at random when [elastic]. *)
+type kind = Healthy | Slow | Stall | Dies | Ghost | Drains | Desync
+
+type wspec = { kind : kind; member : bool; join : int; at : int }
+
+type spec = {
+  n : int;
+  chunk : int;
+  depth : int;
+  elastic : bool;
+  anchor : int option;
+  poll_fails : int;  (** percent *)
+  seed : int;
+  workers : wspec list;
+}
+
+let kind_name = function
+  | Healthy -> "healthy" | Slow -> "slow" | Stall -> "stall" | Dies -> "dies"
+  | Ghost -> "ghost" | Drains -> "drains" | Desync -> "desync"
+
+let print_spec sp =
+  Printf.sprintf "n=%d chunk=%d depth=%d elastic=%b anchor=%s poll_fails=%d%% seed=%d [%s]"
+    sp.n sp.chunk sp.depth sp.elastic
+    (match sp.anchor with Some j -> Printf.sprintf "member@%d" j | None -> "static")
+    sp.poll_fails sp.seed
+    (String.concat "; "
+       (List.mapi
+          (fun i w ->
+            Printf.sprintf "w%d %s%s join=%d at=%d" (i + 1) (kind_name w.kind)
+              (if w.member then " member" else "") w.join w.at)
+          sp.workers))
+
+let spec_gen =
+  let open QCheck2.Gen in
+  let wspec =
+    let+ kind =
+      frequencyl
+        [ (6, Healthy); (1, Slow); (1, Stall); (1, Dies); (1, Ghost); (1, Drains); (1, Desync) ]
+    and+ member = bool
+    and+ join = int_range 0 20
+    and+ at = int_range 0 60 in
+    { kind; member; join; at }
+  in
+  let+ n = int_range 1 40
+  and+ chunk = int_range 0 5
+  and+ depth = int_range 1 4
+  and+ elastic = bool
+  and+ anchor = opt (int_range 0 20)
+  and+ poll_fails = oneofl [ 0; 20; 50 ]
+  and+ seed = int_range 0 1000
+  and+ workers = list_size (int_range 0 4) wspec in
+  { n; chunk; depth; elastic; anchor; poll_fails; seed; workers }
+
+let fakes_of sp =
+  let member m = sp.elastic && m in
+  fake ~member:(member (sp.anchor <> None))
+    ~listed:(float (Option.value sp.anchor ~default:0), infinity)
+    "w0"
+  :: List.mapi
+       (fun i w ->
+         let name = Printf.sprintf "w%d" (i + 1) and member = member w.member in
+         let join = float w.join and at = float w.at in
+         match w.kind with
+         | Healthy -> fake ~member ~listed:(join, infinity) name
+         | Slow -> fake ~member ~listed:(join, infinity) ~slow:true name
+         | Stall -> fake ~member ~listed:(join, infinity) ~stall:(w.at mod 3) name
+         | Dies -> fake ~member ~listed:(join, at +. 6.0) ~gone:at name
+         | Ghost -> fake ~member ~listed:(join, infinity) ~gone:0.0 name
+         | Drains -> fake ~member ~listed:(join, at) ~gone:(at +. 1.0) name
+         | Desync -> fake ~member ~listed:(join, infinity) ~desync:(w.at mod 3) name)
+       sp.workers
+
+(* Every invariant [run_fake] checks, over generated schedules; and a
+   schedule with no slow, stalled or failing worker steals and retries
+   nothing and completes. *)
+let prop_schedules =
+  QCheck2.Test.make ~name:"scheduler: generated schedules" ~count:500 ~print:print_spec spec_gen
+    (fun sp ->
+      let steals0 = counter "fleet.steals" and retried0 = counter "fleet.retried" in
+      match
+        quietly (fun () ->
+            run_fake ~n:sp.n ~chunk:sp.chunk ~depth:sp.depth ~elastic:sp.elastic
+              ~poll_fails:sp.poll_fails ~seed:sp.seed (fakes_of sp))
+      with
+      | exception Violation msg -> QCheck2.Test.fail_reportf "%s" msg
+      | o ->
+          let steals = counter "fleet.steals" - steals0
+          and retried = counter "fleet.retried" - retried0 in
+          if List.for_all (fun w -> w.kind = Healthy) sp.workers
+             && (o.o_error <> None || steals <> 0 || retried <> 0)
+          then
+            QCheck2.Test.fail_reportf "healthy schedule: %d steals, %d retries, error %s" steals
+              retried (Option.value o.o_error ~default:"none");
+          true)
+
+(* The I/O half of "stalled worker: chunk stolen, run goes on", with no
+   timer: the stub answers its one request with a head it never ends,
+   one more byte of it per look at the healthy worker's /metrics, and
+   closes (a truncated message, so its chunk requeues) only once the
+   healthy worker has received every other point. A coordinator that
+   read the stub's connection until a whole response arrived would never
+   send it those points; after 20 s the stub gives up and exits 3. *)
+let test_stalled_head_blocks_no_one () =
+  with_worker @@ fun live ->
+  let stub = sock_path "cut" in
+  let pid =
+    fork_daemon (fun () ->
+        let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.bind lsock (Unix.ADDR_UNIX stub);
+        Unix.listen lsock 8;
+        let buf = Bytes.create 65536 in
+        (* the readiness probe connects and closes without a request *)
+        let rec request () =
+          let fd, _ = Unix.accept lsock in
+          if Unix.read fd buf 0 (Bytes.length buf) > 0 then fd
+          else begin
+            Unix.close fd;
+            request ()
+          end
+        in
+        let fd = request () in
+        ignore (Unix.write_substring fd "HTTP/1.1 200 OK\r\nX-Pad: " 0 24);
+        let measured () =
+          match Http.call (Fleet.Unix_sock live) ~meth:"GET" ~path:"/metrics" () with
+          | Error _ -> 0
+          | Ok r ->
+              String.split_on_char '\n' r.Http.resp_body
+              |> List.find_map (fun l ->
+                     Scanf.sscanf_opt l "emc_fleet_points_measured %d" Fun.id)
+              |> Option.value ~default:0
+        in
+        (* 7 unique points at chunk 2: the stub holds chunk 0's two *)
+        let deadline = Unix.gettimeofday () +. 20.0 in
+        while measured () < 5 && Unix.gettimeofday () < deadline do
+          ignore (Unix.write_substring fd "a" 0 1);
+          ignore (Unix.select [] [] [] 0.02)
+        done;
+        let covered = measured () >= 5 in
+        Unix.close fd;
+        Unix._exit (if covered then 0 else 3))
+  in
+  Fun.protect ~finally:(fun () -> kill_daemon pid; rm_f stub) @@ fun () ->
+  wait_sock stub;
+  let retried0 = counter "fleet.retried" in
+  run_through ~options:{ Fleet.default_options with Fleet.chunk = 2 } [ stub; live ];
+  cb "the stub's cut-off head held up no other worker" true
+    (snd (Unix.waitpid [] pid) = Unix.WEXITED 0);
+  cb "its chunk was requeued" true (counter "fleet.retried" > retried0)
+
 let suite =
   [
     ("parse_addr forms", `Quick, test_parse_addr);
@@ -936,4 +1293,6 @@ let suite =
     ("members of an unresolvable store", `Quick, test_members_unresolvable);
     ("worker over TCP bit-identical to jobs=1", `Slow, test_tcp_worker);
     ("coordinator builds no binary", `Slow, test_coordinator_builds_nothing);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 24 |]) prop_schedules;
+    ("stalled worker: a cut-off head blocks no one", `Slow, test_stalled_head_blocks_no_one);
   ]

@@ -155,9 +155,23 @@ let start_server ?listen ?(workers = 1) ?(max_body = 4096) ?(read_timeout = 2.0)
       wait_up listen;
       (pid, Http.addr_to_string listen)
 
+(* SIGTERM the daemon and reap it. One still running 10 s later is
+   SIGKILLed and fails the case, rather than hanging the suite. *)
 let stop_server (pid, path) =
   (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-  let _, status = Unix.waitpid [] pid in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec reap pause =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        (try ignore (Unix.select [] [] [] pause) with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        reap (min 0.05 (2.0 *. pause))
+    | 0, _ ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid);
+        Alcotest.failf "server %d still running 10 s after SIGTERM" pid
+    | _, status -> status
+  in
+  let status = reap 0.001 in
   (status, Sys.file_exists path)
 
 let with_server ?listen ?workers ?max_body ?read_timeout ?idle_timeout ?max_conns ?access_log f =
