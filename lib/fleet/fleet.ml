@@ -36,15 +36,7 @@ let parse_fleet s =
   let parts =
     String.split_on_char ',' s |> List.map String.trim |> List.filter (fun p -> p <> "")
   in
-  if parts = [] then Error "empty fleet specification"
-  else
-    List.fold_right
-      (fun part acc ->
-        match (acc, parse_source part) with
-        | Error _, _ -> acc
-        | _, Error e -> Error e
-        | Ok srcs, Ok a -> Ok (a :: srcs))
-      parts (Ok [])
+  if parts = [] then Error "empty fleet specification" else Json.map_result parse_source parts
 
 (* ---------------- metrics ---------------- *)
 
@@ -75,26 +67,16 @@ let g_members = Metrics.gauge "fleet.store.members"
 let measure_schema = "emc-fleet-measure/1"
 let result_schema = "emc-fleet-result/1"
 
+let ( let* ) r f = Result.bind r f
+
 let point_to_json (flags, march) =
   Json.List (Array.to_list (Array.map Json.hex (Params.raw_of flags march)))
 
-let floats_of_json = function
-  | Json.List xs -> (
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | x :: rest -> (
-            match Json.hex_of x with Some f -> go (f :: acc) rest | None -> None)
-      in
-      go [] xs)
-  | _ -> None
-
 let point_of_json j =
-  match floats_of_json j with
-  | Some raw when List.length raw = Params.n_all ->
-      Ok (Params.split_raw (Array.of_list raw))
-  | Some raw ->
-      Error (Printf.sprintf "point has %d values; want %d" (List.length raw) Params.n_all)
-  | None -> Error "point must be a list of (hex-float) numbers"
+  let* raw = Json.list_of Json.as_float j in
+  let n = List.length raw in
+  if n = Params.n_all then Ok (Params.split_raw (Array.of_list raw))
+  else Error (Printf.sprintf "point has %d values; want %d" n Params.n_all)
 
 let smarts_to_json = function
   | None -> Json.Null
@@ -106,21 +88,18 @@ let smarts_to_json = function
           ("target_ci", Json.hex p.Emc_sim.Smarts.target_ci);
           ("max_refinements", Json.Int p.Emc_sim.Smarts.max_refinements) ]
 
-let smarts_of_json j =
-  match j with
+let smarts_of_json = function
   | Json.Null -> Ok None
-  | Json.Obj _ -> (
-      let int k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
-      let flt k = Option.bind (Json.member k j) Json.hex_of in
-      match (int "unit_size", int "warmup", int "interval", flt "target_ci",
-             int "max_refinements")
-      with
-      | Some unit_size, Some warmup, Some interval, Some target_ci, Some max_refinements ->
-          Ok
-            (Some
-               { Emc_sim.Smarts.unit_size; warmup; interval; target_ci; max_refinements })
-      | _ -> Error "malformed smarts parameters")
-  | _ -> Error "smarts must be an object or null"
+  | j ->
+      let* unit_size = Json.get "unit_size" Json.as_int j in
+      let* warmup = Json.get "warmup" Json.as_int j in
+      let* interval = Json.get "interval" Json.as_int j in
+      let* target_ci = Json.get "target_ci" Json.as_float j in
+      let* max_refinements = Json.get "max_refinements" Json.as_int j in
+      (* a unit of no instructions never advances the sampling loop *)
+      if unit_size < 1 then
+        Error (Printf.sprintf "smarts unit_size must be at least 1, not %d" unit_size)
+      else Ok (Some { Emc_sim.Smarts.unit_size; warmup; interval; target_ci; max_refinements })
 
 let measure_body (w : Workload.t) ~variant ~workload_scale ~smarts points =
   Json.to_string
@@ -140,47 +119,29 @@ type measure_request = {
   mr_points : (Emc_opt.Flags.t * Emc_sim.Config.t) array;
 }
 
-let ( let* ) r f = Result.bind r f
-
 let measure_request_of_body body =
   let* j = Json.parse body in
+  let* schema = Json.get "schema" Json.as_str j in
   let* () =
-    match Json.member "schema" j with
-    | Some (Json.Str s) when s = measure_schema -> Ok ()
-    | Some (Json.Str s) -> Error (Printf.sprintf "unsupported schema %S" s)
-    | _ -> Error (Printf.sprintf "missing schema (want %S)" measure_schema)
+    if schema = measure_schema then Ok ()
+    else Error (Printf.sprintf "unsupported schema %S (want %S)" schema measure_schema)
   in
-  let* mr_workload =
-    match Json.member "workload" j with
-    | Some (Json.Str s) -> Ok s
-    | _ -> Error "missing workload"
-  in
+  let* mr_workload = Json.get "workload" Json.as_str j in
+  let* variant = Json.get "variant" Json.as_str j in
   let* mr_variant =
-    match Json.member "variant" j with
-    | Some (Json.Str "train") -> Ok Workload.Train
-    | Some (Json.Str "ref") -> Ok Workload.Ref
-    | Some (Json.Str s) -> Error (Printf.sprintf "unknown variant %S" s)
-    | _ -> Error "missing variant"
+    match variant with
+    | "train" -> Ok Workload.Train
+    | "ref" -> Ok Workload.Ref
+    | s -> Error (Printf.sprintf "unknown variant %S" s)
   in
-  let* mr_workload_scale =
-    match Option.bind (Json.member "workload_scale" j) Json.hex_of with
-    | Some f when f > 0.0 -> Ok f
-    | _ -> Error "missing/invalid workload_scale"
+  let* mr_workload_scale = Json.get "workload_scale" Json.as_float j in
+  let* () =
+    if Float.is_finite mr_workload_scale && mr_workload_scale > 0.0 then Ok ()
+    else
+      Error (Printf.sprintf "workload_scale must be finite and positive, not %h" mr_workload_scale)
   in
-  let* mr_smarts =
-    smarts_of_json (Option.value ~default:Json.Null (Json.member "smarts" j))
-  in
-  let* points =
-    match Json.member "points" j with
-    | Some (Json.List pts) ->
-        List.fold_right
-          (fun p acc ->
-            let* acc = acc in
-            let* pt = point_of_json p in
-            Ok (pt :: acc))
-          pts (Ok [])
-    | _ -> Error "missing points"
-  in
+  let* mr_smarts = smarts_of_json (Option.value ~default:Json.Null (Json.member "smarts" j)) in
+  let* points = Json.get "points" (Json.list_of point_of_json) j in
   if points = [] then Error "empty points"
   else
     Ok { mr_workload; mr_variant; mr_workload_scale; mr_smarts;
@@ -193,11 +154,10 @@ let triple_to_json (t : Measure.triple) =
       ("code_size", Json.hex t.Measure.t_code_size) ]
 
 let triple_of_json j =
-  let f k = Option.bind (Json.member k j) Json.hex_of in
-  match (f "cycles", f "energy", f "code_size") with
-  | Some t_cycles, Some t_energy, Some t_code_size ->
-      Ok { Measure.t_cycles; t_energy; t_code_size }
-  | _ -> Error "malformed result triple"
+  let* t_cycles = Json.get "cycles" Json.as_float j in
+  let* t_energy = Json.get "energy" Json.as_float j in
+  let* t_code_size = Json.get "code_size" Json.as_float j in
+  Ok { Measure.t_cycles; t_energy; t_code_size }
 
 let result_body triples =
   Json.to_string
@@ -207,17 +167,7 @@ let result_body triples =
 
 let triples_of_body ~expect body =
   let* j = Json.parse body in
-  let* results =
-    match Json.member "results" j with
-    | Some (Json.List rs) ->
-        List.fold_right
-          (fun r acc ->
-            let* acc = acc in
-            let* t = triple_of_json r in
-            Ok (t :: acc))
-          rs (Ok [])
-    | _ -> Error "missing results"
-  in
+  let* results = Json.get "results" (Json.list_of triple_of_json) j in
   if List.length results <> expect then
     Error (Printf.sprintf "%d results for %d points" (List.length results) expect)
   else Ok (Array.of_list results)
@@ -295,9 +245,9 @@ let run_store ?file ~listen () =
   let register =
     json_route
       (fun j ->
-        match (Json.member "addr" j, Option.bind (Json.member "ttl" j) Json.hex_of) with
-        | Some (Json.Str a), Some ttl when a <> "" && ttl > 0.0 && ttl <= 3600.0 -> Ok (a, ttl)
-        | Some (Json.Str a), None when a <> "" -> Ok (a, 6.0)
+        match (Json.get "addr" Json.as_str j, Option.bind (Json.member "ttl" j) Json.hex_of) with
+        | Ok a, Some ttl when a <> "" && ttl > 0.0 && ttl <= 3600.0 -> Ok (a, ttl)
+        | Ok a, None when a <> "" -> Ok (a, 6.0)
         | _ -> Error "want {\"addr\":ADDR,\"ttl\":HEXSECONDS} with 0 < ttl <= 3600")
       (fun (addr, ttl) ->
         let now = Unix.gettimeofday () in
@@ -312,8 +262,8 @@ let run_store ?file ~listen () =
   let deregister =
     json_route
       (fun j ->
-        match Json.member "addr" j with
-        | Some (Json.Str a) when a <> "" -> Ok a
+        match Json.get "addr" Json.as_str j with
+        | Ok a when a <> "" -> Ok a
         | _ -> Error "want {\"addr\":ADDR}")
       (fun addr ->
         let removed = Hashtbl.mem members addr in
@@ -335,16 +285,7 @@ let run_store ?file ~listen () =
     Server.reply b 200 (Json.Obj [ ("workers", Json.List workers) ])
   in
   let lookup =
-    json_route
-      (fun j ->
-        match Json.member "keys" j with
-        | Some (Json.List ks) ->
-            List.fold_right
-              (fun k acc ->
-                let* acc = acc in
-                match k with Json.Str s -> Ok (s :: acc) | _ -> Error "keys must be strings")
-              ks (Ok [])
-        | _ -> Error "missing keys")
+    json_route (Json.get "keys" (Json.list_of Json.as_str))
       (fun keys ->
         let hits =
           List.filter_map
@@ -362,17 +303,11 @@ let run_store ?file ~listen () =
   in
   let put =
     json_route
-      (fun j ->
-        match Json.member "entries" j with
-        | Some (Json.List es) ->
-            List.fold_right
-              (fun e acc ->
-                let* acc = acc in
-                match (Json.member "k" e, Option.bind (Json.member "v" e) Json.hex_of) with
-                | Some (Json.Str k), Some v -> Ok ((k, v) :: acc)
-                | _ -> Error "entries must be {\"k\":KEY,\"v\":HEXFLOAT}")
-              es (Ok [])
-        | _ -> Error "missing entries")
+      (Json.get "entries"
+         (Json.list_of (fun e ->
+              let* k = Json.get "k" Json.as_str e in
+              let* v = Json.get "v" Json.as_float e in
+              Ok (k, v))))
       (fun entries ->
         let added =
           List.fold_left
@@ -439,10 +374,7 @@ let store_put ~timeout addr entries =
                   entries) ) ])
   in
   let* body = store_rpc ~timeout addr ~path:"/put" ~body in
-  let* j = Json.parse body in
-  match Json.member "added" j with
-  | Some (Json.Int n) -> Ok n
-  | _ -> Error "store put: missing added"
+  Result.bind (Json.parse body) (Json.get "added" Json.as_int)
 
 (* ---------------- membership client ---------------- *)
 
@@ -464,18 +396,11 @@ let deregister_rpc addr ~advertise =
 let members ?(timeout = store_timeout) addr =
   let* body = store_rpc ~meth:"GET" ~timeout addr ~path:"/members" ~body:"" in
   let* j = Json.parse body in
-  match Json.member "workers" j with
-  | Some (Json.List ws) ->
-      List.fold_right
-        (fun w acc ->
-          let* acc = acc in
-          match Json.member "addr" w with
-          | Some (Json.Str a) ->
-              let age = Option.value ~default:0.0 (Option.bind (Json.member "age" w) Json.hex_of) in
-              Ok ((a, age) :: acc)
-          | _ -> Error "members: entries must carry addr")
-        ws (Ok [])
-  | _ -> Error "members: missing workers"
+  Json.get "workers"
+    (Json.list_of (fun w ->
+         let* a = Json.get "addr" Json.as_str w in
+         Ok (a, Option.value ~default:0.0 (Option.bind (Json.member "age" w) Json.hex_of))))
+    j
 
 (* ---------------- worker daemon ---------------- *)
 
@@ -609,18 +534,29 @@ let drain ?(timeout = 120.0) ~pidfile () =
               Error (Printf.sprintf "kill %d: %s" pid (Unix.error_message e))
           | () ->
               let deadline = Unix.gettimeofday () +. timeout in
+              (* a zombie still answers [kill pid 0], so the caller's own
+                 child is reaped; any other worker is gone once its pidfile
+                 is, which it removes as it exits *)
+              let gone () =
+                match Unix.waitpid [ Unix.WNOHANG ] pid with
+                | 0, _ -> false
+                | _ -> true
+                | exception Unix.Unix_error _ -> (
+                    (not (Sys.file_exists pidfile))
+                    ||
+                    match Unix.kill pid 0 with
+                    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+                    | _ | (exception Unix.Unix_error _) -> false)
+              in
               let rec wait () =
-                match Unix.kill pid 0 with
-                | exception Unix.Unix_error (Unix.ESRCH, _, _) -> Ok pid
-                | _ | (exception Unix.Unix_error _) ->
-                    if Unix.gettimeofday () > deadline then
-                      Error
-                        (Printf.sprintf "worker %d still running after %.0fs" pid timeout)
-                    else begin
-                      (try ignore (Unix.select [] [] [] 0.05)
-                       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-                      wait ()
-                    end
+                if gone () then Ok pid
+                else if Unix.gettimeofday () > deadline then
+                  Error (Printf.sprintf "worker %d still running after %.0fs" pid timeout)
+                else begin
+                  (try ignore (Unix.select [] [] [] 0.05)
+                   with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+                  wait ()
+                end
               in
               wait ()))
 
@@ -946,16 +882,18 @@ let journal_info run_id =
       let line = try input_line ic with End_of_file -> "" in
       close_in ic;
       let* j = Json.parse line in
-      match (Json.member "schema" j, Json.member "run_id" j, Json.member "argv" j) with
-      | Some (Json.Str s), Some (Json.Str id), Some (Json.List argv) when s = journal_schema ->
-          Ok
-            ( id,
-              List.filter_map (function Json.Str a -> Some a | _ -> None) argv )
-      | Some (Json.Str s), _, _ when s <> journal_schema ->
-          Error (Printf.sprintf "%s: unsupported schema %S" path s)
-      | _ -> Error (Printf.sprintf "%s: missing emc-run-journal header line" path)
+      let* schema = Json.get "schema" Json.as_str j in
+      let* () =
+        if schema = journal_schema then Ok ()
+        else Error (Printf.sprintf "unsupported schema %S" schema)
+      in
+      let* id = Json.get "run_id" Json.as_str j in
+      let* argv = Json.get "argv" Json.as_list j in
+      Ok (id, List.filter_map (fun a -> Result.to_option (Json.as_str a)) argv)
     in
-    let* ji_run_id, ji_argv = header in
+    let* ji_run_id, ji_argv =
+      Result.map_error (Printf.sprintf "%s: not an emc-run-journal header (%s)" path) header
+    in
     let table = Hashtbl.create 1024 in
     let loaded, skipped = Measure.cache_load table path in
     Ok { ji_path = path; ji_run_id; ji_argv; ji_entries = loaded; ji_skipped = skipped }

@@ -196,7 +196,9 @@ end
 
     The [/measure] request/response bodies — every value a lossless
     OCaml [%h] hex-float literal, every point the raw 25-vector of
-    [Params.raw_of], so a round trip is bit-exact by construction. *)
+    [Params.raw_of], so a round trip is bit-exact by construction. A NaN
+    keeps its sign but not its payload: [%h] prints every NaN as [nan]
+    or [-nan]. *)
 
 (** A parsed [/measure] request — what the worker daemon executes. *)
 type measure_request = {
@@ -218,6 +220,10 @@ val measure_body :
     reused verbatim across retries and steals). *)
 
 val measure_request_of_body : string -> (measure_request, string) result
+(** Parse a [/measure] request. Besides any shape error it rejects what
+    the simulator cannot run: a [workload_scale] that is not finite and
+    positive, and a SMARTS [unit_size] below 1, which would never advance
+    the sampling loop. *)
 
 val result_body : Emc_core.Measure.triple array -> string
 (** Serialize a worker's [/measure] response body. *)
@@ -236,7 +242,8 @@ val drain : ?timeout:float -> pidfile:string -> unit -> (int, string) result
 (** Gracefully drain a local worker daemon: read its pid from [pidfile],
     send SIGTERM (the worker finishes in-flight requests, deregisters,
     removes the pidfile and exits 0) and wait up to [timeout] (default
-    120 s) for the process to disappear. Returns the pid drained. *)
+    120 s) until the pidfile is gone or the process is, reaping it when
+    it is the caller's child. Returns the pid drained. *)
 
 (** {1 Daemons}
 

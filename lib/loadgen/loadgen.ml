@@ -95,8 +95,8 @@ let try_probe ~timeout target =
       match Json.parse resp.Http.resp_body with
       | Error e -> Error ("bad /healthz JSON: " ^ e)
       | Ok j -> (
-          match Json.member "dims" j with
-          | Some (Json.Int d) when d > 0 -> Ok d
+          match Json.get "dims" Json.as_int j with
+          | Ok d when d > 0 -> Ok d
           | _ -> Error "/healthz carries no positive \"dims\""))
 
 let probe ?(wait = 5.0) ~timeout target =

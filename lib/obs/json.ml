@@ -231,12 +231,6 @@ let member k = function
 
 let hex f = Str (Printf.sprintf "%h" f)
 
-let hex_of = function
-  | Str s -> float_of_string_opt s
-  | Float f -> Some f
-  | Int i -> Some (float_of_int i)
-  | _ -> None
-
 (* ---------------- typed readers ---------------- *)
 
 let field name j =
@@ -258,10 +252,17 @@ let as_float = function
   | Str s -> (
       match float_of_string_opt s with
       | Some f -> Ok f
-      | None -> Error (Printf.sprintf "malformed float literal %S" s))
-  | _ -> Error "expected a float"
+      | None -> Error (Printf.sprintf "malformed number %S" s))
+  | _ -> Error "expected a number"
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      Result.bind (f x) (fun y -> Result.bind (map_result f rest) (fun ys -> Ok (y :: ys)))
+let hex_of j = Result.to_option (as_float j)
+
+let map_result f l =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> ( match f x with Ok y -> go (y :: acc) rest | Error e -> Error e)
+  in
+  go [] l
+
+let get name read j = Result.bind (field name j) read
+let list_of read j = Result.bind (as_list j) (map_result read)

@@ -38,12 +38,15 @@ val hex : float -> t
     protocol (plain JSON numbers round through lossy decimal printing). *)
 
 val hex_of : t -> float option
-(** Read a float written by {!hex}; plain JSON numbers are also accepted. *)
+(** {!as_float} as an option: reads a float written by {!hex}, or a plain
+    JSON number. *)
 
 (** {1 Typed readers}
 
-    For strict schema decoding (model artifacts): every mismatch is an
-    [Error] saying what was expected, never an exception. *)
+    For strict schema decoding of every document read from a socket or a
+    file (model artifacts, the fleet wire, store and membership RPCs,
+    [/predict] bodies, metrics snapshots): every mismatch is an [Error]
+    saying what was expected, never an exception. *)
 
 val field : string -> t -> (t, string) result
 (** {!member}, with a missing key an [Error] naming it. *)
@@ -55,7 +58,15 @@ val as_list : t -> (t list, string) result
 
 val as_float : t -> (float, string) result
 (** A JSON number, or a string holding any OCaml float literal ({!hex}'s
-    included). *)
+    included). The errors are [malformed number "S"] and [expected a
+    number]; serve's [/predict] answers them verbatim. *)
 
-val map_result : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
-(** Map in order, stopping at the first [Error]. *)
+val map_result : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result
+(** Map in order, stopping at the first [Error], which is returned
+    unchanged: the error type is the caller's. *)
+
+val get : string -> (t -> ('a, string) result) -> t -> ('a, string) result
+(** [get k read j] is {!field} [k] of [j], read by [read]. *)
+
+val list_of : (t -> ('a, string) result) -> t -> ('a list, string) result
+(** {!as_list}, each element read by [read] ({!map_result}). *)

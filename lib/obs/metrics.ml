@@ -310,89 +310,46 @@ let snapshot_to_json s =
 
 let snapshot_of_json j =
   let ( let* ) r k = Result.bind r k in
-  let obj name = function
-    | Some (Json.Obj kvs) -> Ok kvs
-    | _ -> Error (Printf.sprintf "snapshot: %S must be an object" name)
+  let obj = function Json.Obj kvs -> Ok kvs | _ -> Error "expected an object" in
+  let num = function
+    | Json.Null -> Ok Float.nan (* non-finite sums and gauges render as null *)
+    | v -> Json.as_float v
   in
-  let num name = function
-    | Json.Int i -> Ok (float_of_int i)
-    | Json.Float f -> Ok f
-    | Json.Null -> Ok Float.nan (* non-finite sums render as null *)
-    | _ -> Error (Printf.sprintf "snapshot: %S must be a number" name)
+  let named what read (n, v) =
+    Result.map_error (Printf.sprintf "%s %S: %s" what n)
+      (Result.map (fun x -> (n, x)) (read v))
   in
-  match j with
-  | Json.Obj kvs ->
-      let* () =
-        match List.assoc_opt "schema" kvs with
-        | Some (Json.Str "emc-metrics-snapshot/1") -> Ok ()
-        | _ -> Error "snapshot: missing or unsupported schema"
-      in
-      let* counters = obj "counters" (List.assoc_opt "counters" kvs) in
-      let* gauges = obj "gauges" (List.assoc_opt "gauges" kvs) in
-      let* hists = obj "histograms" (List.assoc_opt "histograms" kvs) in
-      let* counters =
-        List.fold_left
-          (fun acc (n, v) ->
-            let* acc = acc in
-            match v with
-            | Json.Int i -> Ok ((n, i) :: acc)
-            | _ -> Error (Printf.sprintf "snapshot: counter %S must be an integer" n))
-          (Ok []) counters
-      in
-      let* gauges =
-        List.fold_left
-          (fun acc (n, v) ->
-            let* acc = acc in
-            let* f = num n v in
-            Ok ((n, f) :: acc))
-          (Ok []) gauges
-      in
-      let* hists =
-        List.fold_left
-          (fun acc (n, v) ->
-            let* acc = acc in
-            let* fields = obj n (Some v) in
-            let* count =
-              match List.assoc_opt "count" fields with
-              | Some (Json.Int c) when c >= 0 -> Ok c
-              | _ -> Error (Printf.sprintf "snapshot: histogram %S lacks a count" n)
-            in
-            let* sum =
-              match List.assoc_opt "sum" fields with
-              | Some v -> num (n ^ ".sum") v
-              | None -> Error (Printf.sprintf "snapshot: histogram %S lacks a sum" n)
-            in
-            let fnum key default =
-              match List.assoc_opt key fields with
-              | Some v -> num (n ^ "." ^ key) v
-              | None -> Ok default
-            in
-            let* mn = fnum "min" Float.infinity in
-            let* mx = fnum "max" Float.neg_infinity in
-            let* buckets =
-              match List.assoc_opt "buckets" fields with
-              | Some (Json.List bs) ->
-                  List.fold_left
-                    (fun acc b ->
-                      let* acc = acc in
-                      match b with
-                      | Json.List [ Json.Int i; Json.Int c ]
-                        when i >= 0 && i < n_buckets && c > 0 ->
-                          Ok ((i, c) :: acc)
-                      | _ ->
-                          Error
-                            (Printf.sprintf "snapshot: histogram %S has a malformed bucket" n))
-                    (Ok []) bs
-              | _ -> Error (Printf.sprintf "snapshot: histogram %S lacks buckets" n)
-            in
-            let buckets = List.sort (fun (a, _) (b, _) -> compare a b) (List.rev buckets) in
-            Ok ((n, { s_count = count; s_sum = sum; s_min = mn; s_max = mx; s_buckets = buckets })
-               :: acc))
-          (Ok []) hists
-      in
-      let sort l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
-      Ok { counters = sort counters; gauges = sort gauges; hists = sort hists }
-  | _ -> Error "snapshot: expected a JSON object"
+  let bucket = function
+    | Json.List [ Json.Int i; Json.Int c ] when i >= 0 && i < n_buckets && c > 0 -> Ok (i, c)
+    | _ -> Error "malformed bucket"
+  in
+  let hsnap h =
+    let* s_count = Json.get "count" Json.as_int h in
+    let* s_sum = Json.get "sum" num h in
+    let* s_min = Option.fold ~none:(Ok Float.infinity) ~some:num (Json.member "min" h) in
+    let* s_max = Option.fold ~none:(Ok Float.neg_infinity) ~some:num (Json.member "max" h) in
+    let* buckets = Json.get "buckets" (Json.list_of bucket) h in
+    if s_count < 0 then Error "negative count"
+    else
+      let s_buckets = List.sort (fun (a, _) (b, _) -> compare a b) buckets in
+      Ok { s_count; s_sum; s_min; s_max; s_buckets }
+  in
+  (* List.sort is stable: a name listed twice keeps its later entry first *)
+  let sorted l = List.sort (fun (a, _) (b, _) -> String.compare a b) (List.rev l) in
+  Result.map_error (( ^ ) "snapshot: ")
+    (let* schema = Json.get "schema" Json.as_str j in
+     let* () =
+       if schema = "emc-metrics-snapshot/1" then Ok ()
+       else Error (Printf.sprintf "unsupported schema %S" schema)
+     in
+     let* counters =
+       Result.bind (Json.get "counters" obj j) (Json.map_result (named "counter" Json.as_int))
+     in
+     let* gauges = Result.bind (Json.get "gauges" obj j) (Json.map_result (named "gauge" num)) in
+     let* hists =
+       Result.bind (Json.get "histograms" obj j) (Json.map_result (named "histogram" hsnap))
+     in
+     Ok { counters = sorted counters; gauges = sorted gauges; hists = sorted hists })
 
 (* ---------------- dumps ---------------- *)
 

@@ -217,68 +217,52 @@ let rec to_json = function
 
 let ( let* ) = Result.bind
 
-let ffield name j =
-  let* v = Json.field name j in
-  Json.as_float v
-
-let float_array name j =
-  let* v = Json.field name j in
-  let* l = Json.as_list v in
-  let* fs = Json.map_result Json.as_float l in
-  Ok (Array.of_list fs)
+let float_array name j = Result.map Array.of_list (Json.get name (Json.list_of Json.as_float) j)
 
 let factor_of_json j =
-  let* dim = Result.bind (Json.field "dim" j) Json.as_int in
-  let* knot = ffield "knot" j in
-  let* positive = Result.bind (Json.field "positive" j) Json.as_bool in
+  let* dim = Json.get "dim" Json.as_int j in
+  let* knot = Json.get "knot" Json.as_float j in
+  let* positive = Json.get "positive" Json.as_bool j in
   if dim < 0 then Error "negative basis dimension" else Ok { dim; knot; positive }
 
 let rec of_json j =
-  let* fam = Result.bind (Json.field "family" j) Json.as_str in
+  let* fam = Json.get "family" Json.as_str j in
   match fam with
   | "linear" ->
-      let* interactions = Result.bind (Json.field "interactions" j) Json.as_bool in
+      let* interactions = Json.get "interactions" Json.as_bool j in
       let* beta = float_array "beta" j in
-      let* mu = ffield "mu" j in
-      let* sd = ffield "sd" j in
+      let* mu = Json.get "mu" Json.as_float j in
+      let* sd = Json.get "sd" Json.as_float j in
       if Array.length beta = 0 then Error "linear model with no coefficients"
       else Ok (Linear { interactions; beta; mu; sd })
   | "mars" ->
-      let* bl = Result.bind (Json.field "bases" j) Json.as_list in
-      let* bases =
-        Json.map_result
-          (fun b -> Result.bind (Json.as_list b) (Json.map_result factor_of_json))
-          bl
-      in
+      let* bases = Json.get "bases" (Json.list_of (Json.list_of factor_of_json)) j in
       let bases = Array.of_list bases in
       let* weights = float_array "weights" j in
-      let* mu = ffield "mu" j in
-      let* sd = ffield "sd" j in
+      let* mu = Json.get "mu" Json.as_float j in
+      let* sd = Json.get "sd" Json.as_float j in
       if Array.length weights <> Array.length bases then
         Error
           (Printf.sprintf "mars: %d weights for %d basis functions" (Array.length weights)
              (Array.length bases))
       else Ok (Mars { bases; weights; mu; sd })
   | "rbf" ->
-      let* kname = Result.bind (Json.field "kernel" j) Json.as_str in
+      let* kname = Json.get "kernel" Json.as_str j in
       let* kernel =
         match kernel_of_name kname with
         | Some k -> Ok k
         | None -> Error (Printf.sprintf "unknown RBF kernel %S" kname)
       in
-      let* cl = Result.bind (Json.field "centers" j) Json.as_list in
       let* centers =
-        Json.map_result
-          (fun c ->
-            Result.map Array.of_list
-              (Result.bind (Json.as_list c) (Json.map_result Json.as_float)))
-          cl
+        Json.get "centers"
+          (Json.list_of (fun c -> Result.map Array.of_list (Json.list_of Json.as_float c)))
+          j
       in
       let centers = Array.of_list centers in
       let* radii = float_array "radii" j in
       let* weights = float_array "weights" j in
-      let* mu = ffield "mu" j in
-      let* sd = ffield "sd" j in
+      let* mu = Json.get "mu" Json.as_float j in
+      let* sd = Json.get "sd" Json.as_float j in
       if Array.length radii <> Array.length centers then Error "rbf: radii/centers mismatch"
       else if Array.length weights <> Array.length centers + 1 then
         Error
@@ -286,13 +270,13 @@ let rec of_json j =
              (Array.length weights) (Array.length centers))
       else Ok (Rbf { kernel; centers; radii; weights; mu; sd })
   | "rank" ->
-      let* interactions = Result.bind (Json.field "interactions" j) Json.as_bool in
+      let* interactions = Json.get "interactions" Json.as_bool j in
       let* beta = float_array "beta" j in
       if Array.length beta = 0 then Error "rank model with no coefficients"
       else Ok (Rank { interactions; beta })
   | "clamp" ->
-      let* lo = ffield "lo" j in
-      let* hi = ffield "hi" j in
-      let* body = Result.bind (Json.field "body" j) of_json in
+      let* lo = Json.get "lo" Json.as_float j in
+      let* hi = Json.get "hi" Json.as_float j in
+      let* body = Json.get "body" of_json j in
       Ok (Clamp { lo; hi; body })
   | other -> Error (Printf.sprintf "unknown model family %S" other)

@@ -27,28 +27,8 @@ let route h req b =
   | Ok j -> Server.reply b 200 j
   | Error (status, code, msg) -> Server.error b status code msg
 
-let as_float = function
-  | Json.Float f -> Ok f
-  | Json.Int i -> Ok (float_of_int i)
-  | Json.Str s -> (
-      match float_of_string_opt s with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "malformed number %S" s))
-  | _ -> Error "expected a number"
-
 let point_of_json = function
-  | Json.List vs ->
-      let x = Array.make (List.length vs) 0.0 in
-      let rec go i = function
-        | [] -> Ok x
-        | v :: rest -> (
-            match as_float v with
-            | Ok f ->
-                x.(i) <- f;
-                go (i + 1) rest
-            | Error e -> Error e)
-      in
-      go 0 vs
+  | Json.List vs -> Result.map Array.of_list (Json.map_result Json.as_float vs)
   | _ -> Error "each point must be a list of numbers"
 
 let parse_json_body (req : Http.request) =
@@ -62,13 +42,6 @@ let parse_json_body (req : Http.request) =
       match Json.parse req.Http.body with
       | Ok j -> Ok j
       | Error e -> Error (400, "bad_json", "malformed JSON body: " ^ e))
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest -> (
-      match f x with
-      | Error e -> Error e
-      | Ok y -> ( match map_result f rest with Ok ys -> Ok (y :: ys) | Error e -> Error e))
 
 (* /predict: single point or batch, coded (default) or raw space. Every
    point is parsed before any is validated, so a batch reports its first
@@ -104,8 +77,8 @@ let handle_predict art =
         if n > max_batch then
           Error (413, "too_many_points", Printf.sprintf "batch of %d points exceeds the %d cap" n max_batch)
         else
-          let* xs = map_result parse ps in
-          let* vs = map_result eval xs in
+          let* xs = Json.map_result parse ps in
+          let* vs = Json.map_result eval xs in
           Ok (Json.Obj [ ("predictions", Json.List vs) ])
     | None, Some _ -> Error (400, "bad_request", "\"points\" must be a list of points")
     | None, None -> Error (400, "bad_request", "body must carry \"point\" or \"points\"")
@@ -157,9 +130,9 @@ let march_of_body j =
   | _ -> Error (400, "bad_request", "give either \"config\" or \"march\", not both")
 
 let int_field j name default =
-  match Json.member name j with
+  match Option.map Json.as_int (Json.member name j) with
   | None -> Ok default
-  | Some (Json.Int v) when v > 0 -> Ok v
+  | Some (Ok v) when v > 0 -> Ok v
   | Some _ -> Error (400, "bad_request", Printf.sprintf "%S must be a positive integer" name)
 
 (* Search budget shared by /search and /pareto: seed + GA parameters. *)
@@ -290,6 +263,11 @@ let run opts art =
   let lsock = Server.bind addr in
   let workers = max 1 opts.workers in
   let dir = make_metrics_dir () in
+  (* TERM/INT stay blocked from the first fork until the master's handlers
+     are in, so one that lands in between waits for them instead of
+     killing the master and orphaning its workers; each worker unblocks
+     them in Server.run *)
+  let mask = Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ] in
   let pids =
     List.init workers (fun _ ->
         match Unix.fork () with 0 -> worker art opts dir lsock | pid -> pid)
@@ -298,6 +276,7 @@ let run opts art =
   let quit = Sys.Signal_handle (fun _ -> stopping := true) in
   Sys.set_signal Sys.sigterm quit;
   Sys.set_signal Sys.sigint quit;
+  ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
   Emc_obs.Log.info ~src:"serve"
     ~fields:
       [ ("workload", Json.Str art.Artifact.workload);

@@ -497,6 +497,9 @@ let run ~max_body ~read_timeout ~idle_timeout ~max_conns ?access_log ?snapshot_d
   let quit = Sys.Signal_handle (fun _ -> stop := true) in
   Sys.set_signal Sys.sigterm quit;
   Sys.set_signal Sys.sigint quit;
+  (* a pre-forked worker starts with them blocked (Serve.run): one sent
+     since the fork is acted on now *)
+  ignore (Unix.sigprocmask Unix.SIG_UNBLOCK [ Sys.sigterm; Sys.sigint ]);
   snapshots :=
     Option.map
       (fun dir -> (dir, Filename.concat dir (Printf.sprintf "worker-%d.json" (Unix.getpid ()))))

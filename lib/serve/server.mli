@@ -59,7 +59,9 @@ val run :
   table ->
   Unix.file_descr ->
   unit
-(** Serve until SIGTERM/SIGINT, then drain and return. [access_log]
+(** Serve until SIGTERM/SIGINT, then drain and return. It installs its
+    handlers, then unblocks both signals, so a caller may fork it with
+    them blocked and lose none sent meanwhile. [access_log]
     appends one JSONL line per request. With [snapshot_dir], this
     process publishes its metrics registry to
     [<snapshot_dir>/worker-<pid>.json] (at start, at most once per

@@ -1255,6 +1255,152 @@ let test_stalled_head_blocks_no_one () =
     (snd (Unix.waitpid [] pid) = Unix.WEXITED 0);
   cb "its chunk was requeued" true (counter "fleet.retried" > retried0)
 
+(* ---------------- what the simulator cannot run ---------------- *)
+
+(* A /measure body for one gzip point. *)
+let measure_request ?(workload_scale = 0.05) ?smarts () =
+  Fleet.measure_body (Emc_workloads.Registry.find "gzip") ~variant:Emc_workloads.Workload.Train
+    ~workload_scale ~smarts
+    [| Params.configs_of_coded (Array.make Params.n_all 0.0) |]
+
+let zero_unit = { Emc_sim.Smarts.default_params with unit_size = 0; warmup = 0 }
+
+(* A SMARTS unit of no instructions never advances the sampling loop,
+   and an infinite workload scale names no workload size: both are
+   rejected, while the same bodies with runnable values decode. *)
+let test_unrunnable_measure_rejected () =
+  let decodes body = Result.is_ok (Fleet.measure_request_of_body body) in
+  cb "unit_size 0 rejected" false (decodes (measure_request ~smarts:zero_unit ()));
+  cb "infinite workload_scale rejected" false
+    (decodes (measure_request ~workload_scale:Float.infinity ()));
+  cb "unit_size 1 decodes" true
+    (decodes (measure_request ~smarts:{ zero_unit with unit_size = 1 } ()));
+  cb "a finite workload_scale decodes" true (decodes (measure_request ()))
+
+(* The worker answers the unit_size-0 body with a 400 and stays
+   responsive. It is SIGKILLed at the end, so a worker pinned by the
+   request fails this case instead of hanging it. *)
+let test_unrunnable_measure_is_a_400 () =
+  let sock = sock_path "spin" in
+  let pid = fork_daemon (fun () -> Fleet.run_worker ~listen:(Fleet.Unix_sock sock) ()) in
+  Fun.protect ~finally:(fun () -> kill_daemon pid; List.iter rm_f [ sock; sock ^ ".pid" ])
+  @@ fun () ->
+  wait_sock sock;
+  (match
+     Http.call ~timeout:3.0 (Fleet.Unix_sock sock) ~meth:"POST" ~path:"/measure"
+       ~headers:[ ("Content-Type", "application/json") ]
+       ~body:(measure_request ~smarts:zero_unit ()) ()
+   with
+  | Ok r -> ci "structured rejection" 400 r.Http.status
+  | Error e -> Alcotest.failf "/measure: %s" (Http.error_to_string e));
+  match Http.call ~timeout:1.0 (Fleet.Unix_sock sock) ~meth:"GET" ~path:"/healthz" () with
+  | Ok r -> ci "the worker still answers /healthz" 200 r.Http.status
+  | Error e -> Alcotest.failf "/healthz after the rejected body: %s" (Http.error_to_string e)
+
+(* ---------------- draining one's own child ---------------- *)
+
+(* A zombie still answers [kill pid 0]: drain must reap a worker its
+   caller forked instead of waiting out its timeout. *)
+let test_drain_reaps_own_child () =
+  let sock = sock_path "own" in
+  let pidfile = sock ^ ".pid" in
+  let pid = fork_daemon (fun () -> Fleet.run_worker ~listen:(Fleet.Unix_sock sock) ()) in
+  Fun.protect ~finally:(fun () -> kill_daemon pid; List.iter rm_f [ sock; pidfile ])
+  @@ fun () ->
+  wait_sock sock;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while not (Sys.file_exists pidfile) do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "the worker wrote no pidfile";
+    ignore (Unix.select [] [] [] 0.02)
+  done;
+  let t0 = Unix.gettimeofday () in
+  (match Fleet.drain ~timeout:10.0 ~pidfile () with
+  | Ok p -> ci "drained the forked worker" pid p
+  | Error e -> Alcotest.failf "drain: %s" e);
+  cb "within a few seconds" true (Unix.gettimeofday () -. t0 < 5.0);
+  cb "no zombie left" true
+    (match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+    | _ -> false)
+
+(* ---------------- the wire round trip ---------------- *)
+
+(* Points from the parameter grid plus off-grid integers (fig3's unroll
+   factors and cache sizes are such), every float of a triple, the
+   workload scale and the SMARTS target from a mix of ordinary values
+   and -0, the smallest subnormal, max_float, +-infinity and NaNs of
+   either sign. Every non-NaN float comes back bit-identical; a NaN comes
+   back a NaN of the same sign (%h prints every NaN as nan or -nan, so
+   its payload does not survive). *)
+let prop_wire_round_trip =
+  let open QCheck2.Gen in
+  let special =
+    [ -0.0; 4e-324; Float.max_float; Float.infinity; Float.neg_infinity; Float.nan;
+      Float.neg Float.nan ]
+  in
+  let value = frequency [ (3, float); (2, oneofl special) ] in
+  let coord (s : Params.spec) =
+    frequency [ (3, oneofa s.Params.levels); (1, map float_of_int (int_range 0 4096)) ]
+  in
+  let raw = flatten_a (Array.map coord Params.all_specs) in
+  let gen =
+    let+ points = array_size (int_range 1 8) raw
+    and+ triples = array_size (int_range 0 8) (triple value value value)
+    and+ workload_scale = oneof [ pfloat; oneofl [ 4e-324; Float.max_float; 0.05 ] ]
+    and+ target_ci = value
+    and+ train = bool in
+    (points, triples, workload_scale, target_ci, train)
+  in
+  let same f g =
+    if Float.is_nan f then Float.is_nan g && Float.sign_bit f = Float.sign_bit g
+    else Int64.bits_of_float f = Int64.bits_of_float g
+  in
+  let same_all a b = Array.length a = Array.length b && Array.for_all2 same a b in
+  QCheck2.Test.make ~name:"wire: measure and result bodies round-trip" ~count:500 gen
+    (fun (raws, triples, workload_scale, target_ci, train) ->
+      let workload_scale =
+        if Float.is_finite workload_scale && workload_scale > 0.0 then workload_scale else 1.0
+      in
+      let points = Array.map Params.split_raw raws in
+      let smarts = { Emc_sim.Smarts.default_params with target_ci } in
+      let variant = if train then Emc_workloads.Workload.Train else Emc_workloads.Workload.Ref in
+      let body =
+        Fleet.measure_body (Emc_workloads.Registry.find "mcf") ~variant ~workload_scale
+          ~smarts:(Some smarts) points
+      in
+      let raw_of (f, m) = Params.raw_of f m in
+      let request_ok =
+        match Fleet.measure_request_of_body body with
+        | Error e -> QCheck2.Test.fail_reportf "request did not decode: %s" e
+        | Ok mr ->
+            mr.Fleet.mr_variant = variant
+            && same mr.Fleet.mr_workload_scale workload_scale
+            && (match mr.Fleet.mr_smarts with
+               | Some s -> same s.Emc_sim.Smarts.target_ci target_ci
+               | None -> false)
+            && same_all
+                 (Array.concat (Array.to_list (Array.map raw_of mr.Fleet.mr_points)))
+                 (Array.concat (Array.to_list (Array.map raw_of points)))
+      in
+      let ts =
+        Array.map
+          (fun (c, e, s) -> { Measure.t_cycles = c; t_energy = e; t_code_size = s })
+          triples
+      in
+      let flat t =
+        Array.concat
+          (Array.to_list
+             (Array.map
+                (fun (t : Measure.triple) -> [| t.t_cycles; t.t_energy; t.t_code_size |])
+                t))
+      in
+      let result_ok =
+        match Fleet.triples_of_body ~expect:(Array.length ts) (Fleet.result_body ts) with
+        | Error e -> QCheck2.Test.fail_reportf "result did not decode: %s" e
+        | Ok back -> same_all (flat back) (flat ts)
+      in
+      request_ok && result_ok)
+
 let suite =
   [
     ("parse_addr forms", `Quick, test_parse_addr);
@@ -1295,4 +1441,9 @@ let suite =
     ("coordinator builds no binary", `Slow, test_coordinator_builds_nothing);
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 24 |]) prop_schedules;
     ("stalled worker: a cut-off head blocks no one", `Slow, test_stalled_head_blocks_no_one);
+    ("unrunnable /measure bodies are rejected", `Quick, test_unrunnable_measure_rejected);
+    ("unrunnable /measure is a 400, the worker stays up", `Quick,
+     test_unrunnable_measure_is_a_400);
+    ("drain reaps a worker its caller forked", `Quick, test_drain_reaps_own_child);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |]) prop_wire_round_trip;
   ]
