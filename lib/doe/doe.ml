@@ -17,7 +17,8 @@ open Emc_linalg
     costs one p-long dot product per candidate. Each is computed with the
     products and the summation order of [Mat.mul_vec] and a dot product, so
     designs are bit for bit those of an exchange that recomputes them at
-    every visit. *)
+    every visit. The design's main-effects rows stay in one matrix, and an
+    accepted exchange overwrites its row there before M is rebuilt. *)
 
 type space = {
   names : string array;
@@ -56,11 +57,9 @@ let lhs rng space n =
 
 let ridge = 1e-8
 
-(* XᵀX of the main-effects expansion, with a tiny ridge so the criterion
+(* XᵀX of the main-effects rows [x], with a tiny ridge so the criterion
    is defined even for degenerate point sets. *)
-let information_matrix points =
-  let rows = Array.map expand_main points in
-  let x = Mat.of_rows rows in
+let information x =
   let g = Mat.gram x in
   let p = Mat.rows g in
   for i = 0 to p - 1 do
@@ -68,48 +67,75 @@ let information_matrix points =
   done;
   g
 
-(** log det(XᵀX) of the main-effects information matrix — the D-criterion. *)
-let log_det_information points = Mat.log_det (information_matrix points)
+let main_rows points = Mat.of_rows (Array.map expand_main points)
 
-(* M⁻¹x_j for all m candidates, four rows of M⁻¹ at a time with one
-   accumulator each. Every accumulator adds its products over the columns in
-   order, as {!Mat.mul_vec} does, so [mv] and [d] hold the bits a
-   per-candidate [Mat.mul_vec] and dot product would give. [cands] holds
-   the candidates' model rows, [mv] their projections (m×p, row-major) and
+(** log det(XᵀX) of the main-effects information matrix — the D-criterion. *)
+let log_det_information points = Mat.log_det (information (main_rows points))
+
+(* M⁻¹x_j for all m candidates, two candidates per pass over the rows of
+   M⁻¹ and four rows at a time, one accumulator per candidate and row.
+   Every accumulator adds its products over the columns in order, as
+   {!Mat.mul_vec} does, so [mv] and [d] hold the bits a per-candidate
+   [Mat.mul_vec] and dot product would give. A lone last candidate is
+   paired with itself and gets the same sums twice. [cands] holds the
+   candidates' model rows, [mv] their projections (m×p, row-major) and
    [d.(j)] is x_jᵀM⁻¹x_j. *)
 let project ~p ~minv ~cands ~mv ~d =
-  for j = 0 to Array.length cands - 1 do
-    let xj = cands.(j) and jp = j * p in
+  let m = Array.length cands in
+  let j = ref 0 in
+  while !j < m do
+    let j0 = !j in
+    let j1 = if j0 + 1 < m then j0 + 1 else j0 in
+    let x0 = cands.(j0) and x1 = cands.(j1) and p0 = j0 * p and p1 = j1 * p in
     let r = ref 0 in
     while !r + 3 < p do
       let r0 = !r in
       let row = r0 * p in
       let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
+      let b0 = ref 0.0 and b1 = ref 0.0 and b2 = ref 0.0 and b3 = ref 0.0 in
       for c = 0 to p - 1 do
-        let x = xj.(c) in
-        a0 := !a0 +. (minv.(row + c) *. x);
-        a1 := !a1 +. (minv.(row + p + c) *. x);
-        a2 := !a2 +. (minv.(row + (2 * p) + c) *. x);
-        a3 := !a3 +. (minv.(row + (3 * p) + c) *. x)
+        let u = x0.(c) and v = x1.(c) in
+        let m0 = minv.(row + c)
+        and m1 = minv.(row + p + c)
+        and m2 = minv.(row + (2 * p) + c)
+        and m3 = minv.(row + (3 * p) + c) in
+        a0 := !a0 +. (m0 *. u);
+        b0 := !b0 +. (m0 *. v);
+        a1 := !a1 +. (m1 *. u);
+        b1 := !b1 +. (m1 *. v);
+        a2 := !a2 +. (m2 *. u);
+        b2 := !b2 +. (m2 *. v);
+        a3 := !a3 +. (m3 *. u);
+        b3 := !b3 +. (m3 *. v)
       done;
-      mv.(jp + r0) <- !a0;
-      mv.(jp + r0 + 1) <- !a1;
-      mv.(jp + r0 + 2) <- !a2;
-      mv.(jp + r0 + 3) <- !a3;
+      mv.(p0 + r0) <- !a0;
+      mv.(p0 + r0 + 1) <- !a1;
+      mv.(p0 + r0 + 2) <- !a2;
+      mv.(p0 + r0 + 3) <- !a3;
+      mv.(p1 + r0) <- !b0;
+      mv.(p1 + r0 + 1) <- !b1;
+      mv.(p1 + r0 + 2) <- !b2;
+      mv.(p1 + r0 + 3) <- !b3;
       r := r0 + 4
     done;
     for r = !r to p - 1 do
-      let a = ref 0.0 in
+      let a = ref 0.0 and b = ref 0.0 in
       for c = 0 to p - 1 do
-        a := !a +. (minv.((r * p) + c) *. xj.(c))
+        let mrc = minv.((r * p) + c) in
+        a := !a +. (mrc *. x0.(c));
+        b := !b +. (mrc *. x1.(c))
       done;
-      mv.(jp + r) <- !a
+      mv.(p0 + r) <- !a;
+      mv.(p1 + r) <- !b
     done;
-    let dj = ref 0.0 in
+    let e0 = ref 0.0 and e1 = ref 0.0 in
     for c = 0 to p - 1 do
-      dj := !dj +. (xj.(c) *. mv.(jp + c))
+      e0 := !e0 +. (x0.(c) *. mv.(p0 + c));
+      e1 := !e1 +. (x1.(c) *. mv.(p1 + c))
     done;
-    d.(j) <- !dj
+    d.(j0) <- !e0;
+    d.(j1) <- !e1;
+    j := j0 + 2
   done
 
 (** Modified Fedorov exchange: for each design point in turn, consider
@@ -132,13 +158,16 @@ let d_optimal ?(sweeps = 3) ?(fixed = [||]) rng space ~n ~candidates =
       Array.append design (Array.init (n - Array.length design) (fun _ -> random_point rng space))
     else design
   in
-  let full design = Array.append fixed design in
   let p = dims space + 1 in
+  (* the main-effects rows of [fixed ++ design]; an accepted exchange
+     overwrites its design point's row *)
+  let x = main_rows (Array.append fixed design) in
+  let nfixed = Array.length fixed in
   let minv_flat = Array.make (p * p) 0.0 in
   let mv = Array.make (m * p) 0.0 and d = Array.make m 0.0 in
   (* M⁻¹ of the current design; refills [mv] and [d] from it *)
   let refresh () =
-    let minv = Mat.inverse (information_matrix (full design)) in
+    let minv = Mat.inverse (information x) in
     for r = 0 to p - 1 do
       for c = 0 to p - 1 do
         minv_flat.((r * p) + c) <- Mat.get minv r c
@@ -157,7 +186,7 @@ let d_optimal ?(sweeps = 3) ?(fixed = [||]) rng space ~n ~candidates =
   in
   (* per-sweep D-criterion trajectory: log det is O(p^3), negligible next
      to the exchange sweep itself, so the telemetry is always on *)
-  let logdet = ref (log_det_information (full design)) in
+  let logdet = ref (Mat.log_det (information x)) in
   let h_gain = Emc_obs.Metrics.histogram "doe.sweep_logdet_gain" in
   let exchanges = Emc_obs.Metrics.counter "doe.exchanges" in
   for sweep = 1 to sweeps do
@@ -181,11 +210,15 @@ let d_optimal ?(sweeps = 3) ?(fixed = [||]) rng space ~n ~candidates =
       done;
       if !best_j >= 0 then begin
         design.(i) <- Array.copy candidates.(!best_j);
+        let xj = cands.(!best_j) in
+        for c = 0 to p - 1 do
+          Mat.set x (nfixed + i) c xj.(c)
+        done;
         Emc_obs.Metrics.incr exchanges;
         minv := refresh ()
       end
     done;
-    let after = log_det_information (full design) in
+    let after = Mat.log_det (information x) in
     let gain = after -. !logdet in
     Emc_obs.Metrics.observe h_gain gain;
     Emc_obs.Log.debug ~src:"doe"

@@ -60,6 +60,21 @@ let mul_vec m v =
       done;
       !acc)
 
+(* xᵀv one row of [x] at a time: each column's sum adds its products over
+   the rows in order, as [mul_vec (transpose x) v] does, without building
+   the transpose. *)
+let tmul_vec x v =
+  if x.r <> Array.length v then invalid_arg "Mat.tmul_vec: dimension mismatch";
+  let c = x.c and a = x.a in
+  let out = Array.make c 0.0 in
+  for k = 0 to x.r - 1 do
+    let row = k * c and vk = v.(k) in
+    for j = 0 to c - 1 do
+      out.(j) <- out.(j) +. (a.(row + j) *. vk)
+    done
+  done;
+  out
+
 (* Four entries of row i at a time, each in its own accumulator: the sums
    are independent, so they overlap in the pipeline instead of queueing on
    one add, and each still adds its products over the rows k in order,
@@ -101,47 +116,50 @@ let gram x =
   done;
   g
 
-(* LU decomposition with partial pivoting, in place on a copy.
-   Returns (lu, perm, sign) or None if singular. *)
+(* LU decomposition with partial pivoting, in place on a copy, through row
+   offsets into the flat array. Returns (lu, perm, sign) or None if
+   singular. *)
 let lu_decompose m =
   if m.r <> m.c then invalid_arg "Mat: square matrix required";
   let n = m.r in
   let lu = copy m in
+  let a = lu.a in
   let perm = Array.init n Fun.id in
   let sign = ref 1.0 in
   let singular = ref false in
-  (try
-     for k = 0 to n - 1 do
-       (* pivot *)
-       let pivot = ref k in
-       for i = k + 1 to n - 1 do
-         if Float.abs (get lu i k) > Float.abs (get lu !pivot k) then pivot := i
-       done;
-       if !pivot <> k then begin
-         for j = 0 to n - 1 do
-           let tmp = get lu k j in
-           set lu k j (get lu !pivot j);
-           set lu !pivot j tmp
-         done;
-         let tmp = perm.(k) in
-         perm.(k) <- perm.(!pivot);
-         perm.(!pivot) <- tmp;
-         sign := -. !sign
-       end;
-       let pkk = get lu k k in
-       if Float.abs pkk < 1e-300 then begin
-         singular := true;
-         raise Exit
-       end;
-       for i = k + 1 to n - 1 do
-         let f = get lu i k /. pkk in
-         set lu i k f;
-         for j = k + 1 to n - 1 do
-           set lu i j (get lu i j -. (f *. get lu k j))
-         done
-       done
-     done
-   with Exit -> ());
+  let k = ref 0 in
+  while (not !singular) && !k < n do
+    let k0 = !k in
+    let rk = k0 * n in
+    let pivot = ref k0 in
+    for i = k0 + 1 to n - 1 do
+      if Float.abs a.((i * n) + k0) > Float.abs a.((!pivot * n) + k0) then pivot := i
+    done;
+    if !pivot <> k0 then begin
+      let rp = !pivot * n in
+      for j = 0 to n - 1 do
+        let tmp = a.(rk + j) in
+        a.(rk + j) <- a.(rp + j);
+        a.(rp + j) <- tmp
+      done;
+      let tmp = perm.(k0) in
+      perm.(k0) <- perm.(!pivot);
+      perm.(!pivot) <- tmp;
+      sign := -. !sign
+    end;
+    let pkk = a.(rk + k0) in
+    if Float.abs pkk < 1e-300 then singular := true
+    else
+      for i = k0 + 1 to n - 1 do
+        let ri = i * n in
+        let f = a.(ri + k0) /. pkk in
+        a.(ri + k0) <- f;
+        for j = k0 + 1 to n - 1 do
+          a.(ri + j) <- a.(ri + j) -. (f *. a.(rk + j))
+        done
+      done;
+    k := k0 + 1
+  done;
   if !singular then None else Some (lu, perm, !sign)
 
 let lu_det m =
@@ -168,71 +186,115 @@ let log_det m =
        with Exit -> d := neg_infinity);
       !d
 
-let lu_solve (lu, perm, _sign) b =
-  let n = lu.r in
-  let y = Array.make n 0.0 in
+(* Forward substitution into [x], then back substitution in place: the
+   cells each step reads are ones it has not overwritten yet. [b] is read
+   through the permutation, so [x] must not be [b]. *)
+let lu_solve (lu, perm, _sign) b x =
+  let n = lu.r and a = lu.a in
   for i = 0 to n - 1 do
+    let ri = i * n in
     let acc = ref b.(perm.(i)) in
     for j = 0 to i - 1 do
-      acc := !acc -. (get lu i j *. y.(j))
+      acc := !acc -. (a.(ri + j) *. x.(j))
     done;
-    y.(i) <- !acc
+    x.(i) <- !acc
   done;
-  let x = Array.make n 0.0 in
   for i = n - 1 downto 0 do
-    let acc = ref y.(i) in
+    let ri = i * n in
+    let acc = ref x.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (get lu i j *. x.(j))
+      acc := !acc -. (a.(ri + j) *. x.(j))
     done;
-    x.(i) <- !acc /. get lu i i
-  done;
-  x
+    x.(i) <- !acc /. a.(ri + i)
+  done
 
 let solve m b =
   if m.r <> Array.length b then invalid_arg "Mat.solve: dimension mismatch";
   match lu_decompose m with
   | None -> failwith "Mat.solve: singular matrix"
-  | Some lu -> lu_solve lu b
+  | Some lu ->
+      let x = Array.make m.r 0.0 in
+      lu_solve lu b x;
+      x
 
+(* One unit vector and one solution buffer serve every column. *)
 let inverse m =
   match lu_decompose m with
   | None -> failwith "Mat.inverse: singular matrix"
   | Some lu ->
       let n = m.r in
       let inv = create n n in
+      let e = Array.make n 0.0 and x = Array.make n 0.0 in
       for j = 0 to n - 1 do
-        let e = Array.make n 0.0 in
         e.(j) <- 1.0;
-        let x = lu_solve lu e in
+        lu_solve lu e x;
+        e.(j) <- 0.0;
         for i = 0 to n - 1 do
-          set inv i j x.(i)
+          inv.a.((i * n) + j) <- x.(i)
         done
       done;
       inv
 
+let not_positive_definite () = failwith "Mat.cholesky: matrix not positive definite"
+
 (* Row i of the factor reads rows <= i of [m] and rows < i of [l] only, so
-   the loop can start at any row whose predecessors are in place; each
-   entry subtracts its products over k in ascending order either way. *)
+   the loop can start at any row whose predecessors are in place. Rows
+   i and i + 1 are factored together: each load of row j feeds both rows'
+   sums, and row i's own loads also feed entry (i + 1, i) and the first i
+   products of row i + 1's diagonal. Every entry still starts from its
+   entry of [m] and subtracts its products over k in ascending order, so
+   its bits are those of a one-row loop. *)
 let cholesky_rows m l ~from ~upto =
   if m.r <> m.c || l.r <> m.r || l.c <> m.c then
     invalid_arg "Mat.cholesky_rows: square matrices of one size required";
   if from < 0 || from > upto || upto > m.r then invalid_arg "Mat.cholesky_rows: row range";
   let n = m.c and a = m.a and la = l.a in
-  for i = from to upto - 1 do
-    let ri = i * n in
-    for j = 0 to i do
+  let i = ref from in
+  while !i + 1 < upto do
+    let i0 = !i in
+    let r0 = i0 * n in
+    let r1 = r0 + n in
+    for j = 0 to i0 - 1 do
       let rj = j * n in
-      let acc = ref a.(ri + j) in
+      let s0 = ref a.(r0 + j) and s1 = ref a.(r1 + j) in
       for k = 0 to j - 1 do
-        acc := !acc -. (la.(ri + k) *. la.(rj + k))
+        let ljk = la.(rj + k) in
+        s0 := !s0 -. (la.(r0 + k) *. ljk);
+        s1 := !s1 -. (la.(r1 + k) *. ljk)
       done;
-      if i = j then begin
-        if !acc <= 0.0 then failwith "Mat.cholesky: matrix not positive definite";
-        la.(ri + i) <- sqrt !acc
-      end
-      else la.(ri + j) <- !acc /. la.(rj + j)
+      la.(r0 + j) <- !s0 /. la.(rj + j);
+      la.(r1 + j) <- !s1 /. la.(rj + j)
+    done;
+    let s0 = ref a.(r0 + i0) and s1 = ref a.(r1 + i0) and s2 = ref a.(r1 + i0 + 1) in
+    for k = 0 to i0 - 1 do
+      let l0 = la.(r0 + k) and l1 = la.(r1 + k) in
+      s0 := !s0 -. (l0 *. l0);
+      s1 := !s1 -. (l1 *. l0);
+      s2 := !s2 -. (l1 *. l1)
+    done;
+    if !s0 <= 0.0 then not_positive_definite ();
+    la.(r0 + i0) <- sqrt !s0;
+    let l10 = !s1 /. la.(r0 + i0) in
+    la.(r1 + i0) <- l10;
+    let s2 = !s2 -. (l10 *. l10) in
+    if s2 <= 0.0 then not_positive_definite ();
+    la.(r1 + i0 + 1) <- sqrt s2;
+    i := i0 + 2
+  done;
+  if !i < upto then begin
+    let i0 = !i in
+    let r0 = i0 * n in
+    for j = 0 to i0 do
+      let rj = j * n in
+      let s = ref a.(r0 + j) in
+      for k = 0 to j - 1 do
+        s := !s -. (la.(r0 + k) *. la.(rj + k))
+      done;
+      if j < i0 then la.(r0 + j) <- !s /. la.(rj + j)
+      else if !s <= 0.0 then not_positive_definite ()
+      else la.(r0 + i0) <- sqrt !s
     done
-  done
+  end
 
 let cholesky m =
   if m.r <> m.c then invalid_arg "Mat.cholesky: square matrix required";

@@ -3,9 +3,12 @@
     Sized for the regression pipeline: a few hundred rows (design points) by a
     few hundred columns (model terms). All operations are straightforward
     O(n^3)-or-better dense algorithms with partial pivoting where relevant.
-    The Cholesky loop indexes the flat array through row offsets, and it can
-    resume at a row of a partly computed factor: MARS extends its accepted
-    columns' factor by each candidate's rows instead of factoring anew. *)
+    The LU and Cholesky loops index the flat array through row offsets. The
+    Cholesky loop factors two rows per pass, and it can resume at a row of a
+    partly computed factor: MARS extends its accepted columns' factor by
+    each candidate's rows instead of factoring anew. A blocked loop shares
+    loads between sums, but every sum adds the products of a one-entry loop
+    in its order, so no result depends on the blocking. *)
 
 type t
 
@@ -26,6 +29,11 @@ val mul : t -> t -> t
 val add : t -> t -> t
 val scale : float -> t -> t
 val mul_vec : t -> float array -> float array
+
+val tmul_vec : t -> float array -> float array
+(** [tmul_vec x v] is [xᵀv] without building the transpose: each entry adds
+    its products over the rows of [x] in order, so it has the bits of
+    [mul_vec (transpose x) v]. *)
 
 val gram : t -> t
 (** [gram x] is [xᵀx], computed symmetrically. Each entry adds its products
@@ -55,9 +63,12 @@ val cholesky_rows : t -> t -> from:int -> upto:int -> unit
     Cholesky factor of [a]'s leading [upto × upto] block into the lower
     triangle of [l], reading the factor's rows [0 .. from-1] from [l]. Row i
     of a factor depends only on rows [<= i] of the matrix, so the rows it
-    writes have the bits of a factorization from row 0. [a] and [l] are
-    square of one size. Raises [Failure] if the block is not positive
-    definite; the rows up to the failing one are then written. *)
+    writes have the bits of a factorization from row 0. Rows of [l] outside
+    [from .. upto-1] are not written. [a] and [l] are square of one size.
+    Raises [Failure] if the block is not positive definite; the rows before
+    the failing one and the failing row's entries left of its diagonal are
+    then written, and the row after it, which the loop factors in the same
+    pass, may hold entries too. *)
 
 val cholesky_solve : t -> int -> float array -> float array -> unit
 (** [cholesky_solve l n b x] solves [L Lᵀ x = b] for the leading [n × n]

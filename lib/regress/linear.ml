@@ -43,7 +43,7 @@ let fit ?(interactions = true) ?(names = [||]) (d : Dataset.t) : Model.t =
     for i = 0 to p - 1 do
       Mat.set g i i (Mat.get g i i +. (ridge *. float_of_int (Dataset.size d)))
     done;
-    let rhs = Mat.mul_vec (Mat.transpose xmat) d_std.Dataset.y in
+    let rhs = Mat.tmul_vec xmat d_std.Dataset.y in
     try Mat.solve_spd g rhs with Failure _ -> Mat.lstsq xmat d_std.Dataset.y
   in
   let fnames = feature_names ~interactions names in

@@ -77,27 +77,64 @@ let normal ~cap y =
     p = Array.make n 0.0;
   }
 
-(* the normal equations of the column stored in slot [i]: its i + 2 new
-   dot products *)
-let store_col ne i =
-  let c = ne.cols.(i) and g = ne.gram.(i) in
-  for j = 0 to i do
-    g.(j) <- dot ne.cols.(j) c
-  done;
-  ne.xty.(i) <- dot c ne.y
-
 (* The reflected pair [parent · max(0, ±(x_dim − knot))] into slots [at]
-   and [at + 1]. *)
+   and [at + 1], with their normal equations. The pass that fills the two
+   columns also sums their products with each other and with y; each
+   later pass over the rows takes two stored columns and gives four Gram
+   entries. Every entry is [dot] of its two columns, its products added
+   over the rows in order. *)
 let store_pair ne x ~parent ~dim ~knot ~at =
   let pc = ne.cols.(parent) and c1 = ne.cols.(at) and c2 = ne.cols.(at + 1) in
-  for r = 0 to Array.length pc - 1 do
+  let y = ne.y and g1 = ne.gram.(at) and g2 = ne.gram.(at + 1) in
+  let n = Array.length pc in
+  let s11 = ref 0.0 and s21 = ref 0.0 and s22 = ref 0.0 and t1 = ref 0.0 and t2 = ref 0.0 in
+  for r = 0 to n - 1 do
     let pv = pc.(r) and xd = x.(r).(dim) in
     let v1 = xd -. knot and v2 = knot -. xd in
-    c1.(r) <- (if v1 > 0.0 then pv *. v1 else 0.0);
-    c2.(r) <- (if v2 > 0.0 then pv *. v2 else 0.0)
+    let a = if v1 > 0.0 then pv *. v1 else 0.0 in
+    let b = if v2 > 0.0 then pv *. v2 else 0.0 in
+    c1.(r) <- a;
+    c2.(r) <- b;
+    s11 := !s11 +. (a *. a);
+    s21 := !s21 +. (a *. b);
+    s22 := !s22 +. (b *. b);
+    t1 := !t1 +. (a *. y.(r));
+    t2 := !t2 +. (b *. y.(r))
   done;
-  store_col ne at;
-  store_col ne (at + 1)
+  let j = ref 0 in
+  while !j + 1 < at do
+    let j0 = !j in
+    let ca = ne.cols.(j0) and cb = ne.cols.(j0 + 1) in
+    let a1 = ref 0.0 and b1 = ref 0.0 and a2 = ref 0.0 and b2 = ref 0.0 in
+    for r = 0 to n - 1 do
+      let u = ca.(r) and v = cb.(r) and e1 = c1.(r) and e2 = c2.(r) in
+      a1 := !a1 +. (u *. e1);
+      b1 := !b1 +. (v *. e1);
+      a2 := !a2 +. (u *. e2);
+      b2 := !b2 +. (v *. e2)
+    done;
+    g1.(j0) <- !a1;
+    g1.(j0 + 1) <- !b1;
+    g2.(j0) <- !a2;
+    g2.(j0 + 1) <- !b2;
+    j := j0 + 2
+  done;
+  if !j < at then begin
+    let cj = ne.cols.(!j) in
+    let a1 = ref 0.0 and a2 = ref 0.0 in
+    for r = 0 to n - 1 do
+      let u = cj.(r) in
+      a1 := !a1 +. (u *. c1.(r));
+      a2 := !a2 +. (u *. c2.(r))
+    done;
+    g1.(!j) <- !a1;
+    g2.(!j) <- !a2
+  end;
+  g1.(at) <- !s11;
+  g2.(at) <- !s21;
+  g2.(at + 1) <- !s22;
+  ne.xty.(at) <- !t1;
+  ne.xty.(at + 1) <- !t2
 
 (* Least squares on the columns [idx] (ascending). Rows [from ..] of the
    system and of its factor are built here; rows below [from] must be
@@ -123,15 +160,25 @@ let solve ne ~from idx =
         w.(i) <- ne.xty.(idx.(i))
       done;
       Mat.cholesky_solve ne.chol m w w;
-      (* every prediction sums its terms in column order, walking each
-         column contiguously *)
+      (* every prediction sums its terms in column order, two columns per
+         pass, walking each column contiguously *)
       Array.fill p 0 (Array.length p) 0.0;
-      for i = 0 to m - 1 do
-        let col = ne.cols.(idx.(i)) and wi = w.(i) in
+      let i = ref 0 in
+      while !i + 1 < m do
+        let i0 = !i in
+        let ca = ne.cols.(idx.(i0)) and cb = ne.cols.(idx.(i0 + 1)) in
+        let wa = w.(i0) and wb = w.(i0 + 1) in
+        for r = 0 to Array.length p - 1 do
+          p.(r) <- p.(r) +. (wa *. ca.(r)) +. (wb *. cb.(r))
+        done;
+        i := i0 + 2
+      done;
+      if !i < m then begin
+        let col = ne.cols.(idx.(!i)) and wi = w.(!i) in
         for r = 0 to Array.length p - 1 do
           p.(r) <- p.(r) +. (wi *. col.(r))
         done
-      done;
+      end;
       let sse = ref 0.0 in
       for r = 0 to Array.length y - 1 do
         let e = p.(r) -. y.(r) in
@@ -162,8 +209,10 @@ let fit ?(max_terms = 23) ?(max_degree = 2) ?(names = [||]) (d : Dataset.t) : Mo
   let ne = normal ~cap d_std.Dataset.y in
   let bases = Array.make cap ([] : basis) in
   (* the intercept *)
-  Array.fill ne.cols.(0) 0 n 1.0;
-  store_col ne 0;
+  let one = ne.cols.(0) in
+  Array.fill one 0 n 1.0;
+  ne.gram.(0).(0) <- dot one one;
+  ne.xty.(0) <- dot one ne.y;
   let m = ref 1 in
   let knots = Array.init k (fun dim -> Array.of_list (knot_candidates d_std dim)) in
   (* ---------- forward pass ---------- *)

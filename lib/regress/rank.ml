@@ -15,13 +15,6 @@
 
 let technique = "rank-pairwise"
 
-let[@inline] dot beta row =
-  let acc = ref 0.0 in
-  for i = 0 to Array.length row - 1 do
-    acc := !acc +. (row.(i) *. beta.(i))
-  done;
-  !acc
-
 let fit ?(interactions = true) ?(epochs = 60) ?(lr = 0.05) ?pairs_per_epoch ?(names = [||])
     ~rng (d : Dataset.t) : Model.t =
   let n = Dataset.size d in
@@ -32,6 +25,13 @@ let fit ?(interactions = true) ?(epochs = 60) ?(lr = 0.05) ?pairs_per_epoch ?(na
   let pairs_per_epoch = match pairs_per_epoch with Some m -> m | None -> 4 * n in
   let beta = Array.make p 0.0 in
   let y = d.Dataset.y in
+  (* An accepted pair's update waits for the next accepted pair: one pass
+     over beta applies it and computes the next pair's two scores from the
+     updated entries, each score summing its products in feature order.
+     Until a pair is accepted the pending update is a zero step over zero
+     rows, which adds +0 to entries that are all +0: no bit changes. *)
+  let zero = Array.make p 0.0 in
+  let step = ref 0.0 and uh = ref zero and ul = ref zero in
   for _ = 1 to epochs do
     for _ = 1 to pairs_per_epoch do
       let i = Emc_util.Rng.int rng n and j = Emc_util.Rng.int rng n in
@@ -40,15 +40,25 @@ let fit ?(interactions = true) ?(epochs = 60) ?(lr = 0.05) ?pairs_per_epoch ?(na
       let c = Metrics.nan_last y.(i) y.(j) in
       if i <> j && (not (Float.is_nan y.(i))) && (not (Float.is_nan y.(j))) && c <> 0 then begin
         let lo, hi = if c < 0 then (i, j) else (j, i) in
-        let s = dot beta rows.(hi) -. dot beta rows.(lo) in
-        let g = 1.0 /. (1.0 +. exp s) in
-        let step = lr *. g in
         let rh = rows.(hi) and rl = rows.(lo) in
+        let st = !step and ph = !uh and pl = !ul in
+        let sh = ref 0.0 and sl = ref 0.0 in
         for f = 0 to p - 1 do
-          beta.(f) <- beta.(f) +. (step *. (rh.(f) -. rl.(f)))
-        done
+          let b = beta.(f) +. (st *. (ph.(f) -. pl.(f))) in
+          beta.(f) <- b;
+          sh := !sh +. (rh.(f) *. b);
+          sl := !sl +. (rl.(f) *. b)
+        done;
+        let g = 1.0 /. (1.0 +. exp (!sh -. !sl)) in
+        step := lr *. g;
+        uh := rh;
+        ul := rl
       end
     done
+  done;
+  let st = !step and ph = !uh and pl = !ul in
+  for f = 0 to p - 1 do
+    beta.(f) <- beta.(f) +. (st *. (ph.(f) -. pl.(f)))
   done;
   let fnames = Linear.feature_names ~interactions names in
   let terms =

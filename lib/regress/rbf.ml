@@ -70,7 +70,7 @@ let fit_weights kernel (d : Dataset.t) centers =
   for i = 0 to c do
     Mat.set g i i (Mat.get g i i +. ridge)
   done;
-  let rhs = Mat.mul_vec (Mat.transpose phi) d.Dataset.y in
+  let rhs = Mat.tmul_vec phi d.Dataset.y in
   try Mat.solve_spd g rhs with Failure _ -> Mat.lstsq phi d.Dataset.y
 
 (* Candidate center counts tried by BIC for a given training-set size. *)

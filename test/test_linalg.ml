@@ -161,72 +161,211 @@ let prop_transpose_mul =
         (Mat.transpose (Mat.mul a b))
         (Mat.mul (Mat.transpose b) (Mat.transpose a)))
 
-(* [gram] adds four entries at a time; each must keep the bits of a
-   one-entry loop that adds its products over the rows in order. The
-   entries are random doubles, so the sums round, and c runs below and
-   across every residue mod 4. *)
+(* [gram] adds four entries at a time, and [tmul_vec] walks [x] a row at
+   a time; each entry must keep the bits of a one-entry loop that adds its
+   products over the rows in order. The entries are random doubles, so the
+   sums round, and c runs below and across every residue mod 4. *)
 let prop_gram_bits =
   QCheck.Test.make ~name:"gram matches a one-entry loop bit for bit" ~count:200
     QCheck.(triple (int_range 1 40) (int_range 1 13) (int_range 0 10_000))
     (fun (r, c, seed) ->
       let rng = Emc_util.Rng.create seed in
       let x = random_mat rng r c in
-      let g = Mat.gram x in
-      let same = ref true in
+      let v = Array.init r (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0) in
+      let g = Mat.gram x and xtv = Mat.tmul_vec x v in
+      let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+      let ok = ref true in
       for i = 0 to c - 1 do
         for j = 0 to c - 1 do
           let acc = ref 0.0 in
           for k = 0 to r - 1 do
             acc := !acc +. (Mat.get x k i *. Mat.get x k j)
           done;
-          if Int64.bits_of_float (Mat.get g i j) <> Int64.bits_of_float !acc then same := false
-        done
+          if not (same (Mat.get g i j) !acc) then ok := false
+        done;
+        let acc = ref 0.0 in
+        for k = 0 to r - 1 do
+          acc := !acc +. (Mat.get x k i *. v.(k))
+        done;
+        if not (same xtv.(i) !acc) then ok := false
       done;
-      !same)
+      !ok)
 
-(* The factor's rows, each entry from [Mat.get], subtracting its products
-   over k in ascending order: the loop [Mat.cholesky_rows] must equal bit
-   for bit, whether it starts at row 0 or resumes after a prefix of k rows
-   copied from this reference. *)
-let reference_cholesky a n =
-  let l = Array.make_matrix n n 0.0 in
-  for i = 0 to n - 1 do
+(* The one-row loop over [Mat.get] and [Mat.set]: each entry starts from
+   its entry of [a] and subtracts its products over k in ascending order,
+   and a diagonal that is not positive raises before it is written. The
+   loop [Mat.cholesky_rows] runs, two rows per pass, must write the same
+   bits. *)
+let reference_cholesky_rows a l ~from ~upto =
+  for i = from to upto - 1 do
     for j = 0 to i do
       let acc = ref (Mat.get a i j) in
       for k = 0 to j - 1 do
-        acc := !acc -. (l.(i).(k) *. l.(j).(k))
+        acc := !acc -. (Mat.get l i k *. Mat.get l j k)
       done;
-      l.(i).(j) <- (if i = j then sqrt !acc else !acc /. l.(j).(j))
+      if j < i then Mat.set l i j (!acc /. Mat.get l j j)
+      else if !acc <= 0.0 then failwith "Mat.cholesky: matrix not positive definite"
+      else Mat.set l i i (sqrt !acc)
     done
-  done;
-  l
+  done
 
+let same_bits ?(skip = -1) n x y =
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    if i <> skip then
+      for j = 0 to n - 1 do
+        if Int64.bits_of_float (Mat.get x i j) <> Int64.bits_of_float (Mat.get y i j) then
+          ok := false
+      done
+  done;
+  !ok
+
+(* Blocks [from, upto) of every length, so of both parities, from any
+   start row, and MARS's two-row extension [~from:m ~upto:(m + 2)]. The
+   factor starts with the reference's rows below [from] and random values
+   everywhere else, which both loops must leave as they are outside their
+   rows. A block whose row f has a negative diagonal raises the same
+   [Failure] after the same writes; only row f + 1, which the blocked loop
+   factors in the same pass as row f, may differ. *)
 let prop_cholesky_resume_bits =
   QCheck.Test.make ~name:"cholesky from row 0 and resumed matches a get loop bit for bit"
-    ~count:200
-    QCheck.(triple (int_range 1 40) (int_range 0 40) (int_range 0 10_000))
-    (fun (n, k, seed) ->
-      let k = k mod (n + 1) in
-      let a = random_spd (Emc_util.Rng.create seed) n in
-      let want = reference_cholesky a n in
-      let same l =
-        let ok = ref true in
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            let w = if j <= i then want.(i).(j) else 0.0 in
-            if Int64.bits_of_float (Mat.get l i j) <> Int64.bits_of_float w then ok := false
+    ~count:300
+    QCheck.(quad (int_range 1 40) (int_range 0 40) (int_range 0 40) (int_range 0 10_000))
+    (fun (n, from, len, seed) ->
+      let from = from mod (n + 1) in
+      let upto = from + (len mod (n - from + 1)) in
+      let rng = Emc_util.Rng.create seed in
+      let a = random_spd rng n in
+      let want = Mat.create n n in
+      reference_cholesky_rows a want ~from:0 ~upto:n;
+      let agree ?skip a ~from ~upto =
+        let junk = random_mat rng n n in
+        let start () =
+          Mat.init n n (fun i j -> Mat.get (if i < from && j <= i then want else junk) i j)
+        in
+        let got = start () and expected = start () in
+        let outcome f = match f () with () -> None | exception Failure e -> Some e in
+        let e = outcome (fun () -> Mat.cholesky_rows a got ~from ~upto) in
+        e = outcome (fun () -> reference_cholesky_rows a expected ~from ~upto)
+        && (skip = None || e = Some "Mat.cholesky: matrix not positive definite")
+        && same_bits ?skip n got expected
+      in
+      let m = max 0 (min from (n - 2)) in
+      same_bits n (Mat.cholesky a) want
+      && agree a ~from ~upto
+      && (n < 2 || agree a ~from:m ~upto:(m + 2))
+      && (upto = from
+         ||
+         let f = from + (seed mod (upto - from)) in
+         let bad = Mat.init n n (fun i j -> if i = f && j = f then -1.0 else Mat.get a i j) in
+         agree ~skip:(f + 1) bad ~from ~upto))
+
+(* LU with partial pivoting over [Mat.get] and [Mat.set], and its two
+   triangular solves into fresh arrays: [Mat.inverse], [Mat.solve],
+   [Mat.log_det] and [Mat.lu_det] must give its bits. *)
+let reference_lu a n =
+  let lu = Mat.init n n (Mat.get a) in
+  let perm = Array.init n Fun.id and sign = ref 1.0 in
+  let rec step k =
+    if k = n then Some (lu, perm, !sign)
+    else begin
+      let pivot = ref k in
+      for i = k + 1 to n - 1 do
+        if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !pivot k) then pivot := i
+      done;
+      if !pivot <> k then begin
+        for j = 0 to n - 1 do
+          let t = Mat.get lu k j in
+          Mat.set lu k j (Mat.get lu !pivot j);
+          Mat.set lu !pivot j t
+        done;
+        let t = perm.(k) in
+        perm.(k) <- perm.(!pivot);
+        perm.(!pivot) <- t;
+        sign := -. !sign
+      end;
+      let pkk = Mat.get lu k k in
+      if Float.abs pkk < 1e-300 then None
+      else begin
+        for i = k + 1 to n - 1 do
+          let f = Mat.get lu i k /. pkk in
+          Mat.set lu i k f;
+          for j = k + 1 to n - 1 do
+            Mat.set lu i j (Mat.get lu i j -. (f *. Mat.get lu k j))
           done
         done;
-        !ok
-      in
-      let resumed = Mat.create n n in
-      for i = 0 to k - 1 do
-        for j = 0 to i do
-          Mat.set resumed i j want.(i).(j)
-        done
-      done;
-      Mat.cholesky_rows a resumed ~from:k ~upto:n;
-      same (Mat.cholesky a) && same resumed)
+        step (k + 1)
+      end
+    end
+  in
+  step 0
+
+let reference_lu_solve lu perm n b =
+  let y = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    let acc = ref b.(perm.(i)) in
+    for j = 0 to i - 1 do
+      acc := !acc -. (Mat.get lu i j *. y.(j))
+    done;
+    y.(i) <- !acc
+  done;
+  let x = Array.make n 0.0 in
+  for i = n - 1 downto 0 do
+    let acc = ref y.(i) in
+    for j = i + 1 to n - 1 do
+      acc := !acc -. (Mat.get lu i j *. x.(j))
+    done;
+    x.(i) <- !acc /. Mat.get lu i i
+  done;
+  x
+
+(* Dense random matrices, ones with a zero diagonal (a row swap at the
+   first step), a cyclic row shift of a diagonal (a swap at every step),
+   and singular ones: a repeated row, or a zero column. *)
+let lu_case kind n rng =
+  let r = random_mat rng n n in
+  match kind with
+  | 0 -> r
+  | 1 -> Mat.init n n (fun i j -> if i = j then 0.0 else Mat.get r i j)
+  | 2 ->
+      Mat.init n n (fun i j ->
+          if j = (i + 1) mod n then 1.0 +. Float.abs (Mat.get r i j) else 0.0)
+  | 3 -> Mat.init n n (fun i j -> Mat.get r (if i = n - 1 then 0 else i) j)
+  | _ -> Mat.init n n (fun i j -> if j = n / 2 then 0.0 else Mat.get r i j)
+
+let prop_lu_bits =
+  QCheck.Test.make ~name:"inverse, solve and log det match a get-indexed LU bit for bit"
+    ~count:300
+    QCheck.(triple (int_range 1 30) (int_range 0 4) (int_range 0 10_000))
+    (fun (n, kind, seed) ->
+      let rng = Emc_util.Rng.create seed in
+      let a = lu_case kind n rng in
+      let b = Array.init n (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0) in
+      let bits = Int64.bits_of_float in
+      let raises text f = match f () with _ -> false | exception Failure e -> e = text in
+      match reference_lu a n with
+      | None ->
+          raises "Mat.inverse: singular matrix" (fun () -> Mat.inverse a)
+          && raises "Mat.solve: singular matrix" (fun () -> Mat.solve a b)
+          && Mat.log_det a = neg_infinity
+          && bits (Mat.lu_det a) = bits 0.0
+      | Some (lu, perm, sign) ->
+          let inv = Mat.create n n in
+          for j = 0 to n - 1 do
+            let e = Array.init n (fun i -> if i = j then 1.0 else 0.0) in
+            Array.iteri (fun i v -> Mat.set inv i j v) (reference_lu_solve lu perm n e)
+          done;
+          let log_det = ref 0.0 and det = ref sign in
+          for i = 0 to n - 1 do
+            log_det := !log_det +. log (Float.abs (Mat.get lu i i));
+            det := !det *. Mat.get lu i i
+          done;
+          same_bits n (Mat.inverse a) inv
+          && Array.for_all2
+               (fun x y -> bits x = bits y)
+               (Mat.solve a b) (reference_lu_solve lu perm n b)
+          && bits (Mat.log_det a) = bits !log_det
+          && bits (Mat.lu_det a) = bits !det)
 
 let suite =
   [
@@ -251,4 +390,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_transpose_mul;
     QCheck_alcotest.to_alcotest prop_gram_bits;
     QCheck_alcotest.to_alcotest prop_cholesky_resume_bits;
+    QCheck_alcotest.to_alcotest prop_lu_bits;
   ]

@@ -332,6 +332,59 @@ let test_linear_rbf_bits_pinned () =
                   List.concat_map Array.to_list (Array.to_list centers) ]))
   | _ -> Alcotest.fail "Rbf.fit did not return an RBF repr"
 
+(* [Rank.fit]'s gradient ascent as three passes per accepted pair: the two
+   scores, each a dot product in feature order, then the update. The fit
+   carries each update into the next pair's scoring pass and applies the
+   last one after the final epoch; both must give these bits. Responses
+   come from three values and NaN, so pairs are skipped for ties and for
+   NaN, and odd pair counts with one epoch end on a pending update. *)
+let reference_rank ~interactions ~epochs ~pairs_per_epoch ~rng (d : Dataset.t) =
+  let n = Dataset.size d in
+  let rows = Array.map (Repr.expand ~interactions) d.Dataset.x in
+  let beta = Array.make (Repr.n_features ~interactions (Dataset.dims d)) 0.0 in
+  let y = d.Dataset.y in
+  let dot row =
+    let acc = ref 0.0 in
+    Array.iteri (fun f v -> acc := !acc +. (v *. beta.(f))) row;
+    !acc
+  in
+  for _ = 1 to epochs do
+    for _ = 1 to pairs_per_epoch do
+      let i = Emc_util.Rng.int rng n and j = Emc_util.Rng.int rng n in
+      let c = Metrics.nan_last y.(i) y.(j) in
+      if i <> j && (not (Float.is_nan y.(i))) && (not (Float.is_nan y.(j))) && c <> 0 then begin
+        let lo, hi = if c < 0 then (i, j) else (j, i) in
+        let s = dot rows.(hi) -. dot rows.(lo) in
+        let step = 0.05 *. (1.0 /. (1.0 +. exp s)) in
+        let rh = rows.(hi) and rl = rows.(lo) in
+        Array.iteri (fun f b -> beta.(f) <- b +. (step *. (rh.(f) -. rl.(f)))) beta
+      end
+    done
+  done;
+  beta
+
+let prop_rank_fit_bits =
+  QCheck.Test.make ~name:"rank fit matches a three-pass loop bit for bit" ~count:200
+    QCheck.(quad (int_range 2 30) (int_range 1 3) (int_range 0 20) (int_range 0 10_000))
+    (fun (n, epochs, half, seed) ->
+      let rng = Emc_util.Rng.create seed in
+      let k = 1 + (seed mod 4) and interactions = seed mod 3 <> 0 in
+      let x = Array.init n (fun _ -> Array.init k (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0)) in
+      let y =
+        Array.init n (fun _ -> [| 1.0; 2.0; 3.0; Float.nan |].(Emc_util.Rng.int rng 4))
+      in
+      let d = Dataset.create x y and pairs_per_epoch = (2 * half) + 1 in
+      let want =
+        reference_rank ~interactions ~epochs ~pairs_per_epoch ~rng:(Emc_util.Rng.create seed) d
+      in
+      match
+        (Rank.fit ~interactions ~epochs ~pairs_per_epoch ~rng:(Emc_util.Rng.create seed) d)
+          .Model.repr
+      with
+      | Some (Repr.Rank { beta; _ }) ->
+          Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b) beta want
+      | _ -> false)
+
 (* ---------------- effects ---------------- *)
 
 let test_effects_of_linear_model () =
@@ -555,4 +608,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_spearman_permutation_invariant;
     ("rank fit bits are pinned", `Quick, test_rank_bits_pinned);
     ("linear and rbf fit bits are pinned", `Quick, test_linear_rbf_bits_pinned);
+    QCheck_alcotest.to_alcotest prop_rank_fit_bits;
   ]
