@@ -326,9 +326,33 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
       ( "measure/compile-O3",
         fun () ->
           Staged.stage (fun () ->
-              let ir = Emc_lang.Minic.compile_exn gzip.Workload.source in
-              let opt = Emc_opt.Pipeline.optimize ~issue_width:4 Emc_opt.Flags.o3 ir in
-              ignore (Emc_codegen.Codegen.emit_program ~omit_frame_pointer:true opt)) );
+              ignore
+                (Emc_codegen.Compiler.compile_source ~issue_width:4 Emc_opt.Flags.o3
+                   gzip.Workload.source)) );
+      (* both halves of -fschedule-insns2 alone on gzip at O3: the pre-RA
+         pass over the O3 IR built with scheduling off, and the post-RA pass
+         over the unscheduled machine code of the O3 IR. Each call first
+         puts both inputs back: the blocks' saved instruction lists, and a
+         blit of the saved machine code *)
+      ( "measure/compile-schedule-O3",
+        fun () ->
+          let o3 = Emc_opt.Flags.o3 in
+          let unscheduled = { o3 with Emc_opt.Flags.schedule_insns2 = false } in
+          let optimize flags =
+            Emc_opt.Pipeline.optimize ~issue_width:4 flags
+              (Emc_lang.Minic.compile_exn gzip.Workload.source)
+          in
+          let ir = optimize unscheduled in
+          let blocks = List.concat_map (fun (_, f) -> Array.to_list f.Emc_ir.Ir.blocks) ir.funcs in
+          let instrs = List.map (fun (b : Emc_ir.Ir.block) -> b.instrs) blocks in
+          let prog = Emc_codegen.Compiler.emit ~issue_width:4 unscheduled (optimize o3) in
+          let insts = Array.copy prog.Emc_isa.Isa.insts in
+          let machine = Emc_isa.Isa.machine_for_width 4 in
+          Staged.stage (fun () ->
+              List.iter2 (fun (b : Emc_ir.Ir.block) is -> b.instrs <- is) blocks instrs;
+              ignore (Emc_opt.Sched.run ~issue_width:4 ir);
+              Array.blit insts 0 prog.insts 0 (Array.length insts);
+              ignore (Emc_codegen.Postsched.run machine prog)) );
       ( "measure/simulate-50k-instrs",
         fun () ->
           let prog = Lazy.force prog and inputs = Lazy.force arrays in

@@ -235,7 +235,7 @@ let compile_cmd =
     Arg.(value & flag & info [ "dump-ir" ] ~doc:"Print the optimized IR.")
   in
   let dump_asm =
-    Arg.(value & flag & info [ "dump-asm" ] ~doc:"Print the generated machine code.")
+    Arg.(value & flag & info [ "dump-asm" ] ~doc:"Print the machine code that is simulated.")
   in
   let run (w : Workload.t) (level, flags) dump_ir dump_asm trace metrics =
     with_obs trace metrics (fun () ->
@@ -248,7 +248,7 @@ let compile_cmd =
         let after = Emc_ir.Ir.instr_count opt in
         let prog =
           Emc_obs.Trace.with_span ~cat:"compile" "codegen" (fun () ->
-              Emc_codegen.Codegen.emit_program ~omit_frame_pointer:flags.omit_frame_pointer opt)
+              Emc_codegen.Compiler.emit ~issue_width:4 flags opt)
         in
         Printf.printf "%s at %s: IR %d -> %d instrs; machine code %d instrs (%d bytes)\n" w.name
           level before after

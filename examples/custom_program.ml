@@ -53,11 +53,7 @@ let () =
   List.iter
     (fun (name, flags) ->
       (* middle end + backend *)
-      let opt = Emc_opt.Pipeline.optimize ~issue_width:4 flags ir in
-      let prog =
-        Emc_codegen.Codegen.emit_program
-          ~omit_frame_pointer:flags.Emc_opt.Flags.omit_frame_pointer opt
-      in
+      let prog = Emc_codegen.Compiler.compile ~issue_width:4 flags ir in
       (* functional check against the interpreter *)
       let f = Emc_sim.Func.create prog in
       let dyn = Emc_sim.Func.run f in

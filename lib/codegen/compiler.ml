@@ -1,16 +1,21 @@
-(** One-call compiler driver: IR optimization pipeline (Table-1 flags), code
-    generation, and post-register-allocation scheduling (the second half of
-    -fschedule-insns2), parameterized by the machine description implied by
-    the target's issue width — the paper's "one gcc build per functional-unit
-    configuration". *)
+(** The compiler back end, the one way to build machine code: IR
+    optimization (Table-1 flags), code generation, and post-register-
+    allocation scheduling (the second half of -fschedule-insns2),
+    parameterized by the machine description implied by the target's issue
+    width — the paper's "one gcc build per functional-unit configuration". *)
 
-let compile ?(issue_width = 4) (flags : Emc_opt.Flags.t) (ir : Emc_ir.Ir.program) :
+(** Machine code for IR that {!Emc_opt.Pipeline.optimize} already optimized
+    under [flags] at [issue_width]. *)
+let emit ?(issue_width = 4) (flags : Emc_opt.Flags.t) (opt : Emc_ir.Ir.program) :
     Emc_isa.Isa.program =
-  let opt = Emc_opt.Pipeline.optimize ~issue_width flags ir in
   let prog = Codegen.emit_program ~omit_frame_pointer:flags.omit_frame_pointer opt in
-  if flags.schedule_insns2 then
-    Postsched.run (Emc_isa.Isa.machine_for_width issue_width) prog
+  if flags.schedule_insns2 then Postsched.run (Emc_isa.Isa.machine_for_width issue_width) prog
   else prog
+
+(** {!Emc_opt.Pipeline.optimize}, then {!emit}: the binary [flags] build for
+    [issue_width]. *)
+let compile ?(issue_width = 4) flags ir =
+  emit ~issue_width flags (Emc_opt.Pipeline.optimize ~issue_width flags ir)
 
 (** Compile MiniC source text directly. *)
 let compile_source ?issue_width flags src =

@@ -4,13 +4,13 @@ open Isa
 (** Post-register-allocation scheduling: the second half of gcc's
     -fschedule-insns2 ("perform before and after register allocation").
 
-    Operates on straight-line runs of machine instructions between branch
-    targets and control transfers. The dependence DAG is built over physical
-    registers (true, anti and output dependences) and memory (stores and
-    calls are barriers; loads may reorder among themselves); list scheduling
-    then re-emits by critical-path priority under the machine's
-    functional-unit constraints. Unlike the pre-RA pass this sees spill code
-    and the prologue/epilogue moves, recovering some of the parallelism the
+    Operates on straight-line runs of 3–299 machine instructions between
+    branch targets and control transfers, through the list scheduler the
+    pre-RA half uses ({!Emc_opt.Sched.list_schedule}): dependences over
+    physical registers, the ISA's latencies, and the machine's
+    functional-unit counts as per-class caps. A store follows every earlier
+    memory op with no delay. Unlike the pre-RA pass this sees spill code and
+    the prologue/epilogue moves, recovering some of the parallelism the
     allocator serialized. *)
 
 let is_barrier op =
@@ -18,111 +18,35 @@ let is_barrier op =
   | BEQZ | BNEZ | J | CALL | RET | HALT | OUT -> true
   | _ -> false
 
-(* registers read / written by a machine instruction *)
-let reads (i : inst) =
-  let r = ref [] in
-  if i.rs1 >= 0 then r := i.rs1 :: !r;
-  if i.rs2 >= 0 then r := i.rs2 :: !r;
-  !r
+let mem_of op =
+  if is_store op then Emc_opt.Sched.Store
+  else if is_mem op then Emc_opt.Sched.Load
+  else Emc_opt.Sched.Not_mem
 
-let writes (i : inst) = if i.rd >= 0 then [ i.rd ] else []
-
-let schedule_run (machine : machine) (insts : inst array) lo hi =
+let schedule_run (machine : machine) caps (insts : inst array) lo hi =
   let n = hi - lo in
   if n > 2 && n < 300 then begin
     let sub = Array.sub insts lo n in
-    let succs = Array.make n [] in
-    let npreds = Array.make n 0 in
-    let add_edge i j lat =
-      if i <> j then begin
-        succs.(i) <- (j, lat) :: succs.(i);
-        npreds.(j) <- npreds.(j) + 1
-      end
+    let order =
+      Emc_opt.Sched.list_schedule ~width:machine.issue_width ~caps
+        ~unit_of:(fun i -> fu_index (fu_of sub.(i).op))
+        ~latency:(fun i -> latency_of sub.(i).op)
+        ~reads:(fun i -> List.filter (fun r -> r >= 0) [ sub.(i).rs1; sub.(i).rs2 ])
+        ~writes:(fun i -> if sub.(i).rd >= 0 then [ sub.(i).rd ] else [])
+        ~mem:(fun i -> mem_of sub.(i).op)
+        ~store_after:0 n
     in
-    let last_def = Hashtbl.create 16 in
-    let last_uses : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-    let last_store = ref (-1) in
-    let mem_ops = ref [] in
-    for j = 0 to n - 1 do
-      let ij = sub.(j) in
-      List.iter
-        (fun r ->
-          (match Hashtbl.find_opt last_def r with
-          | Some i -> add_edge i j (Isa.latency_of sub.(i).op)
-          | None -> ());
-          Hashtbl.replace last_uses r (j :: Option.value ~default:[] (Hashtbl.find_opt last_uses r)))
-        (reads ij);
-      List.iter
-        (fun r ->
-          (match Hashtbl.find_opt last_def r with Some i -> add_edge i j 1 | None -> ());
-          List.iter (fun u -> add_edge u j 0)
-            (Option.value ~default:[] (Hashtbl.find_opt last_uses r));
-          Hashtbl.replace last_def r j;
-          Hashtbl.replace last_uses r [])
-        (writes ij);
-      if Isa.is_mem ij.op then begin
-        if Isa.is_store ij.op then begin
-          (* stores are ordered after every earlier memory op *)
-          List.iter (fun k -> add_edge k j 0) !mem_ops;
-          last_store := j
-        end
-        else if !last_store >= 0 then add_edge !last_store j 1;
-        mem_ops := j :: !mem_ops
-      end
-    done;
-    (* critical-path priority *)
-    let prio = Array.make n 0 in
-    for i = n - 1 downto 0 do
-      prio.(i) <-
-        List.fold_left
-          (fun acc (j, lat) -> max acc (lat + prio.(j)))
-          (Isa.latency_of sub.(i).op)
-          succs.(i)
-    done;
-    (* greedy list scheduling under FU constraints *)
-    let ready_at = Array.make n 0 in
-    let scheduled = Array.make n false in
-    let order = ref [] in
-    let emitted = ref 0 in
-    let cycle = ref 0 in
-    while !emitted < n do
-      let avail = Hashtbl.create 8 in
-      let cap c = Option.value ~default:(Isa.fu_count machine c) (Hashtbl.find_opt avail c) in
-      let use c = Hashtbl.replace avail c (cap c - 1) in
-      let issued = ref 0 in
-      let progress = ref true in
-      while !issued < machine.issue_width && !progress do
-        progress := false;
-        let best = ref (-1) in
-        for i = 0 to n - 1 do
-          if (not scheduled.(i)) && npreds.(i) = 0 && ready_at.(i) <= !cycle
-             && cap (Isa.fu_of sub.(i).op) > 0
-          then if !best = -1 || prio.(i) > prio.(!best) then best := i
-        done;
-        if !best >= 0 then begin
-          let i = !best in
-          scheduled.(i) <- true;
-          use (Isa.fu_of sub.(i).op);
-          order := i :: !order;
-          incr emitted;
-          incr issued;
-          progress := true;
-          List.iter
-            (fun (j, lat) ->
-              npreds.(j) <- npreds.(j) - 1;
-              ready_at.(j) <- max ready_at.(j) (!cycle + lat))
-            succs.(i)
-        end
-      done;
-      incr cycle
-    done;
-    List.iteri (fun k i -> insts.(lo + k) <- sub.(i)) (List.rev !order)
+    Array.iteri (fun k i -> insts.(lo + k) <- sub.(i)) order
   end
 
 (** Schedule every straight-line run of [prog]'s instruction array in place
     and return it. Run boundaries are control transfers and branch targets
     (joins), so no instruction moves across a label or a branch. *)
 let run (machine : machine) (prog : Isa.program) : Isa.program =
+  let caps = Array.make n_fu_classes 0 in
+  List.iter
+    (fun c -> caps.(fu_index c) <- fu_count machine c)
+    [ IntAlu; IntMul; FpAlu; FpMul; LdSt; Branch; NoFu ];
   let n = Array.length prog.insts in
   let is_target = Array.make (n + 1) false in
   Array.iter
@@ -134,7 +58,7 @@ let run (machine : machine) (prog : Isa.program) : Isa.program =
   (* function entries are targets too *)
   List.iter (fun (_, pc) -> if pc < n then is_target.(pc) <- true) prog.func_starts;
   let lo = ref 0 in
-  let flush hi = if hi - !lo > 1 then schedule_run machine prog.insts !lo hi in
+  let flush hi = schedule_run machine caps prog.insts !lo hi in
   for i = 0 to n - 1 do
     (* a branch target starts a fresh run; a control transfer (or other
        order-sensitive instruction) ends one and stays in place *)

@@ -23,31 +23,26 @@ let guarded predict x =
   let p = predict x in
   if Float.is_nan p || p <= 0.0 then Float.max_float else p
 
-let search ?(params = Emc_search.Ga.default_params) ~rng ~(model : Emc_regress.Model.t)
-    ~(march : Emc_sim.Config.t) () =
+let problem = { Emc_search.Ga.levels = Params.space_compiler.Emc_doe.Doe.levels }
+
+(* Run [search] over the compiler parameters, with the guarded model at
+   [march] as its fitness. *)
+let prescribe ~(model : Emc_regress.Model.t) ~march search =
   let march_coded = coded_march march in
-  let problem = { Emc_search.Ga.levels = Params.space_compiler.Emc_doe.Doe.levels } in
   let fitness genes = guarded model.Emc_regress.Model.predict (Array.append genes march_coded) in
-  let best, fit = Emc_search.Ga.optimize ~params rng problem ~fitness in
+  let best, fit = search problem ~fitness in
   let raw = Params.decode Params.compiler_specs best in
   { flags = Params.to_flags raw; raw; predicted_cycles = fit }
+
+let search ?(params = Emc_search.Ga.default_params) ~rng ~model ~march () =
+  prescribe ~model ~march (Emc_search.Ga.optimize ~params rng)
 
 (** Ablation baselines over the same search space. *)
 let search_random ~rng ~model ~march ~evals () =
-  let march_coded = coded_march march in
-  let problem = { Emc_search.Ga.levels = Params.space_compiler.Emc_doe.Doe.levels } in
-  let fitness genes = guarded model.Emc_regress.Model.predict (Array.append genes march_coded) in
-  let best, fit = Emc_search.Ga.random_search rng problem ~fitness ~evals in
-  let raw = Params.decode Params.compiler_specs best in
-  { flags = Params.to_flags raw; raw; predicted_cycles = fit }
+  prescribe ~model ~march (fun p ~fitness -> Emc_search.Ga.random_search rng p ~fitness ~evals)
 
 let search_hill_climb ~rng ~model ~march ~restarts () =
-  let march_coded = coded_march march in
-  let problem = { Emc_search.Ga.levels = Params.space_compiler.Emc_doe.Doe.levels } in
-  let fitness genes = guarded model.Emc_regress.Model.predict (Array.append genes march_coded) in
-  let best, fit = Emc_search.Ga.hill_climb rng problem ~fitness ~restarts in
-  let raw = Params.decode Params.compiler_specs best in
-  { flags = Params.to_flags raw; raw; predicted_cycles = fit }
+  prescribe ~model ~march (fun p ~fitness -> Emc_search.Ga.hill_climb rng p ~fitness ~restarts)
 
 (* ---------------- multi-objective (cycles × energy) ---------------- *)
 
@@ -62,7 +57,6 @@ let search_pareto ?(params = Emc_search.Ga.default_params) ~rng
     ~(cycles_model : Emc_regress.Model.t) ~(energy_model : Emc_regress.Model.t)
     ~(march : Emc_sim.Config.t) () : pareto_point list =
   let march_coded = coded_march march in
-  let problem = { Emc_search.Ga.levels = Params.space_compiler.Emc_doe.Doe.levels } in
   let fitness genes =
     let x = Array.append genes march_coded in
     [| guarded cycles_model.Emc_regress.Model.predict x;

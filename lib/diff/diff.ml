@@ -82,14 +82,6 @@ let default_ooo =
 
 let checks_per_program configs ooo = 1 + (2 * List.length configs) + (2 * List.length ooo)
 
-let emit (flags : Flags.t) ~issue_width opt =
-  let prog =
-    Emc_codegen.Codegen.emit_program ~omit_frame_pointer:flags.Flags.omit_frame_pointer opt
-  in
-  if flags.Flags.schedule_insns2 then
-    Emc_codegen.Postsched.run (Emc_isa.Isa.machine_for_width issue_width) prog
-  else prog
-
 (** Check one source program across every level. [None] means all levels
     agreed; [Some (level, expected, got)] names the first disagreeing level
     with both rendered outcomes. A compiler crash or verifier failure at any
@@ -123,7 +115,7 @@ let check_source ?(semantics = Emc_ir.Interp.Ieee) ?(configs = default_configs)
                 | () -> (
                     check ("interp-opt[" ^ name ^ "]") (Oracle.run_interp ~semantics opt);
                     if !div = None then
-                      match emit flags ~issue_width opt with
+                      match Emc_codegen.Compiler.emit ~issue_width flags opt with
                       | exception exn ->
                           fail ("codegen[" ^ name ^ "]") "compiles" (Printexc.to_string exn)
                       | prog -> check ("func[" ^ name ^ "]") (Oracle.run_func ~ret_ty prog))))
@@ -132,9 +124,7 @@ let check_source ?(semantics = Emc_ir.Interp.Ieee) ?(configs = default_configs)
         (fun (name, flags, cfg) ->
           if !div = None then
             let issue_width = cfg.Emc_sim.Config.issue_width in
-            match
-              emit flags ~issue_width (Emc_opt.Pipeline.optimize ~issue_width flags ir)
-            with
+            match Emc_codegen.Compiler.compile ~issue_width flags ir with
             | exception exn ->
                 fail ("compile[" ^ name ^ "]") "compiles" (Printexc.to_string exn)
             | prog -> (

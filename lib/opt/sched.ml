@@ -1,17 +1,98 @@
 open Emc_ir
 
-(** -fschedule-insns2: local list scheduling.
+(** -fschedule-insns2: the one list scheduler of both halves, and the half
+    that runs before register allocation.
 
-    Within each basic block a dependence DAG is built (true register
-    dependences with producer latencies; memory and call ordering edges;
-    write-after-read and write-after-write edges for multiply-defined
-    registers) and instructions are re-emitted greedily by critical-path
-    priority under an issue-width resource constraint.
+    {!list_schedule} builds a dependence DAG over nodes [0 .. n-1] (true,
+    anti and output register dependences from each node's reads and
+    writes; memory ordering edges) and re-emits the nodes greedily by
+    critical-path priority under an issue width and per-class unit caps.
+    {!run} applies it to each basic block of IR; the second
+    (post-register-allocation) half applies it to machine code in
+    {!Emc_codegen.Postsched}.
 
-    Latencies mirror the target ISA: integer multiply 3, divide 12, FP
-    add 2, FP multiply 4, FP divide 12, loads 2 (assumed L1 hit), everything
-    else 1. The second (post-register-allocation) scheduling half of gcc's
-    -fschedule-insns2 happens in {!Emc_codegen} on machine code. *)
+    Latencies approximate the target ISA: integer multiply 3, divide 12, FP
+    add 2, FP multiply 4, FP divide 12, FP compare 2, loads 2 (assumed L1
+    hit), everything else 1 — int/float conversions too, where the ISA's
+    {!Emc_isa.Isa.latency_of} gives 2. *)
+
+type mem = Not_mem | Load | Store
+
+let list_schedule ~width ~caps ~unit_of ~latency ~reads ~writes ~mem ~store_after n =
+  let succs = Array.make n [] and npreds = Array.make n 0 in
+  let add_edge i j lat =
+    if i <> j then begin
+      succs.(i) <- (j, lat) :: succs.(i);
+      npreds.(j) <- npreds.(j) + 1
+    end
+  in
+  let last_def = Hashtbl.create 16 and last_uses = Hashtbl.create 16 in
+  let uses r = Option.value ~default:[] (Hashtbl.find_opt last_uses r) in
+  let mem_ops = ref [] and last_store = ref (-1) in
+  for j = 0 to n - 1 do
+    List.iter
+      (fun r ->
+        Option.iter (fun i -> add_edge i j (latency i)) (Hashtbl.find_opt last_def r);
+        Hashtbl.replace last_uses r (j :: uses r))
+      (reads j);
+    List.iter
+      (fun r ->
+        Option.iter (fun i -> add_edge i j 1) (Hashtbl.find_opt last_def r);
+        List.iter (fun u -> add_edge u j 0) (uses r);
+        Hashtbl.replace last_def r j;
+        Hashtbl.replace last_uses r [])
+      (writes j);
+    (* loads may pass each other; a load follows the latest store by one
+       cycle, and a store follows every earlier memory op, the latest by
+       [store_after] cycles *)
+    match mem j with
+    | Not_mem -> ()
+    | Load ->
+        if !last_store >= 0 then add_edge !last_store j 1;
+        mem_ops := j :: !mem_ops
+    | Store ->
+        List.iteri (fun k i -> add_edge i j (if k = 0 then store_after else 0)) !mem_ops;
+        last_store := j;
+        mem_ops := j :: !mem_ops
+  done;
+  (* critical-path priority *)
+  let prio = Array.make n 0 in
+  for i = n - 1 downto 0 do
+    prio.(i) <- List.fold_left (fun acc (j, lat) -> max acc (lat + prio.(j))) (latency i) succs.(i)
+  done;
+  (* greedy issue: each cycle, up to [width] ready nodes with a free unit,
+     highest priority first, ties to the lower index *)
+  let order = Array.make n 0 and ready_at = Array.make n 0 and scheduled = Array.make n false in
+  let free = Array.copy caps and emitted = ref 0 and cycle = ref 0 in
+  while !emitted < n do
+    Array.blit caps 0 free 0 (Array.length caps);
+    let issued = ref 0 and stuck = ref false in
+    while !issued < width && not !stuck do
+      let best = ref (-1) in
+      for i = 0 to n - 1 do
+        if (not scheduled.(i)) && npreds.(i) = 0 && ready_at.(i) <= !cycle
+           && free.(unit_of i) > 0
+           && (!best < 0 || prio.(i) > prio.(!best))
+        then best := i
+      done;
+      if !best < 0 then stuck := true
+      else begin
+        let i = !best in
+        scheduled.(i) <- true;
+        free.(unit_of i) <- free.(unit_of i) - 1;
+        order.(!emitted) <- i;
+        incr emitted;
+        incr issued;
+        List.iter
+          (fun (j, lat) ->
+            npreds.(j) <- npreds.(j) - 1;
+            ready_at.(j) <- max ready_at.(j) (!cycle + lat))
+          succs.(i)
+      end
+    done;
+    incr cycle
+  done;
+  order
 
 let latency = function
   | Ir.Ibin (Ir.Mul, _, _, _) -> 3
@@ -23,103 +104,26 @@ let latency = function
   | Ir.Load _ -> 2
   | _ -> 1
 
-let is_mem = function Ir.Load _ | Ir.Store _ | Ir.Prefetch _ | Ir.Call _ -> true | _ -> false
+(* a call orders like a store, and follows the latest memory op by a cycle *)
+let mem_of = function
+  | Ir.Load _ | Ir.Prefetch _ -> Load
+  | Ir.Store _ | Ir.Call _ -> Store
+  | _ -> Not_mem
 
 let schedule_block ~issue_width (b : Ir.block) =
   let instrs = Array.of_list b.instrs in
   let n = Array.length instrs in
-  if n > 1 && n < 400 then begin
-    (* build dependence edges i -> j (j depends on i) with latencies *)
-    let succs = Array.make n [] in
-    let npreds = Array.make n 0 in
-    let add_edge i j lat =
-      succs.(i) <- (j, lat) :: succs.(i);
-      npreds.(j) <- npreds.(j) + 1
+  if n > 1 && n < 400 then
+    let order =
+      list_schedule ~width:issue_width ~caps:[| issue_width |] ~unit_of:(fun _ -> 0)
+        ~latency:(fun i -> latency instrs.(i))
+        ~reads:(fun i -> Ir.uses_of instrs.(i))
+        ~writes:(fun i -> Option.to_list (Ir.def_of instrs.(i)))
+        ~mem:(fun i -> mem_of instrs.(i))
+        ~store_after:1 n
     in
-    let last_def = Hashtbl.create 16 in
-    let last_uses = Hashtbl.create 16 in
-    let last_mem = ref (-1) in
-    let last_store_or_call = ref (-1) in
-    for j = 0 to n - 1 do
-      let i_j = instrs.(j) in
-      List.iter
-        (fun u ->
-          (match Hashtbl.find_opt last_def u with
-          | Some i -> add_edge i j (latency instrs.(i))
-          | None -> ());
-          Hashtbl.replace last_uses u
-            (j :: (Option.value ~default:[] (Hashtbl.find_opt last_uses u))))
-        (Ir.uses_of i_j);
-      (match Ir.def_of i_j with
-      | Some d ->
-          (* WAW and WAR edges keep multi-def registers in order *)
-          (match Hashtbl.find_opt last_def d with Some i -> add_edge i j 1 | None -> ());
-          List.iter
-            (fun u -> if u <> j then add_edge u j 0)
-            (Option.value ~default:[] (Hashtbl.find_opt last_uses d));
-          Hashtbl.replace last_def d j;
-          Hashtbl.replace last_uses d []
-      | None -> ());
-      if is_mem i_j then begin
-        (* loads may reorder among themselves; stores/calls are barriers *)
-        (match i_j with
-        | Ir.Store _ | Ir.Call _ ->
-            if !last_mem >= 0 && !last_mem <> j then add_edge !last_mem j 1;
-            (* conservatively order after every earlier memory op *)
-            for k = 0 to j - 1 do
-              if is_mem instrs.(k) && k <> !last_mem then add_edge k j 0
-            done;
-            last_store_or_call := j
-        | _ -> if !last_store_or_call >= 0 then add_edge !last_store_or_call j 1);
-        last_mem := j
-      end
-    done;
-    (* critical-path priority *)
-    let prio = Array.make n 0 in
-    for i = n - 1 downto 0 do
-      prio.(i) <-
-        List.fold_left (fun acc (j, lat) -> max acc (lat + prio.(j))) (latency instrs.(i)) succs.(i)
-    done;
-    (* greedy list scheduling *)
-    let ready_at = Array.make n 0 in
-    let scheduled = Array.make n false in
-    let order = ref [] in
-    let emitted = ref 0 in
-    let cycle = ref 0 in
-    let npreds_left = Array.copy npreds in
-    while !emitted < n do
-      let issued = ref 0 in
-      let progress = ref true in
-      while !issued < issue_width && !progress do
-        progress := false;
-        (* pick the ready instruction with the highest priority *)
-        let best = ref (-1) in
-        for i = 0 to n - 1 do
-          if (not scheduled.(i)) && npreds_left.(i) = 0 && ready_at.(i) <= !cycle then
-            if !best = -1 || prio.(i) > prio.(!best) then best := i
-        done;
-        if !best >= 0 then begin
-          let i = !best in
-          scheduled.(i) <- true;
-          order := i :: !order;
-          incr emitted;
-          incr issued;
-          progress := true;
-          List.iter
-            (fun (j, lat) ->
-              npreds_left.(j) <- npreds_left.(j) - 1;
-              ready_at.(j) <- max ready_at.(j) (!cycle + lat))
-            succs.(i)
-        end
-      done;
-      incr cycle
-    done;
-    b.instrs <- List.rev_map (fun i -> instrs.(i)) !order
-  end
-
-let run_func ~issue_width (f : Ir.func) =
-  Array.iter (schedule_block ~issue_width) f.Ir.blocks
+    b.instrs <- Array.to_list (Array.map (fun i -> instrs.(i)) order)
 
 let run ~issue_width (p : Ir.program) =
-  List.iter (fun (_, f) -> run_func ~issue_width f) p.funcs;
+  List.iter (fun (_, f) -> Array.iter (schedule_block ~issue_width) f.Ir.blocks) p.funcs;
   p

@@ -1,7 +1,31 @@
-(** The pre-register-allocation half of -fschedule-insns2: per-block list
-    scheduling by critical-path priority over a dependence DAG (true
-    register dependences with producer latencies; WAW/WAR edges for
-    multiply-defined registers; stores and calls as memory barriers), under
-    an issue-width resource bound. *)
+(** -fschedule-insns2: one list scheduler for both of its halves, and the
+    half that runs before register allocation. *)
+
+(** How a node touches memory. Loads may pass each other; a store (an IR
+    call counts as one) is a barrier. *)
+type mem = Not_mem | Load | Store
+
+val list_schedule :
+  width:int ->
+  caps:int array ->
+  unit_of:(int -> int) ->
+  latency:(int -> int) ->
+  reads:(int -> int list) ->
+  writes:(int -> int list) ->
+  mem:(int -> mem) ->
+  store_after:int ->
+  int ->
+  int array
+(** [list_schedule ... n] is the issue order of the straight-line nodes
+    [0 .. n-1]: a permutation. Edges run from the last writer of each
+    register a node reads (the writer's [latency]), from the last writer
+    (1 cycle) and every reader since (0) of each register it writes, from
+    the latest store into a load (1), and from every earlier memory op into
+    a store (0, or [store_after] from the latest). Each cycle issues up to
+    [width] ready nodes, at most [caps.(c)] of unit class [c] ([unit_of]
+    indexes [caps]; every cap must be positive), highest critical-path
+    priority first, ties to the lower index. *)
 
 val run : issue_width:int -> Emc_ir.Ir.program -> Emc_ir.Ir.program
+(** Schedule every IR block of 2–399 instructions in place, all nodes in
+    one unit class capped at [issue_width], and return the program. *)

@@ -4,9 +4,11 @@ open Emc_linalg
 
     [y = β0 + Σ βi xi + Σ Σ βij xi xj]
 
-    fitted by least squares (Householder QR). With 25 predictors this is
-    1 + 25 + 325 = 351 columns; the paper's 400-point designs keep it
-    overdetermined. Pure main-effects models are available with
+    fitted by ridge-regularized least squares: the normal equations, with a
+    tiny ridge on the diagonal, are solved by Cholesky, and only when that
+    factorization fails is the unpenalized problem solved by Householder QR
+    ({!Mat.lstsq}). With 25 predictors this is 1 + 25 + 325 = 351 columns;
+    the paper's 400-point designs keep it overdetermined. Pure main-effects models are available with
     [~interactions:false]. The feature expansion lives in {!Repr} (shared
     with artifact evaluation); the returned model's [predict] is
     [Repr.eval] of its repr, so saved models reproduce it bit-for-bit. *)

@@ -50,6 +50,28 @@ let trace_generation gen best fit =
     Emc_obs.Trace.counter "ga.fitness" [ ("best", best); ("mean", mean) ]
   end
 
+let breed params rng (p : problem) pop ~better count =
+  let tournament () =
+    let w = ref (Rng.int rng (Array.length pop)) in
+    for _ = 2 to params.tournament do
+      let c = Rng.int rng (Array.length pop) in
+      if better c !w then w := c
+    done;
+    pop.(!w)
+  in
+  Array.init count (fun _ ->
+      let a = tournament () and b = tournament () in
+      let child =
+        if Rng.float rng 1.0 < params.crossover_p then
+          Array.init (Array.length p.levels) (fun g -> if Rng.bool rng then a.(g) else b.(g))
+        else Array.copy a
+      in
+      Array.iteri
+        (fun g _ ->
+          if Rng.float rng 1.0 < params.mutation_p then child.(g) <- Rng.choice rng p.levels.(g))
+        child;
+      child)
+
 let optimize ?(params = default_params) rng (p : problem) ~fitness =
  Emc_obs.Trace.with_span ~cat:"search"
    ~args:(fun () ->
@@ -57,7 +79,6 @@ let optimize ?(params = default_params) rng (p : problem) ~fitness =
        ("generations", Emc_obs.Json.Int params.generations) ])
    "ga.optimize"
  @@ fun () ->
-  let k = Array.length p.levels in
   let pop = Array.init params.pop_size (fun _ -> random_genome rng p) in
   let fit = Array.map fitness pop in
   Emc_obs.Metrics.add m_evaluations params.pop_size;
@@ -83,32 +104,12 @@ let optimize ?(params = default_params) rng (p : problem) ~fitness =
     incr gen;
     let prev_best = !best_f in
     let idx = order () in
-    let tournament () =
-      let w = ref (Rng.int rng params.pop_size) in
-      for _ = 2 to params.tournament do
-        let c = Rng.int rng params.pop_size in
-        if fitness_order fit.(c) fit.(!w) < 0 then w := c
-      done;
-      pop.(!w)
+    let elites = Array.init params.elite (fun e -> Array.copy pop.(idx.(e))) in
+    let children =
+      breed params rng p pop (params.pop_size - params.elite)
+        ~better:(fun c w -> fitness_order fit.(c) fit.(w) < 0)
     in
-    let next = Array.make params.pop_size [||] in
-    (* elitism *)
-    for e = 0 to params.elite - 1 do
-      next.(e) <- Array.copy pop.(idx.(e))
-    done;
-    for i = params.elite to params.pop_size - 1 do
-      let a = tournament () and b = tournament () in
-      let child =
-        if Rng.float rng 1.0 < params.crossover_p then
-          Array.init k (fun g -> if Rng.bool rng then a.(g) else b.(g))
-        else Array.copy a
-      in
-      Array.iteri
-        (fun g _ -> if Rng.float rng 1.0 < params.mutation_p then child.(g) <- Rng.choice rng p.levels.(g))
-        child;
-      next.(i) <- child
-    done;
-    Array.blit next 0 pop 0 params.pop_size;
+    Array.blit (Array.append elites children) 0 pop 0 params.pop_size;
     Array.iteri (fun i g -> fit.(i) <- fitness g) pop;
     update_best ();
     Emc_obs.Metrics.incr m_generations;
@@ -130,7 +131,7 @@ let random_search rng (p : problem) ~fitness ~evals =
   for _ = 2 to evals do
     let g = random_genome rng p in
     let f = fitness g in
-    if f < !best_f then begin
+    if fitness_order f !best_f < 0 then begin
       best_f := f;
       best := g
     end
@@ -145,8 +146,10 @@ let hill_climb rng (p : problem) ~fitness ~restarts =
     fitness g
   in
   let k = Array.length p.levels in
+  (* drawn first so that the restarts keep their draws; returned, with
+     fitness infinity, only when there is no restart *)
   let best = ref (random_genome rng p) and best_f = ref infinity in
-  for _ = 1 to restarts do
+  for r = 1 to restarts do
     let cur = ref (random_genome rng p) in
     let cur_f = ref (fitness !cur) in
     let improved = ref true in
@@ -159,7 +162,7 @@ let hill_climb rng (p : problem) ~fitness ~restarts =
               let cand = Array.copy !cur in
               cand.(g) <- lv;
               let f = fitness cand in
-              if f < !cur_f then begin
+              if fitness_order f !cur_f < 0 then begin
                 cur := cand;
                 cur_f := f;
                 improved := true
@@ -168,7 +171,7 @@ let hill_climb rng (p : problem) ~fitness ~restarts =
           p.levels.(g)
       done
     done;
-    if !cur_f < !best_f then begin
+    if r = 1 || fitness_order !cur_f !best_f < 0 then begin
       best := !cur;
       best_f := !cur_f
     end

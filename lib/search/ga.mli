@@ -23,6 +23,21 @@ val fitness_order : float -> float -> int
 
 val random_genome : Emc_util.Rng.t -> problem -> float array
 
+val breed :
+  params ->
+  Emc_util.Rng.t ->
+  problem ->
+  float array array ->
+  better:(int -> int -> bool) ->
+  int ->
+  float array array
+(** [breed params rng p pop ~better count]: [count] children of [pop], each
+    from two tournaments of [params.tournament] draws ([better c w] says
+    competitor [c] beats incumbent [w]), uniform crossover with probability
+    [crossover_p] (else a clone of the first winner) and per-gene mutation
+    with probability [mutation_p]. The GA and NSGA-II both breed this way,
+    making the same draws in the same order. *)
+
 val optimize :
   ?params:params ->
   Emc_util.Rng.t ->

@@ -1,5 +1,3 @@
-open Emc_util
-
 (** NSGA-II-style multi-objective search over coded design-point grids
     (Deb et al. 2002): fast non-dominated sort + crowding distance, with
     the same genome representation, tournament/crossover/mutation operators
@@ -117,14 +115,7 @@ let finalize pop objs front =
         if c <> 0 then c else arr_order a.genome b.genome)
       pts
   in
-  let uniq =
-    List.filteri
-      (fun i p ->
-        i = 0 || arr_order p.genome (List.nth pts (i - 1)).genome <> 0
-        || arr_order p.objectives (List.nth pts (i - 1)).objectives <> 0)
-      pts
-  in
-  Array.of_list (List.map (fun p -> { p with genome = Array.copy p.genome }) uniq)
+  Array.of_list (List.map (fun p -> { p with genome = Array.copy p.genome }) pts)
 
 let optimize ?(params = Ga.default_params) rng (p : Ga.problem) ~fitness : point array =
   Emc_obs.Trace.with_span ~cat:"search"
@@ -133,7 +124,6 @@ let optimize ?(params = Ga.default_params) rng (p : Ga.problem) ~fitness : point
         ("generations", Emc_obs.Json.Int params.Ga.generations) ])
     "pareto.optimize"
   @@ fun () ->
-  let k = Array.length p.Ga.levels in
   let pop_size = params.Ga.pop_size in
   let pop = ref (Array.init pop_size (fun _ -> Ga.random_genome rng p)) in
   let objs = ref (Array.map fitness !pop) in
@@ -161,29 +151,7 @@ let optimize ?(params = Ga.default_params) rng (p : Ga.problem) ~fitness : point
     let better c w =
       rank.(c) < rank.(w) || (rank.(c) = rank.(w) && crowd.(c) > crowd.(w))
     in
-    let tournament () =
-      let w = ref (Rng.int rng pop_size) in
-      for _ = 2 to params.Ga.tournament do
-        let c = Rng.int rng pop_size in
-        if better c !w then w := c
-      done;
-      (!pop).(!w)
-    in
-    let offspring =
-      Array.init pop_size (fun _ ->
-          let a = tournament () and b = tournament () in
-          let child =
-            if Rng.float rng 1.0 < params.Ga.crossover_p then
-              Array.init k (fun g -> if Rng.bool rng then a.(g) else b.(g))
-            else Array.copy a
-          in
-          Array.iteri
-            (fun g _ ->
-              if Rng.float rng 1.0 < params.Ga.mutation_p then
-                child.(g) <- Rng.choice rng p.Ga.levels.(g))
-            child;
-          child)
-    in
+    let offspring = Ga.breed params rng p !pop ~better pop_size in
     let off_objs = Array.map fitness offspring in
     Emc_obs.Metrics.add m_evaluations pop_size;
     (* environmental selection over parents + offspring (elitist) *)

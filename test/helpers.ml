@@ -34,14 +34,7 @@ let machine ?(arrays = []) ?(flags = Emc_opt.Flags.o0) ?(issue_width = 4) src =
   let ir = compile_ir src in
   let opt = Emc_opt.Pipeline.optimize ~issue_width flags ir in
   Emc_ir.Verify.check_program opt;
-  let prog =
-    Emc_codegen.Codegen.emit_program ~omit_frame_pointer:flags.Emc_opt.Flags.omit_frame_pointer opt
-  in
-  let prog =
-    if flags.Emc_opt.Flags.schedule_insns2 then
-      Emc_codegen.Postsched.run (Emc_isa.Isa.machine_for_width issue_width) prog
-    else prog
-  in
+  let prog = Emc_codegen.Compiler.emit ~issue_width flags opt in
   let f = Emc_sim.Func.create ~inputs:arrays prog in
   ignore (Emc_sim.Func.run f);
   (Emc_sim.Func.return_value f, List.map fvalue_str (Emc_sim.Func.outputs f), prog)

@@ -9,6 +9,7 @@ let () =
       ("codegen", Test_codegen.suite);
       ("sim", Test_sim.suite);
       ("sim-golden", Test_sim_golden.suite);
+      ("asm-golden", Test_asm_golden.suite);
       ("isa", Test_isa.suite);
       ("doe", Test_doe.suite);
       ("regress", Test_regress.suite);

@@ -69,6 +69,30 @@ let test_hill_climb_unimodal_exact () =
   let _, fit = Ga.hill_climb rng (grid5 6) ~fitness:separable ~restarts:1 in
   Alcotest.(check (float 1e-9)) "exact on unimodal" 0.0 fit
 
+let test_random_search_nan_first_draw () =
+  (* a NaN first draw ranks below every finite one, as in the GA: it must
+     not be kept for the whole budget *)
+  let calls = ref 0 in
+  let f x =
+    incr calls;
+    if !calls = 1 then Float.nan else separable x
+  in
+  let _, fit = Ga.random_search (Emc_util.Rng.create 31) (grid5 4) ~fitness:f ~evals:200 in
+  cb "200 evaluations made" true (!calls = 200);
+  cb "best fitness is a number" true (not (Float.is_nan fit))
+
+let test_hill_climb_all_nan_starts () =
+  (* with NaN everywhere the climb returns a genome it evaluated, with the
+     NaN that evaluation gave, not an unevaluated draw at infinity *)
+  let evaluated = ref [] in
+  let f x =
+    evaluated := Array.copy x :: !evaluated;
+    Float.nan
+  in
+  let best, fit = Ga.hill_climb (Emc_util.Rng.create 32) (grid5 3) ~fitness:f ~restarts:2 in
+  cb "fitness is NaN" true (Float.is_nan fit);
+  cb "genome was evaluated" true (List.mem best !evaluated)
+
 let test_ga_beats_small_random_budget () =
   (* on a rugged landscape the GA should do at least as well as an
      equivalent-budget random search most of the time *)
@@ -243,6 +267,8 @@ let suite =
     ("baseline budget accounting", `Quick, test_baseline_budget_accounting);
     ("random search budget", `Quick, test_random_search_budget);
     ("hill climb unimodal", `Quick, test_hill_climb_unimodal_exact);
+    ("random search NaN first draw", `Quick, test_random_search_nan_first_draw);
+    ("hill climb all-NaN starts", `Quick, test_hill_climb_all_nan_starts);
     ("ga vs random", `Quick, test_ga_beats_small_random_budget);
     ("searcher freezes march", `Quick, test_searcher_freezes_march);
     ("searcher guards non-physical", `Quick, test_searcher_guards_nonphysical_predictions);
