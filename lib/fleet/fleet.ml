@@ -75,8 +75,14 @@ let point_to_json (flags, march) =
 let point_of_json j =
   let* raw = Json.list_of Json.as_float j in
   let n = List.length raw in
-  if n = Params.n_all then Ok (Params.split_raw (Array.of_list raw))
-  else Error (Printf.sprintf "point has %d values; want %d" n Params.n_all)
+  if n <> Params.n_all then Error (Printf.sprintf "point has %d values; want %d" n Params.n_all)
+  else
+    let ((_, (march : Emc_sim.Config.t)) as point) = Params.split_raw (Array.of_list raw) in
+    (* nothing can be compiled for or simulated on a machine that issues
+       no instruction a cycle: refuse the point here, with a message *)
+    if march.issue_width < 1 then
+      Error (Printf.sprintf "issue width must be at least 1, not %d" march.issue_width)
+    else Ok point
 
 let smarts_to_json = function
   | None -> Json.Null

@@ -19,6 +19,10 @@ open Emc_ir
 type mem = Not_mem | Load | Store
 
 let list_schedule ~width ~caps ~unit_of ~latency ~reads ~writes ~mem ~store_after n =
+  (* a cycle that can issue nothing would repeat forever *)
+  if width < 1 || Array.exists (fun c -> c < 1) caps then
+    invalid_arg
+      (Printf.sprintf "Sched.list_schedule: width %d and every unit cap must be at least 1" width);
   let succs = Array.make n [] and npreds = Array.make n 0 in
   let add_edge i j lat =
     if i <> j then begin

@@ -23,8 +23,9 @@ val list_schedule :
     the latest store into a load (1), and from every earlier memory op into
     a store (0, or [store_after] from the latest). Each cycle issues up to
     [width] ready nodes, at most [caps.(c)] of unit class [c] ([unit_of]
-    indexes [caps]; every cap must be positive), highest critical-path
-    priority first, ties to the lower index. *)
+    indexes [caps]), highest critical-path priority first, ties to the
+    lower index. Raises [Invalid_argument] when [width] or a cap is below
+    1, since no cycle could then issue a node. *)
 
 val run : issue_width:int -> Emc_ir.Ir.program -> Emc_ir.Ir.program
 (** Schedule every IR block of 2–399 instructions in place, all nodes in

@@ -34,10 +34,12 @@ let create ~size =
 
 let ctr b i = Char.code (Bytes.get b i)
 
+(* Saturate with int compares: [Stdlib.min]/[max] compare polymorphically,
+   through the runtime. *)
 let bump b i taken =
   let v = ctr b i in
-  let v' = if taken then min 3 (v + 1) else max 0 (v - 1) in
-  Bytes.set b i (Char.chr v')
+  if taken then (if v < 3 then Bytes.set b i (Char.unsafe_chr (v + 1)))
+  else if v > 0 then Bytes.set b i (Char.unsafe_chr (v - 1))
 
 let bimodal_index t pc = pc land (t.size - 1)
 let gshare_index t pc = (pc lxor t.ghr) land (t.size - 1)

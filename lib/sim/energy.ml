@@ -64,15 +64,15 @@ let estimate ?(coeffs = default) (ooo : Ooo.t) ~cycles : breakdown =
          (fun i c -> coeffs.fu_energy.(i) *. float_of_int c)
          func.Func.class_counts)
   in
-  let cache_energy (c : Cache.t) access_cost =
-    float_of_int (c.Cache.hits + c.Cache.misses) *. access_cost
+  let cache_energy (c : Memsys.Cache.t) access_cost =
+    float_of_int (c.Memsys.Cache.hits + c.Memsys.Cache.misses) *. access_cost
   in
   let mem = ooo.Ooo.mem in
   let memory =
     cache_energy mem.Memsys.l1i coeffs.l1_access
     +. cache_energy mem.Memsys.l1d coeffs.l1_access
     +. cache_energy mem.Memsys.l2 coeffs.l2_access
-    +. (float_of_int mem.Memsys.l2.Cache.misses *. coeffs.mem_access)
+    +. (float_of_int mem.Memsys.l2.Memsys.Cache.misses *. coeffs.mem_access)
   in
   let bp = ooo.Ooo.bpred in
   let predictor =

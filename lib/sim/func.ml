@@ -25,6 +25,43 @@ type dynbuf = {
 
 let dynbuf () = { d_idx = 0; d_addr = -1; d_taken = false }
 
+(** {2 Decoded instructions}
+
+    What the timing model and the energy count need of each static
+    instruction, packed into one int by {!decode} once per program: the
+    issue slot in bits 0–2 ({!Isa.fu_index}, with [Branch] and [NoFu]
+    sharing slot 5), the energy class ({!Isa.fu_index}) in bits 3–5, one
+    bit each for load, store, prefetch, branch, conditional branch and
+    halt, and the base latency ({!Isa.latency_of}) from bit 12 up. The
+    per-instruction paths test these bits instead of calling the [Isa]
+    predicates, each a call through a closure from another module. *)
+
+let slot_mask = 7
+let class_shift = 3
+let load_bit = 1 lsl 6
+let store_bit = 1 lsl 7
+let pref_bit = 1 lsl 8
+let branch_bit = 1 lsl 9
+let cond_bit = 1 lsl 10
+let halt_bit = 1 lsl 11
+let lat_shift = 12
+
+let decode_op op =
+  let c = Isa.fu_index (Isa.fu_of op) in
+  let flag b bit = if b then bit else 0 in
+  (if c > 5 then 5 else c)
+  lor (c lsl class_shift)
+  lor flag (Isa.is_load op) load_bit
+  lor flag (Isa.is_store op) store_bit
+  lor flag (op = Isa.PREF) pref_bit
+  lor flag (Isa.is_branch op) branch_bit
+  lor flag (Isa.is_cond_branch op) cond_bit
+  lor flag (op = Isa.HALT) halt_bit
+  lor (Isa.latency_of op lsl lat_shift)
+
+(** One packed entry per static instruction of [prog]. *)
+let decode (prog : Isa.program) = Array.map (fun (i : Isa.inst) -> decode_op i.op) prog.Isa.insts
+
 (** What a memory view holds outside its dirty pages: [layout]'s zeroed
     address space with [inputs] loaded. *)
 type image = { layout : Emc_ir.Memlayout.t; inputs : (string * Emc_ir.Memlayout.data) list }
@@ -49,6 +86,7 @@ type memory = {
 
 type t = {
   prog : Isa.program;
+  decoded : int array;  (** {!decode} of [prog] *)
   regs : int array;  (** 32 integer registers *)
   fregs : float array;  (** 32 FP registers *)
   mem : memory;
@@ -168,8 +206,12 @@ let prepare m ~fp ~fresh (layout : Emc_ir.Memlayout.t) inputs =
     what a fresh one would hold: when it already holds [prog]'s layout
     and these very [inputs], only the pages written since are zeroed and
     their input words copied back; otherwise it is zeroed and loaded
-    whole (the FP view only when [prog] uses it). *)
-let create ?memory:mem ?(inputs = []) (prog : Isa.program) =
+    whole (the FP view only when [prog] uses it). [decoded] is [prog]'s
+    {!decode}, made here when it is not given. *)
+let create ?decoded ?memory:mem ?(inputs = []) (prog : Isa.program) =
+  let decoded = match decoded with Some d -> d | None -> decode prog in
+  if Array.length decoded <> Array.length prog.Isa.insts then
+    invalid_arg "Func.create: the decoded table is not the program's";
   let fp = needs_fp_view prog in
   let m, fresh =
     match mem with
@@ -187,6 +229,7 @@ let create ?memory:mem ?(inputs = []) (prog : Isa.program) =
   let t =
     {
       prog;
+      decoded;
       regs = Array.make 32 0;
       fregs = Array.make 32 0.0;
       mem = m;
@@ -230,7 +273,7 @@ let step_into t (b : dynbuf) : bool =
     let pc = t.pc in
     let i = t.prog.Isa.insts.(pc) in
     t.icount <- t.icount + 1;
-    let ci = Isa.fu_index (Isa.fu_of i.op) in
+    let ci = (t.decoded.(pc) lsr class_shift) land 7 in
     t.class_counts.(ci) <- t.class_counts.(ci) + 1;
     b.d_idx <- pc;
     b.d_addr <- -1;

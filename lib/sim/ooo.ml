@@ -41,13 +41,23 @@ open Emc_isa
     "idle-cycle skip is cycle-exact" test and the differential fuzzer's
     [ooo-timing] level enforce this):
 
+    - {b decoded table}: each RUU entry carries its static instruction's
+      {!Func.decode} entry, one int packing the issue slot, the
+      load/store/prefetch/branch flags and the base latency, and fetch and
+      functional warming test the same table's halt, conditional-branch
+      and prefetch bits. The table is built once per program and kept in
+      the {!store}, so the SMARTS attempts of a design point share it. No
+      stage calls an [Isa] predicate per instruction: under dune's dev
+      profile every module is compiled [-opaque], and each such call would
+      go through a closure.
     - {b completion calendar}: issuing an entry pushes [(seq, slot)] into a
       power-of-two timing wheel bucket keyed by [complete_at]. Writeback
       drains exactly the current cycle's bucket. The wheel is sized past the
       worst memory round-trip ({!Memsys.max_latency}), so a live event is
       never more than one revolution away. Events are validated against the
       entry's [seq] on pop: a [flush_timing] can strand stale events in the
-      wheel and they must be ignored, not serviced.
+      wheel and they must be ignored, not serviced. A bitmap ([cal_busy])
+      holds one bit per bucket, set while the bucket is not empty.
     - {b ready set}: a bitset over RUU slots holding dispatched entries
       whose remaining producer count ([pending]) is zero. Completion wakes
       consumers through per-producer edge lists ([cons_head]/[cons_next],
@@ -67,7 +77,9 @@ open Emc_isa
       replaces the head-to-slot RUU walk per load per issue attempt.
     - {b fetch ring}: the fetch queue is a preallocated ring of
       [ifq_size] slots each embedding a {!Func.dynbuf}; together with
-      {!Func.step_into} the front end allocates nothing per instruction.
+      {!Func.step_into} the front end allocates nothing per instruction,
+      and neither do the later stages: a detailed run allocates O(1)
+      words in all.
     - {b idle-cycle skip}: {!run_detailed} and {!run_to_completion} call
       {!skip_idle} before every {!step_cycle}. A cycle is idle when all
       five stages are stuck: writeback's calendar bucket is empty; the RUU
@@ -78,26 +90,24 @@ open Emc_isa
       so every cycle after it is idle too until a calendar bucket falls due
       or fetch unblocks. The skip jumps straight to the earlier of those
       two cycles and credits the stall counters as the per-cycle loop
-      would, so every cycle and counter is unchanged. A bucket holding only
-      events stranded by [flush_timing] just ends a skip early; writeback
-      sets [state = 2] only at [complete_at], so the commit condition
-      cannot hide a due commit. [step_cycle] still simulates exactly one
-      cycle and is the reference the skip is tested against.
+      would, so every cycle and counter is unchanged. The next non-empty
+      bucket is found in the calendar bitmap, a count-trailing-zeros per
+      32 buckets, instead of by probing each bucket in turn. A bucket
+      holding only events stranded by [flush_timing] just ends a skip
+      early; writeback sets [state = 2] only at [complete_at], so the
+      commit condition cannot hide a due commit. [step_cycle] still
+      simulates exactly one cycle and is the reference the skip is tested
+      against.
 
     All ring/wheel arithmetic uses power-of-two masks or wrap compares —
     there is no [mod]/[div] left on a per-cycle or per-instruction path. *)
 
 type entry = {
   mutable seq : int;
-  mutable idx : int;  (** static instruction index *)
-  mutable fu : int;  (** index into {!t.fu_avail} (Branch/NoFu share) *)
+  mutable dec : int;  (** the instruction's {!Func.decode} entry *)
   mutable dst : int;  (** arch register id or -1 *)
   mutable pending : int;  (** producers not yet complete (0..2) *)
   mutable addr : int;
-  mutable is_load : bool;
-  mutable is_store : bool;
-  mutable is_pref : bool;
-  mutable is_branch : bool;
   mutable mispred : bool;
   mutable state : int;  (** 0 = waiting, 1 = issued, 2 = completed *)
   mutable complete_at : int;
@@ -115,7 +125,7 @@ type t = {
   mem : Memsys.t;
   bpred : Bpred.t;
   func : Func.t;
-  prog : Isa.program;
+  decoded : int array;  (** [func]'s {!Func.decode} table *)
   ruu : entry array;
   size : int;  (** [Array.length ruu], hoisted out of the wrap compares *)
   mutable head : int;
@@ -140,6 +150,7 @@ type t = {
      pop so events stranded by a flush are ignored *)
   cal : int array array;
   cal_len : int array;
+  cal_busy : int array;  (** bit per bucket, set while its [cal_len] > 0 *)
   cal_mask : int;
   slot_bits : int;
   slot_mask : int;
@@ -175,11 +186,8 @@ type t = {
 }
 
 let fresh_entry () =
-  {
-    seq = -1; idx = 0; fu = 0; dst = -1; pending = 0; addr = -1; is_load = false;
-    is_store = false; is_pref = false; is_branch = false; mispred = false; state = 0;
-    complete_at = 0; valid = false;
-  }
+  { seq = -1; dec = 0; dst = -1; pending = 0; addr = -1; mispred = false; state = 0;
+    complete_at = 0; valid = false }
 
 let next_pow2 n =
   let r = ref 1 in
@@ -195,25 +203,22 @@ let bits_for n =
   done;
   !b
 
-(* Branch and NoFu share the issue-width budget (slot 5); the other classes
-   map to their own counter. [Isa.fu_index] orders IntAlu..Branch as 0..5
-   with NoFu last. *)
-let fu_slot fu =
-  let i = Isa.fu_index fu in
-  if i > 5 then 5 else i
-
 (** A caller's machine store: the memory and the cache arrays its
     successive machines are built on, each starting from what the last
-    one left instead of allocating its own. It backs one live machine at
-    a time. *)
+    one left instead of allocating its own, and the decoded table of the
+    last program simulated on it. It backs one live machine at a time. *)
 type store = {
   mutable memory : Func.memory option;
       (** replaced by a fresh one only when a program does not
           {!Func.fits} it (counted in [sim.memory_allocations]) *)
   caches : Memsys.store;
+  mutable decoded : (Isa.program * int array) option;
+      (** {!Func.decode} of the program, kept for as long as the machines
+          built on the store simulate that very program (the SMARTS
+          attempts of one design point) *)
 }
 
-let store () = { memory = None; caches = Memsys.store () }
+let store () = { memory = None; caches = Memsys.store (); decoded = None }
 
 let m_memory_allocations = Emc_obs.Metrics.counter "sim.memory_allocations"
 
@@ -229,15 +234,26 @@ let store_memory s prog =
       Emc_obs.Metrics.incr m_memory_allocations;
       m
 
+let store_decoded s prog =
+  match s.decoded with
+  | Some (p, d) when p == prog -> d
+  | _ ->
+      let d = Func.decode prog in
+      s.decoded <- Some (prog, d);
+      d
+
 (** A timing model at [prog]'s entry with [inputs] loaded (see
     {!Func.create}). Without [store] it gets a fresh memory and fresh
     caches. With it, {!Func.create} brings the store's memory back in
     place to what a fresh one would hold and {!Memsys.create} builds the
     caches over the store's arrays, so the machine runs exactly like a
     fresh one; a machine made earlier from the same store must no longer
-    be used. *)
+    be used. The store keeps [prog]'s decoded table too, so a program
+    must not change while machines built on one store simulate it. *)
 let create ?store ?inputs (cfg : Config.t) (prog : Isa.program) =
   let memory = Option.map (fun s -> store_memory s prog) store in
+  let decoded = Option.map (fun s -> store_decoded s prog) store in
+  let func = Func.create ?decoded ?memory ?inputs prog in
   let mem = Memsys.create ?store:(Option.map (fun s -> s.caches) store) cfg in
   let size = cfg.ruu_size in
   (* strictly larger than any single-event latency: loads bill at most the
@@ -249,8 +265,8 @@ let create ?store ?inputs (cfg : Config.t) (prog : Isa.program) =
     machine = Isa.machine_for_width cfg.issue_width;
     mem;
     bpred = Bpred.create ~size:cfg.bpred_size;
-    func = Func.create ?memory ?inputs prog;
-    prog;
+    func;
+    decoded = func.Func.decoded;
     ruu = Array.init size (fun _ -> fresh_entry ());
     size;
     head = 0;
@@ -269,6 +285,7 @@ let create ?store ?inputs (cfg : Config.t) (prog : Isa.program) =
     ready = Array.make ((size + 31) lsr 5) 0;
     cal = Array.init wheel (fun _ -> Array.make 4 0);
     cal_len = Array.make wheel 0;
+    cal_busy = Array.make (wheel lsr 5) 0;
     cal_mask = wheel - 1;
     slot_bits;
     slot_mask = (1 lsl slot_bits) - 1;
@@ -325,7 +342,8 @@ let cal_push t at slot seq =
     end
   in
   bucket.(n) <- (seq lsl t.slot_bits) lor slot;
-  t.cal_len.(b) <- n + 1
+  t.cal_len.(b) <- n + 1;
+  if n = 0 then t.cal_busy.(b lsr 5) <- t.cal_busy.(b lsr 5) lor (1 lsl (b land 31))
 
 (* ---------- store index ---------- *)
 
@@ -375,7 +393,7 @@ let older_store_conflict t (load : entry) =
     let continue_ = ref true in
     while !continue_ do
       let e = t.ruu.(!slot) in
-      if not (e.valid && e.is_store && e.seq = !sq) then continue_ := false
+      if not (e.valid && e.dec land Func.store_bit <> 0 && e.seq = !sq) then continue_ := false
       else if e.seq < load.seq then begin
         result := (if e.state = 2 then `Forward else `Conflict);
         continue_ := false
@@ -398,7 +416,7 @@ let commit t =
   while !continue_ && !n < t.machine.Isa.issue_width && t.count > 0 do
     let e = t.ruu.(t.head) in
     if e.valid && e.state = 2 && e.complete_at <= t.cycle then begin
-      if e.is_store then ignore (Memsys.access_d t.mem e.addr);
+      if e.dec land Func.store_bit <> 0 then ignore (Memsys.access_d t.mem e.addr);
       (* clear producer tracking if we are still the last writer *)
       if e.dst >= 0 && t.prod_slot.(e.dst) = t.head && t.prod_seq.(e.dst) = e.seq then begin
         t.prod_slot.(e.dst) <- -1;
@@ -418,7 +436,7 @@ let commit t =
    exactly once per recorded edge) and release a resolving mispredict *)
 let complete_entry t slot (e : entry) =
   e.state <- 2;
-  if e.is_branch && e.mispred && t.fetch_blocked_until < 0 then
+  if e.mispred && e.dec land Func.branch_bit <> 0 && t.fetch_blocked_until < 0 then
     t.fetch_blocked_until <- t.cycle + mispredict_extra;
   let edge = ref t.cons_head.(slot) in
   t.cons_head.(slot) <- -1;
@@ -441,38 +459,43 @@ let writeback t =
       (* seq check drops events stranded by flush_timing or slot reuse *)
       if e.valid && e.state = 1 && e.seq = ev lsr t.slot_bits then complete_entry t slot e
     done;
-    t.cal_len.(b) <- 0
+    t.cal_len.(b) <- 0;
+    t.cal_busy.(b lsr 5) <- t.cal_busy.(b lsr 5) land lnot (1 lsl (b land 31))
   end
 
 (* try to launch one ready entry; returns true when it issued. FU budget is
    checked before the load-conflict probe — same order as the old scan, so
-   cache state mutates identically. *)
+   cache state mutates identically. A load blocked by an older store gets
+   latency -1. *)
 let try_issue t slot =
   let e = t.ruu.(slot) in
-  if t.fu_avail.(e.fu) = 0 then false
+  let d = e.dec in
+  let fu = d land Func.slot_mask in
+  if t.fu_avail.(fu) = 0 then false
   else begin
-    let ok, lat =
-      if e.is_load then
+    let lat =
+      if d land Func.load_bit <> 0 then
         match older_store_conflict t e with
-        | `Conflict -> (false, 0)
-        | `Forward -> (true, 1)
-        | `None -> (true, Memsys.access_d t.mem e.addr)
-      else if e.is_store then (true, 1)
-      else if e.is_pref then begin
+        | `Conflict -> -1
+        | `Forward -> 1
+        | `None -> Memsys.access_d t.mem e.addr
+      else if d land Func.store_bit <> 0 then 1
+      else if d land Func.pref_bit <> 0 then begin
         Memsys.prefetch_d t.mem e.addr;
-        (true, 1)
+        1
       end
-      else (true, Isa.latency_of t.prog.Isa.insts.(e.idx).Isa.op)
+      else d lsr Func.lat_shift
     in
-    if ok then begin
-      t.fu_avail.(e.fu) <- t.fu_avail.(e.fu) - 1;
+    if lat < 0 then false
+    else begin
+      t.fu_avail.(fu) <- t.fu_avail.(fu) - 1;
       e.state <- 1;
       e.complete_at <- t.cycle + lat;
       clear_ready t slot;
       cal_push t e.complete_at slot e.seq;
-      t.issued_total <- t.issued_total + 1
-    end;
-    ok
+      t.issued_total <- t.issued_total + 1;
+      true
+    end
   end
 
 (* issue ready slots in [lo, hi) in slot order, until [width] are away;
@@ -513,8 +536,30 @@ let issue t =
     if issued < width then ignore (issue_range t 0 (tail - t.size) issued width)
   end
 
+(* Register sources are exactly (rs1, rs2) for every opcode — stores read
+   their address base in rs1 and their data in rs2, loads leave rs2 = -1 —
+   so no opcode needs special-cased source handling (a match distinguishing
+   ST/FST here had identical arms and was collapsed). Record a wakeup edge
+   only for producers still in flight: a completed or
+   architecturally-committed producer imposes no wait, and skipping it here
+   is what guarantees each recorded edge is drained exactly once at
+   producer completion. *)
+let add_dep t (e : entry) slot operand r =
+  if r >= 0 then begin
+    let p = t.prod_slot.(r) in
+    if p >= 0 then begin
+      let pe = t.ruu.(p) in
+      if pe.valid && pe.seq = t.prod_seq.(r) && pe.state < 2 then begin
+        e.pending <- e.pending + 1;
+        let edge = (slot lsl 1) lor operand in
+        t.cons_next.(edge) <- t.cons_head.(p);
+        t.cons_head.(p) <- edge
+      end
+    end
+  end
+
 let dispatch t =
-  let insts = t.prog.Isa.insts in
+  let insts = t.func.Func.prog.Isa.insts in
   let n = ref 0 in
   while !n < t.machine.Isa.issue_width && t.count < t.size && t.ifq_len > 0 do
     let item = t.ifq.(t.ifq_head) in
@@ -530,45 +575,18 @@ let dispatch t =
     let e = t.ruu.(slot) in
     t.seq <- t.seq + 1;
     e.seq <- t.seq;
-    e.idx <- idx;
-    e.fu <- fu_slot (Isa.fu_of i.Isa.op);
+    e.dec <- t.decoded.(idx);
     e.dst <- i.Isa.rd;
     e.addr <- d.Func.d_addr;
-    e.is_load <- Isa.is_load i.Isa.op;
-    e.is_store <- Isa.is_store i.Isa.op;
-    e.is_pref <- i.Isa.op = Isa.PREF;
-    e.is_branch <- Isa.is_branch i.Isa.op;
     e.mispred <- item.f_mispred;
     e.state <- 0;
     e.complete_at <- max_int;
     e.valid <- true;
     e.pending <- 0;
     t.cons_head.(slot) <- -1;
-    (* Register sources are exactly (rs1, rs2) for every opcode — stores
-       read their address base in rs1 and their data in rs2, loads leave
-       rs2 = -1 — so no opcode needs special-cased source handling (a match
-       distinguishing ST/FST here had identical arms and was collapsed).
-       Record a wakeup edge only for producers still in flight: a completed
-       or architecturally-committed producer imposes no wait, and skipping
-       it here is what guarantees each recorded edge is drained exactly
-       once at producer completion. *)
-    let dep operand r =
-      if r >= 0 then begin
-        let p = t.prod_slot.(r) in
-        if p >= 0 then begin
-          let pe = t.ruu.(p) in
-          if pe.valid && pe.seq = t.prod_seq.(r) && pe.state < 2 then begin
-            e.pending <- e.pending + 1;
-            let edge = (slot lsl 1) lor operand in
-            t.cons_next.(edge) <- t.cons_head.(p);
-            t.cons_head.(p) <- edge
-          end
-        end
-      end
-    in
-    dep 0 i.Isa.rs1;
-    dep 1 i.Isa.rs2;
-    if e.is_store then begin
+    add_dep t e slot 0 i.Isa.rs1;
+    add_dep t e slot 1 i.Isa.rs2;
+    if e.dec land Func.store_bit <> 0 then begin
       let j = sq_probe t (e.addr lsr 3) in
       if t.sq_key.(j) >= 0 then begin
         (* chain to the previous youngest same-word store; possibly stale,
@@ -602,7 +620,7 @@ let dispatch t =
    is pc lsr (line_shift - 2). *)
 let pc_line_shift =
   let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
-  log2 Cache.line_bytes - 2
+  log2 Memsys.Cache.line_bytes - 2
 
 let ifetch_latency t pc =
   let line = pc lsr pc_line_shift in
@@ -617,7 +635,6 @@ let ifetch_latency t pc =
 let fetch t =
   if t.fetch_blocked_until >= 0 && t.fetch_blocked_until <= t.cycle && not t.trace_done
   then begin
-    let insts = t.prog.Isa.insts in
     let n = ref 0 in
     let stop = ref false in
     while (not !stop) && !n < t.machine.Isa.issue_width && t.ifq_len < ifq_size do
@@ -635,14 +652,14 @@ let fetch t =
         else begin
           t.detail_instrs <- t.detail_instrs + 1;
           let d = item.f_dyn in
-          let i = insts.(d.Func.d_idx) in
-          if i.Isa.op = Isa.HALT then begin
+          let dec = t.decoded.(d.Func.d_idx) in
+          if dec land Func.halt_bit <> 0 then begin
             t.trace_done <- true;
             stop := true
           end
           else begin
             let mispred =
-              if Isa.is_cond_branch i.Isa.op then begin
+              if dec land Func.cond_bit <> 0 then begin
                 let correct = Bpred.update t.bpred d.Func.d_idx d.Func.d_taken in
                 if not correct then t.branch_mispredicts <- t.branch_mispredicts + 1;
                 not correct
@@ -689,6 +706,28 @@ let ready_empty t =
   done;
   !i = Array.length r
 
+(* How many cycles after [c] the first non-empty calendar bucket falls
+   due, in [1, cal_mask]; [cal_mask + 1] when every bucket is empty. The
+   bucket of [c] itself must be empty. Scans [cal_busy] word by word,
+   starting at the bucket after [c]'s and wrapping round to it. *)
+let next_busy t c =
+  let first = (c + 1) land t.cal_mask in
+  let words = Array.length t.cal_busy in
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i <= words do
+    let w = ((first lsr 5) + !i) land (words - 1) in
+    let bits = t.cal_busy.(w) in
+    (* the first word only from [first] on; its lower bits come last *)
+    let bits =
+      if !i = 0 then bits land ((-1) lsl (first land 31))
+      else if !i = words then bits land ((1 lsl (first land 31)) - 1)
+      else bits
+    in
+    if bits <> 0 then found := (w lsl 5) lor ctz32 bits;
+    incr i
+  done;
+  if !found < 0 then t.cal_mask + 1 else ((!found - c) land t.cal_mask)
+
 (* Jump [t.cycle] over cycles in which no stage can act (see "idle-cycle
    skip" in the header), crediting the stall counters exactly as
    [step_cycle] would have. The skip ends at the first non-empty calendar
@@ -705,19 +744,19 @@ let skip_idle t =
   then begin
     (* the wheel spans every pending latency: [cal_mask] buckets cover it *)
     let stop = if fbu > c then fbu else max_int and last = c + t.cal_mask in
-    let k = ref (c + 1) in
-    while !k < stop && !k <= last && t.cal_len.(!k land t.cal_mask) = 0 do
-      incr k
-    done;
-    if !k <= last || !k = stop then begin
-      let n = !k - c in
+    let k =
+      let due = c + next_busy t c in
+      if due < stop then due else stop
+    in
+    if k <= last || k = stop then begin
+      let n = k - c in
       if t.count > 0 then begin
         t.commit_stall_cycles <- t.commit_stall_cycles + n;
         t.issue_stall_cycles <- t.issue_stall_cycles + n
       end;
       if not t.trace_done then t.fetch_stall_cycles <- t.fetch_stall_cycles + n;
       t.skipped_cycles <- t.skipped_cycles + n;
-      t.cycle <- !k
+      t.cycle <- k
     end
   end
 
@@ -736,12 +775,12 @@ let counters t =
     ("fetch_stall_cycles", t.fetch_stall_cycles);
     ("issue_stall_cycles", t.issue_stall_cycles);
     ("commit_stall_cycles", t.commit_stall_cycles);
-    ("l1i_hits", t.mem.Memsys.l1i.Cache.hits);
-    ("l1i_misses", t.mem.Memsys.l1i.Cache.misses);
-    ("l1d_hits", t.mem.Memsys.l1d.Cache.hits);
-    ("l1d_misses", t.mem.Memsys.l1d.Cache.misses);
-    ("l2_hits", t.mem.Memsys.l2.Cache.hits);
-    ("l2_misses", t.mem.Memsys.l2.Cache.misses);
+    ("l1i_hits", t.mem.Memsys.l1i.Memsys.Cache.hits);
+    ("l1i_misses", t.mem.Memsys.l1i.Memsys.Cache.misses);
+    ("l1d_hits", t.mem.Memsys.l1d.Memsys.Cache.hits);
+    ("l1d_misses", t.mem.Memsys.l1d.Memsys.Cache.misses);
+    ("l2_hits", t.mem.Memsys.l2.Memsys.Cache.hits);
+    ("l2_misses", t.mem.Memsys.l2.Memsys.Cache.misses);
   ]
 
 (** Run in detailed mode until [instrs] more instructions have been fetched
@@ -785,20 +824,19 @@ let run_to_completion t =
     branch predictor without timing (the SMARTS fast-forward mode). *)
 let run_warming t ~instrs =
   let func = t.func in
-  let insts = t.prog.Isa.insts in
   let buf = t.warm_buf in
   let n = ref 0 in
   while !n < instrs && not t.trace_done do
     ignore (ifetch_latency t func.Func.pc);
     if not (Func.step_into func buf) then t.trace_done <- true
     else begin
-      let i = insts.(buf.Func.d_idx) in
-      if i.Isa.op = Isa.HALT then t.trace_done <- true
+      let dec = t.decoded.(buf.Func.d_idx) in
+      if dec land Func.halt_bit <> 0 then t.trace_done <- true
       else begin
-        if Isa.is_cond_branch i.Isa.op then
+        if dec land Func.cond_bit <> 0 then
           ignore (Bpred.update t.bpred buf.Func.d_idx buf.Func.d_taken);
         if buf.Func.d_addr >= 0 then
-          if i.Isa.op = Isa.PREF then Memsys.prefetch_d t.mem buf.Func.d_addr
+          if dec land Func.pref_bit <> 0 then Memsys.prefetch_d t.mem buf.Func.d_addr
           else ignore (Memsys.access_d t.mem buf.Func.d_addr)
       end
     end;

@@ -1,23 +1,32 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state: 8 bytes, read and written as an unboxed int64.
+   An [int64] kept in a mutable field is boxed, so every draw would
+   allocate a new box for it. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+let copy = Bytes.copy
+
+(* Inlined into each draw below, so its int64s stay unboxed there. *)
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let int64 = next_int64
 
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
 (* Non-negative 62-bit int. *)
-let next_nat t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+let[@inline] next_nat t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -27,11 +36,11 @@ let int t bound =
      bounds the rejection probability is ~bound/2^62, so streams are
      unchanged in practice; bounds near max_int reject ~half the draws. *)
   let limit = max_int / bound * bound in
-  let rec go () =
-    let v = next_nat t in
-    if v >= limit then go () else v mod bound
-  in
-  go ()
+  let v = ref (next_nat t) in
+  while !v >= limit do
+    v := next_nat t
+  done;
+  !v mod bound
 
 let float t bound =
   let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
@@ -41,12 +50,12 @@ let float t bound =
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let gaussian t =
-  let rec u () =
-    let x = float t 1.0 in
-    if x > 0.0 then x else u ()
-  in
-  let u1 = u () and u2 = float t 1.0 in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
+  let u1 = ref (float t 1.0) in
+  while not (!u1 > 0.0) do
+    u1 := float t 1.0
+  done;
+  let u2 = float t 1.0 in
+  sqrt (-2.0 *. log !u1) *. cos (2.0 *. Float.pi *. u2)
 
 let range t lo hi =
   if hi < lo then invalid_arg "Rng.range: hi < lo";

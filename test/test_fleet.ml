@@ -1265,6 +1265,13 @@ let measure_request ?(workload_scale = 0.05) ?smarts () =
 
 let zero_unit = { Emc_sim.Smarts.default_params with unit_size = 0; warmup = 0 }
 
+(* A /measure body for one gzip point at -O2, which schedules, on a
+   machine of the given issue width. *)
+let width_request width =
+  Fleet.measure_body (Emc_workloads.Registry.find "gzip") ~variant:Emc_workloads.Workload.Train
+    ~workload_scale:0.05 ~smarts:None
+    [| (Emc_opt.Flags.o2, { Emc_sim.Config.typical with issue_width = width }) |]
+
 (* A SMARTS unit of no instructions never advances the sampling loop,
    and an infinite workload scale names no workload size: both are
    rejected, while the same bodies with runnable values decode. *)
@@ -1277,8 +1284,19 @@ let test_unrunnable_measure_rejected () =
     (decodes (measure_request ~smarts:{ zero_unit with unit_size = 1 } ()));
   cb "a finite workload_scale decodes" true (decodes (measure_request ()))
 
-(* The worker answers the unit_size-0 body with a 400 and stays
-   responsive. It is SIGKILLed at the end, so a worker pinned by the
+(* An issue width below 1 is refused at decode, with a message, before
+   anything is compiled for it. *)
+let test_width_zero_point_rejected () =
+  let error body =
+    match Fleet.measure_request_of_body body with Ok _ -> None | Error e -> Some e
+  in
+  Alcotest.(check (option string)) "width 0 rejected"
+    (Some "issue width must be at least 1, not 0") (error (width_request 0));
+  cb "width -2 rejected" true (Option.is_some (error (width_request (-2))));
+  Alcotest.(check (option string)) "width 1 decodes" None (error (width_request 1))
+
+(* The worker answers the unit_size-0 and width-0 bodies with a 400 and
+   stays responsive. It is SIGKILLed at the end, so a worker pinned by the
    request fails this case instead of hanging it. *)
 let test_unrunnable_measure_is_a_400 () =
   let sock = sock_path "spin" in
@@ -1286,13 +1304,16 @@ let test_unrunnable_measure_is_a_400 () =
   Fun.protect ~finally:(fun () -> kill_daemon pid; List.iter rm_f [ sock; sock ^ ".pid" ])
   @@ fun () ->
   wait_sock sock;
-  (match
-     Http.call ~timeout:3.0 (Fleet.Unix_sock sock) ~meth:"POST" ~path:"/measure"
-       ~headers:[ ("Content-Type", "application/json") ]
-       ~body:(measure_request ~smarts:zero_unit ()) ()
-   with
-  | Ok r -> ci "structured rejection" 400 r.Http.status
-  | Error e -> Alcotest.failf "/measure: %s" (Http.error_to_string e));
+  List.iter
+    (fun (what, body) ->
+      match
+        Http.call ~timeout:3.0 (Fleet.Unix_sock sock) ~meth:"POST" ~path:"/measure"
+          ~headers:[ ("Content-Type", "application/json") ]
+          ~body ()
+      with
+      | Ok r -> ci (what ^ ": structured rejection") 400 r.Http.status
+      | Error e -> Alcotest.failf "/measure %s: %s" what (Http.error_to_string e))
+    [ ("unit_size 0", measure_request ~smarts:zero_unit ()); ("width 0", width_request 0) ];
   match Http.call ~timeout:1.0 (Fleet.Unix_sock sock) ~meth:"GET" ~path:"/healthz" () with
   | Ok r -> ci "the worker still answers /healthz" 200 r.Http.status
   | Error e -> Alcotest.failf "/healthz after the rejected body: %s" (Http.error_to_string e)
@@ -1442,6 +1463,7 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 24 |]) prop_schedules;
     ("stalled worker: a cut-off head blocks no one", `Slow, test_stalled_head_blocks_no_one);
     ("unrunnable /measure bodies are rejected", `Quick, test_unrunnable_measure_rejected);
+    ("a width-0 /measure point is rejected", `Quick, test_width_zero_point_rejected);
     ("unrunnable /measure is a 400, the worker stays up", `Quick,
      test_unrunnable_measure_is_a_400);
     ("drain reaps a worker its caller forked", `Quick, test_drain_reaps_own_child);

@@ -464,6 +464,23 @@ fn main() -> int {
   in
   Helpers.check_ir_preserve_semantics ~what:"sched memory" { o0 with schedule_insns2 = true } src
 
+(* A width or unit cap below 1 can issue nothing in any cycle, so the
+   scheduler refuses it up front instead of looping for ever. *)
+let test_sched_rejects_empty_cycles () =
+  let schedule ~width ~caps =
+    Sched.list_schedule ~width ~caps ~unit_of:(fun _ -> 0) ~latency:(fun _ -> 1)
+      ~reads:(fun _ -> []) ~writes:(fun i -> [ i ]) ~mem:(fun _ -> Sched.Not_mem)
+      ~store_after:0 3
+  in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s was scheduled" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "width 0" (fun () -> schedule ~width:0 ~caps:[| 1 |]);
+  refused "a cap of 0" (fun () -> schedule ~width:2 ~caps:[| 0 |]);
+  Alcotest.(check (array int)) "width 1" [| 0; 1; 2 |] (schedule ~width:1 ~caps:[| 1 |])
+
 let test_reorder_keeps_entry_first () =
   List.iter
     (fun (name, src) ->
@@ -608,6 +625,7 @@ let suite =
     ("prefetch skips small arrays", `Quick, test_prefetch_skips_small_arrays);
     ("sched preserves semantics", `Quick, test_sched_preserves_semantics);
     ("sched memory order", `Quick, test_sched_respects_memory_order);
+    ("sched refuses a width below 1", `Quick, test_sched_rejects_empty_cycles);
     ("reorder layout valid", `Quick, test_reorder_keeps_entry_first);
     ("corpus at all -O levels", `Quick, test_corpus_all_levels);
     QCheck_alcotest.to_alcotest prop_random_flags;

@@ -80,6 +80,66 @@ let test_rng_no_modulo_bias () =
     true
     (frac > 0.44 && frac < 0.56)
 
+(* The first 10,000 draws of each kind at three seeds, rendered as text
+   ([%h] for floats) and digested. They pin the streams themselves: how
+   the generator keeps its state may change, no draw may. [int] cycles
+   through bounds from 1 to [max_int], so the rejection loop runs too. *)
+let rng_streams =
+  [ ( 0,
+      [ ("int", "fe87bbb1dd182c3bff6c9f6f37022661");
+        ("float", "e353a388b01aade28c5a187bde71fe35");
+        ("bool", "76ab96af1fd1c894a4a12053faa9410a");
+        ("gaussian", "e0916931be4d5509f4d0d98ab887742a");
+        ("split", "a960541cd82d07c74ff457f56401f309") ] );
+    ( 7,
+      [ ("int", "fbc29297712ca8c17f7c4cd7da5fc08c");
+        ("float", "865e72a6152a8c88d76b377b58bcfe3c");
+        ("bool", "e08c214d67734b990b775abafb0b1263");
+        ("gaussian", "b781f37537f5f0e6ea7b7eb5c5a920a1");
+        ("split", "174207c3719edc12b3d732e4c895da07") ] );
+    ( 2007,
+      [ ("int", "47f5600a50c457811ab609dc121c0439");
+        ("float", "7e3f335aaf6bf2fdd51ba09b2dd68a27");
+        ("bool", "fe7ee48104190b4d493761e1e61dc720");
+        ("gaussian", "4082070e60427e4917bedfe195709328");
+        ("split", "987786e7ecfd9e9142fa2ddc2c3cb043") ] ) ]
+
+let test_rng_streams_pinned () =
+  let bounds = [| 1; 2; 7; 1000; 1 lsl 40; max_int / 3 * 2; max_int |] in
+  let draw kind b r =
+    for i = 0 to 9999 do
+      match kind with
+      | "int" -> Printf.bprintf b "%d," (Rng.int r bounds.(i mod 7))
+      | "float" -> Printf.bprintf b "%h," (Rng.float r 1.0)
+      | "bool" -> Printf.bprintf b "%b," (Rng.bool r)
+      | "gaussian" -> Printf.bprintf b "%h," (Rng.gaussian r)
+      | _ -> Printf.bprintf b "%Ld," (Rng.int64 (Rng.split r))
+    done
+  in
+  List.iter
+    (fun (seed, kinds) ->
+      List.iter
+        (fun (kind, want) ->
+          let b = Buffer.create 200_000 in
+          draw kind b (Rng.create seed);
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d, %s" seed kind)
+            want
+            (Digest.to_hex (Digest.string (Buffer.contents b))))
+        kinds)
+    rng_streams
+
+let test_rng_int_allocates_nothing () =
+  let r = Rng.create 3 in
+  ignore (Rng.int r 1000);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Rng.int r 1000)
+  done;
+  let words = Gc.minor_words () -. before in
+  (* [Gc.minor_words] boxes its own float result *)
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for 10,000 draws" words) true (words < 10.0)
+
 let test_gaussian_moments () =
   let r = Rng.create 13 in
   let xs = Array.init 50_000 (fun _ -> Rng.gaussian r) in
@@ -222,6 +282,8 @@ let suite =
     ("rng invalid bound", `Quick, test_rng_int_invalid);
     ("rng uniformity", `Quick, test_rng_uniformity);
     ("rng no modulo bias", `Quick, test_rng_no_modulo_bias);
+    ("rng streams pinned", `Quick, test_rng_streams_pinned);
+    ("Rng.int allocates 0 minor words", `Quick, test_rng_int_allocates_nothing);
     ("gaussian moments", `Quick, test_gaussian_moments);
     ("shuffle is permutation", `Quick, test_shuffle_permutation);
     ("sample without replacement", `Quick, test_sample_without_replacement);
