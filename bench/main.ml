@@ -394,26 +394,22 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
           Staged.stage (fun () ->
               let ooo = Emc_sim.Ooo.create ~inputs march prog in
               Emc_sim.Ooo.run_detailed ooo ~instrs:50_000) );
-      (* fleet wire format: the bit-exact hex-float JSONL record shared by
-         --cache files, run journals and the store — encode plus reparse,
-         the per-result overhead of distributing a measurement *)
+      (* the result-file record: the bit-exact hex-float JSONL line shared
+         by --cache files, run journals and the store, encoded and
+         classified back by Result_file — the per-result overhead of
+         persisting a measurement *)
       ( "fleet/cache-line-roundtrip-x100",
         fun () ->
           Staged.stage (fun () ->
               for i = 1 to 100 do
                 let line =
-                  Emc_core.Measure.cache_line
+                  Emc_core.Result_file.line
                     (Printf.sprintf "Cycles|164.gzip|train|O%d|typical" (i mod 4))
                     (1.0 /. float_of_int i)
                 in
-                match
-                  Result.bind (Emc_obs.Json.parse line) (fun j ->
-                      match Option.bind (Emc_obs.Json.member "v" j) Emc_obs.Json.hex_of with
-                      | Some f -> Ok f
-                      | None -> Error "bad record")
-                with
-                | Ok f -> ignore f
-                | Error e -> failwith e
+                match Emc_core.Result_file.classify line with
+                | `Entry (_, f) -> ignore f
+                | `Header | `Malformed -> failwith "bad record"
               done) );
       (* the full coordinator↔worker codec for one 32-point chunk:
          serialize the /measure request, parse it as the worker does,

@@ -164,7 +164,7 @@ let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("emc: " ^ msg); exit 1)
 let result_file ?run_id cache =
   match (run_id, cache) with
   | Some _, Some _ -> die "--cache and --run-id exclude each other: a run's journal is its cache"
-  | Some id, None -> Some (Fleet.journal_init ~run_id:id ~argv:Sys.argv)
+  | Some id, None -> Some (Result_file.journal_init ~run_id:id ~argv:Sys.argv)
   | None, Some _ -> cache
   | None, None -> Sys.getenv_opt "EMC_CACHE"
 
@@ -1038,21 +1038,20 @@ let fleet_resume_cmd =
                    so completed measurements are not re-simulated.")
   in
   let run id exec =
-    match Fleet.journal_info id with
+    match Result_file.journal_info id with
     | Error e -> die "%s" e
-    | Ok ji ->
-        Printf.printf "run %s: %d completed measurement%s (%d skipped line%s)\n"
-          ji.Fleet.ji_run_id ji.Fleet.ji_entries
-          (if ji.Fleet.ji_entries = 1 then "" else "s")
-          ji.Fleet.ji_skipped
-          (if ji.Fleet.ji_skipped = 1 then "" else "s");
-        Printf.printf "  journal: %s\n  argv: %s\n" ji.Fleet.ji_path
-          (String.concat " " ji.Fleet.ji_argv);
+    | Ok (ji : Result_file.journal_info) ->
+        Printf.printf "run %s: %d completed measurement%s (%d skipped line%s)\n" ji.ji_run_id
+          ji.ji_entries
+          (if ji.ji_entries = 1 then "" else "s")
+          ji.ji_skipped
+          (if ji.ji_skipped = 1 then "" else "s");
+        Printf.printf "  journal: %s\n  argv: %s\n" ji.ji_path (String.concat " " ji.ji_argv);
         if exec then
-          match ji.Fleet.ji_argv with
+          match ji.ji_argv with
           | [] -> die "journal records no command line to re-execute"
           | argv0 :: _ -> (
-              try Unix.execv argv0 (Array.of_list ji.Fleet.ji_argv)
+              try Unix.execv argv0 (Array.of_list ji.ji_argv)
               with Unix.Unix_error (e, _, _) ->
                 die "exec %s: %s" argv0 (Unix.error_message e))
   in
@@ -1075,23 +1074,21 @@ let cache_cmd =
                    any torn trailing write.")
   in
   let run file compact =
-    let st = if compact then Measure.cache_compact file else Measure.cache_stats file in
+    let (st : Result_file.stats) =
+      if compact then Result_file.compact file else Result_file.stats file
+    in
     Printf.printf "%s%s:\n" file (if compact then " (before compaction)" else "");
     Printf.printf
       "  lines %d  entries %d  unique %d  duplicates %d  headers %d  malformed %d%s\n"
-      st.Measure.cs_lines st.Measure.cs_entries st.Measure.cs_unique st.Measure.cs_duplicates
-      st.Measure.cs_headers st.Measure.cs_malformed
-      (if st.Measure.cs_torn then "  (torn trailing line)" else "");
-    if st.Measure.cs_top_duplicates <> [] then begin
+      st.cs_lines st.cs_entries st.cs_unique st.cs_duplicates st.cs_headers st.cs_malformed
+      (if st.cs_torn then "  (torn trailing line)" else "");
+    if st.cs_top_duplicates <> [] then begin
       print_string "  hottest keys:\n";
-      List.iter
-        (fun (k, n) -> Printf.printf "    %4dx %s\n" n k)
-        st.Measure.cs_top_duplicates
+      List.iter (fun (k, n) -> Printf.printf "    %4dx %s\n" n k) st.cs_top_duplicates
     end;
     if compact then
-      Printf.printf "  compacted to %d line%s\n"
-        (st.Measure.cs_headers + st.Measure.cs_unique)
-        (if st.Measure.cs_headers + st.Measure.cs_unique = 1 then "" else "s")
+      Printf.printf "  compacted to %d line%s\n" (st.cs_headers + st.cs_unique)
+        (if st.cs_headers + st.cs_unique = 1 then "" else "s")
   in
   Cmd.v
     (Cmd.info "cache"

@@ -12,10 +12,10 @@ open Emc_workloads
     {!respond_many}, which resolves it in process, across [scale.jobs]
     forked children ({!Emc_par.Par}) or through an attached fleet, then
     memoizes, persists and counts it in one place. The memo can be backed
-    by one result file (JSONL, one key/value pair per line, keys signed
-    with the protocol's {!Scale.signature}) that is loaded at {!create}
-    and appended on every fresh simulation, so a re-run of an experiment
-    against it performs zero simulations. *)
+    by one result file ({!Result_file}, keys signed with the protocol's
+    {!Scale.signature}) that is loaded at {!create} and appended on every
+    fresh simulation, so a re-run of an experiment against it performs
+    zero simulations. *)
 
 (** All three responses of one simulated design point — what crosses the
     wire between a fleet coordinator and its workers. *)
@@ -62,134 +62,35 @@ let m_preloaded = Metrics.counter "measure.cache_preloaded"
    in any experiment's metrics dump, not just in the bench harness. *)
 let h_sim_seconds = Metrics.histogram "measure.sim_seconds"
 
-(* ---------------- persistent result file ---------------- *)
-
-(* One JSON object per line. The value is a hex float literal (%h) rather
-   than a JSON number: decimal printing is lossy and the cache must
-   round-trip bit-identically for warm re-runs to reproduce datasets
-   exactly. *)
-let cache_line key v =
-  Emc_obs.Json.to_string
-    (Emc_obs.Json.Obj
-       [ ("k", Emc_obs.Json.Str key); ("v", Emc_obs.Json.Str (Printf.sprintf "%h" v)) ])
-
-(* Journal/store header lines ({"schema":...}) are structural, not
-   entries: skipped silently so a run journal doubles as a result cache. *)
-let cache_entry_of_line line =
-  match Emc_obs.Json.parse line with
-  | Error _ -> `Malformed
-  | Ok j -> (
-      if Emc_obs.Json.member "schema" j <> None then `Header
-      else
-        match (Emc_obs.Json.member "k" j, Emc_obs.Json.member "v" j) with
-        | Some (Emc_obs.Json.Str k), Some v -> (
-            match Emc_obs.Json.hex_of v with
-            | Some f -> `Entry (k, f)
-            | None -> `Malformed)
-        | _ -> `Malformed)
-
-(* A killed run can leave the file's last line torn mid-write (no trailing
-   newline). Loads treat it like any other malformed line; the append side
-   must also know, or the next record would be glued onto the torn tail,
-   destroying both. *)
-let ends_with_newline path =
-  match open_in_bin path with
-  | exception Sys_error _ -> true
-  | ic ->
-      let len = in_channel_length ic in
-      let r =
-        len = 0
-        ||
-        (seek_in ic (len - 1);
-         match input_char ic with '\n' -> true | _ | (exception End_of_file) -> false)
-      in
-      close_in ic;
-      r
-
-(* Every non-blank line of a JSONL file, in order; a missing file has none. *)
-let iter_lines path f =
-  if Sys.file_exists path then begin
-    let ic = open_in path in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.trim line <> "" then f line
-       done
-     with End_of_file -> ());
-    close_in ic
-  end
-
-(* Load the entries of [path] into [results] under the key [key] maps each
-   one's to, returning (loaded, malformed, rejected): entries [key] maps to
-   [None] are rejected. *)
-let load_entries ~key results path =
-  let loaded = ref 0 and bad = ref 0 and rejected = ref 0 in
-  iter_lines path (fun line ->
-      match cache_entry_of_line line with
-      | `Entry (k, v) -> (
-          match key k with
-          | Some k ->
-              Hashtbl.replace results k v;
-              incr loaded
-          | None -> incr rejected)
-      | `Header -> ()
-      | `Malformed -> incr bad);
-  (!loaded, !bad, !rejected)
-
-let cache_load results path =
-  let loaded, bad, _ = load_entries ~key:Option.some results path in
-  (loaded, bad)
-
-let append_line oc line =
-  output_string oc line;
-  output_char oc '\n';
-  flush oc
-
-(* Open the append side of a JSONL file, first terminating any torn
-   trailing line so appended records start on a fresh line. *)
-let cache_open_append path =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  if not (ends_with_newline path) then begin
-    Emc_obs.Log.warn ~src:"measure"
-      ~fields:[ ("file", Emc_obs.Json.Str path) ]
-      "%s ends mid-line (torn write from a killed run); terminating it before appending" path;
-    output_char oc '\n';
-    flush oc
-  end;
-  oc
-
 (* A persisted result names the protocol that measured it: its "k" is
    SIG#KEY, SIG being the Measure's [Scale.signature]. The signature sits
    inside the key so that `emc cache` dedup and compaction keep one entry
    per protocol; memo keys stay bare [result_key]s. *)
 let signed_prefix scale = Scale.signature scale ^ "#"
 
-(* Preload the results [path] holds under [scale]'s signature; unsigned
-   lines and other protocols' are skipped like malformed ones. *)
-let load_signed results scale path =
-  let prefix = signed_prefix scale in
-  let n = String.length prefix in
-  let unsign k =
-    if String.starts_with ~prefix k then Some (String.sub k n (String.length k - n)) else None
-  in
-  let loaded, bad, foreign = load_entries ~key:unsign results path in
-  if bad + foreign > 0 then
-    Emc_obs.Log.warn ~src:"measure"
-      ~fields:
-        [ ("file", Emc_obs.Json.Str path); ("malformed", Emc_obs.Json.Int bad);
-          ("other_protocol", Emc_obs.Json.Int foreign) ]
-      "skipped %d malformed lines and %d unsigned or other-protocol lines in %s" bad foreign path;
-  Emc_obs.Log.info ~src:"measure"
-    ~fields:[ ("file", Emc_obs.Json.Str path); ("results", Emc_obs.Json.Int loaded) ]
-    "result file %s: %d measurements preloaded" path loaded;
-  Metrics.add m_preloaded loaded;
-  loaded
-
 let create ?cache_file scale =
   let results = Hashtbl.create 1024 in
-  let preloaded = Option.fold ~none:0 ~some:(load_signed results scale) cache_file in
+  (* unsigned lines and other protocols' are skipped like malformed ones *)
+  let preloaded =
+    match cache_file with
+    | None -> 0
+    | Some path ->
+        let loaded, bad, foreign = Result_file.load ~prefix:(signed_prefix scale) results path in
+        if bad + foreign > 0 then
+          Emc_obs.Log.warn ~src:"measure"
+            ~fields:
+              [ ("file", Emc_obs.Json.Str path); ("malformed", Emc_obs.Json.Int bad);
+                ("other_protocol", Emc_obs.Json.Int foreign) ]
+            "skipped %d malformed lines and %d unsigned or other-protocol lines in %s" bad
+            foreign path;
+        Emc_obs.Log.info ~src:"measure"
+          ~fields:[ ("file", Emc_obs.Json.Str path); ("results", Emc_obs.Json.Int loaded) ]
+          "result file %s: %d measurements preloaded" path loaded;
+        Metrics.add m_preloaded loaded;
+        loaded
+  in
   { scale; binaries = Hashtbl.create 64; inputs = Hashtbl.create 8; results;
-    cache = Option.map cache_open_append cache_file; simulations = 0; compiles = 0;
+    cache = Option.map Result_file.open_append cache_file; simulations = 0; compiles = 0;
     binary_hits = 0; result_hits = 0; preloaded; remote = None; store = Emc_sim.Ooo.store () }
 
 let set_remote t remote = t.remote <- Some remote
@@ -289,7 +190,7 @@ let merge t w ~variant point (tr : triple) =
   Option.iter
     (fun oc ->
       let prefix = signed_prefix t.scale in
-      List.iter (fun (k, v) -> append_line oc (cache_line (prefix ^ k) v)) entries)
+      Result_file.append oc (List.map (fun (k, v) -> (prefix ^ k, v)) entries))
     t.cache;
   t.simulations <- t.simulations + 1;
   Metrics.incr m_simulations
@@ -381,68 +282,3 @@ let cycles_coded t w ~variant coded =
 let respond_coded ?response t w ~variant coded =
   let flags, march = Params.configs_of_coded coded in
   respond ?response t w ~variant flags march
-
-(* ---------------- cache maintenance (emc cache) ---------------- *)
-
-type cache_stats = {
-  cs_lines : int;  (** non-blank lines in the file *)
-  cs_entries : int;  (** well-formed key/value entries *)
-  cs_unique : int;  (** distinct keys *)
-  cs_duplicates : int;  (** entries repeating an earlier key *)
-  cs_headers : int;  (** schema header lines (run journals) *)
-  cs_malformed : int;  (** unparseable lines, the torn tail included *)
-  cs_torn : bool;  (** the file ends mid-line (torn trailing write) *)
-  cs_top_duplicates : (string * int) list;
-      (** keys appearing more than once, by occurrence count descending
-          (ties broken by key), capped at ten — the hit-key report *)
-}
-
-(* One streaming pass shared by report and compact. [emit] sees every line
-   that a compacted file keeps, verbatim: schema headers and the first
-   occurrence of each key. *)
-let cache_scan ?(emit = fun _ -> ()) path =
-  let seen = Hashtbl.create 1024 in
-  let lines = ref 0 and entries = ref 0 and dups = ref 0 in
-  let headers = ref 0 and malformed = ref 0 in
-  iter_lines path (fun line ->
-      incr lines;
-      match cache_entry_of_line line with
-      | `Header ->
-          incr headers;
-          emit line
-      | `Malformed -> incr malformed
-      | `Entry (k, _) -> (
-          incr entries;
-          match Hashtbl.find_opt seen k with
-          | None ->
-              Hashtbl.add seen k 1;
-              emit line
-          | Some n ->
-              Hashtbl.replace seen k (n + 1);
-              incr dups));
-  let top =
-    Hashtbl.fold (fun k n acc -> if n > 1 then (k, n) :: acc else acc) seen []
-    |> List.sort (fun (k1, n1) (k2, n2) ->
-           if n1 <> n2 then compare n2 n1 else compare k1 k2)
-    |> List.filteri (fun i _ -> i < 10)
-  in
-  { cs_lines = !lines; cs_entries = !entries; cs_unique = Hashtbl.length seen;
-    cs_duplicates = !dups; cs_headers = !headers; cs_malformed = !malformed;
-    cs_torn = Sys.file_exists path && not (ends_with_newline path);
-    cs_top_duplicates = top }
-
-let cache_stats path = cache_scan path
-
-(* Rewrite the file keeping headers and the first occurrence of each key,
-   byte-verbatim (the simulator is deterministic, so duplicate keys carry
-   identical values; first-wins is the deterministic policy regardless),
-   dropping malformed lines and the torn tail. tmp + rename in the same
-   directory, so a concurrent reader never sees a half-written file. *)
-let cache_compact path =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".compact" in
-  let oc = open_out tmp in
-  let stats = cache_scan ~emit:(fun line -> append_line oc line) path in
-  close_out oc;
-  Sys.rename tmp path;
-  stats

@@ -13,11 +13,12 @@
     simulator is deterministic, so values, memo and counters are the same
     whichever resolver ran.
 
-    A {b result file} ([?cache_file]: [--cache] or a [--run-id] journal)
-    backs the memo: loaded at {!create}, appended on every fresh
-    simulation, so a warm re-run of the same experiment performs zero
-    simulations. Its keys are signed with the protocol's
-    {!Scale.signature}, so a file never answers for another protocol. *)
+    A {b result file} ([?cache_file]: [--cache] or a [--run-id] journal,
+    read and written through {!Result_file}) backs the memo: loaded at
+    {!create}, appended on every fresh simulation, so a warm re-run of the
+    same experiment performs zero simulations. Its keys are signed with
+    the protocol's {!Scale.signature}, so a file never answers for another
+    protocol. *)
 
 (** All three responses of one simulated design point — what crosses the
     wire between a fleet coordinator and its workers. *)
@@ -109,23 +110,6 @@ val triple_keys :
     in the fixed order they are persisted: the keys the fleet coordinator
     looks up in its store, one RPC per batch, and puts there. *)
 
-val cache_line : string -> float -> string
-(** One JSONL cache record [{"k":KEY,"v":"0x...p..."}] (bit-exact hex
-    float) — the line format shared by [--cache] files, run journals, and
-    the fleet store's persistence. Result files sign [KEY] as [SIG#KEY]
-    ({!create}); the store keeps bare {!result_key}s. *)
-
-val cache_load : (string, float) Hashtbl.t -> string -> int * int
-(** Load a JSONL cache/journal/store file into a table under its keys as
-    written, returning [(loaded, skipped)]. Schema header lines are
-    skipped silently; malformed lines — including a torn trailing line —
-    count as skipped. *)
-
-val cache_open_append : string -> out_channel
-(** Open the append side of a JSONL cache-format file (creating it if
-    missing), first newline-terminating any torn trailing line so appended
-    records never glue onto it — used by the fleet store's persistence. *)
-
 val respond :
   ?response:response ->
   t ->
@@ -198,28 +182,3 @@ val cycles_coded_many :
   float array
 (** {!cycles_many} over coded design points — the fan-out entry used by
     [Modeling.build_dataset]. *)
-
-(** {2 Cache maintenance ([emc cache])} *)
-
-type cache_stats = {
-  cs_lines : int;  (** non-blank lines in the file *)
-  cs_entries : int;  (** well-formed key/value entries *)
-  cs_unique : int;  (** distinct keys *)
-  cs_duplicates : int;  (** entries repeating an earlier key *)
-  cs_headers : int;  (** schema header lines (run journals) *)
-  cs_malformed : int;  (** unparseable lines, the torn tail included *)
-  cs_torn : bool;  (** the file ends mid-line (torn trailing write) *)
-  cs_top_duplicates : (string * int) list;
-      (** keys appearing more than once, by occurrence count descending
-          (ties broken by key), capped at ten — the hit-key report *)
-}
-
-val cache_stats : string -> cache_stats
-(** One read-only pass over a JSONL cache/journal/store file. A missing
-    file reports as empty. *)
-
-val cache_compact : string -> cache_stats
-(** Rewrite the file in place (tmp + rename) keeping schema headers and
-    the first occurrence of each key byte-verbatim, dropping duplicates,
-    malformed lines, and any torn trailing write. Returns the
-    pre-compaction stats. *)

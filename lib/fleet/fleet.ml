@@ -79,9 +79,12 @@ let point_of_json j =
   else
     let ((_, (march : Emc_sim.Config.t)) as point) = Params.split_raw (Array.of_list raw) in
     (* nothing can be compiled for or simulated on a machine that issues
-       no instruction a cycle: refuse the point here, with a message *)
+       no instruction a cycle, and no instruction ever dispatches into an
+       RUU of no entries: refuse the point here, with a message *)
     if march.issue_width < 1 then
       Error (Printf.sprintf "issue width must be at least 1, not %d" march.issue_width)
+    else if march.ruu_size < 1 then
+      Error (Printf.sprintf "RUU size must be at least 1, not %d" march.ruu_size)
     else Ok point
 
 let smarts_to_json = function
@@ -218,11 +221,11 @@ let run_store ?file ~listen () =
   (match file with
   | None -> ()
   | Some path ->
-      let loaded, skipped = Measure.cache_load table path in
+      let loaded, skipped, _ = Result_file.load table path in
       Log.info ~src:"fleet-store"
         ~fields:[ ("file", Json.Str path); ("keys", Json.Int (Hashtbl.length table)) ]
         "store file %s: %d entries loaded, %d skipped" path loaded skipped);
-  let persist = Option.map Measure.cache_open_append file in
+  let persist = Option.map Result_file.open_append file in
   Metrics.set g_keys (float_of_int (Hashtbl.length table));
   (* Elastic membership: workers heartbeat POST /register with their
      advertised address and a TTL; the coordinator polls GET /members. A
@@ -315,22 +318,16 @@ let run_store ?file ~listen () =
               let* v = Json.get "v" Json.as_float e in
               Ok (k, v))))
       (fun entries ->
-        let added =
-          List.fold_left
-            (fun n (k, v) ->
-              if Hashtbl.mem table k then n
-              else begin
-                Hashtbl.replace table k v;
-                (match persist with
-                | Some oc ->
-                    output_string oc (Measure.cache_line k v);
-                    output_char oc '\n'
-                | None -> ());
-                n + 1
-              end)
-            0 entries
+        let fresh =
+          List.filter
+            (fun (k, v) ->
+              let is_new = not (Hashtbl.mem table k) in
+              if is_new then Hashtbl.replace table k v;
+              is_new)
+            entries
         in
-        (match persist with Some oc -> flush oc | None -> ());
+        Option.iter (fun oc -> Result_file.append oc fresh) persist;
+        let added = List.length fresh in
         Metrics.add m_added added;
         Metrics.set g_keys (float_of_int (Hashtbl.length table));
         Json.Obj [ ("added", Json.Int added) ])
@@ -837,70 +834,3 @@ let attach ?(options = default_options) (m : Measure.t) sources =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Measure.set_remote m (fun w ~variant work ->
       respond_batch options sources m.Measure.scale w ~variant work)
-
-(* ---------------- run journals ---------------- *)
-
-let journal_schema = "emc-run-journal/1"
-
-let run_dir () =
-  match Sys.getenv_opt "EMC_RUN_DIR" with Some d when d <> "" -> d | _ -> "emc-runs"
-
-let journal_path run_id = Filename.concat (run_dir ()) (run_id ^ ".jsonl")
-
-let rec mkdir_p dir =
-  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
-  else begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let journal_init ~run_id ~argv =
-  mkdir_p (run_dir ());
-  let path = journal_path run_id in
-  if not (Sys.file_exists path) then begin
-    let oc = open_out path in
-    output_string oc
-      (Json.to_string
-         (Json.Obj
-            [ ("schema", Json.Str journal_schema); ("run_id", Json.Str run_id);
-              ("argv", Json.List (List.map (fun s -> Json.Str s) (Array.to_list argv)));
-              ("started", Json.Float (Unix.time ())) ]));
-    output_char oc '\n';
-    close_out oc
-  end;
-  path
-
-type journal_info = {
-  ji_path : string;
-  ji_run_id : string;
-  ji_argv : string list;
-  ji_entries : int;
-  ji_skipped : int;
-}
-
-let journal_info run_id =
-  let path = journal_path run_id in
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "no journal at %s (known runs live under %s/)" path (run_dir ()))
-  else begin
-    let header =
-      let ic = open_in path in
-      let line = try input_line ic with End_of_file -> "" in
-      close_in ic;
-      let* j = Json.parse line in
-      let* schema = Json.get "schema" Json.as_str j in
-      let* () =
-        if schema = journal_schema then Ok ()
-        else Error (Printf.sprintf "unsupported schema %S" schema)
-      in
-      let* id = Json.get "run_id" Json.as_str j in
-      let* argv = Json.get "argv" Json.as_list j in
-      Ok (id, List.filter_map (fun a -> Result.to_option (Json.as_str a)) argv)
-    in
-    let* ji_run_id, ji_argv =
-      Result.map_error (Printf.sprintf "%s: not an emc-run-journal header (%s)" path) header
-    in
-    let table = Hashtbl.create 1024 in
-    let loaded, skipped = Measure.cache_load table path in
-    Ok { ji_path = path; ji_run_id; ji_argv; ji_entries = loaded; ji_skipped = skipped }
-  end

@@ -22,12 +22,12 @@
       and no clock of its own; the coordinator's driver only moves
       bytes;
     - a {b content-addressed result store} ([emc fleet-store],
-      {!run_store}): keyed by bare [Measure.result_key]s, persisted in
-      the JSONL [--cache] line format. Its one client is the
-      coordinator (the first [@ADDR] source): it looks each batch up
-      before dispatch and puts each chunk's results as it completes, so
-      runs share results and a killed run resumes with zero
-      re-simulation. It doubles as the membership registry.
+      {!run_store}): keyed by bare [Measure.result_key]s, persisted as a
+      {!Emc_core.Result_file}. Its one client is the coordinator (the
+      first [@ADDR] source): it looks each batch up before dispatch and
+      puts each chunk's results as it completes, so runs share results
+      and a killed run resumes with zero re-simulation. It doubles as
+      the membership registry.
 
     {b The bit-identity contract.} Results merged in first-occurrence
     order must be bit-identical to [--jobs 1] on one box — same values,
@@ -43,12 +43,7 @@
     the other discarded. Coordinator-side scheduling telemetry lands in
     separate [fleet.*] counters (dispatched, points_dispatched, retried,
     worker_failures, steals, store_prefilled, store_puts) so [measure.*]
-    stays comparable.
-
-    Resumability: [--run-id ID] makes [EMC_RUN_DIR/ID.jsonl] (header line
-    + [--cache]-format records) the run's result file; re-running with the
-    same id preloads the journal and re-simulates nothing
-    ([emc fleet-resume] inspects or re-executes a journal). *)
+    stays comparable. *)
 
 exception Fleet_error of string
 (** A batch that cannot complete: every worker dead with work pending, a
@@ -283,30 +278,11 @@ val run_worker :
     uses. *)
 
 val run_store : ?file:string -> listen:addr -> unit -> unit
-(** The content-addressed result store. [file] persists the table in
-    the [--cache] JSONL line format (loaded on start, appended per new
-    key), so [emc cache] reads it; its keys are unsigned, so [--cache]
-    loads skip them. Endpoints: [POST /lookup] (keys in, hits out),
-    [POST /put] (entries in, count of new keys out), [POST /register] /
-    [POST /deregister] / [GET /members] (the in-memory membership table;
-    registrations expire after their TTL without a heartbeat),
-    [/healthz], [/metrics]. *)
-
-(** {1 Run journals ([--run-id] / [emc fleet-resume])} *)
-
-val journal_init : run_id:string -> argv:string array -> string
-(** Ensure the journal [EMC_RUN_DIR/<run_id>.jsonl] exists ([EMC_RUN_DIR]
-    defaults to ["emc-runs"]): if new, create the directory and write the
-    [emc-run-journal/1] header line recording [argv]. Returns its path —
-    the run's result file, passed to [Measure.create ?cache_file]. *)
-
-type journal_info = {
-  ji_path : string;
-  ji_run_id : string;
-  ji_argv : string list;  (** argv recorded by the run that created it *)
-  ji_entries : int;  (** completed measurements on file *)
-  ji_skipped : int;  (** malformed/torn lines *)
-}
-
-val journal_info : string -> (journal_info, string) result
-(** Read a journal's header and count its records ([emc fleet-resume]). *)
+(** The content-addressed result store. [file] persists the table as a
+    {!Emc_core.Result_file} (loaded on start, each [/put]'s new keys
+    appended in one write), so [emc cache] reads it; its keys are
+    unsigned, so [--cache] loads skip them. Endpoints: [POST /lookup]
+    (keys in, hits out), [POST /put] (entries in, count of new keys out),
+    [POST /register] / [POST /deregister] / [GET /members] (the in-memory
+    membership table; registrations expire after their TTL without a
+    heartbeat), [/healthz], [/metrics]. *)

@@ -14,23 +14,6 @@ open Emc_ir
 (* ------------------------------------------------------------------ *)
 (* Constant & copy propagation + folding                               *)
 
-let fold_ibin op a b =
-  match op with
-  | Ir.Add -> Some (a + b)
-  | Ir.Sub -> Some (a - b)
-  | Ir.Mul -> Some (a * b)
-  | Ir.Div -> if b = 0 then None else Some (a / b)
-  | Ir.Rem -> if b = 0 then None else Some (a mod b)
-  | Ir.And -> Some (a land b)
-  | Ir.Or -> Some (a lor b)
-  | Ir.Xor -> Some (a lxor b)
-  | Ir.Shl -> Some (a lsl (b land 63))
-  | Ir.Shr -> Some (a lsr (b land 63))
-  | Ir.Sra -> Some (a asr (b land 63))
-
-let fold_cmp op c = match op with
-  | Ir.Eq -> c = 0 | Ir.Ne -> c <> 0 | Ir.Lt -> c < 0 | Ir.Le -> c <= 0 | Ir.Gt -> c > 0 | Ir.Ge -> c >= 0
-
 (* One round of propagation/folding. Returns true if anything changed. *)
 let propagate_func (f : Ir.func) =
   let a = Analysis.compute f in
@@ -75,11 +58,14 @@ let propagate_func (f : Ir.func) =
                 let x = op_imm x and y = op_imm y in
                 match (x, y) with
                 | Ir.Imm ia, Ir.Imm ib -> (
-                    match fold_ibin op ia ib with
-                    | Some v ->
+                    (* the interpreter's arithmetic is the one definition;
+                       what traps there (a division or remainder by zero)
+                       is left for the run to trap on *)
+                    match Interp.eval_ibin op ia ib with
+                    | v ->
                         changed := true;
                         Ir.Iconst (d, v)
-                    | None -> Ir.Ibin (op, d, x, y))
+                    | exception Interp.Trap _ -> Ir.Ibin (op, d, x, y))
                 (* algebraic identities *)
                 | Ir.Reg r, Ir.Imm 0 when op = Ir.Add || op = Ir.Sub || op = Ir.Or
                                           || op = Ir.Xor || op = Ir.Shl || op = Ir.Shr
@@ -98,7 +84,7 @@ let propagate_func (f : Ir.func) =
                 match (x, y) with
                 | Ir.Imm ia, Ir.Imm ib ->
                     changed := true;
-                    Ir.Iconst (d, if fold_cmp op (compare ia ib) then 1 else 0)
+                    Ir.Iconst (d, Interp.icmp op ia ib)
                 | _ -> Ir.Icmp (op, d, x, y))
             | Ir.Fbin (op, d, x, y) -> (
                 match (fconst_of x, fconst_of y) with

@@ -2,11 +2,13 @@
     (Orr et al., "Combining Regression Trees and Radial Basis Function
     Networks" — the paper's reference [12]).
 
-    Best-first growth: repeatedly split the leaf whose best (dimension,
-    threshold) split yields the largest SSE reduction, until [max_leaves] or
-    no admissible split remains ([min_leaf] points per side). Thresholds are
-    midpoints between distinct sorted values, subsampled to at most
-    [max_thresholds] per dimension. *)
+    Growth is depth-first under a leaf budget: a leaf is split at its best
+    (dimension, threshold) by SSE reduction, its budget is divided between
+    the two children in proportion to their points (each keeps at least
+    one leaf), and each child is grown the same way. A leaf stays a leaf
+    once its budget is one, or when no admissible split ([min_leaf] points
+    per side) reduces its SSE. Thresholds are midpoints between distinct
+    sorted values, subsampled to at most [max_thresholds] per dimension. *)
 
 type node =
   | Leaf of { indices : int array; mean : float }
@@ -61,32 +63,18 @@ let best_split (d : Dataset.t) ~min_leaf indices =
   !best
 
 let fit ?(min_leaf = 3) ~max_leaves (d : Dataset.t) =
-  let all = Array.init (Dataset.size d) Fun.id in
-  (* working set of leaves with their best candidate splits *)
-  let root = leaf_of d all in
-  let rec count_leaves = function
-    | Leaf _ -> 1
-    | Split s -> count_leaves s.left + count_leaves s.right
-  in
-  let rec grow node budget =
-    if budget <= 1 then node
+  let rec grow indices budget =
+    if budget <= 1 then leaf_of d indices
     else
-      match node with
-      | Leaf { indices; _ } -> (
-          match best_split d ~min_leaf indices with
-          | Some (red, dim, thr, l, r) when red > 1e-12 ->
-              let nl = Array.length l and nr = Array.length r in
-              (* allocate remaining budget proportionally *)
-              let bl = max 1 (budget * nl / (nl + nr)) in
-              let br = max 1 (budget - bl) in
-              Split { dim; thr; left = grow (leaf_of d l) bl; right = grow (leaf_of d r) br }
-          | _ -> node)
-      | Split s ->
-          Split { s with left = grow s.left (budget / 2); right = grow s.right (budget - (budget / 2)) }
+      match best_split d ~min_leaf indices with
+      | Some (red, dim, thr, l, r) when red > 1e-12 ->
+          let nl = Array.length l and nr = Array.length r in
+          let bl = max 1 (budget * nl / (nl + nr)) in
+          let br = max 1 (budget - bl) in
+          Split { dim; thr; left = grow l bl; right = grow r br }
+      | _ -> leaf_of d indices
   in
-  let t = grow root max_leaves in
-  ignore (count_leaves t);
-  t
+  grow (Array.init (Dataset.size d) Fun.id) max_leaves
 
 let rec predict node x =
   match node with

@@ -249,8 +249,12 @@ let store_decoded s prog =
     caches over the store's arrays, so the machine runs exactly like a
     fresh one; a machine made earlier from the same store must no longer
     be used. The store keeps [prog]'s decoded table too, so a program
-    must not change while machines built on one store simulate it. *)
+    must not change while machines built on one store simulate it.
+    Raises [Invalid_argument] on an RUU of no entries, into which no
+    instruction would ever dispatch. *)
 let create ?store ?inputs (cfg : Config.t) (prog : Isa.program) =
+  if cfg.ruu_size < 1 then
+    invalid_arg (Printf.sprintf "Ooo.create: RUU size must be at least 1, not %d" cfg.ruu_size);
   let memory = Option.map (fun s -> store_memory s prog) store in
   let decoded = Option.map (fun s -> store_decoded s prog) store in
   let func = Func.create ?decoded ?memory ?inputs prog in

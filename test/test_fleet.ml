@@ -941,7 +941,7 @@ let with_run_dir f =
 
 let test_journal_resume () =
   with_run_dir @@ fun dir ->
-  let path = Fleet.journal_init ~run_id:"t1" ~argv:[| "emc"; "model"; "-w"; "mcf" |] in
+  let path = Result_file.journal_init ~run_id:"t1" ~argv:[| "emc"; "model"; "-w"; "mcf" |] in
   cb "journal under EMC_RUN_DIR" true (Filename.dirname path = dir);
   let w = Emc_workloads.Registry.find "mcf" in
   let variant = Emc_workloads.Workload.Train in
@@ -951,7 +951,7 @@ let test_journal_resume () =
   ci "cold run simulates" (Array.length points) m1.Measure.simulations;
   (* a second init is a no-op on an existing journal *)
   cs "re-init returns the same path" path
-    (Fleet.journal_init ~run_id:"t1" ~argv:[| "other" |]);
+    (Result_file.journal_init ~run_id:"t1" ~argv:[| "other" |]);
   (* the resumed run preloads everything: zero re-simulation *)
   let m2 = Measure.create ~cache_file:path (small_scale 1) in
   cb "journal preloaded" true (m2.Measure.preloaded > 0);
@@ -959,20 +959,20 @@ let test_journal_resume () =
   Alcotest.(check (array (float 0.0))) "resumed run bit-identical" y1 y2;
   ci "resumed run: zero simulations" 0 m2.Measure.simulations;
   (* journal_info reads the header and counts the records *)
-  match Fleet.journal_info "t1" with
+  match Result_file.journal_info "t1" with
   | Error e -> Alcotest.failf "journal_info: %s" e
   | Ok ji ->
-      cs "run id" "t1" ji.Fleet.ji_run_id;
+      cs "run id" "t1" ji.Result_file.ji_run_id;
       Alcotest.(check (list string)) "argv preserved (first writer wins)"
-        [ "emc"; "model"; "-w"; "mcf" ] ji.Fleet.ji_argv;
+        [ "emc"; "model"; "-w"; "mcf" ] ji.Result_file.ji_argv;
       (* one simulation journals all three responses *)
-      ci "entry count" (3 * m1.Measure.simulations) ji.Fleet.ji_entries;
-      ci "nothing skipped" 0 ji.Fleet.ji_skipped
+      ci "entry count" (3 * m1.Measure.simulations) ji.Result_file.ji_entries;
+      ci "nothing skipped" 0 ji.Result_file.ji_skipped
 
 let test_journal_info_missing () =
   with_run_dir @@ fun _ ->
   cb "unknown run id is an error" true
-    (match Fleet.journal_info "no-such-run" with Error _ -> true | Ok _ -> false)
+    (match Result_file.journal_info "no-such-run" with Error _ -> true | Ok _ -> false)
 
 (* ---------------- cache maintenance ---------------- *)
 
@@ -982,33 +982,33 @@ let test_cache_stats_and_compact () =
   @@ fun () ->
   let oc = open_out path in
   output_string oc "{\"schema\":\"emc-run-journal/1\",\"run_id\":\"x\"}\n";
-  output_string oc (Measure.cache_line "ka" 1.5 ^ "\n");
-  output_string oc (Measure.cache_line "kb" 2.25 ^ "\n");
-  output_string oc (Measure.cache_line "ka" 1.5 ^ "\n");
+  output_string oc (Result_file.line "ka" 1.5 ^ "\n");
+  output_string oc (Result_file.line "kb" 2.25 ^ "\n");
+  output_string oc (Result_file.line "ka" 1.5 ^ "\n");
   output_string oc "garbage line\n";
   output_string oc "{\"k\":\"torn";  (* no newline: a killed writer *)
   close_out oc;
-  let st = Measure.cache_stats path in
-  ci "lines" 6 st.Measure.cs_lines;
-  ci "entries" 3 st.Measure.cs_entries;
-  ci "unique" 2 st.Measure.cs_unique;
-  ci "duplicates" 1 st.Measure.cs_duplicates;
-  ci "headers" 1 st.Measure.cs_headers;
-  ci "malformed" 2 st.Measure.cs_malformed;
-  cb "torn tail detected" true st.Measure.cs_torn;
-  cb "hit keys reported" true (st.Measure.cs_top_duplicates = [ ("ka", 2) ]);
+  let st = Result_file.stats path in
+  ci "lines" 6 st.Result_file.cs_lines;
+  ci "entries" 3 st.Result_file.cs_entries;
+  ci "unique" 2 st.Result_file.cs_unique;
+  ci "duplicates" 1 st.Result_file.cs_duplicates;
+  ci "headers" 1 st.Result_file.cs_headers;
+  ci "malformed" 2 st.Result_file.cs_malformed;
+  cb "torn tail detected" true st.Result_file.cs_torn;
+  cb "hit keys reported" true (st.Result_file.cs_top_duplicates = [ ("ka", 2) ]);
   (* compacting keeps the header and first occurrences, drops the rest *)
-  let before = Measure.cache_compact path in
-  ci "compact reports pre-compaction stats" 6 before.Measure.cs_lines;
-  let st = Measure.cache_stats path in
-  ci "compacted lines" 3 st.Measure.cs_lines;
-  ci "compacted unique" 2 st.Measure.cs_unique;
-  ci "no duplicates left" 0 st.Measure.cs_duplicates;
-  ci "no malformed left" 0 st.Measure.cs_malformed;
-  cb "no torn tail left" false st.Measure.cs_torn;
+  let before = Result_file.compact path in
+  ci "compact reports pre-compaction stats" 6 before.Result_file.cs_lines;
+  let st = Result_file.stats path in
+  ci "compacted lines" 3 st.Result_file.cs_lines;
+  ci "compacted unique" 2 st.Result_file.cs_unique;
+  ci "no duplicates left" 0 st.Result_file.cs_duplicates;
+  ci "no malformed left" 0 st.Result_file.cs_malformed;
+  cb "no torn tail left" false st.Result_file.cs_torn;
   (* the compacted file still loads, values intact *)
   let table = Hashtbl.create 8 in
-  let loaded, skipped = Measure.cache_load table path in
+  let loaded, skipped, _ = Result_file.load table path in
   ci "loads cleanly" 2 loaded;
   ci "nothing skipped" 0 skipped;
   cb "values intact" true
@@ -1021,22 +1021,22 @@ let test_cache_stats_bad_number () =
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
   @@ fun () ->
   let oc = open_out path in
-  output_string oc (Measure.cache_line "ka" 1.5 ^ "\n");
+  output_string oc (Result_file.line "ka" 1.5 ^ "\n");
   output_string oc "{\"k\":\"b\",\"v\":1e}\n";
   close_out oc;
-  let st = Measure.cache_stats path in
-  ci "lines" 2 st.Measure.cs_lines;
-  ci "entries" 1 st.Measure.cs_entries;
-  ci "malformed" 1 st.Measure.cs_malformed;
+  let st = Result_file.stats path in
+  ci "lines" 2 st.Result_file.cs_lines;
+  ci "entries" 1 st.Result_file.cs_entries;
+  ci "malformed" 1 st.Result_file.cs_malformed;
   let table = Hashtbl.create 8 in
-  let loaded, skipped = Measure.cache_load table path in
+  let loaded, skipped, _ = Result_file.load table path in
   ci "the whole record loads" 1 loaded;
   ci "the bad number is skipped" 1 skipped
 
 let test_cache_stats_missing_file () =
-  let st = Measure.cache_stats "/nonexistent/emc_nope.jsonl" in
-  ci "missing file is empty" 0 st.Measure.cs_lines;
-  cb "missing file is not torn" false st.Measure.cs_torn
+  let st = Result_file.stats "/nonexistent/emc_nope.jsonl" in
+  ci "missing file is empty" 0 st.Result_file.cs_lines;
+  cb "missing file is not torn" false st.Result_file.cs_torn
 
 let test_torn_tail_repaired_on_append () =
   (* a killed run leaves a torn tail; the next writer must not glue its
@@ -1045,14 +1045,14 @@ let test_torn_tail_repaired_on_append () =
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
   @@ fun () ->
   let oc = open_out path in
-  output_string oc (Measure.cache_line "ka" 1.5 ^ "\n");
+  output_string oc (Result_file.line "ka" 1.5 ^ "\n");
   output_string oc "{\"k\":\"to";
   close_out oc;
-  let oc = Measure.cache_open_append path in
-  output_string oc (Measure.cache_line "kb" 2.25 ^ "\n");
+  let oc = Result_file.open_append path in
+  Result_file.append oc [ ("kb", 2.25) ];
   close_out oc;
   let table = Hashtbl.create 8 in
-  let loaded, skipped = Measure.cache_load table path in
+  let loaded, skipped, _ = Result_file.load table path in
   ci "both whole records load" 2 loaded;
   ci "only the torn line is skipped" 1 skipped;
   cb "appended record intact, not glued" true (Hashtbl.find_opt table "kb" = Some 2.25)
@@ -1265,12 +1265,14 @@ let measure_request ?(workload_scale = 0.05) ?smarts () =
 
 let zero_unit = { Emc_sim.Smarts.default_params with unit_size = 0; warmup = 0 }
 
-(* A /measure body for one gzip point at -O2, which schedules, on a
-   machine of the given issue width. *)
-let width_request width =
+(* A /measure body for one gzip point at -O2, which schedules, on the
+   given machine. *)
+let march_request march =
   Fleet.measure_body (Emc_workloads.Registry.find "gzip") ~variant:Emc_workloads.Workload.Train
-    ~workload_scale:0.05 ~smarts:None
-    [| (Emc_opt.Flags.o2, { Emc_sim.Config.typical with issue_width = width }) |]
+    ~workload_scale:0.05 ~smarts:None [| (Emc_opt.Flags.o2, march) |]
+
+let width_request width = march_request { Emc_sim.Config.typical with issue_width = width }
+let ruu_request size = march_request { Emc_sim.Config.typical with ruu_size = size }
 
 (* A SMARTS unit of no instructions never advances the sampling loop,
    and an infinite workload scale names no workload size: both are
@@ -1295,9 +1297,20 @@ let test_width_zero_point_rejected () =
   cb "width -2 rejected" true (Option.is_some (error (width_request (-2))));
   Alcotest.(check (option string)) "width 1 decodes" None (error (width_request 1))
 
-(* The worker answers the unit_size-0 and width-0 bodies with a 400 and
-   stays responsive. It is SIGKILLed at the end, so a worker pinned by the
-   request fails this case instead of hanging it. *)
+(* An RUU of no entries never dispatches an instruction: refused at
+   decode too, before a worker would spin on it. *)
+let test_ruu_zero_point_rejected () =
+  let error body =
+    match Fleet.measure_request_of_body body with Ok _ -> None | Error e -> Some e
+  in
+  Alcotest.(check (option string)) "RUU size 0 rejected"
+    (Some "RUU size must be at least 1, not 0") (error (ruu_request 0));
+  cb "RUU size -4 rejected" true (Option.is_some (error (ruu_request (-4))));
+  Alcotest.(check (option string)) "RUU size 1 decodes" None (error (ruu_request 1))
+
+(* The worker answers the unit_size-0, width-0 and RUU-size-0 bodies
+   with a 400 and stays responsive. It is SIGKILLed at the end, so a
+   worker pinned by a request fails this case instead of hanging it. *)
 let test_unrunnable_measure_is_a_400 () =
   let sock = sock_path "spin" in
   let pid = fork_daemon (fun () -> Fleet.run_worker ~listen:(Fleet.Unix_sock sock) ()) in
@@ -1313,7 +1326,8 @@ let test_unrunnable_measure_is_a_400 () =
       with
       | Ok r -> ci (what ^ ": structured rejection") 400 r.Http.status
       | Error e -> Alcotest.failf "/measure %s: %s" what (Http.error_to_string e))
-    [ ("unit_size 0", measure_request ~smarts:zero_unit ()); ("width 0", width_request 0) ];
+    [ ("unit_size 0", measure_request ~smarts:zero_unit ()); ("width 0", width_request 0);
+      ("RUU size 0", ruu_request 0) ];
   match Http.call ~timeout:1.0 (Fleet.Unix_sock sock) ~meth:"GET" ~path:"/healthz" () with
   | Ok r -> ci "the worker still answers /healthz" 200 r.Http.status
   | Error e -> Alcotest.failf "/healthz after the rejected body: %s" (Http.error_to_string e)
@@ -1352,7 +1366,8 @@ let test_drain_reaps_own_child () =
    and -0, the smallest subnormal, max_float, +-infinity and NaNs of
    either sign. Every non-NaN float comes back bit-identical; a NaN comes
    back a NaN of the same sign (%h prints every NaN as nan or -nan, so
-   its payload does not survive). *)
+   its payload does not survive). A request holding an off-grid issue
+   width or RUU size of 0, which no machine can run, must be refused. *)
 let prop_wire_round_trip =
   let open QCheck2.Gen in
   let special =
@@ -1390,11 +1405,14 @@ let prop_wire_round_trip =
           ~smarts:(Some smarts) points
       in
       let raw_of (f, m) = Params.raw_of f m in
+      let runnable (_, (m : Emc_sim.Config.t)) = m.issue_width >= 1 && m.ruu_size >= 1 in
       let request_ok =
         match Fleet.measure_request_of_body body with
+        | Error _ when not (Array.for_all runnable points) -> true
         | Error e -> QCheck2.Test.fail_reportf "request did not decode: %s" e
         | Ok mr ->
-            mr.Fleet.mr_variant = variant
+            Array.for_all runnable points
+            && mr.Fleet.mr_variant = variant
             && same mr.Fleet.mr_workload_scale workload_scale
             && (match mr.Fleet.mr_smarts with
                | Some s -> same s.Emc_sim.Smarts.target_ci target_ci
@@ -1464,6 +1482,7 @@ let suite =
     ("stalled worker: a cut-off head blocks no one", `Slow, test_stalled_head_blocks_no_one);
     ("unrunnable /measure bodies are rejected", `Quick, test_unrunnable_measure_rejected);
     ("a width-0 /measure point is rejected", `Quick, test_width_zero_point_rejected);
+    ("an RUU-size-0 /measure point is rejected", `Quick, test_ruu_zero_point_rejected);
     ("unrunnable /measure is a 400, the worker stays up", `Quick,
      test_unrunnable_measure_is_a_400);
     ("drain reaps a worker its caller forked", `Quick, test_drain_reaps_own_child);

@@ -21,6 +21,7 @@ let () =
       ("workloads", Test_workloads.suite);
       ("par", Test_par.suite);
       ("fleet", Test_fleet.suite);
+      ("results", Test_result_file.suite);
       ("core", Test_core.suite);
       ("obs", Test_obs.suite);
       ("diff", Test_diff.suite);

@@ -166,6 +166,45 @@ let test_cache_tolerates_garbage () =
   Alcotest.(check (float 0.0)) "value survives junk lines" c1 c2;
   ci "served from cache" 0 m2.Measure.simulations
 
+(* A run killed mid-write leaves its last record torn. A Measure over
+   the file answers every point whose records are intact with zero
+   simulations, simulates only the point whose record was torn, and
+   appends it on a fresh line, so the next Measure loads everything. *)
+let test_cache_torn_last_write () =
+  with_temp_cache @@ fun path ->
+  let w = Emc_workloads.Registry.find "gzip" in
+  let variant = Emc_workloads.Workload.Train in
+  let points = Array.map Params.configs_of_coded (design_points 4) in
+  let n = Array.length points in
+  let all m = Measure.(List.map (fun r -> respond_many ~response:r m w ~variant points)) in
+  let responses = Measure.[ Cycles; Energy; CodeSize ] in
+  let m1 = Measure.create ~cache_file:path (small_scale 1) in
+  let y1 = all m1 responses in
+  ci "cold run simulates every point" n m1.Measure.simulations;
+  (* the last record on file is the last point's code size *)
+  Unix.truncate path ((Unix.stat path).Unix.st_size - 5);
+  let m2 = Measure.create ~cache_file:path (small_scale 1) in
+  ci "every intact record preloads" ((3 * n) - 1) m2.Measure.preloaded;
+  let intact = Array.sub points 0 (n - 1) in
+  List.iter2
+    (fun r y ->
+      Alcotest.(check (array (float 0.0)))
+        ("intact points: " ^ Measure.response_name r)
+        (Array.sub y 0 (n - 1))
+        (Measure.respond_many ~response:r m2 w ~variant intact))
+    responses y1;
+  ci "intact points: zero simulations" 0 m2.Measure.simulations;
+  Alcotest.(check (array (float 0.0))) "every point, every response" (Array.concat y1)
+    (Array.concat (all m2 responses));
+  ci "only the torn record's point simulates" 1 m2.Measure.simulations;
+  let st = Result_file.stats path in
+  ci "the torn line stays the one malformed line" 1 st.Result_file.cs_malformed;
+  ci "the point's three records were appended whole" ((3 * n) + 2) st.Result_file.cs_entries;
+  let m3 = Measure.create ~cache_file:path (small_scale 1) in
+  Alcotest.(check (array (float 0.0))) "the repaired file answers everything" (Array.concat y1)
+    (Array.concat (all m3 responses));
+  ci "the repaired file: zero simulations" 0 m3.Measure.simulations
+
 (* A result file answers only for the protocol that filled it: the same
    point at another input scale, or unsampled, simulates once and returns
    its own protocol's value, and from then on both rerun from the file. *)
@@ -208,5 +247,6 @@ let suite =
     ("parallel dedups repeats", `Quick, test_parallel_dedups_repeated_points);
     ("cache round-trip warm run", `Slow, test_cache_roundtrip_warm_run);
     ("cache tolerates garbage", `Quick, test_cache_tolerates_garbage);
+    ("a torn last write re-simulates one point", `Quick, test_cache_torn_last_write);
     ("persisted results name their protocol", `Quick, test_cache_names_protocol);
   ]

@@ -311,6 +311,17 @@ let test_ooo_ruu_size_effect () =
   cb (Printf.sprintf "ruu 128 (%d) < ruu 16 (%d)" large small) true
     (float_of_int large < 0.8 *. float_of_int small)
 
+(* No instruction ever dispatches into an RUU of no entries, so a
+   detailed run on one would never end: the constructor refuses it, and
+   one entry is enough to run a program to its end. *)
+let test_ooo_rejects_empty_ruu () =
+  let prog = [ Isa.make LDI ~rd:1 ~imm:3; Isa.make ADD ~rd:2 ~rs1:1 ~rs2:1; Isa.make HALT ] in
+  (match Ooo.create { Config.typical with ruu_size = 0 } (mk_prog prog) with
+  | _ -> Alcotest.fail "a machine with an RUU of 0 entries was built"
+  | exception Invalid_argument _ -> ());
+  cb "an RUU of 1 entry runs to the end" true
+    (cycles_of ~cfg:{ Config.typical with ruu_size = 1 } prog > 0)
+
 let test_ooo_store_waits_for_data () =
   (* A store's data register (rs2) is a real source: a store whose data
      comes from a 12-cycle DIV must not issue — and the same-word load
@@ -1053,6 +1064,7 @@ let suite =
     ("ooo memory latency", `Quick, test_ooo_memory_latency_effect);
     ("ooo store forwarding", `Quick, test_ooo_store_forwarding);
     ("ooo ruu size", `Quick, test_ooo_ruu_size_effect);
+    ("ooo refuses an RUU of 0 entries", `Quick, test_ooo_rejects_empty_ruu);
     ("ooo store waits for data", `Quick, test_ooo_store_waits_for_data);
     ("ooo flush keeps last fetch line", `Quick, test_ooo_flush_keeps_last_fetch_line);
     ("ooo commits everything", `Quick, test_ooo_commits_everything);
