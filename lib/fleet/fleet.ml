@@ -79,13 +79,23 @@ let point_of_json j =
   else
     let ((_, (march : Emc_sim.Config.t)) as point) = Params.split_raw (Array.of_list raw) in
     (* nothing can be compiled for or simulated on a machine that issues
-       no instruction a cycle, and no instruction ever dispatches into an
-       RUU of no entries: refuse the point here, with a message *)
+       no instruction a cycle, no instruction ever dispatches into an RUU
+       of no entries, and a negative latency stops loads from issuing
+       (L1) or times nothing real (L2, memory): refuse the point here,
+       with a message *)
     if march.issue_width < 1 then
       Error (Printf.sprintf "issue width must be at least 1, not %d" march.issue_width)
     else if march.ruu_size < 1 then
       Error (Printf.sprintf "RUU size must be at least 1, not %d" march.ruu_size)
-    else Ok point
+    else
+      match
+        List.find_opt
+          (fun (_, lat) -> lat < 0)
+          [ ("L1 data-cache", march.dcache_lat); ("L2", march.l2_lat); ("memory", march.mem_lat) ]
+      with
+      | Some (what, lat) ->
+          Error (Printf.sprintf "%s latency must not be negative, not %d" what lat)
+      | None -> Ok point
 
 let smarts_to_json = function
   | None -> Json.Null

@@ -7,11 +7,15 @@ open Emc_linalg
     space into regions of uniform response; the training point nearest each
     leaf centroid becomes an RBF center, the leaf's spatial extent sets the
     radius. Output weights are the ridge-regularized least-squares solution.
-    The network size is selected by BIC (paper §4.4). The paper's printed
-    "multiquad" kernel formula is imaginary for distant inputs — an evident
-    typo for the standard multiquadric √(d²/r² + 1), which we use (it was
-    the paper's most accurate kernel); Gaussian and inverse multiquadric are
-    also available. *)
+    The network size is selected by BIC (paper §4.4). The trees of the size
+    grid come from one {!Tree.fit_grid} memo: a node's best split does not
+    depend on the leaf budget, and a larger budget never gives a child a
+    smaller share, so each grid tree is a pruning of the largest and every
+    split is computed once per fit. The paper's printed "multiquad" kernel
+    formula is imaginary for distant inputs — an evident typo for the
+    standard multiquadric √(d²/r² + 1), which we use (it was the paper's
+    most accurate kernel); Gaussian and inverse multiquadric are also
+    available. *)
 
 type kernel = Repr.kernel = Gaussian | Multiquadric | InverseMultiquadric
 
@@ -23,9 +27,8 @@ let eval_kernel = Repr.eval_kernel
 
 let dist2 = Repr.dist2
 
-(* centers and radii from a regression tree with [n_centers] leaves *)
-let centers_from_tree (d : Dataset.t) ~n_centers =
-  let tree = Tree.fit ~max_leaves:n_centers d in
+(* centers and radii from the leaves of one tree of the size search *)
+let centers_from_tree (d : Dataset.t) tree =
   let k = Dataset.dims d in
   List.map
     (fun (indices, _) ->
@@ -84,8 +87,8 @@ let fit ?(kernel = Multiquadric) ?size_grid (d : Dataset.t) : Model.t =
   let n = Dataset.size d in
   let grid = match size_grid with Some g -> g | None -> default_size_grid n in
   let grid = if grid = [] then [ max 2 (n / 4) ] else grid in
-  let fit_one c =
-    let centers = centers_from_tree d_std ~n_centers:c in
+  let fit_one tree =
+    let centers = centers_from_tree d_std tree in
     let w = fit_weights kernel d_std centers in
     (* scored in standardized units: at mu = 0 and sd = 1 the evaluator's
        rescaling is exact, so this is the network's own training SSE *)
@@ -100,12 +103,12 @@ let fit ?(kernel = Multiquadric) ?size_grid (d : Dataset.t) : Model.t =
   in
   let best =
     List.fold_left
-      (fun acc c ->
-        let (bic, _, _) as cand = fit_one c in
+      (fun acc tree ->
+        let (bic, _, _) as cand = fit_one tree in
         match acc with
         | Some (b', _, _) when b' <= bic -> acc
         | _ -> Some cand)
-      None grid
+      None (Tree.fit_grid ~max_leaves:grid d_std)
   in
   let _, centers, w = Option.get best in
   let centers = Array.of_list centers in

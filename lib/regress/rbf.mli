@@ -5,10 +5,12 @@
     uniform response; the training point nearest each leaf centroid becomes
     an RBF center with a radius set by the leaf's spatial spread; output
     weights are ridge-regularized least squares; the network size is chosen
-    by BIC (§4.4). The paper's printed "multiquad" kernel formula is
-    imaginary for distant inputs — an evident typo for the standard
-    multiquadric √(d²/r² + 1), which is the default here (it was the paper's
-    most accurate kernel). *)
+    by BIC (§4.4) over a grid of sizes whose trees are all read from one
+    memo of splits ({!Tree.fit_grid}): the budget only decides which nodes
+    are split, so each grid tree is a pruning of the largest. The paper's
+    printed "multiquad" kernel formula is imaginary for distant inputs — an
+    evident typo for the standard multiquadric √(d²/r² + 1), which is the
+    default here (it was the paper's most accurate kernel). *)
 
 type kernel = Repr.kernel = Gaussian | Multiquadric | InverseMultiquadric
 

@@ -29,6 +29,7 @@ let random_genome rng (p : problem) = Array.map (fun ls -> Rng.choice rng ls) p.
 
 let m_generations = Emc_obs.Metrics.counter "ga.generations"
 let m_evaluations = Emc_obs.Metrics.counter "ga.evaluations"
+let h_seconds = Emc_obs.Metrics.histogram "ga.optimize_seconds"
 
 (* Minimizing order over fitness values, NaN sorted last. Both polymorphic
    [compare] and [Float.compare] place NaN below every number, which would
@@ -79,6 +80,7 @@ let optimize ?(params = default_params) rng (p : problem) ~fitness =
        ("generations", Emc_obs.Json.Int params.generations) ])
    "ga.optimize"
  @@ fun () ->
+  let t0 = Unix.gettimeofday () in
   let pop = Array.init params.pop_size (fun _ -> random_genome rng p) in
   let fit = Array.map fitness pop in
   Emc_obs.Metrics.add m_evaluations params.pop_size;
@@ -117,6 +119,8 @@ let optimize ?(params = default_params) rng (p : problem) ~fitness =
     trace_generation !gen !best_f fit;
     if !best_f < prev_best -. 1e-12 then stagnant := 0 else incr stagnant
   done;
+  (* the whole search, once per call: the layer time `--metrics` shows *)
+  Emc_obs.Metrics.observe h_seconds (Unix.gettimeofday () -. t0);
   (!best, !best_f)
 
 (** Pure random search baseline (same budget accounting as the GA: every

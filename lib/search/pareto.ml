@@ -10,15 +10,23 @@ type point = { genome : float array; objectives : float array }
 
 let m_generations = Emc_obs.Metrics.counter "pareto.generations"
 let m_evaluations = Emc_obs.Metrics.counter "pareto.evaluations"
+let h_seconds = Emc_obs.Metrics.histogram "pareto.optimize_seconds"
 
-let dominates a b =
-  let le = ref true and lt = ref false in
-  for i = 0 to Array.length a - 1 do
-    let c = Ga.fitness_order a.(i) b.(i) in
-    if c > 0 then le := false;
-    if c < 0 then lt := true
+(* 1 when [a] dominates [b], -1 when [b] dominates [a], else 0, over [a]'s
+   objectives. Each objective is ordered by Ga.fitness_order's rule, written
+   out here (a NaN is worse than any number, two NaNs tie): dune's dev
+   profile compiles modules -opaque, so a call into Ga would be a closure
+   call per objective. *)
+let dominance (a : float array) (b : float array) =
+  let a_better = ref false and b_better = ref false in
+  for o = 0 to Array.length a - 1 do
+    let x = a.(o) and y = b.(o) in
+    if x < y || (y <> y && x = x) then a_better := true
+    else if y < x || (x <> x && y = y) then b_better := true
   done;
-  !le && !lt
+  if !a_better = !b_better then 0 else if !a_better then 1 else -1
+
+let dominates a b = dominance a b > 0
 
 let is_front objs =
   let n = Array.length objs in
@@ -30,37 +38,74 @@ let is_front objs =
   done;
   !ok
 
-(* Fast non-dominated sort: fronts of indices, best first; indices inside a
-   front stay in ascending order, so the output is deterministic. *)
-let non_dominated_sort (objs : float array array) : int array list =
+(* Fast non-dominated sort on flat int arrays: [count.(j)] is how many
+   points dominate j, and the points i dominates are [dom.(i * n)] to
+   [dom.(i * n + size.(i) - 1)]. Each pair is compared once, for both
+   directions. A front is the points whose last dominator lies in the
+   previous one; the dominance relation fixes the fronts, and each is
+   returned in ascending index order. [optimize] makes one sorter for
+   its largest population and reuses it every generation. *)
+type sorter = { count : int array; size : int array; next : int array; dom : int array }
+
+(* buffers for sorting up to [cap] points *)
+let sorter cap =
+  { count = Array.make cap 0; size = Array.make cap 0; next = Array.make cap 0;
+    dom = Array.make (cap * cap) 0 }
+
+let sort_fronts { count; size; next; dom } (objs : float array array) : int array list =
   let n = Array.length objs in
-  let dominated = Array.make n [] (* j dominated by i, reversed *) in
-  let dom_count = Array.make n 0 in
   for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i <> j && dominates objs.(i) objs.(j) then begin
-        dominated.(i) <- j :: dominated.(i);
-        dom_count.(j) <- dom_count.(j) + 1
-      end
+    count.(i) <- 0;
+    size.(i) <- 0
+  done;
+  for i = 0 to n - 1 do
+    let a = objs.(i) in
+    for j = i + 1 to n - 1 do
+      let b = objs.(j) in
+      if Array.length b <> Array.length a then
+        invalid_arg "Pareto.non_dominated_sort: points differ in their number of objectives";
+      match dominance a b with
+      | 1 ->
+          dom.((i * n) + size.(i)) <- j;
+          size.(i) <- size.(i) + 1;
+          count.(j) <- count.(j) + 1
+      | -1 ->
+          dom.((j * n) + size.(j)) <- i;
+          size.(j) <- size.(j) + 1;
+          count.(i) <- count.(i) + 1
+      | _ -> ()
     done
   done;
   let rec fronts current acc =
-    if current = [] then List.rev acc
+    if Array.length current = 0 then List.rev acc
     else begin
-      let next = ref [] in
-      List.iter
-        (fun i ->
-          List.iter
-            (fun j ->
-              dom_count.(j) <- dom_count.(j) - 1;
-              if dom_count.(j) = 0 then next := j :: !next)
-            (List.rev dominated.(i)))
-        current;
-      fronts (List.sort compare !next) (Array.of_list current :: acc)
+      let k = ref 0 in
+      for p = 0 to Array.length current - 1 do
+        let i = current.(p) in
+        for q = i * n to (i * n) + size.(i) - 1 do
+          let j = dom.(q) in
+          count.(j) <- count.(j) - 1;
+          if count.(j) = 0 then begin
+            next.(!k) <- j;
+            incr k
+          end
+        done
+      done;
+      let front = Array.sub next 0 !k in
+      Array.sort Int.compare front;
+      fronts front (current :: acc)
     end
   in
-  let first = List.filter (fun i -> dom_count.(i) = 0) (List.init n Fun.id) in
-  fronts first []
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if count.(i) = 0 then begin
+      next.(!k) <- i;
+      incr k
+    end
+  done;
+  fronts (Array.sub next 0 !k) []
+
+let non_dominated_sort objs = sort_fronts (sorter (Array.length objs)) objs
 
 (* Crowding distance of each member of [front] (parallel to [front]):
    boundary points get infinity, interior points the sum of normalized
@@ -124,7 +169,10 @@ let optimize ?(params = Ga.default_params) rng (p : Ga.problem) ~fitness : point
         ("generations", Emc_obs.Json.Int params.Ga.generations) ])
     "pareto.optimize"
   @@ fun () ->
+  let t0 = Unix.gettimeofday () in
   let pop_size = params.Ga.pop_size in
+  (* environmental selection sorts parents and offspring together *)
+  let sorter = sorter (2 * pop_size) in
   let pop = ref (Array.init pop_size (fun _ -> Ga.random_genome rng p)) in
   let objs = ref (Array.map fitness !pop) in
   Emc_obs.Metrics.add m_evaluations pop_size;
@@ -132,7 +180,7 @@ let optimize ?(params = Ga.default_params) rng (p : Ga.problem) ~fitness : point
   let rank_and_crowd objs =
     let n = Array.length objs in
     let rank = Array.make n 0 and crowd = Array.make n 0.0 in
-    let fronts = non_dominated_sort objs in
+    let fronts = sort_fronts sorter objs in
     List.iteri
       (fun fi front ->
         let cd = crowding_distance objs front in
@@ -157,7 +205,7 @@ let optimize ?(params = Ga.default_params) rng (p : Ga.problem) ~fitness : point
     (* environmental selection over parents + offspring (elitist) *)
     let all = Array.append !pop offspring in
     let all_objs = Array.append !objs off_objs in
-    let fronts = non_dominated_sort all_objs in
+    let fronts = sort_fronts sorter all_objs in
     let next = Array.make pop_size [||] and next_objs = Array.make pop_size [||] in
     let filled = ref 0 in
     List.iter
@@ -188,6 +236,9 @@ let optimize ?(params = Ga.default_params) rng (p : Ga.problem) ~fitness : point
     objs := next_objs;
     Emc_obs.Metrics.incr m_generations
   done;
-  match non_dominated_sort !objs with
-  | [] -> [||]
-  | front :: _ -> finalize !pop !objs front
+  let front =
+    match sort_fronts sorter !objs with [] -> [||] | front :: _ -> finalize !pop !objs front
+  in
+  (* the whole search, once per call: the layer time `--metrics` shows *)
+  Emc_obs.Metrics.observe h_seconds (Unix.gettimeofday () -. t0);
+  front

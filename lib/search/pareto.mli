@@ -25,7 +25,8 @@ val is_front : float array array -> bool
 val non_dominated_sort : float array array -> int array list
 (** Fronts of indices into the argument, best (non-dominated) first;
     indices within a front are ascending. Every index appears in exactly
-    one front; empty input gives []. *)
+    one front; empty input gives []. Raises [Invalid_argument] when the
+    points differ in their number of objectives. *)
 
 val crowding_distance : float array array -> int array -> float array
 (** Crowding distance of each member of the given front (parallel to it):

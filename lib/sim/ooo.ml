@@ -251,10 +251,19 @@ let store_decoded s prog =
     be used. The store keeps [prog]'s decoded table too, so a program
     must not change while machines built on one store simulate it.
     Raises [Invalid_argument] on an RUU of no entries, into which no
-    instruction would ever dispatch. *)
+    instruction would ever dispatch, and on a negative cache or memory
+    latency: [try_issue] reads a negative latency as "blocked by an older
+    store", so a load that hits a negative-latency L1 never issues. *)
 let create ?store ?inputs (cfg : Config.t) (prog : Isa.program) =
   if cfg.ruu_size < 1 then
     invalid_arg (Printf.sprintf "Ooo.create: RUU size must be at least 1, not %d" cfg.ruu_size);
+  let latency what lat =
+    if lat < 0 then
+      invalid_arg (Printf.sprintf "Ooo.create: %s latency must not be negative, not %d" what lat)
+  in
+  latency "L1 data-cache" cfg.dcache_lat;
+  latency "L2" cfg.l2_lat;
+  latency "memory" cfg.mem_lat;
   let memory = Option.map (fun s -> store_memory s prog) store in
   let decoded = Option.map (fun s -> store_decoded s prog) store in
   let func = Func.create ?decoded ?memory ?inputs prog in

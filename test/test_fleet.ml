@@ -1273,6 +1273,7 @@ let march_request march =
 
 let width_request width = march_request { Emc_sim.Config.typical with issue_width = width }
 let ruu_request size = march_request { Emc_sim.Config.typical with ruu_size = size }
+let dcache_lat_request lat = march_request { Emc_sim.Config.typical with dcache_lat = lat }
 
 (* A SMARTS unit of no instructions never advances the sampling loop,
    and an infinite workload scale names no workload size: both are
@@ -1308,9 +1309,29 @@ let test_ruu_zero_point_rejected () =
   cb "RUU size -4 rejected" true (Option.is_some (error (ruu_request (-4))));
   Alcotest.(check (option string)) "RUU size 1 decodes" None (error (ruu_request 1))
 
-(* The worker answers the unit_size-0, width-0 and RUU-size-0 bodies
-   with a 400 and stays responsive. It is SIGKILLed at the end, so a
-   worker pinned by a request fails this case instead of hanging it. *)
+(* A load never issues from an L1 of negative latency, and a negative L2
+   or memory latency gives meaningless timings: all three are refused at
+   decode, and latency 0 decodes. *)
+let test_negative_latency_point_rejected () =
+  let error body =
+    match Fleet.measure_request_of_body body with Ok _ -> None | Error e -> Some e
+  in
+  let typical = Emc_sim.Config.typical in
+  Alcotest.(check (option string)) "L1 latency -3 rejected"
+    (Some "L1 data-cache latency must not be negative, not -3") (error (dcache_lat_request (-3)));
+  Alcotest.(check (option string)) "L2 latency -1 rejected"
+    (Some "L2 latency must not be negative, not -1")
+    (error (march_request { typical with l2_lat = -1 }));
+  Alcotest.(check (option string)) "memory latency -100 rejected"
+    (Some "memory latency must not be negative, not -100")
+    (error (march_request { typical with mem_lat = -100 }));
+  Alcotest.(check (option string)) "latencies of 0 decode" None
+    (error (march_request { typical with dcache_lat = 0; l2_lat = 0; mem_lat = 0 }))
+
+(* The worker answers the unit_size-0, width-0, RUU-size-0 and L1
+   latency -3 bodies with a 400 and stays responsive. It is SIGKILLed at
+   the end, so a worker pinned by a request fails this case instead of
+   hanging it. *)
 let test_unrunnable_measure_is_a_400 () =
   let sock = sock_path "spin" in
   let pid = fork_daemon (fun () -> Fleet.run_worker ~listen:(Fleet.Unix_sock sock) ()) in
@@ -1327,7 +1348,7 @@ let test_unrunnable_measure_is_a_400 () =
       | Ok r -> ci (what ^ ": structured rejection") 400 r.Http.status
       | Error e -> Alcotest.failf "/measure %s: %s" what (Http.error_to_string e))
     [ ("unit_size 0", measure_request ~smarts:zero_unit ()); ("width 0", width_request 0);
-      ("RUU size 0", ruu_request 0) ];
+      ("RUU size 0", ruu_request 0); ("L1 latency -3", dcache_lat_request (-3)) ];
   match Http.call ~timeout:1.0 (Fleet.Unix_sock sock) ~meth:"GET" ~path:"/healthz" () with
   | Ok r -> ci "the worker still answers /healthz" 200 r.Http.status
   | Error e -> Alcotest.failf "/healthz after the rejected body: %s" (Http.error_to_string e)
@@ -1483,6 +1504,7 @@ let suite =
     ("unrunnable /measure bodies are rejected", `Quick, test_unrunnable_measure_rejected);
     ("a width-0 /measure point is rejected", `Quick, test_width_zero_point_rejected);
     ("an RUU-size-0 /measure point is rejected", `Quick, test_ruu_zero_point_rejected);
+    ("a negative-latency /measure point is rejected", `Quick, test_negative_latency_point_rejected);
     ("unrunnable /measure is a 400, the worker stays up", `Quick,
      test_unrunnable_measure_is_a_400);
     ("drain reaps a worker its caller forked", `Quick, test_drain_reaps_own_child);

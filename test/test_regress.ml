@@ -385,6 +385,149 @@ let prop_rank_fit_bits =
           Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b) beta want
       | _ -> false)
 
+(* ---------------- tree: the split memo ---------------- *)
+
+(* The tree grower without a memo: every budget grows its tree from the
+   root, and each candidate split is scored on fresh lists and arrays.
+   Kept here only as the reference that [Tree.fit] and [Tree.fit_grid]
+   must equal bit for bit. *)
+let reference_tree ?(min_leaf = 3) ~max_leaves (d : Dataset.t) =
+  let sse_of indices =
+    let ys = Array.map (fun i -> d.Dataset.y.(i)) indices in
+    let m = Emc_util.Stats.mean ys in
+    Array.fold_left (fun acc v -> acc +. ((v -. m) *. (v -. m))) 0.0 ys
+  in
+  let leaf_of indices =
+    Tree.Leaf
+      { indices; mean = Emc_util.Stats.mean (Array.map (fun i -> d.Dataset.y.(i)) indices) }
+  in
+  let best_split indices =
+    let base = sse_of indices in
+    let best = ref None in
+    for dim = 0 to Dataset.dims d - 1 do
+      let vals = Array.map (fun i -> d.Dataset.x.(i).(dim)) indices in
+      let uniq = List.sort_uniq compare (Array.to_list vals) in
+      let mids =
+        let rec go = function a :: (b :: _ as rest) -> ((a +. b) /. 2.0) :: go rest | _ -> [] in
+        go uniq
+      in
+      let m = List.length mids in
+      let thresholds =
+        if m <= 8 then mids else List.filteri (fun i _ -> i mod ((m / 8) + 1) = 0) mids
+      in
+      List.iter
+        (fun thr ->
+          let side keep =
+            Array.of_list
+              (List.filter (fun i -> keep d.Dataset.x.(i).(dim)) (Array.to_list indices))
+          in
+          let l = side (fun v -> v <= thr) and r = side (fun v -> v > thr) in
+          if Array.length l >= min_leaf && Array.length r >= min_leaf then begin
+            let red = base -. sse_of l -. sse_of r in
+            match !best with
+            | Some (r', _, _, _, _) when r' >= red -> ()
+            | _ -> best := Some (red, dim, thr, l, r)
+          end)
+        thresholds
+    done;
+    !best
+  in
+  let rec grow indices budget =
+    if budget <= 1 then leaf_of indices
+    else
+      match best_split indices with
+      | Some (red, dim, thr, l, r) when red > 1e-12 ->
+          let nl = Array.length l and nr = Array.length r in
+          let bl = max 1 (budget * nl / (nl + nr)) in
+          let br = max 1 (budget - bl) in
+          Tree.Split { dim; thr; left = grow l bl; right = grow r br }
+      | _ -> leaf_of indices
+  in
+  grow (Array.init (Dataset.size d) Fun.id) max_leaves
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let rec same_tree a b =
+  match (a, b) with
+  | Tree.Leaf l, Tree.Leaf l' -> l.indices = l'.indices && same_bits l.mean l'.mean
+  | Tree.Split s, Tree.Split s' ->
+      s.dim = s'.dim && same_bits s.thr s'.thr && same_tree s.left s'.left
+      && same_tree s.right s'.right
+  | _ -> false
+
+(* Datasets that reach every rule that decides a tree's bits: columns of
+   NaN, -0, +0, infinities and neighbouring floats (whose midpoint is one
+   of them, so [<=] and [<] part differently), repeated levels, columns
+   with more than 8 distinct values (thresholds subsampled), a copy of
+   column 0 (reductions tied exactly across dimensions), and in some
+   datasets non-finite responses. *)
+let tree_case_gen =
+  let open QCheck2.Gen in
+  let special =
+    [| Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity; 1.0; Float.succ 1.0; -1.0 |]
+  in
+  let column n =
+    oneof
+      [ array_repeat n (oneofa special);
+        array_repeat n (map float_of_int (int_range (-2) 2));
+        array_repeat n (float_range (-2.0) 2.0);
+        array_repeat n (frequency [ (1, oneofa special); (2, float_range (-2.0) 2.0) ]) ]
+  in
+  let response =
+    frequency [ (30, float_range (-10.0) 10.0); (3, oneofl [ 0.0; -0.0; 1.0 ]);
+                (1, oneofl [ Float.nan; Float.infinity ]) ]
+  in
+  let* n = int_range 1 40 and* k = int_range 1 4 in
+  let* cols = array_repeat k (column n) and* copy0 = bool in
+  if copy0 && k > 1 then cols.(k - 1) <- Array.copy cols.(0);
+  let* finite = frequency [ (7, pure true); (1, pure false) ] in
+  let* y = array_repeat n (if finite then float_range (-10.0) 10.0 else response) in
+  let* min_leaf = int_range 1 4 and* budgets = list_size (int_range 1 5) (int_range 1 32) in
+  let x = Array.init n (fun i -> Array.init k (fun dim -> cols.(dim).(i))) in
+  pure (Dataset.create x y, min_leaf, budgets)
+
+let prop_tree_matches_reference =
+  QCheck2.Test.make ~name:"trees equal the unmemoized grower bit for bit" ~count:400
+    ~print:(fun ((d : Dataset.t), min_leaf, budgets) ->
+      Printf.sprintf "min_leaf %d, budgets [%s], x [%s], y [%s]" min_leaf
+        (String.concat "; " (List.map string_of_int budgets))
+        (String.concat "; "
+           (Array.to_list
+              (Array.map
+                 (fun r -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") r)))
+                 d.Dataset.x)))
+        (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") d.Dataset.y))))
+    tree_case_gen
+    (fun (d, min_leaf, budgets) ->
+      let want = List.map (fun b -> reference_tree ~min_leaf ~max_leaves:b d) budgets in
+      List.for_all2 same_tree (Tree.fit_grid ~min_leaf ~max_leaves:budgets d) want
+      && List.for_all2 (fun b w -> same_tree (Tree.fit ~min_leaf ~max_leaves:b d) w) budgets want)
+
+(* Every tree read from one memo equals the one-budget fit, whatever the
+   order of the budgets: a larger budget expands nodes a smaller one then
+   reuses, and a smaller one first leaves them for a larger one to expand. *)
+let test_tree_grid_equals_single_fits () =
+  let d = mars_design ~seed:7 110 in
+  List.iter
+    (fun budgets ->
+      List.iter2
+        (fun b t ->
+          cb (Printf.sprintf "budget %d" b) true (same_tree t (Tree.fit ~max_leaves:b d)))
+        budgets
+        (Tree.fit_grid ~max_leaves:budgets d))
+    [ [ 4; 6; 8; 12; 16; 24; 32 ]; [ 32; 1; 12; 4; 12; 64; 2 ] ]
+
+(* The size search reads its seven trees from one memo and scores splits
+   in reused buffers: a quick-sized fit allocates under 2M minor words
+   (growing each tree from the root on fresh lists took 6.8M). *)
+let test_rbf_fit_allocation () =
+  let d = mars_design ~seed:7 110 in
+  ignore (Sys.opaque_identity (Rbf.fit d));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Rbf.fit d));
+  let words = Gc.minor_words () -. before in
+  cb (Printf.sprintf "%.0f minor words < 2M" words) true (words < 2e6)
+
 (* ---------------- effects ---------------- *)
 
 let test_effects_of_linear_model () =
@@ -609,4 +752,7 @@ let suite =
     ("rank fit bits are pinned", `Quick, test_rank_bits_pinned);
     ("linear and rbf fit bits are pinned", `Quick, test_linear_rbf_bits_pinned);
     QCheck_alcotest.to_alcotest prop_rank_fit_bits;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 30 |]) prop_tree_matches_reference;
+    ("tree grid equals one-budget fits", `Quick, test_tree_grid_equals_single_fits);
+    ("rbf fit allocates under 2M words", `Quick, test_rbf_fit_allocation);
   ]

@@ -199,6 +199,69 @@ let test_pareto_non_dominated_sort () =
   Alcotest.(check int) "empty input has no fronts" 0
     (List.length (Pareto.non_dominated_sort [||]))
 
+(* The non-dominated sort on lists, with dominance decided through
+   [Ga.fitness_order]: kept here only as the reference that the flat-array
+   sort must equal. *)
+let reference_sort (objs : float array array) : int array list =
+  let dominates a b =
+    let le = ref true and lt = ref false in
+    for i = 0 to Array.length a - 1 do
+      let c = Ga.fitness_order a.(i) b.(i) in
+      if c > 0 then le := false;
+      if c < 0 then lt := true
+    done;
+    !le && !lt
+  in
+  let n = Array.length objs in
+  let dominated = Array.make n [] and dom_count = Array.make n 0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j && dominates objs.(i) objs.(j) then begin
+        dominated.(i) <- j :: dominated.(i);
+        dom_count.(j) <- dom_count.(j) + 1
+      end
+    done
+  done;
+  let rec fronts current acc =
+    if current = [] then List.rev acc
+    else begin
+      let next = ref [] in
+      List.iter
+        (fun i ->
+          List.iter
+            (fun j ->
+              dom_count.(j) <- dom_count.(j) - 1;
+              if dom_count.(j) = 0 then next := j :: !next)
+            (List.rev dominated.(i)))
+        current;
+      fronts (List.sort compare !next) (Array.of_list current :: acc)
+    end
+  in
+  fronts (List.filter (fun i -> dom_count.(i) = 0) (List.init n Fun.id)) []
+
+(* 0-120 points of 1-3 objectives drawn from few levels (ties on some
+   objectives and whole duplicates), NaN and infinities among them. *)
+let prop_sort_matches_reference =
+  let open QCheck2.Gen in
+  let value =
+    frequency
+      [ (6, map float_of_int (int_range 0 5)); (2, float_range (-1.0) 1.0);
+        (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.0 ]) ]
+  in
+  let gen =
+    let* m = int_range 1 3 in
+    array_size (int_range 0 120) (array_repeat m value)
+  in
+  QCheck2.Test.make ~name:"non-dominated sort equals the list version" ~count:300
+    ~print:(fun objs ->
+      String.concat "; "
+        (Array.to_list
+           (Array.map
+              (fun o -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") o)))
+              objs)))
+    gen
+    (fun objs -> Pareto.non_dominated_sort objs = reference_sort objs)
+
 let test_pareto_crowding_distance () =
   let objs = [| [| 0.0; 3.0 |]; [| 1.0; 2.0 |]; [| 3.0; 0.0 |] |] in
   let cd = Pareto.crowding_distance objs [| 0; 1; 2 |] in
@@ -258,6 +321,22 @@ let test_pareto_counters () =
   (* initial population + one offspring population per generation *)
   Alcotest.(check int) "evaluation accounting" (10 * 6) (evals () - before)
 
+(* each search is timed once per call, so `emc search --metrics` and
+   `emc pareto --metrics` show the search layer's time *)
+let test_optimize_seconds_observed () =
+  let samples name =
+    match Emc_obs.Metrics.stats_of name with Some s -> s.Emc_obs.Metrics.count | None -> 0
+  in
+  let params = { Ga.default_params with pop_size = 10; generations = 3 } in
+  let ga = samples "ga.optimize_seconds" and pareto = samples "pareto.optimize_seconds" in
+  ignore (Ga.optimize ~params (Emc_util.Rng.create 14) (grid5 2) ~fitness:separable);
+  Alcotest.(check int) "one GA sample" (ga + 1) (samples "ga.optimize_seconds");
+  ignore
+    (Pareto.optimize ~params (Emc_util.Rng.create 15) (grid5 2)
+       ~fitness:(fun x -> [| x.(0); x.(1) |]));
+  Alcotest.(check int) "one NSGA-II sample" (pareto + 1) (samples "pareto.optimize_seconds");
+  Alcotest.(check int) "the GA's count is unchanged" (ga + 1) (samples "ga.optimize_seconds")
+
 let suite =
   [
     ("ga separable optimum", `Quick, test_ga_finds_separable_optimum);
@@ -276,8 +355,10 @@ let suite =
     ("ga crowns finite over NaN", `Quick, test_ga_mixed_nan_crowns_finite);
     ("pareto dominance", `Quick, test_pareto_dominates);
     ("pareto non-dominated sort", `Quick, test_pareto_non_dominated_sort);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 30 |]) prop_sort_matches_reference;
     ("pareto crowding distance", `Quick, test_pareto_crowding_distance);
     ("pareto biobjective front", `Quick, test_pareto_optimize_biobjective);
     ("pareto avoids NaN region", `Quick, test_pareto_optimize_avoids_nan_region);
     ("pareto evaluation accounting", `Quick, test_pareto_counters);
+    ("searches timed once per call", `Quick, test_optimize_seconds_observed);
   ]

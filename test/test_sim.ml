@@ -322,6 +322,26 @@ let test_ooo_rejects_empty_ruu () =
   cb "an RUU of 1 entry runs to the end" true
     (cycles_of ~cfg:{ Config.typical with ruu_size = 1 } prog > 0)
 
+(* A negative latency reads as "blocked by an older store", so a load
+   that hits a negative-latency L1 would never issue: the constructor
+   refuses a negative L1, L2 or memory latency, and a load that hits an
+   L1 of latency 0 issues. *)
+let test_ooo_rejects_negative_latency () =
+  let prog =
+    [ Isa.make LDI ~rd:1 ~imm:0x1000; Isa.make LD ~rd:2 ~rs1:1 ~imm:0;
+      Isa.make LD ~rd:3 ~rs1:1 ~imm:8; Isa.make HALT ]
+  in
+  List.iter
+    (fun (what, cfg) ->
+      match Ooo.create cfg (mk_prog prog) with
+      | _ -> Alcotest.failf "a machine with a negative %s latency was built" what
+      | exception Invalid_argument _ -> ())
+    [ ("L1", { Config.typical with dcache_lat = -3 });
+      ("L2", { Config.typical with l2_lat = -1 });
+      ("memory", { Config.typical with mem_lat = -100 }) ];
+  cb "latencies of 0 run to the end" true
+    (cycles_of ~cfg:{ Config.typical with dcache_lat = 0; l2_lat = 0; mem_lat = 0 } prog > 0)
+
 let test_ooo_store_waits_for_data () =
   (* A store's data register (rs2) is a real source: a store whose data
      comes from a 12-cycle DIV must not issue — and the same-word load
@@ -1065,6 +1085,7 @@ let suite =
     ("ooo store forwarding", `Quick, test_ooo_store_forwarding);
     ("ooo ruu size", `Quick, test_ooo_ruu_size_effect);
     ("ooo refuses an RUU of 0 entries", `Quick, test_ooo_rejects_empty_ruu);
+    ("ooo refuses a negative latency", `Quick, test_ooo_rejects_negative_latency);
     ("ooo store waits for data", `Quick, test_ooo_store_waits_for_data);
     ("ooo flush keeps last fetch line", `Quick, test_ooo_flush_keeps_last_fetch_line);
     ("ooo commits everything", `Quick, test_ooo_commits_everything);
