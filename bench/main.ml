@@ -153,6 +153,19 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
       | Error e -> failwith e)
   in
   let art_text = lazy (Emc_obs.Json.to_string (Artifact.to_json (Lazy.force art))) in
+  (* a /predict batch as serve-predict and emc loadgen send it: 16 coded
+     points of 25 doubles drawn in [-1, 1], rendered by Json.to_string *)
+  let batch_body =
+    lazy
+      (let rng = Emc_util.Rng.create 7 in
+       let point () =
+         Emc_obs.Json.List
+           (List.init Params.n_all (fun _ ->
+                Emc_obs.Json.Float (Emc_util.Rng.float rng 2.0 -. 1.0)))
+       in
+       Emc_obs.Json.to_string
+         (Emc_obs.Json.Obj [ ("points", Emc_obs.Json.List (List.init 16 (fun _ -> point ()))) ]))
+  in
   let open Bechamel in
   let kernels =
     [
@@ -259,6 +272,24 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
                 | 200, _ -> ()
                 | s, _ -> failwith (Printf.sprintf "bench predict returned %d" s)
               done) );
+      (* that batch through the one JSON decoder alone (no artifact
+         needed), then through the whole /predict handler: its 400
+         coordinates, 16 evaluations and the rendered reply *)
+      ( "serve/json-parse-batch",
+        fun () ->
+          let body = Lazy.force batch_body in
+          Staged.stage (fun () -> ignore (Emc_obs.Json.parse body)) );
+      ( "serve/predict-batch",
+        fun () ->
+          let hot = Emc_serve.Serve.make_hot (Lazy.force art) in
+          let req =
+            { Emc_serve.Http.meth = "POST"; path = "/predict"; query = []; headers = [];
+              body = Lazy.force batch_body }
+          in
+          Staged.stage (fun () ->
+              match Emc_serve.Serve.handle_into hot req with
+              | 200, _ -> ()
+              | s, _ -> failwith (Printf.sprintf "bench batch returned %d" s)) );
       (* ranking-model fit over the training design *)
       ( "regress/rank-fit",
         fun () ->

@@ -130,6 +130,11 @@ let measure_body (w : Workload.t) ~variant ~workload_scale ~smarts points =
          ("smarts", smarts_to_json smarts);
          ("points", Json.List (Array.to_list (Array.map point_to_json points))) ])
 
+(* The largest workload_scale a /measure body may ask for. Workload.sc
+   sizes every input linearly in it, and no Scale preset goes above
+   full's 1.0. *)
+let max_workload_scale = 1.0
+
 type measure_request = {
   mr_workload : string;
   mr_variant : Workload.variant;
@@ -155,7 +160,12 @@ let measure_request_of_body body =
   in
   let* mr_workload_scale = Json.get "workload_scale" Json.as_float j in
   let* () =
-    if Float.is_finite mr_workload_scale && mr_workload_scale > 0.0 then Ok ()
+    if Float.is_finite mr_workload_scale && mr_workload_scale > 0.0 then
+      if mr_workload_scale <= max_workload_scale then Ok ()
+      else
+        Error
+          (Printf.sprintf "workload_scale must be at most %g, not %h" max_workload_scale
+             mr_workload_scale)
     else
       Error (Printf.sprintf "workload_scale must be finite and positive, not %h" mr_workload_scale)
   in

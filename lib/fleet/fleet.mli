@@ -218,7 +218,8 @@ val measure_request_of_body : string -> (measure_request, string) result
 (** Parse a [/measure] request. Besides any shape error it rejects what
     the simulator cannot run: a [workload_scale] that is not finite and
     positive, and a SMARTS [unit_size] below 1, which would never advance
-    the sampling loop. *)
+    the sampling loop. It also rejects a [workload_scale] above 1.0, the
+    largest any scale preset uses: inputs grow linearly with it. *)
 
 val result_body : Emc_core.Measure.triple array -> string
 (** Serialize a worker's [/measure] response body. *)

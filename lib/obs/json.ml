@@ -22,9 +22,13 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The primitive Printf's %.0f and %.17g end in, without Printf's
+   interpretation of the format: the same bytes for every float *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+  if Float.is_integer f && Float.abs f < 1e15 then format_float "%.0f" f
+  else format_float "%.17g" f
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
@@ -58,6 +62,109 @@ let to_string j =
   to_buffer buf j;
   Buffer.contents buf
 
+(* ---------------- numbers ----------------
+
+   The parser scans a number as the longest text of an optional '-',
+   digits, an optional '.' and digits, and an optional 'e' or 'E', sign
+   and digits, any of the digits possibly none; int_of_string_opt, then
+   float_of_string, decide whether it is one, its constructor and its
+   bits. [number] reads a float text in that same scan and builds its
+   double directly where that is provably exact; every other text goes to
+   that pair. *)
+
+(* 10^k for k = 0 .. 22, each an exact double *)
+let pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14; 1e15;
+     1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+(* m·10^q rounded to nearest, for 0 < m < 10^18 and |q| <= 22, or nan
+   where the guard cannot decide it. Clinger's fast path, extended:
+   - Up to 2^53, m is an exact double, as is 10^|q|, so one IEEE
+     operation rounds correctly.
+   - Beyond, m = a + b with a = float m and b exact, |b| <= 64. For q < 0
+     and p = 10^-q, q1 = a/p rounded; the remainder r = a - q1·p of a
+     rounded division is a double, which the fma computes exactly, so
+     m/p = q1 + (r + b)/p, and d = (r + b)/p is off by less than 2^-44/p.
+     For q >= 0 and p = 10^q, q1 = a·p rounded, the fma gives its error
+     a·p - q1 exactly, and d = b·p + that error is off by less than
+     2^-45·p.
+   - t = q1 + d rounded, and Fast2Sum gives e = (q1 + d) - t exactly. A
+     gap next to t is more than 1/(2p) (p/2 for q >= 0), so 2^-40 of the
+     gap g on e's side exceeds d's error: when |e| + 2^-40·g < g/2,
+     m·10^q lies strictly inside t's rounding interval, and t is its
+     rounding. *)
+let decimal m q =
+  if m <= 1 lsl 53 then
+    if q >= 0 then Float.of_int m *. pow10.(q) else Float.of_int m /. pow10.(-q)
+  else
+    let a = Float.of_int m in
+    let b = Float.of_int (m - Float.to_int a) in
+    let p = pow10.(abs q) in
+    let q1 = if q < 0 then a /. p else a *. p in
+    let d =
+      if q < 0 then (Float.fma (-.q1) p a +. b) /. p else Float.fma b p (Float.fma a p (-.q1))
+    in
+    let t = q1 +. d in
+    let e = d -. (t -. q1) in
+    let g =
+      if e >= 0.0 then Float.next_after t Float.infinity -. t else t -. Float.next_after t 0.0
+    in
+    if Float.abs e +. (g *. 0x1p-40) < g *. 0.5 then t else Float.nan
+
+(* The number text from [i] of [s], read in one pass: [pos] holds the
+   text's start and is left at its end. [m] keeps the first 18
+   significant digits, [nd] counts them (-1 before any digit, 0 while
+   every digit is a zero, 19 past 18), and [q] is the power of ten of
+   m's last digit. The value is
+   [decimal]'s for a text with a '.' or an exponent, and nan for every
+   text that must go to int_of_string_opt or float_of_string. *)
+let rec significand s pos i m nd q dot =
+  if i = String.length s then value s pos i m nd q dot
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9' as c ->
+        let q = if dot then q - 1 else q in
+        if m = 0 && c = '0' then significand s pos (i + 1) 0 0 q dot
+        else if nd < 18 then
+          let nd = if nd < 0 then 1 else nd + 1 in
+          significand s pos (i + 1) ((10 * m) + Char.code c - 48) nd q dot
+        else significand s pos (i + 1) m 19 q dot
+    | '.' when not dot -> significand s pos (i + 1) m nd q true
+    | 'e' | 'E' ->
+        let sign = if i + 1 < String.length s then String.unsafe_get s (i + 1) else ' ' in
+        if sign = '-' || sign = '+' then exponent s pos (i + 2) m nd q (sign = '-') (-1)
+        else exponent s pos (i + 1) m nd q false (-1)
+    | _ -> value s pos i m nd q dot
+
+(* The exponent's digits: [e] is their value so far, -1 before the first
+   and at least 100,000 once it is too large to matter. *)
+and exponent s pos i m nd q neg e =
+  match if i < String.length s then String.unsafe_get s i else ' ' with
+  | '0' .. '9' as c ->
+      let d = Char.code c - 48 in
+      let e = if e < 0 then d else if e < 100_000 then (10 * e) + d else e in
+      exponent s pos (i + 1) m nd q neg e
+  | _ -> value s pos i m nd (if neg then q - e else q + e) (e >= 0 && e < 100_000)
+
+and value s pos i m nd q float_text =
+  let start = !pos in
+  pos := i;
+  if (not float_text) || nd < 0 || nd > 18 || (m > 0 && abs q > 22) then Float.nan
+  else
+    let f = if m = 0 then 0.0 else decimal m q in
+    if String.unsafe_get s start = '-' then -.f else f
+
+(* The value of the number text at [!pos] of [s], [pos] left at its end *)
+let number s pos =
+  let i = !pos in
+  let digits = if i < String.length s && String.unsafe_get s i = '-' then i + 1 else i in
+  significand s pos digits 0 (-1) 0 false
+
+let direct_float text =
+  let pos = ref 0 in
+  let f = number text pos in
+  if !pos = String.length text && not (Float.is_nan f) then Some f else None
+
 (* ---------------- parser ---------------- *)
 
 exception Parse_error of string
@@ -66,17 +173,14 @@ let parse_exn s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  let at c = !pos < n && String.unsafe_get s !pos = c in
   let advance () = incr pos in
   let skip_ws () =
     while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
       advance ()
     done
   in
-  let expect c =
-    if !pos < n && s.[!pos] = c then advance ()
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
+  let expect c = if at c then advance () else fail (Printf.sprintf "expected '%c'" c) in
   let literal word v =
     if !pos + String.length word <= n && String.sub s !pos (String.length word) = word then begin
       pos := !pos + String.length word;
@@ -131,51 +235,35 @@ let parse_exn s =
   in
   let parse_number () =
     let start = !pos in
-    let is_float = ref false in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
-        advance ()
-      done
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      is_float := true;
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        is_float := true;
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ());
-    let text = String.sub s start (!pos - start) in
-    match (if !is_float then None else int_of_string_opt text) with
-    | Some i -> Int i
-    | None -> (
-        (* the scan above admits texts such as "." and "1e" *)
-        match float_of_string text with
-        | f -> Float f
-        | exception Failure _ -> fail "invalid number")
+    let f = number s pos in
+    if not (Float.is_nan f) then Float f
+    else
+      (* int_of_string_opt refuses every text with a '.' or an exponent *)
+      let text = String.sub s start (!pos - start) in
+      match int_of_string_opt text with
+      | Some i -> Int i
+      | None -> (
+          (* the scan admits texts such as "." and "1e" *)
+          match float_of_string text with
+          | f -> Float f
+          | exception Failure _ -> fail "invalid number")
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
+    if !pos >= n then fail "unexpected end of input";
+    match s.[!pos] with
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin advance (); List [] end
+        if at ']' then begin advance (); List [] end
         else begin
           let items = ref [ parse_value () ] in
           skip_ws ();
-          while peek () = Some ',' do
+          while at ',' do
             advance ();
             items := parse_value () :: !items;
             skip_ws ()
@@ -183,10 +271,10 @@ let parse_exn s =
           expect ']';
           List (List.rev !items)
         end
-    | Some '{' ->
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
+        if at '}' then begin advance (); Obj [] end
         else begin
           let pair () =
             skip_ws ();
@@ -198,7 +286,7 @@ let parse_exn s =
           in
           let items = ref [ pair () ] in
           skip_ws ();
-          while peek () = Some ',' do
+          while at ',' do
             advance ();
             items := pair () :: !items;
             skip_ws ()
@@ -206,7 +294,7 @@ let parse_exn s =
           expect '}';
           Obj (List.rev !items)
         end
-    | Some _ -> parse_number ()
+    | _ -> parse_number ()
   in
   let v = parse_value () in
   skip_ws ();

@@ -1,9 +1,21 @@
 (** Minimal JSON values — the common currency of the observability layer
-    (metric dumps, structured log lines, Chrome trace events).
+    (metric dumps, structured log lines, Chrome trace events) and of every
+    document read from a socket or a file.
 
     Deliberately tiny and dependency-free: an emitter plus a strict
-    recursive-descent parser (used by the tests to check that every file
-    the layer writes is well-formed). *)
+    recursive-descent parser, the one decoder of every socket body
+    ([/predict] and the other serve endpoints, the fleet wire, the store
+    and membership RPCs), of artifacts and of metrics snapshots.
+
+    Numbers keep the bits [int_of_string_opt] and [float_of_string] give
+    their text. A text with a ['.'] or an exponent, at most 18 significant
+    digits and a decimal exponent within ±22 is converted in the parser's
+    own scan, by a guarded extension of Clinger's fast path that answers
+    only where its rounding is provably that of [float_of_string]; every
+    other text (integers, longer significands, larger exponents, malformed
+    texts, and the cases the guard leaves undecided) goes to those two
+    functions. Floats render as [Printf]'s [%.0f] (integral, below 1e15)
+    or [%.17g], byte for byte. *)
 
 type t =
   | Null
@@ -28,6 +40,12 @@ val parse : string -> (t, string) result
 
 val parse_exn : string -> t
 (** Like {!parse}; raises [Failure] with the error message. *)
+
+val direct_float : string -> float option
+(** [Some] the float {!parse} reads from the number text [s] by the
+    direct conversion, [None] where it hands [s] to [int_of_string_opt]
+    or [float_of_string] instead, or where [s] is not one number text.
+    Lets the tests pin which texts take the direct conversion. *)
 
 val member : string -> t -> t option
 (** [member k j] is the value under key [k] when [j] is an [Obj]. *)

@@ -129,18 +129,30 @@ let march_of_body j =
   | None, None -> Ok Emc_sim.Config.typical
   | _ -> Error (400, "bad_request", "give either \"config\" or \"march\", not both")
 
-let int_field j name default =
+let int_field ?(cap = max_int) j name default =
   match Option.map Json.as_int (Json.member name j) with
   | None -> Ok default
-  | Some (Ok v) when v > 0 -> Ok v
+  | Some (Ok v) when v > 0 && v <= cap -> Ok v
+  | Some (Ok v) when v > cap ->
+      Error (400, "bad_request", Printf.sprintf "%S must be at most %d, got %d" name cap v)
   | Some _ -> Error (400, "bad_request", Printf.sprintf "%S must be a positive integer" name)
+
+(* The largest pop_size and generations a body may ask for. A search's
+   time grows as pop_size² × generations and the NSGA-II front sort holds
+   (2 × pop_size)² indices, so without a cap one body sets both without
+   limit; every budget in use (the defaults of 60, the scale presets, the
+   CI smokes) is far below it. *)
+let max_budget = 1000
 
 (* Search budget shared by /search and /pareto: seed + GA parameters. *)
 let search_params j =
   let* seed = int_field j "seed" 42 in
-  let* pop_size = int_field j "pop_size" Emc_search.Ga.default_params.Emc_search.Ga.pop_size in
+  let* pop_size =
+    int_field ~cap:max_budget j "pop_size" Emc_search.Ga.default_params.Emc_search.Ga.pop_size
+  in
   let* generations =
-    int_field j "generations" Emc_search.Ga.default_params.Emc_search.Ga.generations
+    int_field ~cap:max_budget j "generations"
+      Emc_search.Ga.default_params.Emc_search.Ga.generations
   in
   Ok (seed, { Emc_search.Ga.default_params with pop_size; generations })
 

@@ -16,8 +16,9 @@
       structured 400, never silently "all terms".
     - [POST /search] — GA over the served model (paper §6.3): body
       [{"config": "typical"}] or [{"march": [11 raw values]}], optional
-      ["seed"], ["pop_size"], ["generations"]. Returns prescribed flags,
-      predicted cycles and the GA evaluation count.
+      ["seed"], ["pop_size"], ["generations"]; a [pop_size] or
+      [generations] above 1,000 is a 400 that names the cap. Returns
+      prescribed flags, predicted cycles and the GA evaluation count.
     - [POST /pareto] — NSGA-II cycles × energy front over a two-response
       artifact (trained with [emc train --energy]); same body as
       [/search]. Returns [{"front": [...], "size", "evaluations",

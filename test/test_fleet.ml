@@ -1276,13 +1276,19 @@ let ruu_request size = march_request { Emc_sim.Config.typical with ruu_size = si
 let dcache_lat_request lat = march_request { Emc_sim.Config.typical with dcache_lat = lat }
 
 (* A SMARTS unit of no instructions never advances the sampling loop,
-   and an infinite workload scale names no workload size: both are
-   rejected, while the same bodies with runnable values decode. *)
+   an infinite workload scale names no workload size, and one above the
+   largest preset's 1.0 asks for inputs without bound: all are rejected,
+   while the same bodies with runnable values decode. *)
 let test_unrunnable_measure_rejected () =
   let decodes body = Result.is_ok (Fleet.measure_request_of_body body) in
   cb "unit_size 0 rejected" false (decodes (measure_request ~smarts:zero_unit ()));
   cb "infinite workload_scale rejected" false
     (decodes (measure_request ~workload_scale:Float.infinity ()));
+  Alcotest.(check (result unit string)) "workload_scale above 1.0 rejected, naming the cap"
+    (Error "workload_scale must be at most 1, not 0x1.0000000000001p+0")
+    (Result.map ignore
+       (Fleet.measure_request_of_body (measure_request ~workload_scale:(Float.succ 1.0) ())));
+  cb "workload_scale 1.0 decodes" true (decodes (measure_request ~workload_scale:1.0 ()));
   cb "unit_size 1 decodes" true
     (decodes (measure_request ~smarts:{ zero_unit with unit_size = 1 } ()));
   cb "a finite workload_scale decodes" true (decodes (measure_request ()))
@@ -1388,7 +1394,8 @@ let test_drain_reaps_own_child () =
    either sign. Every non-NaN float comes back bit-identical; a NaN comes
    back a NaN of the same sign (%h prints every NaN as nan or -nan, so
    its payload does not survive). A request holding an off-grid issue
-   width or RUU size of 0, which no machine can run, must be refused. *)
+   width or RUU size of 0, which no machine can run, must be refused, as
+   must one whose workload scale is above the cap of 1.0. *)
 let prop_wire_round_trip =
   let open QCheck2.Gen in
   let special =
@@ -1403,7 +1410,7 @@ let prop_wire_round_trip =
   let gen =
     let+ points = array_size (int_range 1 8) raw
     and+ triples = array_size (int_range 0 8) (triple value value value)
-    and+ workload_scale = oneof [ pfloat; oneofl [ 4e-324; Float.max_float; 0.05 ] ]
+    and+ workload_scale = oneof [ pfloat; oneofl [ 4e-324; Float.max_float; 0.05; 1.0 ] ]
     and+ target_ci = value
     and+ train = bool in
     (points, triples, workload_scale, target_ci, train)
@@ -1429,10 +1436,11 @@ let prop_wire_round_trip =
       let runnable (_, (m : Emc_sim.Config.t)) = m.issue_width >= 1 && m.ruu_size >= 1 in
       let request_ok =
         match Fleet.measure_request_of_body body with
-        | Error _ when not (Array.for_all runnable points) -> true
+        | Error _ when (not (Array.for_all runnable points)) || workload_scale > 1.0 -> true
         | Error e -> QCheck2.Test.fail_reportf "request did not decode: %s" e
         | Ok mr ->
             Array.for_all runnable points
+            && workload_scale <= 1.0
             && mr.Fleet.mr_variant = variant
             && same mr.Fleet.mr_workload_scale workload_scale
             && (match mr.Fleet.mr_smarts with

@@ -60,6 +60,183 @@ let test_json_parse_roundtrip () =
   | Json.Str s -> cs "unicode escapes decode to UTF-8" "\xc3\xa9A" s
   | _ -> Alcotest.fail "expected string"
 
+(* ---------------- Json numbers ---------------- *)
+
+(* What Json.parse read from a number text before it converted floats
+   itself: int_of_string_opt, then float_of_string. *)
+let number_reference text =
+  match int_of_string_opt text with
+  | Some i -> Ok (Json.Int i)
+  | None -> (
+      match float_of_string_opt text with Some f -> Ok (Json.Float f) | None -> Error "")
+
+let same_number a b =
+  match (a, b) with
+  | Ok (Json.Int i), Ok (Json.Int j) -> i = j
+  | Ok (Json.Float f), Ok (Json.Float g) ->
+      Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+  | Error _, Error _ -> true
+  | _ -> false
+
+(* The exact decimal digits of o·2^e (o > 0), most significant first, and
+   the power of ten of the last one. *)
+let dyadic_digits o e =
+  let rec digits n acc = if n = 0 then acc else digits (n / 10) ((n mod 10) :: acc) in
+  let mul k d =
+    (* [d] least significant digit first *)
+    let rec go carry = function
+      | [] -> if carry = 0 then [] else (carry mod 10) :: go (carry / 10) []
+      | x :: rest ->
+          let v = (x * k) + carry in
+          (v mod 10) :: go (v / 10) rest
+    in
+    go 0 d
+  in
+  let d = ref (List.rev (digits o [])) in
+  for _ = 1 to abs e do
+    d := mul (if e >= 0 then 2 else 5) !d
+  done;
+  (List.rev !d, Int.min e 0)
+
+(* The midpoint of a positive double x and its successor cut to [n]
+   significant digits, then that text one unit below, itself and one unit
+   above: an exact midpoint where it has at most [n] digits. *)
+let midpoint_texts x n =
+  let f, k = Float.frexp x in
+  let digits, p = dyadic_digits ((2 * Float.to_int (Float.ldexp f 53)) + 1) (k - 54) in
+  let keep = Int.min n (List.length digits) in
+  let d =
+    List.fold_left (fun acc x -> (acc * 10) + x) 0 (List.filteri (fun i _ -> i < keep) digits)
+  in
+  List.map (fun d -> Printf.sprintf "%de%d" d (p + List.length digits - keep)) [ d - 1; d; d + 1 ]
+
+(* Texts m·10^q, 2^53 < m < 10^18, a hair off the midpoint o·2^s of two
+   adjacent doubles (o odd, 2^53 < o < 2^54): m·5^q - o·2^(s-q) is an odd
+   r with |r| <= 5 and s >= q + 52, so m·10^q - o·2^s = r·2^q is never
+   zero and within 5·2^-53 of the gap 2^(s+1). Found offline with exact
+   integers. The direct conversion's correction term can round across
+   that midpoint, so each reads the wrong neighbour when the rounding
+   guard accepts every t, or accepts |e| up to a whole gap. *)
+let near_midpoints =
+  [ "103153703182094201e22"; "290588534541946205e21"; "321901014780441251e21";
+    "373369680824323961e22"; "49968684148502663e22"; "58117706908389241e22";
+    "587826109948398941e21"; "733657651013963641e22"; "763253778262749859e21";
+    "907368966338605731e21"; "969561184626938261e22"; "995724605896306823e22" ]
+
+(* Every number text Json.parse reads gets the constructor and bits the
+   reference gives it, and is an error exactly where the reference fails:
+   doubles printed at 15-18 digits (any bit pattern, so subnormals, and
+   [-1, 1], +-0, max_float, integers near 1e15), 1-25 digit significands
+   with leading zeros, signs, a '.' anywhere and exponents in +-400,
+   texts around the midpoint of two adjacent doubles at 17 and 18 digits,
+   and texts within a hair of one. *)
+let prop_json_numbers =
+  let open QCheck2.Gen in
+  let finite f = if Float.is_finite f then f else 0.5 in
+  let printed =
+    let+ prec = int_range 15 18
+    and+ f =
+      frequency
+        [ (3, map (fun b -> finite (Int64.float_of_bits b)) int64);
+          (3, float_range (-1.0) 1.0);
+          (1, map (fun k -> 1e15 +. float_of_int k) (int_range (-1000) 1000));
+          (1, oneofl [ 0.0; -0.0; Float.max_float; -.Float.max_float; Float.min_float; 4.9e-324 ]) ]
+    in
+    Printf.sprintf "%.*g" prec f
+  in
+  let decimal =
+    let+ sign = oneofl [ ""; "-" ]
+    and+ zeros = int_range 0 3
+    and+ digits =
+      string_size ~gen:(map (fun d -> Char.chr (48 + d)) (int_range 0 9)) (int_range 1 25)
+    and+ dot = int_range (-1) 28
+    and+ exp =
+      frequency
+        [ (2, pure "");
+          (2, map (Printf.sprintf "e%d") (int_range (-25) 25));
+          (1, map (Printf.sprintf "e%d") (int_range (-400) 400));
+          (1, map (Printf.sprintf "E+%d") (int_range 0 400)) ]
+    in
+    let body = String.make zeros '0' ^ digits in
+    let n = String.length body in
+    let body =
+      if dot < 0 || dot > n then body
+      else String.sub body 0 dot ^ "." ^ String.sub body dot (n - dot)
+    in
+    sign ^ body ^ exp
+  in
+  let midpoint =
+    let+ x =
+      map2 (fun u e -> Float.ldexp (1.0 +. u) e) (float_bound_exclusive 1.0) (int_range (-80) 80)
+    and+ n = oneofl [ 17; 18 ]
+    and+ which = int_range 0 2 in
+    List.nth (midpoint_texts x n) which
+  in
+  let edges =
+    oneofl
+      [ "-.5"; ".5"; "5."; "1.e5"; "-0"; "-0.0"; "0e0"; "-0e-999"; "1e400"; "-1e-400"; "00.5";
+        "9007199254740993.0"; "4611686018427387903"; "4611686018427387904"; "-4611686018427387905";
+        "."; "-."; "-"; "1e"; "1e+"; "e5"; "-e" ]
+  in
+  QCheck2.Test.make ~name:"json: numbers read as int_of_string_opt/float_of_string" ~count:3000
+    ~print:Fun.id
+    (frequency
+       [ (3, printed); (3, decimal); (2, midpoint); (1, edges); (2, oneofl near_midpoints) ])
+    (fun text -> same_number (Json.parse text) (number_reference text))
+
+(* The coordinates serve-predict and emc loadgen send, doubles in [-1, 1]
+   drawn by Emc_util.Rng and rendered by Json.to_string, take the direct
+   conversion: every one of 64 batches of 16 points per seed, and a whole
+   batch body parses back to the same bits. (One coordinate in about a
+   million is below 1e-6 in magnitude; its decimal exponent is then below
+   -22, and it falls back.) *)
+let test_json_coordinates_direct () =
+  List.iter
+    (fun seed ->
+      let rng = Emc_util.Rng.create seed in
+      let batch () =
+        List.init 16 (fun _ -> List.init 25 (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0))
+      in
+      for _ = 1 to 64 do
+        let points = batch () in
+        List.iter
+          (List.iter (fun v ->
+               let text = Json.to_string (Json.Float v) in
+               match Json.direct_float text with
+               | Some f when Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float v) -> ()
+               | _ -> Alcotest.failf "%s (seed %d) misses the direct conversion" text seed))
+          points;
+        let json xs = Json.List (List.map (fun v -> Json.Float v) xs) in
+        let body = Json.Obj [ ("points", Json.List (List.map json points)) ] in
+        cb "a batch body parses back to its bits" true
+          (Json.parse (Json.to_string body) = Ok body)
+      done)
+    [ 7; 29 ]
+
+(* Json.to_string renders a float exactly as Printf did: %.0f for an
+   integral value below 1e15 in magnitude, %.17g for any other finite
+   one, null for NaN and the infinities. *)
+let prop_json_float_render =
+  let open QCheck2.Gen in
+  QCheck2.Test.make ~name:"json: floats render as Printf's %.0f and %.17g" ~count:3000
+    ~print:(Printf.sprintf "%h")
+    (frequency
+       [ (3, map Int64.float_of_bits int64);
+         (2, float_range (-1.0) 1.0);
+         (1, map (fun k -> 1e15 +. float_of_int k) (int_range (-3) 3));
+         (1, map float_of_int (int_range (-100_000) 100_000));
+         (1,
+          oneofl
+            [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; Float.max_float; 4.9e-324 ])
+       ])
+    (fun f ->
+      let printf =
+        if not (Float.is_finite f) then "null"
+        else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+        else Printf.sprintf "%.17g" f
+      in
+      String.equal printf (Json.to_string (Json.Float f)))
+
 (* ---------------- Metrics ---------------- *)
 
 let test_counter_semantics () =
@@ -434,6 +611,10 @@ let suite =
   [
     Alcotest.test_case "json: printing and escaping" `Quick test_json_print;
     Alcotest.test_case "json: parse round-trips" `Quick test_json_parse_roundtrip;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |]) prop_json_numbers;
+    Alcotest.test_case "json: serve-predict coordinates read directly" `Quick
+      test_json_coordinates_direct;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 32 |]) prop_json_float_render;
     Alcotest.test_case "metrics: counter semantics" `Quick test_counter_semantics;
     Alcotest.test_case "metrics: kind mismatch raises" `Quick test_kind_mismatch_raises;
     Alcotest.test_case "metrics: gauge and histogram" `Quick test_gauge_and_histogram;

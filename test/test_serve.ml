@@ -268,21 +268,28 @@ let test_pareto_requires_energy () =
     | Some e -> Json.member "code" e = Some (Json.Str "no_energy_response")
     | None -> false)
 
+(* The shared artifact with a second "energy" response, as /pareto needs. *)
+let energy_artifact =
+  lazy
+    (let rng = Emc_util.Rng.create 6 in
+     let g x =
+       2.0 +. (0.4 *. x.(3)) +. (0.9 *. x.(0) *. x.(0)) -. (0.2 *. x.(11))
+     in
+     let x =
+       Array.init 60 (fun _ ->
+           Array.init Params.n_all (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0))
+     in
+     let energy =
+       Emc_regress.Rbf.fit ~size_grid:[ 6 ] (Emc_regress.Dataset.create x (Array.map g x))
+     in
+     { (Lazy.force artifact) with
+       Artifact.extra = [ ("energy", Option.get energy.Emc_regress.Model.repr) ] })
+
 let test_pareto_matches_direct () =
-  (* an artifact with a second "energy" response: the served front must be
-     byte-identical to the in-process search with the same seed/params *)
-  let art = Lazy.force artifact in
-  let rng = Emc_util.Rng.create 6 in
-  let g x =
-    2.0 +. (0.4 *. x.(3)) +. (0.9 *. x.(0) *. x.(0)) -. (0.2 *. x.(11))
-  in
-  let x =
-    Array.init 60 (fun _ ->
-        Array.init Params.n_all (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0))
-  in
-  let energy = Emc_regress.Rbf.fit ~size_grid:[ 6 ] (Emc_regress.Dataset.create x (Array.map g x)) in
-  let energy_repr = Option.get energy.Emc_regress.Model.repr in
-  let art = { art with Artifact.extra = [ ("energy", energy_repr) ] } in
+  (* the served front must be byte-identical to the in-process search
+     with the same seed/params *)
+  let art = Lazy.force energy_artifact in
+  let energy_repr = Option.get (Artifact.extra_repr art "energy") in
   let body_in = {|{"config":"typical","seed":3,"pop_size":16,"generations":6}|} in
   let status, _, served = handle art (mkreq ~meth:"POST" ~body:body_in "/pareto") in
   ci "pareto status" 200 status;
@@ -306,6 +313,29 @@ let test_pareto_matches_direct () =
   Alcotest.(check string) "served /pareto body is byte-identical to the direct search"
     (Json.to_string (Searcher.pareto_to_json ~seed:3 ~evaluations:evals front) ^ "\n")
     served
+
+(* A search budget over the cap is refused where the body is decoded,
+   before any search runs, with a 400 that names the cap; the cap itself
+   is admitted. *)
+let test_search_budget_capped () =
+  let art = Lazy.force energy_artifact in
+  let error msg = Printf.sprintf {|{"error":{"code":"bad_request","message":"%s"}}|} msg ^ "\n" in
+  List.iter
+    (fun path ->
+      List.iter
+        (fun (body, msg) ->
+          let status, _, out = handle art (mkreq ~meth:"POST" ~body path) in
+          ci (path ^ " " ^ body ^ ": status") 400 status;
+          Alcotest.(check string) (path ^ " " ^ body ^ ": body") (error msg) out)
+        [ ({|{"pop_size":1001,"generations":1}|}, {|\"pop_size\" must be at most 1000, got 1001|});
+          ({|{"pop_size":2,"generations":1001}|},
+           {|\"generations\" must be at most 1000, got 1001|}) ])
+    [ "/search"; "/pareto" ];
+  List.iter
+    (fun body ->
+      let status, _, _ = handle art (mkreq ~meth:"POST" ~body "/search") in
+      ci (body ^ ": status") 200 status)
+    [ {|{"pop_size":1000,"generations":1}|}; {|{"pop_size":2,"generations":1000}|} ]
 
 let coded_point () = Array.init Params.n_all (fun i -> Float.of_int (i mod 3) /. 4.0)
 
@@ -415,6 +445,10 @@ let test_validation () =
       check_error "unknown search config"
         (request path ~meth:"POST" ~body:{|{"config":"petaflop"}|} "/search")
         400;
+      check_error "search budget over the cap"
+        (request path ~meth:"POST" ~body:{|{"pop_size":1001,"generations":1}|} "/search")
+        400;
+      ci "healthz after a refused budget" 200 (fst (request path "/healthz"));
       (* declared body over the 4 KiB test cap *)
       let big = String.make 8000 'x' in
       check_error "oversized body"
@@ -1073,6 +1107,7 @@ let suite =
       test_pareto_requires_energy;
     Alcotest.test_case "/pareto equals direct bi-objective search" `Quick
       test_pareto_matches_direct;
+    Alcotest.test_case "/search and /pareto cap their budgets" `Quick test_search_budget_capped;
     Alcotest.test_case "endpoints over a unix socket" `Quick test_endpoints;
     Alcotest.test_case "input validation status codes" `Quick test_validation;
     Alcotest.test_case "/search equals direct model-based search" `Quick
