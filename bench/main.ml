@@ -166,6 +166,23 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
        Emc_obs.Json.to_string
          (Emc_obs.Json.Obj [ ("points", Emc_obs.Json.List (List.init 16 (fun _ -> point ()))) ]))
   in
+  (* the daemon's reply to that batch, head and body *)
+  let batch_reply =
+    lazy
+      (let hot = Emc_serve.Serve.make_hot (Lazy.force art) in
+       let req =
+         { Emc_serve.Http.meth = "POST"; path = "/predict"; query = []; headers = [];
+           body = Lazy.force batch_body }
+       in
+       let status, content_type = Emc_serve.Serve.handle_into hot req in
+       let body = Emc_serve.Serve.hot_body hot in
+       let b = Buffer.create 1024 in
+       Emc_serve.Http.response_head_into b ~status ~content_type ~body_length:(Buffer.length body)
+         ~keep_alive:true
+         [ ("X-Request-Id", "7") ];
+       Buffer.add_buffer b body;
+       Buffer.contents b)
+  in
   let open Bechamel in
   let kernels =
     [
@@ -250,6 +267,26 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
                 | Emc_serve.Http.Parsed _ -> ()
                 | _ -> failwith "bench request did not parse"
               done) );
+      (* the client half of a batch: a 16-point serve-predict reply as the
+         daemon writes it, framed by Http.parse_response, then read back
+         from a socketpair through Http.read_response (its one read chunk
+         and its message buffer included) *)
+      ( "serve/http-parse-response",
+        fun () ->
+          let reply = Lazy.force batch_reply in
+          Staged.stage (fun () ->
+              match Emc_serve.Http.parse_response reply with
+              | Emc_serve.Http.Parsed _ -> ()
+              | _ -> failwith "bench reply did not parse") );
+      ( "serve/http-read-response",
+        fun () ->
+          let reply = Lazy.force batch_reply in
+          let writer, reader = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Staged.stage (fun () ->
+              ignore (Unix.write_substring writer reply 0 (String.length reply));
+              match Emc_serve.Http.read_response reader with
+              | Ok _ -> ()
+              | Error e -> failwith (Emc_serve.Http.error_to_string e)) );
       ( "serve/predict-render",
         fun () ->
           let art = Lazy.force art in

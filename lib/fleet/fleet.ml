@@ -47,6 +47,7 @@ let m_store_puts = Metrics.counter "fleet.store_puts"
 (* worker side *)
 let m_measured = Metrics.counter "fleet.points_measured"
 let m_heartbeats = Metrics.counter "fleet.heartbeats"
+let g_worker_measures = Metrics.gauge "fleet.worker_measures"
 
 (* store side *)
 let m_lookup_hits = Metrics.counter "fleet.store.lookup_hits"
@@ -455,20 +456,28 @@ let start_heartbeater ~store ~advertise ~interval =
 
 let default_pidfile = function Unix_sock p -> Some (p ^ ".pid") | Tcp _ -> None
 
+(* The most protocol signatures a worker keeps a Measure for. Each holds
+   its simulator memory and result memo, and a client chooses the
+   signature, so the table is bounded; evicting one loses only memo hits,
+   since its results have already gone back to their coordinators. *)
+let max_worker_measures = 4
+
 let run_worker ?(jobs = 1) ?register ?advertise ?(heartbeat = 2.0) ?pidfile ~listen () =
-  (* one Measure per protocol signature: the result memo persists across
-     requests, so repeated corner points across batches and the
-     energy/code-size re-reads cost nothing *)
-  let measures : (string, Measure.t) Hashtbl.t = Hashtbl.create 4 in
+  (* one Measure per protocol signature, most recently used first: the
+     result memo persists across requests, so repeated corner points
+     across batches and the energy/code-size re-reads cost nothing *)
+  let measures : (string * Measure.t) list ref = ref [] in
   let measure_for ~workload_scale ~smarts =
     let scale = { Scale.quick with Scale.name = "fleet"; workload_scale; smarts; jobs } in
     let key = Scale.signature scale in
-    match Hashtbl.find_opt measures key with
-    | Some m -> m
-    | None ->
-        let m = Measure.create scale in
-        Hashtbl.replace measures key m;
-        m
+    let m =
+      match List.assoc_opt key !measures with Some m -> m | None -> Measure.create scale
+    in
+    measures :=
+      (key, m)
+      :: List.filteri (fun i _ -> i < max_worker_measures - 1) (List.remove_assoc key !measures);
+    Metrics.set g_worker_measures (float_of_int (List.length !measures));
+    m
   in
   let handle_measure (req : Http.request) b =
     match measure_request_of_body req.Http.body with

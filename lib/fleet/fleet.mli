@@ -259,9 +259,12 @@ val run_worker :
   unit ->
   unit
 (** One measurement worker. It keeps one memo per protocol signature
-    ([Scale.signature] of the request's [workload_scale] and [smarts]) and
-    no result file; the binaries it builds are dropped after each
-    [/measure], so its memory does not grow with the points it serves.
+    ([Scale.signature] of the request's [workload_scale] and [smarts]),
+    for the 4 signatures used most recently, and no result file; the
+    binaries it builds are dropped after each [/measure], so its memory
+    grows neither with the points it serves nor with the signatures a
+    client asks for. Evicting a signature loses only its memo hits. The
+    [fleet.worker_measures] gauge counts the signatures kept.
     [jobs] fans each received chunk out over local forked processes
     ([lib/par]).
 

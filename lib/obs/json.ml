@@ -111,24 +111,61 @@ let decimal m q =
     in
     if Float.abs e +. (g *. 0x1p-40) < g *. 0.5 then t else Float.nan
 
+external get64 : string -> int -> int64 = "%caml_string_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+external big_endian : unit -> bool = "%big_endian"
+
+(* The 8 bytes from [i] of [s] read as one little-endian word: their
+   decimal value when every one is an ASCII digit, else -1. A byte is a
+   digit when its high nibble is 3 and so is that of the byte plus 6;
+   a byte that carries into the next when 6 is added has high nibble F
+   and fails on its own. The value pairs digits, then pairs, then
+   quads, by multiplies whose cross terms land outside bits 32-63. *)
+let eight_digits s i =
+  let x = if big_endian () then swap64 (get64 s i) else get64 s i in
+  let high = 0xF0F0F0F0F0F0F0F0L in
+  let nibbles =
+    Int64.logor (Int64.logand x high)
+      (Int64.shift_right_logical (Int64.logand (Int64.add x 0x0606060606060606L) high) 4)
+  in
+  if nibbles <> 0x3333333333333333L then -1
+  else
+    let v = Int64.sub x 0x3030303030303030L in
+    let v = Int64.add (Int64.mul v 10L) (Int64.shift_right_logical v 8) in
+    let low = 0x000000FF000000FFL in
+    Int64.to_int
+      (Int64.shift_right_logical
+         (Int64.add
+            (Int64.mul (Int64.logand v low) 0x000F424000000064L)
+            (Int64.mul (Int64.logand (Int64.shift_right_logical v 16) low) 0x0000271000000001L))
+         32)
+
 (* The number text from [i] of [s], read in one pass: [pos] holds the
    text's start and is left at its end. [m] keeps the first 18
    significant digits, [nd] counts them (-1 before any digit, 0 while
    every digit is a zero, 19 past 18), and [q] is the power of ten of
    m's last digit. The value is
    [decimal]'s for a text with a '.' or an exponent, and nan for every
-   text that must go to int_of_string_opt or float_of_string. *)
+   text that must go to int_of_string_opt or float_of_string.
+
+   Once m > 0 and nd <= 10, eight digits in a row are taken in one step:
+   each of them would take the byte loop's [nd < 18] branch, so the step
+   leaves m, nd and q exactly as eight byte steps would. *)
 let rec significand s pos i m nd q dot =
   if i = String.length s then value s pos i m nd q dot
   else
     match String.unsafe_get s i with
     | '0' .. '9' as c ->
-        let q = if dot then q - 1 else q in
-        if m = 0 && c = '0' then significand s pos (i + 1) 0 0 q dot
-        else if nd < 18 then
-          let nd = if nd < 0 then 1 else nd + 1 in
-          significand s pos (i + 1) ((10 * m) + Char.code c - 48) nd q dot
-        else significand s pos (i + 1) m 19 q dot
+        let v = if m > 0 && nd <= 10 && i + 8 <= String.length s then eight_digits s i else -1 in
+        if v >= 0 then
+          significand s pos (i + 8) ((m * 100_000_000) + v) (nd + 8) (if dot then q - 8 else q) dot
+        else
+          let q = if dot then q - 1 else q in
+          if m = 0 && c = '0' then significand s pos (i + 1) 0 0 q dot
+          else if nd < 18 then
+            let nd = if nd < 0 then 1 else nd + 1 in
+            significand s pos (i + 1) ((10 * m) + Char.code c - 48) nd q dot
+          else significand s pos (i + 1) m 19 q dot
     | '.' when not dot -> significand s pos (i + 1) m nd q true
     | 'e' | 'E' ->
         let sign = if i + 1 < String.length s then String.unsafe_get s (i + 1) else ' ' in
@@ -188,50 +225,66 @@ let parse_exn s =
     end
     else fail ("invalid literal, expected " ^ word)
   in
+  (* A string with no '\\' before its closing quote is one slice of [s];
+     one with an escape copies its text through a buffer from the first
+     '\\' on. *)
+  let rec plain i =
+    if i < n then match String.unsafe_get s i with '"' | '\\' -> i | _ -> plain (i + 1) else i
+  in
+  let rec escaped buf =
+    if !pos >= n then fail "unterminated string";
+    match s.[!pos] with
+    | '"' -> advance ()
+    | '\\' ->
+        advance ();
+        if !pos >= n then fail "unterminated escape";
+        (match s.[!pos] with
+        | '"' -> Buffer.add_char buf '"'; advance ()
+        | '\\' -> Buffer.add_char buf '\\'; advance ()
+        | '/' -> Buffer.add_char buf '/'; advance ()
+        | 'b' -> Buffer.add_char buf '\b'; advance ()
+        | 'f' -> Buffer.add_char buf '\012'; advance ()
+        | 'n' -> Buffer.add_char buf '\n'; advance ()
+        | 'r' -> Buffer.add_char buf '\r'; advance ()
+        | 't' -> Buffer.add_char buf '\t'; advance ()
+        | 'u' ->
+            advance ();
+            if !pos + 4 > n then fail "truncated \\u escape";
+            let hex = String.sub s !pos 4 in
+            let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+            if not (String.for_all is_hex hex) then fail "invalid \\u escape";
+            let code = int_of_string ("0x" ^ hex) in
+            pos := !pos + 4;
+            (* UTF-8 encode the BMP code point *)
+            if code < 0x80 then Buffer.add_char buf (Char.chr code)
+            else if code < 0x800 then begin
+              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+            end
+            else begin
+              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+            end
+        | c -> fail (Printf.sprintf "invalid escape '\\%c'" c));
+        escaped buf
+    | c -> Buffer.add_char buf c; advance (); escaped buf
+  in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          if !pos >= n then fail "unterminated escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char buf '"'; advance ()
-          | '\\' -> Buffer.add_char buf '\\'; advance ()
-          | '/' -> Buffer.add_char buf '/'; advance ()
-          | 'b' -> Buffer.add_char buf '\b'; advance ()
-          | 'f' -> Buffer.add_char buf '\012'; advance ()
-          | 'n' -> Buffer.add_char buf '\n'; advance ()
-          | 'r' -> Buffer.add_char buf '\r'; advance ()
-          | 't' -> Buffer.add_char buf '\t'; advance ()
-          | 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
-              if not (String.for_all is_hex hex) then fail "invalid \\u escape";
-              let code = int_of_string ("0x" ^ hex) in
-              pos := !pos + 4;
-              (* UTF-8 encode the BMP code point *)
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-          | c -> fail (Printf.sprintf "invalid escape '\\%c'" c));
-          go ()
-      | c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ();
-    Buffer.contents buf
+    let start = !pos in
+    let stop = plain start in
+    if stop < n && String.unsafe_get s stop = '"' then begin
+      pos := stop + 1;
+      String.sub s start (stop - start)
+    end
+    else begin
+      let buf = Buffer.create 16 in
+      Buffer.add_substring buf s start (stop - start);
+      pos := stop;
+      escaped buf;
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in

@@ -14,8 +14,16 @@
     only where its rounding is provably that of [float_of_string]; every
     other text (integers, longer significands, larger exponents, malformed
     texts, and the cases the guard leaves undecided) goes to those two
-    functions. Floats render as [Printf]'s [%.0f] (integral, below 1e15)
-    or [%.17g], byte for byte. *)
+    functions. The scan takes eight digits in one step, read as one
+    little-endian word, once the significand has a non-zero digit and at
+    most 10 significant digits: each of the eight would then take the
+    byte loop's branch that appends a digit, so the step's arithmetic is
+    the byte loop's, and so is every value. Floats render as [Printf]'s
+    [%.0f] (integral, below 1e15) or [%.17g], byte for byte.
+
+    A string with no ['\\'] before its closing quote is read as one slice
+    of the input; one with an escape is copied through a buffer from its
+    first ['\\'] on. *)
 
 type t =
   | Null

@@ -123,29 +123,72 @@ let parse_query q =
                    url_decode (String.sub kv (i + 1) (String.length kv - i - 1)) )
            | None -> Some (url_decode kv, ""))
 
-let parse_headers lines =
-  List.filter_map
-    (fun l ->
-      match String.index_opt l ':' with
-      | Some i ->
-          Some
-            ( String.lowercase_ascii (String.trim (String.sub l 0 i)),
-              String.trim (String.sub l (i + 1) (String.length l - i - 1)) )
-      | None -> None)
-    lines
-
 (* ---------------- the one framer ---------------- *)
 
 type 'a parse = Parsed of 'a * int | Incomplete of int | Invalid of error
 
+(* The first "\r\n\r\n". A terminator that starts anywhere in
+   [i] .. [i + 3] covers byte [i + 3] with a '\r' or a '\n'; when that
+   byte is neither, none starts there, and the scan steps 4 bytes. *)
 let find_head_end s =
   let n = String.length s in
   let rec go i =
     if i + 3 >= n then None
-    else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n' then Some i
-    else go (i + 1)
+    else
+      match String.unsafe_get s (i + 3) with
+      | '\r' | '\n' ->
+          if
+            String.unsafe_get s i = '\r'
+            && String.unsafe_get s (i + 1) = '\n'
+            && String.unsafe_get s (i + 2) = '\r'
+            && String.unsafe_get s (i + 3) = '\n'
+          then Some i
+          else go (i + 1)
+      | _ -> go (i + 4)
   in
   go 0
+
+(* The head is walked by index: a line is a span [a, b) of [s], trimmed
+   by moving its bounds over exactly the bytes [String.trim] strips. *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec trim_left s a b =
+  if a < b && is_space (String.unsafe_get s a) then trim_left s (a + 1) b else a
+
+let rec trim_right s a b =
+  if b > a && is_space (String.unsafe_get s (b - 1)) then trim_right s a (b - 1) else b
+
+(* The end of the line from [j]: its '\n', or the head's end [i] *)
+let rec line_end s j i = if j < i && String.unsafe_get s j <> '\n' then line_end s (j + 1) i else j
+
+(* The first ':' in [j, b), or [b] *)
+let rec colon s j b = if j < b && String.unsafe_get s j <> ':' then colon s (j + 1) b else j
+
+(* [String.lowercase_ascii (String.sub s a (b - a))] in one allocation *)
+let lowercase_sub s a b =
+  let k = Bytes.create (b - a) in
+  for j = 0 to b - a - 1 do
+    Bytes.unsafe_set k j (Char.lowercase_ascii (String.unsafe_get s (a + j)))
+  done;
+  Bytes.unsafe_to_string k
+
+(* The header lines from [j] to the head's end [i], in order: each
+   splits at its first ':' into a lowercased key and a value, both
+   trimmed; a line without ':' is dropped. The line [a, b) is trimmed
+   already, so its key needs only its right end trimmed and its value
+   only its left. *)
+let rec header_lines s j i acc =
+  let e = line_end s j i in
+  let a = trim_left s j e in
+  let b = trim_right s a e in
+  let c = colon s a b in
+  let acc =
+    if c = b then acc
+    else
+      let v = trim_left s (c + 1) b in
+      (lowercase_sub s a (trim_right s a c), String.sub s v (b - v)) :: acc
+  in
+  if e < i then header_lines s (e + 1) i acc else List.rev acc
 
 let ( let* ) = Result.bind
 
@@ -170,12 +213,10 @@ let frame ~max_header ~max_body start s =
       else Incomplete (String.length s + 1)
   | Some i when i > max_header -> Invalid (Too_large "headers")
   | Some i -> (
-      let first, lines =
-        match List.map String.trim (String.split_on_char '\n' (String.sub s 0 i)) with
-        | first :: lines -> (first, lines)
-        | [] -> ("", [])
-      in
-      let headers = parse_headers lines in
+      let e = line_end s 0 i in
+      let a = trim_left s 0 e in
+      let first = String.sub s a (trim_right s a e - a) in
+      let headers = if e < i then header_lines s (e + 1) i [] else [] in
       let framed =
         let* make = start first headers in
         let* () =
@@ -241,11 +282,20 @@ let wait_readable fd deadline =
   in
   go ()
 
+(* Every read lands in this one chunk, made once per process: a fresh
+   4 KiB [Bytes] per message would be a major-heap allocation (it is
+   over [Max_young_wosize]). Its bytes are copied into the message
+   buffer before anything else runs, and no signal handler reads a
+   socket, so one chunk serves every call; a forked child has its own
+   copy. *)
+let chunk = Bytes.create 4096
+
 (* Read into one buffer, seeded with the carry, until [parse] frames a
    message; the bytes past it go back into the carry. A parse runs only
    once the length the previous one asked for has arrived, so a body is
    parsed once, not once per read. The deadline bounds the whole message:
    a peer dribbling a byte per interval cannot reset it. *)
+
 let read_message parse ?timeout ?carry fd =
   let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout in
   let buf = Buffer.create 1024 in
@@ -254,7 +304,6 @@ let read_message parse ?timeout ?carry fd =
       Buffer.add_string buf !r;
       r := "")
     carry;
-  let chunk = Bytes.create 4096 in
   let cut why = if Buffer.length buf = 0 then Error Closed else Error (Bad why) in
   let rec fill need =
     if Buffer.length buf >= need then frame ()

@@ -71,7 +71,16 @@ val response_header : response -> string -> string option
     start line and headers, then take a [Content-Length] body. The
     blocking readers below, the multiplexed server and the fleet
     coordinator all frame through it, so limits and error mapping agree
-    everywhere. *)
+    everywhere.
+
+    It reads each head byte once. The search for the blank line steps 4
+    bytes wherever the fourth byte is neither ['\r'] nor ['\n'], and the
+    head's lines are walked by index: no copy of the head, no list of
+    lines. A line is trimmed of exactly the bytes [String.trim] strips
+    (space, tab, ['\n'], ['\r'], form feed); a header splits at its first
+    [':'] into a lowercased key and a value, both trimmed, and a line
+    without [':'] is dropped. Records, consumed lengths and error texts
+    are those of trimming copied lines. *)
 
 type 'a parse =
   | Parsed of 'a * int
@@ -105,7 +114,13 @@ val parse_response : ?max_header:int -> ?max_body:int -> string -> response pars
     read and, on success, it holds the surplus. Without [carry], surplus
     is discarded (fine for strict request/response lockstep, fatal for
     pipelining). A caller holding a non-empty carry must not wait for
-    socket readability — the next message may already be buffered. *)
+    socket readability — the next message may already be buffered.
+
+    Every read lands in one 4 KiB chunk made once per process, not one
+    per call: a fresh chunk is a major-heap allocation. Sharing it is
+    safe because its bytes are copied into the message's buffer before
+    anything else runs, no signal handler of the program reads a socket,
+    and a forked child has its own copy. *)
 
 val read_request :
   ?max_header:int ->

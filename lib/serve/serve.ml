@@ -27,8 +27,25 @@ let route h req b =
   | Ok j -> Server.reply b 200 j
   | Error (status, code, msg) -> Server.error b status code msg
 
+(* A point's coordinates straight into a float array: a [Float] as is,
+   anything else through [Json.as_float], whose first failure is the
+   answer *)
 let point_of_json = function
-  | Json.List vs -> Result.map Array.of_list (Json.map_result Json.as_float vs)
+  | Json.List vs ->
+      let x = Array.create_float (List.length vs) in
+      let rec fill i = function
+        | [] -> Ok x
+        | Json.Float f :: rest ->
+            x.(i) <- f;
+            fill (i + 1) rest
+        | v :: rest -> (
+            match Json.as_float v with
+            | Ok f ->
+                x.(i) <- f;
+                fill (i + 1) rest
+            | Error e -> Error e)
+      in
+      fill 0 vs
   | _ -> Error "each point must be a list of numbers"
 
 let parse_json_body (req : Http.request) =

@@ -1359,6 +1359,117 @@ let test_unrunnable_measure_is_a_400 () =
   | Ok r -> ci "the worker still answers /healthz" 200 r.Http.status
   | Error e -> Alcotest.failf "/healthz after the rejected body: %s" (Http.error_to_string e)
 
+(* ---------------- what a worker keeps ---------------- *)
+
+(* [name]'s value in a worker's /metrics, or nan *)
+let metric sock name =
+  match Http.call ~timeout:5.0 (Fleet.Unix_sock sock) ~meth:"GET" ~path:"/metrics" () with
+  | Error e -> Alcotest.failf "/metrics: %s" (Http.error_to_string e)
+  | Ok r ->
+      String.split_on_char '\n' r.Http.resp_body
+      |> List.find_map (fun l -> Scanf.sscanf_opt l (name ^^ " %f") Fun.id)
+      |> Option.value ~default:Float.nan
+
+(* Six distinct workload scales through one worker leave a Measure for
+   the 4 used last, and a scale that was evicted, asked again, answers
+   the same bytes. *)
+let test_worker_measures_bounded () =
+  let sock = sock_path "lru" in
+  let pid = fork_daemon (fun () -> Fleet.run_worker ~listen:(Fleet.Unix_sock sock) ()) in
+  Fun.protect ~finally:(fun () -> kill_daemon pid; List.iter rm_f [ sock; sock ^ ".pid" ])
+  @@ fun () ->
+  wait_sock sock;
+  let measure workload_scale =
+    match
+      Http.call ~timeout:60.0 (Fleet.Unix_sock sock) ~meth:"POST" ~path:"/measure"
+        ~headers:[ ("Content-Type", "application/json") ]
+        ~body:(measure_request ~workload_scale ()) ()
+    with
+    | Ok r when r.Http.status = 200 -> r.Http.resp_body
+    | Ok r -> Alcotest.failf "/measure at %g: HTTP %d" workload_scale r.Http.status
+    | Error e -> Alcotest.failf "/measure at %g: %s" workload_scale (Http.error_to_string e)
+  in
+  let scales = List.init 6 (fun i -> 0.01 +. (0.002 *. float_of_int i)) in
+  let first = List.map measure scales |> List.hd in
+  Alcotest.(check (float 0.0)) "a Measure kept for 4 signatures" 4.0
+    (metric sock "emc_fleet_worker_measures");
+  cs "an evicted signature answers the same bytes" first (measure (List.hd scales));
+  Alcotest.(check (float 0.0)) "still 4" 4.0 (metric sock "emc_fleet_worker_measures")
+
+(* ---------------- a worker whose Content-Length lies ---------------- *)
+
+(* A stub worker that answers every /measure with a well-formed result
+   body of wrong values (every triple 1, 2, 3) under a Content-Length
+   off by [by] bytes: an overstated one is followed by a close, an
+   understated one leaves the connection open for the next request. *)
+let lying_worker path ~by =
+  fork_daemon (fun () ->
+      let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind lsock (Unix.ADDR_UNIX path);
+      Unix.listen lsock 8;
+      let rec answer fd carry =
+        match Http.read_request ~timeout:30.0 ~carry fd with
+        | Error _ -> ()
+        | Ok req ->
+            let points =
+              match Fleet.measure_request_of_body req.Http.body with
+              | Ok mr -> Array.length mr.Fleet.mr_points
+              | Error _ -> 1
+            in
+            let body =
+              Fleet.result_body
+                (Array.make points
+                   { Measure.t_cycles = 1.0; t_energy = 2.0; t_code_size = 3.0 })
+            in
+            let reply =
+              Printf.sprintf
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\
+                 X-Request-Id: %s\r\n\r\n%s"
+                (String.length body + by)
+                (Option.value ~default:"" (Http.header req "x-request-id"))
+                body
+            in
+            ignore (Unix.write_substring fd reply 0 (String.length reply));
+            if by < 0 then answer fd carry
+      in
+      while true do
+        match Unix.accept lsock with
+        | fd, _ ->
+            (try answer fd (ref "") with Unix.Unix_error _ -> ());
+            (try Unix.close fd with Unix.Unix_error _ -> ())
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      done)
+
+(* Through the coordinator's collect: a reply whose Content-Length
+   overstates its body before a close, and one that understates it, each
+   fail the chunk. Alone, the stub fails the run with a Fleet_error
+   within 5 s; beside a live worker its chunks are requeued, and the
+   results are bit for bit the local ones, never the stub's. *)
+let test_lying_worker_fails_its_chunk () =
+  List.iter
+    (fun by ->
+      let stub = sock_path "liar" in
+      let pid = lying_worker stub ~by in
+      Fun.protect ~finally:(fun () -> kill_daemon pid; rm_f stub) @@ fun () ->
+      wait_sock stub;
+      let m = Measure.create (small_scale 1) in
+      Fleet.attach m [ Fleet.Worker (Fleet.Unix_sock stub) ];
+      let t0 = Unix.gettimeofday () in
+      (match
+         Measure.cycles_coded_many m (Emc_workloads.Registry.find "mcf")
+           ~variant:Emc_workloads.Workload.Train (design_points 3)
+       with
+      | _ -> Alcotest.failf "a Content-Length off by %d returned results" by
+      | exception Fleet.Fleet_error msg ->
+          let took = Unix.gettimeofday () -. t0 in
+          cb (Printf.sprintf "off by %d, alone: Fleet_error in %.2f s (%s)" by took msg) true
+            (took < 5.0));
+      let retried0 = counter "fleet.retried" in
+      with_worker (fun live -> run_through [ stub; live ]);
+      cb (Printf.sprintf "off by %d, beside a live worker: its chunk requeued" by) true
+        (counter "fleet.retried" > retried0))
+    [ 25; -25 ]
+
 (* ---------------- draining one's own child ---------------- *)
 
 (* A zombie still answers [kill pid 0]: drain must reap a worker its
@@ -1516,5 +1627,7 @@ let suite =
     ("unrunnable /measure is a 400, the worker stays up", `Quick,
      test_unrunnable_measure_is_a_400);
     ("drain reaps a worker its caller forked", `Quick, test_drain_reaps_own_child);
+    ("worker keeps 4 signatures' Measures", `Quick, test_worker_measures_bounded);
+    ("lying Content-Length fails the chunk", `Slow, test_lying_worker_fails_its_chunk);
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |]) prop_wire_round_trip;
   ]

@@ -213,6 +213,231 @@ let test_json_coordinates_direct () =
       done)
     [ 7; 29 ]
 
+(* ---------------- Json strings ---------------- *)
+
+(* Json.parse as it was before a string without escapes became one
+   slice: every string copied through a buffer a character at a time.
+   A number text has the extent of Json's scan and is read by
+   int_of_string_opt, then float_of_string, which gives the bits of
+   Json's own conversion ("numbers read as int_of_string_opt/float_of_string"). *)
+let parse_reference s =
+  let exception Parse_error of string in
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let at c = !pos < n && String.unsafe_get s !pos = c in
+  let advance () = incr pos in
+  let skip_ws () =
+    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
+      advance ()
+    done
+  in
+  let expect c = if at c then advance () else fail (Printf.sprintf "expected '%c'" c) in
+  let literal word v =
+    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word then begin
+      pos := !pos + String.length word;
+      v
+    end
+    else fail ("invalid literal, expected " ^ word)
+  in
+  let parse_string () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string";
+      match s.[!pos] with
+      | '"' -> advance ()
+      | '\\' ->
+          advance ();
+          if !pos >= n then fail "unterminated escape";
+          (match s.[!pos] with
+          | '"' -> Buffer.add_char buf '"'; advance ()
+          | '\\' -> Buffer.add_char buf '\\'; advance ()
+          | '/' -> Buffer.add_char buf '/'; advance ()
+          | 'b' -> Buffer.add_char buf '\b'; advance ()
+          | 'f' -> Buffer.add_char buf '\012'; advance ()
+          | 'n' -> Buffer.add_char buf '\n'; advance ()
+          | 'r' -> Buffer.add_char buf '\r'; advance ()
+          | 't' -> Buffer.add_char buf '\t'; advance ()
+          | 'u' ->
+              advance ();
+              if !pos + 4 > n then fail "truncated \\u escape";
+              let hex = String.sub s !pos 4 in
+              let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+              if not (String.for_all is_hex hex) then fail "invalid \\u escape";
+              let code = int_of_string ("0x" ^ hex) in
+              pos := !pos + 4;
+              if code < 0x80 then Buffer.add_char buf (Char.chr code)
+              else if code < 0x800 then begin
+                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+              end
+              else begin
+                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+              end
+          | c -> fail (Printf.sprintf "invalid escape '\\%c'" c));
+          go ()
+      | c -> Buffer.add_char buf c; advance (); go ()
+    in
+    go ();
+    Buffer.contents buf
+  in
+  let digit i = i < n && s.[i] >= '0' && s.[i] <= '9' in
+  let rec exponent i = if digit i then exponent (i + 1) else i in
+  let rec significand i dot =
+    if digit i then significand (i + 1) dot
+    else if i < n && s.[i] = '.' && not dot then significand (i + 1) true
+    else if i < n && (s.[i] = 'e' || s.[i] = 'E') then
+      exponent (if i + 1 < n && (s.[i + 1] = '-' || s.[i + 1] = '+') then i + 2 else i + 1)
+    else i
+  in
+  let parse_number () =
+    let start = !pos in
+    pos := significand (if at '-' then start + 1 else start) false;
+    let text = String.sub s start (!pos - start) in
+    match int_of_string_opt text with
+    | Some i -> Json.Int i
+    | None -> (
+        match float_of_string text with
+        | f -> Json.Float f
+        | exception Failure _ -> fail "invalid number")
+  in
+  let rec parse_value () =
+    skip_ws ();
+    if !pos >= n then fail "unexpected end of input";
+    match s.[!pos] with
+    | '"' -> Json.Str (parse_string ())
+    | 't' -> literal "true" (Json.Bool true)
+    | 'f' -> literal "false" (Json.Bool false)
+    | 'n' -> literal "null" Json.Null
+    | '[' ->
+        advance ();
+        skip_ws ();
+        if at ']' then begin advance (); Json.List [] end
+        else begin
+          let items = ref [ parse_value () ] in
+          skip_ws ();
+          while at ',' do
+            advance ();
+            items := parse_value () :: !items;
+            skip_ws ()
+          done;
+          expect ']';
+          Json.List (List.rev !items)
+        end
+    | '{' ->
+        advance ();
+        skip_ws ();
+        if at '}' then begin advance (); Json.Obj [] end
+        else begin
+          let pair () =
+            skip_ws ();
+            let k = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value () in
+            (k, v)
+          in
+          let items = ref [ pair () ] in
+          skip_ws ();
+          while at ',' do
+            advance ();
+            items := pair () :: !items;
+            skip_ws ()
+          done;
+          expect '}';
+          Json.Obj (List.rev !items)
+        end
+    | _ -> parse_number ()
+  in
+  match
+    let v = parse_value () in
+    skip_ws ();
+    if !pos <> n then fail "trailing garbage";
+    v
+  with
+  | v -> Ok v
+  | exception Parse_error msg -> Error msg
+
+(* Equal values, floats compared by their bits *)
+let rec same_json a b =
+  match (a, b) with
+  | Json.Float f, Json.Float g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+  | Json.List xs, Json.List ys ->
+      List.compare_lengths xs ys = 0 && List.for_all2 same_json xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.compare_lengths xs ys = 0
+      && List.for_all2 (fun (k, x) (l, y) -> String.equal k l && same_json x y) xs ys
+  | _ -> a = b
+
+(* Documents dense in strings: every escape, \u escapes valid, invalid
+   and cut short, raw control bytes, UTF-8 and stray high bytes, escapes
+   at any place in a string, strings left open; with every prefix of
+   each, a string is cut off at every offset. Keys, values and list
+   items are strings, with a few numbers and literals between them. *)
+let prop_json_strings =
+  let open QCheck2.Gen in
+  let plain = oneofl (List.of_seq (String.to_seq "abcXYZ 019:,{}[]/'")) in
+  let fragment =
+    frequency
+      [ (6, string_size ~gen:plain (int_range 1 6));
+        (3, oneofl [ {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|}; {|\n|}; {|\r|}; {|\t|} ]);
+        (2,
+         oneofl
+           [ {|\u00e9|}; {|\u0041|}; {|\u4E2d|}; {|\uFFFF|}; {|\u0000|}; {|\u07ff|}; {|\u0800|};
+             {|\u007F|} ]);
+        (1, map (Printf.sprintf "\\u%04x") (int_range 0 0xFFFF));
+        (1, oneofl [ {|\u12G4|}; {|\u1_23|}; {|\uZZZZ|}; {|\u 123|}; {|\u12|}; {|\u|} ]);
+        (1, oneofl [ {|\x|}; {|\a|}; {|\'|}; {|\0|}; {|\U0041|}; "\\" ]);
+        (1, map (String.make 1) (map Char.chr (oneof [ int_range 0 31; return 127 ])));
+        (1, oneofl [ "\xc3\xa9"; "\xe4\xb8\xad"; "\xf0\x9f\x98\x80"; "\x80"; "\xff" ]) ]
+  in
+  let str =
+    let+ parts = list_size (int_range 0 5) fragment
+    and+ closed = frequency [ (12, return true); (1, return false) ] in
+    "\"" ^ String.concat "" parts ^ if closed then "\"" else ""
+  in
+  let ws = oneofl [ ""; ""; " "; "\n\t" ] in
+  let scalar =
+    frequency
+      [ (6, str); (1, oneofl [ "0"; "-12"; "3.25"; "1e5"; "-"; "1e"; "true"; "null"; "nul" ]) ]
+  in
+  let value =
+    fix
+      (fun self depth ->
+        if depth = 0 then scalar
+        else
+          frequency
+            [ (3, scalar);
+              (1,
+               let+ items = list_size (int_range 0 4) (self (depth - 1))
+               and+ w = ws in
+               "[" ^ w ^ String.concat ("," ^ w) items ^ "]");
+              (2,
+               let+ items = list_size (int_range 0 4) (pair str (self (depth - 1)))
+               and+ w = ws in
+               "{" ^ w
+               ^ String.concat "," (List.map (fun (k, v) -> k ^ w ^ ":" ^ w ^ v) items)
+               ^ w ^ "}") ])
+      3
+  in
+  QCheck2.Test.make ~name:"json: strings parse as the buffered reference" ~count:800
+    ~print:(Printf.sprintf "%S") value
+    (fun text ->
+      let rec go k =
+        k > String.length text
+        ||
+        let p = String.sub text 0 k in
+        (match (Json.parse p, parse_reference p) with
+        | Ok a, Ok b -> same_json a b
+        | Error e, Error f -> String.equal e f
+        | _ -> false)
+        && go (k + 1)
+      in
+      go 0)
+
 (* Json.to_string renders a float exactly as Printf did: %.0f for an
    integral value below 1e15 in magnitude, %.17g for any other finite
    one, null for NaN and the infinities. *)
@@ -615,6 +840,7 @@ let suite =
     Alcotest.test_case "json: serve-predict coordinates read directly" `Quick
       test_json_coordinates_direct;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 32 |]) prop_json_float_render;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 33 |]) prop_json_strings;
     Alcotest.test_case "metrics: counter semantics" `Quick test_counter_semantics;
     Alcotest.test_case "metrics: kind mismatch raises" `Quick test_kind_mismatch_raises;
     Alcotest.test_case "metrics: gauge and histogram" `Quick test_gauge_and_histogram;

@@ -530,6 +530,44 @@ let test_fuzz_and_shutdown () =
   cb "clean exit on SIGTERM" true (status = Unix.WEXITED 0);
   cb "socket unlinked on shutdown" false socket_left
 
+(* A Content-Length that lies. One longer than the body, then a
+   half-close, gets a 400 "truncated request". With a shorter one the
+   declared bytes are the request (not JSON, so a 400), and the leftover
+   bytes, once the client half-closes, are answered with a 400 and the
+   connection closed. The daemon still answers /healthz after both. *)
+let test_lying_content_length () =
+  with_server (fun (_, path) ->
+      let body = {|{"point":[0.5,0.25]}|} in
+      let wire len =
+        Printf.sprintf
+          "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
+           Content-Length: %d\r\n\r\n%s"
+          len body
+      in
+      let status, reply = parse_response (raw_roundtrip path (wire (String.length body + 10))) in
+      ci "an overstated length, then a half-close, is a 400" 400 status;
+      cb "naming the truncated request" true (contains ~sub:"truncated request" reply);
+      let fd = connect path in
+      Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) (fun () ->
+          let bytes = wire (String.length body - 6) in
+          ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+          let carry = ref "" in
+          let next what =
+            match Http.read_response ~timeout:5.0 ~carry fd with
+            | Ok r -> r
+            | Error e -> Alcotest.failf "%s: %s" what (Http.error_to_string e)
+          in
+          let r = next "the declared bytes" in
+          ci "the declared bytes are a request with a cut body" 400 r.Http.status;
+          cb "whose body is bad JSON" true (contains ~sub:"bad_json" r.Http.resp_body);
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          let r = next "the leftover bytes" in
+          ci "the leftover bytes are answered with a 400" 400 r.Http.status;
+          cb "as a truncated request" true (contains ~sub:"truncated request" r.Http.resp_body);
+          cb "and the connection closes" true
+            (Http.read_response ~timeout:5.0 ~carry fd = Error Http.Closed));
+      ci "healthz after the lies" 200 (fst (request path "/healthz")))
+
 (* ---------------- request ids ---------------- *)
 
 let rec write_all fd s off len =
@@ -1113,6 +1151,7 @@ let suite =
     Alcotest.test_case "/search equals direct model-based search" `Quick
       test_search_matches_direct;
     Alcotest.test_case "survives fuzz; graceful shutdown" `Quick test_fuzz_and_shutdown;
+    Alcotest.test_case "a lying Content-Length gets a 400" `Quick test_lying_content_length;
     Alcotest.test_case "request ids: echo, generate, replace" `Quick test_request_ids;
     Alcotest.test_case "/metrics sums exactly across workers" `Quick
       test_multiworker_metrics_sum;
