@@ -954,14 +954,11 @@ let fleet_worker_cmd =
         let listen = addr_of_args port socket in
         if drain then begin
           let pidfile =
-            match pidfile with
-            | Some p -> p
-            | None -> (
-                match listen with
-                | Http.Unix_sock p -> p ^ ".pid"
-                | Http.Tcp _ -> die "--drain needs --pidfile with a TCP listener")
+            match (pidfile, Fleet.default_pidfile listen) with
+            | Some p, _ | None, Some p -> p
+            | None, None -> die "--drain needs --pidfile with a TCP listener"
           in
-          match Fleet.drain ~pidfile () with
+          match Emc_par.Proc.drain ~pidfile () with
           | Ok pid -> Printf.printf "drained worker (pid %d)\n" pid
           | Error e -> die "--drain: %s" e
         end

@@ -5,6 +5,7 @@ module Log = Emc_obs.Log
 module Metrics = Emc_obs.Metrics
 module Http = Emc_serve.Http
 module Server = Emc_serve.Server
+module Proc = Emc_par.Proc
 
 (** Distributed measurement over the serve substrate (see fleet.mli). *)
 
@@ -432,27 +433,21 @@ let members ?(timeout = store_timeout) addr =
    the membership endpoint every [interval] seconds (TTL 3x that), so the
    registration survives while the worker is deep in a long chunk. It
    exits by itself when orphaned — a SIGKILLed worker must age out of the
-   membership, not be kept alive by a zombie heartbeat. *)
+   membership, not be kept alive by a zombie heartbeat. It dies at once
+   on the worker's SIGTERM: TERM/INT take the default action again. *)
 let start_heartbeater ~store ~advertise ~interval =
   let parent = Unix.getpid () in
-  match Unix.fork () with
-  | 0 ->
+  Proc.spawn (fun () ->
       Sys.set_signal Sys.sigterm Sys.Signal_default;
       Sys.set_signal Sys.sigint Sys.Signal_default;
-      let rec loop () =
-        if Unix.getppid () <> parent then Unix._exit 0;
+      while Unix.getppid () = parent do
         (match register_rpc store ~advertise ~ttl:(3.0 *. interval) with
         | Ok () -> Metrics.incr m_heartbeats
         | Error e ->
             Log.warn ~src:"fleet-worker" "heartbeat to %s failed: %s" (Http.addr_to_string store)
               e);
-        (try ignore (Unix.select [] [] [] interval)
-         with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        loop ()
-      in
-      (try loop () with _ -> ());
-      Unix._exit 0
-  | pid -> pid
+        try ignore (Unix.select [] [] [] interval) with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      done)
 
 let default_pidfile = function Unix_sock p -> Some (p ^ ".pid") | Tcp _ -> None
 
@@ -516,13 +511,7 @@ let run_worker ?(jobs = 1) ?register ?advertise ?(heartbeat = 2.0) ?pidfile ~lis
   let listener = bind ~name:"fleet-worker" listen in
   let advertise = match advertise with Some a -> a | None -> Http.addr_to_string listen in
   let pidfile = match pidfile with Some _ as p -> p | None -> default_pidfile listen in
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (string_of_int (Unix.getpid ()));
-      output_char oc '\n';
-      close_out oc)
-    pidfile;
+  Option.iter Proc.write_pidfile pidfile;
   let hb =
     Option.map (fun store -> start_heartbeater ~store ~advertise ~interval:heartbeat) register
   in
@@ -531,66 +520,14 @@ let run_worker ?(jobs = 1) ?register ?advertise ?(heartbeat = 2.0) ?pidfile ~lis
      mid-run *)
   serve ~name:"fleet-worker" ~timeout:3600.0 listen listener
     [ ("POST", "/measure", handle_measure); ("GET", "/healthz", healthz) ];
-  Option.iter
-    (fun pid ->
-      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-    hb;
+  Option.iter (fun pid -> Proc.terminate [ pid ]) hb;
   Option.iter
     (fun saddr ->
       match deregister_rpc saddr ~advertise with
       | Ok () -> ()
       | Error e -> Log.warn ~src:"fleet-worker" "deregister failed: %s" e)
     register;
-  Option.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) pidfile
-
-(* Graceful scale-down, the client side of `fleet-worker --drain`: SIGTERM
-   the worker named by its pidfile and wait for the process to exit. The
-   worker finishes its in-flight request, deregisters, removes its pidfile
-   and exits 0; any chunks still pipelined behind the in-flight one are
-   requeued by the coordinator when the connection closes — nothing is
-   lost, the membership just shrinks by one. *)
-let drain ?(timeout = 120.0) ~pidfile () =
-  match open_in pidfile with
-  | exception Sys_error e -> Error (Printf.sprintf "no worker pidfile: %s" e)
-  | ic -> (
-      let line = try input_line ic with End_of_file -> "" in
-      close_in ic;
-      match int_of_string_opt (String.trim line) with
-      | None -> Error (Printf.sprintf "%s: malformed pid %S" pidfile line)
-      | Some pid -> (
-          match Unix.kill pid Sys.sigterm with
-          | exception Unix.Unix_error (Unix.ESRCH, _, _) ->
-              Error (Printf.sprintf "no such process %d (stale pidfile %s)" pid pidfile)
-          | exception Unix.Unix_error (e, _, _) ->
-              Error (Printf.sprintf "kill %d: %s" pid (Unix.error_message e))
-          | () ->
-              let deadline = Unix.gettimeofday () +. timeout in
-              (* a zombie still answers [kill pid 0], so the caller's own
-                 child is reaped; any other worker is gone once its pidfile
-                 is, which it removes as it exits *)
-              let gone () =
-                match Unix.waitpid [ Unix.WNOHANG ] pid with
-                | 0, _ -> false
-                | _ -> true
-                | exception Unix.Unix_error _ -> (
-                    (not (Sys.file_exists pidfile))
-                    ||
-                    match Unix.kill pid 0 with
-                    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
-                    | _ | (exception Unix.Unix_error _) -> false)
-              in
-              let rec wait () =
-                if gone () then Ok pid
-                else if Unix.gettimeofday () > deadline then
-                  Error (Printf.sprintf "worker %d still running after %.0fs" pid timeout)
-                else begin
-                  (try ignore (Unix.select [] [] [] 0.05)
-                   with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-                  wait ()
-                end
-              in
-              wait ()))
+  Option.iter Proc.remove_pidfile pidfile
 
 (* ---------------- coordinator ---------------- *)
 

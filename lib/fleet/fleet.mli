@@ -234,13 +234,6 @@ val members : ?timeout:float -> addr -> ((string * float) list, string) result
 (** [GET /members] on a store: advertised worker addresses with seconds
     since their last heartbeat, expired entries already dropped. *)
 
-val drain : ?timeout:float -> pidfile:string -> unit -> (int, string) result
-(** Gracefully drain a local worker daemon: read its pid from [pidfile],
-    send SIGTERM (the worker finishes in-flight requests, deregisters,
-    removes the pidfile and exits 0) and wait up to [timeout] (default
-    120 s) until the pidfile is gone or the process is, reaping it when
-    it is the caller's child. Returns the pid drained. *)
-
 (** {1 Daemons}
 
     Each serves its route table in-process on {!Emc_serve.Server} (so an
@@ -277,9 +270,13 @@ val run_worker :
     a TTL. On graceful shutdown the worker deregisters explicitly. The
     heartbeat and deregister RPCs time out after 10 s.
 
-    [pidfile] (default [<socket>.pid] for Unix-socket listeners) is
-    written on startup and removed on shutdown — the handle {!drain}
-    uses. *)
+    [pidfile] (default {!default_pidfile}) is written once the socket is
+    bound and removed on shutdown — the handle {!Emc_par.Proc.drain}
+    uses. On SIGTERM the worker finishes its in-flight request,
+    deregisters, removes the pidfile and exits 0. *)
+
+val default_pidfile : addr -> string option
+(** [<socket>.pid] for a Unix-socket listener, none for TCP. *)
 
 val run_store : ?file:string -> listen:addr -> unit -> unit
 (** The content-addressed result store. [file] persists the table as a

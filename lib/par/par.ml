@@ -38,31 +38,22 @@ let map ?jobs f xs =
     Emc_obs.Metrics.add m_tasks n;
     Emc_obs.Metrics.add m_workers jobs;
     Emc_obs.Metrics.incr m_maps;
-    (* pending stdio would be duplicated into every child's buffers *)
-    flush stdout;
-    flush stderr;
     let spawn k =
       let rfd, wfd = Unix.pipe () in
-      match Unix.fork () with
-      | 0 ->
-          (* Child: compute the slice, marshal one (Ok results | Error msg)
-             back, and leave with _exit so no inherited at_exit handler
-             (trace flush, stdio) runs in the worker. *)
-          (try
-             Unix.close rfd;
-             Emc_obs.Trace.disable ();
-             let oc = Unix.out_channel_of_descr wfd in
-             let r =
-               try Ok (Array.map f (slice xs jobs k))
-               with e -> Error (Printexc.to_string e)
-             in
-             Marshal.to_channel oc (r : (_, string) result) [];
-             flush oc
-           with _ -> ());
-          Unix._exit 0
-      | pid ->
-          Unix.close wfd;
-          (pid, rfd)
+      (* the child marshals one (Ok results | Error msg) back *)
+      let pid =
+        Proc.spawn (fun () ->
+            Unix.close rfd;
+            Emc_obs.Trace.disable ();
+            let oc = Unix.out_channel_of_descr wfd in
+            let r =
+              try Ok (Array.map f (slice xs jobs k)) with e -> Error (Printexc.to_string e)
+            in
+            Marshal.to_channel oc (r : (_, string) result) [];
+            flush oc)
+      in
+      Unix.close wfd;
+      (pid, rfd)
     in
     let children = Array.init jobs spawn in
     let results = Array.make n None in
@@ -90,11 +81,10 @@ let map ?jobs f xs =
                 else Array.iteri (fun j v -> results.(k + (j * jobs)) <- Some v) arr
             | Error msg -> fail k "%s" msg);
             close_in ic;
-            match snd (Unix.waitpid [] pid) with
-            | Unix.WEXITED 0 -> ()
-            | Unix.WEXITED c -> fail k "exited with code %d" c
-            | Unix.WSIGNALED s -> fail k "killed by signal %d" s
-            | Unix.WSTOPPED _ -> ()))
+            match Proc.reap [ pid ] with
+            | [ (_, Some (Unix.WEXITED c)) ] when c <> 0 -> fail k "exited with code %d" c
+            | [ (_, Some (Unix.WSIGNALED s)) ] -> fail k "killed by signal %d" s
+            | _ -> ()))
       children;
     (match !failures with
     | [] -> ()

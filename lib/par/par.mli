@@ -1,7 +1,7 @@
 (** Zero-dependency process-level parallel map.
 
     [map f xs] fans the elements of [xs] out across [jobs] forked worker
-    processes (Unix.fork + one pipe per worker + Marshal) and returns the
+    processes ({!Proc.spawn} + one pipe per worker + Marshal) and returns the
     results in input order — observationally identical to [Array.map f xs]
     for a pure [f]. Fork-based workers are the safe choice here: the
     process-global metrics registry and the [Measure] memo tables are
@@ -10,10 +10,9 @@
     worker exits and callers merge whatever they need from the returned
     values.
 
-    Workers never run the parent's [at_exit] handlers (they leave with
-    [Unix._exit]), so inherited trace buffers and stdio are not flushed
-    twice. A worker that raises, dies, or exits early surfaces as
-    {!Worker_error} in the parent — never a hang. *)
+    Workers never run the parent's [at_exit] handlers, and they keep its
+    SIGTERM/SIGINT handling. A worker that raises, dies, or exits early
+    surfaces as {!Worker_error} in the parent — never a hang. *)
 
 exception Worker_error of string
 (** A worker raised, was killed, or exited without reporting results. The

@@ -58,10 +58,6 @@ val expand : interactions:bool -> float array -> float array
 (** Linear model row: intercept, main effects, and (optionally) all
     products [xi*xj] with [i <= j]. *)
 
-val eval_basis : factor list -> float array -> float
-(** MARS basis function: product of hinge values, 0 as soon as one hinge
-    is inactive. *)
-
 val eval_kernel : kernel -> r:float -> float -> float
 (** [eval_kernel k ~r d2] at squared distance [d2] with radius [r]. *)
 

@@ -192,13 +192,22 @@ let rec header_lines s j i acc =
 
 let ( let* ) = Result.bind
 
+(* ASCII digits fitting in an int (RFC 9110 §8.6); the first header in
+   order that is not, or differs in value from the first, is refused. *)
 let content_length headers =
-  match List.assoc_opt "content-length" headers with
-  | None -> Ok 0
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some n when n >= 0 -> Ok n
-      | _ -> Error (Bad ("malformed content-length: " ^ v)))
+  let digits v = v <> "" && String.for_all (fun c -> c >= '0' && c <= '9') v in
+  let rec scan first = function
+    | [] -> Ok (Option.fold ~none:0 ~some:snd first)
+    | ("content-length", v) :: rest -> (
+        match ((if digits v then int_of_string_opt v else None), first) with
+        | None, _ -> Error (Bad ("malformed content-length: " ^ v))
+        | Some n, Some (w, m) when n <> m ->
+            Error (Bad (Printf.sprintf "conflicting content-length: %s and %s" w v))
+        | Some n, None -> scan (Some (v, n)) rest
+        | Some _, Some _ -> scan first rest)
+    | _ :: rest -> scan first rest
+  in
+  scan None headers
 
 (* Head, then a [Content-Length] body, for either direction: [start]
    parses the first line (given the headers) into a constructor that

@@ -80,7 +80,8 @@ val response_header : response -> string -> string option
     (space, tab, ['\n'], ['\r'], form feed); a header splits at its first
     [':'] into a lowercased key and a value, both trimmed, and a line
     without [':'] is dropped. Records, consumed lengths and error texts
-    are those of trimming copied lines. *)
+    are those of trimming copied lines. A [Content-Length] is ASCII
+    digits fitting in an int, and its repeats must agree in value. *)
 
 type 'a parse =
   | Parsed of 'a * int

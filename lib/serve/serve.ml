@@ -2,6 +2,7 @@ open Emc_core
 module Json = Emc_obs.Json
 module Metrics = Emc_obs.Metrics
 module Trace = Emc_obs.Trace
+module Proc = Emc_par.Proc
 
 (** The prediction/search serving daemon (see serve.mli). *)
 
@@ -253,8 +254,8 @@ let hot_body hot = hot.h_body
 
 let worker art opts dir lsock =
   (* per-worker trace file: the parent's buffered events are dropped and
-     this worker's spans go to EMC_TRACE.<pid> (workers exit with _exit,
-     so the parent's at_exit flush never runs here) *)
+     this worker's spans go to EMC_TRACE.<pid> (a spawned worker exits
+     with _exit, so the parent's at_exit flush never runs here) *)
   (match Sys.getenv_opt "EMC_TRACE" with
   | Some p when p <> "" -> Trace.enable (Printf.sprintf "%s.%d" p (Unix.getpid ()))
   | _ -> ());
@@ -265,47 +266,31 @@ let worker art opts dir lsock =
   Server.run ~max_body:opts.max_body ~read_timeout:opts.read_timeout
     ~idle_timeout:opts.idle_timeout ~max_conns:opts.max_conns ?access_log:opts.access_log
     ~snapshot_dir:dir (make_hot art).h_table lsock;
-  Trace.flush ();
-  Unix._exit 0
+  Trace.flush ()
+
+let clear dir =
+  Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    (Sys.readdir dir)
 
 let make_metrics_dir () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "emc-serve-%d.metrics" (Unix.getpid ()))
   in
-  (try Unix.mkdir dir 0o700
-   with Unix.Unix_error (Unix.EEXIST, _, _) ->
-     (* leftover from a recycled pid: clear stale snapshots *)
-     Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir));
+  (* a leftover from a recycled pid holds stale snapshots *)
+  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> clear dir);
   dir
-
-let remove_metrics_dir dir =
-  Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (Sys.readdir dir);
-  try Unix.rmdir dir with Unix.Unix_error _ -> ()
 
 let run opts art =
   let addr =
     match Http.sockaddr_of_addr opts.listen with Ok a -> a | Error e -> failwith e
   in
+  (* bind catches TERM/INT before the socket exists, and the workers
+     inherit the flag: a signal at any point of start-up ends below *)
   let lsock = Server.bind addr in
   let workers = max 1 opts.workers in
   let dir = make_metrics_dir () in
-  (* TERM/INT stay blocked from the first fork until the master's handlers
-     are in, so one that lands in between waits for them instead of
-     killing the master and orphaning its workers; each worker unblocks
-     them in Server.run *)
-  let mask = Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ] in
-  let pids =
-    List.init workers (fun _ ->
-        match Unix.fork () with 0 -> worker art opts dir lsock | pid -> pid)
-  in
-  let stopping = ref false in
-  let quit = Sys.Signal_handle (fun _ -> stopping := true) in
-  Sys.set_signal Sys.sigterm quit;
-  Sys.set_signal Sys.sigint quit;
-  ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
+  let pids = List.init workers (fun _ -> Proc.spawn (fun () -> worker art opts dir lsock)) in
   Emc_obs.Log.info ~src:"serve"
     ~fields:
       [ ("workload", Json.Str art.Artifact.workload);
@@ -314,28 +299,17 @@ let run opts art =
     "serving %s/%s on %s (%d worker%s)" art.Artifact.workload art.Artifact.technique
     (Http.addr_to_string opts.listen) workers
     (if workers = 1 then "" else "s");
-  let alive = ref pids in
-  (* reap without blocking and wait in a bounded select, like Server.run's
-     loop: a SIGTERM landing between the [!stopping] test and a blocking
-     waitpid would leave the master asleep for good *)
-  while (not !stopping) && !alive <> [] do
-    match Unix.waitpid [ Unix.WNOHANG ] (-1) with
-    | 0, _ -> ( try ignore (Unix.select [] [] [] 1.0) with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-    | pid, _ -> alive := List.filter (( <> ) pid) !alive
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> alive := []
-  done;
+  (* serve until the stop flag, or until no worker is left *)
+  let gone = Proc.reap ~until:Proc.stopping pids in
   (* graceful shutdown: workers finish their in-flight request and flush
      their final snapshot + access log, then exit; only after every
      worker is down do we report totals, unlink and clean up *)
-  List.iter (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ()) !alive;
-  List.iter
-    (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-    !alive;
+  Proc.terminate (List.filter (fun pid -> not (List.mem_assoc pid gone)) pids);
   let final = Server.merged_snapshots dir in
   let total name = Option.value ~default:0 (List.assoc_opt name (Metrics.snapshot_counters final)) in
   Server.release addr lsock;
-  remove_metrics_dir dir;
+  clear dir;
+  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
   Emc_obs.Log.info ~src:"serve"
     ~fields:
       [ ("requests", Json.Int (total "serve.requests"));

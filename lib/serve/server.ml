@@ -2,6 +2,7 @@ module Json = Emc_obs.Json
 module Log = Emc_obs.Log
 module Metrics = Emc_obs.Metrics
 module Trace = Emc_obs.Trace
+module Proc = Emc_par.Proc
 
 (** The multiplexed HTTP/1.1 server behind every daemon (see server.mli). *)
 
@@ -253,6 +254,7 @@ let dispatch t (req : Http.request) b = respond_with (endpoint_of t req.Http.pat
 (* ---------------- listener ---------------- *)
 
 let bind addr =
+  Proc.catch_stop ();
   (match addr with
   | Unix.ADDR_UNIX path -> (
       match Unix.lstat path with
@@ -321,8 +323,6 @@ type server = {
   outbuf : Buffer.t;  (* reused response render buffer *)
   mutable conns : conn list;
 }
-
-let stop = ref false
 
 let conn_deadline st c =
   if c.c_writing then c.c_write_deadline
@@ -428,7 +428,7 @@ and handle_one st c (req : Http.request) =
   Metrics.observe e.latency (t_handled -. t_parsed);
   if status >= 400 then count_error status;
   let keep_alive =
-    (not !stop)
+    (not (Proc.stopping ()))
     && (match Http.header req "connection" with
        | Some c -> String.lowercase_ascii c <> "close"
        | None -> true)
@@ -493,13 +493,6 @@ let expire_conn st c =
 let run ~max_body ~read_timeout ~idle_timeout ~max_conns ?access_log ?snapshot_dir routes lsock
     =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  stop := false;
-  let quit = Sys.Signal_handle (fun _ -> stop := true) in
-  Sys.set_signal Sys.sigterm quit;
-  Sys.set_signal Sys.sigint quit;
-  (* a pre-forked worker starts with them blocked (Serve.run): one sent
-     since the fork is acted on now *)
-  ignore (Unix.sigprocmask Unix.SIG_UNBLOCK [ Sys.sigterm; Sys.sigint ]);
   snapshots :=
     Option.map
       (fun dir -> (dir, Filename.concat dir (Printf.sprintf "worker-%d.json" (Unix.getpid ()))))
@@ -533,23 +526,18 @@ let run ~max_body ~read_timeout ~idle_timeout ~max_conns ?access_log ?snapshot_d
     in
     go ()
   in
-  (* On SIGTERM/SIGINT: stop accepting, let in-flight responses drain
-     (bounded), then flush the final snapshot and leave. *)
-  let drain_deadline = ref None in
+  (* Once the stop flag is set, before this call or during it: stop
+     accepting, let in-flight responses drain (bounded), then leave. *)
+  let drain_deadline = lazy (Unix.gettimeofday () +. Float.min 5.0 read_timeout) in
   let running () =
-    if not !stop then true
-    else begin
-      (match !drain_deadline with
-      | None -> drain_deadline := Some (Unix.gettimeofday () +. Float.min 5.0 read_timeout)
-      | Some _ -> ());
-      List.exists (fun c -> c.c_writing) st.conns
-      && Unix.gettimeofday () < Option.get !drain_deadline
-    end
+    (not (Proc.stopping ()))
+    || List.exists (fun c -> c.c_writing) st.conns
+       && Unix.gettimeofday () < Lazy.force drain_deadline
   in
   while running () do
     publish_if_due ();
     let now = Unix.gettimeofday () in
-    let accepting = (not !stop) && List.length st.conns < max_conns in
+    let accepting = (not (Proc.stopping ())) && List.length st.conns < max_conns in
     let rset =
       List.fold_left
         (fun acc c -> if c.c_writing || c.c_eof then acc else c.c_fd :: acc)

@@ -42,9 +42,10 @@ val error : Buffer.t -> int -> string -> string -> int * string
 (** {!reply} of [{"error": {"code", "message"}}]. *)
 
 val bind : Unix.sockaddr -> Unix.file_descr
-(** Bind and listen. A Unix-socket path holding a stale socket is
-    unlinked first; any other file there is refused ([Failure]), never
-    deleted. *)
+(** Catch SIGTERM/SIGINT ({!Emc_par.Proc.catch_stop}), then bind and
+    listen: a daemon binds before it creates any file. Only daemons and
+    forked test children call it. A Unix-socket path holding a stale
+    socket is unlinked first; any other file is refused ([Failure]). *)
 
 val release : Unix.sockaddr -> Unix.file_descr -> unit
 (** Close the listener and unlink its Unix-socket path. *)
@@ -59,9 +60,9 @@ val run :
   table ->
   Unix.file_descr ->
   unit
-(** Serve until SIGTERM/SIGINT, then drain and return. It installs its
-    handlers, then unblocks both signals, so a caller may fork it with
-    them blocked and lose none sent meanwhile. [access_log]
+(** Serve until the stop flag ({!Emc_par.Proc.stopping}) is set, then
+    drain and return; with the flag set already it returns at once, and
+    the caller's cleanup runs. [access_log]
     appends one JSONL line per request. With [snapshot_dir], this
     process publishes its metrics registry to
     [<snapshot_dir>/worker-<pid>.json] (at start, at most once per

@@ -26,20 +26,6 @@ module Cache : sig
       power of two; raises [Invalid_argument] otherwise. Associativity is
       clamped to the number of lines. *)
 
-  type store
-  (** Tag and stamp arrays a caller keeps for the caches of successive
-      machines, one cache at a time. *)
-
-  val store : unit -> store
-  (** An empty store. *)
-
-  val create_in : store -> size_bytes:int -> assoc:int -> t
-  (** Like {!create}, but the cache lives in the first [sets × ways]
-      entries of the store's arrays, reset in place to an empty cache; the
-      store gets new, longer arrays only for a larger geometry. The cache
-      behaves exactly like a fresh one. A cache made earlier from the same
-      store must no longer be used. *)
-
   val access : t -> int -> bool
   (** [access t addr] returns [true] on hit; on a miss the line is filled,
       evicting the LRU way. Statistics are updated either way. *)
@@ -62,7 +48,7 @@ type t = {
 
 type store
 (** The tag and stamp arrays of the three caches, kept by a caller for
-    its successive machines: see {!Cache.create_in}. *)
+    its successive machines. *)
 
 val store : unit -> store
 (** An empty store. *)

@@ -97,3 +97,16 @@ let count_ir_instrs p (ir : Emc_ir.Ir.program) =
           List.fold_left (fun acc i -> if p i then acc + 1 else acc) acc b.instrs)
         acc f.Emc_ir.Ir.blocks)
     0 ir.Emc_ir.Ir.funcs
+
+(** SIGTERM a daemon the suite forked and reap it: its exit status, or
+    [None] when it is no longer this process's child. One still running
+    10 s later is SIGKILLed and fails the case, rather than hanging the
+    suite. *)
+let stop_daemon pid =
+  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+  match Emc_par.Proc.reap ~timeout:10.0 [ pid ] with
+  | [ (_, status) ] -> status
+  | _ ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Emc_par.Proc.reap [ pid ]);
+      Alcotest.failf "daemon %d still running 10 s after SIGTERM" pid

@@ -424,9 +424,7 @@ let fork_daemon run =
 
 let wait_sock path = Test_serve.wait_up (Fleet.Unix_sock path)
 
-let stop_daemon pid =
-  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-  try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+let stop_daemon pid = ignore (Helpers.stop_daemon pid)
 
 let with_daemons specs f =
   let daemons = List.map (fun run -> let path = sock_path "d" in (path, fork_daemon (run path))) specs in
@@ -1487,7 +1485,7 @@ let test_drain_reaps_own_child () =
     ignore (Unix.select [] [] [] 0.02)
   done;
   let t0 = Unix.gettimeofday () in
-  (match Fleet.drain ~timeout:10.0 ~pidfile () with
+  (match Emc_par.Proc.drain ~timeout:10.0 ~pidfile () with
   | Ok p -> ci "drained the forked worker" pid p
   | Error e -> Alcotest.failf "drain: %s" e);
   cb "within a few seconds" true (Unix.gettimeofday () -. t0 < 5.0);
@@ -1580,6 +1578,35 @@ let prop_wire_round_trip =
       in
       request_ok && result_ok)
 
+(* A SIGTERM sent the moment a daemon's file appears (the store's
+   socket, the worker's pidfile), found by spinning with no sleep, still
+   ends it through its cleanup: exit 0, with no socket and no pidfile
+   left, at each of 10 starts. *)
+let stop_at_startup ~run ~watch () =
+  for i = 1 to 10 do
+    let sock = sock_path "start" in
+    let pid = fork_daemon (fun () -> run (Fleet.Unix_sock sock)) in
+    Fun.protect ~finally:(fun () -> List.iter rm_f [ sock; sock ^ ".pid" ]) @@ fun () ->
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while not (Sys.file_exists (watch sock)) do
+      if Unix.gettimeofday () > deadline then begin
+        stop_daemon pid;
+        Alcotest.failf "start %d: no %s after 10 s" i (watch sock)
+      end
+    done;
+    Unix.kill pid Sys.sigterm;
+    cb (Printf.sprintf "start %d exits 0" i) true
+      (Helpers.stop_daemon pid = Some (Unix.WEXITED 0));
+    cb (Printf.sprintf "start %d leaves no socket" i) false (Sys.file_exists sock);
+    cb (Printf.sprintf "start %d leaves no pidfile" i) false (Sys.file_exists (sock ^ ".pid"))
+  done
+
+let test_store_stop_at_startup =
+  stop_at_startup ~run:(fun listen -> Fleet.run_store ~listen ()) ~watch:Fun.id
+
+let test_worker_stop_at_startup =
+  stop_at_startup ~run:(fun listen -> Fleet.run_worker ~listen ()) ~watch:(fun s -> s ^ ".pid")
+
 let suite =
   [
     ("parse_addr forms", `Quick, test_parse_addr);
@@ -1630,4 +1657,6 @@ let suite =
     ("worker keeps 4 signatures' Measures", `Quick, test_worker_measures_bounded);
     ("lying Content-Length fails the chunk", `Slow, test_lying_worker_fails_its_chunk);
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |]) prop_wire_round_trip;
+    ("store: SIGTERM as its socket appears, exit 0", `Quick, test_store_stop_at_startup);
+    ("worker: SIGTERM as its pidfile appears, exit 0", `Quick, test_worker_stop_at_startup);
   ]

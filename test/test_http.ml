@@ -204,13 +204,33 @@ module Reference = struct
 
   let ( let* ) = Result.bind
 
+  (* Every Content-Length in order, each folded digit by digit with an
+     overflow check; the first that is not a number, or whose number
+     differs from the first one's, is the error *)
   let content_length headers =
-    match List.assoc_opt "content-length" headers with
-    | None -> Ok 0
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some n when n >= 0 -> Ok n
-        | _ -> Error (Http.Bad ("malformed content-length: " ^ v)))
+    let number v =
+      let rec go i acc =
+        if i = String.length v then Some acc
+        else
+          match v.[i] with
+          | '0' .. '9' as c ->
+              let d = Char.code c - Char.code '0' in
+              if acc > (max_int - d) / 10 then None else go (i + 1) ((acc * 10) + d)
+          | _ -> None
+      in
+      if v = "" then None else go 0 0
+    in
+    let rec check first = function
+      | [] -> Ok (match first with None -> 0 | Some (_, n) -> n)
+      | v :: rest -> (
+          match (number v, first) with
+          | None, _ -> Error (Http.Bad ("malformed content-length: " ^ v))
+          | Some n, None -> check (Some (v, n)) rest
+          | Some n, Some (w, m) ->
+              if n = m then check first rest
+              else Error (Http.Bad (Printf.sprintf "conflicting content-length: %s and %s" w v)))
+    in
+    check None (List.filter_map (fun (k, v) -> if k = "content-length" then Some v else None) headers)
 
   let frame ~max_header ~max_body start s =
     match find_head_end s with
@@ -457,6 +477,40 @@ let test_resolution_total () =
     | Error (Http.Refused _) -> true
     | _ -> false)
 
+(* Content-Length takes one or more ASCII digits that fit in an int, and
+   repeated headers must agree in value (RFC 9110 §8.6, RFC 9112 §6.3):
+   OCaml's integer literals (hex, binary, octal, sign, '_') are
+   malformed, and two differing values conflict, in either direction *)
+let test_content_length_rule () =
+  let body = "0123456789abcdef" in
+  let malformed v = Error ("malformed content-length: " ^ v) in
+  let conflict v w = Error (Printf.sprintf "conflicting content-length: %s and %s" v w) in
+  let cases =
+    [ ([], Ok 0); ([ "2" ], Ok 2); ([ "0" ], Ok 0); ([ "007" ], Ok 7); ([ "16" ], Ok 16);
+      ([ "0x2" ], malformed "0x2"); ([ "0b11" ], malformed "0b11"); ([ "0o7" ], malformed "0o7");
+      ([ "+3" ], malformed "+3"); ([ "-1" ], malformed "-1"); ([ "1_0" ], malformed "1_0");
+      ([ "" ], malformed ""); ([ "1 0" ], malformed "1 0");
+      ([ "4611686018427387904" ], malformed "4611686018427387904");
+      ([ "2"; "2" ], Ok 2); ([ "2"; "02" ], Ok 2); ([ "2"; "4" ], conflict "2" "4");
+      ([ "3"; "3"; "4" ], conflict "3" "4"); ([ "2"; "0x2" ], malformed "0x2");
+      ([ "x"; "2" ], malformed "x") ]
+  in
+  List.iter
+    (fun (values, expect) ->
+      let head = String.concat "" (List.map (fun v -> "Content-Length: " ^ v ^ "\r\n") values) in
+      let framed start parse body_of =
+        match (expect, parse (start ^ "\r\n" ^ head ^ "\r\n" ^ body)) with
+        | Ok n, Http.Parsed (m, _) -> body_of m = String.sub body 0 n
+        | Error e, Http.Invalid (Http.Bad msg) -> msg = e
+        | _ -> false
+      in
+      let what = String.concat ", " values in
+      cb ("request, " ^ what) true
+        (framed "POST / HTTP/1.1" Http.parse_request (fun r -> r.Http.body));
+      cb ("response, " ^ what) true
+        (framed "HTTP/1.1 200 OK" Http.parse_response (fun r -> r.Http.resp_body)))
+    cases
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_requests_frame;
@@ -467,4 +521,6 @@ let suite =
     Alcotest.test_case "read errors: Closed, Bad, Too_large" `Quick test_read_errors;
     Alcotest.test_case "connect sets TCP_NODELAY on TCP" `Quick test_connect_nodelay;
     Alcotest.test_case "address resolution is total" `Quick test_resolution_total;
+    Alcotest.test_case "Content-Length: digits only, repeats agree" `Quick
+      test_content_length_rule;
   ]

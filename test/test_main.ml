@@ -25,4 +25,5 @@ let () =
       ("core", Test_core.suite);
       ("obs", Test_obs.suite);
       ("diff", Test_diff.suite);
+      ("proc", Test_proc.suite);
     ]

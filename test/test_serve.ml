@@ -155,24 +155,12 @@ let start_server ?listen ?(workers = 1) ?(max_body = 4096) ?(read_timeout = 2.0)
       wait_up listen;
       (pid, Http.addr_to_string listen)
 
-(* SIGTERM the daemon and reap it. One still running 10 s later is
-   SIGKILLed and fails the case, rather than hanging the suite. *)
+(* SIGTERM the daemon and reap it (bounded: see [Helpers.stop_daemon]);
+   its exit status, and whether its socket is still there. *)
 let stop_server (pid, path) =
-  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec reap pause =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ when Unix.gettimeofday () < deadline ->
-        (try ignore (Unix.select [] [] [] pause) with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        reap (min 0.05 (2.0 *. pause))
-    | 0, _ ->
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid);
-        Alcotest.failf "server %d still running 10 s after SIGTERM" pid
-    | _, status -> status
-  in
-  let status = reap 0.001 in
-  (status, Sys.file_exists path)
+  match Helpers.stop_daemon pid with
+  | Some status -> (status, Sys.file_exists path)
+  | None -> Alcotest.failf "server %d is not this process's child" pid
 
 let with_server ?listen ?workers ?max_body ?read_timeout ?idle_timeout ?max_conns ?access_log f =
   let ((pid, _) as srv) =
@@ -1135,6 +1123,50 @@ let test_predict_raw_uncodable () =
         | None -> false))
     [ 0.0; -512.0 ]
 
+(* A SIGTERM sent the moment the daemon's socket appears, found by
+   spinning with no sleep, still ends it through its cleanup: exit 0,
+   with no socket and no metrics directory left, at each of 10 starts.
+   Whatever a failing start leaves is removed before the check. *)
+let test_stop_at_startup () =
+  let art = Lazy.force artifact in
+  for i = 1 to 10 do
+    let path = sock_path () in
+    let listen = Http.Unix_sock path in
+    let pid =
+      match Unix.fork () with
+      | 0 ->
+          (try
+             Serve.run
+               { Serve.listen; workers = 1; max_body = 4096; read_timeout = 2.0;
+                 idle_timeout = 5.0; max_conns = 64; access_log = None }
+               art
+           with _ -> Unix._exit 1);
+          Unix._exit 0
+      | pid -> pid
+    in
+    let metrics =
+      Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "emc-serve-%d.metrics" pid)
+    in
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while not (Sys.file_exists path) do
+      if Unix.gettimeofday () > deadline then begin
+        ignore (stop_server (pid, path));
+        Alcotest.failf "start %d: no socket after 10 s" i
+      end
+    done;
+    Unix.kill pid Sys.sigterm;
+    let status, socket_left = stop_server (pid, path) in
+    let metrics_left = Sys.file_exists metrics in
+    if socket_left then Sys.remove path;
+    if metrics_left then begin
+      Array.iter (fun f -> Sys.remove (Filename.concat metrics f)) (Sys.readdir metrics);
+      Unix.rmdir metrics
+    end;
+    cb (Printf.sprintf "start %d exits 0" i) true (status = Unix.WEXITED 0);
+    cb (Printf.sprintf "start %d leaves no socket" i) false socket_left;
+    cb (Printf.sprintf "start %d leaves no metrics directory" i) false metrics_left
+  done
+
 let suite =
   [
     Alcotest.test_case "routing and structured errors (in-process)" `Quick
@@ -1177,4 +1209,6 @@ let suite =
       test_predict_malformed_number;
     Alcotest.test_case "/predict: uncodable raw is bad_point" `Quick
       test_predict_raw_uncodable;
+    Alcotest.test_case "SIGTERM as its socket appears: exit 0, nothing left" `Quick
+      test_stop_at_startup;
   ]
