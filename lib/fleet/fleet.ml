@@ -434,13 +434,14 @@ let members ?(timeout = store_timeout) addr =
    registration survives while the worker is deep in a long chunk. It
    exits by itself when orphaned — a SIGKILLed worker must age out of the
    membership, not be kept alive by a zombie heartbeat. It dies at once
-   on the worker's SIGTERM: TERM/INT take the default action again. *)
+   on the worker's SIGTERM (TERM/INT take the default action again); a
+   stop caught before that reset is in its flag and ends it before any beat. *)
 let start_heartbeater ~store ~advertise ~interval =
   let parent = Unix.getpid () in
   Proc.spawn (fun () ->
       Sys.set_signal Sys.sigterm Sys.Signal_default;
       Sys.set_signal Sys.sigint Sys.Signal_default;
-      while Unix.getppid () = parent do
+      while Unix.getppid () = parent && not (Proc.stopping ()) do
         (match register_rpc store ~advertise ~ttl:(3.0 *. interval) with
         | Ok () -> Metrics.incr m_heartbeats
         | Error e ->

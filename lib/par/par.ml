@@ -69,11 +69,8 @@ let map ?jobs f xs =
           ~args:(fun () -> [ ("worker", Emc_obs.Json.Int k) ])
           "par.worker"
           (fun () ->
-            (match
-               try (Marshal.from_channel ic : (_, string) result)
-               with End_of_file | Failure _ ->
-                 Error "died before reporting results"
-             with
+            (match (Marshal.from_channel ic : (_, string) result) with
+            | exception (End_of_file | Failure _) -> fail k "died before reporting results"
             | Ok arr ->
                 if Array.length arr <> Array.length (slice xs jobs k) then
                   fail k "reported %d results for %d tasks" (Array.length arr)
@@ -91,6 +88,4 @@ let map ?jobs f xs =
     | msgs ->
         Emc_obs.Metrics.add m_failures (List.length msgs);
         raise (Worker_error (String.concat "; " (List.rev msgs))));
-    Array.map
-      (function Some v -> v | None -> raise (Worker_error "missing result"))
-      results
+    Array.map (function Some v -> v | None -> raise (Worker_error "missing result")) results

@@ -28,10 +28,11 @@ let no_such_process pid =
   match Unix.kill pid 0 with () -> false | exception Unix.Unix_error (e, _, _) -> e = Unix.ESRCH
 
 (* Only [waitpid] tells a child's end (a zombie answers [kill pid 0]);
-   [gone] decides for a pid that is not the caller's child (ECHILD). *)
-let rec wait ~deadline ~until ~gone pause ended pids =
+   [gone] decides for a pid that is not the caller's child (ECHILD).
+   With [flags = []], [waitpid] itself waits for a child. *)
+let rec wait ?(flags = [ Unix.WNOHANG ]) ~deadline ~until ~gone pause ended pids =
   let poll (ended, running) pid =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    match Unix.waitpid flags pid with
     | 0, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> (ended, pid :: running)
     | _, status -> ((pid, Some status) :: ended, running)
     | exception Unix.Unix_error _ when gone pid -> ((pid, None) :: ended, running)
@@ -43,11 +44,14 @@ let rec wait ~deadline ~until ~gone pause ended pids =
   else begin
     (try ignore (Unix.select [] [] [] (Float.min pause left))
      with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    wait ~deadline ~until ~gone (Float.min 0.1 (2.0 *. pause)) ended running
+    wait ~flags ~deadline ~until ~gone (Float.min 0.1 (2.0 *. pause)) ended running
   end
 
-let reap ?(timeout = infinity) ?(until = fun () -> false) pids =
-  wait ~deadline:(Unix.gettimeofday () +. timeout) ~until ~gone:no_such_process 0.001 [] pids
+let reap ?timeout ?until pids =
+  let flags = if Option.is_none timeout && Option.is_none until then [] else [ Unix.WNOHANG ] in
+  let deadline = Unix.gettimeofday () +. Option.value timeout ~default:infinity in
+  let until = Option.value until ~default:(Fun.const false) in
+  wait ~flags ~deadline ~until ~gone:no_such_process 0.001 [] pids
 
 let terminate pids =
   List.iter (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ()) pids;
@@ -73,7 +77,7 @@ let drain ?(timeout = 120.0) ~pidfile () =
           | () ->
               let gone pid = (not (Sys.file_exists pidfile)) || no_such_process pid in
               let deadline = Unix.gettimeofday () +. timeout in
-              if wait ~deadline ~until:(fun () -> false) ~gone 0.001 [] [ pid ] = [] then
+              if wait ~deadline ~until:(Fun.const false) ~gone 0.001 [] [ pid ] = [] then
                 Error (Printf.sprintf "worker %d still running after %.0fs" pid timeout)
               else Ok pid)
       | _ -> Error (Printf.sprintf "%s: malformed pid %S" pidfile line))

@@ -27,9 +27,9 @@ val reap :
 (** Wait until each pid is gone, [until ()] holds or [timeout] seconds
     (default: no bound) pass; return the pids that went, [Some status]
     for a child reaped, [None] for another process once [kill pid 0]
-    answers ESRCH. It polls with non-blocking [waitpid] between sleeps of
-    1 ms doubling to 0.1 s, which a signal cuts short; EINTR and ECHILD
-    are part of the rule, not errors. *)
+    answers ESRCH. With neither bound it blocks in [waitpid]; otherwise
+    it polls between sleeps of 1 ms doubling to 0.1 s. A signal restarts
+    the one and cuts the other short: EINTR and ECHILD are no errors. *)
 
 val terminate : int list -> unit
 (** SIGTERM each child, then reap them all with no bound. *)

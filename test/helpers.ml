@@ -98,15 +98,24 @@ let count_ir_instrs p (ir : Emc_ir.Ir.program) =
         acc f.Emc_ir.Ir.blocks)
     0 ir.Emc_ir.Ir.funcs
 
-(** SIGTERM a daemon the suite forked and reap it: its exit status, or
-    [None] when it is no longer this process's child. One still running
-    10 s later is SIGKILLed and fails the case, rather than hanging the
-    suite. *)
-let stop_daemon pid =
-  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-  match Emc_par.Proc.reap ~timeout:10.0 [ pid ] with
-  | [ (_, status) ] -> status
-  | _ ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Emc_par.Proc.reap [ pid ]);
-      Alcotest.failf "daemon %d still running 10 s after SIGTERM" pid
+(** SIGTERM each daemon the suite forked, in order, and reap it: their
+    exit statuses, [None] for one no longer this process's child. One
+    still running 10 s after its SIGTERM is SIGKILLed, and once every
+    daemon is down the case fails, rather than hanging the suite. *)
+let stop_daemons pids =
+  let stop pid =
+    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+    match Emc_par.Proc.reap ~timeout:10.0 [ pid ] with
+    | [ (_, status) ] -> Ok status
+    | _ ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Emc_par.Proc.reap [ pid ]);
+        Error (string_of_int pid)
+  in
+  let stopped = List.map stop pids in
+  match List.filter_map (function Error pid -> Some pid | Ok _ -> None) stopped with
+  | [] -> List.map Result.get_ok stopped
+  | stuck ->
+      Alcotest.failf "daemon %s still running 10 s after SIGTERM" (String.concat ", " stuck)
+
+let stop_daemon pid = List.hd (stop_daemons [ pid ])

@@ -426,13 +426,22 @@ let wait_sock path = Test_serve.wait_up (Fleet.Unix_sock path)
 
 let stop_daemon pid = ignore (Helpers.stop_daemon pid)
 
+(* Every daemon is stopped however [f] ends; a failure of [f] is the one
+   raised, and a daemon that would not stop fails a case that passed. *)
 let with_daemons specs f =
   let daemons = List.map (fun run -> let path = sock_path "d" in (path, fork_daemon (run path))) specs in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun (_, pid) -> stop_daemon pid) daemons)
-    (fun () ->
-      List.iter (fun (path, _) -> wait_sock path) daemons;
-      f (List.map fst daemons))
+  let stop () = ignore (Helpers.stop_daemons (List.map snd daemons)) in
+  match
+    List.iter (fun (path, _) -> wait_sock path) daemons;
+    f (List.map fst daemons)
+  with
+  | r ->
+      stop ();
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try stop () with _ -> ());
+      Printexc.raise_with_backtrace e bt
 
 let with_worker f =
   with_daemons
@@ -870,8 +879,7 @@ let test_idle_clients_cannot_starve_heartbeats () =
   Fun.protect
     ~finally:(fun () ->
       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !idle;
-      Option.iter stop_daemon !worker_pid;
-      stop_daemon store_pid;
+      ignore (Helpers.stop_daemons (Option.to_list !worker_pid @ [ store_pid ]));
       List.iter rm_f [ worker_sock; worker_sock ^ ".pid" ])
   @@ fun () ->
   wait_sock store_path;
@@ -1581,8 +1589,9 @@ let prop_wire_round_trip =
 (* A SIGTERM sent the moment a daemon's file appears (the store's
    socket, the worker's pidfile), found by spinning with no sleep, still
    ends it through its cleanup: exit 0, with no socket and no pidfile
-   left, at each of 10 starts. *)
-let stop_at_startup ~run ~watch () =
+   left, at each of 10 starts. [delay i] seconds more are spun away
+   before start [i]'s SIGTERM. *)
+let stop_at_startup ?(what = "start") ?(delay = fun _ -> 0.0) ~run ~watch () =
   for i = 1 to 10 do
     let sock = sock_path "start" in
     let pid = fork_daemon (fun () -> run (Fleet.Unix_sock sock)) in
@@ -1591,21 +1600,38 @@ let stop_at_startup ~run ~watch () =
     while not (Sys.file_exists (watch sock)) do
       if Unix.gettimeofday () > deadline then begin
         stop_daemon pid;
-        Alcotest.failf "start %d: no %s after 10 s" i (watch sock)
+        Alcotest.failf "%s %d: no %s after 10 s" what i (watch sock)
       end
     done;
+    let t = Unix.gettimeofday () +. delay i in
+    while Unix.gettimeofday () < t do () done;
     Unix.kill pid Sys.sigterm;
-    cb (Printf.sprintf "start %d exits 0" i) true
+    cb (Printf.sprintf "%s %d exits 0" what i) true
       (Helpers.stop_daemon pid = Some (Unix.WEXITED 0));
-    cb (Printf.sprintf "start %d leaves no socket" i) false (Sys.file_exists sock);
-    cb (Printf.sprintf "start %d leaves no pidfile" i) false (Sys.file_exists (sock ^ ".pid"))
+    cb (Printf.sprintf "%s %d leaves no socket" what i) false (Sys.file_exists sock);
+    cb (Printf.sprintf "%s %d leaves no pidfile" what i) false (Sys.file_exists (sock ^ ".pid"))
   done
 
-let test_store_stop_at_startup =
-  stop_at_startup ~run:(fun listen -> Fleet.run_store ~listen ()) ~watch:Fun.id
+let test_store_stop_at_startup () =
+  stop_at_startup ~run:(fun listen -> Fleet.run_store ~listen ()) ~watch:Fun.id ()
 
-let test_worker_stop_at_startup =
-  stop_at_startup ~run:(fun listen -> Fleet.run_worker ~listen ()) ~watch:(fun s -> s ^ ".pid")
+(* A registered worker forks its heartbeater after its pidfile appears,
+   and the SIGTERM can land in the child before it resets TERM to the
+   default action. Its 10 starts spread the SIGTERM over the first
+   0.9 ms, in steps of 0.1 ms, to cover that fork. *)
+let test_worker_stop_at_startup () =
+  let pidfile s = s ^ ".pid" in
+  stop_at_startup ~run:(fun listen -> Fleet.run_worker ~listen ()) ~watch:pidfile ();
+  let store_path = sock_path "sstore" in
+  let store_pid =
+    fork_daemon (fun () -> Fleet.run_store ~listen:(Fleet.Unix_sock store_path) ())
+  in
+  Fun.protect ~finally:(fun () -> stop_daemon store_pid) @@ fun () ->
+  wait_sock store_path;
+  stop_at_startup ~what:"registered start" ~watch:pidfile
+    ~delay:(fun i -> float_of_int (i - 1) *. 1e-4)
+    ~run:(fun listen -> Fleet.run_worker ~register:(Fleet.Unix_sock store_path) ~listen ())
+    ()
 
 let suite =
   [

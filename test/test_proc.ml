@@ -56,7 +56,7 @@ let test_inherited_flag () =
 
 (* The wait ends at [until] and at the bound with the child unreaped; a
    signalled child reports its signal; a pid reaped already counts as
-   gone once no process has it. *)
+   gone once no process has it, with a bound or without. *)
 let test_reap () =
   let pid = Proc.spawn (fun () -> Unix.sleepf 10.0) in
   cb "until ends the wait" true (Proc.reap ~until:(fun () -> true) [ pid ] = []);
@@ -65,7 +65,8 @@ let test_reap () =
   cb "the bound holds" true (Unix.gettimeofday () -. t0 < 1.0);
   Unix.kill pid Sys.sigkill;
   cb "killed by SIGKILL" true (Proc.reap [ pid ] = [ (pid, Some (Unix.WSIGNALED Sys.sigkill)) ]);
-  cb "reaped already: gone" true (Proc.reap ~timeout:5.0 [ pid ] = [ (pid, None) ])
+  cb "reaped already: gone" true (Proc.reap ~timeout:5.0 [ pid ] = [ (pid, None) ]);
+  cb "reaped already, no bound: gone" true (Proc.reap [ pid ] = [ (pid, None) ])
 
 (* A missing pidfile, a pid that is malformed or below 1 (0 and -1 would
    signal a whole process group) and a stale pid are errors, and nothing
