@@ -372,6 +372,16 @@ let bechamel_suite ?filter ?json_path (ctx : Experiments.ctx) =
               ignore
                 (Searcher.search_pareto ~params ~rng:(Emc_util.Rng.create 17)
                    ~cycles_model:rbf ~energy_model:energy ~march ())) );
+      (* single-objective search: one GA run over the same model on the
+         typical machine, at the scale's budget (a warm pipeline round runs
+         three, one per machine). Each run gets its own generator. *)
+      ( "search/ga-typical",
+        fun () ->
+          let rbf = Lazy.force rbf in
+          Staged.stage (fun () ->
+              ignore
+                (Searcher.search ~params:ctx.scale.Scale.ga ~rng:(Emc_util.Rng.create 17)
+                   ~model:rbf ~march ())) );
       (* §3 kernels: D-optimal exchange. Each run gets its own generator,
          so every run starts from the same subset and does the same work. *)
       ( "doe/d-optimal-n40",

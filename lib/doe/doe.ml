@@ -79,14 +79,23 @@ let log_det_information points = Mat.log_det (information (main_rows points))
    [Mat.mul_vec] and dot product would give. A lone last candidate is
    paired with itself and gets the same sums twice. [cands] holds the
    candidates' model rows, [mv] their projections (m×p, row-major) and
-   [d.(j)] is x_jᵀM⁻¹x_j. *)
+   [d.(j)] is x_jᵀM⁻¹x_j. The loops read and write unchecked, after the
+   entry checks that every array holds the cells they index. *)
 let project ~p ~minv ~cands ~mv ~d =
   let m = Array.length cands in
+  if
+    p < 0
+    || Array.length minv < p * p
+    || Array.length mv < m * p
+    || Array.length d < m
+    || Array.exists (fun x -> Array.length x < p) cands
+  then invalid_arg "Doe.project: dimension mismatch";
   let j = ref 0 in
   while !j < m do
     let j0 = !j in
     let j1 = if j0 + 1 < m then j0 + 1 else j0 in
-    let x0 = cands.(j0) and x1 = cands.(j1) and p0 = j0 * p and p1 = j1 * p in
+    let x0 = Array.unsafe_get cands j0 and x1 = Array.unsafe_get cands j1 in
+    let p0 = j0 * p and p1 = j1 * p in
     let r = ref 0 in
     while !r + 3 < p do
       let r0 = !r in
@@ -94,11 +103,11 @@ let project ~p ~minv ~cands ~mv ~d =
       let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
       let b0 = ref 0.0 and b1 = ref 0.0 and b2 = ref 0.0 and b3 = ref 0.0 in
       for c = 0 to p - 1 do
-        let u = x0.(c) and v = x1.(c) in
-        let m0 = minv.(row + c)
-        and m1 = minv.(row + p + c)
-        and m2 = minv.(row + (2 * p) + c)
-        and m3 = minv.(row + (3 * p) + c) in
+        let u = Array.unsafe_get x0 c and v = Array.unsafe_get x1 c in
+        let m0 = Array.unsafe_get minv (row + c)
+        and m1 = Array.unsafe_get minv (row + p + c)
+        and m2 = Array.unsafe_get minv (row + (2 * p) + c)
+        and m3 = Array.unsafe_get minv (row + (3 * p) + c) in
         a0 := !a0 +. (m0 *. u);
         b0 := !b0 +. (m0 *. v);
         a1 := !a1 +. (m1 *. u);
@@ -108,35 +117,103 @@ let project ~p ~minv ~cands ~mv ~d =
         a3 := !a3 +. (m3 *. u);
         b3 := !b3 +. (m3 *. v)
       done;
-      mv.(p0 + r0) <- !a0;
-      mv.(p0 + r0 + 1) <- !a1;
-      mv.(p0 + r0 + 2) <- !a2;
-      mv.(p0 + r0 + 3) <- !a3;
-      mv.(p1 + r0) <- !b0;
-      mv.(p1 + r0 + 1) <- !b1;
-      mv.(p1 + r0 + 2) <- !b2;
-      mv.(p1 + r0 + 3) <- !b3;
+      Array.unsafe_set mv (p0 + r0) !a0;
+      Array.unsafe_set mv (p0 + r0 + 1) !a1;
+      Array.unsafe_set mv (p0 + r0 + 2) !a2;
+      Array.unsafe_set mv (p0 + r0 + 3) !a3;
+      Array.unsafe_set mv (p1 + r0) !b0;
+      Array.unsafe_set mv (p1 + r0 + 1) !b1;
+      Array.unsafe_set mv (p1 + r0 + 2) !b2;
+      Array.unsafe_set mv (p1 + r0 + 3) !b3;
       r := r0 + 4
     done;
     for r = !r to p - 1 do
       let a = ref 0.0 and b = ref 0.0 in
       for c = 0 to p - 1 do
-        let mrc = minv.((r * p) + c) in
-        a := !a +. (mrc *. x0.(c));
-        b := !b +. (mrc *. x1.(c))
+        let mrc = Array.unsafe_get minv ((r * p) + c) in
+        a := !a +. (mrc *. Array.unsafe_get x0 c);
+        b := !b +. (mrc *. Array.unsafe_get x1 c)
       done;
-      mv.(p0 + r) <- !a;
-      mv.(p1 + r) <- !b
+      Array.unsafe_set mv (p0 + r) !a;
+      Array.unsafe_set mv (p1 + r) !b
     done;
     let e0 = ref 0.0 and e1 = ref 0.0 in
     for c = 0 to p - 1 do
-      e0 := !e0 +. (x0.(c) *. mv.(p0 + c));
-      e1 := !e1 +. (x1.(c) *. mv.(p1 + c))
+      e0 := !e0 +. (Array.unsafe_get x0 c *. Array.unsafe_get mv (p0 + c));
+      e1 := !e1 +. (Array.unsafe_get x1 c *. Array.unsafe_get mv (p1 + c))
     done;
-    d.(j0) <- !e0;
-    d.(j1) <- !e1;
+    Array.unsafe_set d j0 !e0;
+    Array.unsafe_set d j1 !e1;
     j := j0 + 2
   done
+
+(* The candidate whose exchange with the design point [xi] (with
+   [di = xiᵀM⁻¹xi]) gains the most, or -1 when none gains more than 1e-9:
+   Fedorov's delta from each candidate's projection in [mv] and its
+   [d.(j)]. Four candidates per pass over [xi], one accumulator each,
+   every one adding its products over r in order; the deltas are then
+   compared in candidate order, so the first of equal gains wins, as in a
+   one-candidate loop. Unchecked after the entry check. *)
+let best_exchange ~p ~mv ~d xi di =
+  let m = Array.length d in
+  if p < 0 || Array.length xi < p || Array.length mv < m * p then
+    invalid_arg "Doe.best_exchange: dimension mismatch";
+  let best_delta = ref 1e-9 and best_j = ref (-1) in
+  let j = ref 0 in
+  while !j + 3 < m do
+    let j0 = !j in
+    let q0 = j0 * p in
+    let q1 = q0 + p in
+    let q2 = q1 + p in
+    let q3 = q2 + p in
+    let g0 = ref 0.0 and g1 = ref 0.0 and g2 = ref 0.0 and g3 = ref 0.0 in
+    for r = 0 to p - 1 do
+      let x = Array.unsafe_get xi r in
+      g0 := !g0 +. (x *. Array.unsafe_get mv (q0 + r));
+      g1 := !g1 +. (x *. Array.unsafe_get mv (q1 + r));
+      g2 := !g2 +. (x *. Array.unsafe_get mv (q2 + r));
+      g3 := !g3 +. (x *. Array.unsafe_get mv (q3 + r))
+    done;
+    let dj = Array.unsafe_get d j0 and g = !g0 in
+    let delta = dj -. di -. ((di *. dj) -. (g *. g)) in
+    if delta > !best_delta then begin
+      best_delta := delta;
+      best_j := j0
+    end;
+    let dj = Array.unsafe_get d (j0 + 1) and g = !g1 in
+    let delta = dj -. di -. ((di *. dj) -. (g *. g)) in
+    if delta > !best_delta then begin
+      best_delta := delta;
+      best_j := j0 + 1
+    end;
+    let dj = Array.unsafe_get d (j0 + 2) and g = !g2 in
+    let delta = dj -. di -. ((di *. dj) -. (g *. g)) in
+    if delta > !best_delta then begin
+      best_delta := delta;
+      best_j := j0 + 2
+    end;
+    let dj = Array.unsafe_get d (j0 + 3) and g = !g3 in
+    let delta = dj -. di -. ((di *. dj) -. (g *. g)) in
+    if delta > !best_delta then begin
+      best_delta := delta;
+      best_j := j0 + 3
+    end;
+    j := j0 + 4
+  done;
+  for j = !j to m - 1 do
+    let jp = j * p in
+    let g = ref 0.0 in
+    for r = 0 to p - 1 do
+      g := !g +. (Array.unsafe_get xi r *. Array.unsafe_get mv (jp + r))
+    done;
+    let g = !g and dj = Array.unsafe_get d j in
+    let delta = dj -. di -. ((di *. dj) -. (g *. g)) in
+    if delta > !best_delta then begin
+      best_delta := delta;
+      best_j := j
+    end
+  done;
+  !best_j
 
 (** Modified Fedorov exchange: for each design point in turn, consider
     swapping it with every candidate and apply the best improving exchange.
@@ -193,24 +270,10 @@ let d_optimal ?(sweeps = 3) ?(fixed = [||]) rng space ~n ~candidates =
     for i = 0 to Array.length design - 1 do
       let xi = expand_main design.(i) in
       let di = dot xi (Mat.mul_vec !minv xi) in
-      let best_delta = ref 1e-9 and best_j = ref (-1) in
-      for j = 0 to m - 1 do
-        let jp = j * p in
-        let g = ref 0.0 in
-        for r = 0 to p - 1 do
-          g := !g +. (xi.(r) *. mv.(jp + r))
-        done;
-        let g = !g and dj = d.(j) in
-        (* Fedorov's delta for exchanging xi with xj *)
-        let delta = dj -. di -. ((di *. dj) -. (g *. g)) in
-        if delta > !best_delta then begin
-          best_delta := delta;
-          best_j := j
-        end
-      done;
-      if !best_j >= 0 then begin
-        design.(i) <- Array.copy candidates.(!best_j);
-        let xj = cands.(!best_j) in
+      let best_j = best_exchange ~p ~mv ~d xi di in
+      if best_j >= 0 then begin
+        design.(i) <- Array.copy candidates.(best_j);
+        let xj = cands.(best_j) in
         for c = 0 to p - 1 do
           Mat.set x (nfixed + i) c xj.(c)
         done;

@@ -47,6 +47,27 @@ val d_optimal :
     returned rows D-optimally augment an existing design. Each accepted
     exchange adds one to the [doe.exchanges] counter. *)
 
+(** {2 Exchange kernels}
+
+    The two loops of an exchange, exposed so that tests can hold them bit
+    for bit to reference copies. Both read and write unchecked after an
+    entry check that raises [Invalid_argument] when an array is too short
+    for its indices. *)
+
+val project :
+  p:int -> minv:float array -> cands:float array array -> mv:float array -> d:float array -> unit
+(** [project ~p ~minv ~cands ~mv ~d] writes each candidate row's [M⁻¹x_j]
+    into [mv] (row-major, [p] per candidate) and [x_jᵀM⁻¹x_j] into [d.(j)],
+    for the row-major [p × p] inverse [minv]. Every entry adds its products
+    over the columns in order, as {!Emc_linalg.Mat.mul_vec} and a dot
+    product do. *)
+
+val best_exchange : p:int -> mv:float array -> d:float array -> float array -> float -> int
+(** [best_exchange ~p ~mv ~d xi di] is the candidate (an index into [d])
+    whose exchange with the design row [xi], where [di = xiᵀM⁻¹xi], has
+    the largest Fedorov gain above 1e-9, the first of equal gains, or -1
+    when no gain is that large. *)
+
 val generate : ?sweeps:int -> ?cand_factor:int -> Emc_util.Rng.t -> space -> n:int
   -> float array array
 (** One-call design generation: LHS candidates ([cand_factor × n] of them

@@ -51,12 +51,20 @@ let map2 f x y =
 let add = map2 ( +. )
 let scale s m = { m with a = Array.map (fun x -> s *. x) m.a }
 
+(* From here to [solve_spd], the inner loops of the products, the LU and
+   the Cholesky read and write unchecked. A [t] is abstract and every
+   constructor allocates its [r * c] cells, so a matrix's own cells need
+   no check; each function checks at entry that its other operands fit
+   before the first unchecked access. *)
+
 let mul_vec m v =
   if m.c <> Array.length v then invalid_arg "Mat.mul_vec: dimension mismatch";
+  let c = m.c and a = m.a in
   Array.init m.r (fun i ->
+      let row = i * c in
       let acc = ref 0.0 in
-      for j = 0 to m.c - 1 do
-        acc := !acc +. (get m i j *. v.(j))
+      for j = 0 to c - 1 do
+        acc := !acc +. (Array.unsafe_get a (row + j) *. Array.unsafe_get v j)
       done;
       !acc)
 
@@ -68,9 +76,9 @@ let tmul_vec x v =
   let c = x.c and a = x.a in
   let out = Array.make c 0.0 in
   for k = 0 to x.r - 1 do
-    let row = k * c and vk = v.(k) in
+    let row = k * c and vk = Array.unsafe_get v k in
     for j = 0 to c - 1 do
-      out.(j) <- out.(j) +. (a.(row + j) *. vk)
+      Array.unsafe_set out j (Array.unsafe_get out j +. (Array.unsafe_get a (row + j) *. vk))
     done
   done;
   out
@@ -82,10 +90,7 @@ let tmul_vec x v =
 let gram x =
   let c = x.c and a = x.a in
   let g = create c c in
-  let put i j v =
-    g.a.((i * c) + j) <- v;
-    g.a.((j * c) + i) <- v
-  in
+  let ga = g.a in
   for i = 0 to c - 1 do
     let j = ref i in
     while !j + 3 < c do
@@ -93,32 +98,37 @@ let gram x =
       let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
       for k = 0 to x.r - 1 do
         let row = k * c in
-        let xki = a.(row + i) in
-        s0 := !s0 +. (xki *. a.(row + j0));
-        s1 := !s1 +. (xki *. a.(row + j0 + 1));
-        s2 := !s2 +. (xki *. a.(row + j0 + 2));
-        s3 := !s3 +. (xki *. a.(row + j0 + 3))
+        let xki = Array.unsafe_get a (row + i) in
+        s0 := !s0 +. (xki *. Array.unsafe_get a (row + j0));
+        s1 := !s1 +. (xki *. Array.unsafe_get a (row + j0 + 1));
+        s2 := !s2 +. (xki *. Array.unsafe_get a (row + j0 + 2));
+        s3 := !s3 +. (xki *. Array.unsafe_get a (row + j0 + 3))
       done;
-      put i j0 !s0;
-      put i (j0 + 1) !s1;
-      put i (j0 + 2) !s2;
-      put i (j0 + 3) !s3;
+      Array.unsafe_set ga ((i * c) + j0) !s0;
+      Array.unsafe_set ga ((j0 * c) + i) !s0;
+      Array.unsafe_set ga ((i * c) + j0 + 1) !s1;
+      Array.unsafe_set ga (((j0 + 1) * c) + i) !s1;
+      Array.unsafe_set ga ((i * c) + j0 + 2) !s2;
+      Array.unsafe_set ga (((j0 + 2) * c) + i) !s2;
+      Array.unsafe_set ga ((i * c) + j0 + 3) !s3;
+      Array.unsafe_set ga (((j0 + 3) * c) + i) !s3;
       j := j0 + 4
     done;
     for j = !j to c - 1 do
       let s = ref 0.0 in
       for k = 0 to x.r - 1 do
         let row = k * c in
-        s := !s +. (a.(row + i) *. a.(row + j))
+        s := !s +. (Array.unsafe_get a (row + i) *. Array.unsafe_get a (row + j))
       done;
-      put i j !s
+      Array.unsafe_set ga ((i * c) + j) !s;
+      Array.unsafe_set ga ((j * c) + i) !s
     done
   done;
   g
 
 (* LU decomposition with partial pivoting, in place on a copy, through row
    offsets into the flat array. Returns (lu, perm, sign) or None if
-   singular. *)
+   singular; [perm] is a permutation of [0 .. n-1]. *)
 let lu_decompose m =
   if m.r <> m.c then invalid_arg "Mat: square matrix required";
   let n = m.r in
@@ -133,29 +143,33 @@ let lu_decompose m =
     let rk = k0 * n in
     let pivot = ref k0 in
     for i = k0 + 1 to n - 1 do
-      if Float.abs a.((i * n) + k0) > Float.abs a.((!pivot * n) + k0) then pivot := i
+      if
+        Float.abs (Array.unsafe_get a ((i * n) + k0))
+        > Float.abs (Array.unsafe_get a ((!pivot * n) + k0))
+      then pivot := i
     done;
     if !pivot <> k0 then begin
       let rp = !pivot * n in
       for j = 0 to n - 1 do
-        let tmp = a.(rk + j) in
-        a.(rk + j) <- a.(rp + j);
-        a.(rp + j) <- tmp
+        let tmp = Array.unsafe_get a (rk + j) in
+        Array.unsafe_set a (rk + j) (Array.unsafe_get a (rp + j));
+        Array.unsafe_set a (rp + j) tmp
       done;
       let tmp = perm.(k0) in
       perm.(k0) <- perm.(!pivot);
       perm.(!pivot) <- tmp;
       sign := -. !sign
     end;
-    let pkk = a.(rk + k0) in
+    let pkk = Array.unsafe_get a (rk + k0) in
     if Float.abs pkk < 1e-300 then singular := true
     else
       for i = k0 + 1 to n - 1 do
         let ri = i * n in
-        let f = a.(ri + k0) /. pkk in
-        a.(ri + k0) <- f;
+        let f = Array.unsafe_get a (ri + k0) /. pkk in
+        Array.unsafe_set a (ri + k0) f;
         for j = k0 + 1 to n - 1 do
-          a.(ri + j) <- a.(ri + j) -. (f *. a.(rk + j))
+          Array.unsafe_set a (ri + j)
+            (Array.unsafe_get a (ri + j) -. (f *. Array.unsafe_get a (rk + j)))
         done
       done;
     k := k0 + 1
@@ -191,21 +205,22 @@ let log_det m =
    through the permutation, so [x] must not be [b]. *)
 let lu_solve (lu, perm, _sign) b x =
   let n = lu.r and a = lu.a in
+  if Array.length b < n || Array.length x < n then invalid_arg "Mat.lu_solve: dimension mismatch";
   for i = 0 to n - 1 do
     let ri = i * n in
-    let acc = ref b.(perm.(i)) in
+    let acc = ref (Array.unsafe_get b (Array.unsafe_get perm i)) in
     for j = 0 to i - 1 do
-      acc := !acc -. (a.(ri + j) *. x.(j))
+      acc := !acc -. (Array.unsafe_get a (ri + j) *. Array.unsafe_get x j)
     done;
-    x.(i) <- !acc
+    Array.unsafe_set x i !acc
   done;
   for i = n - 1 downto 0 do
     let ri = i * n in
-    let acc = ref x.(i) in
+    let acc = ref (Array.unsafe_get x i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (a.(ri + j) *. x.(j))
+      acc := !acc -. (Array.unsafe_get a (ri + j) *. Array.unsafe_get x j)
     done;
-    x.(i) <- !acc /. a.(ri + i)
+    Array.unsafe_set x i (!acc /. Array.unsafe_get a (ri + i))
   done
 
 let solve m b =
@@ -224,13 +239,14 @@ let inverse m =
   | Some lu ->
       let n = m.r in
       let inv = create n n in
+      let ia = inv.a in
       let e = Array.make n 0.0 and x = Array.make n 0.0 in
       for j = 0 to n - 1 do
         e.(j) <- 1.0;
         lu_solve lu e x;
         e.(j) <- 0.0;
         for i = 0 to n - 1 do
-          inv.a.((i * n) + j) <- x.(i)
+          Array.unsafe_set ia ((i * n) + j) (Array.unsafe_get x i)
         done
       done;
       inv
@@ -256,29 +272,33 @@ let cholesky_rows m l ~from ~upto =
     let r1 = r0 + n in
     for j = 0 to i0 - 1 do
       let rj = j * n in
-      let s0 = ref a.(r0 + j) and s1 = ref a.(r1 + j) in
+      let s0 = ref (Array.unsafe_get a (r0 + j)) and s1 = ref (Array.unsafe_get a (r1 + j)) in
       for k = 0 to j - 1 do
-        let ljk = la.(rj + k) in
-        s0 := !s0 -. (la.(r0 + k) *. ljk);
-        s1 := !s1 -. (la.(r1 + k) *. ljk)
+        let ljk = Array.unsafe_get la (rj + k) in
+        s0 := !s0 -. (Array.unsafe_get la (r0 + k) *. ljk);
+        s1 := !s1 -. (Array.unsafe_get la (r1 + k) *. ljk)
       done;
-      la.(r0 + j) <- !s0 /. la.(rj + j);
-      la.(r1 + j) <- !s1 /. la.(rj + j)
+      let ljj = Array.unsafe_get la (rj + j) in
+      Array.unsafe_set la (r0 + j) (!s0 /. ljj);
+      Array.unsafe_set la (r1 + j) (!s1 /. ljj)
     done;
-    let s0 = ref a.(r0 + i0) and s1 = ref a.(r1 + i0) and s2 = ref a.(r1 + i0 + 1) in
+    let s0 = ref (Array.unsafe_get a (r0 + i0))
+    and s1 = ref (Array.unsafe_get a (r1 + i0))
+    and s2 = ref (Array.unsafe_get a (r1 + i0 + 1)) in
     for k = 0 to i0 - 1 do
-      let l0 = la.(r0 + k) and l1 = la.(r1 + k) in
+      let l0 = Array.unsafe_get la (r0 + k) and l1 = Array.unsafe_get la (r1 + k) in
       s0 := !s0 -. (l0 *. l0);
       s1 := !s1 -. (l1 *. l0);
       s2 := !s2 -. (l1 *. l1)
     done;
     if !s0 <= 0.0 then not_positive_definite ();
-    la.(r0 + i0) <- sqrt !s0;
-    let l10 = !s1 /. la.(r0 + i0) in
-    la.(r1 + i0) <- l10;
+    let l00 = sqrt !s0 in
+    Array.unsafe_set la (r0 + i0) l00;
+    let l10 = !s1 /. l00 in
+    Array.unsafe_set la (r1 + i0) l10;
     let s2 = !s2 -. (l10 *. l10) in
     if s2 <= 0.0 then not_positive_definite ();
-    la.(r1 + i0 + 1) <- sqrt s2;
+    Array.unsafe_set la (r1 + i0 + 1) (sqrt s2);
     i := i0 + 2
   done;
   if !i < upto then begin
@@ -286,13 +306,13 @@ let cholesky_rows m l ~from ~upto =
     let r0 = i0 * n in
     for j = 0 to i0 do
       let rj = j * n in
-      let s = ref a.(r0 + j) in
+      let s = ref (Array.unsafe_get a (r0 + j)) in
       for k = 0 to j - 1 do
-        s := !s -. (la.(r0 + k) *. la.(rj + k))
+        s := !s -. (Array.unsafe_get la (r0 + k) *. Array.unsafe_get la (rj + k))
       done;
-      if j < i0 then la.(r0 + j) <- !s /. la.(rj + j)
+      if j < i0 then Array.unsafe_set la (r0 + j) (!s /. Array.unsafe_get la (rj + j))
       else if !s <= 0.0 then not_positive_definite ()
-      else la.(r0 + i0) <- sqrt !s
+      else Array.unsafe_set la (r0 + i0) (sqrt !s)
     done
   end
 
@@ -310,18 +330,18 @@ let cholesky_solve l n b x =
   let c = l.c and la = l.a in
   for i = 0 to n - 1 do
     let ri = i * c in
-    let acc = ref b.(i) in
+    let acc = ref (Array.unsafe_get b i) in
     for j = 0 to i - 1 do
-      acc := !acc -. (la.(ri + j) *. x.(j))
+      acc := !acc -. (Array.unsafe_get la (ri + j) *. Array.unsafe_get x j)
     done;
-    x.(i) <- !acc /. la.(ri + i)
+    Array.unsafe_set x i (!acc /. Array.unsafe_get la (ri + i))
   done;
   for i = n - 1 downto 0 do
-    let acc = ref x.(i) in
+    let acc = ref (Array.unsafe_get x i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (la.((j * c) + i) *. x.(j))
+      acc := !acc -. (Array.unsafe_get la ((j * c) + i) *. Array.unsafe_get x j)
     done;
-    x.(i) <- !acc /. la.((i * c) + i)
+    Array.unsafe_set x i (!acc /. Array.unsafe_get la ((i * c) + i))
   done
 
 let solve_spd m b =

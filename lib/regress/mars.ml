@@ -40,10 +40,17 @@ let basis_name names (b : basis) =
 
 let ridge = 1e-9
 
+(* The loops of [dot], [store_pair] and [solve] read and write unchecked.
+   Each function first checks that every array holds the cells its
+   indices reach, and raises [Invalid_argument] before the first
+   unchecked access when one does not. *)
+
 let[@inline] dot a b =
+  let n = Array.length a in
+  if Array.length b < n then invalid_arg "Mars.dot: dimension mismatch";
   let acc = ref 0.0 in
-  for r = 0 to Array.length a - 1 do
-    acc := !acc +. (a.(r) *. b.(r))
+  for r = 0 to n - 1 do
+    acc := !acc +. (Array.unsafe_get a r *. Array.unsafe_get b r)
   done;
   !acc
 
@@ -77,58 +84,68 @@ let normal ~cap y =
     p = Array.make n 0.0;
   }
 
-(* The reflected pair [parent · max(0, ±(x_dim − knot))] into slots [at]
-   and [at + 1], with their normal equations. The pass that fills the two
-   columns also sums their products with each other and with y; each
-   later pass over the rows takes two stored columns and gives four Gram
-   entries. Every entry is [dot] of its two columns, its products added
-   over the rows in order. *)
-let store_pair ne x ~parent ~dim ~knot ~at =
+(* The reflected pair [parent · max(0, ±(xd − knot))], [xd] the data's
+   column of one dimension, into slots [at] and [at + 1], with their
+   normal equations. The pass that fills the two columns also sums their
+   products with each other and with y; each later pass over the rows
+   takes two stored columns and gives four Gram entries. Every entry is
+   [dot] of its two columns, its products added over the rows in order. *)
+let store_pair ne xd ~parent ~knot ~at =
   let pc = ne.cols.(parent) and c1 = ne.cols.(at) and c2 = ne.cols.(at + 1) in
   let y = ne.y and g1 = ne.gram.(at) and g2 = ne.gram.(at + 1) in
   let n = Array.length pc in
+  let short c = Array.length c < n in
+  let bad =
+    ref (short xd || short y || short c1 || short c2 || Array.length g1 <= at || Array.length g2 <= at + 1)
+  in
+  for j = 0 to at - 1 do
+    if short ne.cols.(j) then bad := true
+  done;
+  if !bad then invalid_arg "Mars.store_pair: dimension mismatch";
   let s11 = ref 0.0 and s21 = ref 0.0 and s22 = ref 0.0 and t1 = ref 0.0 and t2 = ref 0.0 in
   for r = 0 to n - 1 do
-    let pv = pc.(r) and xd = x.(r).(dim) in
-    let v1 = xd -. knot and v2 = knot -. xd in
+    let pv = Array.unsafe_get pc r and xv = Array.unsafe_get xd r in
+    let v1 = xv -. knot and v2 = knot -. xv in
     let a = if v1 > 0.0 then pv *. v1 else 0.0 in
     let b = if v2 > 0.0 then pv *. v2 else 0.0 in
-    c1.(r) <- a;
-    c2.(r) <- b;
+    Array.unsafe_set c1 r a;
+    Array.unsafe_set c2 r b;
     s11 := !s11 +. (a *. a);
     s21 := !s21 +. (a *. b);
     s22 := !s22 +. (b *. b);
-    t1 := !t1 +. (a *. y.(r));
-    t2 := !t2 +. (b *. y.(r))
+    let yr = Array.unsafe_get y r in
+    t1 := !t1 +. (a *. yr);
+    t2 := !t2 +. (b *. yr)
   done;
   let j = ref 0 in
   while !j + 1 < at do
     let j0 = !j in
-    let ca = ne.cols.(j0) and cb = ne.cols.(j0 + 1) in
+    let ca = Array.unsafe_get ne.cols j0 and cb = Array.unsafe_get ne.cols (j0 + 1) in
     let a1 = ref 0.0 and b1 = ref 0.0 and a2 = ref 0.0 and b2 = ref 0.0 in
     for r = 0 to n - 1 do
-      let u = ca.(r) and v = cb.(r) and e1 = c1.(r) and e2 = c2.(r) in
+      let u = Array.unsafe_get ca r and v = Array.unsafe_get cb r in
+      let e1 = Array.unsafe_get c1 r and e2 = Array.unsafe_get c2 r in
       a1 := !a1 +. (u *. e1);
       b1 := !b1 +. (v *. e1);
       a2 := !a2 +. (u *. e2);
       b2 := !b2 +. (v *. e2)
     done;
-    g1.(j0) <- !a1;
-    g1.(j0 + 1) <- !b1;
-    g2.(j0) <- !a2;
-    g2.(j0 + 1) <- !b2;
+    Array.unsafe_set g1 j0 !a1;
+    Array.unsafe_set g1 (j0 + 1) !b1;
+    Array.unsafe_set g2 j0 !a2;
+    Array.unsafe_set g2 (j0 + 1) !b2;
     j := j0 + 2
   done;
   if !j < at then begin
-    let cj = ne.cols.(!j) in
+    let cj = Array.unsafe_get ne.cols !j in
     let a1 = ref 0.0 and a2 = ref 0.0 in
     for r = 0 to n - 1 do
-      let u = cj.(r) in
-      a1 := !a1 +. (u *. c1.(r));
-      a2 := !a2 +. (u *. c2.(r))
+      let u = Array.unsafe_get cj r in
+      a1 := !a1 +. (u *. Array.unsafe_get c1 r);
+      a2 := !a2 +. (u *. Array.unsafe_get c2 r)
     done;
-    g1.(!j) <- !a1;
-    g2.(!j) <- !a2
+    Array.unsafe_set g1 !j !a1;
+    Array.unsafe_set g2 !j !a2
   end;
   g1.(at) <- !s11;
   g2.(at) <- !s21;
@@ -143,45 +160,62 @@ let store_pair ne x ~parent ~dim ~knot ~at =
    an infinite SSE when the system is not positive definite. *)
 let solve ne ~from idx =
   let m = Array.length idx in
+  let w = ne.w and p = ne.p and y = ne.y and cols = ne.cols in
+  let n = Array.length p in
+  if from < 0 || from > m || Array.length w < m || Array.length y > n then
+    invalid_arg "Mars.solve: dimension mismatch";
+  for i = 0 to m - 1 do
+    let c = idx.(i) in
+    if
+      c < 0
+      || (i > 0 && c <= idx.(i - 1))
+      || c >= Array.length cols
+      || c >= Array.length ne.gram
+      || c >= Array.length ne.xty
+      || Array.length cols.(c) < n
+      || Array.length ne.gram.(c) <= c
+    then invalid_arg "Mars.solve: column index"
+  done;
   for i = from to m - 1 do
-    let gi = ne.gram.(idx.(i)) in
+    let gi = Array.unsafe_get ne.gram (Array.unsafe_get idx i) in
     for j = 0 to i do
-      let v = gi.(idx.(j)) in
+      let v = Array.unsafe_get gi (Array.unsafe_get idx j) in
       Mat.set ne.sys i j (if i = j then v +. ridge else v)
     done
   done;
   match Mat.cholesky_rows ne.sys ne.chol ~from ~upto:m with
   | exception Failure _ ->
-      Array.fill ne.w 0 m 0.0;
+      Array.fill w 0 m 0.0;
       infinity
   | () ->
-      let w = ne.w and p = ne.p and y = ne.y in
       for i = 0 to m - 1 do
-        w.(i) <- ne.xty.(idx.(i))
+        Array.unsafe_set w i (Array.unsafe_get ne.xty (Array.unsafe_get idx i))
       done;
       Mat.cholesky_solve ne.chol m w w;
       (* every prediction sums its terms in column order, two columns per
          pass, walking each column contiguously *)
-      Array.fill p 0 (Array.length p) 0.0;
+      Array.fill p 0 n 0.0;
       let i = ref 0 in
       while !i + 1 < m do
         let i0 = !i in
-        let ca = ne.cols.(idx.(i0)) and cb = ne.cols.(idx.(i0 + 1)) in
-        let wa = w.(i0) and wb = w.(i0 + 1) in
-        for r = 0 to Array.length p - 1 do
-          p.(r) <- p.(r) +. (wa *. ca.(r)) +. (wb *. cb.(r))
+        let ca = Array.unsafe_get cols (Array.unsafe_get idx i0)
+        and cb = Array.unsafe_get cols (Array.unsafe_get idx (i0 + 1)) in
+        let wa = Array.unsafe_get w i0 and wb = Array.unsafe_get w (i0 + 1) in
+        for r = 0 to n - 1 do
+          Array.unsafe_set p r
+            (Array.unsafe_get p r +. (wa *. Array.unsafe_get ca r) +. (wb *. Array.unsafe_get cb r))
         done;
         i := i0 + 2
       done;
       if !i < m then begin
-        let col = ne.cols.(idx.(!i)) and wi = w.(!i) in
-        for r = 0 to Array.length p - 1 do
-          p.(r) <- p.(r) +. (wi *. col.(r))
+        let col = Array.unsafe_get cols (Array.unsafe_get idx !i) and wi = Array.unsafe_get w !i in
+        for r = 0 to n - 1 do
+          Array.unsafe_set p r (Array.unsafe_get p r +. (wi *. Array.unsafe_get col r))
         done
       end;
       let sse = ref 0.0 in
       for r = 0 to Array.length y - 1 do
-        let e = p.(r) -. y.(r) in
+        let e = Array.unsafe_get p r -. Array.unsafe_get y r in
         sse := !sse +. (e *. e)
       done;
       !sse
@@ -205,6 +239,8 @@ let fit ?(max_terms = 23) ?(max_degree = 2) ?(names = [||]) (d : Dataset.t) : Mo
   let k = Dataset.dims d_std in
   let names = if Array.length names = k then names else Array.init k (Printf.sprintf "x%d") in
   let x = d_std.Dataset.x in
+  (* the data by dimension, so a hinge column is read contiguously *)
+  let xcols = Array.init k (fun dim -> Array.map (fun row -> row.(dim)) x) in
   let cap = Stdlib.max 1 max_terms in
   let ne = normal ~cap d_std.Dataset.y in
   let bases = Array.make cap ([] : basis) in
@@ -228,7 +264,7 @@ let fit ?(max_terms = 23) ?(max_degree = 2) ?(names = [||]) (d : Dataset.t) : Mo
         for dim = 0 to k - 1 do
           if not (List.exists (fun f -> f.dim = dim) parent) then
             for ki = 0 to Array.length knots.(dim) - 1 do
-              store_pair ne x ~parent:pi ~dim ~knot:knots.(dim).(ki) ~at:m0;
+              store_pair ne xcols.(dim) ~parent:pi ~knot:knots.(dim).(ki) ~at:m0;
               let sse = solve ne ~from:m0 idx in
               match !best with
               | Some (s, _, _, _) when s <= sse -> ()
@@ -241,7 +277,7 @@ let fit ?(max_terms = 23) ?(max_degree = 2) ?(names = [||]) (d : Dataset.t) : Mo
         (* the slots hold the last candidate tried: store the winner again
            and refactor its two rows *)
         let knot = knots.(dim).(ki) in
-        store_pair ne x ~parent:pi ~dim ~knot ~at:m0;
+        store_pair ne xcols.(dim) ~parent:pi ~knot ~at:m0;
         ignore (solve ne ~from:m0 idx);
         bases.(m0) <- { dim; knot; positive = true } :: bases.(pi);
         bases.(m0 + 1) <- { dim; knot; positive = false } :: bases.(pi);

@@ -22,6 +22,9 @@ let fit ?(interactions = true) ?(epochs = 60) ?(lr = 0.05) ?pairs_per_epoch ?(na
   let names = if Array.length names = k then names else Array.init k (Printf.sprintf "x%d") in
   let rows = Array.map (Repr.expand ~interactions) d.Dataset.x in
   let p = Repr.n_features ~interactions k in
+  (* the feature pass below reads rows unchecked *)
+  if Array.exists (fun r -> Array.length r < p) rows then
+    invalid_arg "Rank.fit: a point with fewer coordinates than the first";
   let pairs_per_epoch = match pairs_per_epoch with Some m -> m | None -> 4 * n in
   let beta = Array.make p 0.0 in
   let y = d.Dataset.y in
@@ -44,10 +47,13 @@ let fit ?(interactions = true) ?(epochs = 60) ?(lr = 0.05) ?pairs_per_epoch ?(na
         let st = !step and ph = !uh and pl = !ul in
         let sh = ref 0.0 and sl = ref 0.0 in
         for f = 0 to p - 1 do
-          let b = beta.(f) +. (st *. (ph.(f) -. pl.(f))) in
-          beta.(f) <- b;
-          sh := !sh +. (rh.(f) *. b);
-          sl := !sl +. (rl.(f) *. b)
+          let b =
+            Array.unsafe_get beta f
+            +. (st *. (Array.unsafe_get ph f -. Array.unsafe_get pl f))
+          in
+          Array.unsafe_set beta f b;
+          sh := !sh +. (Array.unsafe_get rh f *. b);
+          sl := !sl +. (Array.unsafe_get rl f *. b)
         done;
         let g = 1.0 /. (1.0 +. exp (!sh -. !sl)) in
         step := lr *. g;

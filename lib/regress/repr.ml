@@ -46,16 +46,20 @@ let kernel_of_name = function
 let n_features ~interactions k = if interactions then 1 + k + (k * (k + 1) / 2) else 1 + k
 
 (* The feature row into a caller-owned array of at least
-   [n_features ~interactions (Array.length x)] cells. *)
+   [n_features ~interactions (Array.length x)] cells, written unchecked
+   after the entry check. *)
 let expand_into ~interactions x out =
   let k = Array.length x in
-  out.(0) <- 1.0;
+  if Array.length out < n_features ~interactions k then
+    invalid_arg "Repr.expand: feature row too short";
+  Array.unsafe_set out 0 1.0;
   Array.blit x 0 out 1 k;
   if interactions then begin
     let idx = ref (1 + k) in
     for i = 0 to k - 1 do
+      let xi = Array.unsafe_get x i in
       for j = i to k - 1 do
-        out.(!idx) <- x.(i) *. x.(j);
+        Array.unsafe_set out !idx (xi *. Array.unsafe_get x j);
         incr idx
       done
     done
@@ -70,17 +74,22 @@ let expand ~interactions x =
    float-valued helpers are [@inline]: without flambda, a float captured by
    a closure is boxed on every update, and a float returned from a call
    that is not inlined is boxed once per call. Inlined into [eval], they
-   leave a staged evaluation one allocation, the box of its result. *)
+   leave a staged evaluation one allocation, the box of its result. Their
+   loops read unchecked: [eval] checks a repr's own arrays against each
+   other when it stages it, and the point against the repr on every
+   call, before the first unchecked read. *)
 
 (* Every factor multiplies in, in list order; one at or below its knot
-   zeroes the product, and later factors still multiply the zero. *)
-let[@inline] eval_basis (b : factor list) x =
+   zeroes the product, and later factors still multiply the zero. [x]
+   must reach every factor's [dim]. *)
+let[@inline] eval_basis (b : factor list) (x : float array) =
   let acc = ref 1.0 and rest = ref b in
   while
     match !rest with
     | [] -> false
     | f :: tl ->
-        let v = if f.positive then x.(f.dim) -. f.knot else f.knot -. x.(f.dim) in
+        let xd = Array.unsafe_get x f.dim in
+        let v = if f.positive then xd -. f.knot else f.knot -. xd in
         acc := if v <= 0.0 then 0.0 else !acc *. v;
         rest := tl;
         true
@@ -96,9 +105,11 @@ let[@inline] eval_kernel kernel ~r d2 =
   | InverseMultiquadric -> 1.0 /. sqrt ((d2 /. (r *. r)) +. 1.0)
 
 let[@inline] dist2 a b =
+  let n = Array.length a in
+  if Array.length b < n then invalid_arg "Repr.dist2: a center with fewer coordinates than the point";
   let acc = ref 0.0 in
-  for i = 0 to Array.length a - 1 do
-    let d = a.(i) -. b.(i) in
+  for i = 0 to n - 1 do
+    let d = Array.unsafe_get a i -. Array.unsafe_get b i in
     acc := !acc +. (d *. d)
   done;
   !acc
@@ -114,9 +125,17 @@ let dot_features ~interactions beta =
     expand_into ~interactions x scratch;
     let acc = ref 0.0 in
     for i = 0 to nf - 1 do
-      acc := !acc +. (scratch.(i) *. beta.(i))
+      acc := !acc +. (Array.unsafe_get scratch i *. Array.unsafe_get beta i)
     done;
     !acc
+
+(* One past the largest dimension any hinge of [bases] reads. *)
+let hinge_reach bases =
+  Array.fold_left
+    (List.fold_left (fun reach f ->
+         if f.dim < 0 then invalid_arg "Repr.eval: a hinge on a negative dimension";
+         Int.max reach (f.dim + 1)))
+    0 bases
 
 (* Staged: the representation dispatch and the feature scratch are
    resolved once per [eval r], so the returned closure must not be shared
@@ -127,18 +146,29 @@ let rec eval r =
       let dot = dot_features ~interactions beta in
       fun x -> (dot x *. sd) +. mu
   | Mars { bases; weights; mu; sd } ->
+      let nb = Array.length bases and reach = hinge_reach bases in
+      if Array.length weights < nb then invalid_arg "Repr.eval: fewer MARS weights than bases";
       fun x ->
+        if Array.length x < reach then
+          invalid_arg "Repr.eval: a hinge on a dimension the point does not have";
         let acc = ref 0.0 in
-        for i = 0 to Array.length bases - 1 do
-          acc := !acc +. (weights.(i) *. eval_basis bases.(i) x)
+        for i = 0 to nb - 1 do
+          acc :=
+            !acc +. (Array.unsafe_get weights i *. eval_basis (Array.unsafe_get bases i) x)
         done;
         (!acc *. sd) +. mu
   | Rbf { kernel; centers; radii; weights; mu; sd } ->
+      let nc = Array.length centers in
+      if Array.length radii < nc || Array.length weights < nc + 1 then
+        invalid_arg "Repr.eval: RBF radii or weights do not match the centers";
       fun x ->
-        let acc = ref weights.(0) in
-        for j = 0 to Array.length centers - 1 do
+        let acc = ref (Array.unsafe_get weights 0) in
+        for j = 0 to nc - 1 do
           acc :=
-            !acc +. (weights.(j + 1) *. eval_kernel kernel ~r:radii.(j) (dist2 x centers.(j)))
+            !acc
+            +. (Array.unsafe_get weights (j + 1)
+               *. eval_kernel kernel ~r:(Array.unsafe_get radii j)
+                    (dist2 x (Array.unsafe_get centers j)))
         done;
         (!acc *. sd) +. mu
   | Rank { interactions; beta } ->

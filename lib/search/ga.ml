@@ -74,12 +74,14 @@ let breed params rng (p : problem) pop ~better count =
       child)
 
 let optimize ?(params = default_params) rng (p : problem) ~fitness =
- Emc_obs.Trace.with_span ~cat:"search"
-   ~args:(fun () ->
-     [ ("pop_size", Emc_obs.Json.Int params.pop_size);
-       ("generations", Emc_obs.Json.Int params.generations) ])
-   "ga.optimize"
- @@ fun () ->
+  if params.pop_size < 1 then
+    invalid_arg (Printf.sprintf "Ga.optimize: pop_size must be at least 1, not %d" params.pop_size);
+  Emc_obs.Trace.with_span ~cat:"search"
+    ~args:(fun () ->
+      [ ("pop_size", Emc_obs.Json.Int params.pop_size);
+        ("generations", Emc_obs.Json.Int params.generations) ])
+    "ga.optimize"
+  @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let pop = Array.init params.pop_size (fun _ -> random_genome rng p) in
   let fit = Array.map fitness pop in
@@ -90,6 +92,8 @@ let optimize ?(params = default_params) rng (p : problem) ~fitness =
     idx
   in
   let best = ref (Array.copy pop.(0)) and best_f = ref fit.(0) in
+  (* a population smaller than the elite keeps all of itself *)
+  let elite = min params.elite params.pop_size in
   let update_best () =
     Array.iteri
       (fun i f ->
@@ -106,9 +110,9 @@ let optimize ?(params = default_params) rng (p : problem) ~fitness =
     incr gen;
     let prev_best = !best_f in
     let idx = order () in
-    let elites = Array.init params.elite (fun e -> Array.copy pop.(idx.(e))) in
+    let elites = Array.init elite (fun e -> Array.copy pop.(idx.(e))) in
     let children =
-      breed params rng p pop (params.pop_size - params.elite)
+      breed params rng p pop (params.pop_size - elite)
         ~better:(fun c w -> fitness_order fit.(c) fit.(w) < 0)
     in
     Array.blit (Array.append elites children) 0 pop 0 params.pop_size;

@@ -110,29 +110,43 @@ let non_dominated_sort objs = sort_fronts (sorter (Array.length objs)) objs
 (* Crowding distance of each member of [front] (parallel to [front]):
    boundary points get infinity, interior points the sum of normalized
    gaps to their neighbours along each objective. Objectives with a
-   degenerate (zero or non-finite) range contribute nothing. *)
+   degenerate (zero or non-finite) range contribute nothing. Each
+   objective's values are copied out of [objs] once and ordered by
+   Ga.fitness_order's rule, written out as in [dominance]; the loops read
+   unchecked after the entry check. *)
 let crowding_distance (objs : float array array) (front : int array) : float array =
   let k = Array.length front in
   let dist = Array.make k 0.0 in
   if k > 0 then begin
     let m = Array.length objs.(front.(0)) in
+    if Array.exists (fun i -> i < 0 || i >= Array.length objs || Array.length objs.(i) < m) front then
+      invalid_arg "Pareto.crowding_distance: a front member outside the points or short of objectives";
+    let v = Array.make k 0.0 in
     for o = 0 to m - 1 do
+      for p = 0 to k - 1 do
+        Array.unsafe_set v p (Array.unsafe_get (Array.unsafe_get objs (Array.unsafe_get front p)) o)
+      done;
       let order = Array.init k Fun.id in
       Array.sort
         (fun a b ->
-          let c = Ga.fitness_order objs.(front.(a)).(o) objs.(front.(b)).(o) in
-          if c <> 0 then c else compare front.(a) front.(b))
+          let x = Array.unsafe_get v a and y = Array.unsafe_get v b in
+          let c =
+            if x <> x then if y <> y then 0 else 1 else if y <> y then -1 else Float.compare x y
+          in
+          if c <> 0 then c else Int.compare (Array.unsafe_get front a) (Array.unsafe_get front b))
         order;
       dist.(order.(0)) <- infinity;
       dist.(order.(k - 1)) <- infinity;
-      let lo = objs.(front.(order.(0))).(o) and hi = objs.(front.(order.(k - 1))).(o) in
+      let lo = v.(order.(0)) and hi = v.(order.(k - 1)) in
       let range = hi -. lo in
       if Float.is_finite range && range > 0.0 then
         for p = 1 to k - 2 do
-          let prev = objs.(front.(order.(p - 1))).(o)
-          and next = objs.(front.(order.(p + 1))).(o) in
-          if Float.is_finite prev && Float.is_finite next then
-            dist.(order.(p)) <- dist.(order.(p)) +. ((next -. prev) /. range)
+          let prev = Array.unsafe_get v (Array.unsafe_get order (p - 1))
+          and next = Array.unsafe_get v (Array.unsafe_get order (p + 1)) in
+          if Float.is_finite prev && Float.is_finite next then begin
+            let q = Array.unsafe_get order p in
+            Array.unsafe_set dist q (Array.unsafe_get dist q +. ((next -. prev) /. range))
+          end
         done
     done
   end;

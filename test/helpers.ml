@@ -119,3 +119,14 @@ let stop_daemons pids =
       Alcotest.failf "daemon %s still running 10 s after SIGTERM" (String.concat ", " stuck)
 
 let stop_daemon pid = List.hd (stop_daemons [ pid ])
+
+(** {2 Bit-for-bit comparisons of floats} *)
+
+let bits_eq x y = Int64.bits_of_float x = Int64.bits_of_float y
+let all_bits a b = Array.length a = Array.length b && Array.for_all2 bits_eq a b
+
+(** A double over forty binary orders of magnitude, of either sign: sums of
+    such values cancel, so a sum taken in another order differs in value,
+    not only in its last bit. *)
+let wide rng =
+  (Emc_util.Rng.float rng 2.0 -. 1.0) *. Float.pow 2.0 (float_of_int (Emc_util.Rng.int rng 41 - 20))

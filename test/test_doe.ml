@@ -193,6 +193,147 @@ let test_empty_design_rejected () =
           ignore (Doe.augment rng small_space ~design ~n_extra:n)))
     [ 0; -3 ]
 
+(* ---- the exchange kernels as they were before they read unchecked ---- *)
+
+(* A verbatim copy of the checked [project], and of the per-visit scan of
+   [d_optimal]'s loop wrapped as a function: [Doe.project] and
+   [Doe.best_exchange] must give their bits, and reordering any sum in
+   either must fail a property below. *)
+module Parent = struct
+  let project ~p ~minv ~cands ~mv ~d =
+    let m = Array.length cands in
+    let j = ref 0 in
+    while !j < m do
+      let j0 = !j in
+      let j1 = if j0 + 1 < m then j0 + 1 else j0 in
+      let x0 = cands.(j0) and x1 = cands.(j1) and p0 = j0 * p and p1 = j1 * p in
+      let r = ref 0 in
+      while !r + 3 < p do
+        let r0 = !r in
+        let row = r0 * p in
+        let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
+        let b0 = ref 0.0 and b1 = ref 0.0 and b2 = ref 0.0 and b3 = ref 0.0 in
+        for c = 0 to p - 1 do
+          let u = x0.(c) and v = x1.(c) in
+          let m0 = minv.(row + c)
+          and m1 = minv.(row + p + c)
+          and m2 = minv.(row + (2 * p) + c)
+          and m3 = minv.(row + (3 * p) + c) in
+          a0 := !a0 +. (m0 *. u);
+          b0 := !b0 +. (m0 *. v);
+          a1 := !a1 +. (m1 *. u);
+          b1 := !b1 +. (m1 *. v);
+          a2 := !a2 +. (m2 *. u);
+          b2 := !b2 +. (m2 *. v);
+          a3 := !a3 +. (m3 *. u);
+          b3 := !b3 +. (m3 *. v)
+        done;
+        mv.(p0 + r0) <- !a0;
+        mv.(p0 + r0 + 1) <- !a1;
+        mv.(p0 + r0 + 2) <- !a2;
+        mv.(p0 + r0 + 3) <- !a3;
+        mv.(p1 + r0) <- !b0;
+        mv.(p1 + r0 + 1) <- !b1;
+        mv.(p1 + r0 + 2) <- !b2;
+        mv.(p1 + r0 + 3) <- !b3;
+        r := r0 + 4
+      done;
+      for r = !r to p - 1 do
+        let a = ref 0.0 and b = ref 0.0 in
+        for c = 0 to p - 1 do
+          let mrc = minv.((r * p) + c) in
+          a := !a +. (mrc *. x0.(c));
+          b := !b +. (mrc *. x1.(c))
+        done;
+        mv.(p0 + r) <- !a;
+        mv.(p1 + r) <- !b
+      done;
+      let e0 = ref 0.0 and e1 = ref 0.0 in
+      for c = 0 to p - 1 do
+        e0 := !e0 +. (x0.(c) *. mv.(p0 + c));
+        e1 := !e1 +. (x1.(c) *. mv.(p1 + c))
+      done;
+      d.(j0) <- !e0;
+      d.(j1) <- !e1;
+      j := j0 + 2
+    done
+
+  let scan ~p ~m ~mv ~d xi di =
+    let best_delta = ref 1e-9 and best_j = ref (-1) in
+    for j = 0 to m - 1 do
+      let jp = j * p in
+      let g = ref 0.0 in
+      for r = 0 to p - 1 do
+        g := !g +. (xi.(r) *. mv.(jp + r))
+      done;
+      let g = !g and dj = d.(j) in
+      (* Fedorov's delta for exchanging xi with xj *)
+      let delta = dj -. di -. ((di *. dj) -. (g *. g)) in
+      if delta > !best_delta then begin
+        best_delta := delta;
+        best_j := j
+      end
+    done;
+    !best_j
+end
+
+let wide = Helpers.wide
+
+(* p on every residue mod 4, from 1; m odd and even, from a single
+   candidate *)
+let shape = QCheck.Gen.(triple (int_range 1 30) (int_range 1 41) (int_range 0 10_000))
+
+let prop_project_parent_bits =
+  QCheck.Test.make ~name:"project keeps its checked parent's bits" ~count:300 (QCheck.make shape)
+    (fun (p, m, seed) ->
+      let rng = Emc_util.Rng.create seed in
+      let minv = Array.init (p * p) (fun _ -> wide rng) in
+      let cands = Array.init m (fun _ -> Array.init p (fun _ -> wide rng)) in
+      let mv = Array.make (m * p) nan and d = Array.make m nan in
+      let mv' = Array.make (m * p) nan and d' = Array.make m nan in
+      Doe.project ~p ~minv ~cands ~mv ~d;
+      Parent.project ~p ~minv ~cands ~mv:mv' ~d:d';
+      Helpers.all_bits mv mv' && Helpers.all_bits d d')
+
+(* Candidates repeated at random places tie with their originals, so the
+   first of equal gains must win as before; the deltas of wide doubles
+   order the candidates differently when any sum is reordered. *)
+let prop_best_exchange_parent =
+  QCheck.Test.make ~name:"best_exchange picks its checked parent's candidate" ~count:500
+    (QCheck.make shape)
+    (fun (p, m, seed) ->
+      let rng = Emc_util.Rng.create seed in
+      let rows = Array.init m (fun _ -> Array.init p (fun _ -> wide rng)) in
+      let rows = Array.map (fun r -> if Emc_util.Rng.int rng 4 = 0 then rows.(Emc_util.Rng.int rng m) else r) rows in
+      let mv = Array.concat (Array.to_list rows) in
+      let d = Array.init m (fun _ -> Float.abs (wide rng)) in
+      let xi = Array.init p (fun _ -> wide rng) in
+      let di = Float.abs (wide rng) *. 1e-3 in
+      Doe.best_exchange ~p ~mv ~d xi di = Parent.scan ~p ~m ~mv ~d xi di)
+
+(* The entry checks: an array too short for its indices raises
+   [Invalid_argument] before either kernel reads or writes, so [mv] and
+   [d] keep their contents. *)
+let test_exchange_entry_checks () =
+  let p = 3 and m = 2 in
+  let minv = Array.make (p * p) 1.0 and cands = Array.make m [| 1.0; 0.5; -1.0 |] in
+  let mv = Array.make (m * p) 7.0 and d = Array.make m 7.0 in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "project, a short inverse" (fun () -> Doe.project ~p ~minv:(Array.make 8 1.0) ~cands ~mv ~d);
+  raises "project, a short candidate" (fun () ->
+      Doe.project ~p ~minv ~cands:[| cands.(0); [| 1.0; 0.5 |] |] ~mv ~d);
+  raises "project, a short projection" (fun () -> Doe.project ~p ~minv ~cands ~mv:(Array.make 5 7.0) ~d);
+  raises "project, a short d" (fun () -> Doe.project ~p ~minv ~cands ~mv ~d:[| 7.0 |]);
+  cb "projections untouched" true (Array.for_all (( = ) 7.0) mv && Array.for_all (( = ) 7.0) d);
+  raises "best_exchange, a short point" (fun () ->
+      ignore (Doe.best_exchange ~p ~mv ~d [| 1.0; 1.0 |] 0.5));
+  raises "best_exchange, short projections" (fun () ->
+      ignore (Doe.best_exchange ~p ~mv:(Array.make 5 1.0) ~d [| 1.0; 1.0; 1.0 |] 0.5))
+
 let suite =
   [
     ("random design on grid", `Quick, test_random_design_on_grid);
@@ -207,4 +348,7 @@ let suite =
     ("d-optimal design bits are pinned", `Quick, test_design_bits_pinned);
     ("exchanges counted per generate", `Quick, test_exchanges_counted);
     ("empty design rejected", `Quick, test_empty_design_rejected);
+    QCheck_alcotest.to_alcotest prop_project_parent_bits;
+    QCheck_alcotest.to_alcotest prop_best_exchange_parent;
+    ("exchange kernels refuse short arrays first", `Quick, test_exchange_entry_checks);
   ]

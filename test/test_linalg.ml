@@ -367,6 +367,410 @@ let prop_lu_bits =
           && bits (Mat.log_det a) = bits !log_det
           && bits (Mat.lu_det a) = bits !det)
 
+(* ---- the loops above, as they were before they read unchecked ---- *)
+
+(* A verbatim copy of the checked kernels, on a record of the same shape
+   as [Mat.t]: each unchecked loop must give its bits, and reordering any
+   sum in one must fail a property below. *)
+module Parent = struct
+  type t = { r : int; c : int; a : float array }
+
+  let create r c =
+    if r <= 0 || c <= 0 then invalid_arg "Mat.create: non-positive dimension";
+    { r; c; a = Array.make (r * c) 0.0 }
+
+  let get m i j = m.a.((i * m.c) + j)
+  let copy m = { m with a = Array.copy m.a }
+
+  let mul_vec m v =
+    if m.c <> Array.length v then invalid_arg "Mat.mul_vec: dimension mismatch";
+    Array.init m.r (fun i ->
+        let acc = ref 0.0 in
+        for j = 0 to m.c - 1 do
+          acc := !acc +. (get m i j *. v.(j))
+        done;
+        !acc)
+
+  (* xᵀv one row of [x] at a time: each column's sum adds its products over
+     the rows in order, as [mul_vec (transpose x) v] does, without building
+     the transpose. *)
+  let tmul_vec x v =
+    if x.r <> Array.length v then invalid_arg "Mat.tmul_vec: dimension mismatch";
+    let c = x.c and a = x.a in
+    let out = Array.make c 0.0 in
+    for k = 0 to x.r - 1 do
+      let row = k * c and vk = v.(k) in
+      for j = 0 to c - 1 do
+        out.(j) <- out.(j) +. (a.(row + j) *. vk)
+      done
+    done;
+    out
+
+  (* Four entries of row i at a time, each in its own accumulator: the sums
+     are independent, so they overlap in the pipeline instead of queueing on
+     one add, and each still adds its products over the rows k in order,
+     which keeps every entry's bits those of a one-entry loop. *)
+  let gram x =
+    let c = x.c and a = x.a in
+    let g = create c c in
+    let put i j v =
+      g.a.((i * c) + j) <- v;
+      g.a.((j * c) + i) <- v
+    in
+    for i = 0 to c - 1 do
+      let j = ref i in
+      while !j + 3 < c do
+        let j0 = !j in
+        let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+        for k = 0 to x.r - 1 do
+          let row = k * c in
+          let xki = a.(row + i) in
+          s0 := !s0 +. (xki *. a.(row + j0));
+          s1 := !s1 +. (xki *. a.(row + j0 + 1));
+          s2 := !s2 +. (xki *. a.(row + j0 + 2));
+          s3 := !s3 +. (xki *. a.(row + j0 + 3))
+        done;
+        put i j0 !s0;
+        put i (j0 + 1) !s1;
+        put i (j0 + 2) !s2;
+        put i (j0 + 3) !s3;
+        j := j0 + 4
+      done;
+      for j = !j to c - 1 do
+        let s = ref 0.0 in
+        for k = 0 to x.r - 1 do
+          let row = k * c in
+          s := !s +. (a.(row + i) *. a.(row + j))
+        done;
+        put i j !s
+      done
+    done;
+    g
+
+  (* LU decomposition with partial pivoting, in place on a copy, through row
+     offsets into the flat array. Returns (lu, perm, sign) or None if
+     singular. *)
+  let lu_decompose m =
+    if m.r <> m.c then invalid_arg "Mat: square matrix required";
+    let n = m.r in
+    let lu = copy m in
+    let a = lu.a in
+    let perm = Array.init n Fun.id in
+    let sign = ref 1.0 in
+    let singular = ref false in
+    let k = ref 0 in
+    while (not !singular) && !k < n do
+      let k0 = !k in
+      let rk = k0 * n in
+      let pivot = ref k0 in
+      for i = k0 + 1 to n - 1 do
+        if Float.abs a.((i * n) + k0) > Float.abs a.((!pivot * n) + k0) then pivot := i
+      done;
+      if !pivot <> k0 then begin
+        let rp = !pivot * n in
+        for j = 0 to n - 1 do
+          let tmp = a.(rk + j) in
+          a.(rk + j) <- a.(rp + j);
+          a.(rp + j) <- tmp
+        done;
+        let tmp = perm.(k0) in
+        perm.(k0) <- perm.(!pivot);
+        perm.(!pivot) <- tmp;
+        sign := -. !sign
+      end;
+      let pkk = a.(rk + k0) in
+      if Float.abs pkk < 1e-300 then singular := true
+      else
+        for i = k0 + 1 to n - 1 do
+          let ri = i * n in
+          let f = a.(ri + k0) /. pkk in
+          a.(ri + k0) <- f;
+          for j = k0 + 1 to n - 1 do
+            a.(ri + j) <- a.(ri + j) -. (f *. a.(rk + j))
+          done
+        done;
+      k := k0 + 1
+    done;
+    if !singular then None else Some (lu, perm, !sign)
+
+  let lu_det m =
+    match lu_decompose m with
+    | None -> 0.0
+    | Some (lu, _, sign) ->
+        let d = ref sign in
+        for i = 0 to lu.r - 1 do
+          d := !d *. get lu i i
+        done;
+        !d
+
+  let log_det m =
+    match lu_decompose m with
+    | None -> neg_infinity
+    | Some (lu, _, _) ->
+        let d = ref 0.0 in
+        (try
+           for i = 0 to lu.r - 1 do
+             let p = Float.abs (get lu i i) in
+             if p = 0.0 then raise Exit;
+             d := !d +. log p
+           done
+         with Exit -> d := neg_infinity);
+        !d
+
+  (* Forward substitution into [x], then back substitution in place: the
+     cells each step reads are ones it has not overwritten yet. [b] is read
+     through the permutation, so [x] must not be [b]. *)
+  let lu_solve (lu, perm, _sign) b x =
+    let n = lu.r and a = lu.a in
+    for i = 0 to n - 1 do
+      let ri = i * n in
+      let acc = ref b.(perm.(i)) in
+      for j = 0 to i - 1 do
+        acc := !acc -. (a.(ri + j) *. x.(j))
+      done;
+      x.(i) <- !acc
+    done;
+    for i = n - 1 downto 0 do
+      let ri = i * n in
+      let acc = ref x.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (a.(ri + j) *. x.(j))
+      done;
+      x.(i) <- !acc /. a.(ri + i)
+    done
+
+  let solve m b =
+    if m.r <> Array.length b then invalid_arg "Mat.solve: dimension mismatch";
+    match lu_decompose m with
+    | None -> failwith "Mat.solve: singular matrix"
+    | Some lu ->
+        let x = Array.make m.r 0.0 in
+        lu_solve lu b x;
+        x
+
+  (* One unit vector and one solution buffer serve every column. *)
+  let inverse m =
+    match lu_decompose m with
+    | None -> failwith "Mat.inverse: singular matrix"
+    | Some lu ->
+        let n = m.r in
+        let inv = create n n in
+        let e = Array.make n 0.0 and x = Array.make n 0.0 in
+        for j = 0 to n - 1 do
+          e.(j) <- 1.0;
+          lu_solve lu e x;
+          e.(j) <- 0.0;
+          for i = 0 to n - 1 do
+            inv.a.((i * n) + j) <- x.(i)
+          done
+        done;
+        inv
+
+  let not_positive_definite () = failwith "Mat.cholesky: matrix not positive definite"
+
+
+  (* Row i of the factor reads rows <= i of [m] and rows < i of [l] only, so
+     the loop can start at any row whose predecessors are in place. Rows
+     i and i + 1 are factored together: each load of row j feeds both rows'
+     sums, and row i's own loads also feed entry (i + 1, i) and the first i
+     products of row i + 1's diagonal. Every entry still starts from its
+     entry of [m] and subtracts its products over k in ascending order, so
+     its bits are those of a one-row loop. *)
+  let cholesky_rows m l ~from ~upto =
+    if m.r <> m.c || l.r <> m.r || l.c <> m.c then
+      invalid_arg "Mat.cholesky_rows: square matrices of one size required";
+    if from < 0 || from > upto || upto > m.r then invalid_arg "Mat.cholesky_rows: row range";
+    let n = m.c and a = m.a and la = l.a in
+    let i = ref from in
+    while !i + 1 < upto do
+      let i0 = !i in
+      let r0 = i0 * n in
+      let r1 = r0 + n in
+      for j = 0 to i0 - 1 do
+        let rj = j * n in
+        let s0 = ref a.(r0 + j) and s1 = ref a.(r1 + j) in
+        for k = 0 to j - 1 do
+          let ljk = la.(rj + k) in
+          s0 := !s0 -. (la.(r0 + k) *. ljk);
+          s1 := !s1 -. (la.(r1 + k) *. ljk)
+        done;
+        la.(r0 + j) <- !s0 /. la.(rj + j);
+        la.(r1 + j) <- !s1 /. la.(rj + j)
+      done;
+      let s0 = ref a.(r0 + i0) and s1 = ref a.(r1 + i0) and s2 = ref a.(r1 + i0 + 1) in
+      for k = 0 to i0 - 1 do
+        let l0 = la.(r0 + k) and l1 = la.(r1 + k) in
+        s0 := !s0 -. (l0 *. l0);
+        s1 := !s1 -. (l1 *. l0);
+        s2 := !s2 -. (l1 *. l1)
+      done;
+      if !s0 <= 0.0 then not_positive_definite ();
+      la.(r0 + i0) <- sqrt !s0;
+      let l10 = !s1 /. la.(r0 + i0) in
+      la.(r1 + i0) <- l10;
+      let s2 = !s2 -. (l10 *. l10) in
+      if s2 <= 0.0 then not_positive_definite ();
+      la.(r1 + i0 + 1) <- sqrt s2;
+      i := i0 + 2
+    done;
+    if !i < upto then begin
+      let i0 = !i in
+      let r0 = i0 * n in
+      for j = 0 to i0 do
+        let rj = j * n in
+        let s = ref a.(r0 + j) in
+        for k = 0 to j - 1 do
+          s := !s -. (la.(r0 + k) *. la.(rj + k))
+        done;
+        if j < i0 then la.(r0 + j) <- !s /. la.(rj + j)
+        else if !s <= 0.0 then not_positive_definite ()
+        else la.(r0 + i0) <- sqrt !s
+      done
+    end
+
+  let cholesky_solve l n b x =
+    if l.r <> l.c || n < 0 || n > l.r || Array.length b < n || Array.length x < n then
+      invalid_arg "Mat.cholesky_solve: dimension mismatch";
+    let c = l.c and la = l.a in
+    for i = 0 to n - 1 do
+      let ri = i * c in
+      let acc = ref b.(i) in
+      for j = 0 to i - 1 do
+        acc := !acc -. (la.(ri + j) *. x.(j))
+      done;
+      x.(i) <- !acc /. la.(ri + i)
+    done;
+    for i = n - 1 downto 0 do
+      let acc = ref x.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (la.((j * c) + i) *. x.(j))
+      done;
+      x.(i) <- !acc /. la.((i * c) + i)
+    done
+end
+
+let to_parent m r c = { Parent.r; c; a = Array.init (r * c) (fun k -> Mat.get m (k / c) (k mod c)) }
+let bits_eq = Helpers.bits_eq
+let all_bits = Helpers.all_bits
+let mat_bits m (p : Parent.t) = all_bits (to_parent m p.r p.c).a p.a
+
+(* dimensions of 1 (so 1×1), odd and even, and column counts on every
+   residue mod 4 *)
+let dim hi = QCheck.Gen.(frequency [ (1, return 1); (4, int_range 1 hi) ])
+
+let prop_products_parent_bits =
+  QCheck.Test.make ~name:"mul_vec, tmul_vec and gram keep their checked parents' bits" ~count:300
+    QCheck.(make Gen.(triple (dim 40) (dim 13) (int_range 0 10_000)))
+    (fun (r, c, seed) ->
+      let rng = Emc_util.Rng.create seed in
+      let x = random_mat rng r c in
+      let u = Array.init c (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0)
+      and v = Array.init r (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0) in
+      let px = to_parent x r c in
+      all_bits (Mat.mul_vec x u) (Parent.mul_vec px u)
+      && all_bits (Mat.tmul_vec x v) (Parent.tmul_vec px v)
+      && mat_bits (Mat.gram x) (Parent.gram px))
+
+(* The parent's [cholesky_rows] from the same start (its rows below [from]
+   and junk elsewhere) over every block [from, upto), a not positive
+   definite row included, then [cholesky_solve] on every leading block,
+   into a fresh array and in place. *)
+let prop_cholesky_parent_bits =
+  QCheck.Test.make ~name:"cholesky_rows and cholesky_solve keep their checked parents' bits"
+    ~count:300
+    QCheck.(make Gen.(quad (dim 40) (int_range 0 40) (int_range 0 40) (int_range 0 10_000)))
+    (fun (n, from, len, seed) ->
+      let from = from mod (n + 1) in
+      let upto = from + (len mod (n - from + 1)) in
+      let rng = Emc_util.Rng.create seed in
+      let a =
+        if upto > from && seed mod 3 = 0 then
+          let f = from + (seed mod (upto - from)) in
+          let a = random_spd rng n in
+          Mat.init n n (fun i j -> if i = f && j = f then -1.0 else Mat.get a i j)
+        else random_spd rng n
+      in
+      let full = Parent.create n n in
+      (try Parent.cholesky_rows (to_parent a n n) full ~from:0 ~upto:n with Failure _ -> ());
+      let junk = random_mat rng n n in
+      let start =
+        Mat.init n n (fun i j ->
+            if i < from && j <= i then full.Parent.a.((i * n) + j) else Mat.get junk i j)
+      in
+      let got = Mat.init n n (Mat.get start) and want = to_parent start n n in
+      let outcome f = match f () with () -> None | exception Failure e -> Some e in
+      let e = outcome (fun () -> Mat.cholesky_rows a got ~from ~upto) in
+      let e' = outcome (fun () -> Parent.cholesky_rows (to_parent a n n) want ~from ~upto) in
+      let solves =
+        e <> None
+        ||
+        let k = seed mod (n + 1) in
+        let b = Array.init n (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0) in
+        let x = Array.make n 0.0 and x' = Array.make n 0.0 in
+        Mat.cholesky_solve got k b x;
+        Parent.cholesky_solve want k b x';
+        let bi = Array.copy b and bi' = Array.copy b in
+        Mat.cholesky_solve got k bi bi;
+        Parent.cholesky_solve want k bi' bi';
+        all_bits x x' && all_bits bi bi'
+      in
+      e = e' && mat_bits got want && solves)
+
+(* LU on every [lu_case], singular ones included: [inverse], [log_det],
+   [lu_det] and [solve] against the parent's. *)
+let prop_lu_parent_bits =
+  QCheck.Test.make ~name:"inverse, log_det, lu_det and solve keep their checked parents' bits"
+    ~count:300
+    QCheck.(make Gen.(triple (dim 30) (int_range 0 4) (int_range 0 10_000)))
+    (fun (n, kind, seed) ->
+      let rng = Emc_util.Rng.create seed in
+      let a = lu_case kind n rng in
+      let pa = to_parent a n n in
+      let b = Array.init n (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0) in
+      let inv = try Some (Mat.inverse a) with Failure _ -> None in
+      let inv' = try Some (Parent.inverse pa) with Failure _ -> None in
+      let sol = try Some (Mat.solve a b) with Failure _ -> None in
+      let sol' = try Some (Parent.solve pa b) with Failure _ -> None in
+      (match (inv, inv') with
+      | Some m, Some p -> mat_bits m p
+      | None, None -> true
+      | _ -> false)
+      && (match (sol, sol') with
+         | Some x, Some y -> all_bits x y
+         | None, None -> true
+         | _ -> false)
+      && bits_eq (Mat.log_det a) (Parent.log_det pa)
+      && bits_eq (Mat.lu_det a) (Parent.lu_det pa))
+
+(* Each unchecked loop's entry check: an operand too short for the
+   indices raises [Invalid_argument] before the loop reads or writes, so
+   the output arrays keep their contents. [gram] has one operand, whose
+   cells its own dimensions count. *)
+let test_unchecked_entry_checks () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let x = Mat.init 2 3 (fun i j -> float_of_int ((3 * i) + j + 1)) in
+  raises "mul_vec, a short vector" (fun () -> Mat.mul_vec x [| 1.0; 2.0 |]);
+  raises "tmul_vec, a long vector" (fun () -> Mat.tmul_vec x [| 1.0; 2.0; 3.0 |]);
+  let a = random_spd (Emc_util.Rng.create 3) 4 in
+  let l = Mat.create 4 4 in
+  raises "cholesky_rows, a factor of another size" (fun () ->
+      Mat.cholesky_rows a (Mat.create 3 3) ~from:0 ~upto:3);
+  raises "cholesky_rows, rows past the end" (fun () -> Mat.cholesky_rows a l ~from:0 ~upto:5);
+  raises "cholesky_rows, a negative start" (fun () -> Mat.cholesky_rows a l ~from:(-1) ~upto:2);
+  Alcotest.(check bool) "the factor is untouched" true (Mat.equal ~eps:0.0 l (Mat.create 4 4));
+  Mat.cholesky_rows a l ~from:0 ~upto:4;
+  let out = [| 7.0; 7.0; 7.0 |] in
+  raises "cholesky_solve, a short solution" (fun () -> Mat.cholesky_solve l 4 [| 1.0; 2.0; 3.0; 4.0 |] out);
+  raises "cholesky_solve, a short right-hand side" (fun () -> Mat.cholesky_solve l 4 [| 1.0 |] out);
+  Alcotest.(check (array (float 0.0))) "the solution is untouched" [| 7.0; 7.0; 7.0 |] out;
+  raises "solve, a short right-hand side" (fun () -> Mat.solve a [| 1.0; 2.0 |]);
+  raises "inverse, a non-square matrix" (fun () -> Mat.inverse x);
+  raises "log_det, a non-square matrix" (fun () -> Mat.log_det x)
+
 let suite =
   [
     ("identity mul", `Quick, test_identity_mul);
@@ -391,4 +795,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_gram_bits;
     QCheck_alcotest.to_alcotest prop_cholesky_resume_bits;
     QCheck_alcotest.to_alcotest prop_lu_bits;
+    QCheck_alcotest.to_alcotest prop_products_parent_bits;
+    QCheck_alcotest.to_alcotest prop_cholesky_parent_bits;
+    QCheck_alcotest.to_alcotest prop_lu_parent_bits;
+    ("unchecked loops refuse short operands first", `Quick, test_unchecked_entry_checks);
   ]

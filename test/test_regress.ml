@@ -713,6 +713,322 @@ let test_rank_fit_skips_nan_responses () =
     (Array.for_all (fun x -> Float.is_finite (m.Model.predict x)) dn.Dataset.x);
   cb "still ranks the finite points" true (Metrics.spearman m.Model.predict d > 0.85)
 
+(* ---- the forward pass and the rank fit as they were before they read
+   unchecked ---- *)
+
+(* Verbatim copies of the checked [Mars.dot], [store_pair] and [solve], on
+   [Mars.normal], and of [Rank.fit]: each unchecked kernel must give their
+   bits, and reordering any sum in one must fail a property below. *)
+module Parent = struct
+  open Emc_linalg
+
+  type normal = Mars.normal = {
+    y : float array;
+    cols : float array array;
+    gram : float array array;
+    xty : float array;
+    sys : Mat.t;
+    chol : Mat.t;
+    w : float array;
+    p : float array;
+  }
+
+  let ridge = 1e-9
+
+  let[@inline] dot a b =
+    let acc = ref 0.0 in
+    for r = 0 to Array.length a - 1 do
+      acc := !acc +. (a.(r) *. b.(r))
+    done;
+    !acc
+
+  let store_pair ne x ~parent ~dim ~knot ~at =
+    let pc = ne.cols.(parent) and c1 = ne.cols.(at) and c2 = ne.cols.(at + 1) in
+    let y = ne.y and g1 = ne.gram.(at) and g2 = ne.gram.(at + 1) in
+    let n = Array.length pc in
+    let s11 = ref 0.0 and s21 = ref 0.0 and s22 = ref 0.0 and t1 = ref 0.0 and t2 = ref 0.0 in
+    for r = 0 to n - 1 do
+      let pv = pc.(r) and xd = x.(r).(dim) in
+      let v1 = xd -. knot and v2 = knot -. xd in
+      let a = if v1 > 0.0 then pv *. v1 else 0.0 in
+      let b = if v2 > 0.0 then pv *. v2 else 0.0 in
+      c1.(r) <- a;
+      c2.(r) <- b;
+      s11 := !s11 +. (a *. a);
+      s21 := !s21 +. (a *. b);
+      s22 := !s22 +. (b *. b);
+      t1 := !t1 +. (a *. y.(r));
+      t2 := !t2 +. (b *. y.(r))
+    done;
+    let j = ref 0 in
+    while !j + 1 < at do
+      let j0 = !j in
+      let ca = ne.cols.(j0) and cb = ne.cols.(j0 + 1) in
+      let a1 = ref 0.0 and b1 = ref 0.0 and a2 = ref 0.0 and b2 = ref 0.0 in
+      for r = 0 to n - 1 do
+        let u = ca.(r) and v = cb.(r) and e1 = c1.(r) and e2 = c2.(r) in
+        a1 := !a1 +. (u *. e1);
+        b1 := !b1 +. (v *. e1);
+        a2 := !a2 +. (u *. e2);
+        b2 := !b2 +. (v *. e2)
+      done;
+      g1.(j0) <- !a1;
+      g1.(j0 + 1) <- !b1;
+      g2.(j0) <- !a2;
+      g2.(j0 + 1) <- !b2;
+      j := j0 + 2
+    done;
+    if !j < at then begin
+      let cj = ne.cols.(!j) in
+      let a1 = ref 0.0 and a2 = ref 0.0 in
+      for r = 0 to n - 1 do
+        let u = cj.(r) in
+        a1 := !a1 +. (u *. c1.(r));
+        a2 := !a2 +. (u *. c2.(r))
+      done;
+      g1.(!j) <- !a1;
+      g2.(!j) <- !a2
+    end;
+    g1.(at) <- !s11;
+    g2.(at) <- !s21;
+    g2.(at + 1) <- !s22;
+    ne.xty.(at) <- !t1;
+    ne.xty.(at + 1) <- !t2
+
+  let solve ne ~from idx =
+    let m = Array.length idx in
+    for i = from to m - 1 do
+      let gi = ne.gram.(idx.(i)) in
+      for j = 0 to i do
+        let v = gi.(idx.(j)) in
+        Mat.set ne.sys i j (if i = j then v +. ridge else v)
+      done
+    done;
+    match Mat.cholesky_rows ne.sys ne.chol ~from ~upto:m with
+    | exception Failure _ ->
+        Array.fill ne.w 0 m 0.0;
+        infinity
+    | () ->
+        let w = ne.w and p = ne.p and y = ne.y in
+        for i = 0 to m - 1 do
+          w.(i) <- ne.xty.(idx.(i))
+        done;
+        Mat.cholesky_solve ne.chol m w w;
+        (* every prediction sums its terms in column order, two columns per
+           pass, walking each column contiguously *)
+        Array.fill p 0 (Array.length p) 0.0;
+        let i = ref 0 in
+        while !i + 1 < m do
+          let i0 = !i in
+          let ca = ne.cols.(idx.(i0)) and cb = ne.cols.(idx.(i0 + 1)) in
+          let wa = w.(i0) and wb = w.(i0 + 1) in
+          for r = 0 to Array.length p - 1 do
+            p.(r) <- p.(r) +. (wa *. ca.(r)) +. (wb *. cb.(r))
+          done;
+          i := i0 + 2
+        done;
+        if !i < m then begin
+          let col = ne.cols.(idx.(!i)) and wi = w.(!i) in
+          for r = 0 to Array.length p - 1 do
+            p.(r) <- p.(r) +. (wi *. col.(r))
+          done
+        end;
+        let sse = ref 0.0 in
+        for r = 0 to Array.length y - 1 do
+          let e = p.(r) -. y.(r) in
+          sse := !sse +. (e *. e)
+        done;
+        !sse
+
+  let technique = "rank-pairwise"
+
+  let fit ?(interactions = true) ?(epochs = 60) ?(lr = 0.05) ?pairs_per_epoch ?(names = [||])
+      ~rng (d : Dataset.t) : Model.t =
+    let n = Dataset.size d in
+    let k = Dataset.dims d in
+    let names = if Array.length names = k then names else Array.init k (Printf.sprintf "x%d") in
+    let rows = Array.map (Repr.expand ~interactions) d.Dataset.x in
+    let p = Repr.n_features ~interactions k in
+    let pairs_per_epoch = match pairs_per_epoch with Some m -> m | None -> 4 * n in
+    let beta = Array.make p 0.0 in
+    let y = d.Dataset.y in
+    (* An accepted pair's update waits for the next accepted pair: one pass
+       over beta applies it and computes the next pair's two scores from the
+       updated entries, each score summing its products in feature order.
+       Until a pair is accepted the pending update is a zero step over zero
+       rows, which adds +0 to entries that are all +0: no bit changes. *)
+    let zero = Array.make p 0.0 in
+    let step = ref 0.0 and uh = ref zero and ul = ref zero in
+    for _ = 1 to epochs do
+      for _ = 1 to pairs_per_epoch do
+        let i = Emc_util.Rng.int rng n and j = Emc_util.Rng.int rng n in
+        (* NaN responses carry no order information; such pairs are skipped
+           (the draws still consume rng state, keeping the stream aligned) *)
+        let c = Metrics.nan_last y.(i) y.(j) in
+        if i <> j && (not (Float.is_nan y.(i))) && (not (Float.is_nan y.(j))) && c <> 0 then begin
+          let lo, hi = if c < 0 then (i, j) else (j, i) in
+          let rh = rows.(hi) and rl = rows.(lo) in
+          let st = !step and ph = !uh and pl = !ul in
+          let sh = ref 0.0 and sl = ref 0.0 in
+          for f = 0 to p - 1 do
+            let b = beta.(f) +. (st *. (ph.(f) -. pl.(f))) in
+            beta.(f) <- b;
+            sh := !sh +. (rh.(f) *. b);
+            sl := !sl +. (rl.(f) *. b)
+          done;
+          let g = 1.0 /. (1.0 +. exp (!sh -. !sl)) in
+          step := lr *. g;
+          uh := rh;
+          ul := rl
+        end
+      done
+    done;
+    let st = !step and ph = !uh and pl = !ul in
+    for f = 0 to p - 1 do
+      beta.(f) <- beta.(f) +. (st *. (ph.(f) -. pl.(f)))
+    done;
+    let fnames = Linear.feature_names ~interactions names in
+    let terms =
+      Array.to_list (Array.mapi (fun i b -> (fnames.(i), b)) beta)
+      |> List.filter (fun (_, b) -> Float.abs b > 1e-12)
+    in
+    let repr = Repr.Rank { interactions; beta } in
+    {
+      Model.technique;
+      predict = Repr.eval repr;
+      n_params = p;
+      terms;
+      repr = Some repr;
+    }
+end
+
+let bits_eq = Helpers.bits_eq
+let all_bits = Helpers.all_bits
+let wide = Helpers.wide
+
+let normal_bits (a : Mars.normal) (b : Mars.normal) =
+  let cap = Array.length a.cols in
+  let mat_bits x y =
+    let ok = ref true in
+    for i = 0 to cap - 1 do
+      for j = 0 to cap - 1 do
+        if not (bits_eq (Emc_linalg.Mat.get x i j) (Emc_linalg.Mat.get y i j)) then ok := false
+      done
+    done;
+    !ok
+  in
+  Array.for_all2 all_bits a.cols b.cols
+  && Array.for_all2 all_bits a.gram b.gram
+  && all_bits a.xty b.xty && all_bits a.w b.w && all_bits a.p b.p && mat_bits a.sys b.sys
+  && mat_bits a.chol b.chol
+
+(* The forward pass's calls on random data: an intercept column (and on
+   odd seeds one more random column), then hinge pairs stored in the next
+   free slots on random parents, dimensions and knots, each followed by a
+   resumed solve of the columns so far; then a solve of a random
+   ascending subset from row 0. Row counts run from 1, and pairs land at
+   odd and even slots, so the Gram pass ends with and without a lone
+   column and the prediction pass with and without a lone weight;
+   [Mars.dot] fills the first columns' entries as in a fit. Both normals
+   must agree on every cell, and every returned SSE on its bits. *)
+let prop_mars_kernels_parent_bits =
+  QCheck.Test.make ~name:"Mars.dot, store_pair and solve keep their checked parents' bits"
+    ~count:300
+    QCheck.(make Gen.(quad (int_range 1 40) (int_range 1 5) (int_range 1 6) (int_range 0 10_000)))
+    (fun (n, k, pairs, seed) ->
+      let rng = Emc_util.Rng.create seed in
+      let x = Array.init n (fun _ -> Array.init k (fun _ -> wide rng)) in
+      let y = Array.init n (fun _ -> wide rng) in
+      let first = 1 + (seed mod 2) in
+      let cap = first + (2 * pairs) in
+      let a = Mars.normal ~cap y and b = Mars.normal ~cap y in
+      let ok = ref true in
+      let check v v' = if not (bits_eq v v') then ok := false in
+      let extra = Array.init n (fun _ -> wide rng) in
+      let fill (ne : Mars.normal) dot =
+        Array.fill ne.cols.(0) 0 n 1.0;
+        if first = 2 then Array.blit extra 0 ne.cols.(1) 0 n;
+        for i = 0 to first - 1 do
+          for j = 0 to i do
+            ne.gram.(i).(j) <- dot ne.cols.(i) ne.cols.(j)
+          done;
+          ne.xty.(i) <- dot ne.cols.(i) y
+        done
+      in
+      fill a Mars.dot;
+      fill b Parent.dot;
+      let idx = Array.init first Fun.id in
+      check (Mars.solve a ~from:0 idx) (Parent.solve b ~from:0 idx);
+      for q = 0 to pairs - 1 do
+        let at = first + (2 * q) in
+        let parent = Emc_util.Rng.int rng at and dim = Emc_util.Rng.int rng k in
+        let knot = x.(Emc_util.Rng.int rng n).(dim) in
+        Mars.store_pair a (Array.map (fun r -> r.(dim)) x) ~parent ~knot ~at;
+        Parent.store_pair b x ~parent ~dim ~knot ~at;
+        let idx = Array.init (at + 2) Fun.id in
+        check (Mars.solve a ~from:at idx) (Parent.solve b ~from:at idx)
+      done;
+      let subset = List.filter (fun _ -> Emc_util.Rng.bool rng) (List.init cap Fun.id) in
+      let idx = Array.of_list (if subset = [] then [ 0 ] else subset) in
+      check (Mars.solve a ~from:0 idx) (Parent.solve b ~from:0 idx);
+      !ok && normal_bits a b)
+
+(* [Rank.fit] against its parent on random coded points with tied, NaN
+   and wide responses, with and without interactions: the coefficients'
+   bits. Coded points keep the scores small, so each pair's logistic
+   weight, and with it every later coefficient, follows the last bit of
+   its two scores. *)
+let prop_rank_fit_parent_bits =
+  QCheck.Test.make ~name:"Rank.fit keeps its checked parent's bits" ~count:200
+    QCheck.(make Gen.(quad (int_range 1 30) (int_range 1 6) bool (int_range 0 10_000)))
+    (fun (n, k, interactions, seed) ->
+      let rng = Emc_util.Rng.create seed in
+      let x = Array.init n (fun _ -> Array.init k (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0)) in
+      let y =
+        Array.init n (fun _ ->
+            match Emc_util.Rng.int rng 6 with 0 -> nan | 1 -> 1.0 | _ -> wide rng)
+      in
+      let d = Dataset.create x y in
+      let fit f = f ~interactions ~epochs:3 ~rng:(Emc_util.Rng.create (seed + 1)) d in
+      let beta (m : Model.t) =
+        match m.Model.repr with Some (Repr.Rank { beta; _ }) -> beta | _ -> [||]
+      in
+      all_bits
+        (beta (fit (fun ~interactions ~epochs ~rng d -> Rank.fit ~interactions ~epochs ~rng d)))
+        (beta (fit (fun ~interactions ~epochs ~rng d -> Parent.fit ~interactions ~epochs ~rng d))))
+
+(* The entry checks: an array too short for the indices raises
+   [Invalid_argument] before a kernel reads or writes, so the normal's
+   weights, predictions and columns keep their contents. *)
+let test_forward_pass_entry_checks () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "dot, a short second operand" (fun () -> Mars.dot [| 1.0; 2.0 |] [| 1.0 |]);
+  let y = [| 1.0; 2.0; 3.0; 4.0 |] in
+  let ne = Mars.normal ~cap:5 y in
+  Array.fill ne.Mars.cols.(0) 0 4 1.0;
+  Array.fill ne.Mars.w 0 5 7.0;
+  Array.fill ne.Mars.p 0 4 7.0;
+  raises "store_pair, a short data column" (fun () ->
+      Mars.store_pair ne [| 0.5; 0.1; 0.2 |] ~parent:0 ~knot:0.0 ~at:1);
+  raises "store_pair, a short stored column" (fun () ->
+      Mars.store_pair { ne with cols = [| [| 1.0 |]; ne.Mars.cols.(1); ne.Mars.cols.(2); ne.Mars.cols.(3); ne.Mars.cols.(4) |] }
+        [| 0.5; 0.1; 0.2; 0.3 |] ~parent:1 ~knot:0.0 ~at:3);
+  cb "columns untouched" true (Array.for_all (( = ) 0.0) ne.Mars.cols.(1));
+  raises "solve, columns out of order" (fun () -> Mars.solve ne ~from:0 [| 1; 0 |]);
+  raises "solve, a column past the end" (fun () -> Mars.solve ne ~from:0 [| 0; 5 |]);
+  raises "solve, a negative column" (fun () -> Mars.solve ne ~from:0 [| -1 |]);
+  raises "solve, a start past the end" (fun () -> Mars.solve ne ~from:3 [| 0; 1 |]);
+  raises "solve, a negative start" (fun () -> Mars.solve ne ~from:(-1) [| 0 |]);
+  raises "solve, short predictions" (fun () -> Mars.solve { ne with p = [| 0.0 |] } ~from:0 [| 0 |]);
+  cb "weights and predictions untouched" true
+    (Array.for_all (( = ) 7.0) ne.Mars.w && Array.for_all (( = ) 7.0) ne.Mars.p);
+  raises "Rank.fit, a point with fewer coordinates" (fun () ->
+      Rank.fit ~rng:(rng0 ()) (Dataset.create [| [| 1.0; 2.0 |]; [| 1.0 |] |] [| 1.0; 2.0 |]))
+
 let suite =
   [
     ("dataset basics", `Quick, test_dataset_basics);
@@ -755,4 +1071,7 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 30 |]) prop_tree_matches_reference;
     ("tree grid equals one-budget fits", `Quick, test_tree_grid_equals_single_fits);
     ("rbf fit allocates under 2M words", `Quick, test_rbf_fit_allocation);
+    QCheck_alcotest.to_alcotest prop_mars_kernels_parent_bits;
+    QCheck_alcotest.to_alcotest prop_rank_fit_parent_bits;
+    ("forward-pass kernels refuse short arrays first", `Quick, test_forward_pass_entry_checks);
   ]

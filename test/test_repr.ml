@@ -410,6 +410,212 @@ let test_eval_allocates_o1_words () =
       cb (Printf.sprintf "%s: %.1f words per call" what w) true (w <= 4.0))
     cases
 
+(* ---- evaluation as it was before its loops read unchecked ---- *)
+
+(* A verbatim copy of the checked evaluator: [Repr.eval] must give its
+   bits for every family, and reordering any sum in one of its loops must
+   fail the property below. *)
+module Parent = struct
+  type factor = Repr.factor = { dim : int; knot : float; positive : bool }
+  type kernel = Repr.kernel = Gaussian | Multiquadric | InverseMultiquadric
+
+  type t = Repr.t =
+    | Linear of { interactions : bool; beta : float array; mu : float; sd : float }
+    | Mars of { bases : factor list array; weights : float array; mu : float; sd : float }
+    | Rbf of {
+        kernel : kernel;
+        centers : float array array;
+        radii : float array;
+        weights : float array;
+        mu : float;
+        sd : float;
+      }
+    | Rank of { interactions : bool; beta : float array }
+    | Clamp of { lo : float; hi : float; body : t }
+
+  let n_features ~interactions k = if interactions then 1 + k + (k * (k + 1) / 2) else 1 + k
+
+  let expand_into ~interactions x out =
+    let k = Array.length x in
+    out.(0) <- 1.0;
+    Array.blit x 0 out 1 k;
+    if interactions then begin
+      let idx = ref (1 + k) in
+      for i = 0 to k - 1 do
+        for j = i to k - 1 do
+          out.(!idx) <- x.(i) *. x.(j);
+          incr idx
+        done
+      done
+    end
+
+  let expand ~interactions x =
+    let out = Array.make (n_features ~interactions (Array.length x)) 0.0 in
+    expand_into ~interactions x out;
+    out
+
+  (* The kernels below are loops over local accumulators, and the three
+     float-valued helpers are [@inline]: without flambda, a float captured by
+     a closure is boxed on every update, and a float returned from a call
+     that is not inlined is boxed once per call. Inlined into [eval], they
+     leave a staged evaluation one allocation, the box of its result. *)
+
+  (* Every factor multiplies in, in list order; one at or below its knot
+     zeroes the product, and later factors still multiply the zero. *)
+  let[@inline] eval_basis (b : factor list) x =
+    let acc = ref 1.0 and rest = ref b in
+    while
+      match !rest with
+      | [] -> false
+      | f :: tl ->
+          let v = if f.positive then x.(f.dim) -. f.knot else f.knot -. x.(f.dim) in
+          acc := if v <= 0.0 then 0.0 else !acc *. v;
+          rest := tl;
+          true
+    do
+      ()
+    done;
+    !acc
+
+  let[@inline] eval_kernel kernel ~r d2 =
+    match kernel with
+    | Gaussian -> exp (-.d2 /. (2.0 *. r *. r))
+    | Multiquadric -> sqrt ((d2 /. (r *. r)) +. 1.0)
+    | InverseMultiquadric -> 1.0 /. sqrt ((d2 /. (r *. r)) +. 1.0)
+
+  let[@inline] dist2 a b =
+    let acc = ref 0.0 in
+    for i = 0 to Array.length a - 1 do
+      let d = a.(i) -. b.(i) in
+      acc := !acc +. (d *. d)
+    done;
+    !acc
+
+  (* [beta] dotted with the feature row of [x], expanded into scratch
+     allocated once per staged evaluator. *)
+  let dot_features ~interactions beta =
+    let scratch = Array.make (Array.length beta) 0.0 in
+    fun x ->
+      let nf = n_features ~interactions (Array.length x) in
+      if nf > Array.length scratch then
+        invalid_arg "Repr.eval: point arity exceeds the fitted dimensionality";
+      expand_into ~interactions x scratch;
+      let acc = ref 0.0 in
+      for i = 0 to nf - 1 do
+        acc := !acc +. (scratch.(i) *. beta.(i))
+      done;
+      !acc
+
+  (* Staged: the representation dispatch and the feature scratch are
+     resolved once per [eval r], so the returned closure must not be shared
+     between concurrent evaluators. *)
+  let rec eval r =
+    match r with
+    | Linear { interactions; beta; mu; sd } ->
+        let dot = dot_features ~interactions beta in
+        fun x -> (dot x *. sd) +. mu
+    | Mars { bases; weights; mu; sd } ->
+        fun x ->
+          let acc = ref 0.0 in
+          for i = 0 to Array.length bases - 1 do
+            acc := !acc +. (weights.(i) *. eval_basis bases.(i) x)
+          done;
+          (!acc *. sd) +. mu
+    | Rbf { kernel; centers; radii; weights; mu; sd } ->
+        fun x ->
+          let acc = ref weights.(0) in
+          for j = 0 to Array.length centers - 1 do
+            acc :=
+              !acc +. (weights.(j + 1) *. eval_kernel kernel ~r:radii.(j) (dist2 x centers.(j)))
+          done;
+          (!acc *. sd) +. mu
+    | Rank { interactions; beta } ->
+        (* a unitless ranking score over the same feature expansion as
+           Linear, without response standardization: only order matters *)
+        dot_features ~interactions beta
+    | Clamp { lo; hi; body } ->
+        let f = eval body in
+        fun x -> Float.max lo (Float.min hi (f x))
+end
+
+let wide = Helpers.wide
+
+(* A random repr of [k] dimensions in [family] (0 linear, 1 rank, 2 MARS,
+   3 RBF), clamped on odd seeds: up to 12 bases of up to three hinges,
+   and from no center to 12 centers under each kernel. *)
+let random_repr rng ~family ~k =
+  let floats n = Array.init n (fun _ -> wide rng) in
+  let interactions = Emc_util.Rng.bool rng in
+  let r =
+    match family with
+    | 0 ->
+        Repr.Linear
+          { interactions; beta = floats (Repr.n_features ~interactions k); mu = wide rng;
+            sd = wide rng }
+    | 1 -> Repr.Rank { interactions; beta = floats (Repr.n_features ~interactions k) }
+    | 2 ->
+        let nb = Emc_util.Rng.int rng 13 in
+        let factor _ =
+          { Repr.dim = Emc_util.Rng.int rng k; knot = wide rng *. 1e-3;
+            positive = Emc_util.Rng.bool rng }
+        in
+        Repr.Mars
+          { bases = Array.init nb (fun _ -> List.init (Emc_util.Rng.int rng 4) factor);
+            weights = floats nb; mu = wide rng; sd = wide rng }
+    | _ ->
+        let nc = Emc_util.Rng.int rng 13 in
+        Repr.Rbf
+          { kernel =
+              (match Emc_util.Rng.int rng 3 with
+              | 0 -> Repr.Gaussian
+              | 1 -> Repr.Multiquadric
+              | _ -> Repr.InverseMultiquadric);
+            centers = Array.init nc (fun _ -> Array.init k (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0));
+            radii = Array.init nc (fun _ -> 0.5 +. Emc_util.Rng.float rng 2.0);
+            weights = floats (nc + 1); mu = wide rng; sd = wide rng }
+  in
+  if Emc_util.Rng.bool rng then Repr.Clamp { lo = -1e6; hi = 1e6; body = r } else r
+
+let prop_eval_parent_bits =
+  QCheck.Test.make ~name:"eval keeps its checked parent's bits in every family" ~count:400
+    QCheck.(make Gen.(triple (int_range 0 3) (int_range 1 9) (int_range 0 10_000)))
+    (fun (family, k, seed) ->
+      let rng = Emc_util.Rng.create seed in
+      let r = random_repr rng ~family ~k in
+      let f = Repr.eval r and f' = Parent.eval r in
+      List.for_all
+        (fun _ ->
+          let x = Array.init k (fun _ -> Emc_util.Rng.float rng 2.0 -. 1.0) in
+          Helpers.bits_eq (f x) (f' x))
+        (List.init 8 Fun.id))
+
+(* The entry checks: arrays of a repr that do not match raise
+   [Invalid_argument] when it is staged, and a point that does not reach
+   every coordinate the repr reads raises on the call, before any read. *)
+let test_eval_entry_checks () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let rbf ?(radii = [| 1.0; 1.0 |]) ?(weights = [| 0.1; 0.2; 0.3 |]) centers =
+    Repr.Rbf { kernel = Repr.Gaussian; centers; radii; weights; mu = 0.0; sd = 1.0 }
+  in
+  let centers = [| [| 0.0; 0.5 |]; [| 0.5; 0.0 |] |] in
+  raises "rbf, a missing radius" (fun () -> Repr.eval (rbf ~radii:[| 1.0 |] centers));
+  raises "rbf, a missing weight" (fun () -> Repr.eval (rbf ~weights:[| 0.1; 0.2 |] centers));
+  let short = Repr.eval (rbf [| [| 0.0; 0.5 |]; [| 0.5 |] |]) in
+  raises "rbf, a center shorter than the point" (fun () -> short [| 0.1; 0.2 |]);
+  let mars ?(weights = [| 1.0 |]) dim =
+    Repr.Mars
+      { bases = [| [ { Repr.dim; knot = 0.0; positive = true } ] |]; weights; mu = 0.0; sd = 1.0 }
+  in
+  raises "mars, a missing weight" (fun () -> Repr.eval (mars ~weights:[||] 0));
+  raises "mars, a negative dimension" (fun () -> Repr.eval (mars (-1)));
+  raises "mars, a point short of a hinge" (fun () -> Repr.eval (mars 2) [| 0.1; 0.2 |]);
+  let linear = Repr.eval (Repr.Linear { interactions = true; beta = Array.make 6 1.0; mu = 0.0; sd = 1.0 }) in
+  raises "linear, a point past the fitted dimensions" (fun () -> linear [| 0.1; 0.2; 0.3 |])
+
 let suite =
   [
     Alcotest.test_case "linear round-trips bit-for-bit" `Quick test_linear_roundtrip;
@@ -431,4 +637,6 @@ let suite =
       test_artifact_version_constant;
     Alcotest.test_case "repr of_json is strict" `Quick test_repr_of_json_strictness;
     Alcotest.test_case "evaluators allocate O(1) words" `Quick test_eval_allocates_o1_words;
+    QCheck_alcotest.to_alcotest prop_eval_parent_bits;
+    Alcotest.test_case "eval refuses mismatched arrays first" `Quick test_eval_entry_checks;
   ]

@@ -337,6 +337,91 @@ let test_optimize_seconds_observed () =
   Alcotest.(check int) "one NSGA-II sample" (pareto + 1) (samples "pareto.optimize_seconds");
   Alcotest.(check int) "the GA's count is unchanged" (ga + 1) (samples "ga.optimize_seconds")
 
+(* A population smaller than the elite keeps all of itself: at pop 1 the
+   GA copies its one genome forward, and the best it returns is that
+   genome with its own fitness. A population of none is refused. *)
+let test_ga_tiny_populations () =
+  List.iter
+    (fun pop_size ->
+      let params = { Ga.default_params with pop_size; generations = 5 } in
+      let best, fit = Ga.optimize ~params (Emc_util.Rng.create 3) (grid5 4) ~fitness:separable in
+      Alcotest.(check int) (Printf.sprintf "pop %d: genome length" pop_size) 4 (Array.length best);
+      Alcotest.(check (float 0.0)) (Printf.sprintf "pop %d: its fitness" pop_size) (separable best) fit)
+    [ 1; 2; 3 ];
+  Alcotest.check_raises "pop 0" (Invalid_argument "Ga.optimize: pop_size must be at least 1, not 0")
+    (fun () ->
+      ignore
+        (Ga.optimize ~params:{ Ga.default_params with pop_size = 0 } (Emc_util.Rng.create 3) (grid5 4)
+           ~fitness:separable))
+
+(* A verbatim copy of the checked [crowding_distance]: the unchecked one
+   must give its bits, and reordering its sum over the objectives, or its
+   order of equal or NaN values, must fail the property below. *)
+module Parent = struct
+  let crowding_distance (objs : float array array) (front : int array) : float array =
+    let k = Array.length front in
+    let dist = Array.make k 0.0 in
+    if k > 0 then begin
+      let m = Array.length objs.(front.(0)) in
+      for o = 0 to m - 1 do
+        let order = Array.init k Fun.id in
+        Array.sort
+          (fun a b ->
+            let c = Ga.fitness_order objs.(front.(a)).(o) objs.(front.(b)).(o) in
+            if c <> 0 then c else compare front.(a) front.(b))
+          order;
+        dist.(order.(0)) <- infinity;
+        dist.(order.(k - 1)) <- infinity;
+        let lo = objs.(front.(order.(0))).(o) and hi = objs.(front.(order.(k - 1))).(o) in
+        let range = hi -. lo in
+        if Float.is_finite range && range > 0.0 then
+          for p = 1 to k - 2 do
+            let prev = objs.(front.(order.(p - 1))).(o)
+            and next = objs.(front.(order.(p + 1))).(o) in
+            if Float.is_finite prev && Float.is_finite next then
+              dist.(order.(p)) <- dist.(order.(p)) +. ((next -. prev) /. range)
+          done
+      done
+    end;
+    dist
+end
+
+(* Objectives from a small set (so ties break by front index) and doubles
+   over forty binary orders of magnitude, on odd seeds with NaN and
+   infinities too; fronts are random subsets in random order, a single
+   member included. Up to five objectives, so an interior point's
+   distance can sum three gaps or more, whose order shows in its bits. *)
+let prop_crowding_parent_bits =
+  QCheck.Test.make ~name:"crowding_distance keeps its checked parent's bits" ~count:400
+    QCheck.(make Gen.(quad (int_range 1 30) (int_range 1 5) (int_range 1 30) (int_range 0 10_000)))
+    (fun (n, m, len, seed) ->
+      let rng = Emc_util.Rng.create seed in
+      let value () =
+        match Emc_util.Rng.int rng (if seed mod 2 = 1 then 8 else 6) with
+        | 6 -> nan
+        | 7 -> infinity
+        | 0 | 1 -> float_of_int (Emc_util.Rng.int rng 3)
+        | _ -> Helpers.wide rng
+      in
+      let objs = Array.init n (fun _ -> Array.init m (fun _ -> value ())) in
+      let perm = Array.init n Fun.id in
+      Emc_util.Rng.shuffle rng perm;
+      let front = Array.sub perm 0 (1 + (len mod n)) in
+      Helpers.all_bits (Pareto.crowding_distance objs front) (Parent.crowding_distance objs front))
+
+(* The entry check: a member outside the points, or one short of the
+   first member's objectives, raises [Invalid_argument] before a read. *)
+let test_crowding_entry_check () =
+  let objs = [| [| 1.0; 2.0 |]; [| 2.0; 1.0 |]; [| 3.0 |] |] in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "a member past the points" (fun () -> Pareto.crowding_distance objs [| 0; 3 |]);
+  raises "a negative member" (fun () -> Pareto.crowding_distance objs [| 0; -1 |]);
+  raises "a member short of objectives" (fun () -> Pareto.crowding_distance objs [| 0; 2 |])
+
 let suite =
   [
     ("ga separable optimum", `Quick, test_ga_finds_separable_optimum);
@@ -361,4 +446,7 @@ let suite =
     ("pareto avoids NaN region", `Quick, test_pareto_optimize_avoids_nan_region);
     ("pareto evaluation accounting", `Quick, test_pareto_counters);
     ("searches timed once per call", `Quick, test_optimize_seconds_observed);
+    ("ga at populations of 1 to 3", `Quick, test_ga_tiny_populations);
+    QCheck_alcotest.to_alcotest prop_crowding_parent_bits;
+    ("crowding refuses a stray member first", `Quick, test_crowding_entry_check);
   ]

@@ -1155,6 +1155,26 @@ let test_stop_at_startup () =
     cb (Printf.sprintf "start %d leaves no metrics directory" i) false (Sys.file_exists metrics)
   done
 
+(* The smallest budget the caps admit: a one-genome /search answers 200
+   with the direct search's bits. Before, the GA copied two elites out of
+   one genome and the daemon answered 500. *)
+let test_search_pop_one () =
+  with_server (fun (_, path) ->
+      let art = Lazy.force artifact in
+      let body = {|{"config":"typical","seed":4,"pop_size":1,"generations":3}|} in
+      let status, reply = request path ~meth:"POST" ~body "/search" in
+      ci "search status" 200 status;
+      let direct =
+        Searcher.search
+          ~params:{ Emc_search.Ga.default_params with pop_size = 1; generations = 3 }
+          ~rng:(Emc_util.Rng.create 4) ~model:(Artifact.model art) ~march:Emc_sim.Config.typical ()
+      in
+      (match Json.member "predicted_cycles" (json_of reply) with
+      | Some (Json.Float c) ->
+          Alcotest.(check int64) "served search equals direct search"
+            (Int64.bits_of_float direct.Searcher.predicted_cycles) (Int64.bits_of_float c)
+      | _ -> Alcotest.failf "no predicted_cycles in %S" reply))
+
 let suite =
   [
     Alcotest.test_case "routing and structured errors (in-process)" `Quick
@@ -1199,4 +1219,5 @@ let suite =
       test_predict_raw_uncodable;
     Alcotest.test_case "SIGTERM as its socket appears: exit 0, nothing left" `Quick
       test_stop_at_startup;
+    Alcotest.test_case "/search at pop 1 answers 200" `Quick test_search_pop_one;
   ]
